@@ -29,14 +29,6 @@ pub mod quantiles;
 pub mod resample;
 pub mod weighted;
 
-/// Deprecated alias for [`pilot`]: the module held the paper's §4.2–4.3
-/// *pilot-sample* accumulator, not a statistical bootstrap. The name now
-/// belongs to the resampling engine in [`resample`].
-#[deprecated(note = "renamed to `pilot`; the statistical bootstrap lives in `resample`")]
-pub mod bootstrap {
-    pub use crate::pilot::PilotGroup;
-}
-
 pub use allocation::{allocate, combined_variance, corollary_4_1, GroupParams};
 pub use error::{mse_decomposition, relative_error, MseDecomposition, SeriesSummary};
 pub use moments::RunningMoments;

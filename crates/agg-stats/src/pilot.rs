@@ -118,15 +118,6 @@ mod tests {
         assert_eq!(p.mean_cost(3.0), 1.0);
     }
 
-    /// The pre-rename path must keep resolving (deprecated, not removed).
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_bootstrap_path_still_resolves() {
-        let mut p = crate::bootstrap::PilotGroup::new();
-        p.record(1.0, 2.0);
-        assert_eq!(p.count(), 1);
-    }
-
     #[test]
     fn converts_to_group_params() {
         let mut p = PilotGroup::new();

@@ -10,20 +10,6 @@
 //! the "large" list) and a staircase attribute whose values select
 //! progressively rarer slices (the "small" list), so `ratio_R` means
 //! `|large| ≈ R × |small|`.
-//!
-//! Two groups:
-//!
-//! * `intersect` — the original two-list sweep, now with a `blockmax`
-//!   row per ratio: the same `GALLOP_RATIO` doubles as the k-way
-//!   engine's *per-block* sparse/dense cut (the run-length ratio inside
-//!   one 256-slot block tracks the list-level ratio here), so this sweep
-//!   re-pins the cutover at block granularity. On this host the block
-//!   paths cross in the same ratio-4..16 window as the list-level
-//!   strategies, so the shared constant 8 stands for both.
-//! * `kway` — 2/3/4/6-predicate conjunctions over half-density
-//!   attributes, the k-way merge's home turf: the pair strategies pay a
-//!   columnar residual check per extra predicate, the block-max engine
-//!   intersects all lists at once.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hidden_db::database::HiddenDatabase;
@@ -76,7 +62,6 @@ fn bench_intersection(c: &mut Criterion) {
         ("gallop", IntersectPolicy::Gallop),
         ("bitset", IntersectPolicy::Bitset),
         ("recheck", IntersectPolicy::Recheck),
-        ("blockmax", IntersectPolicy::BlockMax),
     ];
     let ratios = [1u64, 4, 16, 64, 256];
     for (tier, &ratio) in ratios.iter().enumerate() {
@@ -94,51 +79,5 @@ fn bench_intersection(c: &mut Criterion) {
     group.finish();
 }
 
-/// Population for the k-way group: six binary attributes, each value
-/// covering half the tuples via independent key bits, so a `p`-predicate
-/// conjunction selects ≈ `N / 2^p` tuples and every posting list is
-/// comparably dense (the regime where two-rarest + residual re-check
-/// does the most per-candidate work). `NewestFirst` ranking makes
-/// scores monotone in slot order, so block-max bounds are sharply
-/// tiered and the skip machinery engages once the top-`k` floor pins.
-fn kway_db() -> HiddenDatabase {
-    let schema = Schema::with_domain_sizes(&[2; 6], &[]).unwrap();
-    let mut db = HiddenDatabase::new(schema, 100, ScoringPolicy::NewestFirst);
-    db.set_invalidation_policy(InvalidationPolicy::Disabled);
-    for key in 0..N {
-        let values = (0..6).map(|bit| ValueId(((key >> bit) & 1) as u32)).collect();
-        db.insert(Tuple::new(TupleKey(key), values, vec![])).unwrap();
-    }
-    db
-}
-
-fn bench_kway(c: &mut Criterion) {
-    let mut group = c.benchmark_group("kway");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(1))
-        .warm_up_time(Duration::from_millis(200));
-
-    let mut db = kway_db();
-    let modes = [
-        ("blockmax", IntersectPolicy::BlockMax),
-        ("gallop", IntersectPolicy::Gallop),
-        ("bitset", IntersectPolicy::Bitset),
-        ("recheck", IntersectPolicy::Recheck),
-    ];
-    for preds in [2usize, 3, 4, 6] {
-        let q = ConjunctiveQuery::from_predicates(
-            (0..preds).map(|attr| Predicate::new(AttrId(attr as u16), ValueId(0))),
-        );
-        for (name, intersect) in modes {
-            db.set_eval_config(EvalConfig { early_exit: true, intersect });
-            group.bench_function(format!("preds_{preds}_{name}"), |b| {
-                b.iter(|| black_box(db.answer(&q)))
-            });
-        }
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_intersection, bench_kway);
+criterion_group!(benches, bench_intersection);
 criterion_main!(benches);

@@ -61,17 +61,14 @@
 //!     equal the one a private database frozen at epoch 0 produces
 //!     (`shared_service_bit_identical`), and aggregate read throughput
 //!     is recorded per client count.
-//! 12. **K-way block-max intersection** (PR 8) — conjunctions of
-//!     2/3/4/6 half-density predicates (every posting list ≈ N/2, the
-//!     regime where two-rarest + residual re-check pays the most per
-//!     candidate) on the canonical block-max score distribution: one
-//!     hot 256-slot block per segment with hot scores interleaved
-//!     across segments, so segment bounds are all near the maximum
-//!     (segment-granular pruning is blind) while block bounds still
-//!     discriminate. All four strategies must agree bit-for-bit
-//!     (`kway_identical`), and the block-max engine must beat the
-//!     better pair engine by ≥1.3× on the 4-predicate pool
-//!     (`kway_speedup_on_multipredicate`).
+//! 12. **K-way intersection** — conjunctions of 2/3/4/6 half-density
+//!     predicates (every posting list ≈ N/2, the regime where
+//!     two-rarest + residual re-check pays the most per candidate) on a
+//!     score distribution with one hot 256-slot block per segment and
+//!     hot scores interleaved across segments, so every segment bound
+//!     sits near the maximum and segment-granular pruning is blind.
+//!     Gallop, bitset and the re-check reference must agree bit-for-bit
+//!     (`kway_identical`).
 //!
 //! 13. **Persistence tier** (PR 9) — the out-of-core pager on a fig12-
 //!     style size sweep (10⁵/10⁶/10⁷ tuples): each pool is built three
@@ -141,7 +138,7 @@ fn main() {
     let memo_adv = memo_adversarial();
     eprintln!(">>> perf_baseline: deep-query intersection engine");
     let intersection = intersection_engine();
-    eprintln!(">>> perf_baseline: k-way block-max intersection");
+    eprintln!(">>> perf_baseline: k-way intersection");
     let kway = intersection_kway();
     eprintln!(">>> perf_baseline: early-exit overflow classification");
     let early_exit = early_exit_workload();
@@ -606,53 +603,42 @@ fn intersection_engine() -> Json {
         .field("engine_speedup", engine_qps / recheck_qps)
         .field("gallop_intersections", stats.gallop_intersections)
         .field("bitset_intersections", stats.bitset_intersections)
-        .field("blockmax_intersections", stats.blockmax_intersections)
-        .field("blocks_scanned", stats.blocks_scanned)
-        .field("blocks_skipped", stats.blocks_skipped)
-        .field("pivot_advances", stats.pivot_advances)
         .field("early_exits", stats.early_exits)
         .field("intersect_identical", engine_fp == recheck_fp)
         .field("engine_beats_recheck", engine_qps > recheck_qps)
 }
 
-/// PR 8: the k-way block-max engine vs the pair strategies on
-/// conjunctions of 2/3/4/6 half-density predicates — six binary
-/// attributes populated from independent key bits, so every posting
-/// list covers ≈ N/2 tuples and a `p`-predicate conjunction selects
-/// ≈ N/2^p. This is the regime where two-rarest + residual re-check
-/// pays the most per candidate: the pair engines intersect two ~60 k
-/// lists and column-check the rest per survivor, while the block-max
-/// engine merges all lists at once.
+/// The pair strategies on conjunctions of 2/3/4/6 half-density
+/// predicates — six binary attributes populated from independent key
+/// bits, so every posting list covers ≈ N/2 tuples and a `p`-predicate
+/// conjunction selects ≈ N/2^p. This is the regime where two-rarest +
+/// residual re-check pays the most per candidate: the pair engines
+/// intersect two ~60 k lists and column-check the rest per survivor.
 ///
-/// The ranking is the canonical block-max motivating distribution: the
-/// top scorers live in one *hot* 256-slot block per segment, with the
-/// hot scores interleaved across segments so every segment's bound is
-/// within a hair of the global maximum. Segment-granular pruning is
-/// blind — no segment bound ever drops under the top-`k` floor, so the
-/// pair engines scan every segment end to end — while per-block bounds
-/// still discriminate perfectly: the block-max engine visits the ~30
-/// hot blocks and skips the other ~450 whole.
-/// `kway_identical` must always be true;
-/// `kway_speedup_on_multipredicate` asserts the ≥1.3× win on the
-/// 4-predicate pool against the better pair engine.
+/// The top scorers live in one *hot* 256-slot block per segment, with
+/// the hot scores interleaved across segments so every segment's bound
+/// is within a hair of the global maximum: no segment bound ever drops
+/// under the top-`k` floor, so the pair engines scan every segment end
+/// to end. `kway_identical` must always be true.
 fn intersection_kway() -> Json {
     const SEGMENTS: u64 = 30;
     const N: u64 = SEGMENTS * hidden_db::SEGMENT_SLOTS as u64;
     const K: usize = 25;
     const PASSES: usize = 10;
     const ATTRS: usize = 6;
+    const HOT_BLOCK_SLOTS: u64 = 256;
 
-    let block_slots = hidden_db::BLOCK_SLOTS as u64;
-    let blocks_per_segment = hidden_db::BLOCKS_PER_SEGMENT as u64;
+    let blocks_per_segment = hidden_db::SEGMENT_SLOTS as u64 / HOT_BLOCK_SLOTS;
     // Hot block = the first block of each segment. Hot scores form one
     // global staircase dealt round-robin across segments (rank
     // `i * SEGMENTS + segment` within the hot set), so the true top-k
     // spans many segments and every segment bound stays near the top.
     // Cold tuples cycle far below.
     let measure = move |key: u64| {
-        let in_block = key % block_slots;
-        if (key / block_slots).is_multiple_of(blocks_per_segment) {
-            1_000_000.0 - (in_block * SEGMENTS + key / (block_slots * blocks_per_segment)) as f64
+        let in_block = key % HOT_BLOCK_SLOTS;
+        if (key / HOT_BLOCK_SLOTS).is_multiple_of(blocks_per_segment) {
+            1_000_000.0
+                - (in_block * SEGMENTS + key / (HOT_BLOCK_SLOTS * blocks_per_segment)) as f64
         } else {
             in_block as f64
         }
@@ -687,7 +673,6 @@ fn intersection_kway() -> Json {
     };
 
     let policies = [
-        ("blockmax", EvalConfig { early_exit: true, intersect: IntersectPolicy::BlockMax }),
         ("gallop", EvalConfig { early_exit: true, intersect: IntersectPolicy::Gallop }),
         ("bitset", EvalConfig { early_exit: true, intersect: IntersectPolicy::Bitset }),
         ("recheck", EvalConfig { early_exit: false, intersect: IntersectPolicy::Recheck }),
@@ -701,12 +686,10 @@ fn intersection_kway() -> Json {
         .field("passes", PASSES)
         .field("list_density", "each of 6 binary attributes covers ~N/2");
     let mut all_identical = true;
-    let mut speedup4 = 0.0f64;
     for preds in [2usize, 3, 4, 6] {
         let pool = pool_for(preds);
         let mut section = Json::obj().field("pool_queries", pool.len());
         let mut fingerprints: Vec<u64> = Vec::new();
-        let mut qps_by_policy: Vec<f64> = Vec::new();
         for (name, db) in dbs.iter_mut() {
             let mut fp = 0xcbf2_9ce4_8422_2325u64;
             let t0 = Instant::now();
@@ -718,29 +701,14 @@ fn intersection_kway() -> Json {
             let wall = t0.elapsed();
             let qps = (PASSES * pool.len()) as f64 / wall.as_secs_f64();
             fingerprints.push(fp);
-            qps_by_policy.push(qps);
             section = section.field(&format!("{name}_queries_per_sec"), qps);
         }
         let identical = fingerprints.iter().all(|&fp| fp == fingerprints[0]);
         all_identical &= identical;
         section = section.field("identical", identical);
-        if preds == 4 {
-            // policies[0] is blockmax; [1]/[2] are the pair engines.
-            speedup4 = qps_by_policy[0] / qps_by_policy[1].max(qps_by_policy[2]);
-            section = section.field("blockmax_vs_best_pair_speedup", speedup4);
-        }
         report = report.field(&format!("preds_{preds}"), section);
     }
-    let stats = dbs[0].1.eval_stats();
-    report
-        .field("blockmax_intersections", stats.blockmax_intersections)
-        .field("blocks_scanned", stats.blocks_scanned)
-        .field("blocks_skipped", stats.blocks_skipped)
-        .field("pivot_advances", stats.pivot_advances)
-        .field("early_exits", stats.early_exits)
-        .field("speedup_4pred", speedup4)
-        .field("kway_identical", all_identical)
-        .field("kway_speedup_on_multipredicate", speedup4 >= 1.3)
+    report.field("kway_identical", all_identical)
 }
 
 /// PR 3: overflow-heavy `NewestFirst` scans with the heap-floor early

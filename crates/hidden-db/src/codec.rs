@@ -3,27 +3,26 @@
 //!
 //! Generating the larger synthetic populations (Fig 12 runs up to 10⁷
 //! tuples) dominates some harness runtimes; snapshots let experiments
-//! cache them — and, since format v2, they are the durability unit of
-//! the persistence tier ([`crate::persist`]): the journal's checkpoint
-//! records are v2 snapshots.
+//! cache them — and they are the durability unit of the persistence
+//! tier ([`crate::persist`]): the journal's checkpoint records are
+//! snapshots.
 //!
-//! **Format v2** captures the *warm* state verbatim, not just the
+//! **Format v3** captures the *warm* state verbatim, not just the
 //! logical tuple set: segment data in slot layout (so slot identity
-//! survives a restart), per-segment/per-block max-score bounds and
-//! staleness counters (so load skips the full bound recompute), the
-//! free list in order (so future slot reuse replays identically), and
-//! every posting list byte-for-byte (tombstones, sort flags, segment
-//! runs, block-max directories). A restored database doesn't just
-//! answer identically — it *evolves* identically under any further
-//! mutation stream.
+//! survives a restart), per-segment max-score bounds and staleness
+//! counters (so load skips the full bound recompute), the free list in
+//! order (so future slot reuse replays identically), and every posting
+//! list byte-for-byte (tombstones, sort flags, segment runs). A restored
+//! database doesn't just answer identically — it *evolves* identically
+//! under any further mutation stream.
 //!
 //! Layout (all integers little-endian):
 //! `magic "HDBS" | format u32 | k u64 | policy | schema | store | free
 //! list | posting lists` — see [`write_snapshot`] for the field-level
-//! walk. **v1 snapshots still load** (tuple-level format, scores and
-//! bounds recomputed on insert); reading rejects bad magic, unknown
-//! versions, truncation, and implausible counts with
-//! [`io::ErrorKind::InvalidData`] instead of panicking.
+//! walk. Only v3 reads back; reading rejects bad magic, other versions,
+//! truncation, implausible counts, and state that breaks a store or
+//! index invariant with [`io::ErrorKind::InvalidData`] instead of
+//! panicking, now or on a later query or mutation.
 
 use std::io::{self, Read, Write};
 
@@ -31,16 +30,24 @@ use crate::database::HiddenDatabase;
 use crate::index::{InvertedIndex, PostingList};
 use crate::ranking::ScoringPolicy;
 use crate::schema::{AttributeDef, MeasureDef, Schema};
-use crate::store::{SegmentData, SegmentMeta, Store, BLOCKS_PER_SEGMENT, SEGMENT_SLOTS};
-use crate::tuple::Tuple;
-use crate::value::{MeasureId, TupleKey, ValueId};
+use crate::store::{SegmentData, SegmentMeta, Store, SEGMENT_SLOTS};
+use crate::value::MeasureId;
 
 const MAGIC: &[u8; 4] = b"HDBS";
-const FORMAT_VERSION: u32 = 2;
+const FORMAT_VERSION: u32 = 3;
 
 /// Posting lists longer than this are rejected as corrupt (a real list
 /// is bounded by total inserts; this caps hostile allocation).
 const MAX_LIST_LEN: usize = 1 << 28;
+
+/// Schemas whose attribute domains hold more values than this in total
+/// are rejected as corrupt: the index allocates one list head per
+/// domain value up front.
+const MAX_DOMAIN_VALUES: usize = 1 << 22;
+
+/// Page sizes above this are rejected as corrupt: every cold evaluation
+/// allocates a `k + 1`-entry heap up front.
+const MAX_K: u64 = 1 << 20;
 
 fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -139,9 +146,14 @@ fn read_schema(r: &mut impl Read) -> io::Result<Schema> {
         return Err(bad("attribute count implausible"));
     }
     let mut attrs = Vec::with_capacity(attr_count);
+    let mut domain_values = 0usize;
     for _ in 0..attr_count {
         let name = read_str(r)?;
         let domain = read_u32(r)?;
+        domain_values += domain as usize;
+        if domain_values > MAX_DOMAIN_VALUES {
+            return Err(bad("attribute domains implausibly large"));
+        }
         attrs.push(AttributeDef::new(name, domain));
     }
     let measure_count = read_u32(r)? as usize;
@@ -155,15 +167,14 @@ fn read_schema(r: &mut impl Read) -> io::Result<Schema> {
     Schema::new(attrs, measures).map_err(|e| bad(&e.to_string()))
 }
 
-/// Serialises a full database snapshot into `w` (format v2).
+/// Serialises a full database snapshot into `w` (format v3).
 ///
 /// After the common `magic | format | k | policy | schema` prefix:
 /// `alive u64 | allocated u64 | segment count u32`, then per segment
 /// `rows u32 | keys | scores | alive bitmap (u64 words) | columns |
-/// measures | meta (alive u32, max_score u64, stale_ops u32, block_max)`,
-/// then the free list (`count u32 | slots`), then every non-empty
-/// posting list (`attr u32 | value u32 | slots | dead u64 | sorted u8 |
-/// runs | blocks`).
+/// measures | meta (alive u32, max_score u64, stale_ops u32)`, then the
+/// free list (`count u32 | slots`), then every non-empty posting list
+/// (`attr u32 | value u32 | slots | dead u64 | sorted u8 | runs`).
 ///
 /// `&HiddenDatabase` on purpose: segment data is read through the paged
 /// view (an out-of-core database checkpoints without pulling its pool
@@ -213,9 +224,6 @@ pub fn write_snapshot(db: &HiddenDatabase, w: &mut impl Write) -> io::Result<()>
         write_u32(w, meta.alive)?;
         write_u64(w, meta.max_score)?;
         write_u32(w, meta.stale_ops)?;
-        for &b in &meta.block_max {
-            write_u64(w, b)?;
-        }
     }
     // Free list, order preserved: slot reuse after restore pops the
     // same slots in the same order.
@@ -241,57 +249,38 @@ pub fn write_snapshot(db: &HiddenDatabase, w: &mut impl Write) -> io::Result<()>
             write_u32(w, seg)?;
             write_u32(w, off)?;
         }
-        write_u32(w, list.blocks.len() as u32)?;
-        for &(blk, bound) in &list.blocks {
-            write_u32(w, blk)?;
-            write_u64(w, bound)?;
-        }
     }
     Ok(())
 }
 
-/// Deserialises a snapshot produced by [`write_snapshot`] — or by the
-/// v1 writer of earlier releases (tuple-level back-compat path).
+/// Deserialises a snapshot produced by [`write_snapshot`]. Every count
+/// is validated against the allocation geometry before use, and every
+/// restored field a later query or mutation indexes by is checked
+/// against the schema, so corrupt or hostile input errors out instead
+/// of panicking or over-allocating.
 pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
         return Err(bad("not a hidden-db snapshot (bad magic)"));
     }
-    match read_u32(r)? {
-        1 => read_snapshot_v1(r),
-        2 => read_snapshot_v2(r),
-        _ => Err(bad("unsupported snapshot format version")),
+    if read_u32(r)? != FORMAT_VERSION {
+        return Err(bad("unsupported snapshot format version"));
     }
-}
-
-/// v1 body: logical tuples only; scores, bounds, and the index rebuild
-/// through the ordinary insert path.
-fn read_snapshot_v1(r: &mut impl Read) -> io::Result<HiddenDatabase> {
-    let k = read_u64(r)? as usize;
+    let k = read_u64(r)?;
+    if k > MAX_K {
+        return Err(bad("page size k implausible"));
+    }
+    let k = k as usize;
     let policy = read_policy(r)?;
     let schema = read_schema(r)?;
     let (attr_count, measure_count) = (schema.attr_count(), schema.measure_count());
-    let mut db = HiddenDatabase::new(schema, k, policy);
-    let n = read_u64(r)?;
-    for _ in 0..n {
-        let key = TupleKey(read_u64(r)?);
-        let values: Vec<ValueId> =
-            (0..attr_count).map(|_| read_u32(r).map(ValueId)).collect::<io::Result<_>>()?;
-        let ms: Vec<f64> = (0..measure_count).map(|_| read_f64(r)).collect::<io::Result<_>>()?;
-        db.insert(Tuple::new(key, values, ms)).map_err(|e| bad(&e.to_string()))?;
+    if let ScoringPolicy::ByMeasureDesc(m) | ScoringPolicy::ByMeasureAsc(m) = policy {
+        if m.index() >= measure_count {
+            return Err(bad("scoring policy ranks by an unknown measure"));
+        }
     }
-    Ok(db)
-}
-
-/// v2 body: warm state verbatim. Every count is validated against the
-/// allocation geometry before use, so corrupt or hostile input errors
-/// out instead of panicking or over-allocating.
-fn read_snapshot_v2(r: &mut impl Read) -> io::Result<HiddenDatabase> {
-    let k = read_u64(r)? as usize;
-    let policy = read_policy(r)?;
-    let schema = read_schema(r)?;
-    let (attr_count, measure_count) = (schema.attr_count(), schema.measure_count());
+    let domains: Vec<u32> = schema.attr_ids().map(|a| schema.domain_size(a)).collect();
     let alive_total = read_u64(r)?;
     let allocated = read_u64(r)?;
     if allocated > u64::from(u32::MAX) {
@@ -327,8 +316,11 @@ fn read_snapshot_v2(r: &mut impl Read) -> io::Result<HiddenDatabase> {
             }
         }
         data.alive = alive;
-        for col in &mut data.columns {
+        for (col, &domain) in data.columns.iter_mut().zip(&domains) {
             *col = (0..rows).map(|_| read_u32(r)).collect::<io::Result<_>>()?;
+            if col.iter().any(|&v| v >= domain) {
+                return Err(bad("column value outside its attribute domain"));
+            }
         }
         for col in &mut data.measures {
             *col = (0..rows).map(|_| read_f64(r)).collect::<io::Result<_>>()?;
@@ -336,21 +328,11 @@ fn read_snapshot_v2(r: &mut impl Read) -> io::Result<HiddenDatabase> {
         let meta_alive = read_u32(r)?;
         let max_score = read_u64(r)?;
         let stale_ops = read_u32(r)?;
-        let mut block_max = [0u64; BLOCKS_PER_SEGMENT];
-        for b in &mut block_max {
-            *b = read_u64(r)?;
-        }
         if meta_alive as usize != data.alive.iter().filter(|&&a| a).count() {
             return Err(bad("segment alive count does not match bitmap"));
         }
         alive_sum += u64::from(meta_alive);
-        metas.push(SegmentMeta {
-            alive: meta_alive,
-            max_score,
-            stale_ops,
-            block_max,
-            ref_bit: false,
-        });
+        metas.push(SegmentMeta { alive: meta_alive, max_score, stale_ops, ref_bit: false });
         segs.push(data);
     }
     if alive_sum != alive_total {
@@ -362,11 +344,16 @@ fn read_snapshot_v2(r: &mut impl Read) -> io::Result<HiddenDatabase> {
         return Err(bad("free list does not account for dead slots"));
     }
     let mut free = Vec::with_capacity(free_len);
+    let mut freed = vec![false; allocated];
     for _ in 0..free_len {
         let s = read_u32(r)?;
-        if s as usize >= allocated {
-            return Err(bad("free slot out of range"));
+        let (seg, off) = (s as usize / SEGMENT_SLOTS, s as usize % SEGMENT_SLOTS);
+        // With the count check above, distinct dead slots make the free
+        // list exactly the dead set.
+        if s as usize >= allocated || segs[seg].alive[off] || freed[s as usize] {
+            return Err(bad("free slot out of range, alive, or listed twice"));
         }
+        freed[s as usize] = true;
         free.push(s);
     }
     let store = Store::from_restored(
@@ -380,16 +367,15 @@ fn read_snapshot_v2(r: &mut impl Read) -> io::Result<HiddenDatabase> {
     )
     .ok_or_else(|| bad("duplicate alive key in snapshot"))?;
     // Posting lists.
-    let domains: Vec<usize> = schema.attr_ids().map(|a| schema.domain_size(a) as usize).collect();
     let list_count = read_u32(r)? as usize;
-    if list_count > domains.iter().sum::<usize>() {
+    if list_count > domains.iter().map(|&d| d as usize).sum::<usize>() {
         return Err(bad("posting list count implausible"));
     }
     let mut lists = Vec::with_capacity(list_count);
     for _ in 0..list_count {
         let a = read_u32(r)? as usize;
         let v = read_u32(r)? as usize;
-        if a >= attr_count || v >= domains[a] {
+        if a >= attr_count || v >= domains[a] as usize {
             return Err(bad("posting list out of schema range"));
         }
         let slot_count = read_u32(r)? as usize;
@@ -419,65 +405,26 @@ fn read_snapshot_v2(r: &mut impl Read) -> io::Result<HiddenDatabase> {
         if run_count > seg_count {
             return Err(bad("run directory larger than the store"));
         }
-        let mut runs = Vec::with_capacity(run_count);
-        for _ in 0..run_count {
-            let seg = read_u32(r)?;
-            let off = read_u32(r)?;
-            if seg as usize >= seg_count || off as usize > slot_count {
-                return Err(bad("run entry out of range"));
-            }
-            runs.push((seg, off));
+        let runs = (0..run_count)
+            .map(|_| Ok((read_u32(r)?, read_u32(r)?)))
+            .collect::<io::Result<Vec<_>>>()?;
+        let list = PostingList { slots, dead, sorted, runs };
+        if !list.is_coherent() {
+            return Err(bad("posting list runs do not match its slots"));
         }
-        let block_count = read_u32(r)? as usize;
-        if block_count > seg_count * BLOCKS_PER_SEGMENT {
-            return Err(bad("block directory larger than the store"));
-        }
-        let mut blocks = Vec::with_capacity(block_count);
-        for _ in 0..block_count {
-            let blk = read_u32(r)?;
-            let bound = read_u64(r)?;
-            if blk as usize >= seg_count * BLOCKS_PER_SEGMENT {
-                return Err(bad("block entry out of range"));
-            }
-            blocks.push((blk, bound));
-        }
-        lists.push((a, v, PostingList { slots, dead, sorted, runs, blocks }));
+        lists.push((a, v, list));
     }
     let index = InvertedIndex::from_restored(&schema, lists);
     Ok(HiddenDatabase::from_restored(schema, k, policy, store, index))
-}
-
-/// The v1 writer, kept so the back-compat read path stays covered by
-/// tests against real v1 bytes (not hand-forged ones).
-#[cfg(test)]
-fn write_snapshot_v1(db: &HiddenDatabase, w: &mut impl Write) -> io::Result<()> {
-    w.write_all(MAGIC)?;
-    write_u32(w, 1)?;
-    write_u64(w, db.k() as u64)?;
-    write_policy(w, db.scoring_policy())?;
-    write_schema(w, db.schema())?;
-    let schema = db.schema();
-    let keys = db.alive_keys_sorted();
-    write_u64(w, keys.len() as u64)?;
-    for key in keys {
-        let t = db.get(key).expect("alive key");
-        write_u64(w, key.0)?;
-        for a in schema.attr_ids() {
-            write_u32(w, t.value(a).0)?;
-        }
-        for m in 0..schema.measure_count() {
-            write_f64(w, t.measure(MeasureId(m as u16)))?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::{ConjunctiveQuery, Predicate};
+    use crate::tuple::Tuple;
     use crate::updates::UpdateBatch;
-    use crate::value::AttrId;
+    use crate::value::{AttrId, TupleKey, ValueId};
     use rand::{Rng, SeedableRng};
 
     fn sample_db(n: u64) -> HiddenDatabase {
@@ -495,16 +442,17 @@ mod tests {
         db
     }
 
-    /// A database with real churn: deletes, slot reuse, measure updates
-    /// — so the snapshot has a non-empty free list, tombstoned lists,
-    /// and stale bounds to preserve.
+    /// A database with real churn: deletes and slot reuse — so the
+    /// snapshot has a non-empty free list, tombstoned and dirty lists,
+    /// and stale bounds to preserve. Small on purpose: the corruption
+    /// sweep flips every byte of its snapshot twice.
     fn churned_db() -> HiddenDatabase {
-        let mut db = sample_db(200);
+        let mut db = sample_db(48);
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
-        for t in 0..60u64 {
+        for t in 0..16u64 {
             db.delete(TupleKey(t * 9)).unwrap();
         }
-        for t in 0..30u64 {
+        for t in 0..8u64 {
             db.insert(Tuple::new(
                 TupleKey(10_000 + t),
                 vec![ValueId(rng.random_range(0..3)), ValueId(rng.random_range(0..4))],
@@ -547,7 +495,7 @@ mod tests {
         assert_eq!(sum_orig, sum_rest);
     }
 
-    /// The v2 warm-state promise: a restored churned database doesn't
+    /// The warm-state promise: a restored churned database doesn't
     /// just answer like the original — it *evolves* identically, because
     /// slot layout, the free list (in order), and every posting list
     /// survived verbatim.
@@ -584,8 +532,8 @@ mod tests {
         }
     }
 
-    /// v2 snapshots restore bounds and directories without recomputing:
-    /// staleness counters (which only churn can create) survive.
+    /// Snapshots restore bounds without recomputing: staleness counters
+    /// (which only churn can create) survive.
     #[test]
     fn roundtrip_preserves_warm_bounds() {
         let original = churned_db();
@@ -607,17 +555,33 @@ mod tests {
         assert_eq!(restored.k(), 7);
     }
 
+    /// `k` is capped against hostile allocation; `k = 0` stays legal.
     #[test]
-    fn v1_snapshots_still_load() {
-        let mut original = sample_db(120);
+    fn page_size_is_capped_but_zero_is_legal() {
+        let mut db = sample_db(5);
+        db.set_k(0);
         let mut buf = Vec::new();
-        write_snapshot_v1(&original, &mut buf).unwrap();
-        assert_eq!(buf[4], 1, "v1 writer must stamp version 1");
+        write_snapshot(&db, &mut buf).unwrap();
         let mut restored = read_snapshot(&mut buf.as_slice()).unwrap();
-        assert_eq!(restored.len(), original.len());
-        for q in queries() {
-            assert_eq!(original.answer(&q), restored.answer(&q), "v1 query {q}");
-        }
+        assert_eq!(restored.k(), 0);
+        assert_eq!(restored.answer(&ConjunctiveQuery::select_all()).returned_count(), 0);
+        buf[8..16].copy_from_slice(&(MAX_K + 1).to_le_bytes());
+        let err = read_snapshot(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// A measure-ranked policy naming a measure the schema lacks would
+    /// panic on the first insert; the reader rejects it instead.
+    #[test]
+    fn scoring_measure_outside_schema_rejected() {
+        let schema = Schema::with_domain_sizes(&[2], &["m"]).unwrap();
+        let db = HiddenDatabase::new(schema, 3, ScoringPolicy::ByMeasureDesc(MeasureId(0)));
+        let mut buf = Vec::new();
+        write_snapshot(&db, &mut buf).unwrap();
+        // magic(4) + version(4) + k(8) + policy tag(4), then the measure.
+        buf[20..24].copy_from_slice(&1u32.to_le_bytes());
+        let err = read_snapshot(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]
@@ -638,16 +602,25 @@ mod tests {
         }
     }
 
+    /// Only the current format reads back: earlier versions (v1's
+    /// tuple-level layout, v2's block bounds) are rejected, not guessed.
     #[test]
     fn unknown_version_rejected() {
         let mut buf = Vec::new();
         write_snapshot(&sample_db(1), &mut buf).unwrap();
-        buf[4] = 99;
-        assert!(read_snapshot(&mut buf.as_slice()).is_err());
+        for version in [0u32, 1, 2, 4, 99] {
+            buf[4..8].copy_from_slice(&version.to_le_bytes());
+            let err = read_snapshot(&mut buf.as_slice()).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {version}");
+        }
     }
 
-    /// Corrupted counts must produce [`io::ErrorKind::InvalidData`], not
-    /// panics or huge allocations.
+    /// Corruption must never panic or over-allocate — neither in the
+    /// reader nor in a later query or mutation on a snapshot the reader
+    /// accepted. Every byte is flipped whole (`0xFF`) and in its low bit
+    /// (`0x01`): each corruption either errors with `InvalidData` or
+    /// `UnexpectedEof`, or restores a database that answers a fixed
+    /// query set, refills every free slot, and deletes every alive key.
     #[test]
     fn oversized_counts_rejected() {
         let good = {
@@ -655,17 +628,35 @@ mod tests {
             write_snapshot(&churned_db(), &mut buf).unwrap();
             buf
         };
-        // Find the offsets of the three leading store counts: they sit
-        // right after magic(4) + version(4) + k(8) + policy(4+8) +
-        // schema. Rather than hand-computing the schema length, corrupt
-        // a sweep of single bytes across the whole buffer — every
-        // mutation must either still parse or error cleanly.
         let mut rejected = 0usize;
-        for i in (0..good.len()).step_by(13) {
+        for (i, mask) in (0..good.len()).flat_map(|i| [(i, 0xFF), (i, 0x01)]) {
             let mut buf = good.clone();
-            buf[i] ^= 0xFF;
+            buf[i] ^= mask;
             match read_snapshot(&mut buf.as_slice()) {
-                Ok(_) => {}
+                Ok(mut db) => {
+                    for q in queries() {
+                        if q.validate(db.schema()).is_ok() {
+                            db.answer(&q);
+                        }
+                    }
+                    let (attrs, measures) = (db.schema().attr_count(), db.schema().measure_count());
+                    for key in 0..db.store_ref().free_slots().len() as u64 {
+                        let fresh = Tuple::new(
+                            TupleKey(u64::MAX - key),
+                            vec![ValueId(0); attrs],
+                            vec![1.0; measures],
+                        );
+                        db.insert(fresh).unwrap();
+                    }
+                    // Every key owns a slot of its own: the refill never
+                    // overwrote a live tuple.
+                    let slots = db.exact_count(Some(&ConjunctiveQuery::select_all()));
+                    assert_eq!(slots, db.len() as u64, "byte {i} ^ {mask:#04x}");
+                    for key in db.alive_keys_sorted() {
+                        db.delete(key).unwrap();
+                    }
+                    assert!(db.is_empty(), "byte {i} ^ {mask:#04x}");
+                }
                 Err(e) => {
                     rejected += 1;
                     assert!(
@@ -673,7 +664,7 @@ mod tests {
                             e.kind(),
                             io::ErrorKind::InvalidData | io::ErrorKind::UnexpectedEof
                         ),
-                        "byte {i}: unexpected error kind {:?}",
+                        "byte {i} ^ {mask:#04x}: unexpected error kind {:?}",
                         e.kind()
                     );
                 }

@@ -23,21 +23,16 @@ use crate::query::{ConjunctiveQuery, Predicate};
 use crate::ranking::ScoringPolicy;
 use crate::schema::Schema;
 use crate::stats::{EvalStats, InterfaceStats, MaintenanceStats, MemoStats, PersistStats};
-use crate::store::{segment_of, Slot, Store, StoreCore, BLOCK_SLOTS, SEGMENT_SLOTS};
+use crate::store::{segment_of, Slot, Store, StoreCore, SEGMENT_SLOTS};
 use crate::tuple::Tuple;
 use crate::updates::{UpdateBatch, UpdateFootprint, UpdateSummary};
 use crate::value::{AttrId, MeasureId, TupleKey, ValueId};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::io;
 
 /// How multi-predicate queries pick their intersection strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IntersectPolicy {
-    /// Three or more predicates whose *rarest* list is still dense
-    /// (`>= BLOCKMAX_MIN_RAREST` live postings): the k-way block-max
-    /// engine ([`IntersectPolicy::BlockMax`]). Everything else: gallop
-    /// when the two rarest lists are lopsided
+    /// Gallop when the two rarest lists are lopsided
     /// (`large >= GALLOP_RATIO * small`), per-segment bitsets otherwise.
     #[default]
     Auto,
@@ -45,12 +40,6 @@ pub enum IntersectPolicy {
     Gallop,
     /// Always intersect per segment through a bitset.
     Bitset,
-    /// k-way block-max (WAND-style) intersection: every predicate list
-    /// participates, 256-slot blocks are visited best-bound-first, and a
-    /// block whose combined bound (min over the lists' block maxes,
-    /// capped by the store's) cannot beat the top-`k` floor is skipped
-    /// whole once overflow is pinned.
-    BlockMax,
     /// The legacy path: drive the rarest list alone and re-check every
     /// other predicate per candidate. Kept as the baseline benches and
     /// the oracle proptest compare against.
@@ -83,31 +72,10 @@ impl Default for EvalConfig {
 /// of each other up to ratio ≈ 8, galloping pulls ahead from ≈ 16 and is
 /// ~1.7× the bitset at 256, so 8 keeps the word-parallel bitset exactly
 /// where it is never a regression and hands lopsided pairs to the gallop.
-/// The k-way block-max engine reuses the same ratio for its per-block
-/// sparse/dense cut (longest run ≥ 8× the shortest → gallop the block,
-/// else word-AND it); the bench's `kway` group re-pins it at block
-/// granularity, where the two in-block paths likewise cross between
-/// ratio 4 and 16.
 const GALLOP_RATIO: usize = 8;
 
 /// 64-bit words per segment bitset.
 const SEGMENT_WORDS: usize = SEGMENT_SLOTS / 64;
-
-/// 64-bit words per block bitset (the dense-path unit of the k-way
-/// block-max engine).
-const BLOCK_WORDS: usize = BLOCK_SLOTS / 64;
-
-/// Density floor for [`IntersectPolicy::Auto`]'s 3+-predicate routing:
-/// the k-way block-max engine only pays off when even the *rarest*
-/// participating list has at least this many live postings. Below it the
-/// two-rarest pipeline touches only the rare list's few candidates,
-/// while block-max pays a directory probe in every list for every block
-/// of the driver — on the selective deep-query pool in `perf_baseline`
-/// that overhead made unguarded routing ~4× slower than the pair
-/// engines, whereas on half-density lists (the `intersection_kway`
-/// section) block-max wins by skipping whole 256-slot blocks. Forcing
-/// `BlockMax` explicitly bypasses the gate.
-const BLOCKMAX_MIN_RAREST: usize = 2 * SEGMENT_SLOTS;
 
 /// How much work one [`HiddenDatabase::maintain`] call may do, in slots/
 /// postings scanned. Maintenance is incremental by design: a small
@@ -480,12 +448,13 @@ impl HiddenDatabase {
         self.store.pager().map(|p| p.stats()).unwrap_or_default()
     }
 
-    /// Appends a durable full-state snapshot (codec v2: segment data
-    /// plus all warm state — segment/block score bounds, posting-list
-    /// block directories, the free list) to the journal in the persist
-    /// directory and fsyncs. `&self` on purpose: checkpointing reads
-    /// through the paged view and serialises index lists verbatim, so it
-    /// can run between any two mutations without touching warm state.
+    /// Appends a durable full-state snapshot (codec v3: segment data
+    /// plus all warm state — segment score bounds and staleness
+    /// counters, posting lists verbatim, the free list) to the journal
+    /// in the persist directory and fsyncs. `&self` on purpose:
+    /// checkpointing reads through the paged view and serialises index
+    /// lists verbatim, so it can run between any two mutations without
+    /// touching warm state.
     ///
     /// Errors if the tier is not enabled.
     pub fn checkpoint(&self) -> io::Result<()> {
@@ -503,8 +472,8 @@ impl HiddenDatabase {
     /// Warm restart: recovers the last durable [`checkpoint`] from
     /// `cfg.dir`'s journal (ignoring any torn tail from a crash
     /// mid-append) and re-attaches the persistence tier. The restored
-    /// database carries every bound, block directory, and free-list
-    /// entry of the checkpointed one, so it evolves bit-identically from
+    /// database carries every bound, posting list, and free-list entry
+    /// of the checkpointed one, so it evolves bit-identically from
     /// here — no cold-start recompute.
     ///
     /// Errors with [`io::ErrorKind::NotFound`] when the journal holds no
@@ -531,7 +500,7 @@ impl HiddenDatabase {
         &self.index
     }
 
-    /// Rebuilds a database from restored snapshot state (codec v2):
+    /// Rebuilds a database from restored snapshot state (codec v3):
     /// store and index verbatim, fresh version/memo/stats (the memo is
     /// an epoch cache — a restarted process starts a new epoch; answers
     /// are unaffected).
@@ -691,7 +660,7 @@ impl HiddenDatabase {
         let score = self.scoring.score(tuple.key(), tuple.measures());
         let values: Vec<ValueId> = tuple.values().to_vec();
         let slot = self.store.insert(tuple, score)?;
-        self.index.insert(slot, &values, score);
+        self.index.insert(slot, &values);
         footprint.record(slot, &values);
         Ok(())
     }
@@ -730,19 +699,11 @@ impl HiddenDatabase {
         let slot = self.store.update_measures(key, measures)?;
         // Rank score may depend on measures; recompute.
         let key_at = self.store.key_at(slot);
-        let old_score = self.store.score_at(slot);
         let score = self.scoring.score(key_at, measures);
         self.store.set_score(slot, score);
         // The tuple's measures (served in cached pages) and rank (cached
         // page order) changed: its full row enters the footprint.
         let values = self.row_of(slot);
-        if score > old_score {
-            // A rank promotion must reach the per-list block-max bounds
-            // eagerly — the store's set_score handles its own block
-            // bounds, but the posting lists track theirs. A drop needs
-            // nothing (standing bounds stay sound).
-            self.index.note_score_raise(slot, &values, score);
-        }
         footprint.record(slot, &values);
         Ok(())
     }
@@ -1045,9 +1006,8 @@ fn driver_pair(index: &InvertedIndex, query: &ConjunctiveQuery) -> (Predicate, P
     (ranked[0], ranked[1])
 }
 
-/// Two or more predicates: k-way block-max when asked for (or chosen by
-/// `Auto` for 3+ predicates over dense lists), otherwise intersect the
-/// two rarest lists.
+/// Two or more predicates: intersect the two rarest lists; every other
+/// predicate is a columnar residual check per candidate.
 fn eval_multi(
     query: &ConjunctiveQuery,
     store: &StoreCore,
@@ -1056,26 +1016,6 @@ fn eval_multi(
     config: EvalConfig,
     stats: &mut EvalStats,
 ) -> CachedEval {
-    // `Auto` hands 3+-predicate queries to the block-max engine when
-    // every list is dense: with two lists the pair strategies already
-    // see every list, but from three up the two-rarest pipeline pays a
-    // columnar residual check per extra predicate while block-max
-    // prunes with *all* lists' bounds at sub-segment granularity. The
-    // `BLOCKMAX_MIN_RAREST` gate keeps selective queries — where the
-    // rare list alone is cheaper to drive than any block directory —
-    // on the pair engines.
-    if config.intersect == IntersectPolicy::BlockMax
-        || (config.intersect == IntersectPolicy::Auto
-            && query.predicates().len() >= 3
-            && query
-                .predicates()
-                .iter()
-                .map(|p| index.estimated_len(p.attr, p.value))
-                .min()
-                .is_some_and(|rarest| rarest >= BLOCKMAX_MIN_RAREST))
-    {
-        return eval_blockmax(query, store, index, k, config.early_exit, stats);
-    }
     let (a, b) = driver_pair(index, query);
     let pa = index.sorted_postings(a.attr, a.value);
     let pb = index.sorted_postings(b.attr, b.value);
@@ -1097,9 +1037,7 @@ fn eval_multi(
         IntersectPolicy::Gallop => eval_gallop(query, store, pa, pb, k, config.early_exit, stats),
         IntersectPolicy::Bitset => eval_bitset(query, store, pa, pb, k, config.early_exit, stats),
         IntersectPolicy::Recheck => eval_recheck(query, store, pa, k, stats),
-        IntersectPolicy::Auto | IntersectPolicy::BlockMax => {
-            unreachable!("Auto resolves to a concrete strategy above; BlockMax returned early")
-        }
+        IntersectPolicy::Auto => unreachable!("Auto resolves to a concrete strategy above"),
     }
 }
 
@@ -1245,197 +1183,6 @@ fn eval_recheck(
     let mut topk = TopK::new(k);
     offer_run(query, store, driver.slots(), &mut topk);
     topk.finish(store)
-}
-
-/// k-way block-max (WAND-style) intersection: *every* predicate list
-/// participates. Candidate blocks come from the rarest list's block-max
-/// directory, filtered to blocks every other list also posts to (a block
-/// absent from any list cannot hold a full match — an alive matching
-/// tuple posts to all of its value lists, stale postings are only ever
-/// extra). Each surviving block carries the bound
-/// `min(lists' block maxes, store's block max)`, blocks are visited
-/// best-bound-first, and once the query has provably overflowed
-/// ([`TopK::can_stop`]) every remaining block whose bound cannot beat
-/// the heap floor is skipped whole. Within a block the lists intersect
-/// through a galloping pivot walk when lopsided and a u64-word bitset
-/// AND across all runs when dense (`GALLOP_RATIO` is the cut, re-pinned
-/// at block granularity by the `kway` bench group).
-///
-/// Outcome-invariant like every other strategy: a skipped block only
-/// elides candidates that provably cannot enter the top-`k` page, and
-/// the overflow classification is pinned before the first skip.
-fn eval_blockmax(
-    query: &ConjunctiveQuery,
-    store: &StoreCore,
-    index: &InvertedIndex,
-    k: usize,
-    early_exit: bool,
-    stats: &mut EvalStats,
-) -> CachedEval {
-    stats.blockmax_intersections += 1;
-    // Rarest-first with the same explicit tie-break as `driver_pair`,
-    // so the candidate enumeration (and with it every counter) is
-    // stable no matter how the query was assembled.
-    let mut ranked: Vec<Predicate> = query.predicates().to_vec();
-    ranked.sort_unstable_by_key(|p| (index.estimated_len(p.attr, p.value), p.attr, p.value));
-    let lists: Vec<SortedPostings<'_>> =
-        ranked.iter().map(|p| index.sorted_postings(p.attr, p.value)).collect();
-    let mut topk = TopK::new(k);
-    // Directory join: one monotone cursor per non-driver list turns the
-    // per-block bound lookup into a linear merge over the (sorted)
-    // directories — O(total directory length) instead of a binary
-    // search per list per driver block, which dominated the whole
-    // evaluation on dense multi-predicate pools.
-    let mut cursors = vec![0usize; lists.len() - 1];
-    let mut blocks: Vec<(u64, Reverse<u32>)> = Vec::with_capacity(lists[0].blocks().len());
-    'blk: for &(blk, list_bound) in lists[0].blocks() {
-        let mut bound = list_bound.min(store.block_max_score(blk as usize));
-        for (cursor, rest) in cursors.iter_mut().zip(&lists[1..]) {
-            let dir = rest.blocks();
-            while *cursor < dir.len() && dir[*cursor].0 < blk {
-                *cursor += 1;
-            }
-            match dir.get(*cursor) {
-                Some(&(b, rest_bound)) if b == blk => bound = bound.min(rest_bound),
-                _ => continue 'blk,
-            }
-        }
-        blocks.push((bound, Reverse(blk)));
-    }
-    // Best-bound-first, block id as the deterministic tie-break
-    // (`Reverse` makes equal bounds pop lowest-id-first). A lazy heap
-    // instead of a full sort: the early exit usually fires after a
-    // handful of blocks, so O(B) heapify + O(log B) per visited block
-    // beats O(B log B) sorting of a directory that mostly gets skipped.
-    let mut heap = BinaryHeap::from(blocks);
-    while let Some((bound, Reverse(blk))) = heap.pop() {
-        // The heap is popped bound-descending, so this bound caps every
-        // candidate in every remaining block.
-        if early_exit && topk.can_stop(bound) {
-            stats.early_exits += 1;
-            stats.blocks_skipped += heap.len() as u64 + 1;
-            break;
-        }
-        stats.blocks_scanned += 1;
-        intersect_block(query, store, &lists, blk, &mut topk, stats);
-    }
-    topk.finish(store)
-}
-
-/// Intersects one block across all predicate runs, feeding full matches
-/// (after the columnar `slot_matches` revalidation) into the heap.
-fn intersect_block(
-    query: &ConjunctiveQuery,
-    store: &StoreCore,
-    lists: &[SortedPostings<'_>],
-    blk: u32,
-    topk: &mut TopK,
-    stats: &mut EvalStats,
-) {
-    let runs: Vec<&[Slot]> = lists.iter().map(|l| l.block_run(blk)).collect();
-    // Pivot list = shortest run; rarest-first rank breaks ties.
-    let driver_idx = (0..runs.len()).min_by_key(|&i| (runs[i].len(), i)).unwrap();
-    let driver = runs[driver_idx];
-    if driver.is_empty() {
-        // A list's directory can promise a block its tombstoned slots
-        // vacated; nothing to do.
-        return;
-    }
-    let longest = runs.iter().map(|r| r.len()).max().unwrap();
-    if longest >= GALLOP_RATIO * driver.len() {
-        block_gallop(query, store, &runs, driver_idx, topk, stats);
-    } else {
-        block_bitset(query, store, &runs, driver_idx, blk, topk);
-    }
-}
-
-/// Sparse in-block path: walk the pivot (shortest) run and gallop every
-/// other run forward to each pivot slot; the first miss rejects the
-/// pivot, an exhausted run ends the block (runs ascend — nothing later
-/// can match).
-fn block_gallop(
-    query: &ConjunctiveQuery,
-    store: &StoreCore,
-    runs: &[&[Slot]],
-    driver_idx: usize,
-    topk: &mut TopK,
-    stats: &mut EvalStats,
-) {
-    let mut cursors = vec![0usize; runs.len()];
-    let mut prev = None;
-    'pivot: for &slot in runs[driver_idx].iter() {
-        if prev == Some(slot) {
-            continue;
-        }
-        prev = Some(slot);
-        for (i, run) in runs.iter().enumerate() {
-            if i == driver_idx {
-                continue;
-            }
-            let j = gallop_to(run, cursors[i], slot);
-            stats.pivot_advances += 1;
-            cursors[i] = j;
-            if j >= run.len() {
-                break 'pivot;
-            }
-            if run[j] != slot {
-                continue 'pivot;
-            }
-        }
-        if slot_matches(query, store, slot) {
-            topk.offer(store.score_at(slot), slot);
-        }
-    }
-}
-
-/// Dense in-block path: the multi-list word-level AND. Marks the pivot
-/// run in a [`BLOCK_WORDS`]-word bitset, ANDs every other run's bitset
-/// into it word by word (bailing the moment the accumulator goes empty),
-/// then emits surviving slots ascending. Duplicate postings collapse in
-/// the bitset for free.
-fn block_bitset(
-    query: &ConjunctiveQuery,
-    store: &StoreCore,
-    runs: &[&[Slot]],
-    driver_idx: usize,
-    blk: u32,
-    topk: &mut TopK,
-) {
-    let base = (blk as usize * BLOCK_SLOTS) as Slot;
-    let mut acc = [0u64; BLOCK_WORDS];
-    for &slot in runs[driver_idx] {
-        let off = (slot - base) as usize;
-        acc[off >> 6] |= 1u64 << (off & 63);
-    }
-    for (i, run) in runs.iter().enumerate() {
-        if i == driver_idx {
-            continue;
-        }
-        let mut cur = [0u64; BLOCK_WORDS];
-        for &slot in run.iter() {
-            let off = (slot - base) as usize;
-            cur[off >> 6] |= 1u64 << (off & 63);
-        }
-        let mut any = 0u64;
-        for w in 0..BLOCK_WORDS {
-            acc[w] &= cur[w];
-            any |= acc[w];
-        }
-        if any == 0 {
-            return;
-        }
-    }
-    for (w, &word) in acc.iter().enumerate() {
-        let mut bits = word;
-        while bits != 0 {
-            let off = (w << 6) | bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            let slot = base + off as Slot;
-            if slot_matches(query, store, slot) {
-                topk.offer(store.score_at(slot), slot);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1834,7 +1581,6 @@ mod tests {
             IntersectPolicy::Auto,
             IntersectPolicy::Gallop,
             IntersectPolicy::Bitset,
-            IntersectPolicy::BlockMax,
             IntersectPolicy::Recheck,
         ] {
             for early_exit in [true, false] {
@@ -1980,137 +1726,58 @@ mod tests {
         ConjunctiveQuery::from_predicates([Predicate::new(AttrId(0), ValueId(v))])
     }
 
-    /// `Auto` hands 3+-predicate queries to the k-way block-max engine
-    /// when even the rarest list clears the `BLOCKMAX_MIN_RAREST` density
-    /// gate, and keeps the pair strategies for 2 predicates and for
-    /// selective conjunctions (where driving the rare list is cheaper
-    /// than probing every list's block directory).
+    /// `Auto` routes every multi-predicate query by its two rarest lists,
+    /// whatever the predicate count: dense 3-predicate conjunctions go to
+    /// the per-segment bitset, lopsided ones to the gallop.
     #[test]
-    fn auto_routes_dense_three_predicates_to_blockmax() {
+    fn auto_routes_dense_three_predicates_to_pair_engines() {
         let schema = Schema::with_domain_sizes(&[2, 3, 4], &[]).unwrap();
         let mut d = HiddenDatabase::new(schema, 3, ScoringPolicy::NewestFirst);
         d.set_invalidation_policy(InvalidationPolicy::Disabled);
-        // Dense population: value 0 on every attribute, exactly at the
-        // density gate. A sparse (1, 1, 1) tail rides along.
-        let dense = BLOCKMAX_MIN_RAREST as u64;
-        for key in 0..dense + 60 {
-            let v = u32::from(key >= dense);
-            d.insert(Tuple::new(TupleKey(key), vec![ValueId(v), ValueId(v), ValueId(v)], vec![]))
+        // Dense population: value 0 on every attribute across two full
+        // segments, plus a 16-tuple (0, 0, 2) tail that makes A2 = 2 rare.
+        let dense = 2 * crate::store::SEGMENT_SLOTS as u64;
+        for key in 0..dense + 16 {
+            let a2 = if key < dense { 0 } else { 2 };
+            d.insert(Tuple::new(TupleKey(key), vec![ValueId(0), ValueId(0), ValueId(a2)], vec![]))
                 .unwrap();
         }
-        d.answer(&q(&[(0, 0), (1, 0)]));
+        let dense_q = q(&[(0, 0), (1, 0), (2, 0)]);
+        let lopsided_q = q(&[(0, 0), (1, 0), (2, 2)]);
+        let (dense_page, lopsided_page) = (d.answer(&dense_q), d.answer(&lopsided_q));
         let s = d.eval_stats();
-        assert_eq!(s.blockmax_intersections, 0, "2 predicates stay on the pair engines");
-        assert_eq!(s.gallop_intersections + s.bitset_intersections, 1);
-        d.answer(&q(&[(0, 1), (1, 1), (2, 1)]));
-        let s = d.eval_stats();
-        assert_eq!(s.blockmax_intersections, 0, "sparse rarest list stays on the pair engines");
-        assert_eq!(s.gallop_intersections + s.bitset_intersections, 2);
-        d.answer(&q(&[(0, 0), (1, 0), (2, 0)]));
-        let s = d.eval_stats();
-        assert_eq!(s.blockmax_intersections, 1, "dense 3 predicates route to block-max");
-        assert!(s.blocks_scanned >= 1);
-        // Forcing BlockMax engages it even for two sparse lists.
-        d.set_eval_config(EvalConfig {
-            intersect: IntersectPolicy::BlockMax,
-            ..Default::default()
-        });
-        d.answer(&q(&[(0, 1), (1, 1)]));
-        assert_eq!(d.eval_stats().blockmax_intersections, 2);
-    }
-
-    /// Block-granularity sibling of
-    /// `compaction_rearms_early_exit_under_measure_ranked_deletes`:
-    /// deletes of the top scorers leave every block bound stale-high and
-    /// the block-max skip stops firing; maintenance (exact store + list
-    /// bound rebuilds) re-arms it — answers bit-identical throughout.
-    #[test]
-    fn compaction_rearms_blockmax_skips_under_measure_ranked_deletes() {
-        let schema = Schema::with_domain_sizes(&[2, 2, 2], &["m"]).unwrap();
-        let mut d = HiddenDatabase::new(schema, 10, ScoringPolicy::ByMeasureDesc(MeasureId(0)));
-        d.set_invalidation_policy(InvalidationPolicy::Disabled);
-        d.set_eval_config(EvalConfig {
-            intersect: IntersectPolicy::BlockMax,
-            ..Default::default()
-        });
-        let blocks = 8usize;
-        let n = (blocks * BLOCK_SLOTS) as u64;
-        // Every block gets the same measure staircase 0..BLOCK_SLOTS, so
-        // every block bound starts at the same (exact) maximum.
-        let measure = |key: u64| (key % BLOCK_SLOTS as u64) as f64;
-        for key in 0..n {
-            d.insert(Tuple::new(
-                TupleKey(key),
-                vec![ValueId(0), ValueId(0), ValueId(0)],
-                vec![measure(key)],
-            ))
-            .unwrap();
-        }
-        // Purge the top half everywhere except the last two blocks: the
-        // alive maxima of the early blocks collapse, their bounds do
-        // not. (Sparing two blocks keeps the lists' tombstone fraction
-        // at 37.5 %, under the reactive COMPACT_DEAD_FRACTION — the
-        // point is that *only* the maintenance pass rebuilds bounds.)
-        let spared_start = ((blocks - 2) * BLOCK_SLOTS) as u64;
-        for key in 0..spared_start {
-            if measure(key) >= (BLOCK_SLOTS / 2) as f64 {
-                d.delete(TupleKey(key)).unwrap();
-            }
-        }
-        let probe = q(&[(0, 0), (1, 0), (2, 0)]);
-        let before = d.eval_stats();
-        let page = d.answer(&probe);
-        assert!(page.is_overflow());
-        let after = d.eval_stats();
-        assert_eq!(after.blockmax_intersections, before.blockmax_intersections + 1);
-        assert_eq!(after.blocks_skipped, before.blocks_skipped, "stale bounds disarm the skip");
-        assert_eq!(after.blocks_scanned, before.blocks_scanned + blocks as u64);
-
-        let report = d.compact();
-        // Note the *segment* bound does not tighten — the spared blocks
-        // still hold the segment maximum. Everything this test pins
-        // happens strictly below segment granularity.
-        assert_eq!(report.bounds_tightened, 0, "{report:?}");
-        assert!(report.segments_recomputed >= 1, "{report:?}");
-        assert!(report.postings_purged > 0, "{report:?}");
-        let before = d.eval_stats();
-        assert_eq!(d.answer(&probe), page, "maintenance must not change answers");
-        let after = d.eval_stats();
-        // The two spared blocks (exact bound BLOCK_SLOTS-1) are visited
-        // first and overflow the page; every purged block's rebuilt
-        // bound (BLOCK_SLOTS/2 - 1) now provably misses the floor.
-        assert_eq!(after.blocks_scanned, before.blocks_scanned + 2, "two blocks suffice");
-        assert_eq!(after.blocks_skipped, before.blocks_skipped + (blocks as u64 - 2));
-        assert!(after.early_exits > before.early_exits);
+        assert_eq!(s.bitset_intersections, 1, "dense 3 predicates go to the bitset: {s:?}");
+        assert_eq!(s.gallop_intersections, 1, "lopsided 3 predicates gallop: {s:?}");
+        let mut reference = d.clone();
+        reference
+            .set_eval_config(EvalConfig { early_exit: false, intersect: IntersectPolicy::Recheck });
+        assert_eq!(reference.answer(&dense_q), dense_page);
+        assert_eq!(reference.answer(&lopsided_q), lopsided_page);
     }
 
     /// Regression: an in-place measure update that *raises* a tuple's
-    /// rank must propagate to the per-list block-max bounds immediately.
-    /// Without `note_score_raise` the tuple's block keeps its old low
-    /// bound, the skip wrongly elides it, and the page misses the new
-    /// leader.
+    /// rank must raise its segment's score bound immediately. Otherwise
+    /// the early exit skips the tuple's segment on its stale low bound
+    /// and the page misses the new leader.
     #[test]
-    fn score_raise_propagates_to_blockmax_bounds() {
+    fn score_raise_propagates_to_segment_bounds() {
         let schema = Schema::with_domain_sizes(&[2, 2, 2], &["m"]).unwrap();
         let mut d = HiddenDatabase::new(schema, 2, ScoringPolicy::ByMeasureDesc(MeasureId(0)));
         d.set_invalidation_policy(InvalidationPolicy::Disabled);
-        d.set_eval_config(EvalConfig {
-            intersect: IntersectPolicy::BlockMax,
-            ..Default::default()
-        });
-        // Block 0: uniformly low. Block 1: uniformly high — so block 0's
-        // bound sits far under the floor and is the natural skip victim.
-        let n = (2 * BLOCK_SLOTS) as u64;
-        for key in 0..n {
-            let m = if (key as usize) < BLOCK_SLOTS { 1.0 } else { 100.0 };
+        // Segment 0: uniformly low. Segment 1: uniformly high — so
+        // segment 0's bound sits far under the floor and is skipped.
+        let seg = crate::store::SEGMENT_SLOTS;
+        for key in 0..(2 * seg) as u64 {
+            let m = if (key as usize) < seg { 1.0 } else { 100.0 };
             d.insert(Tuple::new(TupleKey(key), vec![ValueId(0), ValueId(0), ValueId(0)], vec![m]))
                 .unwrap();
         }
         let probe = q(&[(0, 0), (1, 0), (2, 0)]);
         let page = d.answer(&probe);
         assert!(page.is_overflow());
-        assert!(page.keys().all(|k| k.0 >= BLOCK_SLOTS as u64), "page comes from block 1");
-        // Promote a block-0 tuple over everything.
+        assert!(page.keys().all(|k| k.0 >= seg as u64), "page comes from segment 1");
+        assert_eq!(d.eval_stats().segments_skipped, 1, "segment 0 skipped on its bound");
+        // Promote a segment-0 tuple over everything.
         d.update_measures(TupleKey(5), vec![999.0]).unwrap();
         let page = d.answer(&probe);
         assert_eq!(page.keys().next(), Some(TupleKey(5)), "raised tuple must lead the page");

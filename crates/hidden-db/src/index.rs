@@ -37,7 +37,7 @@
 use std::sync::Arc;
 
 use crate::schema::Schema;
-use crate::store::{block_of, segment_of, Slot, StoreCore, BLOCKS_PER_SEGMENT, BLOCK_SLOTS};
+use crate::store::{segment_of, Slot, StoreCore};
 use crate::value::{AttrId, ValueId};
 
 /// A posting list compacts when dead entries exceed this fraction.
@@ -103,14 +103,6 @@ pub(crate) struct PostingList {
     /// `(segment, start offset)` per store segment with ≥ 1 posting; the
     /// run ends where the next one starts (or at `slots.len()`).
     pub(crate) runs: Vec<(u32, u32)>,
-    /// Block-max directory: one `(global block, score upper bound)` per
-    /// store block with ≥ 1 posting, ascending by block id. Unlike
-    /// `runs` this stays valid even while the list is dirty — bounds
-    /// only ever *raise* on append, and sort/dedup/tombstoning can only
-    /// remove members (a bound over a superset still bounds the
-    /// subset). [`PostingList::compact`] rebuilds the bounds exactly
-    /// from the surviving (revalidated) postings.
-    pub(crate) blocks: Vec<(u32, u64)>,
 }
 
 impl PostingList {
@@ -119,31 +111,9 @@ impl PostingList {
         self.slots.len().saturating_sub(self.dead)
     }
 
-    /// Raises the block-max bound covering `slot` to at least `score`,
-    /// inserting the directory entry if the block is new. The common
-    /// case (ascending appends) touches only the last entry; slot-reuse
-    /// appends pay one binary search.
+    /// Appends a posting, keeping `sorted`/`runs` coherent.
     #[inline]
-    fn raise_block_bound(&mut self, slot: Slot, score: u64) {
-        let blk = block_of(slot) as u32;
-        match self.blocks.last().copied() {
-            Some((b, bound)) if b == blk => {
-                if score > bound {
-                    self.blocks.last_mut().unwrap().1 = score;
-                }
-            }
-            Some((b, _)) if b < blk => self.blocks.push((blk, score)),
-            None => self.blocks.push((blk, score)),
-            _ => match self.blocks.binary_search_by_key(&blk, |&(b, _)| b) {
-                Ok(i) => self.blocks[i].1 = self.blocks[i].1.max(score),
-                Err(i) => self.blocks.insert(i, (blk, score)),
-            },
-        }
-    }
-
-    /// Appends a posting, keeping `sorted`/`runs`/`blocks` coherent.
-    #[inline]
-    fn push(&mut self, slot: Slot, score: u64) {
+    fn push(&mut self, slot: Slot) {
         if self.sorted || self.slots.is_empty() {
             match self.slots.last() {
                 Some(&last) if slot < last => {
@@ -159,13 +129,10 @@ impl PostingList {
                 }
             }
         }
-        self.raise_block_bound(slot, score);
         self.slots.push(slot);
     }
 
     /// Sorts + dedupes and rebuilds the run metadata (no-op when sorted).
-    /// Block bounds are deliberately left alone: dedup only removes
-    /// postings, so the recorded bounds stay valid upper bounds.
     fn ensure_sorted(&mut self) {
         if self.sorted {
             return;
@@ -177,38 +144,30 @@ impl PostingList {
         self.sorted = true;
     }
 
-    fn rebuild_runs(&mut self) {
-        self.runs.clear();
-        let mut prev = u32::MAX;
-        for (i, &s) in self.slots.iter().enumerate() {
-            let seg = segment_of(s) as u32;
-            if seg != prev {
-                self.runs.push((seg, i as u32));
-                prev = seg;
-            }
+    /// Whether `sorted` and `runs` tell the truth about `slots`: a dirty
+    /// list has no runs, a sorted one ascends and carries exactly its
+    /// derived runs. Scans slice `slots` by these offsets, so restored
+    /// lists must pass this first.
+    pub(crate) fn is_coherent(&self) -> bool {
+        if self.sorted {
+            self.slots.is_sorted() && self.runs.iter().copied().eq(segment_runs(&self.slots))
+        } else {
+            self.runs.is_empty()
         }
     }
 
-    /// Rebuilds the block-max directory exactly from the current
-    /// postings' store scores. Only sound right after the list has been
-    /// revalidated (tombstones purged), i.e. from
-    /// [`InvertedIndex::compact`] — a tombstoned slot's score belongs to
-    /// whatever tuple reused the slot.
-    fn rebuild_blocks(&mut self, store: &StoreCore) {
-        let mut blocks = std::mem::take(&mut self.blocks);
-        blocks.clear();
-        // Slots are sorted here (compaction sorts first), so this only
-        // ever takes `raise_block_bound`'s append fast path.
-        for &s in &self.slots {
-            let blk = block_of(s) as u32;
-            let score = store.score_at(s);
-            match blocks.last_mut() {
-                Some(last) if last.0 == blk => last.1 = last.1.max(score),
-                _ => blocks.push((blk, score)),
-            }
-        }
-        self.blocks = blocks;
+    fn rebuild_runs(&mut self) {
+        self.runs.clear();
+        self.runs.extend(segment_runs(&self.slots));
     }
+}
+
+/// `(segment, start offset)` of every segment run in slot-sorted `slots`.
+fn segment_runs(slots: &[Slot]) -> impl Iterator<Item = (u32, u32)> + '_ {
+    slots.iter().enumerate().filter_map(|(i, &s)| {
+        let seg = segment_of(s);
+        (i == 0 || segment_of(slots[i - 1]) != seg).then_some((seg as u32, i as u32))
+    })
 }
 
 /// Read-only view of one slot-sorted posting list: the slots plus their
@@ -219,7 +178,6 @@ impl PostingList {
 pub struct SortedPostings<'a> {
     slots: &'a [Slot],
     runs: &'a [(u32, u32)],
-    blocks: &'a [(u32, u64)],
 }
 
 impl<'a> SortedPostings<'a> {
@@ -257,34 +215,6 @@ impl<'a> SortedPostings<'a> {
             }
             Err(_) => &[],
         }
-    }
-
-    /// The block-max directory: one `(global block, score upper bound)`
-    /// per store block with ≥ 1 posting, ascending by block id. Bounds
-    /// never understate the best alive matching score in the block (they
-    /// may overstate after deletes/score-drops until the list compacts).
-    pub fn blocks(&self) -> &'a [(u32, u64)] {
-        self.blocks
-    }
-
-    /// Score upper bound for global block `blk`, or `None` if the list
-    /// has no postings there (in which case no tuple in the block can
-    /// match this predicate — stale postings are only ever *extra*).
-    #[inline]
-    pub fn block_bound(&self, blk: u32) -> Option<u64> {
-        self.blocks.binary_search_by_key(&blk, |&(b, _)| b).ok().map(|i| self.blocks[i].1)
-    }
-
-    /// The run of postings falling in global block `blk`, empty if none.
-    /// Two binary searches: the owning segment's run, then the block's
-    /// slot range within it.
-    pub fn block_run(&self, blk: u32) -> &'a [Slot] {
-        let run = self.run_in(blk as usize / BLOCKS_PER_SEGMENT);
-        let lo = (blk as usize * BLOCK_SLOTS) as Slot;
-        let hi = lo + BLOCK_SLOTS as Slot;
-        let start = run.partition_point(|&s| s < lo);
-        let end = start + run[start..].partition_point(|&s| s < hi);
-        &run[start..end]
     }
 }
 
@@ -347,28 +277,14 @@ impl InvertedIndex {
         Self { lists }
     }
 
-    /// Registers a freshly inserted tuple (with its hidden score, which
-    /// feeds the per-list block-max bounds).
+    /// Registers a freshly inserted tuple.
     ///
     /// `values` are the tuple's value codes in schema order. If the slot was
     /// reused, old postings pointing at it become self-healing tombstones:
     /// they are filtered out on scan because the column no longer matches.
-    pub fn insert(&mut self, slot: Slot, values: &[ValueId], score: u64) {
+    pub fn insert(&mut self, slot: Slot, values: &[ValueId]) {
         for (a, &v) in values.iter().enumerate() {
-            Arc::make_mut(&mut self.lists[a][v.index()]).push(slot, score);
-        }
-    }
-
-    /// Propagates an in-place score *raise* at `slot` (a measure update
-    /// promoting the tuple's rank) to the block-max bounds of every list
-    /// the tuple posts to. Raises must be eager — the tuple may now
-    /// out-score its blocks' recorded bounds, and a block-max skip
-    /// consulting an understated bound would wrongly elide it. Drops
-    /// need nothing: a standing bound stays a valid upper bound, exactly
-    /// like the store's segment bounds.
-    pub fn note_score_raise(&mut self, slot: Slot, values: &[ValueId], score: u64) {
-        for (a, &v) in values.iter().enumerate() {
-            Arc::make_mut(&mut self.lists[a][v.index()]).raise_block_bound(slot, score);
+            Arc::make_mut(&mut self.lists[a][v.index()]).push(slot);
         }
     }
 
@@ -392,11 +308,6 @@ impl InvertedIndex {
         list.slots.dedup();
         list.dead = 0;
         list.rebuild_runs();
-        // Every survivor just revalidated, so its store score is its own:
-        // the block-max directory rebuilds exactly (loose bounds from
-        // deletes and score-drops drop out here, mirroring the store's
-        // `recompute_segment_bound`).
-        list.rebuild_blocks(store);
         list.sorted = true;
     }
 
@@ -483,7 +394,7 @@ impl InvertedIndex {
             list.sorted || list.slots.is_empty(),
             "sorted_postings on a dirty list — call ensure_sorted first"
         );
-        SortedPostings { slots: &list.slots, runs: &list.runs, blocks: &list.blocks }
+        SortedPostings { slots: &list.slots, runs: &list.runs }
     }
 
     /// Scans the posting list for `(attr, value)`, invoking `f` for every
@@ -535,7 +446,7 @@ impl InvertedIndex {
     /// Every posting list that differs from the default empty state, as
     /// `(attr index, value index, list)` in deterministic `(attr, value)`
     /// order — the codec's snapshot walk. Lists are persisted *verbatim*
-    /// (tombstones, dirty flags, directories and all) so a restored
+    /// (tombstones, dirty flags, run directories and all) so a restored
     /// index is byte-equivalent to the snapshotted one and evolves
     /// identically from there.
     pub(crate) fn lists_for_snapshot(
@@ -543,16 +454,13 @@ impl InvertedIndex {
     ) -> impl Iterator<Item = (usize, usize, &PostingList)> + '_ {
         self.lists.iter().enumerate().flat_map(|(a, attr_lists)| {
             attr_lists.iter().enumerate().filter_map(move |(v, list)| {
-                let nontrivial = !list.slots.is_empty()
-                    || list.dead > 0
-                    || !list.runs.is_empty()
-                    || !list.blocks.is_empty();
+                let nontrivial = !list.slots.is_empty() || list.dead > 0 || !list.runs.is_empty();
                 nontrivial.then_some((a, v, &**list))
             })
         })
     }
 
-    /// Rebuilds an index from restored snapshot lists (codec v2). Lists
+    /// Rebuilds an index from restored snapshot lists (codec v3). Lists
     /// not named keep the shared default-empty state, exactly as
     /// [`InvertedIndex::new`] makes them.
     pub(crate) fn from_restored(schema: &Schema, lists: Vec<(usize, usize, PostingList)>) -> Self {
@@ -568,26 +476,20 @@ impl InvertedIndex {
     pub fn rebuild(&mut self, store: &StoreCore) {
         for attr_lists in &mut self.lists {
             for list in attr_lists.iter_mut() {
-                if list.slots.is_empty()
-                    && list.runs.is_empty()
-                    && list.blocks.is_empty()
-                    && list.dead == 0
-                {
+                if list.slots.is_empty() && list.runs.is_empty() && list.dead == 0 {
                     continue;
                 }
                 let list = Arc::make_mut(list);
                 list.slots.clear();
                 list.runs.clear();
-                list.blocks.clear();
                 list.dead = 0;
                 list.sorted = false;
             }
         }
         for slot in store.alive_slots() {
-            let score = store.score_at(slot);
             for (a, attr_lists) in self.lists.iter_mut().enumerate() {
                 let v = store.value_at(a, slot);
-                Arc::make_mut(&mut attr_lists[v as usize]).push(slot, score);
+                Arc::make_mut(&mut attr_lists[v as usize]).push(slot);
             }
         }
     }
@@ -610,7 +512,7 @@ mod tests {
     fn ins(store: &mut Store, index: &mut InvertedIndex, key: u64, vals: &[u32]) -> Slot {
         let values: Vec<ValueId> = vals.iter().map(|&v| ValueId(v)).collect();
         let slot = store.insert(Tuple::new(TupleKey(key), values.clone(), vec![]), key).unwrap();
-        index.insert(slot, &values, key);
+        index.insert(slot, &values);
         slot
     }
 
@@ -637,7 +539,7 @@ mod tests {
         let (_s, mut store, mut index) = setup();
         let values = vec![ValueId(0), ValueId(1)];
         let slot = store.insert(Tuple::new(TupleKey(1), values.clone(), vec![]), 1).unwrap();
-        index.insert(slot, &values, 1);
+        index.insert(slot, &values);
         store.delete(TupleKey(1)).unwrap();
         index.delete(slot, &values, &store);
         assert!(collect(&index, &store, 0, 0).is_empty());
@@ -648,14 +550,14 @@ mod tests {
         let (_s, mut store, mut index) = setup();
         let v_old = vec![ValueId(0), ValueId(0)];
         let slot = store.insert(Tuple::new(TupleKey(1), v_old.clone(), vec![]), 1).unwrap();
-        index.insert(slot, &v_old, 1);
+        index.insert(slot, &v_old);
         store.delete(TupleKey(1)).unwrap();
         index.delete(slot, &v_old, &store);
         // Reuse the same slot with a different A0 value.
         let v_new = vec![ValueId(1), ValueId(0)];
         let slot2 = store.insert(Tuple::new(TupleKey(2), v_new.clone(), vec![]), 2).unwrap();
         assert_eq!(slot, slot2);
-        index.insert(slot2, &v_new, 2);
+        index.insert(slot2, &v_new);
         // Old posting for (A0,u0) must not resurrect the new occupant.
         assert!(collect(&index, &store, 0, 0).is_empty());
         assert_eq!(collect(&index, &store, 0, 1), vec![slot2]);
@@ -666,12 +568,12 @@ mod tests {
         let (_s, mut store, mut index) = setup();
         let vals = vec![ValueId(1), ValueId(2)];
         let slot = store.insert(Tuple::new(TupleKey(1), vals.clone(), vec![]), 1).unwrap();
-        index.insert(slot, &vals, 1);
+        index.insert(slot, &vals);
         store.delete(TupleKey(1)).unwrap();
         index.delete(slot, &vals, &store);
         let slot2 = store.insert(Tuple::new(TupleKey(2), vals.clone(), vec![]), 2).unwrap();
         assert_eq!(slot, slot2);
-        index.insert(slot2, &vals, 2);
+        index.insert(slot2, &vals);
         // The stale and fresh postings both point at the same alive slot
         // carrying the same value; the scan must yield it exactly once.
         assert_eq!(collect(&index, &store, 0, 1), vec![slot2]);
@@ -809,73 +711,27 @@ mod tests {
         assert_eq!(report.lists_compacted, 0);
     }
 
-    /// Exact truth for one list's block-max directory: for every block,
-    /// the max store score over postings that are alive and still carry
-    /// the value (the same revalidation `compact` applies).
-    fn exact_blocks(index: &InvertedIndex, store: &Store, a: u16, v: u32) -> Vec<(u32, u64)> {
-        let mut by_block: Vec<(u32, u64)> = Vec::new();
-        index.for_each_live(AttrId(a), ValueId(v), store, |s| {
-            let blk = block_of(s) as u32;
-            let score = store.score_at(s);
-            match by_block.binary_search_by_key(&blk, |&(b, _)| b) {
-                Ok(i) => by_block[i].1 = by_block[i].1.max(score),
-                Err(i) => by_block.insert(i, (blk, score)),
-            }
-        });
-        by_block
-    }
-
-    /// Index sibling of the store's exact-after-recompute test: per-list
-    /// block bounds never understate under churn, and a maintenance
-    /// compaction rebuilds them exactly from revalidated postings.
+    /// Restored lists are checked against the run metadata scans slice
+    /// by: a sorted list must ascend and carry exactly its derived runs,
+    /// a dirty one none.
     #[test]
-    fn list_block_bounds_never_understate_and_compact_exactly() {
-        let (schema, mut store, mut index) = setup();
-        // Three blocks' worth of postings in (A0,u1), score == key.
-        let n = (3 * BLOCK_SLOTS) as u64;
-        for key in 0..n {
-            ins(&mut store, &mut index, key, &[1, (key % 3) as u32]);
-        }
-        index.ensure_sorted(AttrId(0), ValueId(1));
-        let view = index.sorted_postings(AttrId(0), ValueId(1));
-        assert_eq!(view.blocks().len(), 3);
-        assert_eq!(view.block_bound(0), Some(BLOCK_SLOTS as u64 - 1));
-        assert_eq!(view.block_bound(2), Some(n - 1));
-        assert_eq!(view.block_bound(3), None, "no postings past block 2");
-        assert_eq!(view.block_run(1).len(), BLOCK_SLOTS);
-        assert!(view.block_run(1).iter().all(|&s| block_of(s) == 1));
-        // Delete block 2's top scorers: bounds go loose but must keep
-        // covering every surviving posting's score.
-        for key in (n - 8)..n {
-            let slot = store.slot_of(TupleKey(key)).unwrap();
-            store.delete(TupleKey(key)).unwrap();
-            index.delete(slot, &[ValueId(1), ValueId((key % 3) as u32)], &store);
-        }
-        let view = index.sorted_postings(AttrId(0), ValueId(1));
-        assert_eq!(view.block_bound(2), Some(n - 1), "lazy bound left standing");
-        for (blk, exact) in exact_blocks(&index, &store, 0, 1) {
-            assert!(
-                view.block_bound(blk).unwrap() >= exact,
-                "block {blk}: bound understates {exact}"
-            );
-        }
-        // An unbudgeted maintenance sweep rebuilds every directory
-        // exactly — loose bounds drop out, empty blocks disappear.
-        let mut budget = usize::MAX;
-        index.maintain(&store, &mut budget);
-        for a in 0..2u16 {
-            for v in 0..schema.domain_size(AttrId(a)) {
-                index.ensure_sorted(AttrId(a), ValueId(v));
-                let view = index.sorted_postings(AttrId(a), ValueId(v));
-                assert_eq!(
-                    view.blocks().to_vec(),
-                    exact_blocks(&index, &store, a, v),
-                    "A{a}=u{v}: blocks not exact after maintain"
-                );
-            }
-        }
-        let view = index.sorted_postings(AttrId(0), ValueId(1));
-        assert_eq!(view.block_bound(2), Some(n - 9), "rebuilt exactly");
+    fn coherence_matches_derived_runs() {
+        let seg = crate::store::SEGMENT_SLOTS as Slot;
+        let list = |slots: &[Slot], sorted: bool, runs: &[(u32, u32)]| PostingList {
+            slots: slots.to_vec(),
+            dead: 0,
+            sorted,
+            runs: runs.to_vec(),
+        };
+        assert!(list(&[], false, &[]).is_coherent());
+        assert!(list(&[], true, &[]).is_coherent());
+        assert!(list(&[1, 1, 5, seg + 2], true, &[(0, 0), (1, 3)]).is_coherent());
+        assert!(list(&[5, 1], false, &[]).is_coherent());
+        assert!(!list(&[5, 1], true, &[(0, 0)]).is_coherent(), "descending slots");
+        assert!(!list(&[1], false, &[(0, 0)]).is_coherent(), "dirty list with runs");
+        assert!(!list(&[1, seg], true, &[(0, 0), (1, 0)]).is_coherent(), "wrong offset");
+        assert!(!list(&[1, seg], true, &[(0, 0)]).is_coherent(), "missing run");
+        assert!(!list(&[1], true, &[(0, 0), (1, 1)]).is_coherent(), "extra run");
     }
 
     #[test]

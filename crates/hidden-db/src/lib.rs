@@ -95,7 +95,7 @@ pub use session::{SearchBackend, SearchSession};
 pub use stats::{
     EvalStats, InterfaceStats, MaintenanceStats, MemoStats, PersistStats, SharedMemoStats,
 };
-pub use store::{block_of, segment_of, BLOCKS_PER_SEGMENT, BLOCK_SLOTS, SEGMENT_SLOTS};
+pub use store::{segment_of, SEGMENT_SLOTS};
 pub use tuple::{Tuple, TupleView};
 pub use updates::{UpdateBatch, UpdateFootprint, UpdateSummary};
 pub use value::{AttrId, MeasureId, TupleKey, ValueId};

@@ -44,21 +44,22 @@ pub struct EvalStats {
     /// Multi-predicate evaluations on the legacy rarest-list re-check
     /// path (forced via [`crate::IntersectPolicy::Recheck`]).
     pub recheck_scans: u64,
-    /// Multi-predicate evaluations on the k-way block-max engine
-    /// ([`crate::IntersectPolicy::BlockMax`], or `Auto` at 3+
-    /// predicates).
+    /// Always 0: the k-way block-max engine is gone. Kept only because
+    /// the benchmark in `trackbench/` reads it; a later change to the
+    /// benchmark removes it.
     pub blockmax_intersections: u64,
     /// Scans stopped early by the overflow + heap-floor proof.
     pub early_exits: u64,
     /// Segments (or posting runs) never visited thanks to early exits.
     pub segments_skipped: u64,
-    /// Candidate blocks the block-max engine actually intersected.
+    /// Always 0, like [`EvalStats::blockmax_intersections`] (read by the
+    /// benchmark; a later change to the benchmark removes it).
     pub blocks_scanned: u64,
-    /// Candidate blocks skipped whole because their combined bound could
-    /// not beat the top-`k` floor.
+    /// Always 0, like [`EvalStats::blockmax_intersections`] (read by the
+    /// benchmark; a later change to the benchmark removes it).
     pub blocks_skipped: u64,
-    /// Galloping cursor advances on the block-max sparse path (one per
-    /// non-pivot list consulted per pivot slot).
+    /// Always 0, like [`EvalStats::blockmax_intersections`] (read by the
+    /// benchmark; a later change to the benchmark removes it).
     pub pivot_advances: u64,
 }
 

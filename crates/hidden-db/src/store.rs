@@ -72,41 +72,10 @@ pub const SEGMENT_SHIFT: u32 = SEGMENT_SLOTS.trailing_zeros();
 /// `slot & SEGMENT_MASK` is the slot's offset within its segment.
 pub const SEGMENT_MASK: usize = SEGMENT_SLOTS - 1;
 
-/// Slots per block-max block: the sub-segment granularity of the score
-/// bounds driving the k-way block-max intersection. 256 slots is 1/16th
-/// of a segment — fine enough that one hot tuple no longer pins a whole
-/// 4096-slot segment's worth of candidates into a scan, coarse enough
-/// that the per-list block directories stay small (a full segment run
-/// costs 16 entries) and a block's bitset is 4 words.
-pub const BLOCK_SLOTS: usize = 256;
-
-// The block-max engine word-ANDs whole blocks (`BLOCK_SLOTS / 64` words)
-// and derives a slot's block by shifting, so blocks must be power-of-two,
-// word-divisible, and must tile segments exactly.
-const _: () = assert!(
-    BLOCK_SLOTS.is_power_of_two()
-        && BLOCK_SLOTS.is_multiple_of(64)
-        && SEGMENT_SLOTS.is_multiple_of(BLOCK_SLOTS)
-);
-
-/// Blocks per segment (`SEGMENT_SLOTS / BLOCK_SLOTS`).
-pub const BLOCKS_PER_SEGMENT: usize = SEGMENT_SLOTS / BLOCK_SLOTS;
-
-/// `log2(BLOCK_SLOTS)` — global block of a slot is `slot >> BLOCK_SHIFT`.
-pub const BLOCK_SHIFT: u32 = BLOCK_SLOTS.trailing_zeros();
-
 /// The segment a slot belongs to.
 #[inline]
 pub fn segment_of(slot: Slot) -> usize {
     (slot >> SEGMENT_SHIFT) as usize
-}
-
-/// The global block a slot belongs to (block `b` covers slots
-/// `b * BLOCK_SLOTS .. (b+1) * BLOCK_SLOTS`; segment `s` owns blocks
-/// `s * BLOCKS_PER_SEGMENT .. (s+1) * BLOCKS_PER_SEGMENT`).
-#[inline]
-pub fn block_of(slot: Slot) -> usize {
-    (slot >> BLOCK_SHIFT) as usize
 }
 
 /// `(segment, offset within segment)` of a slot.
@@ -127,14 +96,6 @@ pub(crate) struct SegmentMeta {
     /// in-place score drops — the two operations that can leave the
     /// bound standing above the true maximum). `0` means exact.
     pub(crate) stale_ops: u32,
-    /// Per-block score upper bounds (block `b` covers local slots
-    /// `b * BLOCK_SLOTS .. (b+1) * BLOCK_SLOTS`). Same soundness
-    /// contract as `max_score` — never understates — but looseness is
-    /// tracked only at segment granularity: `stale_ops == 0` promises
-    /// an exact *segment* bound (a score raise snaps it back without a
-    /// sweep), while block bounds are guaranteed exact only right after
-    /// [`Store::recompute_segment_bound`] rebuilds them.
-    pub(crate) block_max: [u64; BLOCKS_PER_SEGMENT],
     /// CLOCK reference bit for the persistence tier's writer-side
     /// eviction sweep: set on every writer touch, cleared as the hand
     /// passes. Meaningless (and harmlessly carried) without a pager.
@@ -437,19 +398,6 @@ impl StoreCore {
         self.meta[seg].max_score
     }
 
-    /// Upper bound on the hidden score of any alive tuple in global
-    /// block `blk` (see [`block_of`]). Never underestimates, and never
-    /// exceeds the owning segment's [`StoreCore::segment_max_score`]
-    /// (every block-bound raise raises the segment bound with it, and
-    /// the two operations that lower the segment bound — exact
-    /// recompute and the empty-segment reset — rebuild the block bounds
-    /// in the same step). Exact right after
-    /// [`Store::recompute_segment_bound`]; possibly loose otherwise.
-    #[inline]
-    pub fn block_max_score(&self, blk: usize) -> u64 {
-        self.meta[blk / BLOCKS_PER_SEGMENT].block_max[blk % BLOCKS_PER_SEGMENT]
-    }
-
     /// Dead (allocated but not alive) slots in segment `seg` — the
     /// sparsity signal maintenance uses to prioritise posting-list
     /// compaction.
@@ -582,20 +530,6 @@ impl StoreCore {
             .max()
             .unwrap_or(0)
     }
-
-    /// Exact per-block maximum scores over alive occupants of `seg`
-    /// (one sweep; empty blocks come back as `0`).
-    fn exact_block_maxes(&self, seg: usize) -> [u64; BLOCKS_PER_SEGMENT] {
-        let data = self.seg_view(seg);
-        let mut maxes = [0u64; BLOCKS_PER_SEGMENT];
-        for (off, (&a, &score)) in data.alive.iter().zip(data.scores.iter()).enumerate() {
-            if a {
-                let b = off >> BLOCK_SHIFT;
-                maxes[b] = maxes[b].max(score);
-            }
-        }
-        maxes
-    }
 }
 
 impl Store {
@@ -619,7 +553,7 @@ impl Store {
         }
     }
 
-    /// Rebuilds a store from restored snapshot state (codec v2): segment
+    /// Rebuilds a store from restored snapshot state (codec v3): segment
     /// data and summaries verbatim, the free list in its original order
     /// (so future slot reuse replays identically), and the key → slot
     /// map rebuilt by one scan over alive occupants. Returns `None` if
@@ -780,16 +714,10 @@ impl Store {
     /// that consulted the old bound stays correct.
     pub fn recompute_segment_bound(&mut self, seg: usize) -> bool {
         let exact = self.core.exact_segment_max(seg);
-        let blocks = self.core.exact_block_maxes(seg);
         let meta = &mut self.core.meta[seg];
         debug_assert!(exact <= meta.max_score, "segment bound was not an upper bound");
-        debug_assert!(
-            blocks.iter().zip(meta.block_max.iter()).all(|(e, b)| e <= b),
-            "a block bound was not an upper bound"
-        );
         let tightened = exact < meta.max_score;
         meta.max_score = exact;
-        meta.block_max = blocks;
         meta.stale_ops = 0;
         tightened
     }
@@ -806,11 +734,6 @@ impl Store {
                 "segment {seg}: bound not exact after compaction"
             );
             assert_eq!(self.core.meta[seg].stale_ops, 0, "segment {seg}: staleness not cleared");
-            let blocks = self.core.exact_block_maxes(seg);
-            assert_eq!(
-                self.core.meta[seg].block_max, blocks,
-                "segment {seg}: block bounds not exact after compaction"
-            );
         }
         #[cfg(not(debug_assertions))]
         let _ = seg;
@@ -821,8 +744,6 @@ impl Store {
         let meta = &mut self.core.meta[segment_of(slot)];
         meta.alive += 1;
         meta.max_score = meta.max_score.max(score);
-        let blk = block_of(slot) % BLOCKS_PER_SEGMENT;
-        meta.block_max[blk] = meta.block_max[blk].max(score);
     }
 
     #[inline]
@@ -830,10 +751,9 @@ impl Store {
         let meta = &mut self.core.meta[segment_of(slot)];
         meta.alive -= 1;
         if meta.alive == 0 {
-            // Empty segment: the bounds reset exactly for free.
+            // Empty segment: the bound resets exactly for free.
             meta.max_score = 0;
             meta.stale_ops = 0;
-            meta.block_max = [0; BLOCKS_PER_SEGMENT];
         } else {
             meta.stale_ops = meta.stale_ops.saturating_add(1);
         }
@@ -914,12 +834,6 @@ impl Store {
         self.seg_mut(seg).scores[off] = score;
         self.enforce_budget(seg);
         let meta = &mut self.core.meta[seg];
-        let blk = off >> BLOCK_SHIFT;
-        // A raise must propagate to the slot's block bound immediately —
-        // the tuple may now out-score its block's recorded maximum, and
-        // block bounds must never understate. A drop leaves the block
-        // bound standing (still a valid upper bound).
-        meta.block_max[blk] = meta.block_max[blk].max(score);
         if score >= meta.max_score {
             // The new score meets or beats the old bound, so it *is* the
             // segment's true maximum: the bound snaps back to exact.
@@ -1084,53 +998,6 @@ mod tests {
         s.debug_assert_bound_exact(0);
     }
 
-    /// Block-granularity sibling of `segment_max_score_is_exact_after_recompute`:
-    /// per-block bounds never understate under deletes and score drops,
-    /// and a recompute rebuilds every block bound exactly.
-    #[test]
-    fn block_max_scores_never_understate_and_are_exact_after_recompute() {
-        let mut s = Store::new(1, 0);
-        // Two blocks' worth of tuples: block 0 holds scores 0..BLOCK_SLOTS,
-        // block 1 holds BLOCK_SLOTS..2*BLOCK_SLOTS (slot == key == score).
-        let n = (2 * BLOCK_SLOTS) as u64;
-        for key in 0..n {
-            s.insert(t(key, &[0], &[]), key).unwrap();
-        }
-        assert_eq!(s.block_max_score(0), BLOCK_SLOTS as u64 - 1);
-        assert_eq!(s.block_max_score(1), n - 1);
-        assert!(s.block_max_score(0) <= s.segment_max_score(0));
-        // Delete block 1's top two scorers: its bound goes stale-high but
-        // must keep bounding the survivors; block 0's bound is untouched.
-        s.delete(TupleKey(n - 1)).unwrap();
-        s.delete(TupleKey(n - 2)).unwrap();
-        assert_eq!(s.block_max_score(1), n - 1, "lazy block bound left standing");
-        assert!(s.block_max_score(1) >= n - 3, "bound must cover survivors");
-        // A score drop inside block 0 marks the segment stale but leaves
-        // the (sound) block bound in place.
-        let slot = s.slot_of(TupleKey(7)).unwrap();
-        s.set_score(slot, 1);
-        assert_eq!(s.block_max_score(0), BLOCK_SLOTS as u64 - 1);
-        // A raise above the block bound must propagate immediately.
-        s.set_score(slot, 10_000);
-        assert_eq!(s.block_max_score(0), 10_000);
-        assert_eq!(s.segment_max_score(0), 10_000);
-        // Recompute rebuilds every block bound exactly.
-        s.set_score(slot, 7);
-        assert!(s.recompute_segment_bound(0));
-        assert_eq!(s.block_max_score(0), BLOCK_SLOTS as u64 - 1);
-        assert_eq!(s.block_max_score(1), n - 3);
-        s.debug_assert_bound_exact(0);
-        // Emptying a block (but not the segment) and recomputing resets
-        // that block's bound to zero exactly.
-        for key in BLOCK_SLOTS as u64..n - 2 {
-            s.delete(TupleKey(key)).unwrap();
-        }
-        s.recompute_segment_bound(0);
-        assert_eq!(s.block_max_score(1), 0, "empty block rebuilds to zero");
-        assert_eq!(s.block_max_score(0), BLOCK_SLOTS as u64 - 1);
-        s.debug_assert_bound_exact(0);
-    }
-
     #[test]
     fn emptying_a_segment_clears_staleness_too() {
         let mut s = Store::new(1, 0);
@@ -1242,9 +1109,6 @@ mod tests {
         for seg in 0..plain.segment_count() {
             assert_eq!(disk.segment_max_score(seg), plain.segment_max_score(seg));
             assert_eq!(disk.segment_bound_staleness(seg), plain.segment_bound_staleness(seg));
-        }
-        for blk in 0..plain.segment_count() * BLOCKS_PER_SEGMENT {
-            assert_eq!(disk.block_max_score(blk), plain.block_max_score(blk));
         }
 
         let pager = disk.core().pager().expect("pager attached").clone();

@@ -129,10 +129,6 @@ fn variants() -> Vec<(&'static str, EvalConfig)> {
         ("auto", EvalConfig { early_exit: true, intersect: IntersectPolicy::Auto }),
         ("gallop", EvalConfig { early_exit: true, intersect: IntersectPolicy::Gallop }),
         ("bitset", EvalConfig { early_exit: true, intersect: IntersectPolicy::Bitset }),
-        // Maintain/compact interleavings must rebuild the per-block
-        // max-score bounds exactly — a block-max skip consulting a bound
-        // rebuilt wrong (understated) would drop page members.
-        ("blockmax", EvalConfig { early_exit: true, intersect: IntersectPolicy::BlockMax }),
         ("auto-exhaustive", EvalConfig { early_exit: false, intersect: IntersectPolicy::Auto }),
     ]
 }

@@ -73,7 +73,6 @@ fn variants() -> Vec<(&'static str, EvalConfig)> {
         ("auto", EvalConfig { early_exit: true, intersect: IntersectPolicy::Auto }),
         ("gallop", EvalConfig { early_exit: true, intersect: IntersectPolicy::Gallop }),
         ("bitset", EvalConfig { early_exit: true, intersect: IntersectPolicy::Bitset }),
-        ("blockmax", EvalConfig { early_exit: true, intersect: IntersectPolicy::BlockMax }),
         ("auto-exhaustive", EvalConfig { early_exit: false, intersect: IntersectPolicy::Auto }),
     ]
 }

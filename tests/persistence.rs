@@ -159,10 +159,6 @@ fn variants() -> Vec<(&'static str, EvalConfig)> {
         ("auto", EvalConfig { early_exit: true, intersect: IntersectPolicy::Auto }),
         ("gallop", EvalConfig { early_exit: true, intersect: IntersectPolicy::Gallop }),
         ("bitset", EvalConfig { early_exit: true, intersect: IntersectPolicy::Bitset }),
-        // Block-max skips consult per-block score bounds that the pager
-        // must keep exact across spill/fault cycles — an understated
-        // bound on a faulted segment would drop page members here first.
-        ("blockmax", EvalConfig { early_exit: true, intersect: IntersectPolicy::BlockMax }),
         ("auto-exhaustive", EvalConfig { early_exit: false, intersect: IntersectPolicy::Auto }),
     ]
 }
