@@ -38,12 +38,6 @@
 //!    bounds keep the early exit dark (`0` segment skips, the pre-PR-5
 //!    state), a `compact()` pass re-arms it (`early_exit_rearmed`) with
 //!    bit-identical answers (`compaction_identical`).
-//! 9. **Revalidation** (PR 5) — a churn-heavy Fig 10-style pool
-//!    (inserts + deletes + measure updates every round) re-asking a
-//!    fixed query pool: cross-round memo revalidation on vs the PR 2
-//!    incremental baseline vs memo-disabled, with a three-way answer
-//!    fingerprint check (`revalidation_consistent`) and a strict
-//!    hit-rate win (`revalidation_hit_rate_improved`).
 //! 10. **Fault recovery** (PR 6) — the fault-injected interface stack:
 //!     drill-level bit-identity under recovered seeded storms at three
 //!     injection rates (`faults_identical_when_recovered`), the cost of
@@ -146,8 +140,6 @@ fn main() {
     let ground_truth = ground_truth_parallelism();
     eprintln!(">>> perf_baseline: segment compaction / early-exit re-arm");
     let compaction = compaction_workload();
-    eprintln!(">>> perf_baseline: cross-round memo revalidation");
-    let revalidation = revalidation_workload();
     eprintln!(">>> perf_baseline: fault injection / recovery stack");
     let faults = fault_recovery(flags.pool());
     eprintln!(">>> perf_baseline: shared concurrent service");
@@ -194,7 +186,6 @@ fn main() {
         .field("early_exit", early_exit)
         .field("ground_truth_parallelism", ground_truth)
         .field("compaction", compaction)
-        .field("revalidation", revalidation)
         .field("fault_recovery", faults)
         .field("shared_service", shared)
         .field("persistence", persistence)
@@ -299,7 +290,7 @@ fn interface_microbench() -> Json {
     let stats = db.stats();
     assert!(stats.cache_hits >= (WARM_PASSES * pool.len()) as u64, "warm passes must hit the memo");
 
-    // Mutations: insert+delete pairs through store + index (+ memo drop).
+    // Mutations: insert+delete pairs through store + index + memo patch.
     let t0 = Instant::now();
     let mut key = 10_000_000u64;
     for _ in 0..MUTATION_PAIRS {
@@ -312,10 +303,10 @@ fn interface_microbench() -> Json {
     let mutations = t0.elapsed();
 
     let per_sec = |count: usize, d: std::time::Duration| count as f64 / d.as_secs_f64();
-    // Floor pinning the PR 5 mutation-path regression (the quadratic
-    // TouchedSet absorb) fixed in PR 6: deliberately far below healthy
-    // release-build rates so only a real algorithmic regression — not a
-    // slow CI runner — can trip it. Debug builds are exempt.
+    // Floor pinning the mutation path, which patches every warm pool
+    // entry a row satisfies: deliberately far below healthy release-build
+    // rates so only a real algorithmic regression — not a slow CI runner
+    // — can trip it. Debug builds are exempt.
     const MUTATION_FLOOR_PAIRS_PER_SEC: f64 = 100_000.0;
     let mutation_rate = per_sec(MUTATION_PAIRS, mutations);
     Json::obj()
@@ -931,86 +922,6 @@ fn compaction_workload() -> Json {
         .field("segment_skips_after", skips_after)
         .field("early_exit_rearmed", skips_before == 0 && skips_after > 0)
         .field("compaction_identical", fp_before == fp_after && fp_after == fp_exhaustive)
-}
-
-/// PR 5: cross-round memo revalidation on a churn-heavy Fig 10-style
-/// pool (inserts + deletes + measure updates every round, a fixed
-/// overlapping query pool re-asked each round). The PR 2 incremental
-/// baseline drops every affected entry and re-evaluates from cold;
-/// revalidation demotes spared overflow pages and resurrects them at the
-/// next ask. `revalidation_consistent` (three-way answer fingerprints)
-/// and `revalidation_hit_rate_improved` (strictly above the PR 2
-/// baseline) must always hold.
-fn revalidation_workload() -> Json {
-    const N: usize = 4_000;
-    const K: usize = 100;
-    const ATTRS: usize = 12;
-    const ROUNDS: usize = 30;
-    const INSERTS_PER_ROUND: usize = 6;
-
-    let run = |policy: InvalidationPolicy, revalidation: bool| {
-        let mut gen = AutosGenerator::with_attrs(ATTRS);
-        let mut rng = StdRng::seed_from_u64(0xF110);
-        let mut db = load_database(&mut gen, &mut rng, N, K, ScoringPolicy::default());
-        db.set_invalidation_policy(policy);
-        db.set_revalidation(revalidation);
-        let pool = query_pool(&db.schema().clone());
-        let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-        let mut fresh_key = 30_000_000u64;
-        let t0 = Instant::now();
-        for round in 0..ROUNDS {
-            // Churn-heavy batch: 6 inserts, 6 deletes, 2 measure updates.
-            let victims = db.sample_alive_keys(&mut rng, 8);
-            let mut batch = UpdateBatch::empty();
-            for key in victims.iter().take(6) {
-                batch = batch.delete(*key);
-            }
-            for key in victims.iter().skip(6) {
-                batch = batch.update_measures(*key, vec![round as f64]);
-            }
-            for _ in 0..INSERTS_PER_ROUND {
-                let t = gen.make(&mut rng);
-                fresh_key += 1;
-                batch = batch.insert(Tuple::new(
-                    TupleKey(fresh_key),
-                    t.values().to_vec(),
-                    t.measures().to_vec(),
-                ));
-            }
-            db.apply(batch).expect("churn batch is valid");
-            for q in &pool {
-                fingerprint = fold_outcome(fingerprint, &db.answer(q));
-            }
-        }
-        let wall = t0.elapsed();
-        (db, fingerprint, wall)
-    };
-
-    let (reval_db, reval_fp, reval_wall) = run(InvalidationPolicy::Incremental, true);
-    let (base_db, base_fp, base_wall) = run(InvalidationPolicy::Incremental, false);
-    let (_, oracle_fp, _) = run(InvalidationPolicy::Disabled, false);
-
-    let reval_rate = reval_db.stats().cache_hit_rate();
-    let base_rate = base_db.stats().cache_hit_rate();
-    let m = reval_db.memo_stats();
-    Json::obj()
-        .field("population", N)
-        .field("rounds", ROUNDS)
-        .field("batch_per_round", "6 inserts, 6 deletes, 2 measure updates")
-        .field("revalidation_wall_s", reval_wall.as_secs_f64())
-        .field("baseline_wall_s", base_wall.as_secs_f64())
-        .field("revalidation_hit_rate", reval_rate)
-        .field("baseline_hit_rate", base_rate)
-        .field("hit_rate_gain", reval_rate - base_rate)
-        .field("demoted", m.demoted)
-        .field("resurrected", m.resurrected)
-        .field("revalidation_failed", m.revalidation_failed)
-        .field(
-            "resurrection_rate",
-            m.resurrected as f64 / (m.resurrected + m.revalidation_failed).max(1) as f64,
-        )
-        .field("revalidation_consistent", reval_fp == base_fp && reval_fp == oracle_fp)
-        .field("revalidation_hit_rate_improved", reval_rate > base_rate)
 }
 
 /// PR 6: the fault-injected interface stack over a small exhaustive

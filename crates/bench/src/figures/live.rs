@@ -34,7 +34,7 @@ pub fn fig20(cli: &Cli) {
         1,
     );
     let proportion = |attr, value: ValueId, seed| {
-        let f = TupleFn::Custom(Arc::new(move |t: &hidden_db::tuple::TupleView| {
+        let f = TupleFn::Custom(Arc::new(move |t: &hidden_db::tuple::TupleView<'_>| {
             (t.value(attr) == value) as u8 as f64
         }));
         RsEstimator::new(

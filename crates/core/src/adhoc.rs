@@ -9,8 +9,8 @@
 //! selection condition is evaluable per tuple.
 
 use hidden_db::errors::IssueError;
+use hidden_db::interface::QueryOutcome;
 use hidden_db::session::SearchBackend;
-use hidden_db::tuple::TupleView;
 use query_tree::drill::{drill_from_root, resume_from, ReissuePolicy};
 use query_tree::signature::Signature;
 use query_tree::tree::QueryTree;
@@ -27,8 +27,8 @@ use crate::report::EstimateWithVar;
 struct Observation {
     /// Terminal depth (determines `p(q)`).
     depth: usize,
-    /// The terminal page (empty for underflow).
-    tuples: Vec<TupleView>,
+    /// The terminal answer, sharing its page with the database's memo.
+    outcome: QueryOutcome,
 }
 
 /// A REISSUE-style tracker that archives terminal pages so *any* aggregate
@@ -87,10 +87,7 @@ impl ArchivingTracker {
                 resume_from(&self.tree, sig, *depth, self.policy, backend);
             match result {
                 Ok(out) => {
-                    observations.push(Observation {
-                        depth: out.depth,
-                        tuples: out.outcome.tuples().to_vec(),
-                    });
+                    observations.push(Observation { depth: out.depth, outcome: out.outcome });
                     let rec = &mut self.records[idx];
                     rec.1 = out.depth;
                     rec.2 = j;
@@ -104,10 +101,7 @@ impl ArchivingTracker {
             let sig = Signature::sample(&self.tree, &mut self.rng);
             match drill_from_root(&self.tree, &sig, backend) {
                 Ok(out) => {
-                    observations.push(Observation {
-                        depth: out.depth,
-                        tuples: out.outcome.tuples().to_vec(),
-                    });
+                    observations.push(Observation { depth: out.depth, outcome: out.outcome });
                     self.records.push((sig, out.depth, j));
                     initiated += 1;
                 }
@@ -136,11 +130,11 @@ impl ArchivingTracker {
         for o in obs {
             let p = self.tree.selection_probability(o.depth);
             let mut value = 0.0;
-            for t in &o.tuples {
-                if spec.selects(t) {
+            for t in o.outcome.tuples() {
+                if spec.selects(&t) {
                     value += match spec.kind {
                         crate::aggregate::AggKind::Count => 1.0,
-                        _ => spec.value_fn.eval(t),
+                        _ => spec.value_fn.eval(&t),
                     };
                 }
             }

@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 /// Shared per-tuple predicate used as an extra selection filter.
-pub type TupleFilter = Arc<dyn Fn(&TupleView) -> bool + Send + Sync>;
+pub type TupleFilter = Arc<dyn Fn(&TupleView<'_>) -> bool + Send + Sync>;
 
 use hidden_db::query::ConjunctiveQuery;
 use hidden_db::tuple::TupleView;
@@ -27,12 +27,12 @@ pub enum TupleFn {
     /// `f(t) = t[measure]`.
     Measure(MeasureId),
     /// Arbitrary function of the returned tuple.
-    Custom(Arc<dyn Fn(&TupleView) -> f64 + Send + Sync>),
+    Custom(Arc<dyn Fn(&TupleView<'_>) -> f64 + Send + Sync>),
 }
 
 impl TupleFn {
     /// Evaluates `f(t)`.
-    pub fn eval(&self, t: &TupleView) -> f64 {
+    pub fn eval(&self, t: &TupleView<'_>) -> f64 {
         match self {
             Self::One => 1.0,
             Self::Measure(m) => t.measure(*m),
@@ -126,7 +126,7 @@ impl AggregateSpec {
 
     /// Whether tuple `t` satisfies the selection condition (conjunctive
     /// part and custom filter).
-    pub fn selects(&self, t: &TupleView) -> bool {
+    pub fn selects(&self, t: &TupleView<'_>) -> bool {
         self.condition.matches_values(t.values()) && self.filter.as_ref().is_none_or(|f| f(t))
     }
 }
@@ -167,9 +167,9 @@ pub fn ht_sample(spec: &AggregateSpec, tree: &QueryTree, drill: &DrillOutcome) -
     let mut count = 0.0;
     let mut sum = 0.0;
     for t in drill.outcome.tuples() {
-        if spec.selects(t) {
+        if spec.selects(&t) {
             count += 1.0;
-            sum += spec.value_fn.eval(t);
+            sum += spec.value_fn.eval(&t);
         }
     }
     HtSample { count: count / p, sum: sum / p }
@@ -184,23 +184,31 @@ mod tests {
     use hidden_db::tuple::TupleView;
     use hidden_db::value::{AttrId, TupleKey, ValueId};
 
-    fn view(key: u64, vals: &[u32], price: f64) -> TupleView {
-        // TupleView has a crate-private constructor; build through a tiny
-        // throwaway database instead.
+    /// The complete page of `rows` (key, values, price). Pages are built
+    /// by the database, so build through a tiny throwaway one.
+    fn page(rows: &[(u64, [u32; 2], f64)]) -> QueryOutcome {
         let schema = Schema::with_domain_sizes(&[2, 3], &["price"]).unwrap();
         let mut db = hidden_db::database::HiddenDatabase::new(
             schema,
             10,
             hidden_db::ranking::ScoringPolicy::default(),
         );
-        db.insert(hidden_db::tuple::Tuple::new(
-            TupleKey(key),
-            vals.iter().map(|&v| ValueId(v)).collect(),
-            vec![price],
-        ))
-        .unwrap();
-        let out = db.answer(&ConjunctiveQuery::select_all());
-        out.tuples()[0].clone()
+        for &(key, vals, price) in rows {
+            db.insert(hidden_db::tuple::Tuple::new(
+                TupleKey(key),
+                vals.iter().map(|&v| ValueId(v)).collect(),
+                vec![price],
+            ))
+            .unwrap();
+        }
+        db.answer(&ConjunctiveQuery::select_all())
+    }
+
+    /// Whether `spec` selects the one tuple `(key, vals, price)`.
+    fn selects(spec: &AggregateSpec, key: u64, vals: [u32; 2], price: f64) -> bool {
+        let out = page(&[(key, vals, price)]);
+        let t = out.tuples().next().unwrap();
+        spec.selects(&t)
     }
 
     fn tree() -> QueryTree {
@@ -210,10 +218,11 @@ mod tests {
 
     #[test]
     fn tuple_fn_eval() {
-        let t = view(1, &[0, 2], 25.0);
+        let out = page(&[(1, [0, 2], 25.0)]);
+        let t = out.tuples().next().unwrap();
         assert_eq!(TupleFn::One.eval(&t), 1.0);
         assert_eq!(TupleFn::Measure(MeasureId(0)).eval(&t), 25.0);
-        let double = TupleFn::Custom(Arc::new(|t: &TupleView| 2.0 * t.measure(MeasureId(0))));
+        let double = TupleFn::Custom(Arc::new(|t: &TupleView<'_>| 2.0 * t.measure(MeasureId(0))));
         assert_eq!(double.eval(&t), 50.0);
     }
 
@@ -223,18 +232,19 @@ mod tests {
             AttrId(0),
             ValueId(0),
         )]));
-        assert!(spec.selects(&view(1, &[0, 1], 5.0)));
-        assert!(!spec.selects(&view(2, &[1, 1], 5.0)));
-        let spec = spec.with_filter(Arc::new(|t: &TupleView| t.measure(MeasureId(0)) > 10.0));
-        assert!(!spec.selects(&view(3, &[0, 1], 5.0)));
-        assert!(spec.selects(&view(4, &[0, 1], 15.0)));
+        assert!(selects(&spec, 1, [0, 1], 5.0));
+        assert!(!selects(&spec, 2, [1, 1], 5.0));
+        let spec = spec.with_filter(Arc::new(|t: &TupleView<'_>| t.measure(MeasureId(0)) > 10.0));
+        assert!(!selects(&spec, 3, [0, 1], 5.0));
+        assert!(selects(&spec, 4, [0, 1], 15.0));
     }
 
     #[test]
     fn ht_sample_scales_by_inverse_probability() {
         let tr = tree();
-        let ts = vec![view(1, &[0, 0], 10.0), view(2, &[0, 0], 30.0)];
-        let drill = DrillOutcome { depth: 2, outcome: QueryOutcome::Valid(ts.into()), cost: 3 };
+        let outcome = page(&[(1, [0, 0], 10.0), (2, [0, 0], 30.0)]);
+        assert!(outcome.is_valid());
+        let drill = DrillOutcome { depth: 2, outcome, cost: 3 };
         // p(depth 2) = 1/(2·3) = 1/6.
         let spec = AggregateSpec::sum_measure(MeasureId(0), ConjunctiveQuery::select_all());
         let s = ht_sample(&spec, &tr, &drill);
@@ -253,8 +263,9 @@ mod tests {
     #[test]
     fn ht_sample_applies_condition() {
         let tr = tree();
-        let ts = vec![view(1, &[0, 0], 10.0), view(2, &[1, 0], 30.0)];
-        let drill = DrillOutcome { depth: 0, outcome: QueryOutcome::Valid(ts.into()), cost: 1 };
+        let outcome = page(&[(1, [0, 0], 10.0), (2, [1, 0], 30.0)]);
+        assert!(outcome.is_valid());
+        let drill = DrillOutcome { depth: 0, outcome, cost: 1 };
         let spec = AggregateSpec::count_where(ConjunctiveQuery::from_predicates([Predicate::new(
             AttrId(0),
             ValueId(1),

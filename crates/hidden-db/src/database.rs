@@ -17,7 +17,7 @@ use aggtrack_parallel::{par_map_indexed, Threads};
 use crate::errors::DbError;
 use crate::index::{gallop_to, InvertedIndex, SortedPostings};
 use crate::interface::{slot_matches, CachedEval, QueryOutcome, TopK};
-use crate::memo::{InvalidationPolicy, QueryMemo};
+use crate::memo::{InvalidationPolicy, QueryMemo, RowChange, RowOp};
 use crate::persist::{Pager, PersistConfig};
 use crate::query::{ConjunctiveQuery, Predicate};
 use crate::ranking::ScoringPolicy;
@@ -25,7 +25,7 @@ use crate::schema::Schema;
 use crate::stats::{EvalStats, InterfaceStats, MaintenanceStats, MemoStats, PersistStats};
 use crate::store::{segment_of, Slot, Store, StoreCore, SEGMENT_SLOTS};
 use crate::tuple::Tuple;
-use crate::updates::{UpdateBatch, UpdateFootprint, UpdateSummary};
+use crate::updates::{UpdateBatch, UpdateSummary};
 use crate::value::{AttrId, MeasureId, TupleKey, ValueId};
 use std::io;
 
@@ -166,9 +166,6 @@ pub struct HiddenDatabase {
     eval_config: EvalConfig,
     eval_stats: EvalStats,
     maintenance_stats: MaintenanceStats,
-    /// Reusable footprint buffers: single-op mutations would otherwise
-    /// allocate (and drop) two vectors each.
-    scratch_footprint: UpdateFootprint,
 }
 
 impl HiddenDatabase {
@@ -190,7 +187,6 @@ impl HiddenDatabase {
             eval_config: EvalConfig::default(),
             eval_stats: EvalStats::default(),
             maintenance_stats: MaintenanceStats::default(),
-            scratch_footprint: UpdateFootprint::default(),
         }
     }
 
@@ -249,32 +245,10 @@ impl HiddenDatabase {
         self.cache.capacity()
     }
 
-    /// Memo lifecycle counters (invalidations, evictions, clears,
-    /// demotions/resurrections).
+    /// Memo lifecycle counters (insertions, patch drops, evictions,
+    /// clears).
     pub fn memo_stats(&self) -> MemoStats {
         self.cache.stats()
-    }
-
-    /// Number of memoised queries currently demoted to `Stale` (kept for
-    /// the lookup-time revalidation re-check).
-    pub fn memo_stale_len(&self) -> usize {
-        self.cache.stale_len()
-    }
-
-    /// Toggles cross-round memo revalidation (default: on). When on, an
-    /// invalidated overflow entry whose cached page the mutation
-    /// provably spared is demoted to `Stale` instead of dropped, and the
-    /// next lookup re-checks it against live scores/segment bounds —
-    /// resurrecting the shared page when the top-`k` provably did not
-    /// change. Outcome-invariant (pinned by the memo and compaction
-    /// oracle proptests); only hit rates and wall-clock move.
-    pub fn set_revalidation(&mut self, on: bool) {
-        self.cache.set_revalidate(on);
-    }
-
-    /// Whether cross-round memo revalidation is active.
-    pub fn revalidation_enabled(&self) -> bool {
-        self.cache.revalidate_enabled()
     }
 
     // ----- maintenance ----------------------------------------------------
@@ -283,8 +257,7 @@ impl HiddenDatabase {
     /// slots/postings recomputing exact per-segment score bounds (the
     /// stalest segments first) and compacting tombstoned posting lists
     /// (rebuilding their segment-run skip metadata). Restores early-exit
-    /// effectiveness — and segment-level revalidation precision — under
-    /// delete-heavy / score-drop churn.
+    /// effectiveness under delete-heavy / score-drop churn.
     ///
     /// **Outcome-invariant and slot-stable**: no tuple moves, the free
     /// list is untouched, no version bump, the memo is not invalidated.
@@ -524,38 +497,41 @@ impl HiddenDatabase {
         self.cache.clear();
     }
 
-    /// Hands out the reusable footprint buffer (cleared). Single-op
-    /// mutations are hot in the interface microbench; reusing the two
-    /// vectors instead of allocating per op is part of the batched
-    /// footprint construction work.
-    fn take_footprint(&mut self) -> UpdateFootprint {
-        let mut footprint = std::mem::take(&mut self.scratch_footprint);
-        footprint.clear();
-        footprint
+    /// Ends a mutation call: bumps the version if any op applied, and
+    /// settles the memo according to the active policy. Under
+    /// [`InvalidationPolicy::Incremental`] each op has already patched
+    /// the memo as it applied ([`HiddenDatabase::patch_memo`]).
+    ///
+    /// This runs on the error path of [`HiddenDatabase::apply`] too: a
+    /// batch that fails mid-way leaves its applied prefix in place, and
+    /// the version must say so.
+    fn end_mutation(&mut self, changed: bool) {
+        if !changed {
+            return;
+        }
+        self.version += 1;
+        match self.policy {
+            InvalidationPolicy::Incremental => self.cache.note_mutation(),
+            InvalidationPolicy::Wholesale => self.cache.clear(),
+            // Disabled: the memo never holds entries; nothing to drop.
+            InvalidationPolicy::Disabled => {}
+        }
     }
 
-    /// Commits a mutation's footprint: bumps the version and invalidates
-    /// the memo according to the active policy. A no-op for an empty
-    /// footprint — a mutation that changed nothing invalidates nothing.
-    /// The footprint buffer returns to the scratch slot for reuse.
-    ///
-    /// This runs on the error path of [`HiddenDatabase::apply`] too:
-    /// a batch that fails mid-way leaves its applied prefix in place, and
-    /// the memo must see that prefix's footprint or it would keep serving
-    /// pages containing the prefix's deleted tuples.
-    fn finish_mutation(&mut self, mut footprint: UpdateFootprint) {
-        if !footprint.is_empty() {
-            self.version += 1;
-            match self.policy {
-                InvalidationPolicy::Incremental => {
-                    self.cache.invalidate(&mut footprint, self.version)
-                }
-                InvalidationPolicy::Wholesale => self.cache.clear(),
-                // Disabled: the memo never holds entries; nothing to drop.
-                InvalidationPolicy::Disabled => {}
-            }
+    /// Whether row changes patch the memo: only under
+    /// [`InvalidationPolicy::Incremental`], and only while something is
+    /// cached, so a mutation against an empty memo does no memo work.
+    fn patching(&self) -> bool {
+        self.policy == InvalidationPolicy::Incremental && !self.cache.is_empty()
+    }
+
+    /// Patches the memo with one applied row change (see
+    /// [`HiddenDatabase::patching`]).
+    fn patch_memo(&mut self, slot: Slot, values: &[ValueId], score: u64, change: RowChange) {
+        if self.patching() {
+            let op = RowOp { slot, values, score, change };
+            self.cache.patch(&op, self.k, &self.store);
         }
-        self.scratch_footprint = footprint;
     }
 
     fn validate_tuple(&self, t: &Tuple) -> Result<(), DbError> {
@@ -585,83 +561,69 @@ impl HiddenDatabase {
 
     /// Inserts one tuple.
     pub fn insert(&mut self, tuple: Tuple) -> Result<(), DbError> {
-        let mut footprint = self.take_footprint();
-        let result = self.insert_inner(tuple, &mut footprint);
-        self.finish_mutation(footprint);
+        let result = self.insert_inner(tuple);
+        self.end_mutation(result.is_ok());
         result
     }
 
     /// Deletes one tuple by key.
     pub fn delete(&mut self, key: TupleKey) -> Result<(), DbError> {
-        let mut footprint = self.take_footprint();
-        let result = self.delete_inner(key, &mut footprint);
-        self.finish_mutation(footprint);
+        let result = self.delete_inner(key);
+        self.end_mutation(result.is_ok());
         result
     }
 
     /// Overwrites the measures of an alive tuple (its position in the query
     /// tree is unchanged; its rank may change under measure-based scoring).
     pub fn update_measures(&mut self, key: TupleKey, measures: Vec<f64>) -> Result<(), DbError> {
-        let mut footprint = self.take_footprint();
-        let result = self.update_measures_inner(key, &measures, &mut footprint);
-        self.finish_mutation(footprint);
+        let result = self.update_measures_inner(key, &measures);
+        self.end_mutation(result.is_ok());
         result
     }
 
     /// Applies a batch: deletes, then measure updates, then inserts; bumps
     /// the version once. Fails atomically per element (earlier elements
-    /// stay applied — batches from schedules are pre-validated), and the
-    /// memo is invalidated for whatever prefix applied, **even on the
-    /// error path** — a failed batch must not leave cached pages serving
-    /// its already-deleted tuples.
+    /// stay applied — batches from schedules are pre-validated), and every
+    /// applied element has patched the memo, **even on the error path** —
+    /// a failed batch must not leave cached pages serving its
+    /// already-deleted tuples.
     ///
     /// An empty batch is a true no-op: no version bump, memo retained —
     /// a round in which nothing changes costs nothing.
     pub fn apply(&mut self, batch: UpdateBatch) -> Result<UpdateSummary, DbError> {
-        if batch.is_empty() {
-            return Ok(UpdateSummary::default());
-        }
-        // The footprint accumulates across the whole batch and is sealed
-        // (sorted + deduped) exactly once by the single invalidation pass
-        // in `finish_mutation` — per-op work is plain vector appends.
-        let mut footprint = self.take_footprint();
-        let result = self.apply_batch(batch, &mut footprint);
-        self.finish_mutation(footprint);
-        result
+        let mut summary = UpdateSummary::default();
+        let result = self.apply_batch(batch, &mut summary);
+        self.end_mutation(summary != UpdateSummary::default());
+        result.map(|()| summary)
     }
 
     fn apply_batch(
         &mut self,
         batch: UpdateBatch,
-        footprint: &mut UpdateFootprint,
-    ) -> Result<UpdateSummary, DbError> {
-        let mut summary = UpdateSummary::default();
+        summary: &mut UpdateSummary,
+    ) -> Result<(), DbError> {
         for key in &batch.deletes {
-            self.delete_inner(*key, footprint)?;
+            self.delete_inner(*key)?;
             summary.deleted += 1;
         }
         for (key, measures) in &batch.measure_updates {
-            self.update_measures_inner(*key, measures, footprint)?;
+            self.update_measures_inner(*key, measures)?;
             summary.measures_updated += 1;
         }
         for tuple in batch.inserts {
-            self.insert_inner(tuple, footprint)?;
+            self.insert_inner(tuple)?;
             summary.inserted += 1;
         }
-        Ok(summary)
+        Ok(())
     }
 
-    fn insert_inner(
-        &mut self,
-        tuple: Tuple,
-        footprint: &mut UpdateFootprint,
-    ) -> Result<(), DbError> {
+    fn insert_inner(&mut self, tuple: Tuple) -> Result<(), DbError> {
         self.validate_tuple(&tuple)?;
         let score = self.scoring.score(tuple.key(), tuple.measures());
         let values: Vec<ValueId> = tuple.values().to_vec();
         let slot = self.store.insert(tuple, score)?;
         self.index.insert(slot, &values);
-        footprint.record(slot, &values);
+        self.patch_memo(slot, &values, score, RowChange::Insert);
         Ok(())
     }
 
@@ -670,25 +632,17 @@ impl HiddenDatabase {
         (0..self.schema.attr_count()).map(|a| ValueId(self.store.value_at(a, slot))).collect()
     }
 
-    fn delete_inner(
-        &mut self,
-        key: TupleKey,
-        footprint: &mut UpdateFootprint,
-    ) -> Result<(), DbError> {
+    fn delete_inner(&mut self, key: TupleKey) -> Result<(), DbError> {
         let slot = self.store.slot_of(key).ok_or(DbError::UnknownKey(key))?;
         let values = self.row_of(slot);
+        let score = self.store.score_at(slot);
         self.store.delete(key)?;
         self.index.delete(slot, &values, &self.store);
-        footprint.record(slot, &values);
+        self.patch_memo(slot, &values, score, RowChange::Delete);
         Ok(())
     }
 
-    fn update_measures_inner(
-        &mut self,
-        key: TupleKey,
-        measures: &[f64],
-        footprint: &mut UpdateFootprint,
-    ) -> Result<(), DbError> {
+    fn update_measures_inner(&mut self, key: TupleKey, measures: &[f64]) -> Result<(), DbError> {
         if measures.len() != self.schema.measure_count() {
             return Err(DbError::TupleMismatch(format!(
                 "expected {} measures, got {}",
@@ -698,13 +652,13 @@ impl HiddenDatabase {
         }
         let slot = self.store.update_measures(key, measures)?;
         // Rank score may depend on measures; recompute.
-        let key_at = self.store.key_at(slot);
-        let score = self.scoring.score(key_at, measures);
+        let old = self.store.score_at(slot);
+        let score = self.scoring.score(key, measures);
         self.store.set_score(slot, score);
-        // The tuple's measures (served in cached pages) and rank (cached
-        // page order) changed: its full row enters the footprint.
-        let values = self.row_of(slot);
-        footprint.record(slot, &values);
+        if self.patching() {
+            let values = self.row_of(slot);
+            self.patch_memo(slot, &values, score, RowChange::Rescore { old });
+        }
         Ok(())
     }
 
@@ -714,8 +668,9 @@ impl HiddenDatabase {
     /// sessions wrap this and charge the per-round budget.
     ///
     /// # Panics
-    /// If the query references attributes/values outside the schema — that
-    /// is a caller bug, not a runtime condition.
+    /// If the query references attributes/values outside the schema — an
+    /// owner-side caller bug. Sessions validate first and return
+    /// [`crate::errors::IssueError::InvalidQuery`] instead.
     pub fn answer(&mut self, query: &ConjunctiveQuery) -> QueryOutcome {
         query.validate(&self.schema).expect("search query must be valid for the schema");
         self.stats.answered += 1;
@@ -727,11 +682,11 @@ impl HiddenDatabase {
             return out;
         }
         // One fast fingerprint per answer; the memo never re-hashes the
-        // query and only clones it on a confirmed miss. A `Stale` entry
-        // runs the revalidation re-check against the store here and is
-        // either served (resurrected) or dropped into the miss path.
+        // query and only clones it on a confirmed miss.
         let hash = QueryMemo::hash_of(query);
-        if let Some(cached) = self.cache.get_or_revalidate(hash, query, self.version, &self.store) {
+        if let Some(cached) = self.cache.get_mut(hash, query) {
+            #[cfg(debug_assertions)]
+            cached.assert_consistent(query, &self.store, self.k);
             self.stats.cache_hits += 1;
             let out = cached.outcome(&self.store);
             self.count_outcome(&out);
@@ -739,7 +694,14 @@ impl HiddenDatabase {
         }
         let mut eval = self.evaluate_uncached(query);
         let out = eval.outcome(&self.store);
-        self.cache.insert(hash, query, eval, self.version);
+        // File the entry under its rarest predicate, so the row changes
+        // that reach it through that posting are few.
+        let rarest = query
+            .predicates()
+            .iter()
+            .copied()
+            .min_by_key(|p| (self.index.estimated_len(p.attr, p.value), p.attr, p.value));
+        self.cache.insert(hash, query, eval, rarest);
         self.count_outcome(&out);
         out
     }
@@ -952,6 +914,7 @@ fn eval_root(store: &StoreCore, k: usize, config: EvalConfig, stats: &mut EvalSt
         if config.early_exit && topk.can_stop(bound) {
             stats.early_exits += 1;
             stats.segments_skipped += (order.len() - i) as u64;
+            topk.stop();
             break;
         }
         // One paged view per segment: with the persistence tier attached
@@ -964,7 +927,7 @@ fn eval_root(store: &StoreCore, k: usize, config: EvalConfig, stats: &mut EvalSt
             }
         }
     }
-    topk.finish(store)
+    topk.finish()
 }
 
 /// One predicate: walk the posting list's segment runs best-first.
@@ -987,11 +950,12 @@ fn eval_single(
         if config.early_exit && topk.can_stop(bound) {
             stats.early_exits += 1;
             stats.segments_skipped += (runs.len() - i) as u64;
+            topk.stop();
             break;
         }
         offer_run(query, store, run, &mut topk);
     }
-    topk.finish(store)
+    topk.finish()
 }
 
 /// The two rarest predicates of a multi-predicate query, by
@@ -1098,6 +1062,7 @@ fn eval_gallop(
                     if topk.can_stop(bounds[seg]) {
                         stats.early_exits += 1;
                         stats.segments_skipped += (bounds.len() - 1 - seg) as u64;
+                        topk.stop();
                         break;
                     }
                 }
@@ -1111,7 +1076,7 @@ fn eval_gallop(
             topk.offer(store.score_at(slot), slot);
         }
     }
-    topk.finish(store)
+    topk.finish()
 }
 
 /// Per-segment bitset intersection for dense list pairs: for each segment
@@ -1144,6 +1109,7 @@ fn eval_bitset(
         if early_exit && topk.can_stop(bound) {
             stats.early_exits += 1;
             stats.segments_skipped += (common.len() - i) as u64;
+            topk.stop();
             break;
         }
         let (mark, probe) =
@@ -1166,7 +1132,7 @@ fn eval_bitset(
             }
         }
     }
-    topk.finish(store)
+    topk.finish()
 }
 
 /// The pre-segmentation baseline: drive the rarest list alone, re-check
@@ -1182,7 +1148,7 @@ fn eval_recheck(
     stats.recheck_scans += 1;
     let mut topk = TopK::new(k);
     offer_run(query, store, driver.slots(), &mut topk);
-    topk.finish(store)
+    topk.finish()
 }
 
 #[cfg(test)]
@@ -1214,7 +1180,7 @@ mod tests {
         // Root: 3 tuples > k=2 → overflow with the 2 newest.
         let out = d.answer(&ConjunctiveQuery::select_all());
         assert!(out.is_overflow());
-        let keys: Vec<u64> = out.tuples().iter().map(|v| v.key().0).collect();
+        let keys: Vec<u64> = out.tuples().map(|v| v.key().0).collect();
         assert_eq!(keys, vec![3, 2]);
         // A0=0: exactly 2 → valid.
         let out = d.answer(&q(&[(0, 0)]));
@@ -1255,9 +1221,9 @@ mod tests {
 
     #[test]
     fn memo_never_serves_stale_results_across_apply_batches() {
-        // Regression guard for the pre-hashed memo + shared-view cache:
-        // every `apply` must invalidate the affected memo entries, so
-        // answers after each batch reflect the new state exactly
+        // Regression guard for the pre-hashed memo + shared page cache:
+        // every `apply` must patch (or drop) the affected memo entries,
+        // so answers after each batch reflect the new state exactly
         // (classification, keys, measures).
         let mut d = db();
         let root = ConjunctiveQuery::select_all();
@@ -1288,13 +1254,12 @@ mod tests {
                 let updated = d.get(TupleKey(batch_no - 1)).unwrap();
                 let served = probed
                     .tuples()
-                    .iter()
                     .find(|t| t.key() == TupleKey(batch_no - 1))
                     .expect("updated tuple in page");
                 assert_eq!(
                     served.measure(MeasureId(0)),
                     updated.measure(MeasureId(0)),
-                    "measure update must invalidate cached views"
+                    "measure update must refresh the cached page"
                 );
             }
             // A second identical ask is a cache hit and must be identical.
@@ -1372,10 +1337,9 @@ mod tests {
 
     #[test]
     fn failed_partial_batch_still_invalidates_memo() {
-        // Regression (PR 2 satellite): `apply` used to return `Err`
-        // mid-batch *without* invalidating, even though earlier elements
-        // stayed applied — the memo then served pages containing deleted
-        // tuples.
+        // Regression: `apply` used to return `Err` mid-batch without
+        // touching the memo, even though earlier elements stayed applied —
+        // the memo then served pages containing deleted tuples.
         let mut d = db();
         d.insert(t(1, 0, 0, 10.0)).unwrap();
         d.insert(t(2, 0, 1, 20.0)).unwrap();
@@ -1406,7 +1370,7 @@ mod tests {
         d.answer(&root);
         let v = d.version();
         // First element already fails: nothing applied, nothing to
-        // invalidate.
+        // patch.
         assert!(d.apply(UpdateBatch::empty().delete(TupleKey(999))).is_err());
         assert_eq!(d.version(), v, "no change applied, no version bump");
         let hits = d.stats().cache_hits;
@@ -1445,21 +1409,50 @@ mod tests {
         d.answer(&root);
         assert_eq!(d.memo_len(), 3);
 
-        // Insert a tuple with A0=0: `touched` and the root change;
-        // `untouched` must survive and hit.
+        // Insert a tuple with A0=0: `touched` and the root change, and
+        // both are patched in place; `untouched` is never visited.
         d.insert(t(3, 0, 2, 3.0)).unwrap();
-        assert_eq!(d.memo_len(), 1, "only the unaffected entry survives");
+        assert_eq!(d.memo_len(), 3, "nothing is dropped");
         let hits = d.stats().cache_hits;
-        let out = d.answer(&untouched);
-        assert_eq!(d.stats().cache_hits, hits + 1, "unaffected entry served warm");
-        assert_eq!(out.returned_count(), 1);
-        // The dropped entries re-evaluate correctly.
+        assert_eq!(d.answer(&untouched).returned_count(), 1);
         assert_eq!(d.answer(&touched).returned_count(), 2);
         // Root overflows at k=2 with 3 alive tuples.
         assert!(d.answer(&root).is_overflow());
+        assert_eq!(d.stats().cache_hits, hits + 3, "every entry served warm");
         let ms = d.memo_stats();
-        assert_eq!(ms.invalidated, 2);
-        assert!(ms.retained >= 1);
+        assert_eq!(ms.invalidated, 0);
+        assert_eq!(ms.retained, 3);
+    }
+
+    /// A row that satisfies only some of a query's predicates leaves the
+    /// cached answer alone.
+    #[test]
+    fn a_row_sharing_one_predicate_keeps_the_entry() {
+        let mut d = db();
+        d.insert(t(1, 0, 1, 1.0)).unwrap();
+        let probe = q(&[(0, 0), (1, 1)]);
+        assert!(d.answer(&probe).is_valid());
+        d.insert(t(2, 0, 2, 2.0)).unwrap();
+        let hits = d.stats().cache_hits;
+        let out = d.answer(&probe);
+        assert_eq!(d.stats().cache_hits, hits + 1, "the new row does not match A1=1");
+        assert_eq!(out.keys().collect::<Vec<_>>(), vec![TupleKey(1)]);
+    }
+
+    /// A matching insert patches a valid page instead of dropping it.
+    #[test]
+    fn a_matching_insert_is_served_warm_with_the_new_tuple() {
+        let mut d = db();
+        d.insert(t(1, 0, 1, 1.0)).unwrap();
+        let probe = q(&[(0, 0)]);
+        assert!(d.answer(&probe).is_valid());
+        d.insert(t(2, 0, 2, 2.0)).unwrap();
+        let hits = d.stats().cache_hits;
+        let out = d.answer(&probe);
+        assert_eq!(d.stats().cache_hits, hits + 1, "patched, not dropped");
+        assert_eq!(out.keys().collect::<Vec<_>>(), vec![TupleKey(2), TupleKey(1)]);
+        let new = out.tuples().next().unwrap();
+        assert_eq!((new.value(AttrId(1)), new.measure(MeasureId(0))), (ValueId(2), 2.0));
     }
 
     #[test]
@@ -1516,7 +1509,7 @@ mod tests {
         d.update_measures(TupleKey(1), vec![99.0]).unwrap();
         // `probe` matches tuple 1: its cached page held the old measure.
         let served = d.answer(&probe);
-        assert_eq!(served.tuples()[0].measure(MeasureId(0)), 99.0);
+        assert_eq!(served.tuples().next().unwrap().measure(MeasureId(0)), 99.0);
         // `other` did not match tuple 1 and survived warm.
         let hits = d.stats().cache_hits;
         d.answer(&other);
@@ -1823,57 +1816,6 @@ mod tests {
         assert_eq!(keys_plain, keys_maintained);
     }
 
-    /// Cross-round revalidation end to end: an overflow page survives
-    /// below-the-floor churn as a resurrection (same shared page), and a
-    /// page hit still drops it.
-    #[test]
-    fn revalidation_resurrects_overflow_pages_across_rounds() {
-        let schema = Schema::with_domain_sizes(&[2], &["m"]).unwrap();
-        let mut d = HiddenDatabase::new(schema, 2, ScoringPolicy::ByMeasureDesc(MeasureId(0)));
-        assert!(d.revalidation_enabled(), "revalidation is the default");
-        for key in 0..6u64 {
-            d.insert(Tuple::new(TupleKey(key), vec![ValueId(0)], vec![100.0 + key as f64]))
-                .unwrap();
-        }
-        let probe = ConjunctiveQuery::from_predicates([Predicate::new(AttrId(0), ValueId(0))]);
-        let page = d.answer(&probe);
-        assert!(page.is_overflow());
-        assert_eq!(page.keys().collect::<Vec<_>>(), vec![TupleKey(5), TupleKey(4)]);
-
-        // Below-the-floor churn: a matching insert scoring under the
-        // page floor demotes the entry, then the next ask resurrects it.
-        d.insert(Tuple::new(TupleKey(100), vec![ValueId(0)], vec![1.0])).unwrap();
-        assert_eq!(d.memo_stale_len(), 1);
-        let hits = d.stats().cache_hits;
-        let again = d.answer(&probe);
-        assert_eq!(again, page);
-        assert_eq!(d.stats().cache_hits, hits + 1, "resurrection is a cache hit");
-        assert_eq!(d.memo_stats().resurrected, 1);
-        assert_eq!(d.memo_stale_len(), 0);
-
-        // Above-the-floor churn: the re-check refutes the entry and the
-        // fresh page shows the new leader.
-        d.insert(Tuple::new(TupleKey(101), vec![ValueId(0)], vec![999.0])).unwrap();
-        let fresh = d.answer(&probe);
-        assert_eq!(fresh.keys().next(), Some(TupleKey(101)));
-        assert_eq!(d.memo_stats().revalidation_failed, 1);
-
-        // A page hit (deleting a served tuple) drops hard — no stale
-        // entry left behind.
-        d.delete(TupleKey(101)).unwrap();
-        assert_eq!(d.memo_stale_len(), 0);
-        let after_delete = d.answer(&probe);
-        assert!(after_delete.keys().all(|k| k != TupleKey(101)));
-
-        // Turning revalidation off restores PR 2 drop semantics.
-        d.set_revalidation(false);
-        d.answer(&probe);
-        let demoted_before = d.memo_stats().demoted;
-        d.insert(Tuple::new(TupleKey(102), vec![ValueId(0)], vec![2.0])).unwrap();
-        assert_eq!(d.memo_stats().demoted, demoted_before);
-        assert_eq!(d.memo_stale_len(), 0);
-    }
-
     /// Ground-truth fan-out must match the sequential sweep bit-for-bit
     /// at every thread count.
     #[test]
@@ -1948,7 +1890,7 @@ mod tests {
         // same history (slot reuse included).
         re.insert(t(n + 1, 1, 2, -5.0)).unwrap();
         let out = re.answer(&probe);
-        assert!(out.tuples().iter().any(|v| v.key() == TupleKey(n + 1)));
+        assert!(out.tuples().any(|v| v.key() == TupleKey(n + 1)));
         let _ = std::fs::remove_dir_all(&cfg.dir);
     }
 

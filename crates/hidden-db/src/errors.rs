@@ -112,11 +112,10 @@ impl fmt::Display for TransientFault {
 
 /// Everything [`crate::session::SearchBackend::issue`] can fail with.
 ///
-/// Until PR 6 the only error an estimator could see was budget
-/// exhaustion; this is the full taxonomy of a real remote interface.
-/// [`IssueError::BudgetExhausted`] is terminal for the round; every other
-/// variant is transient and worth retrying
-/// ([`IssueError::is_recoverable`]).
+/// This is the full taxonomy of a real remote interface.
+/// [`IssueError::BudgetExhausted`] is terminal for the round and
+/// [`IssueError::InvalidQuery`] for the query; every other variant is
+/// transient and worth retrying ([`IssueError::is_recoverable`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IssueError {
     /// The per-round budget `G` is spent — terminal for this round.
@@ -132,6 +131,9 @@ pub enum IssueError {
     },
     /// The query timed out (charged, no answer within the deadline).
     Timeout,
+    /// The query names an attribute or value outside the schema. Nothing
+    /// is charged, and no retry can succeed.
+    InvalidQuery,
 }
 
 impl IssueError {
@@ -140,10 +142,11 @@ impl IssueError {
         matches!(self, Self::BudgetExhausted(_))
     }
 
-    /// Whether a retry can possibly succeed (everything except budget
-    /// exhaustion, which only a new round cures).
+    /// Whether a retry can possibly succeed: everything except budget
+    /// exhaustion, which only a new round cures, and an invalid query,
+    /// which nothing cures.
     pub fn is_recoverable(&self) -> bool {
-        !self.is_budget()
+        !matches!(self, Self::BudgetExhausted(_) | Self::InvalidQuery)
     }
 }
 
@@ -162,6 +165,7 @@ impl fmt::Display for IssueError {
                 write!(f, "rate limited; retry after {retry_after} ticks")
             }
             Self::Timeout => write!(f, "query timed out"),
+            Self::InvalidQuery => write!(f, "query outside the schema"),
         }
     }
 }
@@ -186,6 +190,9 @@ mod tests {
         assert!(e.to_string().contains("truncated"));
     }
 
+    /// Of the failures an interface raises for a well-formed query, only
+    /// budget exhaustion is unrecoverable. A malformed query is refused
+    /// before it reaches the interface (see the next test).
     #[test]
     fn budget_is_the_only_unrecoverable_variant() {
         let budget = IssueError::from(BudgetExhausted { limit: 3 });
@@ -202,5 +209,11 @@ mod tests {
             assert!(!e.is_budget());
             assert!(e.is_recoverable(), "{e} must be retryable");
         }
+    }
+
+    #[test]
+    fn invalid_query_is_unrecoverable_but_not_budget() {
+        assert!(!IssueError::InvalidQuery.is_budget());
+        assert!(!IssueError::InvalidQuery.is_recoverable(), "no retry fixes a query");
     }
 }

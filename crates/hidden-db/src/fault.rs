@@ -248,7 +248,10 @@ impl<B: SearchBackend> FaultyBackend<B> {
                     self.stats.queries_burned += 1;
                 }
                 Err(e) => {
-                    debug_assert!(e.is_budget(), "inner backend raised a non-budget error");
+                    debug_assert!(
+                        !e.is_recoverable(),
+                        "inner backend raised a transient error: {e}"
+                    );
                     return Err(e);
                 }
             }
@@ -403,7 +406,8 @@ impl<B: SearchBackend> SearchBackend for ResilientBackend<B> {
                     return Ok(out);
                 }
                 Err(e) if !e.is_recoverable() => {
-                    // Budget exhaustion: terminal, waiting can't help.
+                    // Budget exhaustion or an invalid query: terminal,
+                    // waiting can't help.
                     self.stats.queries_burned += self.inner.spent() - spent_before;
                     return Err(e);
                 }
@@ -524,6 +528,22 @@ mod tests {
             assert_eq!(faulty.stats().injected, 1);
             assert_eq!(faulty.stats().queries_burned, charges);
         }
+    }
+
+    /// An out-of-domain query is terminal: the fault layer passes the
+    /// session's refusal through, and the recovery layer does not retry.
+    #[test]
+    fn invalid_queries_are_refused_without_retry_or_charge() {
+        use crate::query::Predicate;
+        use crate::value::AttrId;
+        let mut d = db(3);
+        let session = SearchSession::new(&mut d, 10);
+        let faulty = FaultyBackend::new(session, FaultSchedule::always(FaultKind::Http5xx));
+        let mut resilient = ResilientBackend::new(faulty, RetryPolicy::default(), 1);
+        let bad = ConjunctiveQuery::from_predicates([Predicate::new(AttrId(0), ValueId(99))]);
+        assert_eq!(resilient.issue(&bad).unwrap_err(), IssueError::InvalidQuery);
+        assert_eq!(resilient.stats().retries, 0);
+        assert_eq!(resilient.spent(), 0, "nothing charged");
     }
 
     #[test]

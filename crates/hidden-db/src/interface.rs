@@ -16,14 +16,13 @@
 //! producer pushes slots into the ranking heap), so callers never
 //! materialise an intermediate `Vec<Slot>` — the root query streams the
 //! alive-slot scan and predicate queries stream a posting list directly.
-//! Result pages are materialised into [`TupleView`]s **once** per cache
-//! entry and shared behind an `Arc`, so repeated (memoised) answers to the
-//! same query cost one atomic increment instead of `k` fresh allocations.
-//! Since PR 2 cache entries can *outlive mutations*: the memo's
-//! postings-aware invalidation (see [`crate::memo`]'s module docs) drops
-//! exactly the entries whose result set a mutation can have changed, so a
-//! shared page is only ever served while every slot it references is
-//! untouched.
+//! A result page is copied into one flat [`Page`] at most once per cache
+//! entry and version of its answer, and shared behind an `Arc`, so
+//! repeated (memoised) answers to the same query cost one atomic
+//! increment. The memo patches cached answers in place as rows change
+//! (see [`crate::memo`]'s module docs) and drops a shared page whenever
+//! its slots or one of their measures change, so a page is only ever
+//! served while it matches the store.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -31,7 +30,7 @@ use std::sync::Arc;
 
 use crate::query::ConjunctiveQuery;
 use crate::store::{Slot, StoreCore};
-use crate::tuple::TupleView;
+use crate::tuple::{Page, Rows};
 use crate::value::TupleKey;
 
 /// The classification of an answer, without its payload.
@@ -54,10 +53,10 @@ pub enum QueryOutcome {
     /// No tuple matched.
     Underflow,
     /// All matching tuples (1..=k of them), ranked best-first.
-    Valid(Arc<[TupleView]>),
+    Valid(Arc<Page>),
     /// More than `k` tuples matched; the top-`k` by hidden score,
     /// best-first.
-    Overflow(Arc<[TupleView]>),
+    Overflow(Arc<Page>),
 }
 
 impl QueryOutcome {
@@ -85,18 +84,18 @@ impl QueryOutcome {
         }
     }
 
-    /// The returned tuples (empty for underflow).
-    pub fn tuples(&self) -> &[TupleView] {
+    /// The returned tuples, best-first (none for underflow).
+    pub fn tuples(&self) -> Rows<'_> {
         match self {
-            Self::Underflow => &[],
-            Self::Valid(ts) | Self::Overflow(ts) => ts,
+            Self::Underflow => Rows::empty(),
+            Self::Valid(page) | Self::Overflow(page) => page.iter(),
         }
     }
 
     /// Keys of the returned tuples, best-first — for callers that only
     /// need identity (drill bookkeeping), not values or measures.
     pub fn keys(&self) -> impl Iterator<Item = TupleKey> + '_ {
-        self.tuples().iter().map(|t| t.key())
+        self.tuples().map(|t| t.key())
     }
 
     /// Number of returned tuples (NOT the matching count for overflows).
@@ -105,57 +104,64 @@ impl QueryOutcome {
     }
 }
 
-/// Raw evaluation result kept in the memo cache: whether the query
-/// overflowed, which slots form the page, and (lazily) the materialised
-/// page shared with every outcome handed out for this entry.
+/// Raw evaluation result kept in the memo cache: the classification,
+/// the page slots, the match count, and (lazily) the flat page shared
+/// with every outcome handed out for this entry. The memo patches it in
+/// place as rows change (see [`crate::memo`]).
 #[derive(Debug, Clone)]
 pub(crate) struct CachedEval {
+    /// More than `k` tuples match; the page is truncated.
     pub(crate) overflow: bool,
-    /// Result slots, best-first. For overflow: exactly `k`. For valid: all
-    /// matches. For underflow: empty. The memo's invalidation also probes
-    /// these against a mutation's touched-slot set (belt-and-braces page
-    /// check).
+    /// Result slots, best-first by `(score, slot)`. For overflow: exactly
+    /// `k`. For valid: all matches. For underflow: empty.
     pub(crate) slots: Vec<Slot>,
-    /// Matching-tuple count observed at evaluation time (`> k` iff
-    /// `overflow`). Internal only — the search interface never discloses
-    /// it; the memo's revalidation uses it as the classification margin:
-    /// as long as `matched` minus the churn seen since stays above `k`,
-    /// the entry provably still overflows.
+    /// Matching-tuple count (`> k` iff `overflow`). Internal only — the
+    /// search interface never discloses it.
     pub(crate) matched: usize,
-    /// Score of the worst page slot at evaluation time (the page
-    /// "floor"); `u64::MAX` for an empty page (`k == 0`), where nothing
-    /// can enter. A churned tuple whose score stays *strictly* below the
-    /// floor cannot displace any page slot under the total
-    /// `(score, slot)` order.
-    pub(crate) floor: u64,
-    /// Materialised page, filled on first demand. Safe to cache because
-    /// the memo drops (or demotes and re-checks) this entry before any
-    /// mutation that could touch one of `slots` becomes visible —
-    /// wholesale on version bumps under the legacy policy,
-    /// footprint-targeted under incremental invalidation.
-    views: Option<Arc<[TupleView]>>,
+    /// Whether `matched` is exact. An early exit stops counting once the
+    /// page is proven, which leaves `matched` a lower bound.
+    pub(crate) exact: bool,
+    /// Flat page of `slots`, filled on first demand and dropped whenever
+    /// a patch changes the slots or one of their measures.
+    pub(crate) page: Option<Arc<Page>>,
 }
 
 impl CachedEval {
+    /// An exactly counted evaluation whose page is `slots`.
     pub(crate) fn new(overflow: bool, slots: Vec<Slot>) -> Self {
         let matched = slots.len() + usize::from(overflow);
-        Self { overflow, slots, matched, floor: 0, views: None }
+        Self { overflow, slots, matched, exact: true, page: None }
     }
 
-    /// The outcome, materialising tuple views on first use and sharing
-    /// them on every subsequent cache hit.
+    /// The outcome, copying the page on first use and sharing it on every
+    /// subsequent cache hit.
     pub(crate) fn outcome(&mut self, store: &StoreCore) -> QueryOutcome {
         if self.slots.is_empty() {
             return QueryOutcome::Underflow;
         }
-        let views = self
-            .views
-            .get_or_insert_with(|| self.slots.iter().map(|&s| store.view(s)).collect())
-            .clone();
+        let page = self.page.get_or_insert_with(|| Arc::new(store.page(&self.slots))).clone();
         if self.overflow {
-            QueryOutcome::Overflow(views)
+            QueryOutcome::Overflow(page)
         } else {
-            QueryOutcome::Valid(views)
+            QueryOutcome::Valid(page)
+        }
+    }
+
+    /// Checks what every memo hit relies on: the page members are alive,
+    /// match `query`, and run best-first, and the class agrees with the
+    /// count. Debug builds run it on every hit.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_consistent(&self, query: &ConjunctiveQuery, store: &StoreCore, k: usize) {
+        assert_eq!(self.overflow, self.matched > k, "{query}: class disagrees with the count");
+        let want = if self.overflow { k } else { self.matched };
+        assert_eq!(self.slots.len(), want, "{query}: page size disagrees with the count");
+        assert!(self.exact || self.overflow, "{query}: only overflow counts may be bounds");
+        for &s in &self.slots {
+            assert!(slot_matches(query, store, s), "{query}: page slot {s} no longer matches");
+        }
+        for w in self.slots.windows(2) {
+            let key = |s: Slot| (store.score_at(s), s);
+            assert!(key(w[0]) > key(w[1]), "{query}: page out of order");
         }
     }
 }
@@ -169,21 +175,23 @@ impl CachedEval {
 /// remaining candidate's score — once the query has provably overflowed
 /// *and* the heap floor beats that bound, the rest of the scan cannot
 /// change the returned page, so evaluation stops early. The resulting
-/// [`CachedEval`] is **bit-identical** to an exhaustive scan: the top-`k`
+/// page and class are **bit-identical** to an exhaustive scan: the top-`k`
 /// set under the total `(score, slot)` order does not depend on candidate
 /// arrival order, and the overflow classification is already decided when
-/// an early exit fires.
+/// an early exit fires. Only the match count becomes a lower bound.
 pub(crate) struct TopK {
     heap: BinaryHeap<Reverse<(u64, Slot)>>,
     k: usize,
     matched: usize,
+    /// Cleared by [`TopK::stop`]: candidates were left unoffered.
+    exact: bool,
 }
 
 impl TopK {
     pub(crate) fn new(k: usize) -> Self {
         // Capacity k+1: if total matches ≤ k the heap simply holds them
         // all; the transient k+1-th lives in the spare slot.
-        Self { heap: BinaryHeap::with_capacity(k + 1), k, matched: 0 }
+        Self { heap: BinaryHeap::with_capacity(k + 1), k, matched: 0, exact: true }
     }
 
     /// Accounts one matching candidate.
@@ -220,17 +228,22 @@ impl TopK {
             }
     }
 
+    /// Records that the scan stopped on [`TopK::can_stop`]: the page is
+    /// final, but the match count is now only a lower bound.
+    pub(crate) fn stop(&mut self) {
+        self.exact = false;
+    }
+
     /// Materialises the evaluation: page slots best-first, plus the
-    /// match count and page floor the memo's revalidation anchors on.
-    pub(crate) fn finish(self, store: &StoreCore) -> CachedEval {
-        let mut slots: Vec<Slot> = self.heap.into_iter().map(|Reverse((_, s))| s).collect();
-        // Best-first: sort by score descending (ties by slot for
-        // determinism).
-        slots.sort_unstable_by_key(|&s| Reverse((store.score_at(s), s)));
-        let floor = slots.last().map_or(u64::MAX, |&s| store.score_at(s));
+    /// match count the memo patches.
+    pub(crate) fn finish(self) -> CachedEval {
+        let mut entries = self.heap.into_vec();
+        // Best-first: by score descending, ties by slot.
+        entries.sort_unstable();
+        let slots = entries.into_iter().map(|Reverse((_, s))| s).collect();
         let mut eval = CachedEval::new(self.matched > self.k, slots);
         eval.matched = self.matched;
-        eval.floor = floor;
+        eval.exact = self.exact;
         eval
     }
 }
@@ -254,7 +267,7 @@ pub(crate) fn evaluate_streaming(
             topk.offer(store.score_at(slot), slot);
         }
     });
-    topk.finish(store)
+    topk.finish()
 }
 
 /// External-iteration convenience over [`evaluate_streaming`] for callers
@@ -405,7 +418,7 @@ mod tests {
         assert!(out.is_valid());
         assert_eq!(out.class(), OutcomeClass::Valid);
         assert_eq!(out.returned_count(), 2);
-        assert_eq!(out.tuples()[0].key(), TupleKey(1));
+        assert_eq!(out.tuples().next().unwrap().key(), TupleKey(1));
         assert_eq!(out.keys().collect::<Vec<_>>(), vec![TupleKey(1), TupleKey(0)]);
 
         let mut r = CachedEval::new(false, vec![]);

@@ -97,5 +97,5 @@ pub use stats::{
 };
 pub use store::{segment_of, SEGMENT_SLOTS};
 pub use tuple::{Tuple, TupleView};
-pub use updates::{UpdateBatch, UpdateFootprint, UpdateSummary};
+pub use updates::{UpdateBatch, UpdateSummary};
 pub use value::{AttrId, MeasureId, TupleKey, ValueId};

@@ -1,6 +1,6 @@
 //! The query memo: a pre-hashed map from [`ConjunctiveQuery`] to its
-//! cached evaluation, with **postings-aware incremental invalidation**
-//! and a **bounded CLOCK admission policy**.
+//! cached evaluation, **patched in place** by every row change and
+//! bounded by a CLOCK admission policy.
 //!
 //! The memo sits on the hot path of every [`crate::database::HiddenDatabase::answer`]
 //! call, so it avoids two costs a plain `HashMap<ConjunctiveQuery, _>`
@@ -16,114 +16,90 @@
 //!   query only on a confirmed miss, when the key is actually stored.
 //!
 //! Fingerprint collisions are handled, not assumed away: each bucket
-//! holds entries keyed by the full query and lookups confirm structural
-//! equality.
+//! lists the entries whose queries share a fingerprint, and lookups
+//! confirm structural equality.
 //!
-//! ## Incremental invalidation
+//! ## Exact incremental patching
 //!
-//! Until PR 2 the memo was cleared wholesale on every database version
-//! bump, so a round that changed a handful of tuples re-evaluated every
-//! repeated query from cold. Now a mutation hands the memo the
-//! [`UpdateFootprint`] of the tuples it actually touched, and only the
-//! entries that can have changed are dropped:
+//! One round changes few rows, so most of last round's answers still hold
+//! — the premise of REISSUE (Liu et al., VLDB 2014, §3). The memo uses it
+//! exactly: every insert, delete and measure update hands the memo the
+//! row it changed ([`RowOp`]) right after the change applies, and the memo
+//! patches every cached answer whose query the row satisfies. Keeping a
+//! top-`k` answer exact this way is materialized top-`k` view maintenance
+//! (Yi et al., "Efficient maintenance of materialized top-k views", ICDE
+//! 2003): only deleting a member of a truncated page forces a recompute.
 //!
-//! * a reverse map `by_posting: (attr, value) → bucket fingerprints`
-//!   finds candidate entries in time proportional to the footprint, not
-//!   the memo size;
-//! * a candidate is dropped iff its predicate set intersects the
-//!   footprint's postings, or (belt and braces) its cached page contains
-//!   a touched slot;
-//! * the root query (`SELECT *`) matches every tuple, so its bucket is a
-//!   candidate of every mutation;
-//! * everything else survives the round untouched — including its shared
-//!   `Arc` result page, which is sound because the page's slots were not
-//!   touched by the batch.
+//! An entry keeps its class, its page best-first by `(score, slot)`, its
+//! match count, and whether that count is exact; an early exit during
+//! evaluation leaves the count a lower bound. The patch rules:
 //!
-//! Soundness argument: a cached answer changes only if some touched tuple
-//! matches its query; a tuple matches exactly when the query's predicate
-//! set is a subset of the tuple's `(attr, value)` row, and every such row
-//! is in the footprint, so every affected entry is a candidate under at
-//! least one of its own predicates (or is the root).
+//! * **Insert of a matching row.** The count rises by one. An underflow
+//!   or valid page takes the row; at `k + 1` matches the entry overflows
+//!   and keeps the best `k`. An overflow page takes the row only if it
+//!   beats the page's last member, which then leaves.
+//! * **Delete of a matching row.** A valid page drops it. On an overflow
+//!   entry, deleting a page member drops the entry, because the
+//!   `(k + 1)`-th match is unknown. An off-page delete lowers the count:
+//!   an exact count that reaches `k` makes the entry valid with the same
+//!   page, and a lower-bound count that would reach `k` drops the entry.
+//! * **Measure update of a matching row.** A page member's measures
+//!   changed, so its page is copied again at the next read. A valid page
+//!   re-sorts. On an overflow page, a member whose score falls drops the
+//!   entry, and an off-page row whose score now beats the last member
+//!   enters while the last member leaves.
+//! * The root entry matches every row.
 //!
-//! ## Cross-round revalidation
+//! **Soundness.** Invariant: against the current store, an entry's page
+//! is exactly the best `min(k, T)` matches of its query, best-first,
+//! where `T` is the true match count; its count equals `T` when exact and
+//! is at most `T` otherwise; and it overflows iff its count exceeds `k`
+//! (for a bound, `k < count ≤ T`). One op changes one row, and a row that
+//! does not satisfy a query changes neither its match set, nor the
+//! scores of its matches, nor the measures of its page. For a row that
+//! does, each rule above rebuilds the best `min(k, T)` from what the
+//! entry holds, or drops the entry when it would need a match it does not
+//! hold: the `(k + 1)`-th best after a member leaves or falls, or the
+//! exact count once a bound reaches `k`. An entry is never served while
+//! dropped; the next ask evaluates it from cold. Patching each op before
+//! the next op applies keeps the invariant between ops, so slot reuse
+//! inside one batch (the deleted row already left every page) and a
+//! failed batch's applied prefix need no special case.
 //!
-//! Dropping every affected entry is still wasteful for the common churn
-//! shape: an *overflow* page whose top-`k` provably did not change. Since
-//! PR 5 an affected overflow entry whose cached page the footprint did
-//! **not** touch is demoted to `Stale` instead of dropped, carrying a
-//! bounded record of where the churn landed ([`TouchedSet`]) and a
-//! conservative churn count. The next lookup runs a cheap re-check
-//! against the store:
+//! ## Finding the entries a row satisfies
 //!
-//! * **classification margin** — `matched - churn > k` proves the query
-//!   still overflows even if every churned row deleted a matching tuple;
-//! * **page integrity** — every page slot is still alive (guaranteed by
-//!   the demotion rules, re-checked as a belt-and-braces sweep);
-//! * **floor check** — every churned location is harmless: a tracked
-//!   touched *slot* either no longer matches the query or scores
-//!   strictly below the page floor; a tracked touched *segment* (the
-//!   spill level) has a max-score bound strictly below the floor — the
-//!   PR 3 segment bounds, kept tight by the PR 5 compaction pass.
+//! Each non-root entry is filed under exactly one of its predicates — the
+//! rarest when it was admitted — in `by_posting`. A row satisfies a query
+//! only if it carries every one of the query's predicates, the filed one
+//! included, so probing the row's `m` postings and checking each filed
+//! entry's other predicates against the row finds every entry to patch,
+//! each exactly once. The walk never visits an entry through a predicate
+//! it was not filed under. With an empty memo a mutation does no memo
+//! work at all.
 //!
-//! All three pass → the entry (and its shared `Arc` page) is resurrected
-//! and served; any fails → the entry is dropped and the query re-scans
-//! from cold, exactly as before. Soundness leans on the demotion
-//! invariant that a stale entry's page slots are untouched since
-//! validation. Only the state *at lookup* matters — a stale entry is
-//! never served between demotion and resurrection, so transient churn
-//! needs no tracking beyond the counters above.
-//!
-//! ### Deferred reconciliation (PR 6)
-//!
-//! Stale entries used to stay in `by_posting` and absorb every matching
-//! mutation's footprint eagerly, which put ~30 bucket probes back on the
-//! pure-mutation hot path and collapsed insert+delete throughput by
-//! ~10× (the PR 5 regression). Demotion now **unlinks** the entry from
-//! the posting index, and the memo keeps a bounded, version-ordered
-//! **churn journal** of sealed footprints recorded while any stale entry
-//! exists. The entry's next lookup replays the journal suffix newer than
-//! its demotion stamp: a journalled page touch drops it hard (the same
-//! verdict the eager path produced, just deferred — the entry was never
-//! served in between), a predicate match folds churn and touched slots
-//! in, and only then does the re-check above run. A stale entry whose
-//! demotion stamp has been evicted off the journal's front cannot prove
-//! coverage and drops — bounded memory wins over maximal resurrection,
-//! exactly like the [`TouchedSet`] spill ladder. Mutations therefore pay
-//! one journal append (plus the fresh-entry candidate walk) no matter
-//! how many demoted entries are parked.
-//!
-//! ## Version stamps
-//!
-//! Each entry records the database version at which it was validated
-//! (insertion, or the latest invalidation pass that explicitly retained
-//! it after a candidate check). Debug builds assert on every hit that the
-//! entry's stamp is consistent with the last mutation touching any of its
-//! predicates' postings (`QueryMemo::debug_assert_current`) — a
-//! safety net that turns an invalidation bug into a loud assertion
-//! instead of a silently stale page. Release builds trust the eager
-//! invalidation and keep the ~20 ns hit path.
+//! Debug builds check every hit cheaply
+//! ([`CachedEval::assert_consistent`]): page members alive, matching and
+//! in order, and overflow exactly when the count exceeds `k`.
 //!
 //! ## Bounded admission
 //!
-//! Distinct-query adversarial streams previously grew the memo without
-//! bound between mutations. Entries are now capped (default
-//! [`DEFAULT_MEMO_CAPACITY`]): inserts beyond the cap evict via a CLOCK
-//! (second-chance) sweep over buckets in insertion order — a hit sets the
-//! entry's referenced bit, the sweep clears it once and evicts on the
-//! second encounter. Eviction and invalidation both unlink the dropped
-//! queries from `by_posting`, so the reverse map stays proportional to
-//! the live entries.
+//! Entries are capped (default [`DEFAULT_MEMO_CAPACITY`]) so a stream of
+//! distinct queries cannot grow the memo without bound. Entries live in a
+//! slab; inserts beyond the cap evict with a CLOCK (second-chance) hand
+//! sweeping the slab — a hit sets the entry's referenced bit, the hand
+//! clears it once and evicts on the second encounter. Eviction and
+//! patch drops unlink the entry from its bucket and its posting list, so
+//! both maps stay proportional to the live entries.
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use crate::interface::{slot_matches, CachedEval, QueryOutcome};
-use crate::query::ConjunctiveQuery;
+use crate::interface::{CachedEval, QueryOutcome};
+use crate::query::{ConjunctiveQuery, Predicate};
 use crate::stats::{MemoStats, SharedMemoStats};
-use crate::store::{segment_of, Slot, Store};
-use crate::updates::UpdateFootprint;
+use crate::store::{Slot, StoreCore};
 use crate::value::{AttrId, ValueId};
 
 /// Default cap on cached queries. Comfortably above the working set of
@@ -134,13 +110,13 @@ pub const DEFAULT_MEMO_CAPACITY: usize = 4096;
 /// How the database's query memo reacts to mutations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum InvalidationPolicy {
-    /// Postings-aware incremental invalidation (the default): only cached
-    /// queries whose predicate set intersects the mutation's
-    /// [`UpdateFootprint`] (plus the root query) are dropped.
+    /// Exact incremental patching (the default): every row change patches
+    /// the cached answers whose query the row satisfies, and drops only
+    /// the few it cannot keep exact.
     #[default]
     Incremental,
-    /// Pre-PR-2 behaviour: every mutation drops the whole memo. Kept as
-    /// the baseline the consistency oracle and benches compare against.
+    /// Every mutation drops the whole memo. Kept as the baseline the
+    /// consistency oracle and benches compare against.
     Wholesale,
     /// No memoisation at all: every answer re-evaluates. The oracle the
     /// consistency proptests trust.
@@ -167,11 +143,10 @@ impl Hasher for IdentityHasher {
     }
 }
 
-/// One-multiply hasher for packed posting keys: mutations probe
-/// `by_posting` once per touched posting (attribute count × ops), and
-/// SipHash on a 6-byte tuple key was the single hottest part of the
-/// invalidation pass. Fibonacci multiply spreads the dense packed ids
-/// across the high bits, which `HashMap` folds into its bucket index.
+/// One-multiply hasher for packed posting keys: every row change probes
+/// `by_posting` once per attribute, and SipHash on a 6-byte tuple key
+/// would dominate that walk. Fibonacci multiply spreads the dense packed
+/// ids across the high bits, which `HashMap` folds into its bucket index.
 #[derive(Default)]
 pub(crate) struct PostingKeyHasher(u64);
 
@@ -198,144 +173,121 @@ fn pack_posting(attr: AttrId, value: ValueId) -> u64 {
     (u64::from(attr.0) << 32) | u64::from(value.0)
 }
 
-/// Exact touched-slot tracking caps out here (unique slots) and spills
-/// to segments.
-const TRACK_SLOTS_MAX: usize = 64;
-
-/// Touched-segment tracking caps out here (unique segments) and gives up
-/// (`Unbounded`).
-const TRACK_SEGS_MAX: usize = 16;
-
-/// Raw (unsorted, duplicates allowed) buffers compact when they exceed
-/// 4× their level's unique-count cap. PR 6 regression fix: `absorb` used
-/// to sort+dedup per demoted entry per mutation, which collapsed
-/// pure-mutation throughput by ~10×; now a mutation pays a plain append
-/// and the sort/dedup amortises over many absorptions.
-const RAW_SLOTS_MAX: usize = TRACK_SLOTS_MAX * 4;
-
-/// Raw cap of the segment level (see [`RAW_SLOTS_MAX`]).
-const RAW_SEGS_MAX: usize = TRACK_SEGS_MAX * 4;
-
-/// Where churn landed since an entry went stale, at decreasing precision
-/// as it accumulates. Bounded: a stale entry costs O(1) memory no matter
-/// how many rounds of churn pass before its next lookup — the raw
-/// buffers never exceed their cap plus one footprint.
-#[derive(Debug, Clone, Default, PartialEq)]
-enum TouchedSet {
-    /// Fresh entry (or just resurrected): nothing tracked.
-    #[default]
-    Empty,
-    /// Touched slots (raw between compactions) — the precise
-    /// occupant-score re-check.
-    Slots(Vec<Slot>),
-    /// Spilled to touched segments (raw between compactions) — the
-    /// coarser max-score-bound re-check (which segment compaction keeps
-    /// tight).
-    Segments(Vec<u32>),
-    /// Too much churn to track: the next lookup re-scans.
-    Unbounded,
+/// What one applied op did to its row.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RowChange {
+    /// The row was inserted.
+    Insert,
+    /// The row was deleted.
+    Delete,
+    /// The row's measures were overwritten; its score moved from `old`.
+    Rescore {
+        /// The score before the update.
+        old: u64,
+    },
 }
 
-impl TouchedSet {
-    /// Folds a (sealed) footprint's touched slots in with a raw append;
-    /// classification (dedup + spill to the next precision level) is
-    /// deferred to [`TouchedSet::compact`], which runs only when the raw
-    /// buffer overflows its cap. The floor check tolerates unsorted,
-    /// duplicated lists, so compaction timing never affects a
-    /// revalidation verdict — only memory and mutation throughput.
-    fn absorb(&mut self, footprint: &UpdateFootprint) {
-        self.absorb_slots(footprint.slots());
-    }
+/// One applied row change, as the memo patches it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowOp<'a> {
+    /// The row's slot.
+    pub(crate) slot: Slot,
+    /// The row's values in schema order.
+    pub(crate) values: &'a [ValueId],
+    /// The row's score after the op (for a delete, its last score).
+    pub(crate) score: u64,
+    /// What happened to the row.
+    pub(crate) change: RowChange,
+}
 
-    /// [`TouchedSet::absorb`] from a raw slot list (sorted + deduped, as
-    /// a sealed footprint's is) — the journal replay path folds stored
-    /// footprints in through here.
-    fn absorb_slots(&mut self, new: &[Slot]) {
-        match self {
-            Self::Unbounded => {}
-            Self::Empty => {
-                // Sealed footprints are sorted and deduped already.
-                *self = Self::Slots(new.to_vec());
-                self.compact();
-            }
-            Self::Slots(slots) => {
-                slots.extend_from_slice(new);
-                if slots.len() > RAW_SLOTS_MAX {
-                    self.compact();
+impl CachedEval {
+    /// Applies one change of a row that satisfies this entry's query,
+    /// following the module docs' patch rules. `store` already holds the
+    /// change. Returns `false` when the entry cannot stay exact and must
+    /// be dropped.
+    fn patch(&mut self, op: &RowOp<'_>, k: usize, store: &StoreCore) -> bool {
+        let key = (op.score, op.slot);
+        match op.change {
+            RowChange::Insert => {
+                self.matched += 1;
+                if !self.overflow {
+                    self.place(key, store);
+                    if self.slots.len() > k {
+                        self.slots.pop();
+                        self.overflow = true;
+                    }
+                } else if self.beats_last(key, store) {
+                    self.slots.pop();
+                    self.place(key, store);
+                } else {
+                    return true;
                 }
             }
-            Self::Segments(segs) => {
-                segs.extend(new.iter().map(|&s| segment_of(s) as u32));
-                if segs.len() > RAW_SEGS_MAX {
-                    self.compact();
+            RowChange::Delete => {
+                if !self.overflow {
+                    let Some(at) = self.position(op.slot) else { return false };
+                    self.slots.remove(at);
+                    self.matched -= 1;
+                } else if self.on_page(op.slot, op.score, store) {
+                    return false;
+                } else {
+                    self.matched -= 1;
+                    if self.matched == k {
+                        if !self.exact {
+                            return false;
+                        }
+                        self.overflow = false;
+                    }
+                    return true;
+                }
+            }
+            RowChange::Rescore { old } => {
+                if !self.overflow || self.on_page(op.slot, old, store) {
+                    if self.overflow && op.score < old {
+                        return false;
+                    }
+                    let Some(at) = self.position(op.slot) else { return false };
+                    self.slots.remove(at);
+                    self.place(key, store);
+                } else if self.beats_last(key, store) {
+                    self.slots.pop();
+                    self.place(key, store);
+                } else {
+                    return true;
                 }
             }
         }
+        self.page = None;
+        true
     }
 
-    /// Dedups the current level and spills to the next when the unique
-    /// count exceeds the level's cap.
-    fn compact(&mut self) {
-        if let Self::Slots(slots) = self {
-            slots.sort_unstable();
-            slots.dedup();
-            if slots.len() > TRACK_SLOTS_MAX {
-                let segs: Vec<u32> = slots.iter().map(|&s| segment_of(s) as u32).collect();
-                *self = Self::Segments(segs);
-            }
-        }
-        if let Self::Segments(segs) = self {
-            segs.sort_unstable();
-            segs.dedup();
-            if segs.len() > TRACK_SEGS_MAX {
-                *self = Self::Unbounded;
-            }
-        }
-    }
-}
-
-/// Caps on the churn journal: entry count, total stored slots, total
-/// stored postings. Comfortably above what accrues between two lookups
-/// of any estimator workload; an adversarial stale-and-never-look-up
-/// stream just evicts from the front and forfeits resurrection.
-const JOURNAL_ENTRIES_MAX: usize = 1024;
-
-/// Total touched-slot cap across the journal (see [`JOURNAL_ENTRIES_MAX`]).
-const JOURNAL_SLOTS_MAX: usize = 8192;
-
-/// Total touched-posting cap across the journal (see
-/// [`JOURNAL_ENTRIES_MAX`]).
-const JOURNAL_POSTINGS_MAX: usize = 16384;
-
-/// One mutation's sealed footprint, retained so stale entries reconcile
-/// churn at their next lookup instead of being walked on the mutation
-/// hot path (see "Deferred reconciliation" in the module docs).
-#[derive(Debug, Clone)]
-struct JournalEntry {
-    /// Post-mutation database version (unique per mutation).
-    version: u64,
-    /// Elementary changes in the mutation (not deduped) — the margin
-    /// charge for every stale entry the mutation can have affected.
-    rows: u64,
-    /// Touched postings, sorted + deduped (copied from the sealed
-    /// footprint).
-    postings: Vec<(AttrId, ValueId)>,
-    /// Touched slots, sorted + deduped.
-    slots: Vec<Slot>,
-}
-
-impl JournalEntry {
-    /// [`UpdateFootprint::affects_query`] over the stored footprint.
-    fn affects_query(&self, query: &ConjunctiveQuery) -> bool {
-        if query.is_empty() {
-            return !(self.postings.is_empty() && self.slots.is_empty());
-        }
-        query.predicates().iter().any(|p| self.postings.binary_search(&(p.attr, p.value)).is_ok())
+    /// Inserts the slot of `key` at its best-first position among the
+    /// page members, whose scores the store holds.
+    fn place(&mut self, key: (u64, Slot), store: &StoreCore) {
+        let at = self.slots.partition_point(|&m| (store.score_at(m), m) > key);
+        self.slots.insert(at, key.1);
     }
 
-    /// [`UpdateFootprint::affects_page`] over the stored footprint.
-    fn affects_page(&self, page_slots: &[Slot]) -> bool {
-        page_slots.iter().any(|s| self.slots.binary_search(s).is_ok())
+    /// Whether `key` ranks above the page's last member.
+    fn beats_last(&self, key: (u64, Slot), store: &StoreCore) -> bool {
+        self.slots.last().is_some_and(|&last| key > (store.score_at(last), last))
+    }
+
+    /// Whether the matching row at `slot`, ranked by `score` before the
+    /// op, is a member of this overflow page: the page is the best `k`
+    /// matches, so a match is on it iff it ranks at least as high as the
+    /// last member.
+    fn on_page(&self, slot: Slot, score: u64, store: &StoreCore) -> bool {
+        self.slots
+            .last()
+            .is_some_and(|&last| slot == last || (score, slot) > (store.score_at(last), last))
+    }
+
+    /// Index of `slot` on the page. A member is always found; a miss
+    /// means the store's index disagrees with its columns (a corrupt
+    /// snapshot can do that), and the caller drops the entry.
+    fn position(&self, slot: Slot) -> Option<usize> {
+        self.slots.iter().position(|&m| m == slot)
     }
 }
 
@@ -344,92 +296,48 @@ impl JournalEntry {
 struct MemoEntry {
     query: ConjunctiveQuery,
     eval: CachedEval,
-    /// Database version at which this entry was last validated — or, for
-    /// a stale entry, the version whose churn it has folded in so far
-    /// (set at demotion, advanced by journal replay): the journal-replay
-    /// low-water mark.
-    stamp: u64,
-    /// CLOCK referenced bit: set on hit, cleared by the sweep.
+    /// The query's fingerprint: its bucket in `buckets`.
+    hash: u64,
+    /// The packed posting this entry is filed under in `by_posting`;
+    /// `None` for the root entry.
+    filed: Option<u64>,
+    /// CLOCK referenced bit: set on hit, cleared by the hand.
     referenced: bool,
-    /// Demoted by an invalidation pass; must pass the lookup-time
-    /// re-check before it may be served again. A stale entry is unlinked
-    /// from `by_posting` (stale ⟺ unlinked), so mutations never walk it.
-    stale: bool,
-    /// Rows churned since demotion (upper bound on matching tuples
-    /// lost) — the classification margin.
-    churn: u64,
-    /// Where the churn landed, for the floor check.
-    touched: TouchedSet,
 }
 
 /// The memo.
 #[derive(Debug, Clone)]
 pub(crate) struct QueryMemo {
-    buckets: HashMap<u64, Vec<MemoEntry>, BuildHasherDefault<IdentityHasher>>,
-    /// Posting → fingerprints of buckets holding a query with that
-    /// predicate. Maintained eagerly on insert/evict/invalidate, so a
-    /// mutation's invalidation work is proportional to its footprint.
-    by_posting: HashMap<u64, Vec<u64>, BuildHasherDefault<PostingKeyHasher>>,
-    /// Last version at which a mutation touched each posting (debug-only
-    /// stamp-check support; bounded by the schema's attr × domain size —
-    /// not maintained in release builds, where the eager invalidation is
-    /// trusted and mutations stay cheap).
-    #[cfg(debug_assertions)]
-    posting_stamp: HashMap<(AttrId, ValueId), u64>,
-    /// Last version at which any mutation occurred.
-    root_stamp: u64,
-    /// CLOCK ring of bucket fingerprints in admission order. May hold
-    /// stale fingerprints for buckets already invalidated; the eviction
-    /// sweep drops those lazily and `maybe_compact_clock` rebuilds the
-    /// ring when they pile up. Invariants: ring ≥ live buckets (every
-    /// bucket has a slot) and ring ≤ 2·live buckets + 64 (compaction).
-    clock: VecDeque<u64>,
+    /// Slab of entries; `None` marks a free slot.
+    entries: Vec<Option<MemoEntry>>,
+    /// Free slab slots, reused before the slab grows.
+    free: Vec<u32>,
+    /// Fingerprint → slab ids of the entries with that fingerprint.
+    buckets: HashMap<u64, Vec<u32>, BuildHasherDefault<IdentityHasher>>,
+    /// Packed posting → slab ids of the entries filed under it.
+    by_posting: HashMap<u64, Vec<u32>, BuildHasherDefault<PostingKeyHasher>>,
+    /// Slab id of the root entry, which every row satisfies.
+    root: Option<u32>,
+    /// CLOCK hand: the next slab slot the eviction sweep inspects.
+    hand: usize,
     capacity: usize,
-    /// Live entries across all buckets (fresh + stale).
-    len: usize,
-    /// Entries currently demoted to `Stale`.
-    stale_len: usize,
-    /// Whether invalidation demotes eligible overflow entries to `Stale`
-    /// for the lookup-time re-check instead of dropping them.
-    revalidate: bool,
     stats: MemoStats,
-    /// Reusable candidate buffer for invalidation passes (mutation hot
-    /// path: no allocation per mutation).
-    scratch: Vec<u64>,
-    /// Churn journal: sealed footprints of mutations that ran while any
-    /// entry was stale, in version order. Replayed by
-    /// [`QueryMemo::get_or_revalidate`] to reconcile a stale entry
-    /// before its re-check; bounded by the `JOURNAL_*_MAX` caps.
-    journal: VecDeque<JournalEntry>,
-    /// Running total of slots stored across `journal`.
-    journal_slots: usize,
-    /// Running total of postings stored across `journal`.
-    journal_postings: usize,
-    /// Highest version dropped off the journal's front (or skipped while
-    /// revalidation was toggled off). A stale entry demoted at or before
-    /// this version cannot prove coverage and fails its re-check.
-    journal_evicted_through: u64,
+    /// Reusable buffer of the entries one op patches.
+    scratch: Vec<u32>,
 }
 
 impl Default for QueryMemo {
     fn default() -> Self {
         Self {
+            entries: Vec::new(),
+            free: Vec::new(),
             buckets: HashMap::default(),
             by_posting: HashMap::default(),
-            #[cfg(debug_assertions)]
-            posting_stamp: HashMap::new(),
-            root_stamp: 0,
-            clock: VecDeque::new(),
+            root: None,
+            hand: 0,
             capacity: DEFAULT_MEMO_CAPACITY,
-            len: 0,
-            stale_len: 0,
-            revalidate: true,
             stats: MemoStats::default(),
             scratch: Vec::new(),
-            journal: VecDeque::new(),
-            journal_slots: 0,
-            journal_postings: 0,
-            journal_evicted_through: 0,
         }
     }
 }
@@ -449,486 +357,147 @@ impl QueryMemo {
         h
     }
 
-    /// Fingerprint of the root query — every mutation's first candidate.
-    #[inline]
-    fn root_hash() -> u64 {
-        // `hash_of` with zero predicates is just the seed.
-        0x9E37_79B9_7F4A_7C15
+    fn entry(&self, id: u32) -> &MemoEntry {
+        self.entries[id as usize].as_ref().expect("listed memo entries are live")
     }
 
-    /// Cached evaluation for `query`, if present *and fresh*. Mutable so
-    /// the entry can lazily materialise (and then share) its tuple views.
-    /// Marks the entry referenced for the CLOCK sweep. `version` is the
-    /// database's current version, used by the debug stamp check. A
-    /// `Stale` entry reads as a miss here (but is left in place) — the
-    /// production path is [`QueryMemo::get_or_revalidate`].
+    /// Cached evaluation for `query`, if present. Mutable so the entry
+    /// can lazily copy (and then share) its page. Marks the entry
+    /// referenced for the CLOCK sweep.
     #[inline]
     pub(crate) fn get_mut(
         &mut self,
         hash: u64,
         query: &ConjunctiveQuery,
-        version: u64,
     ) -> Option<&mut CachedEval> {
-        #[cfg(debug_assertions)]
-        self.debug_assert_current(hash, query, version);
-        #[cfg(not(debug_assertions))]
-        let _ = version;
-        let entry = self.buckets.get_mut(&hash)?.iter_mut().find(|e| e.query == *query)?;
-        if entry.stale {
-            return None;
-        }
+        let id = *self.buckets.get(&hash)?.iter().find(|&&id| self.entry(id).query == *query)?;
+        let entry = self.entries[id as usize].as_mut().expect("listed memo entries are live");
         entry.referenced = true;
         Some(&mut entry.eval)
     }
 
-    /// The production lookup: serves a fresh entry directly; runs a
-    /// `Stale` entry through the score/bound re-check against `store`,
-    /// resurrecting it (stamped at `version`) on success or dropping it
-    /// (the caller then re-evaluates from cold) on failure.
-    pub(crate) fn get_or_revalidate(
-        &mut self,
-        hash: u64,
-        query: &ConjunctiveQuery,
-        version: u64,
-        store: &Store,
-    ) -> Option<&mut CachedEval> {
-        let stale = self
-            .buckets
-            .get(&hash)
-            .and_then(|b| b.iter().find(|e| e.query == *query))
-            .map(|e| e.stale)?;
-        if stale {
-            let passes = self.revalidate && {
-                // Deferred reconciliation: fold every journalled
-                // mutation since demotion into the entry's churn record
-                // before the re-check runs (see the module docs).
-                let Self { ref journal, journal_evicted_through, ref mut buckets, .. } = *self;
-                let entry = buckets
-                    .get_mut(&hash)
-                    .and_then(|b| b.iter_mut().find(|e| e.query == *query))
-                    .expect("entry probed above");
-                Self::reconcile(entry, journal, journal_evicted_through)
-                    && Self::revalidation_passes(entry, store)
-            };
-            let Self { ref mut buckets, ref mut by_posting, .. } = *self;
-            let bucket = buckets.get_mut(&hash).expect("bucket probed above");
-            let idx = bucket.iter().position(|e| e.query == *query).expect("entry probed above");
-            if passes {
-                let entry = &mut bucket[idx];
-                entry.stale = false;
-                // The re-check only proves `matched - churn` matches
-                // remain; the original count may have genuinely shrunk.
-                // Resurrect with that proven lower bound, so the margin
-                // of the *next* demotion cycle cannot double-spend churn
-                // already consumed here — keeping the original `matched`
-                // would let repeated demote/resurrect rounds of
-                // below-floor deletes serve Overflow after the true
-                // count fell to `k`.
-                entry.eval.matched -= entry.churn as usize;
-                entry.churn = 0;
-                entry.touched = TouchedSet::Empty;
-                entry.stamp = version;
-                // Re-enter the posting index (demotion unlinked it).
-                for p in entry.query.predicates() {
-                    by_posting.entry(pack_posting(p.attr, p.value)).or_default().push(hash);
-                }
-                self.stale_len -= 1;
-                self.stats.resurrected += 1;
-            } else {
-                // No unlink: demotion already removed the entry from
-                // `by_posting` (stale ⟺ unlinked).
-                bucket.swap_remove(idx);
-                self.len -= 1;
-                self.stale_len -= 1;
-                self.stats.revalidation_failed += 1;
-                if bucket.is_empty() {
-                    self.buckets.remove(&hash);
-                }
-                return None;
-            }
-        }
-        self.get_mut(hash, query, version)
-    }
-
-    /// Folds every journalled mutation newer than the entry's replay
-    /// low-water mark (`stamp`) into its churn/touched record, in
-    /// version order. Returns `false` when the entry cannot be proven
-    /// reconcilable: the journal no longer covers its demotion (front
-    /// evicted past `stamp`) or a journalled mutation touched its cached
-    /// page — the same hard-drop verdict the eager path used to issue at
-    /// mutation time, just deferred to the first lookup (sound because a
-    /// stale entry is never served in between).
-    fn reconcile(
-        entry: &mut MemoEntry,
-        journal: &VecDeque<JournalEntry>,
-        evicted_through: u64,
-    ) -> bool {
-        debug_assert!(entry.stale, "only stale entries reconcile");
-        if evicted_through > entry.stamp {
-            return false;
-        }
-        let start = journal.partition_point(|j| j.version <= entry.stamp);
-        for j in journal.iter().skip(start) {
-            if j.affects_page(&entry.eval.slots) {
-                return false;
-            }
-            if j.affects_query(&entry.query) {
-                entry.churn = entry.churn.saturating_add(j.rows);
-                entry.touched.absorb_slots(&j.slots);
-            }
-        }
-        // Advance the low-water mark so a future replay (after further
-        // demote-free mutations) cannot double-count this suffix.
-        if let Some(last) = journal.back() {
-            entry.stamp = entry.stamp.max(last.version);
-        }
-        true
-    }
-
-    /// The lookup-time re-check behind cross-round revalidation (see the
-    /// module docs for the soundness argument). Read-only; the caller
-    /// applies the verdict.
-    fn revalidation_passes(entry: &MemoEntry, store: &Store) -> bool {
-        let eval = &entry.eval;
-        debug_assert!(eval.overflow, "only overflow entries are demoted");
-        // Classification margin: even if every churned row deleted a
-        // matching tuple, strictly more than `k` matches remain.
-        let margin_ok = (eval.matched as u64)
-            .checked_sub(entry.churn)
-            .is_some_and(|left| left > eval.slots.len() as u64);
-        if !margin_ok {
-            return false;
-        }
-        // Page integrity: guaranteed untouched by the demotion rules;
-        // the alive sweep is a cheap belt-and-braces re-check, and debug
-        // builds verify the full match.
-        if eval.slots.iter().any(|&s| !store.is_alive(s)) {
-            debug_assert!(false, "stale entry's page slot died — demotion invariant broken");
-            return false;
-        }
-        debug_assert!(
-            eval.slots.iter().all(|&s| slot_matches(&entry.query, store, s)),
-            "stale entry's page drifted — demotion invariant broken"
-        );
-        // Floor check: no churned location can displace a page slot.
-        // Only the state at lookup matters — the entry was never served
-        // while stale, so transient occupants are irrelevant.
-        match &entry.touched {
-            TouchedSet::Empty => true,
-            TouchedSet::Slots(slots) => slots
-                .iter()
-                .all(|&s| !slot_matches(&entry.query, store, s) || store.score_at(s) < eval.floor),
-            TouchedSet::Segments(segs) => segs.iter().all(|&seg| {
-                (seg as usize) >= store.segment_count()
-                    || store.segment_max_score(seg as usize) < eval.floor
-            }),
-            TouchedSet::Unbounded => false,
-        }
-    }
-
-    /// The stamp-consistency safety net behind every debug-build hit: an
-    /// entry may be served only if it was validated no earlier than the
-    /// last mutation touching any of its predicates' postings (the root
-    /// query checks against the last mutation of any kind). Turns an
-    /// invalidation bug into a loud assertion instead of a stale page.
-    #[cfg(debug_assertions)]
-    fn debug_assert_current(&self, hash: u64, query: &ConjunctiveQuery, version: u64) {
-        let Some(entry) =
-            self.buckets.get(&hash).and_then(|b| b.iter().find(|e| e.query == *query))
-        else {
-            return; // miss: nothing to check
-        };
-        if entry.stale {
-            // Known-stale entries are exempt: they are never served
-            // without first passing (and being restamped by) the
-            // revalidation re-check.
-            return;
-        }
-        assert!(
-            entry.stamp <= version,
-            "memo entry stamped in the future ({} > {version})",
-            entry.stamp
-        );
-        let current = if query.is_empty() {
-            entry.stamp >= self.root_stamp
-        } else {
-            query.predicates().iter().all(|p| {
-                entry.stamp >= self.posting_stamp.get(&(p.attr, p.value)).copied().unwrap_or(0)
-            })
-        };
-        assert!(current, "memo would serve a stale entry for {query} (stamp {})", entry.stamp);
-    }
-
-    /// Inserts a confirmed-missing entry (caller has already probed with
-    /// [`QueryMemo::get_mut`]; this is the one place the query is cloned),
-    /// stamped with the current database version. Evicts via the CLOCK
-    /// sweep first if the memo is at capacity.
+    /// Inserts a confirmed-missing entry (the caller has already probed
+    /// with [`QueryMemo::get_mut`]; this is the one place the query is
+    /// cloned). A non-root query is filed under `file_under`, one of its
+    /// own predicates — the rarest keeps the per-op walk short. Evicts via
+    /// the CLOCK sweep first if the memo is at capacity.
     pub(crate) fn insert(
         &mut self,
         hash: u64,
         query: &ConjunctiveQuery,
         eval: CachedEval,
-        version: u64,
+        file_under: Option<Predicate>,
     ) {
+        debug_assert_eq!(file_under.is_none(), query.is_empty(), "file exactly non-root entries");
+        debug_assert!(file_under.is_none_or(|p| query.predicates().contains(&p)));
         if self.capacity == 0 {
             return;
         }
-        while self.len >= self.capacity {
+        while self.len() >= self.capacity {
             self.evict_one();
         }
-        for p in query.predicates() {
-            self.by_posting.entry(pack_posting(p.attr, p.value)).or_default().push(hash);
+        let filed = file_under.map(|p| pack_posting(p.attr, p.value));
+        let entry = MemoEntry { query: query.clone(), eval, hash, filed, referenced: false };
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.entries[id as usize] = Some(entry);
+                id
+            }
+            None => {
+                self.entries.push(Some(entry));
+                (self.entries.len() - 1) as u32
+            }
+        };
+        self.buckets.entry(hash).or_default().push(id);
+        match filed {
+            Some(posting) => self.by_posting.entry(posting).or_default().push(id),
+            None => {
+                debug_assert!(self.root.is_none(), "the root is cached twice");
+                self.root = Some(id);
+            }
         }
-        let bucket = self.buckets.entry(hash).or_default();
-        if bucket.is_empty() {
-            self.clock.push_back(hash);
-        }
-        bucket.push(MemoEntry {
-            query: query.clone(),
-            eval,
-            stamp: version,
-            referenced: false,
-            stale: false,
-            churn: 0,
-            touched: TouchedSet::Empty,
-        });
-        self.len += 1;
         self.stats.insertions += 1;
     }
 
-    /// CLOCK second-chance eviction of one bucket. Terminates: every
-    /// referenced bucket loses its bit on the first encounter and is
-    /// evictable on the second, and stale ring slots just pop.
+    /// Patches every cached answer whose query `op`'s row satisfies (see
+    /// the module docs), dropping the ones that cannot stay exact. `k` is
+    /// the database's page size; `store` already holds the change.
+    pub(crate) fn patch(&mut self, op: &RowOp<'_>, k: usize, store: &StoreCore) {
+        if self.is_empty() {
+            return;
+        }
+        let mut hits = std::mem::take(&mut self.scratch);
+        hits.clear();
+        hits.extend(self.root);
+        for (a, &value) in op.values.iter().enumerate() {
+            if let Some(ids) = self.by_posting.get(&pack_posting(AttrId(a as u16), value)) {
+                let satisfied = |&id: &u32| self.entry(id).query.matches_values(op.values);
+                hits.extend(ids.iter().copied().filter(satisfied));
+            }
+        }
+        for &id in &hits {
+            let entry = self.entries[id as usize].as_mut().expect("listed memo entries are live");
+            if !entry.eval.patch(op, k, store) {
+                self.remove(id);
+                self.stats.invalidated += 1;
+            }
+        }
+        self.scratch = hits;
+    }
+
+    /// Counts the entries that outlived one mutation.
+    pub(crate) fn note_mutation(&mut self) {
+        self.stats.retained += self.len() as u64;
+    }
+
+    /// Unlinks and frees the entry at slab slot `id`.
+    fn remove(&mut self, id: u32) {
+        let entry = self.entries[id as usize].take().expect("removed memo entries are live");
+        unlink(&mut self.buckets, entry.hash, id);
+        match entry.filed {
+            Some(posting) => unlink(&mut self.by_posting, posting, id),
+            None => self.root = None,
+        }
+        self.free.push(id);
+    }
+
+    /// CLOCK second-chance eviction of one entry. Terminates: the memo is
+    /// non-empty, and every referenced entry loses its bit on the first
+    /// pass of the hand and is evictable on the second.
     fn evict_one(&mut self) {
-        while let Some(hash) = self.clock.pop_front() {
-            match self.buckets.get_mut(&hash) {
-                // Bucket already gone (invalidated): drop the stale slot.
-                None => continue,
-                Some(entries) if entries.iter().any(|e| e.referenced) => {
-                    for e in entries.iter_mut() {
-                        e.referenced = false;
-                    }
-                    self.clock.push_back(hash);
-                }
+        loop {
+            if self.hand >= self.entries.len() {
+                self.hand = 0;
+            }
+            let id = self.hand;
+            self.hand += 1;
+            match &mut self.entries[id] {
+                None => {}
+                Some(entry) if entry.referenced => entry.referenced = false,
                 Some(_) => {
-                    let entries = self.buckets.remove(&hash).expect("bucket just probed");
-                    self.len -= entries.len();
-                    self.stale_len -= entries.iter().filter(|e| e.stale).count();
-                    self.stats.evicted += entries.len() as u64;
-                    // Stale entries were already unlinked at demotion;
-                    // unlinking them again would steal a bucket mate's
-                    // registration under any shared posting.
-                    for e in entries.iter().filter(|e| !e.stale) {
-                        Self::unlink(&mut self.by_posting, hash, &e.query);
-                    }
+                    self.remove(id as u32);
+                    self.stats.evicted += 1;
                     return;
                 }
             }
         }
     }
 
-    /// Removes one `hash` occurrence from each of `query`'s posting lists.
-    fn unlink(
-        by_posting: &mut HashMap<u64, Vec<u64>, BuildHasherDefault<PostingKeyHasher>>,
-        hash: u64,
-        query: &ConjunctiveQuery,
-    ) {
-        for p in query.predicates() {
-            let key = pack_posting(p.attr, p.value);
-            if let Some(hashes) = by_posting.get_mut(&key) {
-                if let Some(i) = hashes.iter().position(|&h| h == hash) {
-                    hashes.swap_remove(i);
-                }
-                if hashes.is_empty() {
-                    by_posting.remove(&key);
-                }
-            }
-        }
-    }
-
-    /// Postings-aware incremental invalidation: drops exactly the entries
-    /// the mutation described by `footprint` can have changed, re-stamps
-    /// every explicitly checked survivor, and leaves the rest of the memo
-    /// untouched. `version` is the database's *post-mutation* version.
-    ///
-    /// Allocation-free on the mutation hot path: candidates collect into
-    /// a reusable scratch buffer and candidate buckets are filtered **in
-    /// place** (`retain_mut`) instead of being removed, rebuilt, and
-    /// re-inserted — pure-mutation workloads (the interface microbench's
-    /// insert+delete pairs) pay vector appends and map probes only.
-    pub(crate) fn invalidate(&mut self, footprint: &mut UpdateFootprint, version: u64) {
-        footprint.seal();
-        self.root_stamp = version;
-        #[cfg(debug_assertions)]
-        for &posting in footprint.postings() {
-            self.posting_stamp.insert(posting, version);
-        }
-        if self.buckets.is_empty() {
-            // Nothing cached: stamps above are all a mutation owes. The
-            // ring may still hold slots of buckets a previous pass
-            // dropped; keep it bounded.
-            self.maybe_compact_clock();
-            return;
-        }
-        let len_before = self.len;
-        let mut candidates = std::mem::take(&mut self.scratch);
-        candidates.clear();
-        candidates.push(Self::root_hash());
-        for posting in footprint.postings() {
-            if let Some(hashes) = self.by_posting.get(&pack_posting(posting.0, posting.1)) {
-                candidates.extend_from_slice(hashes);
-            }
-        }
-        candidates.sort_unstable();
-        candidates.dedup();
-        let revalidate = self.revalidate;
-        for &hash in &candidates {
-            let Some(entries) = self.buckets.get_mut(&hash) else { continue };
-            let (by_posting, len, stale_len, stats) =
-                (&mut self.by_posting, &mut self.len, &mut self.stale_len, &mut self.stats);
-            entries.retain_mut(|e| {
-                if e.stale {
-                    // Already demoted: unlinked from `by_posting`, so it
-                    // is only reachable here as a bucket mate (hash
-                    // collision) or via the root bucket. Its churn since
-                    // demotion comes from the journal at its next
-                    // lookup — the mutation pays nothing for it.
-                    return true;
-                }
-                let page_hit = footprint.affects_page(&e.eval.slots);
-                if !page_hit && !footprint.affects_query(&e.query) {
-                    // Explicitly checked and retained: validated at the
-                    // new version.
-                    e.stamp = version;
-                    return true;
-                }
-                // Affected. An overflow page the churn provably spared
-                // (no touched slot on the page) demotes to `Stale` for
-                // the lookup-time re-check; anything else drops hard —
-                // in particular any page hit, which is what upholds the
-                // invariant that a stale entry's page slots are
-                // untouched since validation.
-                if revalidate && e.eval.overflow && !page_hit {
-                    e.stale = true;
-                    *stale_len += 1;
-                    stats.demoted += 1;
-                    // The demoting footprint is absorbed eagerly (it is
-                    // in hand) and `stamp` records the demotion version:
-                    // the journal-replay low-water mark. Everything
-                    // after this mutation reaches the entry through the
-                    // journal, so drop it from the posting index.
-                    e.stamp = version;
-                    e.churn = e.churn.saturating_add(footprint.rows() as u64);
-                    e.touched.absorb(footprint);
-                    Self::unlink(by_posting, hash, &e.query);
-                    return true;
-                }
-                *len -= 1;
-                stats.invalidated += 1;
-                Self::unlink(by_posting, hash, &e.query);
-                false
-            });
-            if entries.is_empty() {
-                self.buckets.remove(&hash);
-            }
-        }
-        self.scratch = candidates;
-        // Entries surviving this pass (len_before minus dropped).
-        debug_assert!(self.len <= len_before);
-        self.stats.retained += self.len as u64;
-        if revalidate && self.stale_len > 0 {
-            self.journal_push(footprint, version);
-        }
-        self.maybe_compact_clock();
-    }
-
-    /// Appends a sealed footprint to the churn journal, evicting from
-    /// the front when any cap is exceeded. An entry demoted at or before
-    /// an evicted version can no longer prove coverage and drops at its
-    /// next lookup — bounded memory wins over maximal resurrection,
-    /// exactly like the [`TouchedSet`] spill ladder.
-    fn journal_push(&mut self, footprint: &UpdateFootprint, version: u64) {
-        self.journal.push_back(JournalEntry {
-            version,
-            rows: footprint.rows() as u64,
-            postings: footprint.postings().to_vec(),
-            slots: footprint.slots().to_vec(),
-        });
-        self.journal_slots += footprint.slots().len();
-        self.journal_postings += footprint.postings().len();
-        while self.journal.len() > JOURNAL_ENTRIES_MAX
-            || self.journal_slots > JOURNAL_SLOTS_MAX
-            || self.journal_postings > JOURNAL_POSTINGS_MAX
-        {
-            let old = self.journal.pop_front().expect("over-cap journal is non-empty");
-            self.journal_slots -= old.slots.len();
-            self.journal_postings -= old.postings.len();
-            self.journal_evicted_through = old.version;
-        }
-    }
-
-    /// Bounds the CLOCK ring. Invalidation removes buckets without
-    /// touching their ring slots, and below capacity `evict_one` (the
-    /// other lazy cleaner) never runs — so under steady invalidate/
-    /// re-admit churn the stale slots would otherwise accumulate forever.
-    /// When stale slots outnumber live buckets, rebuild the ring in order
-    /// keeping one slot per live bucket: amortised O(1) per mutation,
-    /// and `clock.len() ≤ 2·buckets + 64` always holds.
-    fn maybe_compact_clock(&mut self) {
-        if self.clock.len() <= 2 * self.buckets.len() + 64 {
-            return;
-        }
-        let mut seen = HashSet::with_capacity(self.buckets.len());
-        let buckets = &self.buckets;
-        self.clock.retain(|h| buckets.contains_key(h) && seen.insert(*h));
-    }
-
     /// Drops every entry (wholesale policy, `set_k`, policy switches).
     pub(crate) fn clear(&mut self) {
+        self.entries.clear();
+        self.free.clear();
         self.buckets.clear();
         self.by_posting.clear();
-        self.clock.clear();
-        self.len = 0;
-        self.stale_len = 0;
-        self.journal.clear();
-        self.journal_slots = 0;
-        self.journal_postings = 0;
-        self.journal_evicted_through = self.root_stamp;
+        self.root = None;
+        self.hand = 0;
         self.stats.wholesale_clears += 1;
-        // posting_stamp / root_stamp deliberately survive: they describe
-        // mutation history, not cache contents.
-    }
-
-    /// Toggles stale-entry demotion/revalidation. Turning it off also
-    /// refuses to resurrect entries demoted while it was on (they drop
-    /// lazily at their next lookup). Any toggle resets the churn journal
-    /// and poisons coverage up to the current version: mutations during
-    /// an off window are not journalled, so entries demoted before the
-    /// window must not resurrect with that gap unaccounted.
-    pub(crate) fn set_revalidate(&mut self, on: bool) {
-        if on != self.revalidate {
-            self.journal.clear();
-            self.journal_slots = 0;
-            self.journal_postings = 0;
-            self.journal_evicted_through = self.root_stamp;
-        }
-        self.revalidate = on;
-    }
-
-    /// Whether demotion/revalidation is active.
-    pub(crate) fn revalidate_enabled(&self) -> bool {
-        self.revalidate
-    }
-
-    /// Number of cached queries currently demoted to `Stale`.
-    pub(crate) fn stale_len(&self) -> usize {
-        self.stale_len
     }
 
     /// Caps the number of cached entries, evicting down if over.
     pub(crate) fn set_capacity(&mut self, capacity: usize) {
         self.capacity = capacity;
-        while self.len > self.capacity {
+        while self.len() > self.capacity {
             self.evict_one();
         }
     }
@@ -943,9 +512,26 @@ impl QueryMemo {
         self.stats
     }
 
-    /// Number of cached queries.
+    /// Number of cached queries: slab slots not on the free list.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.entries.len() - self.free.len()
+    }
+
+    /// Whether nothing is cached.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
+
+/// Removes `id` from the list under `key`, and the list once empty.
+fn unlink<S: BuildHasher>(map: &mut HashMap<u64, Vec<u32>, S>, key: u64, id: u32) {
+    if let Some(ids) = map.get_mut(&key) {
+        if let Some(i) = ids.iter().position(|&x| x == id) {
+            ids.swap_remove(i);
+        }
+        if ids.is_empty() {
+            map.remove(&key);
+        }
     }
 }
 
@@ -982,13 +568,13 @@ struct SharedShard {
 /// `(epoch, query) → QueryOutcome` map serving every session of the
 /// service.
 ///
-/// Unlike [`QueryMemo`] there is **no invalidation machinery at all** —
-/// keying by epoch makes entries immutable, so the footprint journal,
-/// demotion, and revalidation have nothing to do here. What remains is
-/// admission control: when a shard fills, entries of *older* epochs are
-/// retired first (sessions pinned to old epochs simply re-evaluate — an
-/// eviction is never a correctness event), and if the shard is still full
-/// of current-epoch entries, new admissions are skipped.
+/// Unlike [`QueryMemo`] there is **no patching at all** — keying by
+/// epoch makes entries immutable, so no row change ever reaches them.
+/// What remains is admission control: when a shard fills, entries of
+/// *older* epochs are retired first (sessions pinned to old epochs simply
+/// re-evaluate — an eviction is never a correctness event), and if the
+/// shard is still full of current-epoch entries, new admissions are
+/// skipped.
 ///
 /// Locking is per-shard (`Mutex`); the fingerprint's low bits pick the
 /// shard, so concurrent sessions asking different queries rarely contend.
@@ -1096,7 +682,12 @@ impl ConcurrentMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Predicate;
+    use crate::database::HiddenDatabase;
+    use crate::ranking::ScoringPolicy;
+    use crate::schema::Schema;
+    use crate::tuple::Tuple;
+    use crate::updates::UpdateBatch;
+    use crate::value::{MeasureId, TupleKey};
 
     fn q(pairs: &[(u16, u32)]) -> ConjunctiveQuery {
         ConjunctiveQuery::from_predicates(
@@ -1104,16 +695,33 @@ mod tests {
         )
     }
 
-    fn fp(slot: u32, values: &[u32]) -> UpdateFootprint {
-        let mut f = UpdateFootprint::default();
-        let vals: Vec<ValueId> = values.iter().map(|&v| ValueId(v)).collect();
-        f.record(slot, &vals);
-        f
+    /// Files a query under its first predicate, as tests need any one.
+    fn insert(memo: &mut QueryMemo, query: &ConjunctiveQuery, eval: CachedEval) {
+        let file_under = query.predicates().first().copied();
+        memo.insert(QueryMemo::hash_of(query), query, eval, file_under);
     }
 
+    fn cached(memo: &mut QueryMemo, query: &ConjunctiveQuery) -> bool {
+        memo.get_mut(QueryMemo::hash_of(query), query).is_some()
+    }
+
+    /// The root entry is filed under no posting: it is found by the
+    /// fingerprint of `select_all` and tracked by its slab id.
     #[test]
     fn root_hash_matches_hash_of_select_all() {
-        assert_eq!(QueryMemo::root_hash(), QueryMemo::hash_of(&ConjunctiveQuery::select_all()));
+        let root = ConjunctiveQuery::select_all();
+        let h = QueryMemo::hash_of(&root);
+        assert_eq!(h, QueryMemo::hash_of(&ConjunctiveQuery::from_predicates(Vec::new())));
+        let mut memo = QueryMemo::default();
+        memo.insert(h, &root, CachedEval::new(false, vec![]), None);
+        let id = memo.root.expect("the unfiled entry is the root");
+        assert_eq!(memo.entry(id).hash, h);
+        assert_eq!(memo.buckets[&h], vec![id]);
+        assert!(memo.by_posting.is_empty(), "the root is filed under no posting");
+        assert!(cached(&mut memo, &root));
+        memo.remove(id);
+        assert!(memo.root.is_none());
+        assert!(!cached(&mut memo, &root));
     }
 
     #[test]
@@ -1131,14 +739,14 @@ mod tests {
         let mut memo = QueryMemo::default();
         let query = q(&[(1, 2)]);
         let h = QueryMemo::hash_of(&query);
-        assert!(memo.get_mut(h, &query, 0).is_none());
-        memo.insert(h, &query, CachedEval::new(true, vec![3, 1]), 0);
-        let eval = memo.get_mut(h, &query, 0).expect("entry present");
+        assert!(memo.get_mut(h, &query).is_none());
+        insert(&mut memo, &query, CachedEval::new(true, vec![3, 1]));
+        let eval = memo.get_mut(h, &query).expect("entry present");
         assert!(eval.overflow);
         assert_eq!(eval.slots, vec![3, 1]);
         assert_eq!(memo.len(), 1);
         memo.clear();
-        assert!(memo.get_mut(h, &query, 0).is_none());
+        assert!(memo.get_mut(h, &query).is_none());
         assert_eq!(memo.len(), 0);
         assert_eq!(memo.stats().wholesale_clears, 1);
     }
@@ -1151,77 +759,64 @@ mod tests {
         let a = q(&[(0, 0)]);
         let b = q(&[(0, 1)]);
         let h = 42;
-        memo.insert(h, &a, CachedEval::new(false, vec![1]), 0);
-        memo.insert(h, &b, CachedEval::new(true, vec![2]), 0);
-        assert_eq!(memo.get_mut(h, &a, 0).unwrap().slots, vec![1]);
-        assert_eq!(memo.get_mut(h, &b, 0).unwrap().slots, vec![2]);
+        memo.insert(h, &a, CachedEval::new(false, vec![1]), Some(a.predicates()[0]));
+        memo.insert(h, &b, CachedEval::new(true, vec![2]), Some(b.predicates()[0]));
+        assert_eq!(memo.get_mut(h, &a).unwrap().slots, vec![1]);
+        assert_eq!(memo.get_mut(h, &b).unwrap().slots, vec![2]);
         assert_eq!(memo.len(), 2);
+        // Dropping one leaves its bucket mate reachable.
+        let id = memo.buckets[&h][0];
+        memo.remove(id);
+        assert!(memo.get_mut(h, &a).is_none());
+        assert_eq!(memo.get_mut(h, &b).unwrap().slots, vec![2]);
     }
 
+    /// Row-exact reach: a delete patches or drops exactly the entries
+    /// whose query the row satisfies, never one that merely shares a
+    /// posting with it.
     #[test]
     fn invalidation_drops_only_intersecting_entries() {
+        let mut store = crate::store::Store::new(2, 0);
+        let mut slot = |key: u64, a0: u32, a1: u32, score: u64| {
+            let values = vec![ValueId(a0), ValueId(a1)];
+            store.insert(Tuple::new(TupleKey(key), values, vec![]), score).unwrap()
+        };
+        let (a, b, c) = (slot(1, 1, 0, 9), slot(2, 1, 2, 8), slot(3, 0, 1, 7));
         let mut memo = QueryMemo::default();
+        let overflow = |page: Vec<Slot>, matched: usize| {
+            let mut eval = CachedEval::new(true, page);
+            eval.matched = matched;
+            eval
+        };
         let root = ConjunctiveQuery::select_all();
-        let touched = q(&[(0, 1)]);
-        let untouched = q(&[(0, 0)]);
+        memo.insert(QueryMemo::hash_of(&root), &root, overflow(vec![a], 3), None);
+        let a0 = q(&[(0, 1)]);
+        let satisfied = q(&[(0, 1), (1, 0)]);
+        let shares_a_posting = q(&[(0, 1), (1, 2)]);
         let cross = q(&[(1, 1)]); // same value id, different attribute
-        for query in [&root, &touched, &untouched, &cross] {
-            memo.insert(QueryMemo::hash_of(query), query, CachedEval::new(false, vec![]), 1);
-        }
-        assert_eq!(memo.len(), 4);
+        insert(&mut memo, &a0, overflow(vec![a], 2));
+        insert(&mut memo, &satisfied, CachedEval::new(false, vec![a]));
+        insert(&mut memo, &shares_a_posting, CachedEval::new(false, vec![b]));
+        insert(&mut memo, &cross, CachedEval::new(false, vec![c]));
 
-        // Mutated tuple at slot 9 with row (A0=u1, A1=u0).
-        let mut footprint = fp(9, &[1, 0]);
-        memo.invalidate(&mut footprint, 2);
-        assert!(memo.get_mut(QueryMemo::hash_of(&root), &root, 2).is_none(), "root dropped");
-        assert!(memo.get_mut(QueryMemo::hash_of(&touched), &touched, 2).is_none());
-        assert!(memo.get_mut(QueryMemo::hash_of(&untouched), &untouched, 2).is_some());
-        assert!(memo.get_mut(QueryMemo::hash_of(&cross), &cross, 2).is_some());
-        assert_eq!(memo.len(), 2);
+        store.delete(TupleKey(1)).unwrap();
+        let row = [ValueId(1), ValueId(0)];
+        memo.patch(
+            &RowOp { slot: a, values: &row, score: 9, change: RowChange::Delete },
+            1,
+            &store,
+        );
+        assert!(!cached(&mut memo, &root), "an overflow page lost its member");
+        assert!(!cached(&mut memo, &a0), "an overflow page lost its member");
+        let eval = memo.get_mut(QueryMemo::hash_of(&satisfied), &satisfied).unwrap();
+        assert!(eval.slots.is_empty() && eval.matched == 0, "a valid page is patched");
+        assert_eq!(
+            memo.get_mut(QueryMemo::hash_of(&shares_a_posting), &shares_a_posting).unwrap().slots,
+            vec![b]
+        );
+        assert_eq!(memo.get_mut(QueryMemo::hash_of(&cross), &cross).unwrap().slots, vec![c]);
         assert_eq!(memo.stats().invalidated, 2);
-    }
-
-    #[test]
-    fn invalidation_drops_entries_whose_page_contains_a_touched_slot() {
-        let mut memo = QueryMemo::default();
-        // An entry whose predicates do NOT intersect the footprint but
-        // whose cached page references the touched slot — the belt-and-
-        // braces page check must still drop it. (Unreachable for honest
-        // footprints; simulated to pin the safety net.)
-        let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        memo.insert(h, &query, CachedEval::new(false, vec![5]), 1);
-        let mut footprint = fp(5, &[7]); // posting (A0,u7) doesn't intersect
-        memo.invalidate(&mut footprint, 2);
-        // Not a by_posting candidate, so it survives the posting pass…
-        // …but the root bucket is always swept; this entry is not in it.
-        // The page check only fires for candidates, so the entry survives:
-        // its predicates don't intersect, which (for honest footprints)
-        // proves its page holds no touched slot. Assert the documented
-        // behaviour.
-        assert!(memo.get_mut(h, &query, 2).is_some());
-
-        // Now make it a candidate (footprint touches its posting) with a
-        // page overlap and watch the page check agree with the predicate
-        // check.
-        let mut footprint = fp(5, &[0]);
-        memo.invalidate(&mut footprint, 3);
-        assert!(memo.get_mut(h, &query, 3).is_none());
-    }
-
-    #[test]
-    fn survivors_are_restamped_when_checked() {
-        let mut memo = QueryMemo::default();
-        let a = q(&[(0, 0)]);
-        let b = q(&[(0, 1)]);
-        let ha = QueryMemo::hash_of(&a);
-        let hb = QueryMemo::hash_of(&b);
-        memo.insert(ha, &a, CachedEval::new(false, vec![]), 1);
-        memo.insert(hb, &b, CachedEval::new(false, vec![]), 1);
-        // Touch (A0,u1): b drops, a is untouched (not even a candidate).
-        memo.invalidate(&mut fp(0, &[1]), 2);
-        assert!(memo.get_mut(ha, &a, 2).is_some());
-        assert!(memo.get_mut(hb, &b, 2).is_none());
+        assert_eq!(memo.len(), 3);
     }
 
     #[test]
@@ -1230,41 +825,29 @@ mod tests {
         memo.set_capacity(3);
         let queries: Vec<ConjunctiveQuery> = (0..5u32).map(|v| q(&[(0, v)])).collect();
         for query in queries.iter().take(3) {
-            memo.insert(QueryMemo::hash_of(query), query, CachedEval::new(false, vec![]), 0);
+            insert(&mut memo, query, CachedEval::new(false, vec![]));
         }
         // Touch q0 so it is referenced; q1 is the first unreferenced.
-        assert!(memo.get_mut(QueryMemo::hash_of(&queries[0]), &queries[0], 0).is_some());
-        memo.insert(
-            QueryMemo::hash_of(&queries[3]),
-            &queries[3],
-            CachedEval::new(false, vec![]),
-            0,
-        );
+        assert!(cached(&mut memo, &queries[0]));
+        insert(&mut memo, &queries[3], CachedEval::new(false, vec![]));
         assert_eq!(memo.len(), 3, "capacity enforced");
-        assert!(
-            memo.get_mut(QueryMemo::hash_of(&queries[0]), &queries[0], 0).is_some(),
-            "referenced entry got its second chance"
-        );
-        assert!(
-            memo.get_mut(QueryMemo::hash_of(&queries[1]), &queries[1], 0).is_none(),
-            "first unreferenced entry evicted"
-        );
+        assert!(cached(&mut memo, &queries[0]), "referenced entry got its second chance");
+        assert!(!cached(&mut memo, &queries[1]), "first unreferenced entry evicted");
         assert!(memo.stats().evicted >= 1);
 
-        // A long distinct stream stays bounded.
+        // A long distinct stream stays bounded, slab included.
         for v in 10..200u32 {
-            let query = q(&[(1, v)]);
-            memo.insert(QueryMemo::hash_of(&query), &query, CachedEval::new(false, vec![]), 0);
+            insert(&mut memo, &q(&[(1, v)]), CachedEval::new(false, vec![]));
             assert!(memo.len() <= 3);
         }
+        assert_eq!(memo.entries.len(), 3, "evicted slab slots are reused");
     }
 
     #[test]
     fn set_capacity_evicts_down() {
         let mut memo = QueryMemo::default();
         for v in 0..10u32 {
-            let query = q(&[(0, v)]);
-            memo.insert(QueryMemo::hash_of(&query), &query, CachedEval::new(false, vec![]), 0);
+            insert(&mut memo, &q(&[(0, v)]), CachedEval::new(false, vec![]));
         }
         assert_eq!(memo.len(), 10);
         memo.set_capacity(4);
@@ -1277,366 +860,30 @@ mod tests {
         let mut memo = QueryMemo::default();
         memo.set_capacity(0);
         let query = q(&[(0, 0)]);
-        memo.insert(QueryMemo::hash_of(&query), &query, CachedEval::new(false, vec![]), 0);
+        insert(&mut memo, &query, CachedEval::new(false, vec![]));
         assert_eq!(memo.len(), 0);
-        assert!(memo.get_mut(QueryMemo::hash_of(&query), &query, 0).is_none());
+        assert!(!cached(&mut memo, &query));
     }
 
     #[test]
     fn clock_ring_stays_bounded_under_invalidate_readmit_churn() {
-        // Below capacity `evict_one` never runs, so without compaction
-        // every invalidate/re-admit cycle would leak one stale ring slot
-        // forever (the steady-state estimator workload).
+        // Every round admits an overflow entry and then deletes its page
+        // member, which drops it: the slab and both maps must not grow.
+        let store = crate::store::Store::new(1, 0);
         let mut memo = QueryMemo::default();
         let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        for round in 0..5_000u64 {
-            memo.insert(h, &query, CachedEval::new(false, vec![]), round);
-            memo.invalidate(&mut fp(0, &[0]), round + 1);
-            assert!(memo.get_mut(h, &query, round + 1).is_none());
+        let row = [ValueId(0)];
+        for round in 0..5_000u32 {
+            let mut eval = CachedEval::new(true, vec![round]);
+            eval.matched = 2;
+            insert(&mut memo, &query, eval);
+            let op = RowOp { slot: round, values: &row, score: 0, change: RowChange::Delete };
+            memo.patch(&op, 1, &store);
+            assert!(!cached(&mut memo, &query));
         }
-        assert!(
-            memo.clock.len() <= 2 * memo.buckets.len() + 64,
-            "clock ring leaked: {} slots for {} buckets",
-            memo.clock.len(),
-            memo.buckets.len()
-        );
-    }
-
-    /// Builds a one-attribute store with the given `(key, value, score)`
-    /// rows, returning the slot of each.
-    fn store_with(rows: &[(u64, u32, u64)]) -> (crate::store::Store, Vec<Slot>) {
-        use crate::tuple::Tuple;
-        use crate::value::TupleKey;
-        let mut store = crate::store::Store::new(1, 0);
-        let slots = rows
-            .iter()
-            .map(|&(key, v, score)| {
-                store.insert(Tuple::new(TupleKey(key), vec![ValueId(v)], vec![]), score).unwrap()
-            })
-            .collect();
-        (store, slots)
-    }
-
-    /// An overflow entry for `query` over `slots` with explicit
-    /// revalidation anchors.
-    fn overflow_eval(slots: Vec<Slot>, matched: usize, floor: u64) -> CachedEval {
-        let mut eval = CachedEval::new(true, slots);
-        eval.matched = matched;
-        eval.floor = floor;
-        eval
-    }
-
-    #[test]
-    fn overflow_entry_demotes_then_resurrects_when_churn_stays_below_the_floor() {
-        // Page: scores 100, 90 (floor 90); churn lands on a matching
-        // tuple scoring 10 — provably unable to enter the page.
-        let (store, slots) = store_with(&[(1, 0, 100), (2, 0, 90), (3, 0, 10)]);
-        let mut memo = QueryMemo::default();
-        let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        memo.insert(h, &query, overflow_eval(vec![slots[0], slots[1]], 5, 90), 1);
-
-        memo.invalidate(&mut fp(slots[2], &[0]), 2);
-        assert_eq!(memo.stale_len(), 1, "demoted, not dropped");
-        assert_eq!(memo.len(), 1);
-        assert_eq!(memo.stats().demoted, 1);
-        assert_eq!(memo.stats().invalidated, 0);
-        assert!(memo.get_mut(h, &query, 2).is_none(), "stale entries are never served raw");
-
-        let eval = memo.get_or_revalidate(h, &query, 2, &store).expect("resurrected");
-        assert_eq!(eval.slots, vec![slots[0], slots[1]], "same page, same order");
-        assert_eq!(memo.stale_len(), 0);
-        assert_eq!(memo.stats().resurrected, 1);
-        // Fully rehabilitated: raw lookups serve it again.
-        assert!(memo.get_mut(h, &query, 2).is_some());
-    }
-
-    #[test]
-    fn revalidation_fails_when_a_churned_tuple_reaches_the_floor() {
-        // Churned occupant scores 95 >= floor 90: it may displace a page
-        // slot, so the lookup must fall through to a re-scan.
-        let (store, slots) = store_with(&[(1, 0, 100), (2, 0, 90), (3, 0, 95)]);
-        let mut memo = QueryMemo::default();
-        let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        memo.insert(h, &query, overflow_eval(vec![slots[0], slots[1]], 5, 90), 1);
-        memo.invalidate(&mut fp(slots[2], &[0]), 2);
-        assert_eq!(memo.stale_len(), 1);
-        assert!(memo.get_or_revalidate(h, &query, 2, &store).is_none(), "refuted at lookup");
-        assert_eq!(memo.len(), 0, "refuted entries drop");
-        assert_eq!(memo.stats().revalidation_failed, 1);
-    }
-
-    #[test]
-    fn revalidation_fails_when_the_classification_margin_collapses() {
-        // matched 3 with a 2-slot page: one churned row could shrink the
-        // match count to k — the overflow classification is no longer
-        // provable, even though the churned tuple itself is gone.
-        let (mut store, slots) = store_with(&[(1, 0, 100), (2, 0, 90), (3, 0, 10)]);
-        let mut memo = QueryMemo::default();
-        let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        memo.insert(h, &query, overflow_eval(vec![slots[0], slots[1]], 3, 90), 1);
-        store.delete(crate::value::TupleKey(3)).unwrap();
-        memo.invalidate(&mut fp(slots[2], &[0]), 2);
-        assert!(memo.get_or_revalidate(h, &query, 2, &store).is_none());
-        assert_eq!(memo.stats().revalidation_failed, 1);
-    }
-
-    #[test]
-    fn page_hits_and_non_overflow_entries_still_drop_hard() {
-        let (store, slots) = store_with(&[(1, 0, 100), (2, 0, 90), (3, 0, 10)]);
-        let mut memo = QueryMemo::default();
-        let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        // A footprint touching a page slot must drop the entry outright —
-        // this is what upholds the page-integrity invariant.
-        memo.insert(h, &query, overflow_eval(vec![slots[0], slots[1]], 5, 90), 1);
-        memo.invalidate(&mut fp(slots[0], &[0]), 2);
-        assert_eq!(memo.len(), 0);
-        assert_eq!(memo.stale_len(), 0);
-        assert_eq!(memo.stats().demoted, 0);
-        assert_eq!(memo.stats().invalidated, 1);
-        // Valid (non-overflow) entries are never demoted.
-        memo.insert(h, &query, CachedEval::new(false, vec![slots[0]]), 2);
-        memo.invalidate(&mut fp(slots[2], &[0]), 3);
-        assert_eq!(memo.len(), 0);
-        assert_eq!(memo.stats().demoted, 0);
-        let _ = store;
-    }
-
-    #[test]
-    fn churn_accumulates_across_rounds_until_lookup() {
-        // Two demoting rounds before the lookup: both churned tuples must
-        // be checked, and the margin must count both rows.
-        let (store, slots) =
-            store_with(&[(1, 0, 100), (2, 0, 90), (3, 0, 10), (4, 0, 20), (5, 0, 30)]);
-        let mut memo = QueryMemo::default();
-        let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        memo.insert(h, &query, overflow_eval(vec![slots[0], slots[1]], 9, 90), 1);
-        memo.invalidate(&mut fp(slots[2], &[0]), 2);
-        memo.invalidate(&mut fp(slots[3], &[0]), 3);
-        memo.invalidate(&mut fp(slots[4], &[0]), 4);
-        assert_eq!(memo.stale_len(), 1);
-        assert_eq!(memo.stats().demoted, 1, "one transition, three accumulations");
-        assert!(memo.get_or_revalidate(h, &query, 4, &store).is_some(), "all churn below floor");
-        assert_eq!(memo.stats().resurrected, 1);
-    }
-
-    /// Regression (code-review finding): resurrection must not reset the
-    /// churn margin without also lowering `matched` to the proven lower
-    /// bound — otherwise repeated demote/resurrect cycles of below-floor
-    /// deletes "forget" earlier churn and keep serving Overflow after
-    /// the true match count has fallen to `k`.
-    #[test]
-    fn margin_is_not_double_spent_across_demote_resurrect_cycles() {
-        // k=2; matches: 100, 90 (the page), 10, 20. Two below-floor
-        // deletes across two cycles leave exactly k matches — Valid.
-        let (mut store, slots) = store_with(&[(1, 0, 100), (2, 0, 90), (3, 0, 10), (4, 0, 20)]);
-        let mut memo = QueryMemo::default();
-        let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        memo.insert(h, &query, overflow_eval(vec![slots[0], slots[1]], 4, 90), 1);
-        // Cycle 1: delete the score-10 match; margin 4-1 > 2 holds.
-        store.delete(crate::value::TupleKey(3)).unwrap();
-        memo.invalidate(&mut fp(slots[2], &[0]), 2);
-        let eval = memo.get_or_revalidate(h, &query, 2, &store).expect("cycle 1 resurrects");
-        assert_eq!(eval.matched, 3, "resurrection must keep only the proven lower bound");
-        // Cycle 2: delete the score-20 match; only k matches remain, so
-        // the entry must be refuted — Overflow is no longer provable.
-        store.delete(crate::value::TupleKey(4)).unwrap();
-        memo.invalidate(&mut fp(slots[3], &[0]), 3);
-        assert!(
-            memo.get_or_revalidate(h, &query, 3, &store).is_none(),
-            "margin must account for churn consumed by the earlier resurrection"
-        );
-        assert_eq!(memo.stats().revalidation_failed, 1);
-    }
-
-    #[test]
-    fn disabling_revalidation_restores_drop_on_invalidate() {
-        let (store, slots) = store_with(&[(1, 0, 100), (2, 0, 90), (3, 0, 10)]);
-        let mut memo = QueryMemo::default();
-        memo.set_revalidate(false);
-        assert!(!memo.revalidate_enabled());
-        let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        memo.insert(h, &query, overflow_eval(vec![slots[0], slots[1]], 5, 90), 1);
-        memo.invalidate(&mut fp(slots[2], &[0]), 2);
-        assert_eq!(memo.len(), 0, "PR 2 semantics: affected entries drop");
-        assert_eq!(memo.stats().demoted, 0);
-        let _ = store;
-    }
-
-    #[test]
-    fn demotion_unlinks_from_the_posting_index_and_resurrection_relinks() {
-        // The PR 6 throughput fix: a parked stale entry must not appear
-        // in `by_posting`, so pure-mutation passes never walk it.
-        let (store, slots) = store_with(&[(1, 0, 100), (2, 0, 90), (3, 0, 10)]);
-        let mut memo = QueryMemo::default();
-        let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        let key = pack_posting(AttrId(0), ValueId(0));
-        memo.insert(h, &query, overflow_eval(vec![slots[0], slots[1]], 5, 90), 1);
-        assert!(memo.by_posting.get(&key).is_some_and(|v| v.contains(&h)));
-        memo.invalidate(&mut fp(slots[2], &[0]), 2);
-        assert_eq!(memo.stale_len(), 1);
-        assert!(
-            memo.by_posting.get(&key).is_none_or(|v| !v.contains(&h)),
-            "stale entries must leave the posting index"
-        );
-        assert!(memo.get_or_revalidate(h, &query, 2, &store).is_some(), "resurrects");
-        assert!(
-            memo.by_posting.get(&key).is_some_and(|v| v.contains(&h)),
-            "resurrection must re-enter the posting index"
-        );
-        // And invalidation reaches it again afterwards: a page hit drops.
-        memo.invalidate(&mut fp(slots[0], &[0]), 3);
-        assert_eq!(memo.len(), 0);
-    }
-
-    #[test]
-    fn journal_replay_charges_churn_missed_while_unlinked() {
-        // matched 9, page of 2: three below-floor single-row mutations
-        // after demotion leave margin 9-3 > 2 — resurrect with the full
-        // charge folded in from the journal (the entry was unlinked for
-        // mutations 2 and 3).
-        let (store, slots) =
-            store_with(&[(1, 0, 100), (2, 0, 90), (3, 0, 10), (4, 0, 20), (5, 0, 30)]);
-        let mut memo = QueryMemo::default();
-        let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        memo.insert(h, &query, overflow_eval(vec![slots[0], slots[1]], 9, 90), 1);
-        memo.invalidate(&mut fp(slots[2], &[0]), 2);
-        memo.invalidate(&mut fp(slots[3], &[0]), 3);
-        memo.invalidate(&mut fp(slots[4], &[0]), 4);
-        let eval = memo.get_or_revalidate(h, &query, 4, &store).expect("margin holds");
-        assert_eq!(
-            eval.matched, 6,
-            "all three churned rows must be charged, not just the demoting one"
-        );
-    }
-
-    #[test]
-    fn journalled_page_hit_drops_the_stale_entry_at_lookup() {
-        // After demotion the entry is unlinked, so a later mutation that
-        // touches one of its page slots cannot hard-drop it at mutation
-        // time — the journal replay must deliver that verdict at lookup.
-        let (store, slots) = store_with(&[(1, 0, 100), (2, 0, 90), (3, 0, 10)]);
-        let mut memo = QueryMemo::default();
-        let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        memo.insert(h, &query, overflow_eval(vec![slots[0], slots[1]], 9, 90), 1);
-        memo.invalidate(&mut fp(slots[2], &[0]), 2);
-        assert_eq!(memo.stale_len(), 1);
-        memo.invalidate(&mut fp(slots[0], &[0]), 3);
-        assert_eq!(memo.stale_len(), 1, "page hit is deferred, not applied at mutation time");
-        assert!(memo.get_or_revalidate(h, &query, 3, &store).is_none(), "refuted at lookup");
-        assert_eq!(memo.len(), 0);
-        assert_eq!(memo.stats().revalidation_failed, 1);
-    }
-
-    #[test]
-    fn journal_eviction_forfeits_resurrection() {
-        // Blow past the journal's entry cap with mutations that cannot
-        // have affected the parked entry: coverage of its demotion
-        // version is lost, so the lookup must refuse to resurrect.
-        let (store, slots) = store_with(&[(1, 0, 100), (2, 0, 90), (3, 0, 10)]);
-        let mut memo = QueryMemo::default();
-        let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        memo.insert(h, &query, overflow_eval(vec![slots[0], slots[1]], 1000, 90), 1);
-        memo.invalidate(&mut fp(slots[2], &[0]), 2);
-        for i in 0..(JOURNAL_ENTRIES_MAX as u64 + 8) {
-            // Distinct value, untouched pages: irrelevant to the entry.
-            memo.invalidate(&mut fp(1_000 + i as u32, &[7]), 3 + i);
-        }
-        assert!(
-            memo.get_or_revalidate(h, &query, JOURNAL_ENTRIES_MAX as u64 + 16, &store).is_none(),
-            "evicted journal coverage must fail closed"
-        );
-        assert_eq!(memo.stats().revalidation_failed, 1);
-    }
-
-    #[test]
-    fn revalidation_toggle_poisons_journal_coverage() {
-        // Mutations during an off window are not journalled; an entry
-        // demoted before the window must not resurrect with that gap
-        // unaccounted, even if every mutation stayed below the floor.
-        let (store, slots) = store_with(&[(1, 0, 100), (2, 0, 90), (3, 0, 10), (4, 0, 20)]);
-        let mut memo = QueryMemo::default();
-        let query = q(&[(0, 0)]);
-        let h = QueryMemo::hash_of(&query);
-        memo.insert(h, &query, overflow_eval(vec![slots[0], slots[1]], 9, 90), 1);
-        memo.invalidate(&mut fp(slots[2], &[0]), 2);
-        assert_eq!(memo.stale_len(), 1);
-        memo.set_revalidate(false);
-        memo.invalidate(&mut fp(slots[3], &[0]), 3);
-        memo.set_revalidate(true);
-        assert!(
-            memo.get_or_revalidate(h, &query, 3, &store).is_none(),
-            "the off-window mutation left an unjournalled gap"
-        );
-    }
-
-    #[test]
-    fn touched_tracking_spills_from_slots_to_segments_to_unbounded() {
-        let mut touched = TouchedSet::Empty;
-        let mut footprint = UpdateFootprint::default();
-        // Few slots: exact tracking.
-        for slot in 0..4u32 {
-            footprint.record(slot, &[ValueId(0)]);
-        }
-        footprint.seal();
-        touched.absorb(&footprint);
-        assert!(matches!(&touched, TouchedSet::Slots(v) if v.len() == 4));
-        // One footprint past the raw slot cap within one segment: the
-        // overflow triggers compaction, which spills to segments.
-        let mut footprint = UpdateFootprint::default();
-        for slot in 0..(RAW_SLOTS_MAX as u32 + 8) {
-            footprint.record(slot, &[ValueId(0)]);
-        }
-        footprint.seal();
-        touched.absorb(&footprint);
-        touched.compact();
-        assert!(matches!(&touched, TouchedSet::Segments(v) if v.len() == 1));
-        // Blow past the raw segment cap: unbounded.
-        let mut footprint = UpdateFootprint::default();
-        for seg in 0..(RAW_SEGS_MAX as u32 + 8) {
-            footprint.record(seg * crate::store::SEGMENT_SLOTS as u32, &[ValueId(0)]);
-        }
-        footprint.seal();
-        touched.absorb(&footprint);
-        assert!(matches!(touched, TouchedSet::Unbounded));
-        // Unbounded absorbs anything and stays unbounded.
-        touched.absorb(&footprint);
-        assert!(matches!(touched, TouchedSet::Unbounded));
-    }
-
-    #[test]
-    fn touched_tracking_amortises_absorbs_and_stays_bounded() {
-        // The PR 6 throughput fix: repeated small absorptions must not
-        // sort/dedup each time, yet the raw buffer must stay bounded and
-        // the unique-slot classification must survive compaction.
-        let mut touched = TouchedSet::Empty;
-        let mut footprint = UpdateFootprint::default();
-        for slot in 0..4u32 {
-            footprint.record(slot, &[ValueId(0)]);
-        }
-        footprint.seal();
-        for _ in 0..10_000 {
-            touched.absorb(&footprint);
-            match &touched {
-                TouchedSet::Slots(v) => {
-                    assert!(v.len() <= RAW_SLOTS_MAX + 4, "raw buffer leaked: {}", v.len())
-                }
-                other => panic!("4 unique slots must stay at the Slots level, got {other:?}"),
-            }
-        }
-        touched.compact();
-        assert!(matches!(&touched, TouchedSet::Slots(v) if v.len() == 4));
+        assert_eq!(memo.entries.len(), 1, "dropped slab slots are reused");
+        assert!(memo.buckets.is_empty() && memo.by_posting.is_empty());
+        assert_eq!(memo.stats().invalidated, 5_000);
     }
 
     #[test]
@@ -1645,13 +892,410 @@ mod tests {
         memo.set_capacity(1);
         let a = q(&[(0, 0)]);
         let b = q(&[(0, 1)]);
-        memo.insert(QueryMemo::hash_of(&a), &a, CachedEval::new(false, vec![]), 0);
-        memo.insert(QueryMemo::hash_of(&b), &b, CachedEval::new(false, vec![]), 0);
+        insert(&mut memo, &a, CachedEval::new(false, vec![]));
+        insert(&mut memo, &b, CachedEval::new(false, vec![]));
         assert_eq!(memo.len(), 1);
-        // Re-admit `a`, then invalidate its posting: exactly one entry
-        // must drop (no double-unlink damage from the earlier eviction).
-        memo.insert(QueryMemo::hash_of(&a), &a, CachedEval::new(false, vec![]), 1);
-        memo.invalidate(&mut fp(0, &[0]), 2);
-        assert!(memo.get_mut(QueryMemo::hash_of(&a), &a, 2).is_none());
+        insert(&mut memo, &a, CachedEval::new(false, vec![]));
+        // Exactly one live entry is filed, under `a`'s posting.
+        let filed: usize = memo.by_posting.values().map(Vec::len).sum();
+        assert_eq!(filed, 1);
+        assert!(memo.by_posting.contains_key(&pack_posting(AttrId(0), ValueId(0))));
+        assert_eq!(memo.buckets.values().map(Vec::len).sum::<usize>(), 1);
+    }
+
+    // ----- patch rules, each checked against a memo-disabled twin ------
+
+    /// A database with the memo plus its memo-free oracle, fed the same
+    /// ops. Schema `[3, 4]` with one measure.
+    struct Twin {
+        db: HiddenDatabase,
+        oracle: HiddenDatabase,
+    }
+
+    impl Twin {
+        fn new(k: usize, scoring: ScoringPolicy) -> Self {
+            let schema = Schema::with_domain_sizes(&[3, 4], &["m"]).unwrap();
+            let db = HiddenDatabase::new(schema.clone(), k, scoring);
+            let mut oracle = HiddenDatabase::new(schema, k, scoring);
+            oracle.set_invalidation_policy(InvalidationPolicy::Disabled);
+            Self { db, oracle }
+        }
+
+        /// Applies `batch` to both; returns whether it succeeded.
+        fn apply(&mut self, batch: UpdateBatch) -> bool {
+            let got = self.db.apply(batch.clone());
+            let want = self.oracle.apply(batch);
+            assert_eq!(got, want, "apply diverged");
+            got.is_ok()
+        }
+
+        fn insert(&mut self, key: u64, a0: u32, a1: u32, m: f64) {
+            let t = Tuple::new(TupleKey(key), vec![ValueId(a0), ValueId(a1)], vec![m]);
+            assert!(self.apply(UpdateBatch::empty().insert(t)));
+        }
+
+        fn delete(&mut self, key: u64) {
+            assert!(self.apply(UpdateBatch::empty().delete(TupleKey(key))));
+        }
+
+        fn rescore(&mut self, key: u64, m: f64) {
+            assert!(self.apply(UpdateBatch::empty().update_measures(TupleKey(key), vec![m])));
+        }
+
+        /// Asks `query` of both and asserts bit-identical answers.
+        /// Returns the answer and whether the memo served it warm.
+        fn ask(&mut self, query: &ConjunctiveQuery) -> (QueryOutcome, bool) {
+            let hits = self.db.stats().cache_hits;
+            let got = self.db.answer(query);
+            let want = self.oracle.answer(query);
+            assert_eq!(got, want, "{query}: memo diverged from the oracle");
+            for (g, w) in got.tuples().zip(want.tuples()) {
+                for (gm, wm) in g.measures().iter().zip(w.measures()) {
+                    assert_eq!(gm.to_bits(), wm.to_bits());
+                }
+            }
+            (got, self.db.stats().cache_hits > hits)
+        }
+    }
+
+    fn keys(out: &QueryOutcome) -> Vec<u64> {
+        out.keys().map(|k| k.0).collect()
+    }
+
+    const BY_M: ScoringPolicy = ScoringPolicy::ByMeasureDesc(MeasureId(0));
+
+    #[test]
+    fn underflow_becomes_valid_on_a_matching_insert() {
+        let mut t = Twin::new(2, BY_M);
+        let probe = q(&[(0, 1)]);
+        assert!(t.ask(&probe).0.is_underflow());
+        t.insert(1, 1, 0, 5.0);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit && out.is_valid());
+        assert_eq!(keys(&out), vec![1]);
+    }
+
+    #[test]
+    fn valid_stays_valid_through_inserts_deletes_and_rescores() {
+        let mut t = Twin::new(3, BY_M);
+        let probe = q(&[(0, 0)]);
+        t.insert(1, 0, 0, 5.0);
+        t.ask(&probe);
+        t.insert(2, 0, 1, 9.0);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit && out.is_valid());
+        assert_eq!(keys(&out), vec![2, 1]);
+        t.rescore(1, 20.0);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit);
+        assert_eq!(keys(&out), vec![1, 2], "a valid page re-sorts");
+        t.delete(2);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit);
+        assert_eq!(keys(&out), vec![1]);
+        t.delete(1);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit && out.is_underflow());
+    }
+
+    #[test]
+    fn valid_overflows_at_k_plus_one() {
+        let mut t = Twin::new(2, BY_M);
+        let probe = q(&[(0, 0)]);
+        t.insert(1, 0, 0, 5.0);
+        t.insert(2, 0, 1, 7.0);
+        assert!(t.ask(&probe).0.is_valid());
+        t.insert(3, 0, 2, 6.0);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit && out.is_overflow());
+        assert_eq!(keys(&out), vec![2, 3]);
+    }
+
+    #[test]
+    fn overflow_becomes_valid_at_exactly_k() {
+        let mut t = Twin::new(2, BY_M);
+        let probe = q(&[(0, 0)]);
+        for (key, m) in [(1, 5.0), (2, 7.0), (3, 6.0), (4, 1.0)] {
+            t.insert(key, 0, 0, m);
+        }
+        assert!(t.ask(&probe).0.is_overflow());
+        // Off-page deletes lower the exact count: 3 > k still overflows,
+        // 2 == k turns valid with the same page.
+        t.delete(4);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit && out.is_overflow());
+        t.delete(1);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit && out.is_valid());
+        assert_eq!(keys(&out), vec![2, 3]);
+    }
+
+    #[test]
+    fn overflow_takes_an_insert_only_above_its_last_member() {
+        let mut t = Twin::new(2, BY_M);
+        let probe = q(&[(1, 0)]);
+        for (key, m) in [(1, 5.0), (2, 7.0), (3, 6.0)] {
+            t.insert(key, 0, 0, m);
+        }
+        t.ask(&probe);
+        t.insert(4, 1, 0, 1.0);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit);
+        assert_eq!(keys(&out), vec![2, 3], "below the last member: page unchanged");
+        t.insert(5, 2, 0, 6.5);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit);
+        assert_eq!(keys(&out), vec![2, 5], "above it: the last member leaves");
+    }
+
+    #[test]
+    fn invalidation_drops_entries_whose_page_contains_a_touched_slot() {
+        let mut t = Twin::new(2, BY_M);
+        let probe = q(&[(0, 0)]);
+        for (key, m) in [(1, 5.0), (2, 7.0), (3, 6.0)] {
+            t.insert(key, 0, 0, m);
+        }
+        t.ask(&probe);
+        t.delete(3);
+        let (out, hit) = t.ask(&probe);
+        assert!(!hit, "the third-best match was unknown: evaluate from cold");
+        assert_eq!(keys(&out), vec![2, 1]);
+        assert_eq!(t.db.memo_stats().invalidated, 1);
+    }
+
+    #[test]
+    fn a_falling_page_member_drops_and_a_rising_one_re_sorts() {
+        let mut t = Twin::new(2, BY_M);
+        let probe = q(&[(0, 0)]);
+        for (key, m) in [(1, 5.0), (2, 7.0), (3, 6.0)] {
+            t.insert(key, 0, 0, m);
+        }
+        t.ask(&probe);
+        t.rescore(3, 8.0);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit, "a rising member stays on the page");
+        assert_eq!(keys(&out), vec![3, 2]);
+        t.rescore(2, 7.0);
+        assert!(t.ask(&probe).1, "an unchanged score only refreshes the page copy");
+        t.rescore(2, 0.5);
+        let (out, hit) = t.ask(&probe);
+        assert!(!hit, "a falling member may drop below an unknown match");
+        assert_eq!(keys(&out), vec![3, 1]);
+    }
+
+    #[test]
+    fn an_off_page_row_rising_onto_the_page_evicts_the_last_member() {
+        let mut t = Twin::new(2, BY_M);
+        let probe = q(&[(0, 0)]);
+        for (key, m) in [(1, 5.0), (2, 7.0), (3, 6.0), (4, 1.0)] {
+            t.insert(key, 0, 0, m);
+        }
+        t.ask(&probe);
+        t.rescore(4, 2.0);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit);
+        assert_eq!(keys(&out), vec![2, 3], "still below the last member");
+        t.rescore(4, 9.0);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit);
+        assert_eq!(keys(&out), vec![4, 2]);
+    }
+
+    /// Several rounds of churn below the last member are each patched,
+    /// so the first lookup after them is still a hit.
+    #[test]
+    fn churn_accumulates_across_rounds_until_lookup() {
+        let mut t = Twin::new(2, BY_M);
+        let probe = q(&[(0, 0)]);
+        for (key, m) in [(1, 5.0), (2, 7.0), (3, 6.0), (4, 1.0), (5, 2.0)] {
+            t.insert(key, 0, 0, m);
+        }
+        t.ask(&probe);
+        t.insert(6, 0, 3, 0.5);
+        t.delete(4);
+        t.rescore(5, 3.0);
+        t.rescore(1, 0.0);
+        t.insert(7, 1, 0, 9.0);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit && out.is_overflow());
+        assert_eq!(keys(&out), vec![2, 3]);
+    }
+
+    fn page_of(out: &QueryOutcome) -> &std::sync::Arc<crate::tuple::Page> {
+        match out {
+            QueryOutcome::Valid(page) | QueryOutcome::Overflow(page) => page,
+            QueryOutcome::Underflow => panic!("an underflow has no page"),
+        }
+    }
+
+    /// An entry the op's walk checks and keeps is brought up to date with
+    /// the op, and its page is copied afresh only when the patch changed
+    /// it. An entry the walk never checks keeps sharing its old page.
+    #[test]
+    fn survivors_are_restamped_when_checked() {
+        use std::sync::Arc;
+        let mut t = Twin::new(2, BY_M);
+        let a = q(&[(0, 0)]);
+        let b = q(&[(0, 1)]);
+        for (key, a0, m) in [(1, 0, 5.0), (2, 0, 7.0), (3, 0, 6.0), (4, 1, 5.0), (5, 1, 7.0)] {
+            t.insert(key, a0, 0, m);
+        }
+        t.insert(6, 1, 0, 6.0);
+        let (first_a, _) = t.ask(&a);
+        let (first_b, _) = t.ask(&b);
+        t.insert(7, 1, 1, 0.5);
+        let (out, hit) = t.ask(&b);
+        assert!(hit);
+        assert!(Arc::ptr_eq(page_of(&out), page_of(&first_b)), "below the last member");
+        t.insert(8, 1, 2, 6.5);
+        let (out, hit) = t.ask(&b);
+        assert!(hit);
+        assert_eq!(keys(&out), vec![5, 8]);
+        assert!(!Arc::ptr_eq(page_of(&out), page_of(&first_b)), "the patched page is new");
+        let (out, hit) = t.ask(&a);
+        assert!(hit);
+        assert!(Arc::ptr_eq(page_of(&out), page_of(&first_a)), "never checked, never copied");
+    }
+
+    #[test]
+    fn a_slot_freed_and_refilled_in_one_batch_needs_no_special_case() {
+        let mut t = Twin::new(3, BY_M);
+        let probe = q(&[(0, 0)]);
+        let other = q(&[(0, 2)]);
+        t.insert(1, 0, 0, 5.0);
+        t.insert(2, 0, 1, 7.0);
+        t.ask(&probe);
+        t.ask(&other);
+        // Deletes apply before inserts, so key 3 takes key 1's slot.
+        let batch = UpdateBatch::empty().delete(TupleKey(1)).insert(Tuple::new(
+            TupleKey(3),
+            vec![ValueId(2), ValueId(0)],
+            vec![9.0],
+        ));
+        assert!(t.apply(batch));
+        let (out, hit) = t.ask(&probe);
+        assert!(hit);
+        assert_eq!(keys(&out), vec![2]);
+        let (out, hit) = t.ask(&other);
+        assert!(hit);
+        assert_eq!(keys(&out), vec![3]);
+    }
+
+    #[test]
+    fn a_failed_batch_leaves_its_applied_prefix_patched() {
+        let mut t = Twin::new(3, BY_M);
+        let probe = q(&[(0, 0)]);
+        t.insert(1, 0, 0, 5.0);
+        t.insert(2, 0, 1, 7.0);
+        t.ask(&probe);
+        let batch = UpdateBatch::empty()
+            .delete(TupleKey(1))
+            .update_measures(TupleKey(2), vec![1.0])
+            .update_measures(TupleKey(99), vec![1.0]);
+        assert!(!t.apply(batch), "the unknown key fails the batch");
+        let (out, hit) = t.ask(&probe);
+        assert!(hit);
+        assert_eq!(keys(&out), vec![2]);
+        assert_eq!(out.tuples().next().unwrap().measure(MeasureId(0)), 1.0);
+    }
+
+    #[test]
+    fn zero_k_entries_stay_exact() {
+        let mut t = Twin::new(0, BY_M);
+        let probe = q(&[(0, 0)]);
+        t.ask(&probe);
+        t.insert(1, 0, 0, 5.0);
+        t.insert(2, 0, 0, 6.0);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit && out.is_underflow(), "k = 0 pages are always empty");
+        t.rescore(1, 9.0);
+        t.delete(2);
+        t.delete(1);
+        assert!(t.ask(&probe).1);
+        t.insert(3, 0, 0, 1.0);
+        assert!(t.ask(&probe).1);
+    }
+
+    #[test]
+    fn the_root_entry_sees_every_row() {
+        let mut t = Twin::new(2, BY_M);
+        let root = ConjunctiveQuery::select_all();
+        t.ask(&root);
+        for (key, a0, a1, m) in [(1, 0, 0, 5.0), (2, 1, 3, 7.0), (3, 2, 1, 6.0)] {
+            t.insert(key, a0, a1, m);
+            assert!(t.ask(&root).1);
+        }
+        assert_eq!(keys(&t.ask(&root).0), vec![2, 3]);
+    }
+
+    /// An overflow class resting on a lower-bound count holds only while
+    /// the bound exceeds `k`. An off-page delete that brings the bound to
+    /// `k` leaves the true count anywhere from `k` up, so the entry drops;
+    /// the same delete under an exact count turns it valid, same page.
+    #[test]
+    fn revalidation_fails_when_the_classification_margin_collapses() {
+        let mut store = crate::store::Store::new(1, 0);
+        let mut slot = |key: u64, score: u64| {
+            store.insert(Tuple::new(TupleKey(key), vec![ValueId(0)], vec![]), score).unwrap()
+        };
+        let (a, b, c) = (slot(1, 100), slot(2, 90), slot(3, 10));
+        store.delete(TupleKey(3)).unwrap();
+        let query = q(&[(0, 0)]);
+        let row = [ValueId(0)];
+        let op = RowOp { slot: c, values: &row, score: 10, change: RowChange::Delete };
+        for (matched, exact, want) in
+            [(4, false, Some((true, 3))), (3, false, None), (3, true, Some((false, 2)))]
+        {
+            let mut memo = QueryMemo::default();
+            let mut eval = CachedEval::new(true, vec![a, b]);
+            (eval.matched, eval.exact) = (matched, exact);
+            insert(&mut memo, &query, eval);
+            memo.patch(&op, 2, &store);
+            let got = memo.get_mut(QueryMemo::hash_of(&query), &query).map(|e| {
+                assert_eq!(e.slots, vec![a, b], "an off-page delete keeps the page");
+                (e.overflow, e.matched)
+            });
+            assert_eq!(got, want, "matched {matched}, exact {exact}");
+            assert_eq!(memo.stats().invalidated, u64::from(want.is_none()));
+        }
+    }
+
+    /// An early exit leaves the count a lower bound: off-page deletes
+    /// keep the entry only while the bound stays above `k`, so the class
+    /// is never decided on a guess. Needs two segments, since exits skip
+    /// whole segments.
+    #[test]
+    fn early_exit_counts_are_bounds_that_drop_before_reaching_k() {
+        let k = 5;
+        let mut t = Twin::new(k, ScoringPolicy::NewestFirst);
+        let probe = q(&[(0, 0)]);
+        // 20 old matches in segment 0, padding, then 10 new matches in
+        // segment 1: the scan of segment 1 proves the page.
+        let segment = crate::store::SEGMENT_SLOTS as u64;
+        let mut matches = Vec::new();
+        let mut batch = UpdateBatch::empty();
+        for key in 0..segment + 10 {
+            let a0 = if key < 20 || key >= segment { 0 } else { 1 };
+            if a0 == 0 {
+                matches.push(key);
+            }
+            let values = vec![ValueId(a0), ValueId(0)];
+            batch = batch.insert(Tuple::new(TupleKey(key), values, vec![0.0]));
+        }
+        assert!(t.apply(batch));
+        let exits = t.db.eval_stats().early_exits;
+        assert!(t.ask(&probe).0.is_overflow());
+        assert_eq!(t.db.eval_stats().early_exits, exits + 1, "the scan stopped early");
+        // Delete off-page matches, oldest first, until k remain.
+        let mut hits = 0;
+        for &victim in &matches[..matches.len() - k] {
+            t.delete(victim);
+            let (_, hit) = t.ask(&probe);
+            hits += usize::from(hit);
+        }
+        let (out, _) = t.ask(&probe);
+        assert!(out.is_valid());
+        assert!(hits > 0, "deletes above the bound are patched");
+        assert!(t.db.memo_stats().invalidated > 0, "a bound reaching k drops the entry");
     }
 }

@@ -104,7 +104,8 @@ impl DbSnapshot {
     ///
     /// # Panics
     /// If the query references attributes/values outside the schema —
-    /// a caller bug, as in [`HiddenDatabase::answer`].
+    /// a caller bug, as in [`HiddenDatabase::answer`]. Sessions validate
+    /// first and return [`IssueError::InvalidQuery`] instead.
     pub fn answer(&self, query: &ConjunctiveQuery, eval_stats: &mut EvalStats) -> QueryOutcome {
         query.validate(&self.schema).expect("search query must be valid for the schema");
         let mut eval =
@@ -381,8 +382,9 @@ impl SearchBackend for ServiceSession {
     }
 
     fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError> {
-        // Charge first, exactly like `SearchSession::issue` — budget
-        // accounting must be bit-identical to the private path.
+        // Validate, then charge, exactly like `SearchSession::issue` —
+        // budget accounting must be bit-identical to the private path.
+        query.validate(self.snap.schema()).map_err(|_| IssueError::InvalidQuery)?;
         self.budget.charge()?;
         self.stats.answered += 1;
         let epoch = self.snap.epoch();
@@ -523,6 +525,20 @@ mod tests {
         }
         assert!(svc.issue(&root).unwrap_err().is_budget());
         assert!(classic.issue(&root).unwrap_err().is_budget());
+    }
+
+    #[test]
+    fn an_out_of_domain_query_is_refused_without_charge() {
+        use crate::query::Predicate;
+        use crate::value::AttrId;
+        let service = DbService::new(seed_db(50));
+        let mut s = service.session(2);
+        let bad = ConjunctiveQuery::from_predicates([Predicate::new(AttrId(0), ValueId(99))]);
+        assert_eq!(s.issue(&bad).unwrap_err(), IssueError::InvalidQuery);
+        assert_eq!(s.spent(), 0, "nothing charged");
+        let good = ConjunctiveQuery::from_predicates([Predicate::new(AttrId(0), ValueId(0))]);
+        assert!(s.issue(&good).unwrap().is_overflow());
+        assert_eq!(s.spent(), 1);
     }
 
     #[test]

@@ -26,11 +26,11 @@ pub trait SearchBackend {
 
     /// Issues one search query, charging one unit of budget.
     ///
-    /// Since PR 6 the error type is the full [`IssueError`] taxonomy:
-    /// an in-process session only ever raises
-    /// [`IssueError::BudgetExhausted`], but fault-injecting and remote
-    /// adapters surface transient errors, rate limits, and timeouts
-    /// through the same signature.
+    /// The error type is the full [`IssueError`] taxonomy: an in-process
+    /// session raises [`IssueError::BudgetExhausted`], and
+    /// [`IssueError::InvalidQuery`] without charging for a query outside
+    /// the schema; fault-injecting and remote adapters surface transient
+    /// errors, rate limits, and timeouts through the same signature.
     fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError>;
 
     /// Queries remaining in this round's budget.
@@ -74,6 +74,7 @@ impl SearchBackend for SearchSession<'_> {
     }
 
     fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError> {
+        query.validate(self.db.schema()).map_err(|_| IssueError::InvalidQuery)?;
         self.budget.charge()?;
         Ok(self.db.answer(query))
     }
@@ -113,8 +114,22 @@ mod tests {
         assert!(s.issue(&root).is_ok());
         assert_eq!(s.remaining(), 0);
         let err = s.issue(&root).unwrap_err();
-        assert!(err.is_budget(), "a plain session only ever raises budget errors: {err}");
+        assert!(err.is_budget(), "an exhausted session raises budget errors: {err}");
         assert_eq!(s.spent(), 2);
+    }
+
+    #[test]
+    fn an_out_of_domain_query_is_refused_without_charge() {
+        use crate::query::Predicate;
+        use crate::value::AttrId;
+        let mut d = db();
+        let mut s = SearchSession::new(&mut d, 2);
+        let bad = ConjunctiveQuery::from_predicates([Predicate::new(AttrId(0), ValueId(99))]);
+        assert_eq!(s.issue(&bad).unwrap_err(), IssueError::InvalidQuery);
+        assert_eq!(s.spent(), 0, "nothing charged");
+        let good = ConjunctiveQuery::from_predicates([Predicate::new(AttrId(0), ValueId(0))]);
+        assert_eq!(s.issue(&good).unwrap().returned_count(), 3);
+        assert_eq!(s.spent(), 1);
     }
 
     #[test]

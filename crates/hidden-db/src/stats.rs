@@ -63,32 +63,34 @@ pub struct EvalStats {
     pub pivot_advances: u64,
 }
 
-/// Counters describing the query memo's lifecycle: what the invalidation
-/// policy dropped, what the admission policy evicted, and what the
-/// cross-round revalidation path saved.
+/// Counters describing the query memo's lifecycle: what admission let
+/// in, what patching had to drop, and what the admission policy evicted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Entries admitted into the memo.
     pub insertions: u64,
-    /// Entries dropped by postings-aware incremental invalidation.
+    /// Entries a row change could not keep exact: an overflow page lost
+    /// a member or a member's score fell, or a lower-bound count reached
+    /// `k`.
     pub invalidated: u64,
-    /// Entries that survived at least one incremental invalidation pass
-    /// (summed over passes: an entry surviving `n` mutations counts `n`
-    /// times — the "warm rounds saved" currency).
+    /// Entries alive after each incremental mutation, summed over
+    /// mutations (an entry outliving `n` mutations counts `n` times —
+    /// the "warm rounds saved" currency).
     pub retained: u64,
     /// Entries evicted by the bounded admission (CLOCK) policy.
     pub evicted: u64,
     /// Wholesale clears (policy [`Wholesale`](crate::InvalidationPolicy),
     /// `set_k`, or policy switches).
     pub wholesale_clears: u64,
-    /// Overflow entries demoted to `Stale` (kept for revalidation)
-    /// instead of being dropped by an invalidation pass.
+    /// Always 0: patching replaced stale-entry revalidation. Kept only
+    /// because the benchmark in `trackbench/` reads it; a later change to
+    /// the benchmark removes it.
     pub demoted: u64,
-    /// Stale entries resurrected by the lookup-time score/bound re-check
-    /// — each one a full re-scan saved.
+    /// Always 0, like [`MemoStats::demoted`] (read by the benchmark; a
+    /// later change to the benchmark removes it).
     pub resurrected: u64,
-    /// Stale entries whose re-check failed at lookup (dropped, then
-    /// re-evaluated from cold).
+    /// Always 0, like [`MemoStats::demoted`] (read by the benchmark; a
+    /// later change to the benchmark removes it).
     pub revalidation_failed: u64,
 }
 

@@ -50,7 +50,7 @@ use std::sync::Arc;
 
 use crate::errors::DbError;
 use crate::persist::Pager;
-use crate::tuple::{Tuple, TupleView};
+use crate::tuple::{Page, Tuple};
 use crate::value::{TupleKey, ValueId};
 
 /// Slot index within the store. Internal; never exposed through the
@@ -491,13 +491,20 @@ impl StoreCore {
         suffix
     }
 
-    /// Materialises a read-only view of the tuple at `slot`.
-    pub fn view(&self, slot: Slot) -> TupleView {
-        let (seg, off) = locate(slot);
-        let data = self.seg_view(seg);
-        let values: Box<[ValueId]> = data.columns.iter().map(|col| ValueId(col[off])).collect();
-        let measures: Box<[f64]> = data.measures.iter().map(|col| col[off]).collect();
-        TupleView::new(TupleKey(data.keys[off]), values, measures)
+    /// Copies the tuples at `slots`, in order, into one flat result page.
+    pub fn page(&self, slots: &[Slot]) -> Page {
+        let (attrs, ms) = (self.attr_count, self.measure_count);
+        let mut keys = Vec::with_capacity(slots.len());
+        let mut values = Vec::with_capacity(slots.len() * attrs);
+        let mut measures = Vec::with_capacity(slots.len() * ms);
+        for &slot in slots {
+            let (seg, off) = locate(slot);
+            let data = self.seg_view(seg);
+            keys.push(TupleKey(data.keys[off]));
+            values.extend(data.columns.iter().map(|col| ValueId(col[off])));
+            measures.extend(data.measures.iter().map(|col| col[off]));
+        }
+        Page::from_columns(keys, values, measures, attrs, ms)
     }
 
     /// Iterates over the slots of all alive tuples.
@@ -865,9 +872,11 @@ mod tests {
         assert_eq!(s.measure_at(0, slot), 5.0);
         assert_eq!(s.score_at(slot), 99);
         assert_eq!(s.key_at(slot), TupleKey(1));
-        let v = s.view(slot);
+        let page = s.page(&[slot]);
+        let v = page.iter().next().unwrap();
         assert_eq!(v.key(), TupleKey(1));
         assert_eq!(v.values(), &[ValueId(0), ValueId(1)]);
+        assert_eq!(v.measures(), &[5.0]);
     }
 
     #[test]

@@ -1,11 +1,8 @@
 //! Batched updates: the unit of change between rounds (round-update model,
-//! §2.1) or at arbitrary instants (constant-update model, §5.2) — plus the
-//! [`UpdateFootprint`] an applied batch leaves behind, which drives the
-//! query memo's postings-aware incremental invalidation.
+//! §2.1) or at arbitrary instants (constant-update model, §5.2).
 
-use crate::store::Slot;
 use crate::tuple::Tuple;
-use crate::value::{AttrId, TupleKey, ValueId};
+use crate::value::TupleKey;
 
 /// A set of modifications applied atomically to the database.
 ///
@@ -59,124 +56,6 @@ impl UpdateBatch {
     }
 }
 
-/// The set of postings (and slots) a mutation actually touched.
-///
-/// Every elementary change records the full `(attribute, value)` row of the
-/// tuple it affected: the values of an inserted or deleted tuple, and the
-/// values of a tuple whose measures — hence possibly its hidden rank score
-/// — changed in place. A cached query can only have gained, lost, or
-/// reordered results if one of the touched tuples *matches* it, and a tuple
-/// matches a query exactly when the query's predicate set is a subset of
-/// the tuple's postings. The memo therefore drops a cached entry iff its
-/// predicate set intersects this footprint (the root query, whose predicate
-/// set is empty, is affected by any non-empty footprint), plus — belt and
-/// braces — any entry whose cached result page contains a touched slot.
-///
-/// The footprint is accumulated op by op while a batch applies, so a batch
-/// that fails mid-way still describes exactly the prefix that *did* apply.
-#[derive(Debug, Clone, Default)]
-pub struct UpdateFootprint {
-    /// Touched `(attr, value)` postings; sorted + deduped by [`Self::seal`].
-    postings: Vec<(AttrId, ValueId)>,
-    /// Touched slots; sorted + deduped by [`Self::seal`].
-    slots: Vec<Slot>,
-    /// Rows recorded since the last clear — a single-row footprint (the
-    /// single-op mutation hot path) is sorted by construction, so its
-    /// seal is O(1).
-    rows: usize,
-    sealed: bool,
-}
-
-impl UpdateFootprint {
-    /// Records one touched tuple: its slot and its full value row in
-    /// schema order. Plain vector appends — the whole batch is collected
-    /// in one pass and sorted once at [`Self::seal`], not per op.
-    pub fn record(&mut self, slot: Slot, values: &[ValueId]) {
-        for (a, &v) in values.iter().enumerate() {
-            self.postings.push((AttrId(a as u16), v));
-        }
-        self.slots.push(slot);
-        self.rows += 1;
-        self.sealed = false;
-    }
-
-    /// Empties the footprint, keeping its buffers (scratch reuse across
-    /// mutations).
-    pub fn clear(&mut self) {
-        self.postings.clear();
-        self.slots.clear();
-        self.rows = 0;
-        self.sealed = false;
-    }
-
-    /// Whether no change was recorded (the mutation was a true no-op).
-    pub fn is_empty(&self) -> bool {
-        self.slots.is_empty() && self.postings.is_empty()
-    }
-
-    /// Sorts and dedupes the posting/slot sets so the `affects_*` probes
-    /// can binary-search. Called once by the memo before invalidating.
-    /// A single-row footprint is already sorted (one slot; postings in
-    /// strictly ascending attribute order) and skips the sort entirely.
-    pub fn seal(&mut self) {
-        if self.sealed {
-            return;
-        }
-        if self.rows > 1 {
-            self.postings.sort_unstable();
-            self.postings.dedup();
-            self.slots.sort_unstable();
-            self.slots.dedup();
-        }
-        self.sealed = true;
-    }
-
-    /// The touched postings (sorted after [`Self::seal`]).
-    pub fn postings(&self) -> &[(AttrId, ValueId)] {
-        &self.postings
-    }
-
-    /// The touched slots (sorted + deduped after [`Self::seal`]) — what
-    /// the memo's revalidation tracks per demoted entry so the
-    /// lookup-time re-check knows exactly where churn landed.
-    pub fn slots(&self) -> &[Slot] {
-        &self.slots
-    }
-
-    /// Number of elementary changes recorded (NOT deduped — a slot
-    /// deleted and refilled twice counts twice). An upper bound on how
-    /// many matching tuples any one query can have lost, which is the
-    /// conservative margin revalidation subtracts from a cached overflow
-    /// entry's match count.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Whether a cached answer to `query` may have changed: its predicate
-    /// set intersects the touched postings. The root query (no predicates)
-    /// is affected by any non-empty footprint, since every tuple matches it.
-    ///
-    /// Must be called after [`Self::seal`].
-    pub fn affects_query(&self, query: &crate::query::ConjunctiveQuery) -> bool {
-        debug_assert!(self.sealed, "footprint must be sealed before probing");
-        if query.is_empty() {
-            return !self.is_empty();
-        }
-        query.predicates().iter().any(|p| self.postings.binary_search(&(p.attr, p.value)).is_ok())
-    }
-
-    /// Whether a cached result page references a touched slot. Subsumed by
-    /// [`Self::affects_query`] for correctly-recorded footprints (a touched
-    /// tuple in the page matches the query, so the predicate intersection
-    /// already fires) — kept as a cheap independent safety net.
-    ///
-    /// Must be called after [`Self::seal`].
-    pub fn affects_page(&self, page_slots: &[Slot]) -> bool {
-        debug_assert!(self.sealed, "footprint must be sealed before probing");
-        page_slots.iter().any(|s| self.slots.binary_search(s).is_ok())
-    }
-}
-
 /// What an applied batch did (for experiment logging).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct UpdateSummary {
@@ -191,7 +70,44 @@ pub struct UpdateSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::ValueId;
+    use crate::database::HiddenDatabase;
+    use crate::interface::QueryOutcome;
+    use crate::query::{ConjunctiveQuery, Predicate};
+    use crate::ranking::ScoringPolicy;
+    use crate::schema::Schema;
+    use crate::value::{AttrId, MeasureId, ValueId};
+    use std::sync::Arc;
+
+    fn q(pairs: &[(u16, u32)]) -> ConjunctiveQuery {
+        ConjunctiveQuery::from_predicates(
+            pairs.iter().map(|&(a, v)| Predicate::new(AttrId(a), ValueId(v))),
+        )
+    }
+
+    fn row(key: u64, a0: u32, a1: u32, m: f64) -> Tuple {
+        Tuple::new(TupleKey(key), vec![ValueId(a0), ValueId(a1)], vec![m])
+    }
+
+    /// Three rows at k = 2, ranked by their one measure.
+    fn db() -> HiddenDatabase {
+        let schema = Schema::with_domain_sizes(&[3, 3], &["m"]).unwrap();
+        let mut d = HiddenDatabase::new(schema, 2, ScoringPolicy::ByMeasureDesc(MeasureId(0)));
+        for t in [row(1, 0, 0, 1.0), row(2, 1, 0, 2.0), row(3, 2, 1, 3.0)] {
+            d.insert(t).unwrap();
+        }
+        d
+    }
+
+    fn keys(out: &QueryOutcome) -> Vec<u64> {
+        out.keys().map(|k| k.0).collect()
+    }
+
+    fn page(out: &QueryOutcome) -> &Arc<crate::tuple::Page> {
+        match out {
+            QueryOutcome::Valid(page) | QueryOutcome::Overflow(page) => page,
+            QueryOutcome::Underflow => panic!("an underflow has no page"),
+        }
+    }
 
     #[test]
     fn builder_accumulates() {
@@ -211,38 +127,62 @@ mod tests {
         assert_eq!(UpdateBatch::empty().len(), 0);
     }
 
+    /// The rows a batch changes (its footprint) reach exactly the cached
+    /// answers whose query they satisfy: the root always, a query only
+    /// when the row carries every one of its predicates, and never a
+    /// query on the same value of another attribute.
     #[test]
     fn footprint_intersection_semantics() {
-        use crate::query::{ConjunctiveQuery, Predicate};
-        use crate::value::AttrId;
-
-        let mut fp = UpdateFootprint::default();
-        assert!(fp.is_empty());
-        fp.record(7, &[ValueId(1), ValueId(2)]);
-        fp.record(7, &[ValueId(1), ValueId(2)]); // dup collapses on seal
-        fp.seal();
-        assert!(!fp.is_empty());
-        assert_eq!(fp.postings(), &[(AttrId(0), ValueId(1)), (AttrId(1), ValueId(2))]);
-
+        let mut d = db();
         let root = ConjunctiveQuery::select_all();
-        assert!(fp.affects_query(&root), "root is affected by any change");
-        let hit = ConjunctiveQuery::from_predicates([Predicate::new(AttrId(1), ValueId(2))]);
-        assert!(fp.affects_query(&hit));
-        let miss = ConjunctiveQuery::from_predicates([Predicate::new(AttrId(1), ValueId(0))]);
-        assert!(!fp.affects_query(&miss));
-        // A query on the same value but a different attribute is unaffected.
-        let cross = ConjunctiveQuery::from_predicates([Predicate::new(AttrId(0), ValueId(2))]);
-        assert!(!fp.affects_query(&cross));
+        let hit = q(&[(1, 2)]);
+        let both = q(&[(0, 1), (1, 2)]);
+        let miss = q(&[(1, 0)]);
+        let partial = q(&[(0, 1), (1, 0)]);
+        let cross = q(&[(0, 2)]); // value 2 of A0, not A1
+        let queries = [&root, &hit, &both, &miss, &partial, &cross];
+        let before: Vec<QueryOutcome> = queries.iter().map(|query| d.answer(query)).collect();
 
-        assert!(fp.affects_page(&[3, 7]));
-        assert!(!fp.affects_page(&[3, 8]));
+        let batch = UpdateBatch::empty().insert(row(10, 1, 2, 9.0)).insert(row(11, 1, 2, 8.0));
+        d.apply(batch).unwrap();
+        let hits = d.stats().cache_hits;
+        let after: Vec<QueryOutcome> = queries.iter().map(|query| d.answer(query)).collect();
+        assert_eq!(d.stats().cache_hits, hits + queries.len() as u64, "all served warm");
+        for out in &after[..3] {
+            assert_eq!(keys(out), vec![10, 11], "a satisfied query shows the new rows");
+        }
+        assert_eq!(after[3..], before[3..], "a row missing a predicate reaches nothing");
+
+        // A changed row on a page: the valid pages drop it in place; the
+        // root's truncated page cannot name its replacement, so it drops.
+        d.apply(UpdateBatch::empty().delete(TupleKey(10))).unwrap();
+        let hits = d.stats().cache_hits;
+        assert_eq!(keys(&d.answer(&hit)), vec![11]);
+        assert_eq!(keys(&d.answer(&both)), vec![11]);
+        assert_eq!(keys(&d.answer(&root)), vec![11, 3]);
+        assert_eq!(d.stats().cache_hits, hits + 2, "only the root evaluates cold");
     }
 
+    /// A batch that changes no row reaches no cached answer, not even the
+    /// root, which every changed row reaches: after an empty batch and a
+    /// batch that fails at its first op, each page is still shared as is.
     #[test]
     fn empty_footprint_affects_nothing() {
-        let mut fp = UpdateFootprint::default();
-        fp.seal();
-        assert!(!fp.affects_query(&crate::query::ConjunctiveQuery::select_all()));
-        assert!(!fp.affects_page(&[0, 1, 2]));
+        let mut d = db();
+        let root = ConjunctiveQuery::select_all();
+        let probe = q(&[(1, 0)]);
+        let before = [d.answer(&root), d.answer(&probe)];
+        let (version, memo) = (d.version(), d.memo_stats());
+        d.apply(UpdateBatch::empty()).unwrap();
+        let failing = UpdateBatch::empty().delete(TupleKey(99)).insert(row(10, 1, 0, 9.0));
+        assert!(d.apply(failing).is_err());
+        assert_eq!(d.version(), version);
+        assert_eq!(d.memo_stats(), memo);
+        for (query, old) in [&root, &probe].into_iter().zip(&before) {
+            let hits = d.stats().cache_hits;
+            let out = d.answer(query);
+            assert_eq!(d.stats().cache_hits, hits + 1);
+            assert!(Arc::ptr_eq(page(&out), page(old)), "{query}: page untouched");
+        }
     }
 }

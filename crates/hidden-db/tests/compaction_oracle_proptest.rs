@@ -1,8 +1,8 @@
 //! Churn oracle for the maintenance subsystem: under arbitrary
 //! interleavings of `apply` (including mid-way-failing batches),
 //! `maintain` (zero, small, and unlimited budgets), and `evaluate`,
-//! a maintained database — running every [`EvalConfig`] variant, the
-//! default incremental memo policy, and cross-round revalidation — must
+//! a maintained database — running every [`EvalConfig`] variant and the
+//! default incremental (patching) memo policy — must
 //! produce answers **bit-identical** to a never-compact,
 //! wholesale-invalidation reference database, and to a memo-disabled
 //! trusted oracle. Both ranking families run: `NewestFirst` (distinct
@@ -163,8 +163,8 @@ proptest! {
             InvalidationPolicy::Wholesale,
             EvalConfig { early_exit: false, intersect: IntersectPolicy::Recheck },
         );
-        // Maintained variants: every engine config, incremental memo with
-        // revalidation (the default).
+        // Maintained variants: every engine config, incremental memo (the
+        // default).
         let mut maintained: Vec<(&str, HiddenDatabase)> = variants()
             .into_iter()
             .map(|(name, config)| {
@@ -233,9 +233,9 @@ proptest! {
                         let got = db.answer(&query);
                         prop_assert_eq!(
                             &got, &want,
-                            "{}: diverged on {} (stale {})", name, &query, db.memo_stale_len()
+                            "{}: diverged on {} (memo_len {})", name, &query, db.memo_len()
                         );
-                        for (gt, wt) in got.tuples().iter().zip(want.tuples()) {
+                        for (gt, wt) in got.tuples().zip(want.tuples()) {
                             prop_assert_eq!(gt.key(), wt.key());
                             prop_assert_eq!(gt.values(), wt.values());
                             for (gm, wm) in gt.measures().iter().zip(wt.measures()) {

@@ -154,7 +154,7 @@ proptest! {
                         let got = db.answer(&query);
                         prop_assert_eq!(&got, &want, "{}: diverged on {}", name, &query);
                         prop_assert_eq!(got.class(), want.class(), "{}: class", name);
-                        for (gt, wt) in got.tuples().iter().zip(want.tuples()) {
+                        for (gt, wt) in got.tuples().zip(want.tuples()) {
                             prop_assert_eq!(gt.key(), wt.key());
                             prop_assert_eq!(gt.values(), wt.values());
                             for (gm, wm) in gt.measures().iter().zip(wt.measures()) {

@@ -155,7 +155,7 @@ proptest! {
                 want_overflow,
                 "overflow mismatch on {}", query
             );
-            let got_keys: Vec<u64> = out.tuples().iter().map(|t| t.key().0).collect();
+            let got_keys: Vec<u64> = out.tuples().map(|t| t.key().0).collect();
             prop_assert_eq!(&got_keys, &want_keys, "result mismatch on {}", query);
             // Measures must reflect the latest updates.
             for t in out.tuples() {

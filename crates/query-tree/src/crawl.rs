@@ -12,7 +12,7 @@
 
 use hidden_db::query::ConjunctiveQuery;
 use hidden_db::session::SearchBackend;
-use hidden_db::tuple::TupleView;
+use hidden_db::tuple::Tuple;
 
 use crate::tree::QueryTree;
 
@@ -20,7 +20,7 @@ use crate::tree::QueryTree;
 #[derive(Debug, Clone)]
 pub struct CrawlOutcome {
     /// Every tuple collected, deduplicated by key.
-    pub tuples: Vec<TupleView>,
+    pub tuples: Vec<Tuple>,
     /// Queries spent.
     pub cost: u64,
     /// Whether the crawl visited the whole frontier (false = budget died,
@@ -31,7 +31,7 @@ pub struct CrawlOutcome {
 /// Crawls the database under `tree`'s fixed prefix. Stops early (with
 /// `complete = false`) if the backend's budget runs out.
 pub fn crawl<B: SearchBackend + ?Sized>(tree: &QueryTree, backend: &mut B) -> CrawlOutcome {
-    let mut tuples: Vec<TupleView> = Vec::new();
+    let mut tuples: Vec<Tuple> = Vec::new();
     let mut seen = std::collections::HashSet::new();
     let mut cost = 0u64;
     // Work queue of (depth, query). Children are generated by appending
@@ -59,7 +59,7 @@ pub fn crawl<B: SearchBackend + ?Sized>(tree: &QueryTree, backend: &mut B) -> Cr
         // tuples, as it would on a real site).
         for t in outcome.tuples() {
             if seen.insert(t.key()) {
-                tuples.push(t.clone());
+                tuples.push(t.to_tuple());
             }
         }
     }

@@ -134,7 +134,7 @@ proptest! {
             // Same tuples at the terminal node.
             let keys = |o: &query_tree::DrillOutcome| {
                 let mut v: Vec<u64> =
-                    o.outcome.tuples().iter().map(|t| t.key().0).collect();
+                    o.outcome.tuples().map(|t| t.key().0).collect();
                 v.sort_unstable();
                 v
             };

@@ -44,10 +44,9 @@ impl<S: UpdateSchedule> RoundDriver<S> {
 
     /// Applies the schedule's next batch, moving to the next round.
     ///
-    /// Under the database's default incremental invalidation policy a
-    /// little-change (or no-change) round keeps the previous round's memo
-    /// warm for every query the batch didn't touch — the repeated query
-    /// sets estimators re-issue each round hit the cache instead of
+    /// Under the database's default incremental policy the batch patches
+    /// the previous round's memo in place, so the repeated query sets
+    /// estimators re-issue each round hit the cache instead of
     /// re-evaluating from cold.
     pub fn advance(&mut self) -> UpdateSummary {
         let batch = self.schedule.next_batch(&self.db, &mut self.rng);

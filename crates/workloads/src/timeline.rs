@@ -8,11 +8,10 @@
 //! seconds, an existing tuple deleted every 21 seconds" while the
 //! algorithm takes the whole hour to run).
 //!
-//! Micro-ops go through the database's normal mutation path, so since
-//! PR 2 each one performs *postings-aware incremental* memo invalidation:
-//! a mid-round insert only evicts the cached queries whose answers it can
-//! actually change, and an estimator re-asking an unaffected query right
-//! after an update still gets the warm page.
+//! Micro-ops go through the database's normal mutation path, so each one
+//! patches the memo in place: a mid-round insert touches only the cached
+//! answers whose query it satisfies, and an estimator re-asking a query
+//! right after an update still gets a warm, exact page.
 
 use std::collections::VecDeque;
 
@@ -250,7 +249,7 @@ mod tests {
         assert_eq!(s.issue(&probe).unwrap().returned_count(), 3); // warm
                                                                   // Third issue crosses t=0.3: the insert applies, then the query
                                                                   // runs. The inserted tuple cannot match `probe`, so the entry
-                                                                  // survives incremental invalidation and is served warm again.
+                                                                  // is untouched by the patch and is served warm again.
         assert_eq!(s.issue(&probe).unwrap().returned_count(), 3);
         assert_eq!(s.applied_updates(), 1);
         // The root query *was* affected and reflects the insert.

@@ -19,7 +19,7 @@ use std::sync::Arc;
 /// independently tracked COUNTs.
 fn proportion_of(attr: AttrId, value: ValueId, tree: &QueryTree, seed: u64) -> RsEstimator {
     let indicator =
-        TupleFn::Custom(Arc::new(move |t: &TupleView| (t.value(attr) == value) as u8 as f64));
+        TupleFn::Custom(Arc::new(move |t: &TupleView<'_>| (t.value(attr) == value) as u8 as f64));
     let spec = AggregateSpec {
         kind: AggKind::Avg,
         value_fn: indicator,

@@ -236,7 +236,7 @@ proptest! {
                     for (name, _, db) in paged.iter_mut() {
                         let got = db.answer(&query);
                         prop_assert_eq!(&got, &want, "{}: diverged on {}", name, &query);
-                        for (gt, wt) in got.tuples().iter().zip(want.tuples()) {
+                        for (gt, wt) in got.tuples().zip(want.tuples()) {
                             prop_assert_eq!(gt.key(), wt.key());
                             prop_assert_eq!(gt.values(), wt.values());
                             for (gm, wm) in gt.measures().iter().zip(wt.measures()) {
