@@ -23,10 +23,6 @@
 //! 4. **Memo adversarial stream** (PR 2) — a distinct-query flood
 //!    against a small memo capacity: the memo must stay bounded and
 //!    evict.
-//! 5. **Intersection engine** (PR 3) — a deep-query (3–4 predicate)
-//!    pool evaluated cold by the galloping/bitset intersection engine vs
-//!    the PR 2 rarest-list re-check scan: queries/sec both ways and an
-//!    answer-fingerprint identity check (`intersect_identical`).
 //! 6. **Early exit** (PR 3) — overflow-heavy `NewestFirst` scans with
 //!    the heap-floor early exit on vs off (`early_exit_consistent`).
 //! 7. **Ground-truth parallelism** (PR 3) — `exact_count`/`exact_sum`
@@ -55,15 +51,6 @@
 //!     equal the one a private database frozen at epoch 0 produces
 //!     (`shared_service_bit_identical`), and aggregate read throughput
 //!     is recorded per client count.
-//! 12. **K-way intersection** — conjunctions of 2/3/4/6 half-density
-//!     predicates (every posting list ≈ N/2, the regime where
-//!     two-rarest + residual re-check pays the most per candidate) on a
-//!     score distribution with one hot 256-slot block per segment and
-//!     hot scores interleaved across segments, so every segment bound
-//!     sits near the maximum and segment-granular pruning is blind.
-//!     Gallop, bitset and the re-check reference must agree bit-for-bit
-//!     (`kway_identical`).
-//!
 //! 13. **Persistence tier** (PR 9) — the out-of-core pager on a fig12-
 //!     style size sweep (10⁵/10⁶/10⁷ tuples): each pool is built three
 //!     times — fully in RAM, and out-of-core at resident budgets of 1/4
@@ -112,8 +99,7 @@ use hidden_db::tuple::Tuple;
 use hidden_db::updates::UpdateBatch;
 use hidden_db::value::{MeasureId, TupleKey};
 use hidden_db::{
-    AutoMaintain, DbService, EvalConfig, IntersectPolicy, InvalidationPolicy, QueryOutcome,
-    SearchBackend,
+    AutoMaintain, DbService, EvalConfig, InvalidationPolicy, QueryOutcome, SearchBackend,
 };
 use query_tree::{drill_from_root, enumerate_all, QueryTree};
 use rand::rngs::StdRng;
@@ -130,10 +116,6 @@ fn main() {
     let memo_little = memo_little_change();
     eprintln!(">>> perf_baseline: memo adversarial distinct-query stream");
     let memo_adv = memo_adversarial();
-    eprintln!(">>> perf_baseline: deep-query intersection engine");
-    let intersection = intersection_engine();
-    eprintln!(">>> perf_baseline: k-way intersection");
-    let kway = intersection_kway();
     eprintln!(">>> perf_baseline: early-exit overflow classification");
     let early_exit = early_exit_workload();
     eprintln!(">>> perf_baseline: ground-truth segment fan-out");
@@ -181,8 +163,6 @@ fn main() {
         .field("track_workload", track)
         .field("memo_little_change", memo_little)
         .field("memo_adversarial", memo_adv)
-        .field("intersection", intersection)
-        .field("intersection_kway", kway)
         .field("early_exit", early_exit)
         .field("ground_truth_parallelism", ground_truth)
         .field("compaction", compaction)
@@ -526,182 +506,6 @@ fn memo_adversarial() -> Json {
         .field("memo_bounded", max_len <= CAPACITY && m.evicted > 0)
 }
 
-/// Deep-query pool: every 3-predicate combination over the first three
-/// attributes plus a 4-predicate layer — the workload where the PR 2
-/// rarest-list scan re-checked every other predicate per candidate.
-fn deep_query_pool(schema: &hidden_db::schema::Schema) -> Vec<ConjunctiveQuery> {
-    let attrs: Vec<_> = schema.attr_ids().collect();
-    let mut pool = Vec::new();
-    for v0 in 0..schema.domain_size(attrs[0]) {
-        for v1 in 0..schema.domain_size(attrs[1]) {
-            for v2 in 0..schema.domain_size(attrs[2]) {
-                let q3 = ConjunctiveQuery::from_predicates([
-                    Predicate::new(attrs[0], hidden_db::value::ValueId(v0)),
-                    Predicate::new(attrs[1], hidden_db::value::ValueId(v1)),
-                    Predicate::new(attrs[2], hidden_db::value::ValueId(v2)),
-                ]);
-                for v3 in 0..schema.domain_size(attrs[3]) {
-                    pool.push(q3.with(attrs[3], hidden_db::value::ValueId(v3)));
-                }
-                pool.push(q3);
-            }
-        }
-    }
-    pool
-}
-
-/// PR 3: the galloping/bitset intersection engine vs the PR 2
-/// rarest-list re-check scan on cold deep queries (memo disabled so
-/// every answer evaluates). `intersect_identical` must always be true.
-fn intersection_engine() -> Json {
-    const N: usize = 20_000;
-    const K: usize = 50;
-    const ATTRS: usize = 12;
-    const PASSES: usize = 6;
-
-    let run = |config: EvalConfig| {
-        let mut gen = AutosGenerator::with_attrs(ATTRS);
-        let mut rng = StdRng::seed_from_u64(0x1A7E);
-        let mut db = load_database(&mut gen, &mut rng, N, K, ScoringPolicy::default());
-        db.set_invalidation_policy(InvalidationPolicy::Disabled);
-        db.set_eval_config(config);
-        let pool = deep_query_pool(&db.schema().clone());
-        let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-        let t0 = Instant::now();
-        for _ in 0..PASSES {
-            for q in &pool {
-                fingerprint = fold_outcome(fingerprint, &db.answer(q));
-            }
-        }
-        let wall = t0.elapsed();
-        (db, fingerprint, wall, PASSES * pool.len())
-    };
-
-    let engine = EvalConfig::default();
-    let recheck = EvalConfig { early_exit: false, intersect: IntersectPolicy::Recheck };
-    let (engine_db, engine_fp, engine_wall, queries) = run(engine);
-    let (_, recheck_fp, recheck_wall, _) = run(recheck);
-    let stats = engine_db.eval_stats();
-    let engine_qps = queries as f64 / engine_wall.as_secs_f64();
-    let recheck_qps = queries as f64 / recheck_wall.as_secs_f64();
-    Json::obj()
-        .field("population", N)
-        .field("k", K)
-        .field("deep_queries_per_pass", queries / PASSES)
-        .field("min_predicates", 3u64)
-        .field("engine_queries_per_sec", engine_qps)
-        .field("recheck_queries_per_sec", recheck_qps)
-        .field("engine_speedup", engine_qps / recheck_qps)
-        .field("gallop_intersections", stats.gallop_intersections)
-        .field("bitset_intersections", stats.bitset_intersections)
-        .field("early_exits", stats.early_exits)
-        .field("intersect_identical", engine_fp == recheck_fp)
-        .field("engine_beats_recheck", engine_qps > recheck_qps)
-}
-
-/// The pair strategies on conjunctions of 2/3/4/6 half-density
-/// predicates — six binary attributes populated from independent key
-/// bits, so every posting list covers ≈ N/2 tuples and a `p`-predicate
-/// conjunction selects ≈ N/2^p. This is the regime where two-rarest +
-/// residual re-check pays the most per candidate: the pair engines
-/// intersect two ~60 k lists and column-check the rest per survivor.
-///
-/// The top scorers live in one *hot* 256-slot block per segment, with
-/// the hot scores interleaved across segments so every segment's bound
-/// is within a hair of the global maximum: no segment bound ever drops
-/// under the top-`k` floor, so the pair engines scan every segment end
-/// to end. `kway_identical` must always be true.
-fn intersection_kway() -> Json {
-    const SEGMENTS: u64 = 30;
-    const N: u64 = SEGMENTS * hidden_db::SEGMENT_SLOTS as u64;
-    const K: usize = 25;
-    const PASSES: usize = 10;
-    const ATTRS: usize = 6;
-    const HOT_BLOCK_SLOTS: u64 = 256;
-
-    let blocks_per_segment = hidden_db::SEGMENT_SLOTS as u64 / HOT_BLOCK_SLOTS;
-    // Hot block = the first block of each segment. Hot scores form one
-    // global staircase dealt round-robin across segments (rank
-    // `i * SEGMENTS + segment` within the hot set), so the true top-k
-    // spans many segments and every segment bound stays near the top.
-    // Cold tuples cycle far below.
-    let measure = move |key: u64| {
-        let in_block = key % HOT_BLOCK_SLOTS;
-        if (key / HOT_BLOCK_SLOTS).is_multiple_of(blocks_per_segment) {
-            1_000_000.0
-                - (in_block * SEGMENTS + key / (HOT_BLOCK_SLOTS * blocks_per_segment)) as f64
-        } else {
-            in_block as f64
-        }
-    };
-    let fresh = |config: EvalConfig| {
-        let schema = hidden_db::schema::Schema::with_domain_sizes(&[2; ATTRS], &["m"])
-            .expect("valid schema");
-        let mut db =
-            hidden_db::HiddenDatabase::new(schema, K, ScoringPolicy::ByMeasureDesc(MeasureId(0)));
-        db.set_invalidation_policy(InvalidationPolicy::Disabled);
-        db.set_eval_config(config);
-        for key in 0..N {
-            let values = (0..ATTRS)
-                .map(|bit| hidden_db::value::ValueId(((key >> bit) & 1) as u32))
-                .collect();
-            db.insert(Tuple::new(TupleKey(key), values, vec![measure(key)])).expect("fresh key");
-        }
-        db
-    };
-    // All value combinations over the first `preds` attributes.
-    let pool_for = |preds: usize| -> Vec<ConjunctiveQuery> {
-        (0..1u32 << preds)
-            .map(|mask| {
-                ConjunctiveQuery::from_predicates((0..preds).map(|a| {
-                    Predicate::new(
-                        hidden_db::value::AttrId(a as u16),
-                        hidden_db::value::ValueId((mask >> a) & 1),
-                    )
-                }))
-            })
-            .collect()
-    };
-
-    let policies = [
-        ("gallop", EvalConfig { early_exit: true, intersect: IntersectPolicy::Gallop }),
-        ("bitset", EvalConfig { early_exit: true, intersect: IntersectPolicy::Bitset }),
-        ("recheck", EvalConfig { early_exit: false, intersect: IntersectPolicy::Recheck }),
-    ];
-    let mut dbs: Vec<(&str, hidden_db::HiddenDatabase)> =
-        policies.iter().map(|&(name, config)| (name, fresh(config))).collect();
-
-    let mut report = Json::obj()
-        .field("population", N)
-        .field("k", K)
-        .field("passes", PASSES)
-        .field("list_density", "each of 6 binary attributes covers ~N/2");
-    let mut all_identical = true;
-    for preds in [2usize, 3, 4, 6] {
-        let pool = pool_for(preds);
-        let mut section = Json::obj().field("pool_queries", pool.len());
-        let mut fingerprints: Vec<u64> = Vec::new();
-        for (name, db) in dbs.iter_mut() {
-            let mut fp = 0xcbf2_9ce4_8422_2325u64;
-            let t0 = Instant::now();
-            for _ in 0..PASSES {
-                for q in &pool {
-                    fp = fold_outcome(fp, &db.answer(q));
-                }
-            }
-            let wall = t0.elapsed();
-            let qps = (PASSES * pool.len()) as f64 / wall.as_secs_f64();
-            fingerprints.push(fp);
-            section = section.field(&format!("{name}_queries_per_sec"), qps);
-        }
-        let identical = fingerprints.iter().all(|&fp| fp == fingerprints[0]);
-        all_identical &= identical;
-        section = section.field("identical", identical);
-        report = report.field(&format!("preds_{preds}"), section);
-    }
-    report.field("kway_identical", all_identical)
-}
-
 /// PR 3: overflow-heavy `NewestFirst` scans with the heap-floor early
 /// exit on vs off. `early_exit_consistent` must always be true.
 fn early_exit_workload() -> Json {
@@ -715,7 +519,7 @@ fn early_exit_workload() -> Json {
         let mut rng = StdRng::seed_from_u64(0xEE17);
         let mut db = load_database(&mut gen, &mut rng, N, K, ScoringPolicy::NewestFirst);
         db.set_invalidation_policy(InvalidationPolicy::Disabled);
-        db.set_eval_config(EvalConfig { early_exit, ..EvalConfig::default() });
+        db.set_eval_config(EvalConfig { early_exit });
         let schema = db.schema().clone();
         // Root + every depth-1 query: the popular ones overflow hard.
         let mut pool = vec![ConjunctiveQuery::select_all()];
@@ -896,7 +700,7 @@ fn compaction_workload() -> Json {
     // Third opinion: the exhaustive (early-exit-off) engine on the
     // compacted store.
     let mut exhaustive = db.clone();
-    exhaustive.set_eval_config(EvalConfig { early_exit: false, ..EvalConfig::default() });
+    exhaustive.set_eval_config(EvalConfig { early_exit: false });
     let (fp_exhaustive, _, _, _) = run(&mut exhaustive);
 
     let queries = PASSES * pool.len();
@@ -910,7 +714,6 @@ fn compaction_workload() -> Json {
         .field("scoring", "ByMeasureDesc")
         .field("stale_segments_after_churn", stale_segments)
         .field("bounds_tightened", report.bounds_tightened)
-        .field("postings_purged", report.postings_purged)
         .field("maintenance_slots_scanned", report.slots_scanned)
         .field("queries", queries)
         .field("stale_queries_per_sec", qps_before)

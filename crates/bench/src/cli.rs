@@ -10,7 +10,7 @@
 //!   invalidation policy (outcome-invariant; pinned by the determinism
 //!   suite);
 //! * `--maintain off|N` — per-round segment-maintenance budget in
-//!   scanned slots/postings (`off` = never maintain, the default;
+//!   scanned slots (`off` = never maintain, the default;
 //!   outcome-invariant like the memo policy);
 //! * `--faults off|seeded:<rate>` — interface fault injection: `off` (the
 //!   default) runs estimators straight against the session; `seeded:0.2`
@@ -79,7 +79,7 @@ pub struct Cli {
     /// Memo invalidation policy override.
     pub memo: Option<InvalidationPolicy>,
     /// Per-round maintenance budget override (`Some(None)` = explicit
-    /// `off`, `Some(Some(n))` = budget of `n` scanned slots/postings).
+    /// `off`, `Some(Some(n))` = budget of `n` scanned slots).
     pub maintain: Option<Option<usize>>,
     /// Fault-injection mode override.
     pub faults: Option<FaultsMode>,
@@ -209,7 +209,7 @@ pub struct BaseCfg {
     /// invariant (estimator records are bit-identical across policies);
     /// only wall-clock and cache counters change.
     pub memo_policy: InvalidationPolicy,
-    /// Per-round segment-maintenance budget (scanned slots/postings per
+    /// Per-round segment-maintenance budget (scanned slots per
     /// [`hidden_db::MaintenanceBudget`]); `None` never maintains.
     /// Outcome-invariant exactly like the memo policy — pinned by the
     /// determinism suite's maintenance test.

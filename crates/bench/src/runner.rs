@@ -426,8 +426,8 @@ fn run_trial(
         }
         prev_truth = truth;
         driver.advance();
-        // Amortised segment maintenance between rounds (bound recompute +
-        // posting-list compaction). Outcome-invariant: estimator records
+        // Amortised segment maintenance between rounds (segment bound
+        // recompute). Outcome-invariant: estimator records
         // are bit-identical with any budget (pinned by the determinism
         // suite), only scan wall-clock moves.
         if let Some(budget) = cfg.maintain_slots {

@@ -7,46 +7,51 @@
 //! tier ([`crate::persist`]): the journal's checkpoint records are
 //! snapshots.
 //!
-//! **Format v3** captures the *warm* state verbatim, not just the
+//! **Format v4** captures the *warm* store state verbatim, not just the
 //! logical tuple set: segment data in slot layout (so slot identity
 //! survives a restart), per-segment max-score bounds and staleness
-//! counters (so load skips the full bound recompute), the free list in
-//! order (so future slot reuse replays identically), and every posting
-//! list byte-for-byte (tombstones, sort flags, segment runs). A restored
+//! counters (so load skips the full bound recompute), and the free list
+//! in order (so future slot reuse replays identically). The bitmap
+//! index is not stored: the reader rebuilds it, and the per-value
+//! counts, from the columns, so it always agrees with them. A restored
 //! database doesn't just answer identically — it *evolves* identically
 //! under any further mutation stream.
 //!
 //! Layout (all integers little-endian):
 //! `magic "HDBS" | format u32 | k u64 | policy | schema | store | free
-//! list | posting lists` — see [`write_snapshot`] for the field-level
-//! walk. Only v3 reads back; reading rejects bad magic, other versions,
-//! truncation, implausible counts, and state that breaks a store or
-//! index invariant with [`io::ErrorKind::InvalidData`] instead of
-//! panicking, now or on a later query or mutation.
+//! list` — see [`write_snapshot`] for the field-level walk. Only v4
+//! reads back; reading rejects bad magic, other versions, truncation,
+//! implausible counts (including a store whose bitmaps would exceed
+//! `MAX_BITMAP_BYTES`), and state that breaks a store invariant with
+//! [`io::ErrorKind::InvalidData`] instead of panicking, now or on a
+//! later query or mutation.
 
 use std::io::{self, Read, Write};
 
 use crate::database::HiddenDatabase;
-use crate::index::{InvertedIndex, PostingList};
+use crate::index::bytes_for;
 use crate::ranking::ScoringPolicy;
 use crate::schema::{AttributeDef, MeasureDef, Schema};
 use crate::store::{SegmentData, SegmentMeta, Store, SEGMENT_SLOTS};
 use crate::value::MeasureId;
 
 const MAGIC: &[u8; 4] = b"HDBS";
-const FORMAT_VERSION: u32 = 3;
-
-/// Posting lists longer than this are rejected as corrupt (a real list
-/// is bounded by total inserts; this caps hostile allocation).
-const MAX_LIST_LEN: usize = 1 << 28;
+const FORMAT_VERSION: u32 = 4;
 
 /// Schemas whose attribute domains hold more values than this in total
-/// are rejected as corrupt: the index allocates one list head per
-/// domain value up front.
+/// are rejected as corrupt.
 const MAX_DOMAIN_VALUES: usize = 1 << 22;
 
+/// Snapshots whose rebuilt bitmaps would take more bytes than this —
+/// `segments × (Σ domain sizes + 1) × 512` — are rejected as corrupt
+/// before anything is allocated. [`MAX_DOMAIN_VALUES`] alone would allow
+/// a 2 GiB block per segment; this cap admits about 2 800 segments
+/// (11 million tuples) of the paper's widest schema, Autos at 38
+/// attributes.
+const MAX_BITMAP_BYTES: usize = 1 << 30;
+
 /// Page sizes above this are rejected as corrupt: every cold evaluation
-/// allocates a `k + 1`-entry heap up front.
+/// allocates a `k`-entry heap up front.
 const MAX_K: u64 = 1 << 20;
 
 fn write_u32(w: &mut impl Write, v: u32) -> io::Result<()> {
@@ -167,18 +172,17 @@ fn read_schema(r: &mut impl Read) -> io::Result<Schema> {
     Schema::new(attrs, measures).map_err(|e| bad(&e.to_string()))
 }
 
-/// Serialises a full database snapshot into `w` (format v3).
+/// Serialises a full database snapshot into `w` (format v4).
 ///
 /// After the common `magic | format | k | policy | schema` prefix:
 /// `alive u64 | allocated u64 | segment count u32`, then per segment
 /// `rows u32 | keys | scores | alive bitmap (u64 words) | columns |
 /// measures | meta (alive u32, max_score u64, stale_ops u32)`, then the
-/// free list (`count u32 | slots`), then every non-empty posting list
-/// (`attr u32 | value u32 | slots | dead u64 | sorted u8 | runs`).
+/// free list (`count u32 | slots`).
 ///
 /// `&HiddenDatabase` on purpose: segment data is read through the paged
-/// view (an out-of-core database checkpoints without pulling its pool
-/// into RAM) and index lists are serialised verbatim, dirty or not.
+/// view, so an out-of-core database checkpoints without pulling its pool
+/// into RAM.
 pub fn write_snapshot(db: &HiddenDatabase, w: &mut impl Write) -> io::Result<()> {
     w.write_all(MAGIC)?;
     write_u32(w, FORMAT_VERSION)?;
@@ -232,32 +236,15 @@ pub fn write_snapshot(db: &HiddenDatabase, w: &mut impl Write) -> io::Result<()>
     for &s in free {
         write_u32(w, s)?;
     }
-    // Posting lists, verbatim.
-    let lists: Vec<_> = db.index_ref().lists_for_snapshot().collect();
-    write_u32(w, lists.len() as u32)?;
-    for (a, v, list) in lists {
-        write_u32(w, a as u32)?;
-        write_u32(w, v as u32)?;
-        write_u32(w, list.slots.len() as u32)?;
-        for &s in &list.slots {
-            write_u32(w, s)?;
-        }
-        write_u64(w, list.dead as u64)?;
-        w.write_all(&[u8::from(list.sorted)])?;
-        write_u32(w, list.runs.len() as u32)?;
-        for &(seg, off) in &list.runs {
-            write_u32(w, seg)?;
-            write_u32(w, off)?;
-        }
-    }
     Ok(())
 }
 
-/// Deserialises a snapshot produced by [`write_snapshot`]. Every count
-/// is validated against the allocation geometry before use, and every
-/// restored field a later query or mutation indexes by is checked
-/// against the schema, so corrupt or hostile input errors out instead
-/// of panicking or over-allocating.
+/// Deserialises a snapshot produced by [`write_snapshot`] and rebuilds
+/// its bitmap index from the columns. Every count is validated against
+/// the allocation geometry before use, the bitmaps' size against
+/// `MAX_BITMAP_BYTES`, and every restored field a later query or
+/// mutation indexes by is checked against the schema, so corrupt or
+/// hostile input errors out instead of panicking or over-allocating.
 pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -293,6 +280,9 @@ pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
     let seg_count = read_u32(r)? as usize;
     if seg_count != allocated.div_ceil(SEGMENT_SLOTS) {
         return Err(bad("segment count does not match allocation"));
+    }
+    if bytes_for(&schema, seg_count) > MAX_BITMAP_BYTES {
+        return Err(bad("bitmap index implausibly large"));
     }
     let mut segs = Vec::with_capacity(seg_count);
     let mut metas = Vec::with_capacity(seg_count);
@@ -366,56 +356,7 @@ pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
         free,
     )
     .ok_or_else(|| bad("duplicate alive key in snapshot"))?;
-    // Posting lists.
-    let list_count = read_u32(r)? as usize;
-    if list_count > domains.iter().map(|&d| d as usize).sum::<usize>() {
-        return Err(bad("posting list count implausible"));
-    }
-    let mut lists = Vec::with_capacity(list_count);
-    for _ in 0..list_count {
-        let a = read_u32(r)? as usize;
-        let v = read_u32(r)? as usize;
-        if a >= attr_count || v >= domains[a] as usize {
-            return Err(bad("posting list out of schema range"));
-        }
-        let slot_count = read_u32(r)? as usize;
-        if slot_count > MAX_LIST_LEN {
-            return Err(bad("posting list length implausible"));
-        }
-        let mut slots = Vec::with_capacity(slot_count.min(1 << 16));
-        for _ in 0..slot_count {
-            let s = read_u32(r)?;
-            if s as usize >= allocated {
-                return Err(bad("posting out of slot range"));
-            }
-            slots.push(s);
-        }
-        let dead = read_u64(r)? as usize;
-        if dead > slot_count {
-            return Err(bad("tombstone count exceeds list length"));
-        }
-        let mut sorted_byte = [0u8; 1];
-        r.read_exact(&mut sorted_byte)?;
-        let sorted = match sorted_byte[0] {
-            0 => false,
-            1 => true,
-            _ => return Err(bad("invalid sorted flag")),
-        };
-        let run_count = read_u32(r)? as usize;
-        if run_count > seg_count {
-            return Err(bad("run directory larger than the store"));
-        }
-        let runs = (0..run_count)
-            .map(|_| Ok((read_u32(r)?, read_u32(r)?)))
-            .collect::<io::Result<Vec<_>>>()?;
-        let list = PostingList { slots, dead, sorted, runs };
-        if !list.is_coherent() {
-            return Err(bad("posting list runs do not match its slots"));
-        }
-        lists.push((a, v, list));
-    }
-    let index = InvertedIndex::from_restored(&schema, lists);
-    Ok(HiddenDatabase::from_restored(schema, k, policy, store, index))
+    Ok(HiddenDatabase::from_restored(schema, k, policy, store))
 }
 
 #[cfg(test)]
@@ -443,9 +384,9 @@ mod tests {
     }
 
     /// A database with real churn: deletes and slot reuse — so the
-    /// snapshot has a non-empty free list, tombstoned and dirty lists,
-    /// and stale bounds to preserve. Small on purpose: the corruption
-    /// sweep flips every byte of its snapshot twice.
+    /// snapshot has a non-empty free list and stale bounds to preserve.
+    /// Small on purpose: the corruption sweep flips every byte of its
+    /// snapshot twice.
     fn churned_db() -> HiddenDatabase {
         let mut db = sample_db(48);
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -497,8 +438,8 @@ mod tests {
 
     /// The warm-state promise: a restored churned database doesn't
     /// just answer like the original — it *evolves* identically, because
-    /// slot layout, the free list (in order), and every posting list
-    /// survived verbatim.
+    /// slot layout and the free list (in order) survived verbatim and the
+    /// bitmaps were rebuilt from the columns.
     #[test]
     fn roundtrip_preserves_future_evolution() {
         let mut original = churned_db();
@@ -603,12 +544,13 @@ mod tests {
     }
 
     /// Only the current format reads back: earlier versions (v1's
-    /// tuple-level layout, v2's block bounds) are rejected, not guessed.
+    /// tuple-level layout, v2's block bounds, v3's posting lists) are
+    /// rejected, not guessed.
     #[test]
     fn unknown_version_rejected() {
         let mut buf = Vec::new();
         write_snapshot(&sample_db(1), &mut buf).unwrap();
-        for version in [0u32, 1, 2, 4, 99] {
+        for version in [0u32, 1, 2, 3, 5, 99] {
             buf[4..8].copy_from_slice(&version.to_le_bytes());
             let err = read_snapshot(&mut buf.as_slice()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {version}");
@@ -619,8 +561,9 @@ mod tests {
     /// reader nor in a later query or mutation on a snapshot the reader
     /// accepted. Every byte is flipped whole (`0xFF`) and in its low bit
     /// (`0x01`): each corruption either errors with `InvalidData` or
-    /// `UnexpectedEof`, or restores a database that answers a fixed
-    /// query set, refills every free slot, and deletes every alive key.
+    /// `UnexpectedEof`, or restores a database whose bitmaps fit the cap
+    /// and that answers a fixed query set, refills every free slot, and
+    /// deletes every alive key.
     #[test]
     fn oversized_counts_rejected() {
         let good = {
@@ -634,6 +577,8 @@ mod tests {
             buf[i] ^= mask;
             match read_snapshot(&mut buf.as_slice()) {
                 Ok(mut db) => {
+                    let bytes = bytes_for(db.schema(), db.store_ref().segment_count());
+                    assert!(bytes <= MAX_BITMAP_BYTES, "byte {i} ^ {mask:#04x}: {bytes} B");
                     for q in queries() {
                         if q.validate(db.schema()).is_ok() {
                             db.answer(&q);
@@ -671,6 +616,36 @@ mod tests {
             }
         }
         assert!(rejected > 0, "corruption sweep never hit a validated field");
+    }
+
+    /// A schema within [`MAX_DOMAIN_VALUES`] whose bitmaps would still
+    /// exceed [`MAX_BITMAP_BYTES`] is rejected before anything is
+    /// allocated, while a merely wider domain reads back.
+    #[test]
+    fn bitmap_cap_rejects_before_allocating() {
+        let db = sample_db(3);
+        let mut buf = Vec::new();
+        write_snapshot(&db, &mut buf).unwrap();
+        // magic(4) + version(4) + k(8) + policy tag(4) + salt(8) +
+        // attr count(4) + name length(4) + name, then A0's domain.
+        let name_len = db.schema().attribute(AttrId(0)).name().len();
+        let at = 36 + name_len;
+        assert_eq!(buf[at..at + 4], 3u32.to_le_bytes(), "A0's domain");
+        // 2^21 values stay within MAX_DOMAIN_VALUES, but one segment of
+        // their bitmaps exceeds the cap.
+        let wide = 1u32 << 21;
+        let wide_schema = Schema::with_domain_sizes(&[wide, 4], &["price", "qty"]).unwrap();
+        assert!(bytes_for(&wide_schema, 1) > MAX_BITMAP_BYTES);
+        buf[at..at + 4].copy_from_slice(&wide.to_le_bytes());
+        let err = read_snapshot(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("bitmap"), "{err}");
+        let mut small = Vec::new();
+        write_snapshot(&db, &mut small).unwrap();
+        small[at..at + 4].copy_from_slice(&64u32.to_le_bytes());
+        let restored = read_snapshot(&mut small.as_slice()).unwrap();
+        assert_eq!(restored.schema().domain_size(AttrId(0)), 64);
+        assert_eq!(restored.len(), 3);
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //!
 //! ## Evaluation is streaming and allocation-lean
 //!
-//! [`evaluate_streaming`] consumes candidates by internal iteration (the
-//! producer pushes slots into the ranking heap), so callers never
-//! materialise an intermediate `Vec<Slot>` — the root query streams the
-//! alive-slot scan and predicate queries stream a posting list directly.
+//! The engine (`database::evaluate_query`) offers each set bit of a
+//! segment's bitmap AND straight to the top-`k` heap, so no
+//! intermediate `Vec<Slot>` of candidates is ever materialised.
 //! A result page is copied into one flat [`Page`] at most once per cache
 //! entry and version of its answer, and shared behind an `Arc`, so
 //! repeated (memoised) answers to the same query cost one atomic
@@ -189,27 +188,23 @@ pub(crate) struct TopK {
 
 impl TopK {
     pub(crate) fn new(k: usize) -> Self {
-        // Capacity k+1: if total matches ≤ k the heap simply holds them
-        // all; the transient k+1-th lives in the spare slot.
-        Self { heap: BinaryHeap::with_capacity(k + 1), k, matched: 0, exact: true }
+        Self { heap: BinaryHeap::with_capacity(k), k, matched: 0, exact: true }
     }
 
-    /// Accounts one matching candidate.
+    /// Accounts one matching candidate. The floor gate: once the heap
+    /// holds `k` entries, a candidate replaces the heap top (the current
+    /// floor) only when its `(score, slot)` beats it, so most candidates
+    /// of a large scan cost one comparison.
     #[inline]
     pub(crate) fn offer(&mut self, score: u64, slot: Slot) {
         self.matched += 1;
-        self.heap.push(Reverse((score, slot)));
-        if self.heap.len() > self.k {
-            self.heap.pop();
+        if self.heap.len() < self.k {
+            self.heap.push(Reverse((score, slot)));
+        } else if let Some(mut floor) = self.heap.peek_mut() {
+            if (score, slot) > floor.0 {
+                *floor = Reverse((score, slot));
+            }
         }
-    }
-
-    /// Whether the query has already provably overflowed — the cheap
-    /// pre-condition of [`TopK::can_stop`], split out so drivers can
-    /// defer computing their remaining-score bound until it can matter.
-    #[inline]
-    pub(crate) fn overflowed(&self) -> bool {
-        self.matched > self.k
     }
 
     /// Whether the scan may stop: the query has overflowed (`matched > k`
@@ -220,7 +215,7 @@ impl TopK {
     /// on the slot tie-break.
     #[inline]
     pub(crate) fn can_stop(&self, remaining_bound: u64) -> bool {
-        self.overflowed()
+        self.matched > self.k
             && match self.heap.peek() {
                 Some(&Reverse((floor, _))) => remaining_bound < floor,
                 // k == 0: the page is empty no matter what remains.

@@ -58,7 +58,7 @@ pub mod codec;
 pub mod database;
 pub mod errors;
 pub mod fault;
-pub mod index;
+mod index;
 pub mod interface;
 mod memo;
 pub mod persist;
@@ -75,15 +75,12 @@ pub mod value;
 
 pub use budget::QueryBudget;
 pub use codec::{read_snapshot, write_snapshot};
-pub use database::{
-    EvalConfig, HiddenDatabase, IntersectPolicy, MaintenanceBudget, MaintenanceReport, TupleRef,
-};
+pub use database::{EvalConfig, HiddenDatabase, MaintenanceBudget, MaintenanceReport, TupleRef};
 pub use errors::{BudgetExhausted, DbError, IssueError, SchemaError, TransientFault};
 pub use fault::{
     FaultKind, FaultSchedule, FaultStats, FaultyBackend, RecoveryStats, ResilientBackend,
     RetryPolicy,
 };
-pub use index::IndexMaintenance;
 pub use interface::{OutcomeClass, QueryOutcome};
 pub use memo::{InvalidationPolicy, DEFAULT_MEMO_CAPACITY};
 pub use persist::PersistConfig;

@@ -283,9 +283,10 @@ impl CachedEval {
             .is_some_and(|&last| slot == last || (score, slot) > (store.score_at(last), last))
     }
 
-    /// Index of `slot` on the page. A member is always found; a miss
-    /// means the store's index disagrees with its columns (a corrupt
-    /// snapshot can do that), and the caller drops the entry.
+    /// Index of `slot` on the page. A member is always found: pages come
+    /// from bitmaps that always agree with the columns (a restored
+    /// snapshot rebuilds them from the columns). Should a miss happen
+    /// anyway, the caller drops the entry rather than serve it.
     fn position(&self, slot: Slot) -> Option<usize> {
         self.slots.iter().position(|&m| m == slot)
     }

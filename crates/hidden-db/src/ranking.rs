@@ -45,21 +45,28 @@ impl ScoringPolicy {
     ///
     /// Measure-based scores are mapped to a monotone `u64` so all policies
     /// can share one comparison path; ties are broken by tuple key so the
-    /// total order is deterministic.
+    /// total order is deterministic. A NaN measure scores 0 under both
+    /// measure policies, below every real value (infinities included), so
+    /// corrupt measures sink to the bottom rather than panicking inside a
+    /// sort.
     #[inline]
     pub(crate) fn score(&self, key: TupleKey, measures: &[f64]) -> u64 {
         match *self {
             Self::HashedRandom { salt } => mix64(key.0 ^ salt),
             Self::ByMeasureDesc(m) => f64_to_ordered(measures[m.index()]),
-            Self::ByMeasureAsc(m) => !f64_to_ordered(measures[m.index()]),
+            Self::ByMeasureAsc(m) => match measures[m.index()] {
+                x if x.is_nan() => 0,
+                x => !f64_to_ordered(x),
+            },
             Self::NewestFirst => key.0,
         }
     }
 }
 
-/// Maps an `f64` to a `u64` preserving order (for non-NaN inputs). NaN maps
-/// below every real value so corrupt measures sink to the bottom rather
-/// than panicking inside a sort.
+/// Maps an `f64` to a `u64` preserving order (for non-NaN inputs). NaN
+/// maps to 0, below every real value; no real value maps to 0 or to
+/// `u64::MAX`, so negating keeps NaN's place free for the ascending
+/// policy.
 #[inline]
 fn f64_to_ordered(x: f64) -> u64 {
     if x.is_nan() {
@@ -104,6 +111,22 @@ mod tests {
         let dear = [99.0];
         assert!(hi.score(TupleKey(1), &dear) > hi.score(TupleKey(2), &cheap));
         assert!(lo.score(TupleKey(1), &cheap) > lo.score(TupleKey(2), &dear));
+    }
+
+    /// Regression: `ByMeasureAsc` negated the NaN score, so a NaN measure
+    /// outranked every real one. Under both policies NaN must rank below
+    /// −inf, every finite value and +inf.
+    #[test]
+    fn nan_measures_rank_last_under_both_measure_policies() {
+        let reals = [f64::NEG_INFINITY, -1e300, -1.5, -0.0, 0.0, 2.5, 1e300, f64::INFINITY];
+        for policy in
+            [ScoringPolicy::ByMeasureDesc(MeasureId(0)), ScoringPolicy::ByMeasureAsc(MeasureId(0))]
+        {
+            let nan = policy.score(TupleKey(1), &[f64::NAN]);
+            for x in reals {
+                assert!(nan < policy.score(TupleKey(2), &[x]), "{policy:?}: NaN vs {x}");
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! The contract that makes this safe to hand to estimators: a session
 //! pinned to epoch `E` produces answers **bit-identical** to a private
 //! [`HiddenDatabase`] frozen at `E`, at any thread count and any
-//! interleaving with concurrent writers. Snapshots share segment and
-//! posting-list storage with the writer via `Arc` copy-on-write, so
-//! publication is O(segments + lists) pointer copies, not a data copy.
+//! interleaving with concurrent writers. Snapshots share segment data
+//! and bitmap blocks with the writer via `Arc` copy-on-write, so
+//! publication is O(segments) pointer copies, not a data copy, and sorts
+//! nothing.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,7 +23,7 @@ use std::sync::{mpsc, Arc, Mutex, RwLock};
 use crate::budget::QueryBudget;
 use crate::database::{evaluate_query, EvalConfig, HiddenDatabase, MaintenanceBudget};
 use crate::errors::{DbError, IssueError};
-use crate::index::InvertedIndex;
+use crate::index::BitmapIndex;
 use crate::interface::QueryOutcome;
 use crate::memo::{ConcurrentMemo, QueryMemo};
 use crate::query::ConjunctiveQuery;
@@ -50,23 +51,22 @@ pub enum AutoMaintain {
 
 /// An immutable, self-contained copy of the database at one epoch.
 ///
-/// Shares tuple and posting storage with the writer via `Arc` — cloning
-/// the writer's [`StoreCore`]/[`InvertedIndex`] bumps refcounts; the
-/// writer un-shares lazily, segment by segment, as it mutates. All
-/// posting-list sorts are paid before publication
-/// ([`HiddenDatabase::snapshot_parts`] calls `ensure_all_sorted`), so
-/// evaluation here needs only `&self`.
+/// Shares tuple columns and bitmap blocks with the writer via `Arc` —
+/// cloning the writer's [`StoreCore`] and bitmap index bumps one
+/// refcount per segment each; the writer un-shares lazily, segment by
+/// segment, the first time it mutates one after a publish. The bitmaps
+/// are always exact, so evaluation here needs only `&self`.
 pub struct DbSnapshot {
     schema: Schema,
     store: StoreCore,
-    index: InvertedIndex,
+    index: BitmapIndex,
     k: usize,
     epoch: u64,
     eval_config: EvalConfig,
 }
 
 impl DbSnapshot {
-    fn capture(db: &mut HiddenDatabase) -> Self {
+    fn capture(db: &HiddenDatabase) -> Self {
         let (schema, store, index, k, epoch, eval_config) = db.snapshot_parts();
         Self { schema, store, index, k, epoch, eval_config }
     }
@@ -180,10 +180,10 @@ impl ServiceInner {
                 self.auto_maintain_runs.fetch_add(1, Ordering::Relaxed);
             }
         }
-        self.publish(&mut db);
+        self.publish(&db);
     }
 
-    fn publish(&self, db: &mut HiddenDatabase) {
+    fn publish(&self, db: &HiddenDatabase) {
         let snap = Arc::new(DbSnapshot::capture(db));
         *self.published.write().expect("published lock poisoned") = snap;
         self.epochs_published.fetch_add(1, Ordering::Relaxed);
@@ -206,8 +206,8 @@ impl DbService {
 
     /// [`DbService::new`] with an automatic-maintenance policy for the
     /// writer queue.
-    pub fn with_auto_maintain(mut db: HiddenDatabase, auto: AutoMaintain) -> Self {
-        let first = Arc::new(DbSnapshot::capture(&mut db));
+    pub fn with_auto_maintain(db: HiddenDatabase, auto: AutoMaintain) -> Self {
+        let first = Arc::new(DbSnapshot::capture(&db));
         Self {
             inner: Arc::new(ServiceInner {
                 writer: Mutex::new(db),
@@ -277,7 +277,7 @@ impl DbService {
     pub fn maintain(&self, budget: MaintenanceBudget) -> crate::database::MaintenanceReport {
         let mut db = self.inner.writer.lock().expect("writer lock poisoned");
         let report = db.maintain(budget);
-        self.inner.publish(&mut db);
+        self.inner.publish(&db);
         report
     }
 

@@ -35,14 +35,17 @@ impl InterfaceStats {
 pub struct EvalStats {
     /// Root (`SELECT *`) segment scans.
     pub root_scans: u64,
-    /// Single-predicate posting-list scans.
+    /// Single-predicate scans.
     pub single_scans: u64,
-    /// Multi-predicate evaluations that galloped the two rarest lists.
+    /// Always 0: the galloping pair engine is gone. Kept only because
+    /// the benchmark in `trackbench/` reads it; a later change to the
+    /// benchmark removes it.
     pub gallop_intersections: u64,
-    /// Multi-predicate evaluations that used per-segment bitsets.
+    /// Evaluations of two or more predicates (per-segment bitmap ANDs).
     pub bitset_intersections: u64,
-    /// Multi-predicate evaluations on the legacy rarest-list re-check
-    /// path (forced via [`crate::IntersectPolicy::Recheck`]).
+    /// Always 0, like [`EvalStats::gallop_intersections`]: the re-check
+    /// engine is gone too (read by the benchmark; a later change to the
+    /// benchmark removes it).
     pub recheck_scans: u64,
     /// Always 0: the k-way block-max engine is gone. Kept only because
     /// the benchmark in `trackbench/` reads it; a later change to the
@@ -50,7 +53,7 @@ pub struct EvalStats {
     pub blockmax_intersections: u64,
     /// Scans stopped early by the overflow + heap-floor proof.
     pub early_exits: u64,
-    /// Segments (or posting runs) never visited thanks to early exits.
+    /// Segments never visited thanks to early exits.
     pub segments_skipped: u64,
     /// Always 0, like [`EvalStats::blockmax_intersections`] (read by the
     /// benchmark; a later change to the benchmark removes it).
@@ -149,7 +152,7 @@ pub struct PersistStats {
 }
 
 /// Counters accumulated across [`crate::database::HiddenDatabase::maintain`]
-/// calls: what the segment compaction subsystem has done so far.
+/// calls: what the segment-bound maintenance has done so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MaintenanceStats {
     /// `maintain`/`compact` invocations.
@@ -158,12 +161,7 @@ pub struct MaintenanceStats {
     pub segments_recomputed: u64,
     /// Recomputes that actually tightened a bound.
     pub bounds_tightened: u64,
-    /// Posting lists compacted (tombstones purged, runs rebuilt).
-    pub lists_compacted: u64,
-    /// Tombstoned/duplicate postings removed from lists.
-    pub postings_purged: u64,
-    /// Slots/postings scanned by maintenance sweeps (the budget
-    /// currency).
+    /// Slots scanned by maintenance sweeps (the budget currency).
     pub slots_scanned: u64,
 }
 

@@ -398,9 +398,8 @@ impl StoreCore {
         self.meta[seg].max_score
     }
 
-    /// Dead (allocated but not alive) slots in segment `seg` — the
-    /// sparsity signal maintenance uses to prioritise posting-list
-    /// compaction.
+    /// Dead (allocated but not alive) slots in segment `seg` — half of
+    /// the pressure signal behind [`StoreCore::max_segment_pressure`].
     #[inline]
     pub fn segment_dead(&self, seg: usize) -> u32 {
         let span = self.segment_range(seg);
@@ -474,21 +473,6 @@ impl StoreCore {
             .collect();
         order.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         order
-    }
-
-    /// `suffix_max[seg]` = the max-score upper bound over all segments
-    /// `>= seg` — the early-exit bound for *slot-ascending* scans
-    /// (galloping intersections emit candidates in slot order).
-    pub fn segment_suffix_max(&self) -> Vec<u64> {
-        let mut suffix = vec![0u64; self.meta.len()];
-        let mut best = 0u64;
-        for (s, meta) in self.meta.iter().enumerate().rev() {
-            if meta.alive > 0 {
-                best = best.max(meta.max_score);
-            }
-            suffix[s] = best;
-        }
-        suffix
     }
 
     /// Copies the tuples at `slots`, in order, into one flat result page.
@@ -1030,8 +1014,6 @@ mod tests {
         }
         let desc = s.segments_by_score_desc();
         assert_eq!(desc, vec![(0, 40)]);
-        let suffix = s.segment_suffix_max();
-        assert_eq!(suffix, vec![40]);
     }
 
     /// A cloned `StoreCore` is an immutable snapshot: segment-granular
