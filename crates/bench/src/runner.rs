@@ -4,7 +4,7 @@
 //! Trials are embarrassingly parallel — each owns its database, schedule,
 //! and RNG streams, all derived from `cfg.seed` and the trial index — so
 //! [`track`] fans them out over [`aggtrack_parallel::par_map_indexed`].
-//! Each trial produces a [`TrialOutcome`] (raw per-round records); the
+//! Each trial produces a `TrialOutcome` (raw per-round records); the
 //! main thread then merges them **in trial-index order**, which makes the
 //! accumulated [`SeriesSummary`] state bit-identical to the sequential
 //! loop for any thread count (Welford accumulation is order-sensitive in

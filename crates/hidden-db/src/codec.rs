@@ -13,9 +13,17 @@
 //! counters (so load skips the full bound recompute), and the free list
 //! in order (so future slot reuse replays identically). The bitmap
 //! index is not stored: the reader rebuilds it, and the per-value
-//! counts, from the columns, so it always agrees with them. A restored
-//! database doesn't just answer identically — it *evolves* identically
-//! under any further mutation stream.
+//! counts, from the restored rows, so it always agrees with them. A
+//! restored database doesn't just answer identically — it *evolves*
+//! identically under any further mutation stream.
+//!
+//! Attribute values and measures are stored **attribute-major**, one
+//! column per attribute and per measure, whatever layout the store keeps
+//! in memory. The store keeps rows: the writer reads each column across
+//! a segment's rows, and the reader checks each value against its domain
+//! and lays a segment's columns out as rows once all of them are read.
+//! The bytes do not depend on the in-memory layout, so checkpoints
+//! written while the store kept one array per attribute still restore.
 //!
 //! Layout (all integers little-endian):
 //! `magic "HDBS" | format u32 | k u64 | policy | schema | store | free
@@ -214,14 +222,15 @@ pub fn write_snapshot(db: &HiddenDatabase, w: &mut impl Write) -> io::Result<()>
         for word in bits {
             write_u64(w, word)?;
         }
-        for col in &data.columns {
-            for &v in col {
-                write_u32(w, v)?;
+        // Columns, attribute-major, read across the store's rows.
+        for a in 0..data.attr_count {
+            for off in 0..rows {
+                write_u32(w, data.value_row(off)[a])?;
             }
         }
-        for col in &data.measures {
-            for &m in col {
-                write_f64(w, m)?;
+        for m in 0..data.measure_count {
+            for off in 0..rows {
+                write_f64(w, data.measure_row(off)[m])?;
             }
         }
         let meta = &store.metas()[seg];
@@ -240,7 +249,7 @@ pub fn write_snapshot(db: &HiddenDatabase, w: &mut impl Write) -> io::Result<()>
 }
 
 /// Deserialises a snapshot produced by [`write_snapshot`] and rebuilds
-/// its bitmap index from the columns. Every count is validated against
+/// its bitmap index from the restored rows. Every count is validated against
 /// the allocation geometry before use, the bitmaps' size against
 /// `MAX_BITMAP_BYTES`, and every restored field a later query or
 /// mutation indexes by is checked against the schema, so corrupt or
@@ -287,6 +296,7 @@ pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
     let mut segs = Vec::with_capacity(seg_count);
     let mut metas = Vec::with_capacity(seg_count);
     let mut alive_sum = 0u64;
+    let (mut value_cols, mut measure_cols) = (Vec::new(), Vec::new());
     for seg in 0..seg_count {
         let expected_rows = (allocated - seg * SEGMENT_SLOTS).min(SEGMENT_SLOTS);
         let rows = read_u32(r)? as usize;
@@ -306,15 +316,25 @@ pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
             }
         }
         data.alive = alive;
-        for (col, &domain) in data.columns.iter_mut().zip(&domains) {
-            *col = (0..rows).map(|_| read_u32(r)).collect::<io::Result<_>>()?;
-            if col.iter().any(|&v| v >= domain) {
-                return Err(bad("column value outside its attribute domain"));
+        // The columns are collected as they are read, so what is
+        // allocated follows the bytes actually read; the segment's row
+        // blocks are laid out only once all of them are in.
+        value_cols.clear();
+        for &domain in &domains {
+            for _ in 0..rows {
+                let v = read_u32(r)?;
+                if v >= domain {
+                    return Err(bad("column value outside its attribute domain"));
+                }
+                value_cols.push(v);
             }
         }
-        for col in &mut data.measures {
-            *col = (0..rows).map(|_| read_f64(r)).collect::<io::Result<_>>()?;
+        measure_cols.clear();
+        for _ in 0..measure_count * rows {
+            measure_cols.push(read_f64(r)?);
         }
+        data.values = to_rows(&value_cols, rows, attr_count);
+        data.measures = to_rows(&measure_cols, rows, measure_count);
         let meta_alive = read_u32(r)?;
         let max_score = read_u64(r)?;
         let stale_ops = read_u32(r)?;
@@ -357,6 +377,16 @@ pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
     )
     .ok_or_else(|| bad("duplicate alive key in snapshot"))?;
     Ok(HiddenDatabase::from_restored(schema, k, policy, store))
+}
+
+/// Lays out `rows × width` attribute-major `columns` row-major: entry
+/// `(row, a)` moves from `a * rows + row` to `row * width + a`.
+fn to_rows<T: Copy>(columns: &[T], rows: usize, width: usize) -> Vec<T> {
+    let mut out = Vec::with_capacity(columns.len());
+    for row in 0..rows {
+        out.extend((0..width).map(|a| columns[a * rows + row]));
+    }
+    out
 }
 
 #[cfg(test)]
@@ -439,7 +469,7 @@ mod tests {
     /// The warm-state promise: a restored churned database doesn't
     /// just answer like the original — it *evolves* identically, because
     /// slot layout and the free list (in order) survived verbatim and the
-    /// bitmaps were rebuilt from the columns.
+    /// bitmaps were rebuilt from the rows.
     #[test]
     fn roundtrip_preserves_future_evolution() {
         let mut original = churned_db();
@@ -646,6 +676,55 @@ mod tests {
         let restored = read_snapshot(&mut small.as_slice()).unwrap();
         assert_eq!(restored.schema().domain_size(AttrId(0)), 64);
         assert_eq!(restored.len(), 3);
+    }
+
+    /// Length and FNV-1a 64 of `write_snapshot(&pinned_db())`, recorded
+    /// from the column-per-attribute store that first wrote format v4.
+    const PINNED_SNAPSHOT: (usize, u64) = (225_354, 0xae5e_b210_b263_48a9);
+
+    /// A fixed two-segment database with every kind of churn: deletes,
+    /// measure updates that move measure-ranked scores both ways, and
+    /// inserts that refill freed slots. Its values come from arithmetic
+    /// on the key, not from an RNG, so the fixture cannot drift.
+    fn pinned_db() -> HiddenDatabase {
+        let schema = Schema::with_domain_sizes(&[3, 7, 2, 11, 5], &["price", "qty"]).unwrap();
+        let mut db = HiddenDatabase::new(schema, 9, ScoringPolicy::ByMeasureDesc(MeasureId(0)));
+        let tuple = |key: u64| {
+            let values = [3u64, 7, 2, 11, 5]
+                .iter()
+                .enumerate()
+                .map(|(a, &d)| ValueId(((key * (2 * a as u64 + 3) + key / 5) % d) as u32))
+                .collect();
+            Tuple::new(TupleKey(key), values, vec![(key * 37 % 1000) as f64, (key % 13) as f64])
+        };
+        let n = SEGMENT_SLOTS as u64 + 200;
+        for key in 0..n {
+            db.insert(tuple(key)).unwrap();
+        }
+        for key in (0..n).step_by(7) {
+            db.delete(TupleKey(key)).unwrap();
+        }
+        for key in (1..n).step_by(5).filter(|key| key % 7 != 0) {
+            db.update_measures(TupleKey(key), vec![(key * 53 % 1500) as f64, -1.5]).unwrap();
+        }
+        for key in n..n + 300 {
+            db.insert(tuple(key)).unwrap();
+        }
+        db
+    }
+
+    /// Codec v4's bytes are a format, not a dump of the store's memory
+    /// layout: a fixed database writes the bytes pinned above, and a
+    /// snapshot read back writes the same bytes again.
+    #[test]
+    fn snapshot_bytes_are_pinned() {
+        let mut bytes = Vec::new();
+        write_snapshot(&pinned_db(), &mut bytes).unwrap();
+        assert_eq!((bytes.len(), crate::persist::fnv64(&bytes)), PINNED_SNAPSHOT);
+        let restored = read_snapshot(&mut bytes.as_slice()).unwrap();
+        let mut again = Vec::new();
+        write_snapshot(&restored, &mut again).unwrap();
+        assert!(again == bytes, "a restored snapshot writes different bytes");
     }
 
     #[test]

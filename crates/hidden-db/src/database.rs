@@ -16,14 +16,14 @@ use aggtrack_parallel::{par_map_indexed, Threads};
 
 use crate::errors::DbError;
 use crate::index::{BitmapIndex, SEGMENT_WORDS};
-use crate::interface::{slot_matches, CachedEval, QueryOutcome, TopK};
+use crate::interface::{row_matches, slot_matches, CachedEval, QueryOutcome, TopK};
 use crate::memo::{InvalidationPolicy, QueryMemo, RowChange, RowOp};
 use crate::persist::{Pager, PersistConfig};
 use crate::query::ConjunctiveQuery;
 use crate::ranking::ScoringPolicy;
 use crate::schema::Schema;
 use crate::stats::{EvalStats, InterfaceStats, MaintenanceStats, MemoStats, PersistStats};
-use crate::store::{Slot, Store, StoreCore, SEGMENT_SLOTS};
+use crate::store::{locate, Slot, Store, StoreCore, SEGMENT_SLOTS};
 use crate::tuple::Tuple;
 use crate::updates::{UpdateBatch, UpdateSummary};
 use crate::value::{AttrId, MeasureId, TupleKey, ValueId};
@@ -109,10 +109,8 @@ impl<'a> TupleRef<'a> {
 
     /// Whether this tuple satisfies `query`.
     pub fn matches(&self, query: &ConjunctiveQuery) -> bool {
-        query
-            .predicates()
-            .iter()
-            .all(|p| self.store.value_at(p.attr.index(), self.slot) == p.value.0)
+        let (seg, off) = locate(self.slot);
+        row_matches(query, self.store.seg_view(seg).value_row(off))
     }
 }
 
@@ -400,8 +398,8 @@ impl HiddenDatabase {
     /// `cfg.dir`'s journal (ignoring any torn tail from a crash
     /// mid-append) and re-attaches the persistence tier. The restored
     /// database carries every bound and free-list entry of the
-    /// checkpointed one, and rebuilds its bitmaps from the columns, so
-    /// it evolves bit-identically from here.
+    /// checkpointed one, and rebuilds its bitmaps from the stored rows,
+    /// so it evolves bit-identically from here.
     ///
     /// Errors with [`io::ErrorKind::NotFound`] when the journal holds no
     /// valid record.
@@ -423,7 +421,7 @@ impl HiddenDatabase {
     }
 
     /// Rebuilds a database from restored snapshot state (codec v4): the
-    /// store verbatim, the bitmaps rebuilt from its columns, fresh
+    /// store verbatim, the bitmaps rebuilt from its rows, fresh
     /// version/memo/stats (the memo is an epoch cache — a restarted
     /// process starts a new epoch; answers are unaffected).
     pub(crate) fn from_restored(
@@ -577,7 +575,8 @@ impl HiddenDatabase {
 
     /// The full value row of the (alive) tuple at `slot`, in schema order.
     fn row_of(&self, slot: Slot) -> Vec<ValueId> {
-        (0..self.schema.attr_count()).map(|a| ValueId(self.store.value_at(a, slot))).collect()
+        let (seg, off) = locate(slot);
+        self.store.seg_view(seg).value_row(off).iter().map(|&v| ValueId(v)).collect()
     }
 
     fn delete_inner(&mut self, key: TupleKey) -> Result<(), DbError> {
@@ -715,16 +714,14 @@ impl HiddenDatabase {
     /// If the query references attributes/values outside the schema.
     pub fn exact_answer(&self, query: &ConjunctiveQuery) -> QueryOutcome {
         query.validate(&self.schema).expect("search query must be valid for the schema");
+        let preds: Vec<(usize, u32)> =
+            query.predicates().iter().map(|p| (p.attr.index(), p.value.0)).collect();
         let mut matches: Vec<(u64, Slot)> = Vec::new();
         for seg in 0..self.store.segment_count() {
             let data = self.store.seg_view(seg);
-            let preds: Vec<(&[u32], u32)> = query
-                .predicates()
-                .iter()
-                .map(|p| (&data.columns[p.attr.index()][..], p.value.0))
-                .collect();
             for (off, _) in data.alive.iter().enumerate().filter(|&(_, &alive)| alive) {
-                if preds.iter().all(|&(col, value)| col[off] == value) {
+                let row = data.value_row(off);
+                if preds.iter().all(|&(attr, value)| row[attr] == value) {
                     matches.push((data.scores[off], (seg * SEGMENT_SLOTS + off) as Slot));
                 }
             }
@@ -851,7 +848,7 @@ impl HiddenDatabase {
 /// alive row is ANDed word by word with the query's bitmap rows
 /// ([`BitmapIndex::and_rows`]). Every set bit is an alive slot carrying
 /// every value of the query, so it is offered to the top-`k` heap as is,
-/// its score read from the segment's column. Once the query has
+/// its score read from the segment's score array. Once the query has
 /// overflowed and the heap floor beats the next segment's bound, no
 /// remaining slot can enter the page and the scan stops (when
 /// `config.early_exit` is on).

@@ -10,7 +10,7 @@
 //! ([`BitmapIndex::and_rows`]), so root, one-predicate and
 //! many-predicate queries all run the same loop, and a set bit is an
 //! alive slot that carries every value of the query: no re-check of the
-//! columns, no duplicate to skip.
+//! stored values, no duplicate to skip.
 //!
 //! Insert sets a slot's bits and delete clears them, so the rows are
 //! always exact: there are no tombstones, no lazy sorts and nothing to
@@ -22,8 +22,8 @@
 //!
 //! Each segment holds `(Σ domain sizes + 1)` rows of [`SEGMENT_WORDS`]
 //! words: `(Σ domain sizes + 1) × 512` bytes per 4 096-slot segment
-//! (190 KB at 20 attributes of Autos, 380 KB at 38). The rows stay
-//! resident when the persistence tier pages the store's columns out; a
+//! (190 KB at 20 attributes of Autos, 380 KB at 38). The bitmaps stay
+//! resident when the persistence tier pages the store's segments out; a
 //! scan faults a store segment in only to read the scores of its set
 //! bits.
 //!
@@ -82,8 +82,10 @@ impl BitmapIndex {
         Self { first_row, alive_row: rows, segs: Vec::new(), counts: vec![0; rows + 1] }
     }
 
-    /// Builds the index of `store`'s alive tuples from its columns (the
-    /// snapshot reader's path: bitmaps are never persisted).
+    /// Builds the index of `store`'s alive tuples (the snapshot reader's
+    /// path: bitmaps are never persisted). One pass per segment over its
+    /// alive slots sets each slot's alive bit and, from the slot's value
+    /// row, the bit of each value it carries.
     pub(crate) fn from_store(schema: &Schema, store: &StoreCore) -> Self {
         let mut index = Self::new(schema);
         index.segs.reserve(store.segment_count());
@@ -95,8 +97,8 @@ impl BitmapIndex {
                 let (word, bit) = (off >> 6, 1u64 << (off & 63));
                 block[index.alive_row][word] |= bit;
                 index.counts[index.alive_row] += 1;
-                for (a, col) in data.columns.iter().enumerate() {
-                    let row = index.first_row[a] + col[off] as usize;
+                for (a, &v) in data.value_row(off).iter().enumerate() {
+                    let row = index.first_row[a] + v as usize;
                     block[row][word] |= bit;
                     index.counts[row] += 1;
                 }
@@ -196,8 +198,8 @@ impl BitmapIndex {
             for off in (0..data.alive.len()).filter(|&off| data.alive[off]) {
                 let (word, bit) = (off >> 6, 1u64 << (off & 63));
                 want[self.alive_row][word] |= bit;
-                for (a, col) in data.columns.iter().enumerate() {
-                    want[self.first_row[a] + col[off] as usize][word] |= bit;
+                for (a, &v) in data.value_row(off).iter().enumerate() {
+                    want[self.first_row[a] + v as usize][word] |= bit;
                 }
             }
             for (r, (got, want)) in block.iter().zip(&want).enumerate() {

@@ -19,7 +19,7 @@
 //! entry and version of its answer, and shared behind an `Arc`, so
 //! repeated (memoised) answers to the same query cost one atomic
 //! increment. The memo patches cached answers in place as rows change
-//! (see [`crate::memo`]'s module docs) and drops a shared page whenever
+//! (see the `memo` module's docs) and drops a shared page whenever
 //! its slots or one of their measures change, so a page is only ever
 //! served while it matches the store.
 
@@ -28,7 +28,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::query::ConjunctiveQuery;
-use crate::store::{Slot, StoreCore};
+use crate::store::{locate, Slot, StoreCore};
 use crate::tuple::{Page, Rows};
 use crate::value::TupleKey;
 
@@ -285,14 +285,18 @@ where
 }
 
 /// Whether the (possibly stale) candidate at `slot` is alive and satisfies
-/// every predicate — the columnar residual check behind every driver:
-/// per predicate, two array loads.
+/// every predicate, read through one segment view.
 #[inline]
 pub(crate) fn slot_matches(query: &ConjunctiveQuery, store: &StoreCore, slot: Slot) -> bool {
-    if !store.is_alive(slot) {
-        return false;
-    }
-    query.predicates().iter().all(|p| store.value_at(p.attr.index(), slot) == p.value.0)
+    let (seg, off) = locate(slot);
+    let data = store.seg_view(seg);
+    data.alive[off] && row_matches(query, data.value_row(off))
+}
+
+/// Whether a tuple whose value codes are `row` satisfies every predicate.
+#[inline]
+pub(crate) fn row_matches(query: &ConjunctiveQuery, row: &[u32]) -> bool {
+    query.predicates().iter().all(|p| row[p.attr.index()] == p.value.0)
 }
 
 #[cfg(test)]

@@ -284,8 +284,8 @@ impl CachedEval {
     }
 
     /// Index of `slot` on the page. A member is always found: pages come
-    /// from bitmaps that always agree with the columns (a restored
-    /// snapshot rebuilds them from the columns). Should a miss happen
+    /// from bitmaps that always agree with the store (a restored
+    /// snapshot rebuilds them from the stored rows). Should a miss happen
     /// anyway, the caller drops the entry rather than serve it.
     fn position(&self, slot: Slot) -> Option<usize> {
         self.slots.iter().position(|&m| m == slot)

@@ -2,9 +2,18 @@
 //!
 //! Fixed-size store segments ([`crate::store::SEGMENT_SLOTS`] slots) are
 //! the paging unit: each segment serialises to a **fixed-layout region**
-//! of a single column file (`segments.dat`), so the byte offset of any
-//! segment is a multiply — the classic mmap-style layout, implemented
-//! with plain seek/read/write so the tier works on any `std` platform.
+//! of a single file (`segments.dat`), so the byte offset of any segment
+//! is a multiply — the classic mmap-style layout, implemented with plain
+//! seek/read/write so the tier works on any `std` platform.
+//!
+//! A region holds the segment as memory holds it: the row count, the
+//! keys, the scores, the alive bitmap, then the row-major value block
+//! and the row-major measure block, each copied in one loop. Every array
+//! is sized for a full segment, so partially grown segments leave gaps.
+//! The file header carries `FILE_VERSION` (2 since the store keeps rows;
+//! version 1 held one array per attribute). No file of another version
+//! is ever read: `Pager::open` truncates the file on every
+//! [`crate::database::HiddenDatabase::enable_persist`].
 //!
 //! ## Resident budget
 //!
@@ -16,7 +25,7 @@
 //!   snapshots). The writer bounds them to `resident - 1`, evicting with
 //!   a CLOCK sweep (write-back on dirty) when a mutation would exceed
 //!   the budget;
-//! * the remaining slack holds the [`Pager`]'s **read cache**: segments
+//! * the remaining slack holds the `Pager`'s **read cache**: segments
 //!   faulted back in by `&self` readers (query evaluation, ground
 //!   truth, snapshot materialisation), evicted clean with a
 //!   second-chance CLOCK ring.
@@ -35,7 +44,8 @@
 //! append-only journal of checksummed full-state snapshot records
 //! (format v4 of [`crate::codec`] — segment data *and* warm state:
 //! segment score bounds and staleness counters, the free list; the
-//! bitmap index is rebuilt from the columns on load and stays resident). [`crate::database::HiddenDatabase::checkpoint`] appends a
+//! bitmap index is rebuilt from the stored rows on load and stays
+//! resident). [`crate::database::HiddenDatabase::checkpoint`] appends a
 //! record and fsyncs; reopening scans the journal, keeps the last record
 //! whose length and FNV-64 checksum validate, and ignores any torn tail
 //! from a crash mid-append.
@@ -57,7 +67,7 @@ pub const SEGMENTS_FILE: &str = "segments.dat";
 pub const JOURNAL_FILE: &str = "state.hdbj";
 
 const FILE_MAGIC: &[u8; 4] = b"HDBP";
-const FILE_VERSION: u32 = 1;
+const FILE_VERSION: u32 = 2;
 /// Region file header: magic, version, attr count, measure count, pad.
 const HEADER_LEN: u64 = 32;
 
@@ -104,8 +114,8 @@ impl PersistConfig {
 }
 
 /// Byte layout of one segment region. Every array sits at a fixed
-/// offset (stride [`SEGMENT_SLOTS`]), so partially grown segments leave
-/// gaps — the price of O(1) addressing.
+/// offset (sized for [`SEGMENT_SLOTS`] rows), so partially grown
+/// segments leave gaps — the price of O(1) addressing.
 #[derive(Debug, Clone, Copy)]
 struct Geometry {
     attr_count: usize,
@@ -117,7 +127,7 @@ impl Geometry {
     fn new(attr_count: usize, measure_count: usize) -> Self {
         let s = SEGMENT_SLOTS;
         // rows u64 | keys u64×S | scores u64×S | alive bitmap S/8 |
-        // columns u32×S per attr | measures f64×S per measure.
+        // value rows u32×attrs×S | measure rows f64×measures×S.
         let region_len = 8 + 8 * s + 8 * s + s / 8 + attr_count * 4 * s + measure_count * 8 * s;
         Self { attr_count, measure_count, region_len }
     }
@@ -148,18 +158,14 @@ impl Geometry {
             }
         }
         off += SEGMENT_SLOTS / 8;
-        for col in &data.columns {
-            for (i, &v) in col.iter().enumerate() {
-                buf[off + i * 4..off + i * 4 + 4].copy_from_slice(&v.to_le_bytes());
-            }
-            off += 4 * SEGMENT_SLOTS;
+        for (i, &v) in data.values.iter().enumerate() {
+            buf[off + i * 4..off + i * 4 + 4].copy_from_slice(&v.to_le_bytes());
         }
-        for col in &data.measures {
-            for (i, &m) in col.iter().enumerate() {
-                buf[off + i * 8..off + i * 8 + 8].copy_from_slice(&m.to_le_bytes());
-            }
-            off += 8 * SEGMENT_SLOTS;
+        off += 4 * SEGMENT_SLOTS * self.attr_count;
+        for (i, &m) in data.measures.iter().enumerate() {
+            buf[off + i * 8..off + i * 8 + 8].copy_from_slice(&m.to_le_bytes());
         }
+        off += 8 * SEGMENT_SLOTS * self.measure_count;
         debug_assert_eq!(off, self.region_len);
     }
 
@@ -183,25 +189,25 @@ impl Geometry {
             alive.push(buf[off + i / 8] & (1 << (i % 8)) != 0);
         }
         off += SEGMENT_SLOTS / 8;
-        let mut columns = Vec::with_capacity(self.attr_count);
-        for _ in 0..self.attr_count {
-            let mut col = Vec::with_capacity(rows);
-            for i in 0..rows {
-                col.push(u32::from_le_bytes(buf[off + i * 4..off + i * 4 + 4].try_into().unwrap()));
-            }
-            columns.push(col);
-            off += 4 * SEGMENT_SLOTS;
+        let values = buf[off..off + 4 * rows * self.attr_count]
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        off += 4 * SEGMENT_SLOTS * self.attr_count;
+        let measures = buf[off..off + 8 * rows * self.measure_count]
+            .chunks_exact(8)
+            .map(|b| f64::from_le_bytes(b.try_into().unwrap()))
+            .collect();
+        SegmentData {
+            attr_count: self.attr_count,
+            measure_count: self.measure_count,
+            values,
+            measures,
+            keys,
+            scores,
+            alive,
+            evicted: false,
         }
-        let mut measures = Vec::with_capacity(self.measure_count);
-        for _ in 0..self.measure_count {
-            let mut col = Vec::with_capacity(rows);
-            for i in 0..rows {
-                col.push(f64::from_le_bytes(buf[off + i * 8..off + i * 8 + 8].try_into().unwrap()));
-            }
-            measures.push(col);
-            off += 8 * SEGMENT_SLOTS;
-        }
-        SegmentData { columns, measures, keys, scores, alive, evicted: false }
     }
 }
 
@@ -497,7 +503,7 @@ impl Pager {
 
 /// FNV-1a 64-bit (the same fold the bench fingerprints use): cheap,
 /// dependency-free, and plenty for torn-tail detection.
-fn fnv64(bytes: &[u8]) -> u64 {
+pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -606,7 +612,7 @@ mod tests {
         assert_eq!(back.keys, data.keys);
         assert_eq!(back.scores, data.scores);
         assert_eq!(back.alive, data.alive);
-        assert_eq!(back.columns, data.columns);
+        assert_eq!(back.values, data.values);
         assert_eq!(back.measures, data.measures);
         assert!(!back.evicted);
     }

@@ -51,7 +51,7 @@ pub enum AutoMaintain {
 
 /// An immutable, self-contained copy of the database at one epoch.
 ///
-/// Shares tuple columns and bitmap blocks with the writer via `Arc` —
+/// Shares segment rows and bitmap blocks with the writer via `Arc` —
 /// cloning the writer's [`StoreCore`] and bitmap index bumps one
 /// refcount per segment each; the writer un-shares lazily, segment by
 /// segment, the first time it mutates one after a publish. The bitmaps

@@ -1,18 +1,28 @@
-//! Columnar slot-based tuple storage, organised in fixed-size segments.
+//! Slot-based tuple storage, organised in fixed-size segments of rows.
 //!
 //! Tuples live in *slots*; deleting a tuple frees its slot for reuse by a
-//! later insert. All hot query-evaluation paths index columns directly by
-//! slot, so matching a predicate against a candidate tuple is two array
-//! loads. External identity is the [`TupleKey`], which is never reused.
+//! later insert. External identity is the [`TupleKey`], which is never
+//! reused.
+//!
+//! ## Rows, not columns
+//!
+//! Each segment stores its tuples row-major: one slot's attribute values
+//! sit next to each other, and so do its measures. The reader this layout
+//! serves is the result page. Every search query returns up to `k` whole
+//! tuples, and [`StoreCore::page`] copies each of them as one contiguous
+//! value slice and one measure slice. Per-attribute work, matching
+//! predicates, runs on the bitmap index (the `index` module) without
+//! reading the store's values; the evaluation engine reads only the
+//! scores of its matches, which keep an array of their own.
 //!
 //! ## Segments
 //!
 //! Slots are grouped into fixed-size segments of [`SEGMENT_SLOTS`]
-//! consecutive slots. Each segment's column data lives in its own
-//! [`Arc`]-shared block ([`SegmentData`]), so cloning the read-side of the
-//! store ([`StoreCore`]) is a handful of reference-count bumps plus the
-//! small per-segment summary vector — the substrate for the epoch-published
-//! snapshots of [`crate::service::DbService`]. Mutation goes through
+//! consecutive slots. Each segment's rows live in one [`Arc`]-shared
+//! block, so cloning the read-side of the store ([`StoreCore`]) is a
+//! handful of reference-count bumps plus the small per-segment summary
+//! vector — the substrate for the epoch-published snapshots of
+//! [`crate::service::DbService`]. Mutation goes through
 //! [`Arc::make_mut`]: copy-on-write at segment granularity, so a published
 //! snapshot keeps the old block while the writer pays one segment copy the
 //! first time it touches a shared segment.
@@ -24,8 +34,8 @@
 //! * a **max-score upper bound** — never underestimates the best hidden
 //!   ranking score of any alive occupant, which is what lets the
 //!   evaluation engine stop a top-`k` scan early once the heap floor
-//!   provably beats every remaining segment (see
-//!   [`crate::interface::TopK::can_stop`]). Deletes do not lower the
+//!   provably beats every remaining segment (see `TopK::can_stop` in
+//!   [`crate::interface`]). Deletes do not lower the
 //!   bound (that would cost a segment sweep); it resets to the true
 //!   maximum whenever a segment empties, and is exact for append-mostly
 //!   workloads like `NewestFirst` timelines.
@@ -80,7 +90,7 @@ pub fn segment_of(slot: Slot) -> usize {
 
 /// `(segment, offset within segment)` of a slot.
 #[inline]
-fn locate(slot: Slot) -> (usize, usize) {
+pub(crate) fn locate(slot: Slot) -> (usize, usize) {
     (segment_of(slot), slot as usize & SEGMENT_MASK)
 }
 
@@ -102,9 +112,13 @@ pub(crate) struct SegmentMeta {
     pub(crate) ref_bit: bool,
 }
 
-/// One segment's column data: up to [`SEGMENT_SLOTS`] rows, grown lazily
-/// as slots are allocated. Shared between the writer and any published
+/// One segment's data: up to [`SEGMENT_SLOTS`] rows, grown lazily as
+/// slots are allocated. Shared between the writer and any published
 /// snapshots via [`Arc`]; mutated only through [`Arc::make_mut`].
+///
+/// Attribute values and measures are stored row-major: one slot's
+/// values sit next to each other ([`SegmentData::value_row`]), so a
+/// result page copies each of its tuples as one contiguous slice.
 ///
 /// With the persistence tier attached, a segment may instead be
 /// **evicted**: its slot in `StoreCore::segs` holds the pager's shared
@@ -113,10 +127,14 @@ pub(crate) struct SegmentMeta {
 /// them for mutation.
 #[derive(Debug, Clone)]
 pub(crate) struct SegmentData {
-    /// `columns[a][off]` = value code of attribute `a` for local slot `off`.
-    pub(crate) columns: Vec<Vec<u32>>,
-    /// `measures[m][off]` = measure value.
-    pub(crate) measures: Vec<Vec<f64>>,
+    /// Attributes per row.
+    pub(crate) attr_count: usize,
+    /// Measures per row.
+    pub(crate) measure_count: usize,
+    /// Value codes, `attr_count` per local slot, in slot order.
+    pub(crate) values: Vec<u32>,
+    /// Measure values, `measure_count` per local slot, in slot order.
+    pub(crate) measures: Vec<f64>,
     /// `keys[off]` = external key of the occupant (stale if dead).
     pub(crate) keys: Vec<u64>,
     /// `scores[off]` = hidden ranking score of the occupant.
@@ -132,8 +150,10 @@ pub(crate) struct SegmentData {
 impl SegmentData {
     pub(crate) fn empty(attr_count: usize, measure_count: usize) -> Self {
         Self {
-            columns: vec![Vec::new(); attr_count],
-            measures: vec![Vec::new(); measure_count],
+            attr_count,
+            measure_count,
+            values: Vec::new(),
+            measures: Vec::new(),
             keys: Vec::new(),
             scores: Vec::new(),
             alive: Vec::new(),
@@ -146,14 +166,22 @@ impl SegmentData {
         Self { evicted: true, ..Self::empty(0, 0) }
     }
 
+    /// The value codes of local slot `off`, in schema order.
+    #[inline]
+    pub(crate) fn value_row(&self, off: usize) -> &[u32] {
+        &self.values[off * self.attr_count..(off + 1) * self.attr_count]
+    }
+
+    /// The measures of local slot `off`, in schema order.
+    #[inline]
+    pub(crate) fn measure_row(&self, off: usize) -> &[f64] {
+        &self.measures[off * self.measure_count..(off + 1) * self.measure_count]
+    }
+
     /// Appends a row at the next local offset (caller tracks allocation).
     pub(crate) fn push_row(&mut self, values: &[ValueId], measures: &[f64], key: u64, score: u64) {
-        for (a, col) in self.columns.iter_mut().enumerate() {
-            col.push(values[a].0);
-        }
-        for (m, col) in self.measures.iter_mut().enumerate() {
-            col.push(measures[m]);
-        }
+        self.values.extend(values[..self.attr_count].iter().map(|v| v.0));
+        self.measures.extend_from_slice(&measures[..self.measure_count]);
         self.keys.push(key);
         self.scores.push(score);
         self.alive.push(true);
@@ -168,15 +196,20 @@ impl SegmentData {
         key: u64,
         score: u64,
     ) {
-        for (a, col) in self.columns.iter_mut().enumerate() {
-            col[off] = values[a].0;
+        let a = self.attr_count;
+        for (dst, v) in self.values[off * a..(off + 1) * a].iter_mut().zip(&values[..a]) {
+            *dst = v.0;
         }
-        for (m, col) in self.measures.iter_mut().enumerate() {
-            col[off] = measures[m];
-        }
+        self.write_measures(off, measures);
         self.keys[off] = key;
         self.scores[off] = score;
         self.alive[off] = true;
+    }
+
+    /// Overwrites the measures of local slot `off`.
+    pub(crate) fn write_measures(&mut self, off: usize, measures: &[f64]) {
+        let m = self.measure_count;
+        self.measures[off * m..(off + 1) * m].copy_from_slice(&measures[..m]);
     }
 }
 
@@ -274,7 +307,7 @@ impl Clone for StoreCore {
     }
 }
 
-/// Columnar storage for tuples plus the per-tuple hidden ranking score.
+/// Row storage for tuples plus the per-tuple hidden ranking score.
 ///
 /// Wraps the shared [`StoreCore`] with the writer-only state: the free
 /// list and the key → slot map. Read accessors come through `Deref`.
@@ -353,14 +386,14 @@ impl StoreCore {
     #[inline]
     pub fn value_at(&self, attr_idx: usize, slot: Slot) -> u32 {
         let (seg, off) = locate(slot);
-        self.seg_view(seg).columns[attr_idx][off]
+        self.seg_view(seg).value_row(off)[attr_idx]
     }
 
     /// Measure value at `slot`.
     #[inline]
     pub fn measure_at(&self, measure_idx: usize, slot: Slot) -> f64 {
         let (seg, off) = locate(slot);
-        self.seg_view(seg).measures[measure_idx][off]
+        self.seg_view(seg).measure_row(off)[measure_idx]
     }
 
     /// Hidden ranking score at `slot`.
@@ -475,8 +508,12 @@ impl StoreCore {
         order
     }
 
-    /// Copies the tuples at `slots`, in order, into one flat result page.
+    /// Copies the tuples at `slots`, in order, into one flat result page,
+    /// one contiguous value row and measure row per tuple.
     pub fn page(&self, slots: &[Slot]) -> Page {
+        if self.pager.is_some() {
+            return self.page_by_segment(slots);
+        }
         let (attrs, ms) = (self.attr_count, self.measure_count);
         let mut keys = Vec::with_capacity(slots.len());
         let mut values = Vec::with_capacity(slots.len() * attrs);
@@ -485,8 +522,35 @@ impl StoreCore {
             let (seg, off) = locate(slot);
             let data = self.seg_view(seg);
             keys.push(TupleKey(data.keys[off]));
-            values.extend(data.columns.iter().map(|col| ValueId(col[off])));
-            measures.extend(data.measures.iter().map(|col| col[off]));
+            values.extend(data.value_row(off).iter().map(|&v| ValueId(v)));
+            measures.extend_from_slice(data.measure_row(off));
+        }
+        Page::from_columns(keys, values, measures, attrs, ms)
+    }
+
+    /// [`StoreCore::page`] with a pager attached: gathers the rows
+    /// segment by segment and writes each to its page position, so every
+    /// segment is viewed (an evicted one faulted) once however the page
+    /// interleaves them.
+    fn page_by_segment(&self, slots: &[Slot]) -> Page {
+        let (attrs, ms) = (self.attr_count, self.measure_count);
+        let mut keys = vec![TupleKey(0); slots.len()];
+        let mut values = vec![ValueId(0); slots.len() * attrs];
+        let mut measures = vec![0.0; slots.len() * ms];
+        let mut order: Vec<usize> = (0..slots.len()).collect();
+        order.sort_unstable_by_key(|&i| segment_of(slots[i]));
+        for group in order.chunk_by(|&i, &j| segment_of(slots[i]) == segment_of(slots[j])) {
+            let data = self.seg_view(segment_of(slots[group[0]]));
+            for &i in group {
+                let off = locate(slots[i]).1;
+                keys[i] = TupleKey(data.keys[off]);
+                for (dst, &v) in
+                    values[i * attrs..(i + 1) * attrs].iter_mut().zip(data.value_row(off))
+                {
+                    *dst = ValueId(v);
+                }
+                measures[i * ms..(i + 1) * ms].copy_from_slice(data.measure_row(off));
+            }
         }
         Page::from_columns(keys, values, measures, attrs, ms)
     }
@@ -808,10 +872,7 @@ impl Store {
     pub fn update_measures(&mut self, key: TupleKey, measures: &[f64]) -> Result<Slot, DbError> {
         let slot = self.slot_of(key).ok_or(DbError::UnknownKey(key))?;
         let (seg, off) = locate(slot);
-        let data = self.seg_mut(seg);
-        for (m, col) in data.measures.iter_mut().enumerate() {
-            col[off] = measures[m];
-        }
+        self.seg_mut(seg).write_measures(off, measures);
         self.enforce_budget(seg);
         Ok(slot)
     }
@@ -1112,6 +1173,34 @@ mod tests {
             stats.peak_resident_segments,
             pager.total_budget()
         );
+    }
+
+    /// Building a page on a paged store views each segment once: a page
+    /// whose rows take turns among evicted segments faults each of them
+    /// at most once, and holds the same rows as the plain store's page.
+    #[test]
+    fn paged_page_faults_each_segment_at_most_once() {
+        let n = (SEGMENT_SLOTS * 4) as u64;
+        let mut plain = Store::new(2, 1);
+        let mut disk = paged("page", 2, 1, 2);
+        for s in [&mut plain, &mut disk] {
+            for key in 0..n {
+                s.insert(t(key, &[(key % 5) as u32, (key % 7) as u32], &[key as f64]), key)
+                    .unwrap();
+            }
+        }
+        // Round-robin over the four segments: no two consecutive rows
+        // share one.
+        let slots: Vec<Slot> =
+            (0..64).map(|i| ((i % 4) * SEGMENT_SLOTS + i * 13) as Slot).collect();
+        let evicted = disk.core().segs.iter().filter(|d| d.evicted).count() as u64;
+        assert!(evicted >= 2, "budget 2 over 4 segments must evict at least 2");
+        let pager = disk.core().pager().expect("pager attached").clone();
+        let before = pager.stats().segments_faulted;
+        let page = disk.page(&slots);
+        let faulted = pager.stats().segments_faulted - before;
+        assert!(faulted <= evicted, "{faulted} faults for {evicted} evicted segments");
+        assert_eq!(page, plain.page(&slots));
     }
 
     /// Cloning a paged core materialises every evicted segment and

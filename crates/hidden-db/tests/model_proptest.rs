@@ -157,9 +157,11 @@ proptest! {
             );
             let got_keys: Vec<u64> = out.tuples().map(|t| t.key().0).collect();
             prop_assert_eq!(&got_keys, &want_keys, "result mismatch on {}", query);
-            // Measures must reflect the latest updates.
+            // Every returned tuple carries the model row's values, and
+            // measures that reflect the latest updates.
             for t in out.tuples() {
-                let model_m = model.rows.iter().find(|r| r.0 == t.key().0).unwrap().2;
+                let (_, vals, model_m) = *model.rows.iter().find(|r| r.0 == t.key().0).unwrap();
+                prop_assert_eq!(t.values(), &[ValueId(vals[0]), ValueId(vals[1])][..]);
                 prop_assert_eq!(t.measures()[0], model_m);
             }
             // Exact counts agree too.

@@ -7,7 +7,7 @@ use rand::Rng;
 use crate::strategy::Strategy;
 use crate::test_runner::CaseRng;
 
-/// Length specifications accepted by [`vec`]: an exact length or a
+/// Length specifications accepted by [`vec()`]: an exact length or a
 /// half-open range of lengths.
 pub trait IntoLenRange {
     /// Inclusive-lo / exclusive-hi bounds.
@@ -33,7 +33,7 @@ pub fn vec<S: Strategy>(element: S, len: impl IntoLenRange) -> VecStrategy<S> {
     VecStrategy { element, lo, hi }
 }
 
-/// See [`vec`].
+/// See [`vec()`].
 pub struct VecStrategy<S> {
     element: S,
     lo: usize,
