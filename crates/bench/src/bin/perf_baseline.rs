@@ -23,17 +23,10 @@
 //! 4. **Memo adversarial stream** (PR 2) — a distinct-query flood
 //!    against a small memo capacity: the memo must stay bounded and
 //!    evict.
-//! 6. **Early exit** (PR 3) — overflow-heavy `NewestFirst` scans with
-//!    the heap-floor early exit on vs off (`early_exit_consistent`).
 //! 7. **Ground-truth parallelism** (PR 3) — `exact_count`/`exact_sum`
 //!    fanned out over store segments at 1/2/4/7 threads with a bitwise
 //!    identity check against the sequential sweep
 //!    (`ground_truth_bit_identical`).
-//! 8. **Compaction** (PR 5) — a delete-heavy `ByMeasureDesc` pool whose
-//!    churn purges the top scorers everywhere except one segment: stale
-//!    bounds keep the early exit dark (`0` segment skips, the pre-PR-5
-//!    state), a `compact()` pass re-arms it (`early_exit_rearmed`) with
-//!    bit-identical answers (`compaction_identical`).
 //! 10. **Fault recovery** (PR 6) — the fault-injected interface stack:
 //!     drill-level bit-identity under recovered seeded storms at three
 //!     injection rates (`faults_identical_when_recovered`), the cost of
@@ -46,8 +39,7 @@
 //! 11. **Shared service** (PR 7) — the concurrent `DbService`: 1/2/4/8
 //!     client threads issue deterministic query scripts against a
 //!     snapshot pinned at epoch 0 while a writer thread churns the
-//!     service through the apply queue (with pressure-triggered
-//!     auto-compaction enabled). Every client's answer fingerprint must
+//!     service through the apply queue. Every client's answer fingerprint must
 //!     equal the one a private database frozen at epoch 0 produces
 //!     (`shared_service_bit_identical`), and aggregate read throughput
 //!     is recorded per client count.
@@ -98,9 +90,7 @@ use hidden_db::session::SearchSession;
 use hidden_db::tuple::Tuple;
 use hidden_db::updates::UpdateBatch;
 use hidden_db::value::{MeasureId, TupleKey};
-use hidden_db::{
-    AutoMaintain, DbService, EvalConfig, InvalidationPolicy, QueryOutcome, SearchBackend,
-};
+use hidden_db::{DbService, InvalidationPolicy, QueryOutcome, SearchBackend};
 use query_tree::{drill_from_root, enumerate_all, QueryTree};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -116,12 +106,8 @@ fn main() {
     let memo_little = memo_little_change();
     eprintln!(">>> perf_baseline: memo adversarial distinct-query stream");
     let memo_adv = memo_adversarial();
-    eprintln!(">>> perf_baseline: early-exit overflow classification");
-    let early_exit = early_exit_workload();
     eprintln!(">>> perf_baseline: ground-truth segment fan-out");
     let ground_truth = ground_truth_parallelism();
-    eprintln!(">>> perf_baseline: segment compaction / early-exit re-arm");
-    let compaction = compaction_workload();
     eprintln!(">>> perf_baseline: fault injection / recovery stack");
     let faults = fault_recovery(flags.pool());
     eprintln!(">>> perf_baseline: shared concurrent service");
@@ -163,9 +149,7 @@ fn main() {
         .field("track_workload", track)
         .field("memo_little_change", memo_little)
         .field("memo_adversarial", memo_adv)
-        .field("early_exit", early_exit)
         .field("ground_truth_parallelism", ground_truth)
-        .field("compaction", compaction)
         .field("fault_recovery", faults)
         .field("shared_service", shared)
         .field("persistence", persistence)
@@ -506,58 +490,6 @@ fn memo_adversarial() -> Json {
         .field("memo_bounded", max_len <= CAPACITY && m.evicted > 0)
 }
 
-/// PR 3: overflow-heavy `NewestFirst` scans with the heap-floor early
-/// exit on vs off. `early_exit_consistent` must always be true.
-fn early_exit_workload() -> Json {
-    const N: usize = 30_000;
-    const K: usize = 100;
-    const ATTRS: usize = 12;
-    const PASSES: usize = 40;
-
-    let run = |early_exit: bool| {
-        let mut gen = AutosGenerator::with_attrs(ATTRS);
-        let mut rng = StdRng::seed_from_u64(0xEE17);
-        let mut db = load_database(&mut gen, &mut rng, N, K, ScoringPolicy::NewestFirst);
-        db.set_invalidation_policy(InvalidationPolicy::Disabled);
-        db.set_eval_config(EvalConfig { early_exit });
-        let schema = db.schema().clone();
-        // Root + every depth-1 query: the popular ones overflow hard.
-        let mut pool = vec![ConjunctiveQuery::select_all()];
-        for a in schema.attr_ids() {
-            for v in 0..schema.domain_size(a) {
-                pool.push(ConjunctiveQuery::from_predicates([Predicate::new(
-                    a,
-                    hidden_db::value::ValueId(v),
-                )]));
-            }
-        }
-        let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-        let t0 = Instant::now();
-        for _ in 0..PASSES {
-            for q in &pool {
-                fingerprint = fold_outcome(fingerprint, &db.answer(q));
-            }
-        }
-        let wall = t0.elapsed();
-        (db, fingerprint, wall, PASSES * pool.len())
-    };
-
-    let (exit_db, exit_fp, exit_wall, queries) = run(true);
-    let (_, full_fp, full_wall, _) = run(false);
-    let stats = exit_db.eval_stats();
-    Json::obj()
-        .field("population", N)
-        .field("k", K)
-        .field("scoring", "NewestFirst")
-        .field("queries", queries)
-        .field("early_exit_queries_per_sec", queries as f64 / exit_wall.as_secs_f64())
-        .field("exhaustive_queries_per_sec", queries as f64 / full_wall.as_secs_f64())
-        .field("speedup", full_wall.as_secs_f64() / exit_wall.as_secs_f64().max(f64::MIN_POSITIVE))
-        .field("early_exits", stats.early_exits)
-        .field("segments_skipped", stats.segments_skipped)
-        .field("early_exit_consistent", exit_fp == full_fp)
-}
-
 /// PR 3: ground truth fanned out over store segments. The segment-
 /// ordered replay merge must reproduce the sequential sweep bit-for-bit
 /// at every thread count (`ground_truth_bit_identical`).
@@ -618,113 +550,6 @@ fn ground_truth_parallelism() -> Json {
         .field("passes", PASSES)
         .field("per_threads", per_threads)
         .field("ground_truth_bit_identical", bit_identical)
-}
-
-/// PR 5: the delete-heavy `ByMeasureDesc` pool where stale segment
-/// bounds disarm the early exit. Every segment starts with the same
-/// measure distribution (all bounds near the global maximum); the churn
-/// then purges the high scorers everywhere *except* the last segment —
-/// a category-style purge that leaves the alive maxima skewed while
-/// every stale bound still sits at the old global maximum. Post-churn,
-/// overflowing scans cannot skip a single segment (`skips_before`, the
-/// state of main); one `compact()` recomputes exact bounds and the same
-/// pool skips nearly everything (`early_exit_rearmed`) with
-/// bit-identical answers (`compaction_identical`).
-fn compaction_workload() -> Json {
-    const SEGS: usize = 6;
-    const K: usize = 100;
-    const PASSES: usize = 40;
-    const CUTOFF: u64 = 500_000;
-
-    let n = (SEGS * hidden_db::SEGMENT_SLOTS) as u64;
-    let measure = |key: u64| (key.wrapping_mul(2654435761) % 1_000_000) as f64;
-    let schema = hidden_db::schema::Schema::with_domain_sizes(&[4, 5], &["m"]).unwrap();
-    let mut db = hidden_db::HiddenDatabase::new(
-        schema.clone(),
-        K,
-        ScoringPolicy::ByMeasureDesc(MeasureId(0)),
-    );
-    db.set_invalidation_policy(InvalidationPolicy::Disabled);
-    for key in 0..n {
-        db.insert(Tuple::new(
-            TupleKey(key),
-            vec![
-                hidden_db::value::ValueId((key % 4) as u32),
-                hidden_db::value::ValueId((key % 5) as u32),
-            ],
-            vec![measure(key)],
-        ))
-        .expect("unique keys");
-    }
-    // The purge: high scorers die everywhere but the last segment.
-    let last_seg_start = ((SEGS - 1) * hidden_db::SEGMENT_SLOTS) as u64;
-    for key in 0..last_seg_start {
-        if measure(key) >= CUTOFF as f64 {
-            db.delete(TupleKey(key)).expect("alive key");
-        }
-    }
-    let stale_segments = db.stale_segment_count();
-
-    // Root + every depth-1 query: all overflow hard at k=100.
-    let mut pool = vec![ConjunctiveQuery::select_all()];
-    for a in schema.attr_ids() {
-        for v in 0..schema.domain_size(a) {
-            pool.push(ConjunctiveQuery::from_predicates([Predicate::new(
-                a,
-                hidden_db::value::ValueId(v),
-            )]));
-        }
-    }
-    let run = |db: &mut hidden_db::HiddenDatabase| {
-        let before = db.eval_stats();
-        let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
-        let t0 = Instant::now();
-        for _ in 0..PASSES {
-            for q in &pool {
-                fingerprint = fold_outcome(fingerprint, &db.answer(q));
-            }
-        }
-        let wall = t0.elapsed();
-        let after = db.eval_stats();
-        let skips = after.segments_skipped - before.segments_skipped;
-        let exits = after.early_exits - before.early_exits;
-        (fingerprint, wall, skips, exits)
-    };
-
-    let mut stale_db = db.clone();
-    let (fp_before, wall_before, skips_before, exits_before) = run(&mut stale_db);
-
-    let report = db.compact();
-    let (fp_after, wall_after, skips_after, exits_after) = run(&mut db);
-
-    // Third opinion: the exhaustive (early-exit-off) engine on the
-    // compacted store.
-    let mut exhaustive = db.clone();
-    exhaustive.set_eval_config(EvalConfig { early_exit: false });
-    let (fp_exhaustive, _, _, _) = run(&mut exhaustive);
-
-    let queries = PASSES * pool.len();
-    let qps_before = queries as f64 / wall_before.as_secs_f64();
-    let qps_after = queries as f64 / wall_after.as_secs_f64();
-    Json::obj()
-        .field("population", n)
-        .field("alive", db.len())
-        .field("segments", SEGS)
-        .field("k", K)
-        .field("scoring", "ByMeasureDesc")
-        .field("stale_segments_after_churn", stale_segments)
-        .field("bounds_tightened", report.bounds_tightened)
-        .field("maintenance_slots_scanned", report.slots_scanned)
-        .field("queries", queries)
-        .field("stale_queries_per_sec", qps_before)
-        .field("compacted_queries_per_sec", qps_after)
-        .field("speedup", qps_after / qps_before.max(f64::MIN_POSITIVE))
-        .field("early_exits_before", exits_before)
-        .field("early_exits_after", exits_after)
-        .field("segment_skips_before", skips_before)
-        .field("segment_skips_after", skips_after)
-        .field("early_exit_rearmed", skips_before == 0 && skips_after > 0)
-        .field("compaction_identical", fp_before == fp_after && fp_after == fp_exhaustive)
 }
 
 /// PR 6: the fault-injected interface stack over a small exhaustive
@@ -887,7 +712,7 @@ fn num_cpus() -> usize {
 /// {1, 2, 4, 8}, `C` reader threads run deterministic per-client query
 /// scripts against a session pinned to the epoch-0 snapshot while a
 /// writer thread churns the service through the apply queue (deletes +
-/// inserts every batch, pressure-triggered auto-compaction on). Each
+/// inserts every batch). Each
 /// client's answer fingerprint must equal the one computed from a
 /// private `HiddenDatabase` frozen at epoch 0 — at every client count
 /// and whatever interleaving the scheduler produces
@@ -932,10 +757,7 @@ fn shared_service() -> Json {
         // A fresh service per client count so every run starts with a
         // cold shared memo and identical churn, making the throughput
         // numbers comparable.
-        let service = DbService::with_auto_maintain(
-            reference.clone(),
-            AutoMaintain::Pressure { threshold: 256 },
-        );
+        let service = DbService::new(reference.clone());
         let snap0 = service.snapshot();
         let t0 = Instant::now();
         let fingerprints: Vec<u64> = std::thread::scope(|scope| {
@@ -1003,11 +825,9 @@ fn shared_service() -> Json {
         .field("distinct_queries", pool.len())
         .field("script_len_per_client", script_len)
         .field("churn_batches", CHURN_BATCHES)
-        .field("auto_maintain", "pressure:256")
         .field("per_clients", per_clients)
         .field("batches_applied", last_stats.batches_applied)
         .field("epochs_published", last_stats.epochs_published)
-        .field("auto_maintain_runs", last_stats.auto_maintain_runs)
         .field("memo_hits", last_memo.hits)
         .field("memo_misses", last_memo.misses)
         .field("memo_hit_rate", last_memo.hit_rate())

@@ -9,19 +9,11 @@
 //! * `--memo incremental|wholesale|disabled` — the database's memo
 //!   invalidation policy (outcome-invariant; pinned by the determinism
 //!   suite);
-//! * `--maintain off|N` — per-round segment-maintenance budget in
-//!   scanned slots (`off` = never maintain, the default;
-//!   outcome-invariant like the memo policy);
 //! * `--faults off|seeded:<rate>` — interface fault injection: `off` (the
 //!   default) runs estimators straight against the session; `seeded:0.2`
 //!   interposes the deterministic FaultyBackend + ResilientBackend stack
 //!   with a per-query fault probability of 0.2 (faults only consume
 //!   budget — recovered runs stay on the fault-free drill outcomes);
-//! * `--auto-maintain off|pressure:<t>` — pressure-triggered automatic
-//!   compaction: `off` (the default) never compacts on its own;
-//!   `pressure:64` compacts after any round that leaves a segment with
-//!   pressure (stale bound ops + dead slots) ≥ 64. Outcome-invariant
-//!   like `--maintain`.
 //! * `--persist <dir>,resident:<N>` — attach the out-of-core persistence
 //!   tier to every trial database: segment columns live in a region file
 //!   under `<dir>` (one subdirectory per trial) with at most `N`
@@ -32,7 +24,7 @@
 //!   columns entirely. The point estimates are untouched either way —
 //!   resampling happens after the experiment, never inside it.
 
-use hidden_db::{AutoMaintain, InvalidationPolicy, PersistConfig};
+use hidden_db::{InvalidationPolicy, PersistConfig};
 use workloads::DeleteSpec;
 
 /// Interface fault-injection mode for the experiment loop.
@@ -78,13 +70,8 @@ pub struct Cli {
     pub seed: Option<u64>,
     /// Memo invalidation policy override.
     pub memo: Option<InvalidationPolicy>,
-    /// Per-round maintenance budget override (`Some(None)` = explicit
-    /// `off`, `Some(Some(n))` = budget of `n` scanned slots).
-    pub maintain: Option<Option<usize>>,
     /// Fault-injection mode override.
     pub faults: Option<FaultsMode>,
-    /// Pressure-triggered automatic maintenance override.
-    pub auto_maintain: Option<AutoMaintain>,
     /// Out-of-core persistence tier for trial databases.
     pub persist: Option<PersistConfig>,
     /// Bootstrap CI override (`Some(None)` = explicit `off`,
@@ -126,12 +113,6 @@ impl Cli {
                         other => panic!("unknown memo policy {other:?}"),
                     })
                 }
-                "--maintain" => {
-                    cli.maintain = Some(match value("--maintain").as_str() {
-                        "off" => None,
-                        n => Some(n.parse().expect("--maintain takes `off` or a slot budget")),
-                    })
-                }
                 "--faults" => {
                     cli.faults = Some(match value("--faults").as_str() {
                         "off" => FaultsMode::Off,
@@ -144,12 +125,6 @@ impl Cli {
                             FaultsMode::Seeded { rate }
                         }
                     })
-                }
-                "--auto-maintain" => {
-                    cli.auto_maintain = Some(
-                        AutoMaintain::parse(&value("--auto-maintain"))
-                            .unwrap_or_else(|e| panic!("{e}")),
-                    )
                 }
                 "--persist" => {
                     cli.persist = Some(
@@ -171,8 +146,7 @@ impl Cli {
                     eprintln!(
                         "flags: --scale quick|default|paper  --trials N  --rounds N  \
                          --budget N  --seed N  --memo incremental|wholesale|disabled  \
-                         --maintain off|N  --faults off|seeded:<rate>  \
-                         --auto-maintain off|pressure:<t>  \
+                         --faults off|seeded:<rate>  \
                          --persist <dir>,resident:<N>  --bootstrap off|N"
                     );
                     std::process::exit(0);
@@ -209,19 +183,10 @@ pub struct BaseCfg {
     /// invariant (estimator records are bit-identical across policies);
     /// only wall-clock and cache counters change.
     pub memo_policy: InvalidationPolicy,
-    /// Per-round segment-maintenance budget (scanned slots per
-    /// [`hidden_db::MaintenanceBudget`]); `None` never maintains.
-    /// Outcome-invariant exactly like the memo policy — pinned by the
-    /// determinism suite's maintenance test.
-    pub maintain_slots: Option<usize>,
     /// Interface fault injection (PR 6). `Off` bypasses the fault layer
     /// entirely; `Seeded` wraps every per-round session in the
     /// deterministic FaultyBackend + ResilientBackend stack.
     pub faults: FaultsMode,
-    /// Pressure-triggered automatic compaction (PR 7): after each round's
-    /// updates, compact if any segment's pressure reached the threshold.
-    /// Outcome-invariant like `maintain_slots`.
-    pub auto_maintain: AutoMaintain,
     /// Out-of-core persistence tier (PR 9): when set, every trial
     /// database pages its segments through a region file in a unique
     /// subdirectory of `dir`, holding at most `resident_segments` in
@@ -249,9 +214,7 @@ impl BaseCfg {
                 delete: DeleteSpec::Fraction(0.001),
                 seed: 0x5EED,
                 memo_policy: InvalidationPolicy::Incremental,
-                maintain_slots: None,
                 faults: FaultsMode::Off,
-                auto_maintain: AutoMaintain::Off,
                 persist: None,
                 bootstrap_replicates: Some(1_000),
             },
@@ -267,9 +230,7 @@ impl BaseCfg {
                 delete: DeleteSpec::Fraction(0.001),
                 seed: 0x5EED,
                 memo_policy: InvalidationPolicy::Incremental,
-                maintain_slots: None,
                 faults: FaultsMode::Off,
-                auto_maintain: AutoMaintain::Off,
                 persist: None,
                 bootstrap_replicates: Some(1_000),
             },
@@ -284,9 +245,7 @@ impl BaseCfg {
                 delete: DeleteSpec::Fraction(0.001),
                 seed: 0x5EED,
                 memo_policy: InvalidationPolicy::Incremental,
-                maintain_slots: None,
                 faults: FaultsMode::Off,
-                auto_maintain: AutoMaintain::Off,
                 persist: None,
                 bootstrap_replicates: Some(1_000),
             },
@@ -310,14 +269,8 @@ impl BaseCfg {
         if let Some(p) = cli.memo {
             self.memo_policy = p;
         }
-        if let Some(m) = cli.maintain {
-            self.maintain_slots = m;
-        }
         if let Some(f) = cli.faults {
             self.faults = f;
-        }
-        if let Some(a) = cli.auto_maintain {
-            self.auto_maintain = a;
         }
         if let Some(p) = &cli.persist {
             self.persist = Some(p.clone());
@@ -408,23 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn maintain_flag_parses_and_applies() {
-        assert_eq!(BaseCfg::from_cli(&parse(&[])).maintain_slots, None, "off by default");
-        let cli = parse(&["--maintain", "4096"]);
-        assert_eq!(cli.maintain, Some(Some(4096)));
-        assert_eq!(BaseCfg::from_cli(&cli).maintain_slots, Some(4096));
-        let cli = parse(&["--maintain", "off"]);
-        assert_eq!(cli.maintain, Some(None));
-        assert_eq!(BaseCfg::from_cli(&cli).maintain_slots, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "slot budget")]
-    fn bogus_maintain_budget_panics() {
-        parse(&["--maintain", "sometimes"]);
-    }
-
-    #[test]
     fn faults_flag_parses_and_applies() {
         assert_eq!(BaseCfg::from_cli(&parse(&[])).faults, FaultsMode::Off, "off by default");
         let cli = parse(&["--faults", "seeded:0.25"]);
@@ -445,27 +381,6 @@ mod tests {
     #[should_panic(expected = "seeded:<rate in [0,1]>")]
     fn out_of_range_fault_rate_panics() {
         parse(&["--faults", "seeded:1.5"]);
-    }
-
-    #[test]
-    fn auto_maintain_flag_parses_and_applies() {
-        assert_eq!(
-            BaseCfg::from_cli(&parse(&[])).auto_maintain,
-            AutoMaintain::Off,
-            "off by default"
-        );
-        let cli = parse(&["--auto-maintain", "pressure:64"]);
-        assert_eq!(cli.auto_maintain, Some(AutoMaintain::Pressure { threshold: 64 }));
-        assert_eq!(BaseCfg::from_cli(&cli).auto_maintain, AutoMaintain::Pressure { threshold: 64 });
-        let cli = parse(&["--auto-maintain", "off"]);
-        assert_eq!(cli.auto_maintain, Some(AutoMaintain::Off));
-        assert_eq!(BaseCfg::from_cli(&cli).auto_maintain, AutoMaintain::Off);
-    }
-
-    #[test]
-    #[should_panic(expected = "off|pressure:<t>")]
-    fn bogus_auto_maintain_panics() {
-        parse(&["--auto-maintain", "sometimes"]);
     }
 
     #[test]

@@ -426,20 +426,6 @@ fn run_trial(
         }
         prev_truth = truth;
         driver.advance();
-        // Amortised segment maintenance between rounds (segment bound
-        // recompute). Outcome-invariant: estimator records
-        // are bit-identical with any budget (pinned by the determinism
-        // suite), only scan wall-clock moves.
-        if let Some(budget) = cfg.maintain_slots {
-            driver.db_mut().maintain(hidden_db::MaintenanceBudget::slots(budget));
-        }
-        // Pressure-triggered automatic compaction — the same trigger the
-        // shared service's writer queue applies after draining a batch.
-        if let hidden_db::AutoMaintain::Pressure { threshold } = cfg.auto_maintain {
-            if driver.db().max_segment_pressure() >= threshold {
-                driver.db_mut().compact();
-            }
-        }
     }
     if let Some(dir) = persist_dir {
         drop(driver);

@@ -105,51 +105,6 @@ fn memo_policy_is_outcome_invariant() {
     }
 }
 
-/// Segment maintenance (PR 5) is outcome-invariant exactly like the memo
-/// policy: running the bound-recompute/compaction pass between rounds —
-/// with a tight or an unlimited budget — must leave every estimator
-/// series bit-identical to the never-maintain run. This is the pin
-/// behind the "figures identical with maintenance enabled vs. disabled"
-/// acceptance bar: every figure binary goes through this runner.
-#[test]
-fn maintenance_is_outcome_invariant() {
-    let run_with_maintenance = |maintain_slots: Option<usize>| {
-        let mut cfg = BaseCfg::for_scale(Scale::Quick);
-        cfg.initial = 1_200;
-        cfg.rounds = 4;
-        cfg.trials = 5;
-        cfg.maintain_slots = maintain_slots;
-        track_with_threads(
-            &cfg,
-            &standard_algos(),
-            RsConfig::default(),
-            &count_star_tracked,
-            Threads::fixed(2),
-        )
-    };
-    let plain = run_with_maintenance(None);
-    for budget in [512usize, usize::MAX] {
-        let maintained = run_with_maintenance(Some(budget));
-        assert_bits_equal(
-            &plain.truth.means(),
-            &maintained.truth.means(),
-            &format!("truth means (budget {budget})"),
-        );
-        for (s, p) in plain.algos.iter().zip(&maintained.algos) {
-            let tag = |metric: &str| format!("{} {metric} (budget {budget})", s.name);
-            assert_bits_equal(&s.rel_err.means(), &p.rel_err.means(), &tag("rel_err μ"));
-            assert_bits_equal(&s.rel_err.stds(), &p.rel_err.stds(), &tag("rel_err σ"));
-            assert_bits_equal(&s.ratio.means(), &p.ratio.means(), &tag("ratio μ"));
-            assert_bits_equal(&s.change_est.means(), &p.change_est.means(), &tag("change_est μ"));
-            assert_bits_equal(
-                &s.cum_queries.means(),
-                &p.cum_queries.means(),
-                &tag("cum_queries μ"),
-            );
-        }
-    }
-}
-
 #[test]
 fn repeated_runs_are_reproducible() {
     let a = run(Threads::fixed(3));

@@ -7,15 +7,16 @@
 //! tier ([`crate::persist`]): the journal's checkpoint records are
 //! snapshots.
 //!
-//! **Format v4** captures the *warm* store state verbatim, not just the
+//! **Format v5** captures the *warm* store state verbatim, not just the
 //! logical tuple set: segment data in slot layout (so slot identity
-//! survives a restart), per-segment max-score bounds and staleness
-//! counters (so load skips the full bound recompute), and the free list
-//! in order (so future slot reuse replays identically). The bitmap
-//! index is not stored: the reader rebuilds it, and the per-value
-//! counts, from the restored rows, so it always agrees with them. A
-//! restored database doesn't just answer identically — it *evolves*
-//! identically under any further mutation stream.
+//! survives a restart) and the free list in order (so future slot reuse
+//! replays identically). Nothing derivable is stored: the reader derives
+//! each segment's alive count from its alive bitmap, and rebuilds the
+//! bitmap index, with its per-value counts, from the restored rows, so
+//! both always agree with them. A restored database doesn't just answer
+//! identically — it *evolves* identically under any further mutation
+//! stream. v5 is v4 without v4's per-segment meta record (alive count,
+//! max-score bound, bound staleness), which went with the score bounds.
 //!
 //! Attribute values and measures are stored **attribute-major**, one
 //! column per attribute and per measure, whatever layout the store keeps
@@ -27,7 +28,7 @@
 //!
 //! Layout (all integers little-endian):
 //! `magic "HDBS" | format u32 | k u64 | policy | schema | store | free
-//! list` — see [`write_snapshot`] for the field-level walk. Only v4
+//! list` — see [`write_snapshot`] for the field-level walk. Only v5
 //! reads back; reading rejects bad magic, other versions, truncation,
 //! implausible counts (including a store whose bitmaps would exceed
 //! `MAX_BITMAP_BYTES`), and state that breaks a store invariant with
@@ -40,11 +41,11 @@ use crate::database::HiddenDatabase;
 use crate::index::bytes_for;
 use crate::ranking::ScoringPolicy;
 use crate::schema::{AttributeDef, MeasureDef, Schema};
-use crate::store::{SegmentData, SegmentMeta, Store, SEGMENT_SLOTS};
+use crate::store::{SegmentData, Store, SEGMENT_SLOTS};
 use crate::value::MeasureId;
 
 const MAGIC: &[u8; 4] = b"HDBS";
-const FORMAT_VERSION: u32 = 4;
+const FORMAT_VERSION: u32 = 5;
 
 /// Schemas whose attribute domains hold more values than this in total
 /// are rejected as corrupt.
@@ -180,13 +181,12 @@ fn read_schema(r: &mut impl Read) -> io::Result<Schema> {
     Schema::new(attrs, measures).map_err(|e| bad(&e.to_string()))
 }
 
-/// Serialises a full database snapshot into `w` (format v4).
+/// Serialises a full database snapshot into `w` (format v5).
 ///
 /// After the common `magic | format | k | policy | schema` prefix:
 /// `alive u64 | allocated u64 | segment count u32`, then per segment
 /// `rows u32 | keys | scores | alive bitmap (u64 words) | columns |
-/// measures | meta (alive u32, max_score u64, stale_ops u32)`, then the
-/// free list (`count u32 | slots`).
+/// measures`, then the free list (`count u32 | slots`).
 ///
 /// `&HiddenDatabase` on purpose: segment data is read through the paged
 /// view, so an out-of-core database checkpoints without pulling its pool
@@ -197,7 +197,7 @@ pub fn write_snapshot(db: &HiddenDatabase, w: &mut impl Write) -> io::Result<()>
     write_u64(w, db.k() as u64)?;
     write_policy(w, db.scoring_policy())?;
     write_schema(w, db.schema())?;
-    // Store: segment data in slot layout, plus the summaries.
+    // Store: segment data in slot layout.
     let store = db.store_ref();
     write_u64(w, store.len() as u64)?;
     write_u64(w, u64::from(store.slot_bound()))?;
@@ -233,10 +233,6 @@ pub fn write_snapshot(db: &HiddenDatabase, w: &mut impl Write) -> io::Result<()>
                 write_f64(w, data.measure_row(off)[m])?;
             }
         }
-        let meta = &store.metas()[seg];
-        write_u32(w, meta.alive)?;
-        write_u64(w, meta.max_score)?;
-        write_u32(w, meta.stale_ops)?;
     }
     // Free list, order preserved: slot reuse after restore pops the
     // same slots in the same order.
@@ -294,8 +290,7 @@ pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
         return Err(bad("bitmap index implausibly large"));
     }
     let mut segs = Vec::with_capacity(seg_count);
-    let mut metas = Vec::with_capacity(seg_count);
-    let mut alive_sum = 0u64;
+    let mut alive_sum = 0usize;
     let (mut value_cols, mut measure_cols) = (Vec::new(), Vec::new());
     for seg in 0..seg_count {
         let expected_rows = (allocated - seg * SEGMENT_SLOTS).min(SEGMENT_SLOTS);
@@ -315,6 +310,7 @@ pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
                 }
             }
         }
+        alive_sum += alive.iter().filter(|&&a| a).count();
         data.alive = alive;
         // The columns are collected as they are read, so what is
         // allocated follows the bytes actually read; the segment's row
@@ -335,17 +331,9 @@ pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
         }
         data.values = to_rows(&value_cols, rows, attr_count);
         data.measures = to_rows(&measure_cols, rows, measure_count);
-        let meta_alive = read_u32(r)?;
-        let max_score = read_u64(r)?;
-        let stale_ops = read_u32(r)?;
-        if meta_alive as usize != data.alive.iter().filter(|&&a| a).count() {
-            return Err(bad("segment alive count does not match bitmap"));
-        }
-        alive_sum += u64::from(meta_alive);
-        metas.push(SegmentMeta { alive: meta_alive, max_score, stale_ops, ref_bit: false });
         segs.push(data);
     }
-    if alive_sum != alive_total {
+    if alive_sum as u64 != alive_total {
         return Err(bad("alive total does not match segments"));
     }
     let free_len = read_u32(r)? as usize;
@@ -366,16 +354,8 @@ pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
         freed[s as usize] = true;
         free.push(s);
     }
-    let store = Store::from_restored(
-        attr_count,
-        measure_count,
-        segs,
-        metas,
-        allocated,
-        alive_total as usize,
-        free,
-    )
-    .ok_or_else(|| bad("duplicate alive key in snapshot"))?;
+    let store = Store::from_restored(attr_count, measure_count, segs, allocated, free)
+        .ok_or_else(|| bad("duplicate alive key in snapshot"))?;
     Ok(HiddenDatabase::from_restored(schema, k, policy, store))
 }
 
@@ -414,7 +394,7 @@ mod tests {
     }
 
     /// A database with real churn: deletes and slot reuse — so the
-    /// snapshot has a non-empty free list and stale bounds to preserve.
+    /// snapshot has a non-empty free list to preserve.
     /// Small on purpose: the corruption sweep flips every byte of its
     /// snapshot twice.
     fn churned_db() -> HiddenDatabase {
@@ -503,17 +483,21 @@ mod tests {
         }
     }
 
-    /// Snapshots restore bounds without recomputing: staleness counters
-    /// (which only churn can create) survive.
+    /// v5 stores no per-segment counts: the reader derives every
+    /// segment's alive count from its alive bitmap, across two segments
+    /// with deletes and slot reuse.
     #[test]
-    fn roundtrip_preserves_warm_bounds() {
-        let original = churned_db();
-        assert!(original.stale_segment_count() > 0, "churn must leave stale bounds");
+    fn roundtrip_derives_segment_alive_counts() {
+        let original = pinned_db();
         let mut buf = Vec::new();
         write_snapshot(&original, &mut buf).unwrap();
         let restored = read_snapshot(&mut buf.as_slice()).unwrap();
-        assert_eq!(restored.stale_segment_count(), original.stale_segment_count());
-        assert_eq!(restored.max_segment_pressure(), original.max_segment_pressure());
+        let (want, got) = (original.store_ref(), restored.store_ref());
+        assert_eq!(got.segment_count(), 2);
+        for seg in 0..want.segment_count() {
+            assert_eq!(got.segment_alive(seg), want.segment_alive(seg), "segment {seg}");
+        }
+        assert_eq!(got.len(), want.len());
     }
 
     #[test]
@@ -574,13 +558,13 @@ mod tests {
     }
 
     /// Only the current format reads back: earlier versions (v1's
-    /// tuple-level layout, v2's block bounds, v3's posting lists) are
-    /// rejected, not guessed.
+    /// tuple-level layout, v2's block bounds, v3's posting lists, v4's
+    /// segment score bounds) are rejected, not guessed.
     #[test]
     fn unknown_version_rejected() {
         let mut buf = Vec::new();
         write_snapshot(&sample_db(1), &mut buf).unwrap();
-        for version in [0u32, 1, 2, 3, 5, 99] {
+        for version in [0u32, 1, 2, 3, 4, 6, 99] {
             buf[4..8].copy_from_slice(&version.to_le_bytes());
             let err = read_snapshot(&mut buf.as_slice()).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "version {version}");
@@ -678,9 +662,12 @@ mod tests {
         assert_eq!(restored.len(), 3);
     }
 
-    /// Length and FNV-1a 64 of `write_snapshot(&pinned_db())`, recorded
-    /// from the column-per-attribute store that first wrote format v4.
-    const PINNED_SNAPSHOT: (usize, u64) = (225_354, 0xae5e_b210_b263_48a9);
+    /// Length and FNV-1a 64 of `write_snapshot(&pinned_db())`. Derived
+    /// from the v4 bytes of the same database (225 354 B, FNV-1a 64
+    /// `0xae5e_b210_b263_48a9`) by setting the version word to 5 and
+    /// cutting each segment's 16-byte meta record, which is all v5
+    /// changed.
+    const PINNED_SNAPSHOT: (usize, u64) = (225_322, 0xa535_b62e_fd7e_0d47);
 
     /// A fixed two-segment database with every kind of churn: deletes,
     /// measure updates that move measure-ranked scores both ways, and
@@ -713,7 +700,7 @@ mod tests {
         db
     }
 
-    /// Codec v4's bytes are a format, not a dump of the store's memory
+    /// Codec v5's bytes are a format, not a dump of the store's memory
     /// layout: a fixed database writes the bytes pinned above, and a
     /// snapshot read back writes the same bytes again.
     #[test]

@@ -16,101 +16,49 @@ use aggtrack_parallel::{par_map_indexed, Threads};
 
 use crate::errors::DbError;
 use crate::index::{BitmapIndex, SEGMENT_WORDS};
-use crate::interface::{row_matches, slot_matches, CachedEval, QueryOutcome, TopK};
+use crate::interface::{row_matches, CachedEval, QueryOutcome, TopK};
 use crate::memo::{InvalidationPolicy, QueryMemo, RowChange, RowOp};
 use crate::persist::{Pager, PersistConfig};
 use crate::query::ConjunctiveQuery;
 use crate::ranking::ScoringPolicy;
 use crate::schema::Schema;
-use crate::stats::{EvalStats, InterfaceStats, MaintenanceStats, MemoStats, PersistStats};
-use crate::store::{locate, Slot, Store, StoreCore, SEGMENT_SLOTS};
+use crate::stats::{EvalStats, InterfaceStats, MemoStats, PersistStats};
+use crate::store::{locate, SegView, Slot, Store, StoreCore, SEGMENT_SLOTS};
 use crate::tuple::Tuple;
 use crate::updates::{UpdateBatch, UpdateSummary};
 use crate::value::{AttrId, MeasureId, TupleKey, ValueId};
 use std::io;
 use std::sync::Arc;
 
-/// Evaluation-engine tuning. Every setting is **outcome-invariant**:
-/// query answers are bit-identical either way (pinned by
-/// `tests/eval_oracle_proptest.rs`); only wall-clock and
-/// [`EvalStats`] counters move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvalConfig {
-    /// Stop top-`k` scans once `matched > k` and the heap floor provably
-    /// beats every remaining segment's score bound.
-    pub early_exit: bool,
-}
-
-impl Default for EvalConfig {
-    fn default() -> Self {
-        Self { early_exit: true }
-    }
-}
-
-/// How much work one [`HiddenDatabase::maintain`] call may do, in slots
-/// scanned. Maintenance is incremental by design: a small per-round
-/// budget amortises bound recomputes across rounds instead of stalling
-/// one round with a full sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MaintenanceBudget {
-    /// Store slots the call may scan before stopping.
-    pub slot_scans: usize,
-}
-
-impl MaintenanceBudget {
-    /// No cap: finish all outstanding maintenance
-    /// ([`HiddenDatabase::compact`]).
-    pub fn unlimited() -> Self {
-        Self { slot_scans: usize::MAX }
-    }
-
-    /// A cap of `n` scanned slots.
-    pub fn slots(n: usize) -> Self {
-        Self { slot_scans: n }
-    }
-}
-
-/// What one [`HiddenDatabase::maintain`] call did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintenanceReport {
-    /// Store segments whose score bound was recomputed exactly.
-    pub segments_recomputed: usize,
-    /// Recomputes that actually tightened a bound.
-    pub bounds_tightened: usize,
-    /// Slots scanned (budget spent).
-    pub slots_scanned: usize,
-    /// Whether the budget ran out with work left over.
-    pub exhausted: bool,
-}
-
-/// A lightweight, allocation-free view of one stored tuple, used by the
-/// owner-side ground-truth API.
-#[derive(Clone, Copy)]
+/// A view of one stored tuple, used by the owner-side ground-truth API.
+/// It reads its segment through one segment view, so a sweep that hands
+/// out one `TupleRef` per alive slot views (or, paged, faults) each
+/// segment once, however many fields the caller reads.
+#[derive(Clone)]
 pub struct TupleRef<'a> {
-    store: &'a StoreCore,
-    slot: Slot,
+    data: SegView<'a>,
+    off: usize,
 }
 
-impl<'a> TupleRef<'a> {
+impl TupleRef<'_> {
     /// External key.
     pub fn key(&self) -> TupleKey {
-        self.store.key_at(self.slot)
+        TupleKey(self.data.keys[self.off])
     }
 
     /// Value of attribute `attr`.
     pub fn value(&self, attr: AttrId) -> ValueId {
-        ValueId(self.store.value_at(attr.index(), self.slot))
+        ValueId(self.data.value_row(self.off)[attr.index()])
     }
 
     /// Value of measure `m`.
     pub fn measure(&self, m: MeasureId) -> f64 {
-        self.store.measure_at(m.index(), self.slot)
+        self.data.measure_row(self.off)[m.index()]
     }
 
     /// Whether this tuple satisfies `query`.
     pub fn matches(&self, query: &ConjunctiveQuery) -> bool {
-        let (seg, off) = locate(self.slot);
-        row_matches(query, self.store.seg_view(seg).value_row(off))
+        row_matches(query, self.data.value_row(self.off))
     }
 }
 
@@ -126,9 +74,7 @@ pub struct HiddenDatabase {
     cache: QueryMemo,
     policy: InvalidationPolicy,
     stats: InterfaceStats,
-    eval_config: EvalConfig,
     eval_stats: EvalStats,
-    maintenance_stats: MaintenanceStats,
 }
 
 impl HiddenDatabase {
@@ -147,9 +93,7 @@ impl HiddenDatabase {
             cache: QueryMemo::default(),
             policy: InvalidationPolicy::default(),
             stats: InterfaceStats::default(),
-            eval_config: EvalConfig::default(),
             eval_stats: EvalStats::default(),
-            maintenance_stats: MaintenanceStats::default(),
         }
     }
 
@@ -214,86 +158,11 @@ impl HiddenDatabase {
         self.cache.stats()
     }
 
-    // ----- maintenance ----------------------------------------------------
-
-    /// Incremental segment maintenance: spends up to `budget` scanned
-    /// slots recomputing exact per-segment score bounds, the stalest
-    /// segments first. Restores early-exit effectiveness under
-    /// delete-heavy / score-drop churn.
-    ///
-    /// **Outcome-invariant and slot-stable**: no tuple moves, the free
-    /// list is untouched, no version bump, the memo is not invalidated.
-    /// Every query answer, tie-break, and owner-side RNG draw is
-    /// bit-identical whether or when maintenance runs (pinned by
-    /// `compaction_oracle_proptest` and the bench determinism suite).
-    pub fn maintain(&mut self, budget: MaintenanceBudget) -> MaintenanceReport {
-        let mut remaining = budget.slot_scans;
-        let mut report = MaintenanceReport::default();
-        for seg in self.store.stale_segments() {
-            let span = self.store.segment_range(seg);
-            let cost = (span.end - span.start) as usize;
-            if cost > remaining {
-                // Skip, don't abort: a later (e.g. the trailing partial)
-                // segment may still fit.
-                report.exhausted = true;
-                continue;
-            }
-            remaining -= cost;
-            report.slots_scanned += cost;
-            report.segments_recomputed += 1;
-            if self.store.recompute_segment_bound(seg) {
-                report.bounds_tightened += 1;
-            }
-            self.store.debug_assert_bound_exact(seg);
-        }
-        let stats = &mut self.maintenance_stats;
-        stats.maintain_calls += 1;
-        stats.segments_recomputed += report.segments_recomputed as u64;
-        stats.bounds_tightened += report.bounds_tightened as u64;
-        stats.slots_scanned += report.slots_scanned as u64;
-        report
-    }
-
-    /// Unbudgeted [`HiddenDatabase::maintain`]: finishes every
-    /// outstanding bound recompute.
-    pub fn compact(&mut self) -> MaintenanceReport {
-        self.maintain(MaintenanceBudget::unlimited())
-    }
-
-    /// Counters accumulated across maintenance calls.
-    pub fn maintenance_stats(&self) -> MaintenanceStats {
-        self.maintenance_stats
-    }
-
-    /// Store segments whose score bound may currently be loose — the
-    /// outstanding bound-maintenance work.
-    pub fn stale_segment_count(&self) -> usize {
-        self.store.stale_segment_count()
-    }
-
-    /// The worst per-segment maintenance pressure:
-    /// `max(stale_ops + dead slots)` over all store segments. The
-    /// service's automatic maintenance trigger
-    /// ([`crate::service::AutoMaintain::Pressure`]) fires `compact` when
-    /// this crosses its threshold.
-    pub fn max_segment_pressure(&self) -> u32 {
-        self.store.max_segment_pressure()
-    }
-
     /// The pieces of an immutable epoch snapshot: cheap clones of the
     /// shared read-side state (reference-count bumps per segment).
     /// Consumed by [`crate::service::DbSnapshot`].
-    pub(crate) fn snapshot_parts(
-        &self,
-    ) -> (Schema, StoreCore, BitmapIndex, usize, u64, EvalConfig) {
-        (
-            self.schema.clone(),
-            self.store.core().clone(),
-            self.index.clone(),
-            self.k,
-            self.version,
-            self.eval_config,
-        )
+    pub(crate) fn snapshot_parts(&self) -> (Schema, StoreCore, BitmapIndex, usize, u64) {
+        (self.schema.clone(), self.store.core().clone(), self.index.clone(), self.k, self.version)
     }
 
     /// `|D|`: number of alive tuples.
@@ -314,18 +183,6 @@ impl HiddenDatabase {
     /// Evaluation-engine path counters.
     pub fn eval_stats(&self) -> EvalStats {
         self.eval_stats
-    }
-
-    /// The evaluation-engine tuning in force.
-    pub fn eval_config(&self) -> EvalConfig {
-        self.eval_config
-    }
-
-    /// Retunes the evaluation engine. Outcome-invariant — answers are
-    /// bit-identical under every configuration, so the memo survives the
-    /// switch.
-    pub fn set_eval_config(&mut self, config: EvalConfig) {
-        self.eval_config = config;
     }
 
     /// The scoring policy in force (owner API; a real site would never
@@ -374,12 +231,11 @@ impl HiddenDatabase {
         self.store.pager().map(|p| p.stats()).unwrap_or_default()
     }
 
-    /// Appends a durable full-state snapshot (codec v4: segment data
-    /// plus the warm store state — segment score bounds and staleness
-    /// counters, the free list) to the journal in the persist directory
-    /// and fsyncs. `&self` on purpose: checkpointing reads through the
-    /// paged view, so it can run between any two mutations without
-    /// touching warm state.
+    /// Appends a durable full-state snapshot (codec v5: segment data
+    /// plus the free list in order) to the journal in the persist
+    /// directory and fsyncs. `&self` on purpose: checkpointing reads
+    /// through the paged view, so it can run between any two mutations
+    /// without touching warm state.
     ///
     /// Errors if the tier is not enabled.
     pub fn checkpoint(&self) -> io::Result<()> {
@@ -397,7 +253,7 @@ impl HiddenDatabase {
     /// Warm restart: recovers the last durable [`checkpoint`] from
     /// `cfg.dir`'s journal (ignoring any torn tail from a crash
     /// mid-append) and re-attaches the persistence tier. The restored
-    /// database carries every bound and free-list entry of the
+    /// database carries every slot and free-list entry of the
     /// checkpointed one, and rebuilds its bitmaps from the stored rows,
     /// so it evolves bit-identically from here.
     ///
@@ -420,7 +276,7 @@ impl HiddenDatabase {
         &self.store
     }
 
-    /// Rebuilds a database from restored snapshot state (codec v4): the
+    /// Rebuilds a database from restored snapshot state (codec v5): the
     /// store verbatim, the bitmaps rebuilt from its rows, fresh
     /// version/memo/stats (the memo is an epoch cache — a restarted
     /// process starts a new epoch; answers are unaffected).
@@ -664,14 +520,7 @@ impl HiddenDatabase {
     /// The uncached evaluation path: the shared read-only engine
     /// ([`evaluate_query`]) over disjoint borrows of store/index/stats.
     fn evaluate_uncached(&mut self, query: &ConjunctiveQuery) -> CachedEval {
-        evaluate_query(
-            query,
-            &self.store,
-            &self.index,
-            self.k,
-            self.eval_config,
-            &mut self.eval_stats,
-        )
+        evaluate_query(query, &self.store, &self.index, self.k, &mut self.eval_stats)
     }
 
     // ----- ground truth (experiments/tests only) --------------------------
@@ -693,10 +542,9 @@ impl HiddenDatabase {
             Some(q) => {
                 let segs: Vec<usize> = self.store.live_segments().collect();
                 par_map_indexed(segs.len(), threads, |i| {
-                    self.store
-                        .alive_slots_in(segs[i])
-                        .filter(|&slot| slot_matches(q, &self.store, slot))
-                        .count() as u64
+                    let mut count = 0;
+                    self.for_each_alive_in(segs[i], |t| count += u64::from(t.matches(q)));
+                    count
                 })
                 .into_iter()
                 .sum()
@@ -774,12 +622,11 @@ impl HiddenDatabase {
         let segs: Vec<usize> = self.store.live_segments().collect();
         let parts: Vec<Vec<f64>> = par_map_indexed(segs.len(), threads, |i| {
             let mut vals = Vec::new();
-            for slot in self.store.alive_slots_in(segs[i]) {
-                let t = TupleRef { store: &self.store, slot };
+            self.for_each_alive_in(segs[i], |t| {
                 if query.is_none_or(|q| t.matches(q)) {
                     vals.push(f(t));
                 }
-            }
+            });
             vals
         });
         let mut acc = 0.0;
@@ -791,16 +638,27 @@ impl HiddenDatabase {
         acc
     }
 
-    /// Visits every alive tuple (owner API).
+    /// Visits every alive tuple in slot order (owner API).
     pub fn for_each_alive(&self, mut f: impl FnMut(TupleRef<'_>)) {
-        for slot in self.store.alive_slots() {
-            f(TupleRef { store: &self.store, slot });
+        for seg in self.store.live_segments() {
+            self.for_each_alive_in(seg, &mut f);
+        }
+    }
+
+    /// Visits the alive tuples of segment `seg` in slot order, through
+    /// one view of the segment: a paged database faults an evicted
+    /// segment once per call, not once per field read.
+    fn for_each_alive_in(&self, seg: usize, mut f: impl FnMut(TupleRef<'_>)) {
+        let view = self.store.seg_view(seg);
+        for (off, _) in view.alive.iter().enumerate().filter(|&(_, &alive)| alive) {
+            f(TupleRef { data: SegView::Ram(&view), off });
         }
     }
 
     /// Borrowing accessor for an alive tuple by key (owner API).
     pub fn get(&self, key: TupleKey) -> Option<TupleRef<'_>> {
-        self.store.slot_of(key).map(|slot| TupleRef { store: &self.store, slot })
+        let (seg, off) = locate(self.store.slot_of(key)?);
+        Some(TupleRef { data: self.store.seg_view(seg), off })
     }
 
     /// Samples `count` distinct alive tuple keys uniformly at random,
@@ -844,18 +702,15 @@ impl HiddenDatabase {
 /// The uncached evaluation engine, shared verbatim by the owner path
 /// ([`HiddenDatabase::answer`]) and snapshot readers
 /// ([`crate::service::DbSnapshot`]). One loop serves every query shape:
-/// segments are visited in descending max-score order, and in each the
-/// alive row is ANDed word by word with the query's bitmap rows
+/// the live segments are visited in segment order, and in each the alive
+/// row is ANDed word by word with the query's bitmap rows
 /// ([`BitmapIndex::and_rows`]). Every set bit is an alive slot carrying
 /// every value of the query, so it is offered to the top-`k` heap as is,
-/// its score read from the segment's score array. Once the query has
-/// overflowed and the heap floor beats the next segment's bound, no
-/// remaining slot can enter the page and the scan stops (when
-/// `config.early_exit` is on).
+/// its score read from the segment's score array. Every match is
+/// offered, so the match count is exact.
 ///
 /// The page is the top `k` under the total `(score, slot)` order, which
-/// does not depend on visit order, so every configuration produces the
-/// same `CachedEval` bit for bit (pinned by the oracle proptests against
+/// does not depend on visit order (pinned by the oracle proptests against
 /// [`HiddenDatabase::exact_answer`]). The query's shape only picks the
 /// [`EvalStats`] counter: root, one predicate, or two and more.
 pub(crate) fn evaluate_query(
@@ -863,7 +718,6 @@ pub(crate) fn evaluate_query(
     store: &StoreCore,
     index: &BitmapIndex,
     k: usize,
-    config: EvalConfig,
     stats: &mut EvalStats,
 ) -> CachedEval {
     match query.predicates().len() {
@@ -873,17 +727,8 @@ pub(crate) fn evaluate_query(
     }
     let rows = index.rows_of(query);
     let mut topk = TopK::new(k);
-    let order = store.segments_by_score_desc();
     let mut hits = [0u64; SEGMENT_WORDS];
-    for (i, &(seg, bound)) in order.iter().enumerate() {
-        // `order` is bound-descending, so this segment's bound caps
-        // every remaining candidate.
-        if config.early_exit && topk.can_stop(bound) {
-            stats.early_exits += 1;
-            stats.segments_skipped += (order.len() - i) as u64;
-            topk.stop();
-            break;
-        }
+    for seg in store.live_segments() {
         if !index.and_rows(seg, &rows, &mut hits) {
             continue;
         }
@@ -1280,184 +1125,47 @@ mod tests {
         assert!(d.answer(&ConjunctiveQuery::select_all()).is_valid());
     }
 
-    /// The engine, with the early exit on and off, must agree bit for bit
-    /// with the brute-force scan and with ground truth, on root, one-,
-    /// two- and three-predicate queries.
+    /// The engine must agree bit for bit with the brute-force scan and
+    /// with ground truth, on root, one-, two- and three-predicate queries.
     #[test]
     fn intersection_strategies_are_outcome_invariant() {
-        let mut reference = None;
-        for early_exit in [true, false] {
-            let schema = Schema::with_domain_sizes(&[2, 3, 4], &["m"]).unwrap();
-            let mut d = HiddenDatabase::new(schema, 3, ScoringPolicy::NewestFirst);
-            d.set_invalidation_policy(InvalidationPolicy::Disabled);
-            d.set_eval_config(EvalConfig { early_exit });
-            for key in 0..200u64 {
-                d.insert(Tuple::new(
-                    TupleKey(key),
-                    vec![
-                        ValueId((key % 2) as u32),
-                        ValueId((key % 3) as u32),
-                        ValueId((key % 4) as u32),
-                    ],
-                    vec![key as f64],
-                ))
-                .unwrap();
-            }
-            for key in (0..200u64).step_by(5) {
-                d.delete(TupleKey(key)).unwrap();
-            }
-            let mut queries =
-                vec![ConjunctiveQuery::select_all(), q(&[(1, 2)]), q(&[(0, 1), (2, 3)])];
-            for (v0, v1, v2) in [(0, 0, 0), (1, 1, 1), (0, 2, 3), (1, 0, 2), (0, 1, 0), (1, 2, 1)] {
-                queries.push(q(&[(0, v0), (1, v1), (2, v2)]));
-            }
-            let mut answers = Vec::new();
-            for q in &queries {
-                let out = d.answer(q);
-                assert_eq!(out, d.exact_answer(q), "{q}: early_exit={early_exit}");
-                match d.exact_count(Some(q)) {
-                    0 => assert!(out.is_underflow()),
-                    n if n <= 3 => {
-                        assert!(out.is_valid());
-                        assert_eq!(out.returned_count() as u64, n);
-                    }
-                    _ => assert!(out.is_overflow()),
-                }
-                answers.push(out);
-            }
-            let s = d.eval_stats();
-            assert_eq!((s.root_scans, s.single_scans, s.bitset_intersections), (1, 1, 7));
-            assert_eq!((s.gallop_intersections, s.recheck_scans), (0, 0));
-            match &reference {
-                None => reference = Some(answers),
-                Some(want) => assert_eq!(want, &answers, "early_exit={early_exit} diverged"),
-            }
-        }
-    }
-
-    /// On a multi-segment `NewestFirst` store the best tuples live in the
-    /// newest segment, so an overflowing scan must stop after it.
-    #[test]
-    fn early_exit_fires_on_multi_segment_newest_first() {
-        let schema = Schema::with_domain_sizes(&[2], &[]).unwrap();
-        let mut d = HiddenDatabase::new(schema, 5, ScoringPolicy::NewestFirst);
+        let schema = Schema::with_domain_sizes(&[2, 3, 4], &["m"]).unwrap();
+        let mut d = HiddenDatabase::new(schema, 3, ScoringPolicy::NewestFirst);
         d.set_invalidation_policy(InvalidationPolicy::Disabled);
-        let n = (2 * crate::store::SEGMENT_SLOTS + 100) as u64;
-        for key in 0..n {
-            d.insert(t_a0(key, (key % 2) as u32)).unwrap();
-        }
-        let root = ConjunctiveQuery::select_all();
-        let out = d.answer(&root);
-        assert!(out.is_overflow());
-        let keys: Vec<u64> = out.keys().map(|k| k.0).collect();
-        assert_eq!(keys, vec![n - 1, n - 2, n - 3, n - 4, n - 5]);
-        let stats = d.eval_stats();
-        assert!(stats.early_exits >= 1, "root scan should exit early: {stats:?}");
-        assert!(stats.segments_skipped >= 1);
-        // Single-predicate scans exit early too.
-        let before = d.eval_stats().early_exits;
-        let probe = q(&[(0, 0)]);
-        let out = d.answer(&probe);
-        assert!(out.is_overflow());
-        assert!(d.eval_stats().early_exits > before);
-        // …and disabling the exit changes nothing but the counters.
-        let mut exhaustive = d.clone();
-        exhaustive.set_eval_config(EvalConfig { early_exit: false });
-        assert_eq!(exhaustive.answer(&root), d.answer(&root));
-        assert_eq!(exhaustive.answer(&probe), d.answer(&probe));
-    }
-
-    fn t_a0(key: u64, v: u32) -> Tuple {
-        Tuple::new(TupleKey(key), vec![ValueId(v)], vec![])
-    }
-
-    /// The satellite regression pinning the ROADMAP claim: under
-    /// `ByMeasureDesc` ranking, heavy deletes of the top scorers leave
-    /// every segment bound stale-high, so the early exit stops firing —
-    /// and a maintenance pass (exact bound recompute) re-arms it, with
-    /// bit-identical answers throughout.
-    #[test]
-    fn compaction_rearms_early_exit_under_measure_ranked_deletes() {
-        let schema = Schema::with_domain_sizes(&[2], &["m"]).unwrap();
-        let mut d = HiddenDatabase::new(schema, 10, ScoringPolicy::ByMeasureDesc(MeasureId(0)));
-        d.set_invalidation_policy(InvalidationPolicy::Disabled);
-        let segs = 3usize;
-        let n = (segs * crate::store::SEGMENT_SLOTS) as u64;
-        // Every segment gets the same measure distribution, so every
-        // segment's bound starts near the global maximum.
-        let measure = |key: u64| (key.wrapping_mul(2654435761) % 1000) as f64;
-        for key in 0..n {
+        for key in 0..200u64 {
             d.insert(Tuple::new(
                 TupleKey(key),
-                vec![ValueId((key % 2) as u32)],
-                vec![measure(key)],
+                vec![
+                    ValueId((key % 2) as u32),
+                    ValueId((key % 3) as u32),
+                    ValueId((key % 4) as u32),
+                ],
+                vec![key as f64],
             ))
             .unwrap();
         }
-        // Purge the high scorers everywhere except the last segment:
-        // the alive maxima of the early segments collapse, their bounds
-        // do not.
-        let last_seg_start = ((segs - 1) * crate::store::SEGMENT_SLOTS) as u64;
-        for key in 0..last_seg_start {
-            if measure(key) >= 500.0 {
-                d.delete(TupleKey(key)).unwrap();
+        for key in (0..200u64).step_by(5) {
+            d.delete(TupleKey(key)).unwrap();
+        }
+        let mut queries = vec![ConjunctiveQuery::select_all(), q(&[(1, 2)]), q(&[(0, 1), (2, 3)])];
+        for (v0, v1, v2) in [(0, 0, 0), (1, 1, 1), (0, 2, 3), (1, 0, 2), (0, 1, 0), (1, 2, 1)] {
+            queries.push(q(&[(0, v0), (1, v1), (2, v2)]));
+        }
+        for q in &queries {
+            let out = d.answer(q);
+            assert_eq!(out, d.exact_answer(q), "{q}");
+            match d.exact_count(Some(q)) {
+                0 => assert!(out.is_underflow()),
+                n if n <= 3 => {
+                    assert!(out.is_valid());
+                    assert_eq!(out.returned_count() as u64, n);
+                }
+                _ => assert!(out.is_overflow()),
             }
         }
-        assert!(d.stale_segment_count() >= segs - 1, "deletes left bounds stale");
-
-        let root = ConjunctiveQuery::select_all();
-        let probe = q_a0(0);
-        let before = d.eval_stats();
-        let page_root = d.answer(&root);
-        let page_probe = d.answer(&probe);
-        assert!(page_root.is_overflow() && page_probe.is_overflow());
-        let after = d.eval_stats();
-        assert_eq!(after.early_exits, before.early_exits, "stale bounds disarm the exit");
-        assert_eq!(after.segments_skipped, before.segments_skipped);
-
-        let report = d.compact();
-        assert!(report.bounds_tightened >= segs - 1, "{report:?}");
-        assert_eq!(d.stale_segment_count(), 0);
-        let before = d.eval_stats();
-        assert_eq!(d.answer(&root), page_root, "maintenance must not change answers");
-        assert_eq!(d.answer(&probe), page_probe);
-        let after = d.eval_stats();
-        assert!(after.early_exits > before.early_exits, "compaction re-arms the exit");
-        assert!(after.segments_skipped >= before.segments_skipped + 2, "{after:?}");
-    }
-
-    fn q_a0(v: u32) -> ConjunctiveQuery {
-        ConjunctiveQuery::from_predicates([Predicate::new(AttrId(0), ValueId(v))])
-    }
-
-    /// Regression: an in-place measure update that *raises* a tuple's
-    /// rank must raise its segment's score bound immediately. Otherwise
-    /// the early exit skips the tuple's segment on its stale low bound
-    /// and the page misses the new leader.
-    #[test]
-    fn score_raise_propagates_to_segment_bounds() {
-        let schema = Schema::with_domain_sizes(&[2, 2, 2], &["m"]).unwrap();
-        let mut d = HiddenDatabase::new(schema, 2, ScoringPolicy::ByMeasureDesc(MeasureId(0)));
-        d.set_invalidation_policy(InvalidationPolicy::Disabled);
-        // Segment 0: uniformly low. Segment 1: uniformly high — so
-        // segment 0's bound sits far under the floor and is skipped.
-        let seg = crate::store::SEGMENT_SLOTS;
-        for key in 0..(2 * seg) as u64 {
-            let m = if (key as usize) < seg { 1.0 } else { 100.0 };
-            d.insert(Tuple::new(TupleKey(key), vec![ValueId(0), ValueId(0), ValueId(0)], vec![m]))
-                .unwrap();
-        }
-        let probe = q(&[(0, 0), (1, 0), (2, 0)]);
-        let page = d.answer(&probe);
-        assert!(page.is_overflow());
-        assert!(page.keys().all(|k| k.0 >= seg as u64), "page comes from segment 1");
-        assert_eq!(d.eval_stats().segments_skipped, 1, "segment 0 skipped on its bound");
-        // Promote a segment-0 tuple over everything.
-        d.update_measures(TupleKey(5), vec![999.0]).unwrap();
-        let page = d.answer(&probe);
-        assert_eq!(page.keys().next(), Some(TupleKey(5)), "raised tuple must lead the page");
-        // And the raised page matches the brute-force scan bit for bit.
-        assert_eq!(d.exact_answer(&probe), page);
+        let s = d.eval_stats();
+        assert_eq!((s.root_scans, s.single_scans, s.bitset_intersections), (1, 1, 7));
+        assert_eq!((s.gallop_intersections, s.recheck_scans), (0, 0));
     }
 
     /// The bitmaps stay exactly the ones the store implies — every row's
@@ -1528,41 +1236,6 @@ mod tests {
         restored.index.assert_coherent(&restored.store);
     }
 
-    /// Maintenance is slot-stable: future inserts land in the same slots
-    /// and every answer (including tie-breaks) is unchanged whether or
-    /// when `maintain` runs.
-    #[test]
-    fn maintenance_is_outcome_and_slot_invariant() {
-        let build = |maintain_every: Option<usize>| {
-            let schema = Schema::with_domain_sizes(&[2, 3], &["price"]).unwrap();
-            let mut d = HiddenDatabase::new(schema, 3, ScoringPolicy::ByMeasureDesc(MeasureId(0)));
-            let mut outs = Vec::new();
-            for round in 0..30u64 {
-                // Ties everywhere: measures from a tiny domain, so slot
-                // tie-breaks decide pages.
-                let batch = UpdateBatch::empty()
-                    .insert(t(round * 2 + 1000, (round % 2) as u32, (round % 3) as u32, 5.0))
-                    .insert(t(round * 2 + 1001, (round % 2) as u32, 0, 5.0));
-                let batch =
-                    if round >= 4 { batch.delete(TupleKey((round - 4) * 2 + 1000)) } else { batch };
-                d.apply(batch).unwrap();
-                if let Some(every) = maintain_every {
-                    if (round as usize).is_multiple_of(every) {
-                        d.maintain(MaintenanceBudget::slots(crate::store::SEGMENT_SLOTS));
-                    }
-                }
-                outs.push(d.answer(&ConjunctiveQuery::select_all()));
-                outs.push(d.answer(&q(&[(0, 0)])));
-                outs.push(d.answer(&q(&[(0, 1), (1, 0)])));
-            }
-            (outs, d.alive_keys_sorted())
-        };
-        let (plain, keys_plain) = build(None);
-        let (maintained, keys_maintained) = build(Some(3));
-        assert_eq!(plain, maintained, "maintenance changed an answer");
-        assert_eq!(keys_plain, keys_maintained);
-    }
-
     /// Ground-truth fan-out must match the sequential sweep bit-for-bit
     /// at every thread count.
     #[test]
@@ -1596,6 +1269,43 @@ mod tests {
                 "{workers}-thread root sum drifted"
             );
         }
+    }
+
+    /// Ground truth on a paged database reads each segment through one
+    /// view per call, so at any thread count a call faults at most the
+    /// evicted segments (two workers reading field by field would evict
+    /// each other's segment from the pager's one-slot read cache), and
+    /// agrees with the one-thread call bit for bit.
+    #[test]
+    fn paged_ground_truth_faults_each_segment_at_most_once() {
+        use aggtrack_parallel::Threads;
+        let cfg = persist_cfg("ground-truth", 4);
+        let schema = Schema::with_domain_sizes(&[2, 3, 4, 5], &["price"]).unwrap();
+        let mut d = HiddenDatabase::new(schema, 4, ScoringPolicy::default());
+        d.enable_persist(&cfg).unwrap();
+        for key in 0..40_000u64 {
+            let values = [2, 3, 4, 5].map(|domain| ValueId((key % domain) as u32)).to_vec();
+            d.insert(Tuple::new(TupleKey(key), values, vec![key as f64 * 0.25])).unwrap();
+        }
+        let pager = d.store.pager().expect("tier attached").clone();
+        let evicted = (d.store.segment_count() - pager.writer_budget()) as u64;
+        assert_eq!(evicted, 7, "10 segments, 3 in core");
+        let probe = q(&[(1, 2)]);
+        let count = |threads| d.exact_count_threads(Some(&probe), threads);
+        let sum = |threads| {
+            d.exact_sum_threads(Some(&probe), |t| t.measure(MeasureId(0)), threads).to_bits()
+        };
+        for (name, api) in [("count", &count as &dyn Fn(Threads) -> u64), ("sum", &sum)] {
+            let mut answers = Vec::new();
+            for workers in [1, 2] {
+                let before = pager.stats().segments_faulted;
+                answers.push(api(Threads::fixed(workers)));
+                let faulted = pager.stats().segments_faulted - before;
+                assert!(faulted <= evicted, "{name} at {workers} threads: {faulted} faults");
+            }
+            assert_eq!(answers[0], answers[1], "{name}: 2 threads disagree with 1");
+        }
+        let _ = std::fs::remove_dir_all(&cfg.dir);
     }
 
     fn persist_cfg(name: &str, resident: usize) -> crate::persist::PersistConfig {

@@ -28,7 +28,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::query::ConjunctiveQuery;
-use crate::store::{locate, Slot, StoreCore};
+use crate::store::{Slot, StoreCore};
 use crate::tuple::{Page, Rows};
 use crate::value::TupleKey;
 
@@ -114,22 +114,20 @@ pub(crate) struct CachedEval {
     /// Result slots, best-first by `(score, slot)`. For overflow: exactly
     /// `k`. For valid: all matches. For underflow: empty.
     pub(crate) slots: Vec<Slot>,
-    /// Matching-tuple count (`> k` iff `overflow`). Internal only — the
-    /// search interface never discloses it.
+    /// Exact matching-tuple count (`> k` iff `overflow`). Internal only —
+    /// the search interface never discloses it.
     pub(crate) matched: usize,
-    /// Whether `matched` is exact. An early exit stops counting once the
-    /// page is proven, which leaves `matched` a lower bound.
-    pub(crate) exact: bool,
     /// Flat page of `slots`, filled on first demand and dropped whenever
     /// a patch changes the slots or one of their measures.
     pub(crate) page: Option<Arc<Page>>,
 }
 
 impl CachedEval {
-    /// An exactly counted evaluation whose page is `slots`.
+    /// An evaluation whose page is `slots`, counting one off-page match
+    /// when it overflows.
     pub(crate) fn new(overflow: bool, slots: Vec<Slot>) -> Self {
         let matched = slots.len() + usize::from(overflow);
-        Self { overflow, slots, matched, exact: true, page: None }
+        Self { overflow, slots, matched, page: None }
     }
 
     /// The outcome, copying the page on first use and sharing it on every
@@ -154,7 +152,6 @@ impl CachedEval {
         assert_eq!(self.overflow, self.matched > k, "{query}: class disagrees with the count");
         let want = if self.overflow { k } else { self.matched };
         assert_eq!(self.slots.len(), want, "{query}: page size disagrees with the count");
-        assert!(self.exact || self.overflow, "{query}: only overflow counts may be bounds");
         for &s in &self.slots {
             assert!(slot_matches(query, store, s), "{query}: page slot {s} no longer matches");
         }
@@ -168,27 +165,19 @@ impl CachedEval {
 /// Streaming top-`k` accumulator: the heart of query evaluation.
 ///
 /// Candidates are [`TopK::offer`]ed one at a time (already verified to
-/// match the query and be alive); the accumulator tracks the match count
-/// and the best `k` by `(score, slot)`. Between batches of candidates the
-/// driver may consult [`TopK::can_stop`] with an upper bound on every
-/// remaining candidate's score — once the query has provably overflowed
-/// *and* the heap floor beats that bound, the rest of the scan cannot
-/// change the returned page, so evaluation stops early. The resulting
-/// page and class are **bit-identical** to an exhaustive scan: the top-`k`
-/// set under the total `(score, slot)` order does not depend on candidate
-/// arrival order, and the overflow classification is already decided when
-/// an early exit fires. Only the match count becomes a lower bound.
+/// match the query and be alive); the accumulator counts every match and
+/// keeps the best `k` by `(score, slot)`. The page is the top `k` under
+/// that total order, so it does not depend on the order candidates
+/// arrive in, and the count is exact because every match is offered.
 pub(crate) struct TopK {
     heap: BinaryHeap<Reverse<(u64, Slot)>>,
     k: usize,
     matched: usize,
-    /// Cleared by [`TopK::stop`]: candidates were left unoffered.
-    exact: bool,
 }
 
 impl TopK {
     pub(crate) fn new(k: usize) -> Self {
-        Self { heap: BinaryHeap::with_capacity(k), k, matched: 0, exact: true }
+        Self { heap: BinaryHeap::with_capacity(k), k, matched: 0 }
     }
 
     /// Accounts one matching candidate. The floor gate: once the heap
@@ -207,28 +196,6 @@ impl TopK {
         }
     }
 
-    /// Whether the scan may stop: the query has overflowed (`matched > k`
-    /// pins the classification) and no remaining candidate can enter the
-    /// page. `remaining_bound` must be `>=` the score of every candidate
-    /// not yet offered; the comparison is strict because a remaining
-    /// candidate whose score *equals* the floor could still displace it
-    /// on the slot tie-break.
-    #[inline]
-    pub(crate) fn can_stop(&self, remaining_bound: u64) -> bool {
-        self.matched > self.k
-            && match self.heap.peek() {
-                Some(&Reverse((floor, _))) => remaining_bound < floor,
-                // k == 0: the page is empty no matter what remains.
-                None => true,
-            }
-    }
-
-    /// Records that the scan stopped on [`TopK::can_stop`]: the page is
-    /// final, but the match count is now only a lower bound.
-    pub(crate) fn stop(&mut self) {
-        self.exact = false;
-    }
-
     /// Materialises the evaluation: page slots best-first, plus the
     /// match count the memo patches.
     pub(crate) fn finish(self) -> CachedEval {
@@ -238,57 +205,17 @@ impl TopK {
         let slots = entries.into_iter().map(|Reverse((_, s))| s).collect();
         let mut eval = CachedEval::new(self.matched > self.k, slots);
         eval.matched = self.matched;
-        eval.exact = self.exact;
         eval
     }
 }
 
-/// Evaluates `query` against the store with candidates delivered by
-/// internal iteration: `feed` is called once with a sink and pushes every
-/// candidate slot into it. Each candidate is re-checked against all
-/// predicates, so superset producers are safe. No intermediate candidate
-/// collection is allocated. (Test-only since the segment engine took
-/// over the production paths; kept as the reference harness here.)
-#[cfg(test)]
-pub(crate) fn evaluate_streaming(
-    query: &ConjunctiveQuery,
-    store: &StoreCore,
-    k: usize,
-    feed: impl FnOnce(&mut dyn FnMut(Slot)),
-) -> CachedEval {
-    let mut topk = TopK::new(k);
-    feed(&mut |slot| {
-        if slot_matches(query, store, slot) {
-            topk.offer(store.score_at(slot), slot);
-        }
-    });
-    topk.finish()
-}
-
-/// External-iteration convenience over [`evaluate_streaming`] for callers
-/// that already hold a candidate collection (tests, ad-hoc tools).
-#[cfg(test)]
-pub(crate) fn evaluate<I>(
-    query: &ConjunctiveQuery,
-    store: &StoreCore,
-    k: usize,
-    candidates: I,
-) -> CachedEval
-where
-    I: IntoIterator<Item = Slot>,
-{
-    evaluate_streaming(query, store, k, |sink| {
-        for slot in candidates {
-            sink(slot);
-        }
-    })
-}
-
 /// Whether the (possibly stale) candidate at `slot` is alive and satisfies
-/// every predicate, read through one segment view.
-#[inline]
+/// every predicate, read through one segment view. Only the debug-build
+/// memo check and the tests ask it: the engine's bitmaps answer it for
+/// whole segments at once.
+#[cfg(any(test, debug_assertions))]
 pub(crate) fn slot_matches(query: &ConjunctiveQuery, store: &StoreCore, slot: Slot) -> bool {
-    let (seg, off) = locate(slot);
+    let (seg, off) = crate::store::locate(slot);
     let data = store.seg_view(seg);
     data.alive[off] && row_matches(query, data.value_row(off))
 }
@@ -320,12 +247,14 @@ mod tests {
         s
     }
 
+    /// Offers every allocated slot that [`slot_matches`] `q` to a
+    /// [`TopK`], in slot order.
     fn eval_all(q: &ConjunctiveQuery, store: &Store, k: usize) -> CachedEval {
-        evaluate_streaming(q, store, k, |sink| {
-            for slot in store.alive_slots() {
-                sink(slot);
-            }
-        })
+        let mut topk = TopK::new(k);
+        for slot in (0..store.slot_bound()).filter(|&slot| slot_matches(q, store, slot)) {
+            topk.offer(store.score_at(slot), slot);
+        }
+        topk.finish()
     }
 
     #[test]
@@ -339,12 +268,14 @@ mod tests {
         let r = eval_all(&root, &store, 3);
         assert!(r.overflow);
         assert_eq!(r.slots.len(), 3);
+        assert_eq!(r.matched, 5, "the count covers off-page matches too");
 
         let none = ConjunctiveQuery::from_predicates([Predicate::new(AttrId(0), ValueId(1))]);
         let empty = Store::new(1, 0);
-        let r = evaluate(&none, &empty, 3, std::iter::empty());
+        let r = eval_all(&none, &empty, 3);
         assert!(!r.overflow);
         assert!(r.slots.is_empty());
+        assert_eq!(r.matched, 0);
     }
 
     #[test]
@@ -383,30 +314,9 @@ mod tests {
     fn dead_slots_are_ignored() {
         let mut store = store_with(4);
         store.delete(TupleKey(3)).unwrap();
-        let all: Vec<Slot> = (0..store.slot_bound()).collect();
-        let r = evaluate(&ConjunctiveQuery::select_all(), &store, 10, all);
+        let r = eval_all(&ConjunctiveQuery::select_all(), &store, 10);
         assert_eq!(r.slots.len(), 3);
-    }
-
-    #[test]
-    fn can_stop_requires_overflow_and_a_strict_floor() {
-        let store = store_with(6); // scores = keys 0..=5
-        let mut topk = TopK::new(3);
-        for slot in 0..4u32 {
-            topk.offer(store.score_at(slot), slot);
-        }
-        // matched (4) > k (3); floor is score 1 (slots 1,2,3 kept).
-        assert!(topk.can_stop(0), "bound below the floor stops");
-        assert!(!topk.can_stop(1), "bound equal to the floor must not stop (slot tie-break)");
-        assert!(!topk.can_stop(5), "bound above the floor must not stop");
-        // Not yet overflowed: never stop.
-        let mut fresh = TopK::new(3);
-        fresh.offer(9, 0);
-        assert!(!fresh.can_stop(0));
-        // k == 0: a single match pins the (empty) overflow page.
-        let mut zero = TopK::new(0);
-        zero.offer(1, 0);
-        assert!(zero.can_stop(u64::MAX));
+        assert_eq!(r.matched, 3);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub mod value;
 
 pub use budget::QueryBudget;
 pub use codec::{read_snapshot, write_snapshot};
-pub use database::{EvalConfig, HiddenDatabase, MaintenanceBudget, MaintenanceReport, TupleRef};
+pub use database::{HiddenDatabase, TupleRef};
 pub use errors::{BudgetExhausted, DbError, IssueError, SchemaError, TransientFault};
 pub use fault::{
     FaultKind, FaultSchedule, FaultStats, FaultyBackend, RecoveryStats, ResilientBackend,
@@ -89,9 +89,7 @@ pub use ranking::ScoringPolicy;
 pub use schema::{AttributeDef, MeasureDef, Schema};
 pub use service::{AutoMaintain, DbService, DbSnapshot, ServiceSession, ServiceStats};
 pub use session::{SearchBackend, SearchSession};
-pub use stats::{
-    EvalStats, InterfaceStats, MaintenanceStats, MemoStats, PersistStats, SharedMemoStats,
-};
+pub use stats::{EvalStats, InterfaceStats, MemoStats, PersistStats, SharedMemoStats};
 pub use store::{segment_of, SEGMENT_SLOTS};
 pub use tuple::{Tuple, TupleView};
 pub use updates::{UpdateBatch, UpdateSummary};

@@ -30,9 +30,9 @@
 //! (Yi et al., "Efficient maintenance of materialized top-k views", ICDE
 //! 2003): only deleting a member of a truncated page forces a recompute.
 //!
-//! An entry keeps its class, its page best-first by `(score, slot)`, its
-//! match count, and whether that count is exact; an early exit during
-//! evaluation leaves the count a lower bound. The patch rules:
+//! An entry keeps its class, its page best-first by `(score, slot)`, and
+//! its exact match count: evaluation offers every match to the top-`k`
+//! heap, so the count is never a guess. The patch rules:
 //!
 //! * **Insert of a matching row.** The count rises by one. An underflow
 //!   or valid page takes the row; at `k + 1` matches the entry overflows
@@ -40,9 +40,9 @@
 //!   beats the page's last member, which then leaves.
 //! * **Delete of a matching row.** A valid page drops it. On an overflow
 //!   entry, deleting a page member drops the entry, because the
-//!   `(k + 1)`-th match is unknown. An off-page delete lowers the count:
-//!   an exact count that reaches `k` makes the entry valid with the same
-//!   page, and a lower-bound count that would reach `k` drops the entry.
+//!   `(k + 1)`-th match is unknown. An off-page delete lowers the count,
+//!   and a count that reaches `k` makes the entry valid with the same
+//!   page.
 //! * **Measure update of a matching row.** A page member's measures
 //!   changed, so its page is copied again at the next read. A valid page
 //!   re-sorts. On an overflow page, a member whose score falls drops the
@@ -52,16 +52,15 @@
 //!
 //! **Soundness.** Invariant: against the current store, an entry's page
 //! is exactly the best `min(k, T)` matches of its query, best-first,
-//! where `T` is the true match count; its count equals `T` when exact and
-//! is at most `T` otherwise; and it overflows iff its count exceeds `k`
-//! (for a bound, `k < count ≤ T`). One op changes one row, and a row that
-//! does not satisfy a query changes neither its match set, nor the
-//! scores of its matches, nor the measures of its page. For a row that
-//! does, each rule above rebuilds the best `min(k, T)` from what the
-//! entry holds, or drops the entry when it would need a match it does not
-//! hold: the `(k + 1)`-th best after a member leaves or falls, or the
-//! exact count once a bound reaches `k`. An entry is never served while
-//! dropped; the next ask evaluates it from cold. Patching each op before
+//! where `T` is the true match count; its count equals `T`; and it
+//! overflows iff its count exceeds `k`. One op changes one row, and a
+//! row that does not satisfy a query changes neither its match set, nor
+//! the scores of its matches, nor the measures of its page. For a row
+//! that does, each rule above rebuilds the best `min(k, T)` from what
+//! the entry holds, or drops the entry when it would need a match it
+//! does not hold: the `(k + 1)`-th best after a member leaves or falls.
+//! An entry is never served while dropped; the next ask evaluates it
+//! from cold. Patching each op before
 //! the next op applies keeps the invariant between ops, so slot reuse
 //! inside one batch (the deleted row already left every page) and a
 //! failed batch's applied prefix need no special case.
@@ -232,12 +231,7 @@ impl CachedEval {
                     return false;
                 } else {
                     self.matched -= 1;
-                    if self.matched == k {
-                        if !self.exact {
-                            return false;
-                        }
-                        self.overflow = false;
-                    }
+                    self.overflow = self.matched > k;
                     return true;
                 }
             }
@@ -1229,10 +1223,9 @@ mod tests {
         assert_eq!(keys(&t.ask(&root).0), vec![2, 3]);
     }
 
-    /// An overflow class resting on a lower-bound count holds only while
-    /// the bound exceeds `k`. An off-page delete that brings the bound to
-    /// `k` leaves the true count anywhere from `k` up, so the entry drops;
-    /// the same delete under an exact count turns it valid, same page.
+    /// An off-page delete lowers the exact count: the entry keeps its
+    /// overflow class while the count exceeds `k`, and turns valid with
+    /// the same page once the margin collapses to `k`.
     #[test]
     fn revalidation_fails_when_the_classification_margin_collapses() {
         let mut store = crate::store::Store::new(1, 0);
@@ -1244,59 +1237,16 @@ mod tests {
         let query = q(&[(0, 0)]);
         let row = [ValueId(0)];
         let op = RowOp { slot: c, values: &row, score: 10, change: RowChange::Delete };
-        for (matched, exact, want) in
-            [(4, false, Some((true, 3))), (3, false, None), (3, true, Some((false, 2)))]
-        {
+        for (matched, want) in [(4, (true, 3)), (3, (false, 2))] {
             let mut memo = QueryMemo::default();
             let mut eval = CachedEval::new(true, vec![a, b]);
-            (eval.matched, eval.exact) = (matched, exact);
+            eval.matched = matched;
             insert(&mut memo, &query, eval);
             memo.patch(&op, 2, &store);
-            let got = memo.get_mut(QueryMemo::hash_of(&query), &query).map(|e| {
-                assert_eq!(e.slots, vec![a, b], "an off-page delete keeps the page");
-                (e.overflow, e.matched)
-            });
-            assert_eq!(got, want, "matched {matched}, exact {exact}");
-            assert_eq!(memo.stats().invalidated, u64::from(want.is_none()));
+            let e = memo.get_mut(QueryMemo::hash_of(&query), &query).expect("entry kept");
+            assert_eq!(e.slots, vec![a, b], "an off-page delete keeps the page");
+            assert_eq!((e.overflow, e.matched), want, "matched {matched}");
+            assert_eq!(memo.stats().invalidated, 0);
         }
-    }
-
-    /// An early exit leaves the count a lower bound: off-page deletes
-    /// keep the entry only while the bound stays above `k`, so the class
-    /// is never decided on a guess. Needs two segments, since exits skip
-    /// whole segments.
-    #[test]
-    fn early_exit_counts_are_bounds_that_drop_before_reaching_k() {
-        let k = 5;
-        let mut t = Twin::new(k, ScoringPolicy::NewestFirst);
-        let probe = q(&[(0, 0)]);
-        // 20 old matches in segment 0, padding, then 10 new matches in
-        // segment 1: the scan of segment 1 proves the page.
-        let segment = crate::store::SEGMENT_SLOTS as u64;
-        let mut matches = Vec::new();
-        let mut batch = UpdateBatch::empty();
-        for key in 0..segment + 10 {
-            let a0 = if key < 20 || key >= segment { 0 } else { 1 };
-            if a0 == 0 {
-                matches.push(key);
-            }
-            let values = vec![ValueId(a0), ValueId(0)];
-            batch = batch.insert(Tuple::new(TupleKey(key), values, vec![0.0]));
-        }
-        assert!(t.apply(batch));
-        let exits = t.db.eval_stats().early_exits;
-        assert!(t.ask(&probe).0.is_overflow());
-        assert_eq!(t.db.eval_stats().early_exits, exits + 1, "the scan stopped early");
-        // Delete off-page matches, oldest first, until k remain.
-        let mut hits = 0;
-        for &victim in &matches[..matches.len() - k] {
-            t.delete(victim);
-            let (_, hit) = t.ask(&probe);
-            hits += usize::from(hit);
-        }
-        let (out, _) = t.ask(&probe);
-        assert!(out.is_valid());
-        assert!(hits > 0, "deletes above the bound are patched");
-        assert!(t.db.memo_stats().invalidated > 0, "a bound reaching k drops the entry");
     }
 }

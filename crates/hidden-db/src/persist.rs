@@ -42,10 +42,9 @@
 //! The region file is a working set, not a log: it is rebuilt whenever
 //! persistence is (re-)enabled. Durability comes from `state.hdbj`, an
 //! append-only journal of checksummed full-state snapshot records
-//! (format v4 of [`crate::codec`] — segment data *and* warm state:
-//! segment score bounds and staleness counters, the free list; the
-//! bitmap index is rebuilt from the stored rows on load and stays
-//! resident). [`crate::database::HiddenDatabase::checkpoint`] appends a
+//! (format v5 of [`crate::codec`] — segment data *and* warm state, the
+//! free list in order; the bitmap index is rebuilt from the stored rows
+//! on load and stays resident). [`crate::database::HiddenDatabase::checkpoint`] appends a
 //! record and fsyncs; reopening scans the journal, keeps the last record
 //! whose length and FNV-64 checksum validate, and ignores any torn tail
 //! from a crash mid-append.

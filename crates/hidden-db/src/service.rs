@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
 
 use crate::budget::QueryBudget;
-use crate::database::{evaluate_query, EvalConfig, HiddenDatabase, MaintenanceBudget};
+use crate::database::{evaluate_query, HiddenDatabase};
 use crate::errors::{DbError, IssueError};
 use crate::index::BitmapIndex;
 use crate::interface::QueryOutcome;
@@ -33,18 +33,18 @@ use crate::stats::{EvalStats, InterfaceStats, SharedMemoStats};
 use crate::store::StoreCore;
 use crate::updates::{UpdateBatch, UpdateSummary};
 
-/// When the writer queue triggers maintenance on its own.
+/// Always ignored: the store keeps no score bounds, so there is no
+/// maintenance to trigger. Kept only because the benchmark in
+/// `trackbench/` passes it to [`DbService::with_auto_maintain`]; a later
+/// change to the benchmark removes it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum AutoMaintain {
-    /// Never — maintenance only runs when [`DbService::maintain`] (or a
-    /// bench harness) asks for it.
+    /// Ignored.
     #[default]
     Off,
-    /// After draining a write batch, run a full [`HiddenDatabase::compact`]
-    /// if any segment's pressure (stale bound ops + dead slots) reached
-    /// `threshold`.
+    /// Ignored.
     Pressure {
-        /// Per-segment pressure at which compaction fires.
+        /// Ignored.
         threshold: u32,
     },
 }
@@ -62,13 +62,12 @@ pub struct DbSnapshot {
     index: BitmapIndex,
     k: usize,
     epoch: u64,
-    eval_config: EvalConfig,
 }
 
 impl DbSnapshot {
     fn capture(db: &HiddenDatabase) -> Self {
-        let (schema, store, index, k, epoch, eval_config) = db.snapshot_parts();
-        Self { schema, store, index, k, epoch, eval_config }
+        let (schema, store, index, k, epoch) = db.snapshot_parts();
+        Self { schema, store, index, k, epoch }
     }
 
     /// The epoch (writer data version) this snapshot was published at.
@@ -108,8 +107,7 @@ impl DbSnapshot {
     /// first and return [`IssueError::InvalidQuery`] instead.
     pub fn answer(&self, query: &ConjunctiveQuery, eval_stats: &mut EvalStats) -> QueryOutcome {
         query.validate(&self.schema).expect("search query must be valid for the schema");
-        let mut eval =
-            evaluate_query(query, &self.store, &self.index, self.k, self.eval_config, eval_stats);
+        let mut eval = evaluate_query(query, &self.store, &self.index, self.k, eval_stats);
         eval.outcome(&self.store)
     }
 }
@@ -126,15 +124,16 @@ struct QueuedJob {
 pub struct ServiceStats {
     /// Update batches applied through the writer queue.
     pub batches_applied: u64,
-    /// Snapshot publications (one per non-empty drain or maintenance).
+    /// Snapshot publications (one per non-empty drain).
     pub epochs_published: u64,
-    /// Compactions fired by the [`AutoMaintain::Pressure`] trigger.
+    /// Always 0, like [`AutoMaintain`], which it counted (read by the
+    /// benchmark; a later change to the benchmark removes it).
     pub auto_maintain_runs: u64,
 }
 
 struct ServiceInner {
-    /// The writer copy. Only the queue drainer holds this lock for
-    /// writing; `maintain` takes it directly (it is a writer too).
+    /// The writer copy. Only the queue drainer and `checkpoint` take
+    /// this lock.
     writer: Mutex<HiddenDatabase>,
     /// Pending mutations. Held only for push/pop — never while applying.
     queue: Mutex<VecDeque<QueuedJob>>,
@@ -145,10 +144,8 @@ struct ServiceInner {
     /// Shared across every session; entries keyed by `(epoch, query)`
     /// are immutable, so no invalidation is ever needed.
     memo: ConcurrentMemo,
-    auto: AutoMaintain,
     batches_applied: AtomicU64,
     epochs_published: AtomicU64,
-    auto_maintain_runs: AtomicU64,
 }
 
 impl ServiceInner {
@@ -174,12 +171,6 @@ impl ServiceInner {
             return;
         }
         self.batches_applied.fetch_add(applied, Ordering::Relaxed);
-        if let AutoMaintain::Pressure { threshold } = self.auto {
-            if db.max_segment_pressure() >= threshold {
-                db.compact();
-                self.auto_maintain_runs.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         self.publish(&db);
     }
 
@@ -201,12 +192,6 @@ impl DbService {
     /// Wraps a database and publishes its current state as epoch 0's
     /// snapshot (or whatever `db.version()` currently is).
     pub fn new(db: HiddenDatabase) -> Self {
-        Self::with_auto_maintain(db, AutoMaintain::Off)
-    }
-
-    /// [`DbService::new`] with an automatic-maintenance policy for the
-    /// writer queue.
-    pub fn with_auto_maintain(db: HiddenDatabase, auto: AutoMaintain) -> Self {
         let first = Arc::new(DbSnapshot::capture(&db));
         Self {
             inner: Arc::new(ServiceInner {
@@ -214,12 +199,17 @@ impl DbService {
                 queue: Mutex::new(VecDeque::new()),
                 published: RwLock::new(first),
                 memo: ConcurrentMemo::new(),
-                auto,
                 batches_applied: AtomicU64::new(0),
                 epochs_published: AtomicU64::new(0),
-                auto_maintain_runs: AtomicU64::new(0),
             }),
         }
+    }
+
+    /// [`DbService::new`], ignoring the [`AutoMaintain`]. Kept only
+    /// because the benchmark in `trackbench/` calls it; a later change to
+    /// the benchmark removes it.
+    pub fn with_auto_maintain(db: HiddenDatabase, _auto: AutoMaintain) -> Self {
+        Self::new(db)
     }
 
     /// The latest published snapshot.
@@ -270,28 +260,13 @@ impl DbService {
         rx.recv().expect("writer queue dropped a job")
     }
 
-    /// Runs maintenance on the writer copy and republishes. Maintenance
-    /// is outcome-invariant (bounds tighten, tuples never move), so the
-    /// epoch does not change — sessions pinned before and after see
-    /// bit-identical answers.
-    pub fn maintain(&self, budget: MaintenanceBudget) -> crate::database::MaintenanceReport {
-        let mut db = self.inner.writer.lock().expect("writer lock poisoned");
-        let report = db.maintain(budget);
-        self.inner.publish(&db);
-        report
-    }
-
     /// Reopens a service from the persistence tier's journal: the last
     /// durable checkpoint becomes the writer copy (with the tier
     /// re-attached, so the pool stays out-of-core) and is published as
     /// the first snapshot. The warm-restart path for a long-running
     /// experiment host.
-    pub fn open_persistent(
-        cfg: &crate::persist::PersistConfig,
-        auto: AutoMaintain,
-    ) -> std::io::Result<Self> {
-        let db = HiddenDatabase::open_persistent(cfg)?;
-        Ok(Self::with_auto_maintain(db, auto))
+    pub fn open_persistent(cfg: &crate::persist::PersistConfig) -> std::io::Result<Self> {
+        Ok(Self::new(HiddenDatabase::open_persistent(cfg)?))
     }
 
     /// Checkpoints the writer's current (fully applied) state to the
@@ -317,7 +292,7 @@ impl DbService {
         ServiceStats {
             batches_applied: self.inner.batches_applied.load(Ordering::Relaxed),
             epochs_published: self.inner.epochs_published.load(Ordering::Relaxed),
-            auto_maintain_runs: self.inner.auto_maintain_runs.load(Ordering::Relaxed),
+            auto_maintain_runs: 0,
         }
     }
 }
@@ -406,25 +381,6 @@ impl SearchBackend for ServiceSession {
 
     fn spent(&self) -> u64 {
         self.budget.spent()
-    }
-}
-
-impl AutoMaintain {
-    /// Parses the `--auto-maintain` bench flag: `off` or `pressure:<t>`.
-    pub fn parse(text: &str) -> Result<Self, String> {
-        if text == "off" {
-            return Ok(AutoMaintain::Off);
-        }
-        if let Some(t) = text.strip_prefix("pressure:") {
-            let threshold: u32 = t
-                .parse()
-                .map_err(|_| format!("--auto-maintain pressure threshold must be a u32: {t:?}"))?;
-            if threshold == 0 {
-                return Err("--auto-maintain pressure threshold must be positive".into());
-            }
-            return Ok(AutoMaintain::Pressure { threshold });
-        }
-        Err(format!("--auto-maintain expects off|pressure:<t>, got {text:?}"))
     }
 }
 
@@ -562,33 +518,6 @@ mod tests {
     }
 
     #[test]
-    fn auto_maintain_fires_on_pressure() {
-        let db = seed_db(300);
-        let service = DbService::with_auto_maintain(db, AutoMaintain::Pressure { threshold: 10 });
-        let mut batch = UpdateBatch::default();
-        for key in 0..60 {
-            batch.deletes.push(TupleKey(key));
-        }
-        service.apply(batch).unwrap();
-        assert!(
-            service.stats().auto_maintain_runs >= 1,
-            "60 deletes in one segment must cross a pressure threshold of 10"
-        );
-    }
-
-    #[test]
-    fn auto_maintain_parse() {
-        assert_eq!(AutoMaintain::parse("off"), Ok(AutoMaintain::Off));
-        assert_eq!(
-            AutoMaintain::parse("pressure:64"),
-            Ok(AutoMaintain::Pressure { threshold: 64 })
-        );
-        assert!(AutoMaintain::parse("pressure:0").is_err());
-        assert!(AutoMaintain::parse("pressure:x").is_err());
-        assert!(AutoMaintain::parse("eager").is_err());
-    }
-
-    #[test]
     fn concurrent_sessions_under_churn_stay_bit_identical() {
         let db = seed_db(256);
         let reference = db.clone();
@@ -662,7 +591,7 @@ mod tests {
         let expected: Vec<_> = qs.iter().map(|q| service.snapshot().answer(q, &mut eval)).collect();
 
         drop(service);
-        let reopened = DbService::open_persistent(&cfg, AutoMaintain::Off).unwrap();
+        let reopened = DbService::open_persistent(&cfg).unwrap();
         let snap = reopened.snapshot();
         assert_eq!(snap.len(), 500);
         for (q, want) in qs.iter().zip(&expected) {

@@ -51,9 +51,13 @@ pub struct EvalStats {
     /// the benchmark in `trackbench/` reads it; a later change to the
     /// benchmark removes it.
     pub blockmax_intersections: u64,
-    /// Scans stopped early by the overflow + heap-floor proof.
+    /// Always 0: the engine visits every live segment, since no segment
+    /// score bound remains to stop a scan early. Kept only because the
+    /// benchmark in `trackbench/` reads it; a later change to the
+    /// benchmark removes it.
     pub early_exits: u64,
-    /// Segments never visited thanks to early exits.
+    /// Always 0, like [`EvalStats::early_exits`] (read by the benchmark;
+    /// a later change to the benchmark removes it).
     pub segments_skipped: u64,
     /// Always 0, like [`EvalStats::blockmax_intersections`] (read by the
     /// benchmark; a later change to the benchmark removes it).
@@ -73,8 +77,7 @@ pub struct MemoStats {
     /// Entries admitted into the memo.
     pub insertions: u64,
     /// Entries a row change could not keep exact: an overflow page lost
-    /// a member or a member's score fell, or a lower-bound count reached
-    /// `k`.
+    /// a member or a member's score fell.
     pub invalidated: u64,
     /// Entries alive after each incremental mutation, summed over
     /// mutations (an entry outliving `n` mutations counts `n` times —
@@ -149,20 +152,6 @@ pub struct PersistStats {
     /// High-water mark of `resident_segments` — what the
     /// `resident_memory_bounded` bench flag compares against the budget.
     pub peak_resident_segments: u64,
-}
-
-/// Counters accumulated across [`crate::database::HiddenDatabase::maintain`]
-/// calls: what the segment-bound maintenance has done so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MaintenanceStats {
-    /// `maintain`/`compact` invocations.
-    pub maintain_calls: u64,
-    /// Store segments whose score bound was recomputed exactly.
-    pub segments_recomputed: u64,
-    /// Recomputes that actually tightened a bound.
-    pub bounds_tightened: u64,
-    /// Slots scanned by maintenance sweeps (the budget currency).
-    pub slots_scanned: u64,
 }
 
 #[cfg(test)]

@@ -20,39 +20,20 @@
 //! Slots are grouped into fixed-size segments of [`SEGMENT_SLOTS`]
 //! consecutive slots. Each segment's rows live in one [`Arc`]-shared
 //! block, so cloning the read-side of the store ([`StoreCore`]) is a
-//! handful of reference-count bumps plus the small per-segment summary
-//! vector — the substrate for the epoch-published snapshots of
+//! handful of reference-count bumps plus the per-segment alive counts —
+//! the substrate for the epoch-published snapshots of
 //! [`crate::service::DbService`]. Mutation goes through
 //! [`Arc::make_mut`]: copy-on-write at segment granularity, so a published
 //! snapshot keeps the old block while the writer pays one segment copy the
 //! first time it touches a shared segment.
 //!
-//! Each segment carries two summaries maintained on every mutation:
-//!
-//! * an **alive count** — lets scans (and the parallel ground-truth
-//!   fan-out) skip fully dead segments without touching the bitmap;
-//! * a **max-score upper bound** — never underestimates the best hidden
-//!   ranking score of any alive occupant, which is what lets the
-//!   evaluation engine stop a top-`k` scan early once the heap floor
-//!   provably beats every remaining segment (see `TopK::can_stop` in
-//!   [`crate::interface`]). Deletes do not lower the
-//!   bound (that would cost a segment sweep); it resets to the true
-//!   maximum whenever a segment empties, and is exact for append-mostly
-//!   workloads like `NewestFirst` timelines.
-//!
-//! ## Maintenance
-//!
-//! Each segment additionally tracks how far its bound may have drifted
-//! from exact: a **bound-staleness counter** counts the deletes and
-//! score-drops since the bound was last known exact, and the **dead-slot
-//! count** is derivable from the alive count. The maintenance pass
-//! ([`crate::database::HiddenDatabase::maintain`]) consumes these to pick
-//! the stalest segments and [`Store::recompute_segment_bound`] rewrites
-//! each bound to the true maximum over alive occupants — re-arming
-//! early exits under delete-heavy / measure-drop churn, where the lazy
-//! bound otherwise only ever grows. Maintenance never moves a tuple and
-//! never touches the free list, so slot identity (and with it every
-//! cached page, tie-break, and RNG draw) is bit-for-bit unaffected.
+//! Each segment's **alive count** is maintained on every mutation; it lets
+//! scans (and the parallel ground-truth fan-out) skip fully dead segments
+//! without touching the bitmap. The store keeps no score summary: the
+//! evaluation engine visits every live segment, because under the
+//! paper's hidden ranking (hashed scores, `ScoringPolicy::HashedRandom`)
+//! every segment holds a score near the top of the range, so a
+//! per-segment score bound would never let a scan stop early.
 
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -70,7 +51,7 @@ pub type Slot = u32;
 /// Slots per store segment.
 pub const SEGMENT_SLOTS: usize = 4096;
 
-// `segment_of` shifts, `segment_range` multiplies, and the evaluation
+// `segment_of` shifts, `locate` masks, and the evaluation
 // engine's bitsets are `SEGMENT_SLOTS / 64` whole words — all three only
 // agree for power-of-two, word-divisible sizes, so retuning to anything
 // else must fail at compile time.
@@ -92,24 +73,6 @@ pub fn segment_of(slot: Slot) -> usize {
 #[inline]
 pub(crate) fn locate(slot: Slot) -> (usize, usize) {
     (segment_of(slot), slot as usize & SEGMENT_MASK)
-}
-
-/// Per-segment summary maintained incrementally by the store.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SegmentMeta {
-    /// Alive tuples in the segment.
-    pub(crate) alive: u32,
-    /// Upper bound on the hidden score of any alive occupant. May
-    /// overestimate after deletes/score-drops; never underestimates.
-    pub(crate) max_score: u64,
-    /// Mutations since `max_score` was last known exact (deletes and
-    /// in-place score drops — the two operations that can leave the
-    /// bound standing above the true maximum). `0` means exact.
-    pub(crate) stale_ops: u32,
-    /// CLOCK reference bit for the persistence tier's writer-side
-    /// eviction sweep: set on every writer touch, cleared as the hand
-    /// passes. Meaningless (and harmlessly carried) without a pager.
-    pub(crate) ref_bit: bool,
 }
 
 /// One segment's data: up to [`SEGMENT_SLOTS`] rows, grown lazily as
@@ -219,7 +182,7 @@ impl SegmentData {
 /// branch over the previous direct indexing); evicted segments fault
 /// through the pager's bounded read cache (`Hot`). `Deref` makes the
 /// two cases indistinguishable to accessors.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) enum SegView<'a> {
     /// Segment is resident in the store.
     Ram(&'a SegmentData),
@@ -240,9 +203,9 @@ impl Deref for SegView<'_> {
 }
 
 /// The read side of the store: `Arc`-shared segment data blocks plus the
-/// per-segment summaries. Everything query evaluation, ground truth, and
-/// the memo need lives here; cloning is cheap (reference-count bumps plus
-/// the summary vector), which is what makes publishing an immutable
+/// per-segment alive counts. Everything query evaluation, ground truth,
+/// and the memo need lives here; cloning is cheap (reference-count bumps
+/// plus the count vector), which is what makes publishing an immutable
 /// snapshot per epoch affordable. [`Store`] derefs to this, so owner-side
 /// code reads through the same API.
 ///
@@ -259,9 +222,8 @@ pub struct StoreCore {
     /// `s * SEGMENT_SLOTS .. (s+1) * SEGMENT_SLOTS`. With a pager
     /// attached, entries may be the shared eviction tombstone.
     segs: Vec<Arc<SegmentData>>,
-    /// Per-segment alive counts and score upper bounds, in lockstep with
-    /// `segs`.
-    meta: Vec<SegmentMeta>,
+    /// Alive tuples per segment, in lockstep with `segs`.
+    alive: Vec<u32>,
     /// Total slots allocated (alive + dead). Slots are allocated in
     /// ascending order, so only the last segment is partially grown.
     allocated: usize,
@@ -299,7 +261,7 @@ impl Clone for StoreCore {
             measure_count: self.measure_count,
             resident: segs.len(),
             segs,
-            meta: self.meta.clone(),
+            alive: self.alive.clone(),
             allocated: self.allocated,
             alive_count: self.alive_count,
             pager: None,
@@ -310,7 +272,8 @@ impl Clone for StoreCore {
 /// Row storage for tuples plus the per-tuple hidden ranking score.
 ///
 /// Wraps the shared [`StoreCore`] with the writer-only state: the free
-/// list and the key → slot map. Read accessors come through `Deref`.
+/// list, the key → slot map and the pager's CLOCK state. Read accessors
+/// come through `Deref`.
 #[derive(Debug, Clone)]
 pub struct Store {
     core: StoreCore,
@@ -321,6 +284,10 @@ pub struct Store {
     /// CLOCK hand of the writer-side eviction sweep (persistence tier
     /// only; idle without a pager).
     clock_hand: usize,
+    /// CLOCK reference bit per segment for that sweep, in lockstep with
+    /// the segments: set on every writer touch, cleared as the hand
+    /// passes. No snapshot reads it, so it lives here, not in the core.
+    ref_bits: Vec<bool>,
 }
 
 impl Deref for Store {
@@ -369,11 +336,6 @@ impl StoreCore {
         self.pager.as_ref()
     }
 
-    /// Per-segment summaries, in lockstep with the segments.
-    pub(crate) fn metas(&self) -> &[SegmentMeta] {
-        &self.meta
-    }
-
     /// Whether `slot` currently holds an alive tuple.
     #[inline]
     pub fn is_alive(&self, slot: Slot) -> bool {
@@ -415,97 +377,18 @@ impl StoreCore {
     /// Number of segments allocated (covers every slot below
     /// [`StoreCore::slot_bound`]).
     pub fn segment_count(&self) -> usize {
-        self.meta.len()
+        self.segs.len()
     }
 
     /// Alive tuples in segment `seg`.
     #[inline]
     pub fn segment_alive(&self, seg: usize) -> u32 {
-        self.meta[seg].alive
-    }
-
-    /// Upper bound on the hidden score of any alive tuple in `seg`
-    /// (never underestimates; exact until a delete or score-drop).
-    #[inline]
-    pub fn segment_max_score(&self, seg: usize) -> u64 {
-        self.meta[seg].max_score
-    }
-
-    /// Dead (allocated but not alive) slots in segment `seg` — half of
-    /// the pressure signal behind [`StoreCore::max_segment_pressure`].
-    #[inline]
-    pub fn segment_dead(&self, seg: usize) -> u32 {
-        let span = self.segment_range(seg);
-        (span.end - span.start) - self.meta[seg].alive
-    }
-
-    /// Mutations since `seg`'s score bound was last known exact. `0`
-    /// means [`StoreCore::segment_max_score`] equals the true maximum over
-    /// alive occupants.
-    #[inline]
-    pub fn segment_bound_staleness(&self, seg: usize) -> u32 {
-        self.meta[seg].stale_ops
-    }
-
-    /// Number of segments with a possibly-loose score bound
-    /// (allocation-free; [`StoreCore::stale_segments`] builds the ordered
-    /// work queue).
-    pub fn stale_segment_count(&self) -> usize {
-        self.meta.iter().filter(|m| m.stale_ops > 0).count()
-    }
-
-    /// The worst per-segment maintenance pressure across the store:
-    /// `max(stale_ops + dead slots)` over all segments. The writer queue's
-    /// automatic maintenance trigger compares this against its threshold.
-    pub fn max_segment_pressure(&self) -> u32 {
-        (0..self.meta.len())
-            .map(|s| self.meta[s].stale_ops.saturating_add(self.segment_dead(s)))
-            .max()
-            .unwrap_or(0)
-    }
-
-    /// Segments with a possibly-loose score bound, most-stale first
-    /// (segment id breaks ties) — the maintenance pass's work queue.
-    pub fn stale_segments(&self) -> Vec<usize> {
-        let mut segs: Vec<(u32, usize)> = self
-            .meta
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.stale_ops > 0)
-            .map(|(s, m)| (m.stale_ops, s))
-            .collect();
-        segs.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        segs.into_iter().map(|(_, s)| s).collect()
-    }
-
-    /// The slot range covered by segment `seg`, clamped to allocated
-    /// slots.
-    #[inline]
-    pub fn segment_range(&self, seg: usize) -> std::ops::Range<Slot> {
-        let start = (seg * SEGMENT_SLOTS) as Slot;
-        let end = ((seg + 1) * SEGMENT_SLOTS).min(self.allocated) as Slot;
-        start..end
+        self.alive[seg]
     }
 
     /// Segment ids with at least one alive tuple, ascending.
     pub fn live_segments(&self) -> impl Iterator<Item = usize> + '_ {
-        self.meta.iter().enumerate().filter(|(_, m)| m.alive > 0).map(|(s, _)| s)
-    }
-
-    /// For every segment (descending max-score order, segment id as the
-    /// deterministic tie-break): `(segment, score upper bound)`. This is
-    /// the visit order that lets early-exit scans stop as soon as the
-    /// heap floor beats the bound of the *next* segment.
-    pub fn segments_by_score_desc(&self) -> Vec<(usize, u64)> {
-        let mut order: Vec<(usize, u64)> = self
-            .meta
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| m.alive > 0)
-            .map(|(s, m)| (s, m.max_score))
-            .collect();
-        order.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        order
+        self.alive.iter().enumerate().filter(|(_, &n)| n > 0).map(|(s, _)| s)
     }
 
     /// Copies the tuples at `slots`, in order, into one flat result page,
@@ -564,27 +447,6 @@ impl StoreCore {
                 .filter_map(move |off| data.alive[off].then_some(base + off as Slot))
         })
     }
-
-    /// Iterates over the alive slots of one segment, ascending. Skipping
-    /// the scan entirely for empty segments is the caller's job (check
-    /// [`StoreCore::segment_alive`] first).
-    pub fn alive_slots_in(&self, seg: usize) -> impl Iterator<Item = Slot> + '_ {
-        let base = (seg * SEGMENT_SLOTS) as Slot;
-        let data = self.seg_view(seg);
-        (0..data.alive.len()).filter_map(move |off| data.alive[off].then_some(base + off as Slot))
-    }
-
-    /// Exact maximum score over alive occupants of `seg` (one sweep).
-    fn exact_segment_max(&self, seg: usize) -> u64 {
-        let data = self.seg_view(seg);
-        data.alive
-            .iter()
-            .zip(data.scores.iter())
-            .filter(|(&a, _)| a)
-            .map(|(_, &score)| score)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 impl Store {
@@ -596,7 +458,7 @@ impl Store {
                 attr_count,
                 measure_count,
                 segs: Vec::new(),
-                meta: Vec::new(),
+                alive: Vec::new(),
                 allocated: 0,
                 alive_count: 0,
                 pager: None,
@@ -605,49 +467,56 @@ impl Store {
             free: Vec::new(),
             key_to_slot: HashMap::new(),
             clock_hand: 0,
+            ref_bits: Vec::new(),
         }
     }
 
-    /// Rebuilds a store from restored snapshot state (codec v3): segment
-    /// data and summaries verbatim, the free list in its original order
-    /// (so future slot reuse replays identically), and the key → slot
-    /// map rebuilt by one scan over alive occupants. Returns `None` if
-    /// two alive slots carry the same key — snapshot bytes that violate
-    /// the store invariant (corruption), not a programming error.
+    /// Rebuilds a store from restored snapshot state (codec v5): segment
+    /// data verbatim, the free list in its original order (so future
+    /// slot reuse replays identically), and the per-segment alive counts
+    /// and key → slot map derived by one scan over the alive flags.
+    /// Returns `None` if two alive slots carry the same key — snapshot
+    /// bytes that violate the store invariant (corruption), not a
+    /// programming error.
     pub(crate) fn from_restored(
         attr_count: usize,
         measure_count: usize,
         segs: Vec<SegmentData>,
-        meta: Vec<SegmentMeta>,
         allocated: usize,
-        alive_count: usize,
         free: Vec<Slot>,
     ) -> Option<Self> {
         let segs: Vec<Arc<SegmentData>> = segs.into_iter().map(Arc::new).collect();
-        let mut key_to_slot = HashMap::with_capacity(alive_count);
+        let mut alive = Vec::with_capacity(segs.len());
+        let mut key_to_slot = HashMap::new();
         for (seg, data) in segs.iter().enumerate() {
             let base = (seg * SEGMENT_SLOTS) as Slot;
+            let mut count = 0;
             for (off, &a) in data.alive.iter().enumerate() {
-                if a && key_to_slot.insert(data.keys[off], base + off as Slot).is_some() {
-                    return None;
+                if a {
+                    count += 1;
+                    if key_to_slot.insert(data.keys[off], base + off as Slot).is_some() {
+                        return None;
+                    }
                 }
             }
+            alive.push(count);
         }
-        debug_assert_eq!(key_to_slot.len(), alive_count);
+        let ref_bits = vec![false; segs.len()];
         Some(Self {
             core: StoreCore {
                 attr_count,
                 measure_count,
                 resident: segs.len(),
+                alive_count: key_to_slot.len(),
+                alive,
                 segs,
-                meta,
                 allocated,
-                alive_count,
                 pager: None,
             },
             free,
             key_to_slot,
             clock_hand: 0,
+            ref_bits,
         })
     }
 
@@ -705,7 +574,7 @@ impl Store {
         self.make_resident(seg);
         if let Some(pager) = &self.core.pager {
             pager.mark_dirty(seg);
-            self.core.meta[seg].ref_bit = true;
+            self.ref_bits[seg] = true;
         }
         Arc::make_mut(&mut self.core.segs[seg])
     }
@@ -739,8 +608,8 @@ impl Store {
                 if self.core.segs[s].evicted || s == protect {
                     continue;
                 }
-                if self.core.meta[s].ref_bit {
-                    self.core.meta[s].ref_bit = false;
+                if self.ref_bits[s] {
+                    self.ref_bits[s] = false;
                     continue;
                 }
                 victim = Some(s);
@@ -759,59 +628,6 @@ impl Store {
     /// Iterates over `(key, slot)` of all alive tuples in unspecified order.
     pub fn alive_keys(&self) -> impl Iterator<Item = (TupleKey, Slot)> + '_ {
         self.key_to_slot.iter().map(|(&k, &s)| (TupleKey(k), s))
-    }
-
-    /// Recomputes `seg`'s score bound as the exact maximum over alive
-    /// occupants (one sweep of the segment) and clears its staleness
-    /// counter. Returns whether the bound tightened. Purely a summary
-    /// rewrite: no tuple moves, no slot changes hands, and since the
-    /// bound only ever shrinks towards the true maximum, every scan
-    /// that consulted the old bound stays correct.
-    pub fn recompute_segment_bound(&mut self, seg: usize) -> bool {
-        let exact = self.core.exact_segment_max(seg);
-        let meta = &mut self.core.meta[seg];
-        debug_assert!(exact <= meta.max_score, "segment bound was not an upper bound");
-        let tightened = exact < meta.max_score;
-        meta.max_score = exact;
-        meta.stale_ops = 0;
-        tightened
-    }
-
-    /// Debug-build audit: `seg`'s bound must equal the true maximum over
-    /// alive occupants. Called by the maintenance pass after every
-    /// compaction step; release builds compile it away.
-    pub fn debug_assert_bound_exact(&self, seg: usize) {
-        #[cfg(debug_assertions)]
-        {
-            let exact = self.core.exact_segment_max(seg);
-            assert_eq!(
-                self.core.meta[seg].max_score, exact,
-                "segment {seg}: bound not exact after compaction"
-            );
-            assert_eq!(self.core.meta[seg].stale_ops, 0, "segment {seg}: staleness not cleared");
-        }
-        #[cfg(not(debug_assertions))]
-        let _ = seg;
-    }
-
-    #[inline]
-    fn note_insert(&mut self, slot: Slot, score: u64) {
-        let meta = &mut self.core.meta[segment_of(slot)];
-        meta.alive += 1;
-        meta.max_score = meta.max_score.max(score);
-    }
-
-    #[inline]
-    fn note_delete(&mut self, slot: Slot) {
-        let meta = &mut self.core.meta[segment_of(slot)];
-        meta.alive -= 1;
-        if meta.alive == 0 {
-            // Empty segment: the bound resets exactly for free.
-            meta.max_score = 0;
-            meta.stale_ops = 0;
-        } else {
-            meta.stale_ops = meta.stale_ops.saturating_add(1);
-        }
     }
 
     /// Inserts a tuple with the given hidden score, returning its slot.
@@ -836,7 +652,8 @@ impl Store {
                 if seg == self.core.segs.len() {
                     let (attrs, ms) = (self.core.attr_count, self.core.measure_count);
                     self.core.segs.push(Arc::new(SegmentData::empty(attrs, ms)));
-                    self.core.meta.push(SegmentMeta::default());
+                    self.core.alive.push(0);
+                    self.ref_bits.push(false);
                     self.core.resident += 1;
                     if let Some(pager) = &self.core.pager {
                         pager.ensure_segments(self.core.segs.len());
@@ -851,7 +668,7 @@ impl Store {
         };
         self.key_to_slot.insert(key.0, slot);
         self.core.alive_count += 1;
-        self.note_insert(slot, score);
+        self.core.alive[segment_of(slot)] += 1;
         Ok(slot)
     }
 
@@ -862,7 +679,7 @@ impl Store {
         self.seg_mut(seg).alive[off] = false;
         self.free.push(slot);
         self.core.alive_count -= 1;
-        self.note_delete(slot);
+        self.core.alive[seg] -= 1;
         self.enforce_budget(seg);
         Ok(slot)
     }
@@ -878,24 +695,11 @@ impl Store {
     }
 
     /// Overwrites the hidden ranking score at `slot` (used when a measure
-    /// update changes a measure-based rank). Raises the segment bound if
-    /// needed; a lowered score leaves the old bound standing (still a
-    /// valid upper bound) and marks the bound stale for maintenance.
+    /// update changes a measure-based rank).
     pub fn set_score(&mut self, slot: Slot, score: u64) {
         let (seg, off) = locate(slot);
         self.seg_mut(seg).scores[off] = score;
         self.enforce_budget(seg);
-        let meta = &mut self.core.meta[seg];
-        if score >= meta.max_score {
-            // The new score meets or beats the old bound, so it *is* the
-            // segment's true maximum: the bound snaps back to exact.
-            meta.max_score = score;
-            meta.stale_ops = 0;
-        } else {
-            // A drop below the bound may have demoted the previous
-            // maximum holder; the bound stays sound but possibly loose.
-            meta.stale_ops = meta.stale_ops.saturating_add(1);
-        }
     }
 }
 
@@ -989,92 +793,12 @@ mod tests {
         }
         assert_eq!(s.segment_alive(0), 6);
         assert_eq!(s.live_segments().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(s.alive_slots_in(0).count(), 6);
-        // Segment slot range is clamped to allocated slots.
-        assert_eq!(s.segment_range(0), 0..10);
-    }
-
-    #[test]
-    fn segment_max_score_is_an_upper_bound_and_resets_on_empty() {
-        let mut s = Store::new(1, 0);
-        s.insert(t(1, &[0], &[]), 50).unwrap();
-        s.insert(t(2, &[0], &[]), 99).unwrap();
-        assert_eq!(s.segment_max_score(0), 99);
-        // Deleting the max holder leaves the (stale but sound) bound.
-        s.delete(TupleKey(2)).unwrap();
-        assert!(s.segment_max_score(0) >= 50);
-        // Raising a score raises the bound.
-        let slot = s.slot_of(TupleKey(1)).unwrap();
-        s.set_score(slot, 200);
-        assert_eq!(s.segment_max_score(0), 200);
-        // Emptying the segment resets the bound exactly.
-        s.delete(TupleKey(1)).unwrap();
-        assert_eq!(s.segment_max_score(0), 0);
+        // An emptied segment drops out of the live set.
+        for key in 4..10u64 {
+            s.delete(TupleKey(key)).unwrap();
+        }
         assert_eq!(s.segment_alive(0), 0);
-    }
-
-    /// The exact-after-compact sibling of
-    /// `segment_max_score_is_an_upper_bound_and_resets_on_empty`: after a
-    /// recompute the bound must equal the true maximum, not merely bound
-    /// it — and the staleness counter must reflect every loosening op.
-    #[test]
-    fn segment_max_score_is_exact_after_recompute() {
-        let mut s = Store::new(1, 0);
-        for key in 0..6u64 {
-            s.insert(t(key, &[0], &[]), key * 10).unwrap();
-        }
-        assert_eq!(s.segment_bound_staleness(0), 0, "append-only bounds are exact");
-        assert_eq!(s.segment_dead(0), 0);
-        // Delete the two top scorers: the bound goes stale-high.
-        s.delete(TupleKey(5)).unwrap();
-        s.delete(TupleKey(4)).unwrap();
-        assert_eq!(s.segment_max_score(0), 50, "lazy bound left standing");
-        assert_eq!(s.segment_bound_staleness(0), 2);
-        assert_eq!(s.segment_dead(0), 2);
-        assert_eq!(s.stale_segments(), vec![0]);
-        // Recompute: exact maximum over alive occupants, staleness reset.
-        assert!(s.recompute_segment_bound(0), "bound must tighten");
-        assert_eq!(s.segment_max_score(0), 30);
-        assert_eq!(s.segment_bound_staleness(0), 0);
-        assert!(s.stale_segments().is_empty());
-        s.debug_assert_bound_exact(0);
-        // A second recompute is a no-op.
-        assert!(!s.recompute_segment_bound(0));
-        // Score drops mark the bound stale; raises to/above the bound
-        // snap it back to exact.
-        let slot = s.slot_of(TupleKey(3)).unwrap();
-        s.set_score(slot, 5);
-        assert_eq!(s.segment_bound_staleness(0), 1);
-        assert_eq!(s.segment_max_score(0), 30, "drop leaves the bound standing");
-        s.set_score(slot, 99);
-        assert_eq!(s.segment_bound_staleness(0), 0, "raise to a new max is exact again");
-        assert_eq!(s.segment_max_score(0), 99);
-        s.debug_assert_bound_exact(0);
-    }
-
-    #[test]
-    fn emptying_a_segment_clears_staleness_too() {
-        let mut s = Store::new(1, 0);
-        s.insert(t(1, &[0], &[]), 10).unwrap();
-        s.insert(t(2, &[0], &[]), 20).unwrap();
-        s.delete(TupleKey(2)).unwrap();
-        assert_eq!(s.segment_bound_staleness(0), 1);
-        s.delete(TupleKey(1)).unwrap();
-        assert_eq!(s.segment_bound_staleness(0), 0, "empty segment is exactly bounded");
-        assert_eq!(s.segment_max_score(0), 0);
-        s.debug_assert_bound_exact(0);
-    }
-
-    #[test]
-    fn segment_orderings_are_deterministic() {
-        let mut s = Store::new(1, 0);
-        // Only one segment exists at this size, but the orderings must
-        // still be internally consistent.
-        for key in 0..5u64 {
-            s.insert(t(key, &[0], &[]), key * 10).unwrap();
-        }
-        let desc = s.segments_by_score_desc();
-        assert_eq!(desc, vec![(0, 40)]);
+        assert_eq!(s.live_segments().count(), 0);
     }
 
     /// A cloned `StoreCore` is an immutable snapshot: segment-granular
@@ -1097,12 +821,12 @@ mod tests {
         assert_eq!(snap.len(), 8);
         assert!(snap.is_alive(3));
         assert_eq!(snap.measure_at(0, 5), 5.0);
-        assert_eq!(snap.segment_max_score(0), 70);
+        assert_eq!(snap.score_at(3), 30);
         assert_eq!(snap.alive_slots().count(), 8);
-        // The writer moved on (slot 3 reused by key 100, score bound up).
+        // The writer moved on (slot 3 reused by key 100).
         assert_eq!(s.len(), 8);
         assert_eq!(s.key_at(3), TupleKey(100));
-        assert_eq!(s.segment_max_score(0), 500);
+        assert_eq!(s.score_at(3), 500);
         assert!(!Arc::ptr_eq(&snap.segs[0], &s.core.segs[0]), "writer copied on write");
     }
 
@@ -1159,8 +883,7 @@ mod tests {
             assert_eq!(disk.measure_at(0, slot), plain.measure_at(0, slot));
         }
         for seg in 0..plain.segment_count() {
-            assert_eq!(disk.segment_max_score(seg), plain.segment_max_score(seg));
-            assert_eq!(disk.segment_bound_staleness(seg), plain.segment_bound_staleness(seg));
+            assert_eq!(disk.segment_alive(seg), plain.segment_alive(seg));
         }
 
         let pager = disk.core().pager().expect("pager attached").clone();

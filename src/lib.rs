@@ -37,10 +37,10 @@ pub mod prelude {
         StratifiedEstimator, TrackingTarget, TupleFilter, TupleFn, WorkloadReport,
     };
     pub use hidden_db::{
-        AttrId, AutoMaintain, ConjunctiveQuery, DbService, DbSnapshot, FaultSchedule,
-        FaultyBackend, HiddenDatabase, IssueError, MeasureId, Predicate, QueryOutcome,
-        ResilientBackend, RetryPolicy, Schema, ScoringPolicy, SearchBackend, SearchSession,
-        ServiceSession, Tuple, TupleKey, TupleView, UpdateBatch, ValueId,
+        AttrId, ConjunctiveQuery, DbService, DbSnapshot, FaultSchedule, FaultyBackend,
+        HiddenDatabase, IssueError, MeasureId, Predicate, QueryOutcome, ResilientBackend,
+        RetryPolicy, Schema, ScoringPolicy, SearchBackend, SearchSession, ServiceSession, Tuple,
+        TupleKey, TupleView, UpdateBatch, ValueId,
     };
     pub use query_tree::{QueryTree, ReissuePolicy, Signature};
     pub use workloads::{

@@ -1,11 +1,10 @@
 //! Out-of-core oracle for the PR 9 persistence tier: a database whose
-//! segments page between memory and a column file under a resident
+//! segments page between memory and a region file under a resident
 //! budget **smaller than the segment count** must produce answers
 //! bit-identical to the naive scan of an all-RAM database
-//! ([`HiddenDatabase::exact_answer`]) — with early exits on and off,
-//! both ranking families, arbitrary batch/maintain/query interleavings
-//! (including mid-way-failing batches), and with the resident
-//! high-water mark pinned to the budget.
+//! ([`HiddenDatabase::exact_answer`]) — under both ranking families,
+//! arbitrary batch/query interleavings (including mid-way-failing
+//! batches), and with the resident high-water mark pinned to the budget.
 //!
 //! Also the crash-recovery contract: `open_persistent` recovers the
 //! last *durable* checkpoint from the journal, discarding any torn
@@ -19,7 +18,7 @@ use hidden_db::schema::Schema;
 use hidden_db::tuple::Tuple;
 use hidden_db::updates::UpdateBatch;
 use hidden_db::value::{AttrId, MeasureId, TupleKey, ValueId};
-use hidden_db::{EvalConfig, InvalidationPolicy, MaintenanceBudget, PersistConfig, SEGMENT_SLOTS};
+use hidden_db::{InvalidationPolicy, PersistConfig, SEGMENT_SLOTS};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -45,15 +44,9 @@ fn base_tuple(t: u64) -> Tuple {
     )
 }
 
-fn fresh_db(
-    k: usize,
-    scoring: ScoringPolicy,
-    config: EvalConfig,
-    persist: Option<&PersistConfig>,
-) -> HiddenDatabase {
+fn fresh_db(k: usize, scoring: ScoringPolicy, persist: Option<&PersistConfig>) -> HiddenDatabase {
     let schema = Schema::with_domain_sizes(&DOMAINS, &["m"]).unwrap();
     let mut db = HiddenDatabase::new(schema, k, scoring);
-    db.set_eval_config(config);
     db.set_invalidation_policy(InvalidationPolicy::Disabled);
     if let Some(cfg) = persist {
         // Attached *before* the base build so the build itself pages:
@@ -67,7 +60,7 @@ fn fresh_db(
     db
 }
 
-/// One step of the interleaving (same shape as the compaction oracle).
+/// One step of the interleaving (same shape as the memo oracle's).
 #[derive(Debug, Clone)]
 enum Step {
     Batch {
@@ -76,7 +69,6 @@ enum Step {
         inserts: Vec<(u32, u32, i32)>,
         poison: bool,
     },
-    Maintain(u8),
     Query {
         a0: Option<u32>,
         a1: Option<u32>,
@@ -96,12 +88,11 @@ fn step_strategy() -> impl Strategy<Value = Step> {
             inserts,
             poison,
         });
-    let maintain = (0..3u8).prop_map(Step::Maintain);
     let query = (0..DOMAINS[0] + 1, 0..DOMAINS[1] + 1).prop_map(|(a0, a1)| Step::Query {
         a0: (a0 < DOMAINS[0]).then_some(a0),
         a1: (a1 < DOMAINS[1]).then_some(a1),
     });
-    prop_oneof![2 => batch, 1 => maintain, 3 => query]
+    prop_oneof![2 => batch, 3 => query]
 }
 
 fn build_query(a0: Option<u32>, a1: Option<u32>) -> ConjunctiveQuery {
@@ -150,14 +141,6 @@ fn build_batch(
     batch
 }
 
-/// The paged engine variants under test.
-fn variants() -> Vec<(&'static str, EvalConfig)> {
-    vec![
-        ("early-exit", EvalConfig { early_exit: true }),
-        ("exhaustive", EvalConfig { early_exit: false }),
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -172,18 +155,12 @@ proptest! {
         } else {
             // Tiny measure domain: heavy score ties, so slot tie-breaks
             // decide pages — the regime where a pager that perturbed
-            // slot assignment or bounds would diverge first.
+            // slot assignment would diverge first.
             ScoringPolicy::ByMeasureDesc(MeasureId(0))
         };
-        let oracle = &mut fresh_db(k, scoring, EvalConfig { early_exit: false }, None);
-        let mut paged: Vec<(&str, PathBuf, HiddenDatabase)> = variants()
-            .into_iter()
-            .map(|(name, config)| {
-                let dir = scratch_dir(name);
-                let cfg = PersistConfig::new(dir.clone(), BUDGET);
-                (name, dir, fresh_db(k, scoring, config, Some(&cfg)))
-            })
-            .collect();
+        let oracle = &mut fresh_db(k, scoring, None);
+        let dir = scratch_dir("paged");
+        let paged = &mut fresh_db(k, scoring, Some(&PersistConfig::new(dir.clone(), BUDGET)));
         let mut next_key = BASE_TUPLES;
         for step in &steps {
             match step {
@@ -192,67 +169,39 @@ proptest! {
                         oracle, &mut next_key, delete_picks, update_picks, inserts, *poison,
                     );
                     let want = oracle.apply(batch.clone());
-                    for (name, _, db) in paged.iter_mut() {
-                        let got = db.apply(batch.clone());
-                        prop_assert_eq!(got.is_ok(), want.is_ok(), "{}: apply diverged", name);
-                        if let (Ok(g), Ok(w)) = (&got, &want) {
-                            prop_assert_eq!(g, w, "{}: summary diverged", name);
-                        }
-                        prop_assert_eq!(db.len(), oracle.len(), "{}: |D| diverged", name);
+                    let got = paged.apply(batch);
+                    prop_assert_eq!(got.is_ok(), want.is_ok(), "apply diverged");
+                    if let (Ok(g), Ok(w)) = (&got, &want) {
+                        prop_assert_eq!(g, w, "summary diverged");
                     }
-                }
-                Step::Maintain(budget) => {
-                    // Maintenance runs on the oracle and every paged
-                    // database alike: compaction rewrites segments while
-                    // most of them live on disk.
-                    let run = |db: &mut HiddenDatabase| match budget {
-                        0 => db.maintain(MaintenanceBudget::slots(0)),
-                        1 => db.maintain(MaintenanceBudget::slots(SEGMENT_SLOTS)),
-                        _ => db.compact(),
-                    };
-                    let want = run(oracle);
-                    for (name, _, db) in paged.iter_mut() {
-                        let got = run(db);
-                        prop_assert_eq!(
-                            (got.segments_recomputed, got.slots_scanned),
-                            (want.segments_recomputed, want.slots_scanned),
-                            "{}: maintenance report diverged", name
-                        );
-                    }
+                    prop_assert_eq!(paged.len(), oracle.len(), "|D| diverged");
                 }
                 Step::Query { a0, a1 } => {
                     let query = build_query(*a0, *a1);
                     let want = oracle.exact_answer(&query);
-                    for (name, _, db) in paged.iter_mut() {
-                        let got = db.answer(&query);
-                        prop_assert_eq!(&got, &want, "{}: diverged on {}", name, &query);
-                        for (gt, wt) in got.tuples().zip(want.tuples()) {
-                            prop_assert_eq!(gt.key(), wt.key());
-                            prop_assert_eq!(gt.values(), wt.values());
-                            for (gm, wm) in gt.measures().iter().zip(wt.measures()) {
-                                prop_assert_eq!(gm.to_bits(), wm.to_bits());
-                            }
+                    let got = paged.answer(&query);
+                    prop_assert_eq!(&got, &want, "diverged on {}", &query);
+                    for (gt, wt) in got.tuples().zip(want.tuples()) {
+                        prop_assert_eq!(gt.key(), wt.key());
+                        prop_assert_eq!(gt.values(), wt.values());
+                        for (gm, wm) in gt.measures().iter().zip(wt.measures()) {
+                            prop_assert_eq!(gm.to_bits(), wm.to_bits());
                         }
                     }
                 }
             }
         }
         // End-state parity and the resident-memory promise.
-        for (name, dir, db) in paged.iter() {
-            prop_assert_eq!(
-                db.alive_keys_sorted(), oracle.alive_keys_sorted(),
-                "{}: final alive set diverged", name
-            );
-            prop_assert_eq!(db.exact_count(None), oracle.exact_count(None));
-            let stats = db.persist_stats();
-            prop_assert!(stats.segments_spilled > 0, "{}: base build never spilled", name);
-            prop_assert!(
-                stats.peak_resident_segments <= BUDGET as u64,
-                "{}: peak residency {} exceeds budget {}",
-                name, stats.peak_resident_segments, BUDGET
-            );
-            let _ = std::fs::remove_dir_all(dir);
-        }
+        prop_assert_eq!(paged.alive_keys_sorted(), oracle.alive_keys_sorted());
+        prop_assert_eq!(paged.exact_count(None), oracle.exact_count(None));
+        let stats = paged.persist_stats();
+        prop_assert!(stats.segments_spilled > 0, "base build never spilled");
+        prop_assert!(
+            stats.peak_resident_segments <= BUDGET as u64,
+            "peak residency {} exceeds budget {}",
+            stats.peak_resident_segments, BUDGET
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -275,7 +224,7 @@ fn probe(db: &mut HiddenDatabase) -> Vec<hidden_db::QueryOutcome> {
 fn crash_db(dir: &PathBuf) -> (PersistConfig, HiddenDatabase) {
     let _ = std::fs::remove_dir_all(dir);
     let cfg = PersistConfig::new(dir.clone(), BUDGET);
-    let db = fresh_db(3, ScoringPolicy::NewestFirst, EvalConfig::default(), Some(&cfg));
+    let db = fresh_db(3, ScoringPolicy::NewestFirst, Some(&cfg));
     (cfg, db)
 }
 

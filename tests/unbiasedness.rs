@@ -139,100 +139,6 @@ fn reissue_update_is_exactly_unbiased_after_change() {
 }
 
 #[test]
-fn maintenance_between_estimator_rounds_changes_nothing_bitwise() {
-    // The PR 5 satellite: a delete/reinsert round-trip with segment
-    // maintenance (bound recompute + posting-list compaction) running
-    // between estimator rounds must leave both the REISSUE (resume_from,
-    // Strict) and RESTART (drill_from_root) per-signature series — and
-    // the exhaustive means — bit-identical to the no-maintenance run,
-    // and the REISSUE mean must still be exactly unbiased.
-    for seed in 0..3u64 {
-        let run = |maintain: bool| {
-            let mut db = random_db(300 + seed, 48, 16);
-            let tree = QueryTree::full(&db.schema().clone());
-            let sigs = enumerate_all(&tree);
-            let spec = AggregateSpec::count_star();
-            let mut depths = Vec::with_capacity(sigs.len());
-            for sig in &sigs {
-                let mut session = SearchSession::unlimited(&mut db);
-                depths.push(drill_from_root(&tree, sig, &mut session).unwrap().depth);
-            }
-            let mut series: Vec<u64> = Vec::new();
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xD00D);
-            let mut next_key = 5_000u64;
-            let mut truth = 0.0;
-            for round in 0..4 {
-                // Delete a batch, then reinsert the same keys with fresh
-                // rows — the round-trip churn that tombstones posting
-                // lists and leaves segment bounds stale.
-                let victims = db.sample_alive_keys(&mut rng, 8);
-                for v in &victims {
-                    db.delete(*v).unwrap();
-                }
-                for v in &victims {
-                    db.insert(Tuple::new(
-                        *v,
-                        vec![
-                            ValueId(rng.random_range(0..2)),
-                            ValueId(rng.random_range(0..3)),
-                            ValueId(rng.random_range(0..2)),
-                        ],
-                        vec![rng.random_range(1..100) as f64],
-                    ))
-                    .unwrap();
-                }
-                for _ in 0..3 {
-                    next_key += 1;
-                    db.insert(Tuple::new(
-                        TupleKey(next_key),
-                        vec![ValueId(0), ValueId(rng.random_range(0..3)), ValueId(1)],
-                        vec![rng.random_range(1..100) as f64],
-                    ))
-                    .unwrap();
-                }
-                if maintain {
-                    if round % 2 == 0 {
-                        db.compact();
-                    } else {
-                        db.maintain(hidden_db::MaintenanceBudget::slots(512));
-                    }
-                }
-                truth = db.exact_count(None) as f64;
-                let mut reissue_mean = 0.0;
-                for (sig, depth) in sigs.iter().zip(&mut depths) {
-                    // REISSUE: resume each drill from its recorded depth.
-                    let mut session = SearchSession::unlimited(&mut db);
-                    let out = resume_from(&tree, sig, *depth, ReissuePolicy::Strict, &mut session)
-                        .unwrap();
-                    *depth = out.depth;
-                    let s = ht_sample(&spec, &tree, &out);
-                    reissue_mean += s.count / sigs.len() as f64;
-                    series.push(s.count.to_bits());
-                    // RESTART: drill from the root every round.
-                    let mut session = SearchSession::unlimited(&mut db);
-                    let out = drill_from_root(&tree, sig, &mut session).unwrap();
-                    series.push(ht_sample(&spec, &tree, &out).count.to_bits());
-                }
-                assert!(
-                    (reissue_mean - truth).abs() < 1e-6,
-                    "seed {seed} round {round} (maintain {maintain}): \
-                     reissued mean {reissue_mean} != truth {truth}"
-                );
-            }
-            (series, truth, db.alive_keys_sorted())
-        };
-        let (plain, truth_plain, keys_plain) = run(false);
-        let (maintained, truth_maintained, keys_maintained) = run(true);
-        assert_eq!(
-            plain, maintained,
-            "seed {seed}: maintenance changed a per-signature estimate bitwise"
-        );
-        assert_eq!(truth_plain.to_bits(), truth_maintained.to_bits());
-        assert_eq!(keys_plain, keys_maintained, "seed {seed}: databases diverged");
-    }
-}
-
-#[test]
 fn recovered_fault_storms_change_nothing_bitwise() {
     // The PR 6 satellite of Theorem 3.1: interpose the fault-injection +
     // deterministic-recovery stack (FaultyBackend + ResilientBackend)
