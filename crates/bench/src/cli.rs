@@ -6,9 +6,9 @@
 //! * `--rounds N` — override tracked rounds;
 //! * `--budget N` — override the per-round query budget `G`;
 //! * `--seed N` — base seed;
-//! * `--memo incremental|wholesale|disabled` — the database's memo
-//!   invalidation policy (outcome-invariant; pinned by the determinism
-//!   suite);
+//! * `--memo incremental|disabled` — the database's memo policy: patch
+//!   cached answers in place, or cache nothing (outcome-invariant; pinned
+//!   by the determinism suite);
 //! * `--faults off|seeded:<rate>` — interface fault injection: `off` (the
 //!   default) runs estimators straight against the session; `seeded:0.2`
 //!   interposes the deterministic FaultyBackend + ResilientBackend stack
@@ -108,7 +108,6 @@ impl Cli {
                 "--memo" => {
                     cli.memo = Some(match value("--memo").as_str() {
                         "incremental" => InvalidationPolicy::Incremental,
-                        "wholesale" => InvalidationPolicy::Wholesale,
                         "disabled" => InvalidationPolicy::Disabled,
                         other => panic!("unknown memo policy {other:?}"),
                     })
@@ -145,7 +144,7 @@ impl Cli {
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --scale quick|default|paper  --trials N  --rounds N  \
-                         --budget N  --seed N  --memo incremental|wholesale|disabled  \
+                         --budget N  --seed N  --memo incremental|disabled  \
                          --faults off|seeded:<rate>  \
                          --persist <dir>,resident:<N>  --bootstrap off|N"
                     );
@@ -323,13 +322,13 @@ mod tests {
 
     #[test]
     fn memo_policy_flag_parses_and_applies() {
-        let cli = parse(&["--memo", "wholesale"]);
-        assert_eq!(cli.memo, Some(InvalidationPolicy::Wholesale));
+        let cli = parse(&["--memo", "disabled"]);
+        assert_eq!(cli.memo, Some(InvalidationPolicy::Disabled));
         let cfg = BaseCfg::from_cli(&cli);
-        assert_eq!(cfg.memo_policy, InvalidationPolicy::Wholesale);
+        assert_eq!(cfg.memo_policy, InvalidationPolicy::Disabled);
         assert_eq!(
-            BaseCfg::from_cli(&parse(&["--memo", "disabled"])).memo_policy,
-            InvalidationPolicy::Disabled
+            BaseCfg::from_cli(&parse(&["--memo", "incremental"])).memo_policy,
+            InvalidationPolicy::Incremental
         );
     }
 

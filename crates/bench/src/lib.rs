@@ -7,15 +7,12 @@
 //!   trials with bit-identical-to-sequential output;
 //! * [`figures`] — one function per paper figure (2–21), each printing
 //!   its series as CSV; invoked by the `figNN_*` binaries and by
-//!   `all_figures` (which runs them concurrently, output in order);
-//! * [`json`] — the hand-rolled JSON writer behind the `perf_baseline`
-//!   binary's `BENCH_*.json` reports.
+//!   `all_figures` (which runs them concurrently, output in order).
 //!
 //! Criterion micro-benchmarks live in `benches/`.
 
 pub mod cli;
 pub mod figures;
-pub mod json;
 pub mod runner;
 
 pub use cli::{BaseCfg, Cli, Scale};

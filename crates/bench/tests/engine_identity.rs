@@ -1,6 +1,7 @@
-//! The evaluation engine against the naive scan on the two query pools
-//! the retired engine comparisons of `perf_baseline` timed: every cold
-//! answer (memo off) must equal [`HiddenDatabase::exact_answer`], which
+//! The evaluation engine against the naive scan on two fixed query
+//! pools: 3–4-predicate queries over an Autos population, and
+//! half-density conjunctions ranked by a measure. Every cold answer
+//! (memo off) must equal [`HiddenDatabase::exact_answer`], which
 //! re-checks every predicate on every alive slot and shares no code
 //! with the engine.
 

@@ -314,7 +314,6 @@ impl HiddenDatabase {
         self.version += 1;
         match self.policy {
             InvalidationPolicy::Incremental => self.cache.note_mutation(),
-            InvalidationPolicy::Wholesale => self.cache.clear(),
             // Disabled: the memo never holds entries; nothing to drop.
             InvalidationPolicy::Disabled => {}
         }
@@ -1051,22 +1050,6 @@ mod tests {
         assert_eq!(out.keys().collect::<Vec<_>>(), vec![TupleKey(2), TupleKey(1)]);
         let new = out.tuples().next().unwrap();
         assert_eq!((new.value(AttrId(1)), new.measure(MeasureId(0))), (ValueId(2), 2.0));
-    }
-
-    #[test]
-    fn wholesale_policy_still_clears_everything() {
-        let mut d = db();
-        d.set_invalidation_policy(InvalidationPolicy::Wholesale);
-        d.insert(t(1, 0, 0, 1.0)).unwrap();
-        d.insert(t(2, 1, 1, 2.0)).unwrap();
-        let untouched = q(&[(0, 1)]);
-        d.answer(&untouched);
-        assert_eq!(d.memo_len(), 1);
-        d.insert(t(3, 0, 2, 3.0)).unwrap();
-        assert_eq!(d.memo_len(), 0, "wholesale drops unaffected entries too");
-        let hits = d.stats().cache_hits;
-        d.answer(&untouched);
-        assert_eq!(d.stats().cache_hits, hits, "cold after wholesale clear");
     }
 
     #[test]

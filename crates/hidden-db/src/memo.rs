@@ -114,9 +114,6 @@ pub enum InvalidationPolicy {
     /// the few it cannot keep exact.
     #[default]
     Incremental,
-    /// Every mutation drops the whole memo. Kept as the baseline the
-    /// consistency oracle and benches compare against.
-    Wholesale,
     /// No memoisation at all: every answer re-evaluates. The oracle the
     /// consistency proptests trust.
     Disabled,
@@ -478,7 +475,7 @@ impl QueryMemo {
         }
     }
 
-    /// Drops every entry (wholesale policy, `set_k`, policy switches).
+    /// Drops every entry (`set_k`, policy switches).
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.free.clear();

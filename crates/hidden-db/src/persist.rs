@@ -542,17 +542,18 @@ pub(crate) fn read_last_journal_record(path: &Path) -> io::Result<Option<Vec<u8>
             break;
         }
         let len = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().unwrap()) as usize;
+        // A corrupt length field can put either end near `usize::MAX`.
         let Some(end) = pos.checked_add(12).and_then(|p| p.checked_add(len)) else { break };
-        if end + 8 > bytes.len() {
+        let Some(next) = end.checked_add(8).filter(|&next| next <= bytes.len()) else {
             break; // torn tail: record longer than the file
-        }
+        };
         let payload = &bytes[pos + 12..end];
-        let sum = u64::from_le_bytes(bytes[end..end + 8].try_into().unwrap());
+        let sum = u64::from_le_bytes(bytes[end..next].try_into().unwrap());
         if fnv64(payload) != sum {
             break; // corrupt record: everything after is untrusted
         }
         last = Some(payload.to_vec());
-        pos = end + 8;
+        pos = next;
     }
     Ok(last)
 }
@@ -637,6 +638,14 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         let first_len = 20 + 5;
         bytes[first_len + 12] ^= 0xFF; // flip a byte inside "second"'s payload
+        fs::write(&path, &bytes).unwrap();
+        assert_eq!(read_last_journal_record(&path).unwrap().unwrap(), b"first");
+        // A length field that puts the checksum's end past `usize::MAX`
+        // is a torn tail too, not an overflow.
+        bytes.truncate(first_len);
+        bytes.extend_from_slice(RECORD_MAGIC);
+        bytes.extend_from_slice(&(u64::MAX - 40).to_le_bytes());
+        bytes.extend_from_slice(&[0; 16]);
         fs::write(&path, &bytes).unwrap();
         assert_eq!(read_last_journal_record(&path).unwrap().unwrap(), b"first");
         let _ = fs::remove_dir_all(&dir);

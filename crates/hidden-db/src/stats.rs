@@ -85,8 +85,7 @@ pub struct MemoStats {
     pub retained: u64,
     /// Entries evicted by the bounded admission (CLOCK) policy.
     pub evicted: u64,
-    /// Wholesale clears (policy [`Wholesale`](crate::InvalidationPolicy),
-    /// `set_k`, or policy switches).
+    /// Whole-memo clears: `set_k` and policy switches drop every entry.
     pub wholesale_clears: u64,
     /// Always 0: patching replaced stale-entry revalidation. Kept only
     /// because the benchmark in `trackbench/` reads it; a later change to

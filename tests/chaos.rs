@@ -45,7 +45,8 @@ proptest! {
     // For random recoverable fault schedules, every drill-down through
     // the FaultyBackend + ResilientBackend stack returns the exact
     // outcome of the fault-free run: same terminal depth, same
-    // estimator-visible cost, bitwise-equal HT sample.
+    // estimator-visible cost, bitwise-equal HT sample. So does the stack
+    // with a quiet schedule, which injects nothing and never retries.
     #[test]
     fn recovered_faults_never_change_drill_outcomes(
         db_seed in 0u64..40,
@@ -66,22 +67,28 @@ proptest! {
             reference.push((out.depth, out.cost, sample.count.to_bits(), sample.sum.to_bits()));
         }
 
-        // Same drills through the chaos stack.
+        // Same drills through the chaos stack, quiet and stormy.
         for (i, sig) in sigs.iter().enumerate() {
-            let session = SearchSession::unlimited(&mut db);
-            let faulty =
-                FaultyBackend::new(session, FaultSchedule::seeded(fault_seed ^ i as u64, rate));
-            let mut resilient =
-                ResilientBackend::new(faulty, RetryPolicy::default(), fault_seed ^ 0x5EED);
-            let out = drill_from_root(&tree, sig, &mut resilient).unwrap();
-            let sample = ht_sample(&spec, &tree, &out);
-            let stats = resilient.stats();
-            prop_assert_eq!(stats.gave_up, 0, "default-on-default recovery must always succeed");
-            let (depth, cost, count_bits, sum_bits) = reference[i];
-            prop_assert_eq!(out.depth, depth);
-            prop_assert_eq!(out.cost, cost, "retries must be invisible to estimator-side cost");
-            prop_assert_eq!(sample.count.to_bits(), count_bits);
-            prop_assert_eq!(sample.sum.to_bits(), sum_bits);
+            let storm = FaultSchedule::seeded(fault_seed ^ i as u64, rate);
+            for (schedule, quiet) in [(FaultSchedule::off(), true), (storm, false)] {
+                let session = SearchSession::unlimited(&mut db);
+                let faulty = FaultyBackend::new(session, schedule);
+                let mut resilient =
+                    ResilientBackend::new(faulty, RetryPolicy::default(), fault_seed ^ 0x5EED);
+                let out = drill_from_root(&tree, sig, &mut resilient).unwrap();
+                let sample = ht_sample(&spec, &tree, &out);
+                let stats = resilient.stats();
+                prop_assert_eq!(stats.gave_up, 0, "default-on-default recovery must always succeed");
+                let (depth, cost, count_bits, sum_bits) = reference[i];
+                prop_assert_eq!(out.depth, depth);
+                prop_assert_eq!(out.cost, cost, "retries must be invisible to estimator-side cost");
+                prop_assert_eq!(sample.count.to_bits(), count_bits);
+                prop_assert_eq!(sample.sum.to_bits(), sum_bits);
+                if quiet {
+                    prop_assert_eq!(stats.retries, 0, "a quiet schedule never retries");
+                    prop_assert_eq!(resilient.into_inner().stats().injected, 0);
+                }
+            }
         }
     }
 
