@@ -8,15 +8,18 @@
 //!    regression, not a slow runner, trips it. Debug builds are exempt.
 //! 2. `fault_off_overhead_near_zero` — the same drill pool bare and
 //!    through `FaultyBackend(FaultSchedule::off())` + `ResilientBackend`.
-//!    The quiet wrapper stack must add less than half the bare time, or
-//!    less than 0.1 s outright: warm drills are memo hits, so both loops
-//!    are short and noisy. Both loops run only the drills. That the quiet
-//!    stack leaves every drill outcome unchanged is checked by
+//!    The quiet wrapper stack must add less than half the bare time.
+//!    Warm drills are memo hits, so one pass takes microseconds: each
+//!    side runs 6 000 passes, tens of milliseconds in release, in ten
+//!    blocks that alternate with the other side's, and the ratio compares
+//!    each side's fastest block, since load from elsewhere on the host
+//!    only ever slows a block down. Both loops run only the drills. That
+//!    the quiet stack leaves every drill outcome unchanged is checked by
 //!    `tests/chaos.rs::recovered_faults_never_change_drill_outcomes`.
 //!
 //! Each floor prints one line; a missed floor fails the run with a
 //! non-zero exit. The workloads and thresholds are fixed so that runs
-//! stay comparable: do not tune them.
+//! stay comparable from one change to the next.
 //!
 //! Usage: `cargo run --release --bin perf_baseline` (no flags).
 
@@ -104,7 +107,8 @@ fn mutation_throughput_ok() -> bool {
 fn fault_off_overhead_near_zero() -> bool {
     const N: u64 = 2_000;
     const K: usize = 50;
-    const PASSES: usize = 60;
+    const PASSES: usize = 6_000;
+    const BLOCKS: usize = 10;
 
     let schema = Schema::with_domain_sizes(&[3, 4, 2], &["m"]).expect("valid schema");
     let mut db = HiddenDatabase::new(schema.clone(), K, ScoringPolicy::default());
@@ -137,26 +141,29 @@ fn fault_off_overhead_near_zero() -> bool {
         }
     };
 
+    let time_block = |pass: &dyn Fn(&mut HiddenDatabase), db: &mut HiddenDatabase| {
+        let t0 = Instant::now();
+        for _ in 0..PASSES / BLOCKS {
+            pass(db);
+        }
+        t0.elapsed().as_secs_f64()
+    };
+
     // An untimed pass warms the memo, so both loops time steady state.
     bare_pass(&mut db);
-    let t0 = Instant::now();
-    for _ in 0..PASSES {
-        bare_pass(&mut db);
+    let (mut bare, mut wrapped) = (Vec::new(), Vec::new());
+    for _ in 0..BLOCKS {
+        bare.push(time_block(&bare_pass, &mut db));
+        wrapped.push(time_block(&wrapped_pass, &mut db));
     }
-    let bare = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    for _ in 0..PASSES {
-        wrapped_pass(&mut db);
-    }
-    let wrapped = t0.elapsed().as_secs_f64();
-
-    let overhead = wrapped / bare.max(f64::MIN_POSITIVE) - 1.0;
-    let ok = overhead < 0.5 || (wrapped - bare).abs() < 0.1;
+    let fastest = |blocks: &[f64]| blocks.iter().copied().fold(f64::INFINITY, f64::min);
+    let overhead = fastest(&wrapped) / fastest(&bare).max(f64::MIN_POSITIVE) - 1.0;
+    let ok = overhead < 0.5;
     println!(
-        "fault_off_overhead_near_zero: {ok} (bare {:.2} ms, wrapped-off {:.2} ms, overhead \
-         {:+.0} %; limit +50 % or 0.1 s)",
-        bare * 1e3,
-        wrapped * 1e3,
+        "fault_off_overhead_near_zero: {ok} (bare {:.1} ms, wrapped-off {:.1} ms in total, \
+         overhead {:+.0} % between the fastest blocks; limit +50 %)",
+        bare.iter().sum::<f64>() * 1e3,
+        wrapped.iter().sum::<f64>() * 1e3,
         overhead * 100.0
     );
     ok

@@ -6,9 +6,6 @@
 //! * `--rounds N` — override tracked rounds;
 //! * `--budget N` — override the per-round query budget `G`;
 //! * `--seed N` — base seed;
-//! * `--memo incremental|disabled` — the database's memo policy: patch
-//!   cached answers in place, or cache nothing (outcome-invariant; pinned
-//!   by the determinism suite);
 //! * `--faults off|seeded:<rate>` — interface fault injection: `off` (the
 //!   default) runs estimators straight against the session; `seeded:0.2`
 //!   interposes the deterministic FaultyBackend + ResilientBackend stack
@@ -24,7 +21,7 @@
 //!   columns entirely. The point estimates are untouched either way —
 //!   resampling happens after the experiment, never inside it.
 
-use hidden_db::{InvalidationPolicy, PersistConfig};
+use hidden_db::{PersistConfig, DEFAULT_MEMO_CAPACITY};
 use workloads::DeleteSpec;
 
 /// Interface fault-injection mode for the experiment loop.
@@ -68,8 +65,6 @@ pub struct Cli {
     pub budget: Option<u64>,
     /// Seed override.
     pub seed: Option<u64>,
-    /// Memo invalidation policy override.
-    pub memo: Option<InvalidationPolicy>,
     /// Fault-injection mode override.
     pub faults: Option<FaultsMode>,
     /// Out-of-core persistence tier for trial databases.
@@ -105,13 +100,6 @@ impl Cli {
                 "--rounds" => cli.rounds = Some(value("--rounds").parse().expect("usize")),
                 "--budget" => cli.budget = Some(value("--budget").parse().expect("u64")),
                 "--seed" => cli.seed = Some(value("--seed").parse().expect("u64")),
-                "--memo" => {
-                    cli.memo = Some(match value("--memo").as_str() {
-                        "incremental" => InvalidationPolicy::Incremental,
-                        "disabled" => InvalidationPolicy::Disabled,
-                        other => panic!("unknown memo policy {other:?}"),
-                    })
-                }
                 "--faults" => {
                     cli.faults = Some(match value("--faults").as_str() {
                         "off" => FaultsMode::Off,
@@ -144,7 +132,7 @@ impl Cli {
                 "--help" | "-h" => {
                     eprintln!(
                         "flags: --scale quick|default|paper  --trials N  --rounds N  \
-                         --budget N  --seed N  --memo incremental|disabled  \
+                         --budget N  --seed N  \
                          --faults off|seeded:<rate>  \
                          --persist <dir>,resident:<N>  --bootstrap off|N"
                     );
@@ -178,10 +166,10 @@ pub struct BaseCfg {
     pub delete: DeleteSpec,
     /// Base seed (trial t uses `seed + t`).
     pub seed: u64,
-    /// Memo invalidation policy for every trial database. Outcome-
-    /// invariant (estimator records are bit-identical across policies);
-    /// only wall-clock and cache counters change.
-    pub memo_policy: InvalidationPolicy,
+    /// Memo capacity of every trial database; 0 turns the memo off.
+    /// Outcome-invariant (estimator records are bit-identical at every
+    /// capacity); only wall-clock and cache counters change.
+    pub memo_capacity: usize,
     /// Interface fault injection (PR 6). `Off` bypasses the fault layer
     /// entirely; `Seeded` wraps every per-round session in the
     /// deterministic FaultyBackend + ResilientBackend stack.
@@ -212,7 +200,7 @@ impl BaseCfg {
                 inserts: 8,
                 delete: DeleteSpec::Fraction(0.001),
                 seed: 0x5EED,
-                memo_policy: InvalidationPolicy::Incremental,
+                memo_capacity: DEFAULT_MEMO_CAPACITY,
                 faults: FaultsMode::Off,
                 persist: None,
                 bootstrap_replicates: Some(1_000),
@@ -228,7 +216,7 @@ impl BaseCfg {
                 inserts: 53,
                 delete: DeleteSpec::Fraction(0.001),
                 seed: 0x5EED,
-                memo_policy: InvalidationPolicy::Incremental,
+                memo_capacity: DEFAULT_MEMO_CAPACITY,
                 faults: FaultsMode::Off,
                 persist: None,
                 bootstrap_replicates: Some(1_000),
@@ -243,7 +231,7 @@ impl BaseCfg {
                 inserts: 300,
                 delete: DeleteSpec::Fraction(0.001),
                 seed: 0x5EED,
-                memo_policy: InvalidationPolicy::Incremental,
+                memo_capacity: DEFAULT_MEMO_CAPACITY,
                 faults: FaultsMode::Off,
                 persist: None,
                 bootstrap_replicates: Some(1_000),
@@ -264,9 +252,6 @@ impl BaseCfg {
         }
         if let Some(s) = cli.seed {
             self.seed = s;
-        }
-        if let Some(p) = cli.memo {
-            self.memo_policy = p;
         }
         if let Some(f) = cli.faults {
             self.faults = f;
@@ -317,25 +302,7 @@ mod tests {
         let cfg = BaseCfg::from_cli(&cli);
         assert_eq!(cfg.rounds, 7);
         assert_eq!(cfg.seed, 9);
-        assert_eq!(cfg.memo_policy, InvalidationPolicy::Incremental, "default policy");
-    }
-
-    #[test]
-    fn memo_policy_flag_parses_and_applies() {
-        let cli = parse(&["--memo", "disabled"]);
-        assert_eq!(cli.memo, Some(InvalidationPolicy::Disabled));
-        let cfg = BaseCfg::from_cli(&cli);
-        assert_eq!(cfg.memo_policy, InvalidationPolicy::Disabled);
-        assert_eq!(
-            BaseCfg::from_cli(&parse(&["--memo", "incremental"])).memo_policy,
-            InvalidationPolicy::Incremental
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown memo policy")]
-    fn unknown_memo_policy_panics() {
-        parse(&["--memo", "sometimes"]);
+        assert_eq!(cfg.memo_capacity, DEFAULT_MEMO_CAPACITY, "default capacity");
     }
 
     #[test]

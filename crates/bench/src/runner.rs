@@ -326,9 +326,9 @@ fn run_trial(
     let mut gen = AutosGenerator::with_attrs(cfg.attrs);
     let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(trial));
     let mut db = load_database(&mut gen, &mut rng, cfg.initial, cfg.k, ScoringPolicy::default());
-    // Outcome-invariant (pinned by the determinism suite): the policy only
-    // changes wall-clock and cache counters, never estimator records.
-    db.set_invalidation_policy(cfg.memo_policy);
+    // Outcome-invariant (pinned by the determinism suite): the capacity
+    // only changes wall-clock and cache counters, never estimator records.
+    db.set_memo_capacity(cfg.memo_capacity);
     // Out-of-core persistence tier: trials share cfg.persist.dir but run
     // concurrently, so each takes a globally unique subdirectory.
     let persist_dir = cfg.persist.as_ref().map(|p| {

@@ -1,8 +1,9 @@
 //! Parallel-vs-sequential determinism: the parallel trial runner must be
 //! a pure performance optimisation — same `BaseCfg` + seed must produce
 //! **bit-identical** summaries at every thread count. Likewise the memo
-//! policy (incremental patching vs no memo at all) must be a pure
-//! performance knob: estimator records cannot depend on caching.
+//! (incremental patching at the default capacity vs capacity 0, no memo
+//! at all) must be a pure performance knob: estimator records cannot
+//! depend on caching.
 
 use aggtrack_bench::cli::{BaseCfg, Scale};
 use aggtrack_bench::runner::{
@@ -10,18 +11,18 @@ use aggtrack_bench::runner::{
 };
 use aggtrack_core::RsConfig;
 use aggtrack_parallel::Threads;
-use hidden_db::InvalidationPolicy;
+use hidden_db::DEFAULT_MEMO_CAPACITY;
 
 fn run(threads: Threads) -> TrackOutcome {
-    run_with_policy(threads, InvalidationPolicy::Incremental)
+    run_with_memo(threads, DEFAULT_MEMO_CAPACITY)
 }
 
-fn run_with_policy(threads: Threads, policy: InvalidationPolicy) -> TrackOutcome {
+fn run_with_memo(threads: Threads, memo_capacity: usize) -> TrackOutcome {
     let mut cfg = BaseCfg::for_scale(Scale::Quick);
     cfg.initial = 1_200;
     cfg.rounds = 4;
     cfg.trials = 5; // more trials than workers, so workers multiplex
-    cfg.memo_policy = policy;
+    cfg.memo_capacity = memo_capacity;
     track_with_threads(&cfg, &standard_algos(), RsConfig::default(), &count_star_tracked, threads)
 }
 
@@ -78,15 +79,15 @@ fn parallel_track_is_bit_identical_to_sequential() {
 }
 
 /// The incrementally patched memo (the default) and a memo-free database
-/// must produce bit-identical estimator series — caching is invisible to
-/// every figure track.
+/// (capacity 0) must produce bit-identical estimator series — caching is
+/// invisible to every figure track.
 #[test]
 fn memo_policy_is_outcome_invariant() {
-    let incremental = run_with_policy(Threads::fixed(2), InvalidationPolicy::Incremental);
-    let disabled = run_with_policy(Threads::fixed(2), InvalidationPolicy::Disabled);
+    let incremental = run_with_memo(Threads::fixed(2), DEFAULT_MEMO_CAPACITY);
+    let disabled = run_with_memo(Threads::fixed(2), 0);
     assert_bits_equal(&incremental.truth.means(), &disabled.truth.means(), "truth means");
     for (s, p) in incremental.algos.iter().zip(&disabled.algos) {
-        let tag = |metric: &str| format!("{} {metric} (vs Disabled)", s.name);
+        let tag = |metric: &str| format!("{} {metric} (vs memo off)", s.name);
         assert_bits_equal(&s.rel_err.means(), &p.rel_err.means(), &tag("rel_err μ"));
         assert_bits_equal(&s.rel_err.stds(), &p.rel_err.stds(), &tag("rel_err σ"));
         assert_bits_equal(&s.ratio.means(), &p.ratio.means(), &tag("ratio μ"));

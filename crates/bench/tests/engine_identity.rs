@@ -10,7 +10,7 @@ use hidden_db::ranking::ScoringPolicy;
 use hidden_db::schema::Schema;
 use hidden_db::tuple::Tuple;
 use hidden_db::value::{AttrId, MeasureId, TupleKey, ValueId};
-use hidden_db::{HiddenDatabase, InvalidationPolicy, SEGMENT_SLOTS};
+use hidden_db::{HiddenDatabase, SEGMENT_SLOTS};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use workloads::{load_database, AutosGenerator};
@@ -19,7 +19,7 @@ use workloads::{load_database, AutosGenerator};
 /// the naive scan. Returns how many answers overflowed, so callers can
 /// check the pool is not trivial.
 fn assert_pool_matches_naive_scan(db: &mut HiddenDatabase, pool: &[ConjunctiveQuery]) -> usize {
-    db.set_invalidation_policy(InvalidationPolicy::Disabled);
+    db.set_memo_capacity(0);
     let mut overflows = 0;
     for q in pool {
         let want = db.exact_answer(q);

@@ -17,7 +17,7 @@ use aggtrack_parallel::{par_map_indexed, Threads};
 use crate::errors::DbError;
 use crate::index::{BitmapIndex, SEGMENT_WORDS};
 use crate::interface::{row_matches, CachedEval, QueryOutcome, TopK};
-use crate::memo::{InvalidationPolicy, QueryMemo, RowChange, RowOp};
+use crate::memo::{QueryMemo, RowChange, RowOp};
 use crate::persist::{Pager, PersistConfig};
 use crate::query::ConjunctiveQuery;
 use crate::ranking::ScoringPolicy;
@@ -72,7 +72,6 @@ pub struct HiddenDatabase {
     k: usize,
     version: u64,
     cache: QueryMemo,
-    policy: InvalidationPolicy,
     stats: InterfaceStats,
     eval_stats: EvalStats,
 }
@@ -91,7 +90,6 @@ impl HiddenDatabase {
             k,
             version: 0,
             cache: QueryMemo::default(),
-            policy: InvalidationPolicy::default(),
             stats: InterfaceStats::default(),
             eval_stats: EvalStats::default(),
         }
@@ -122,22 +120,11 @@ impl HiddenDatabase {
         self.version
     }
 
-    /// How the query memo reacts to mutations (default:
-    /// [`InvalidationPolicy::Incremental`]).
-    pub fn invalidation_policy(&self) -> InvalidationPolicy {
-        self.policy
-    }
-
-    /// Switches the memo policy. Conservatively clears the memo (cheap,
-    /// and policies differ in what they guarantee about existing entries).
-    pub fn set_invalidation_policy(&mut self, policy: InvalidationPolicy) {
-        self.policy = policy;
-        self.bump_version();
-    }
-
     /// Caps the number of memoised queries (admission/eviction bound;
-    /// default [`crate::DEFAULT_MEMO_CAPACITY`]). `0` disables admission
-    /// entirely.
+    /// default [`crate::DEFAULT_MEMO_CAPACITY`]). `0` turns the memo off:
+    /// every answer evaluates from cold, which makes such a database the
+    /// memo-free oracle the consistency tests compare against. Snapshots
+    /// a [`crate::DbService`] publishes take the writer's cap.
     pub fn set_memo_capacity(&mut self, capacity: usize) {
         self.cache.set_capacity(capacity);
     }
@@ -292,17 +279,16 @@ impl HiddenDatabase {
         db
     }
 
-    /// Version bump with a wholesale memo clear — for mutations that can
-    /// affect *every* cached entry (`set_k`, policy switches).
+    /// Version bump with a wholesale memo clear — for `set_k`, which
+    /// affects *every* cached entry.
     fn bump_version(&mut self) {
         self.version += 1;
         self.cache.clear();
     }
 
     /// Ends a mutation call: bumps the version if any op applied, and
-    /// settles the memo according to the active policy. Under
-    /// [`InvalidationPolicy::Incremental`] each op has already patched
-    /// the memo as it applied ([`HiddenDatabase::patch_memo`]).
+    /// counts the memo entries that outlived it. Each op has already
+    /// patched the memo as it applied ([`HiddenDatabase::patch_memo`]).
     ///
     /// This runs on the error path of [`HiddenDatabase::apply`] too: a
     /// batch that fails mid-way leaves its applied prefix in place, and
@@ -312,18 +298,13 @@ impl HiddenDatabase {
             return;
         }
         self.version += 1;
-        match self.policy {
-            InvalidationPolicy::Incremental => self.cache.note_mutation(),
-            // Disabled: the memo never holds entries; nothing to drop.
-            InvalidationPolicy::Disabled => {}
-        }
+        self.cache.note_mutation();
     }
 
-    /// Whether row changes patch the memo: only under
-    /// [`InvalidationPolicy::Incremental`], and only while something is
+    /// Whether row changes patch the memo: only while something is
     /// cached, so a mutation against an empty memo does no memo work.
     fn patching(&self) -> bool {
-        self.policy == InvalidationPolicy::Incremental && !self.cache.is_empty()
+        !self.cache.is_empty()
     }
 
     /// Patches the memo with one applied row change (see
@@ -475,51 +456,23 @@ impl HiddenDatabase {
     /// [`crate::errors::IssueError::InvalidQuery`] instead.
     pub fn answer(&mut self, query: &ConjunctiveQuery) -> QueryOutcome {
         query.validate(&self.schema).expect("search query must be valid for the schema");
-        self.stats.answered += 1;
-        if matches!(self.policy, InvalidationPolicy::Disabled) {
-            // The memo-free oracle path: every answer re-evaluates.
-            let mut eval = self.evaluate_uncached(query);
-            let out = eval.outcome(&self.store);
-            self.count_outcome(&out);
-            return out;
-        }
         // One fast fingerprint per answer; the memo never re-hashes the
-        // query and only clones it on a confirmed miss.
+        // query and only clones it on admission.
         let hash = QueryMemo::hash_of(query);
-        if let Some(cached) = self.cache.get_mut(hash, query) {
-            #[cfg(debug_assertions)]
-            cached.assert_consistent(query, &self.store, self.k);
-            self.stats.cache_hits += 1;
-            let out = cached.outcome(&self.store);
-            self.count_outcome(&out);
-            return out;
-        }
-        let mut eval = self.evaluate_uncached(query);
-        let out = eval.outcome(&self.store);
-        // File the entry under its rarest predicate, so the row changes
-        // that reach it through that value are few.
-        let rarest = query
-            .predicates()
-            .iter()
-            .copied()
-            .min_by_key(|p| (self.index.count(p.attr, p.value), p.attr, p.value));
-        self.cache.insert(hash, query, eval, rarest);
-        self.count_outcome(&out);
+        let hit = self.cache.hit(hash, query, &self.store, self.k);
+        let cached = hit.is_some();
+        let out = match hit {
+            Some(out) => out,
+            None => {
+                let mut eval =
+                    evaluate_query(query, &self.store, &self.index, self.k, &mut self.eval_stats);
+                let out = eval.outcome(&self.store);
+                self.cache.admit(hash, query, eval, &self.index);
+                out
+            }
+        };
+        self.stats.count_answer(&out, cached);
         out
-    }
-
-    fn count_outcome(&mut self, out: &QueryOutcome) {
-        match out {
-            QueryOutcome::Underflow => self.stats.underflows += 1,
-            QueryOutcome::Valid(_) => self.stats.valids += 1,
-            QueryOutcome::Overflow(_) => self.stats.overflows += 1,
-        }
-    }
-
-    /// The uncached evaluation path: the shared read-only engine
-    /// ([`evaluate_query`]) over disjoint borrows of store/index/stats.
-    fn evaluate_uncached(&mut self, query: &ConjunctiveQuery) -> CachedEval {
-        evaluate_query(query, &self.store, &self.index, self.k, &mut self.eval_stats)
     }
 
     // ----- ground truth (experiments/tests only) --------------------------
@@ -1053,14 +1006,15 @@ mod tests {
     }
 
     #[test]
-    fn disabled_policy_never_caches_and_stays_correct() {
+    fn zero_capacity_never_caches_and_stays_correct() {
         let mut d = db();
-        d.set_invalidation_policy(InvalidationPolicy::Disabled);
+        d.set_memo_capacity(0);
         d.insert(t(1, 0, 0, 1.0)).unwrap();
         let root = ConjunctiveQuery::select_all();
         assert_eq!(d.answer(&root).returned_count(), 1);
         assert_eq!(d.answer(&root).returned_count(), 1);
         assert_eq!(d.memo_len(), 0);
+        assert_eq!(d.memo_stats().insertions, 0);
         assert_eq!(d.stats().cache_hits, 0);
     }
 
@@ -1114,7 +1068,7 @@ mod tests {
     fn intersection_strategies_are_outcome_invariant() {
         let schema = Schema::with_domain_sizes(&[2, 3, 4], &["m"]).unwrap();
         let mut d = HiddenDatabase::new(schema, 3, ScoringPolicy::NewestFirst);
-        d.set_invalidation_policy(InvalidationPolicy::Disabled);
+        d.set_memo_capacity(0);
         for key in 0..200u64 {
             d.insert(Tuple::new(
                 TupleKey(key),

@@ -147,7 +147,6 @@ impl CachedEval {
     /// Checks what every memo hit relies on: the page members are alive,
     /// match `query`, and run best-first, and the class agrees with the
     /// count. Debug builds run it on every hit.
-    #[cfg(debug_assertions)]
     pub(crate) fn assert_consistent(&self, query: &ConjunctiveQuery, store: &StoreCore, k: usize) {
         assert_eq!(self.overflow, self.matched > k, "{query}: class disagrees with the count");
         let want = if self.overflow { k } else { self.matched };
@@ -213,7 +212,6 @@ impl TopK {
 /// every predicate, read through one segment view. Only the debug-build
 /// memo check and the tests ask it: the engine's bitmaps answer it for
 /// whole segments at once.
-#[cfg(any(test, debug_assertions))]
 pub(crate) fn slot_matches(query: &ConjunctiveQuery, store: &StoreCore, slot: Slot) -> bool {
     let (seg, off) = crate::store::locate(slot);
     let data = store.seg_view(seg);

@@ -82,7 +82,7 @@ pub use fault::{
     RetryPolicy,
 };
 pub use interface::{OutcomeClass, QueryOutcome};
-pub use memo::{InvalidationPolicy, DEFAULT_MEMO_CAPACITY};
+pub use memo::DEFAULT_MEMO_CAPACITY;
 pub use persist::PersistConfig;
 pub use query::{ConjunctiveQuery, Predicate};
 pub use ranking::ScoringPolicy;

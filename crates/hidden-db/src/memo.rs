@@ -2,9 +2,17 @@
 //! cached evaluation, **patched in place** by every row change and
 //! bounded by a CLOCK admission policy.
 //!
-//! The memo sits on the hot path of every [`crate::database::HiddenDatabase::answer`]
-//! call, so it avoids two costs a plain `HashMap<ConjunctiveQuery, _>`
-//! pays:
+//! Both read paths cache here, through the same two calls: a lookup
+//! ([`QueryMemo::hit`]) and, after a miss was evaluated, an admission
+//! ([`QueryMemo::admit`]). A [`crate::database::HiddenDatabase`] owns one
+//! memo and patches it as its rows change. Each
+//! [`crate::service::DbSnapshot`] owns another behind a lock, shared by
+//! the sessions pinned to it: its rows never change, so it is never
+//! patched, and it is dropped with the snapshot. A capacity of 0 turns
+//! either memo off.
+//!
+//! The memo sits on the hot path of every answer, so it avoids two costs
+//! a plain `HashMap<ConjunctiveQuery, _>` pays:
 //!
 //! * **Double (Sip-)hashing.** The default hasher walks the predicate
 //!   vector with SipHash on both the lookup and the insert. Here the
@@ -92,12 +100,11 @@
 
 use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
+use crate::index::BitmapIndex;
 use crate::interface::{CachedEval, QueryOutcome};
 use crate::query::{ConjunctiveQuery, Predicate};
-use crate::stats::{MemoStats, SharedMemoStats};
+use crate::stats::MemoStats;
 use crate::store::{Slot, StoreCore};
 use crate::value::{AttrId, ValueId};
 
@@ -105,19 +112,6 @@ use crate::value::{AttrId, ValueId};
 /// every estimator workload (a few hundred distinct queries per round)
 /// while bounding adversarial distinct-query streams.
 pub const DEFAULT_MEMO_CAPACITY: usize = 4096;
-
-/// How the database's query memo reacts to mutations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InvalidationPolicy {
-    /// Exact incremental patching (the default): every row change patches
-    /// the cached answers whose query the row satisfies, and drops only
-    /// the few it cannot keep exact.
-    #[default]
-    Incremental,
-    /// No memoisation at all: every answer re-evaluates. The oracle the
-    /// consistency proptests trust.
-    Disabled,
-}
 
 /// Hasher that passes a pre-computed `u64` through unchanged.
 #[derive(Default)]
@@ -353,37 +347,80 @@ impl QueryMemo {
         self.entries[id as usize].as_ref().expect("listed memo entries are live")
     }
 
+    /// Slab id of the entry cached for `query`, if any.
+    fn find(&self, hash: u64, query: &ConjunctiveQuery) -> Option<u32> {
+        self.buckets.get(&hash)?.iter().copied().find(|&id| self.entry(id).query == *query)
+    }
+
     /// Cached evaluation for `query`, if present. Mutable so the entry
     /// can lazily copy (and then share) its page. Marks the entry
     /// referenced for the CLOCK sweep.
     #[inline]
-    pub(crate) fn get_mut(
-        &mut self,
-        hash: u64,
-        query: &ConjunctiveQuery,
-    ) -> Option<&mut CachedEval> {
-        let id = *self.buckets.get(&hash)?.iter().find(|&&id| self.entry(id).query == *query)?;
+    fn get_mut(&mut self, hash: u64, query: &ConjunctiveQuery) -> Option<&mut CachedEval> {
+        let id = self.find(hash, query)?;
         let entry = self.entries[id as usize].as_mut().expect("listed memo entries are live");
         entry.referenced = true;
         Some(&mut entry.eval)
     }
 
-    /// Inserts a confirmed-missing entry (the caller has already probed
-    /// with [`QueryMemo::get_mut`]; this is the one place the query is
-    /// cloned). A non-root query is filed under `file_under`, one of its
-    /// own predicates — the rarest keeps the per-op walk short. Evicts via
-    /// the CLOCK sweep first if the memo is at capacity.
-    pub(crate) fn insert(
+    /// The lookup of both read paths: the cached answer to `query`
+    /// against `store`, whose rows the entry matches (debug builds check
+    /// it), sharing the entry's page. `hash` is the query's
+    /// [`QueryMemo::hash_of`] fingerprint, computed once per answer.
+    #[inline]
+    pub(crate) fn hit(
+        &mut self,
+        hash: u64,
+        query: &ConjunctiveQuery,
+        store: &StoreCore,
+        k: usize,
+    ) -> Option<QueryOutcome> {
+        let cached = self.get_mut(hash, query)?;
+        if cfg!(debug_assertions) {
+            cached.assert_consistent(query, store, k);
+        }
+        Some(cached.outcome(store))
+    }
+
+    /// The admission of both read paths, after a miss was evaluated:
+    /// files a non-root entry under its rarest predicate by `index`'s
+    /// live counts, which keeps the per-op patch walk short. Admits only
+    /// if `query` is still absent — two sessions of one snapshot may miss
+    /// on the same query together — and returns whether it did.
+    pub(crate) fn admit(
+        &mut self,
+        hash: u64,
+        query: &ConjunctiveQuery,
+        eval: CachedEval,
+        index: &BitmapIndex,
+    ) -> bool {
+        if self.find(hash, query).is_some() {
+            return false;
+        }
+        let rarest = query
+            .predicates()
+            .iter()
+            .copied()
+            .min_by_key(|p| (index.count(p.attr, p.value), p.attr, p.value));
+        self.insert(hash, query, eval, rarest)
+    }
+
+    /// Inserts a confirmed-missing entry (this is the one place the query
+    /// is cloned) and returns whether it did: a capacity of 0 admits
+    /// nothing. A non-root query is filed under `file_under`, one of its
+    /// own predicates. Evicts via the CLOCK sweep first if the memo is at
+    /// capacity.
+    fn insert(
         &mut self,
         hash: u64,
         query: &ConjunctiveQuery,
         eval: CachedEval,
         file_under: Option<Predicate>,
-    ) {
+    ) -> bool {
         debug_assert_eq!(file_under.is_none(), query.is_empty(), "file exactly non-root entries");
         debug_assert!(file_under.is_none_or(|p| query.predicates().contains(&p)));
         if self.capacity == 0 {
-            return;
+            return false;
         }
         while self.len() >= self.capacity {
             self.evict_one();
@@ -409,6 +446,7 @@ impl QueryMemo {
             }
         }
         self.stats.insertions += 1;
+        true
     }
 
     /// Patches every cached answer whose query `op`'s row satisfies (see
@@ -475,7 +513,7 @@ impl QueryMemo {
         }
     }
 
-    /// Drops every entry (`set_k`, policy switches).
+    /// Drops every entry (`set_k`).
     pub(crate) fn clear(&mut self) {
         self.entries.clear();
         self.free.clear();
@@ -524,150 +562,6 @@ fn unlink<S: BuildHasher>(map: &mut HashMap<u64, Vec<u32>, S>, key: u64, id: u32
         if ids.is_empty() {
             map.remove(&key);
         }
-    }
-}
-
-// ===== shared concurrent memo (service layer) ===========================
-
-/// Shards of the shared memo. A power of two so the shard pick is a mask
-/// of the query fingerprint's low bits.
-const SHARED_MEMO_SHARDS: usize = 16;
-
-/// Per-shard entry cap: the shared memo as a whole admits about as many
-/// entries as the single-owner memo's [`DEFAULT_MEMO_CAPACITY`].
-const SHARED_SHARD_CAPACITY: usize = DEFAULT_MEMO_CAPACITY / SHARED_MEMO_SHARDS;
-
-/// One cached `(epoch, query) → outcome` binding. Entries are **never
-/// stale**: an epoch's snapshot is immutable, so the outcome of a query
-/// against it is fixed forever. The only lifecycle events are admission
-/// and eviction.
-struct SharedEntry {
-    epoch: u64,
-    query: ConjunctiveQuery,
-    outcome: QueryOutcome,
-}
-
-#[derive(Default)]
-struct SharedShard {
-    /// Fingerprint → entries. Collisions (same fingerprint, different
-    /// query or epoch) chain in the bucket and are resolved by equality.
-    buckets: HashMap<u64, Vec<SharedEntry>, BuildHasherDefault<IdentityHasher>>,
-    /// Total entries across buckets (the capacity signal).
-    len: usize,
-}
-
-/// The shared concurrent memo of [`crate::service::DbService`]: a sharded
-/// `(epoch, query) → QueryOutcome` map serving every session of the
-/// service.
-///
-/// Unlike [`QueryMemo`] there is **no patching at all** — keying by
-/// epoch makes entries immutable, so no row change ever reaches them.
-/// What remains is admission control: when a shard fills, entries of
-/// *older* epochs are retired first (sessions pinned to old epochs simply
-/// re-evaluate — an eviction is never a correctness event), and if the
-/// shard is still full of current-epoch entries, new admissions are
-/// skipped.
-///
-/// Locking is per-shard (`Mutex`); the fingerprint's low bits pick the
-/// shard, so concurrent sessions asking different queries rarely contend.
-pub(crate) struct ConcurrentMemo {
-    shards: Box<[Mutex<SharedShard>]>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    insertions: AtomicU64,
-    retired: AtomicU64,
-    admissions_skipped: AtomicU64,
-}
-
-impl ConcurrentMemo {
-    pub(crate) fn new() -> Self {
-        let shards = (0..SHARED_MEMO_SHARDS).map(|_| Mutex::new(SharedShard::default())).collect();
-        Self {
-            shards,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            insertions: AtomicU64::new(0),
-            retired: AtomicU64::new(0),
-            admissions_skipped: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    fn shard_of(hash: u64) -> usize {
-        (hash as usize) & (SHARED_MEMO_SHARDS - 1)
-    }
-
-    /// Looks up the outcome of `query` against epoch `epoch`. `hash` is
-    /// the caller's [`QueryMemo::hash_of`] fingerprint (computed once per
-    /// issue, exactly like the owner path).
-    pub(crate) fn get(
-        &self,
-        epoch: u64,
-        hash: u64,
-        query: &ConjunctiveQuery,
-    ) -> Option<QueryOutcome> {
-        let shard = self.shards[Self::shard_of(hash)].lock().expect("memo shard poisoned");
-        let found = shard.buckets.get(&hash).and_then(|bucket| {
-            bucket.iter().find(|e| e.epoch == epoch && e.query == *query).map(|e| e.outcome.clone())
-        });
-        drop(shard);
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Admits `(epoch, query) → outcome`. When the shard is at capacity,
-    /// entries of strictly older epochs retire first; a shard still full
-    /// of same-or-newer entries skips the admission (correctness-neutral:
-    /// the session just re-evaluates next time).
-    pub(crate) fn insert(
-        &self,
-        epoch: u64,
-        hash: u64,
-        query: &ConjunctiveQuery,
-        outcome: QueryOutcome,
-    ) {
-        let mut shard = self.shards[Self::shard_of(hash)].lock().expect("memo shard poisoned");
-        if shard.len >= SHARED_SHARD_CAPACITY {
-            let before = shard.len;
-            shard.buckets.retain(|_, bucket| {
-                bucket.retain(|e| e.epoch >= epoch);
-                !bucket.is_empty()
-            });
-            shard.len = shard.buckets.values().map(Vec::len).sum();
-            self.retired.fetch_add((before - shard.len) as u64, Ordering::Relaxed);
-            if shard.len >= SHARED_SHARD_CAPACITY {
-                self.admissions_skipped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-        }
-        let bucket = shard.buckets.entry(hash).or_default();
-        // Idempotent under races: two sessions that both missed may both
-        // insert; keep the first (outcomes are identical by construction).
-        if bucket.iter().any(|e| e.epoch == epoch && e.query == *query) {
-            return;
-        }
-        bucket.push(SharedEntry { epoch, query: query.clone(), outcome });
-        shard.len += 1;
-        self.insertions.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Service-wide lookup/admission counters.
-    pub(crate) fn stats(&self) -> SharedMemoStats {
-        SharedMemoStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            insertions: self.insertions.load(Ordering::Relaxed),
-            retired: self.retired.load(Ordering::Relaxed),
-            admissions_skipped: self.admissions_skipped.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Entries currently cached, across all shards.
-    pub(crate) fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().expect("memo shard poisoned").len).sum()
     }
 }
 
@@ -909,7 +803,7 @@ mod tests {
             let schema = Schema::with_domain_sizes(&[3, 4], &["m"]).unwrap();
             let db = HiddenDatabase::new(schema.clone(), k, scoring);
             let mut oracle = HiddenDatabase::new(schema, k, scoring);
-            oracle.set_invalidation_policy(InvalidationPolicy::Disabled);
+            oracle.set_memo_capacity(0);
             Self { db, oracle }
         }
 

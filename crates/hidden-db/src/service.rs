@@ -1,12 +1,18 @@
-//! Shared concurrent database service: epoch-published snapshots,
-//! a single-writer apply queue, and per-session handles.
+//! Shared database service: epoch-published snapshots, a writer lock,
+//! and per-session handles.
 //!
 //! [`DbService`] wraps one [`HiddenDatabase`] (the *writer copy*) and
 //! publishes immutable [`DbSnapshot`]s of it. Any number of
 //! [`ServiceSession`]s — each a [`SearchBackend`] with its own budget
-//! and counters — read a pinned snapshot lock-free; mutations funnel
-//! through a queue drained under the single writer lock, and each drain
-//! publishes exactly one new epoch.
+//! and counters — read a pinned snapshot; [`DbService::apply`] applies a
+//! batch under the writer lock and publishes the new epoch before it
+//! releases the lock.
+//!
+//! Each snapshot caches answers in a query memo of its own, shared by
+//! every session pinned to it, through the same lookup and admission as
+//! the private database's memo. The snapshot's rows never change, so its
+//! memo is never patched; it starts empty at publish and is dropped with
+//! the snapshot, so an entry never crosses epochs or services.
 //!
 //! The contract that makes this safe to hand to estimators: a session
 //! pinned to epoch `E` produces answers **bit-identical** to a private
@@ -16,16 +22,15 @@
 //! publication is O(segments) pointer copies, not a data copy, and sorts
 //! nothing.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use crate::budget::QueryBudget;
 use crate::database::{evaluate_query, HiddenDatabase};
 use crate::errors::{DbError, IssueError};
 use crate::index::BitmapIndex;
 use crate::interface::QueryOutcome;
-use crate::memo::{ConcurrentMemo, QueryMemo};
+use crate::memo::QueryMemo;
 use crate::query::ConjunctiveQuery;
 use crate::schema::Schema;
 use crate::session::SearchBackend;
@@ -49,7 +54,8 @@ pub enum AutoMaintain {
     },
 }
 
-/// An immutable, self-contained copy of the database at one epoch.
+/// An immutable, self-contained copy of the database at one epoch, with
+/// the answers its sessions have cached.
 ///
 /// Shares segment rows and bitmap blocks with the writer via `Arc` —
 /// cloning the writer's [`StoreCore`] and bitmap index bumps one
@@ -62,12 +68,17 @@ pub struct DbSnapshot {
     index: BitmapIndex,
     k: usize,
     epoch: u64,
+    /// Answers cached by the sessions pinned to this snapshot. Locked
+    /// only to look up and to admit, never while evaluating.
+    memo: Mutex<QueryMemo>,
 }
 
 impl DbSnapshot {
     fn capture(db: &HiddenDatabase) -> Self {
         let (schema, store, index, k, epoch) = db.snapshot_parts();
-        Self { schema, store, index, k, epoch }
+        let mut memo = QueryMemo::default();
+        memo.set_capacity(db.memo_capacity());
+        Self { schema, store, index, k, epoch, memo: Mutex::new(memo) }
     }
 
     /// The epoch (writer data version) this snapshot was published at.
@@ -95,36 +106,18 @@ impl DbSnapshot {
         self.store.is_empty()
     }
 
-    /// Answers a search query against this frozen epoch. Unbudgeted and
-    /// memo-free — sessions layer budget charging and the shared memo on
-    /// top. Outcomes are bit-identical to a private [`HiddenDatabase`]
-    /// frozen at the same epoch (eval-path outcome invariance: the
-    /// top-`k` page is a pure function of the alive tuple set).
-    ///
-    /// # Panics
-    /// If the query references attributes/values outside the schema —
-    /// a caller bug, as in [`HiddenDatabase::answer`]. Sessions validate
-    /// first and return [`IssueError::InvalidQuery`] instead.
-    pub fn answer(&self, query: &ConjunctiveQuery, eval_stats: &mut EvalStats) -> QueryOutcome {
-        query.validate(&self.schema).expect("search query must be valid for the schema");
-        let mut eval = evaluate_query(query, &self.store, &self.index, self.k, eval_stats);
-        eval.outcome(&self.store)
+    fn memo(&self) -> MutexGuard<'_, QueryMemo> {
+        self.memo.lock().expect("snapshot memo poisoned")
     }
-}
-
-/// A queued mutation plus the channel its result travels back on.
-struct QueuedJob {
-    batch: UpdateBatch,
-    done: mpsc::Sender<Result<UpdateSummary, DbError>>,
 }
 
 /// Service-level counters (all monotonic, `Relaxed` — they are
 /// diagnostics, not synchronization).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServiceStats {
-    /// Update batches applied through the writer queue.
+    /// Update batches passed to [`DbService::apply`], applied or refused.
     pub batches_applied: u64,
-    /// Snapshot publications (one per non-empty drain).
+    /// Snapshot publications: one per apply that changed the data.
     pub epochs_published: u64,
     /// Always 0, like [`AutoMaintain`], which it counted (read by the
     /// benchmark; a later change to the benchmark removes it).
@@ -132,57 +125,39 @@ pub struct ServiceStats {
 }
 
 struct ServiceInner {
-    /// The writer copy. Only the queue drainer and `checkpoint` take
-    /// this lock.
+    /// The writer copy. Only `apply` and `checkpoint` take this lock.
     writer: Mutex<HiddenDatabase>,
-    /// Pending mutations. Held only for push/pop — never while applying.
-    queue: Mutex<VecDeque<QueuedJob>>,
     /// The latest published snapshot. Readers clone the `Arc` and drop
     /// the lock immediately; sessions never touch this again after
     /// pinning.
     published: RwLock<Arc<DbSnapshot>>,
-    /// Shared across every session; entries keyed by `(epoch, query)`
-    /// are immutable, so no invalidation is ever needed.
-    memo: ConcurrentMemo,
     batches_applied: AtomicU64,
     epochs_published: AtomicU64,
+    /// Snapshot-memo lookups served from cache, across all sessions.
+    memo_hits: AtomicU64,
+    /// Snapshot-memo lookups that evaluated.
+    memo_misses: AtomicU64,
+    /// Entries admitted into snapshot memos.
+    memo_insertions: AtomicU64,
+    /// Entries held by superseded snapshots' memos when the next epoch
+    /// was published.
+    memo_retired: AtomicU64,
 }
 
 impl ServiceInner {
-    /// Drains every queued job under the writer lock, then publishes at
-    /// most one new snapshot. Deadlock-free: the queue lock and writer
-    /// lock are never held together, and results are sent *before*
-    /// publication so a caller observing its result may still see the
-    /// pre-drain snapshot briefly (epochs are monotonic; `apply` itself
-    /// re-reads after the drain returns, by which point the publish —
-    /// ours or a concurrent drainer's covering our job — has happened).
-    fn drain_writer(&self) {
-        let mut db = self.writer.lock().expect("writer lock poisoned");
-        let mut applied = 0u64;
-        loop {
-            let job = self.queue.lock().expect("queue lock poisoned").pop_front();
-            let Some(job) = job else { break };
-            let result = db.apply(job.batch);
-            applied += 1;
-            // A dropped receiver just means the caller gave up waiting.
-            let _ = job.done.send(result);
-        }
-        if applied == 0 {
-            return;
-        }
-        self.batches_applied.fetch_add(applied, Ordering::Relaxed);
-        self.publish(&db);
-    }
-
+    /// Publishes `db`'s state as the latest snapshot. The caller holds
+    /// the writer lock, so epochs publish in order.
     fn publish(&self, db: &HiddenDatabase) {
         let snap = Arc::new(DbSnapshot::capture(db));
-        *self.published.write().expect("published lock poisoned") = snap;
+        let old =
+            std::mem::replace(&mut *self.published.write().expect("published lock poisoned"), snap);
+        self.memo_retired.fetch_add(old.memo().len() as u64, Ordering::Relaxed);
         self.epochs_published.fetch_add(1, Ordering::Relaxed);
     }
 }
 
 /// Handle to the shared service. Cheap to clone; all clones share the
-/// writer, the published snapshot, and the concurrent memo.
+/// writer and the published snapshot.
 #[derive(Clone)]
 pub struct DbService {
     inner: Arc<ServiceInner>,
@@ -196,11 +171,13 @@ impl DbService {
         Self {
             inner: Arc::new(ServiceInner {
                 writer: Mutex::new(db),
-                queue: Mutex::new(VecDeque::new()),
                 published: RwLock::new(first),
-                memo: ConcurrentMemo::new(),
                 batches_applied: AtomicU64::new(0),
                 epochs_published: AtomicU64::new(0),
+                memo_hits: AtomicU64::new(0),
+                memo_misses: AtomicU64::new(0),
+                memo_insertions: AtomicU64::new(0),
+                memo_retired: AtomicU64::new(0),
             }),
         }
     }
@@ -241,23 +218,21 @@ impl DbService {
         }
     }
 
-    /// Applies a batch through the single-writer queue and blocks until
-    /// it has been applied (by this thread or by whichever thread held
-    /// the writer lock when it drained the queue). On return the
-    /// published snapshot includes this batch.
+    /// Applies a batch under the writer lock, with the semantics of
+    /// [`HiddenDatabase::apply`]. If the batch changed the data (a
+    /// refused batch may have applied a prefix), the new epoch is
+    /// published before the lock is released, so on return the
+    /// published snapshot includes this batch. A batch that changed
+    /// nothing keeps the current snapshot and its cached answers.
     pub fn apply(&self, batch: UpdateBatch) -> Result<UpdateSummary, DbError> {
-        let (tx, rx) = mpsc::channel();
-        self.inner
-            .queue
-            .lock()
-            .expect("queue lock poisoned")
-            .push_back(QueuedJob { batch, done: tx });
-        self.inner.drain_writer();
-        // The job is guaranteed processed: either our drain popped it,
-        // or a concurrent drainer holding the writer lock did (and its
-        // publish covered it before our `drain_writer` call could
-        // acquire the writer lock and observe an empty queue).
-        rx.recv().expect("writer queue dropped a job")
+        let mut db = self.inner.writer.lock().expect("writer lock poisoned");
+        let version = db.version();
+        let result = db.apply(batch);
+        self.inner.batches_applied.fetch_add(1, Ordering::Relaxed);
+        if db.version() != version {
+            self.inner.publish(&db);
+        }
+        result
     }
 
     /// Reopens a service from the persistence tier's journal: the last
@@ -277,14 +252,16 @@ impl DbService {
         self.inner.writer.lock().expect("writer lock poisoned").checkpoint()
     }
 
-    /// Shared-memo counters (hits/misses/admissions across all sessions).
+    /// Snapshot-memo counters, summed over every session and snapshot of
+    /// this service.
     pub fn memo_stats(&self) -> SharedMemoStats {
-        self.inner.memo.stats()
-    }
-
-    /// Entries currently held by the shared memo, across all shards.
-    pub fn memo_len(&self) -> usize {
-        self.inner.memo.len()
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        SharedMemoStats {
+            hits: load(&self.inner.memo_hits),
+            misses: load(&self.inner.memo_misses),
+            insertions: load(&self.inner.memo_insertions),
+            retired: load(&self.inner.memo_retired),
+        }
     }
 
     /// Service-level counters.
@@ -300,8 +277,8 @@ impl DbService {
 /// A per-round, per-client session over a pinned [`DbSnapshot`].
 ///
 /// Owns its budget and counters (no cross-charging between concurrent
-/// sessions) and shares only the immutable snapshot and the epoch-keyed
-/// memo — so it is `Send` and can be moved into a worker thread.
+/// sessions) and shares only the immutable snapshot, with its memo — so
+/// it is `Send` and can be moved into a worker thread.
 pub struct ServiceSession {
     snap: Arc<DbSnapshot>,
     inner: Arc<ServiceInner>,
@@ -337,14 +314,6 @@ impl ServiceSession {
     pub fn eval_stats(&self) -> EvalStats {
         self.eval_stats
     }
-
-    fn count_outcome(&mut self, out: &QueryOutcome) {
-        match out {
-            QueryOutcome::Underflow => self.stats.underflows += 1,
-            QueryOutcome::Valid(_) => self.stats.valids += 1,
-            QueryOutcome::Overflow(_) => self.stats.overflows += 1,
-        }
-    }
 }
 
 impl SearchBackend for ServiceSession {
@@ -361,17 +330,28 @@ impl SearchBackend for ServiceSession {
         // budget accounting must be bit-identical to the private path.
         query.validate(self.snap.schema()).map_err(|_| IssueError::InvalidQuery)?;
         self.budget.charge()?;
-        self.stats.answered += 1;
-        let epoch = self.snap.epoch();
+        let snap = &*self.snap;
         let hash = QueryMemo::hash_of(query);
-        if let Some(out) = self.inner.memo.get(epoch, hash, query) {
-            self.stats.cache_hits += 1;
-            self.count_outcome(&out);
-            return Ok(out);
-        }
-        let out = self.snap.answer(query, &mut self.eval_stats);
-        self.inner.memo.insert(epoch, hash, query, out.clone());
-        self.count_outcome(&out);
+        let hit = snap.memo().hit(hash, query, &snap.store, snap.k);
+        let cached = hit.is_some();
+        let out = match hit {
+            Some(out) => {
+                self.inner.memo_hits.fetch_add(1, Ordering::Relaxed);
+                out
+            }
+            None => {
+                self.inner.memo_misses.fetch_add(1, Ordering::Relaxed);
+                // Evaluate outside the lock: other sessions keep reading.
+                let mut eval =
+                    evaluate_query(query, &snap.store, &snap.index, snap.k, &mut self.eval_stats);
+                let out = eval.outcome(&snap.store);
+                if snap.memo().admit(hash, query, eval, &snap.index) {
+                    self.inner.memo_insertions.fetch_add(1, Ordering::Relaxed);
+                }
+                out
+            }
+        };
+        self.stats.count_answer(&out, cached);
         Ok(out)
     }
 
@@ -422,10 +402,9 @@ mod tests {
         let db = seed_db(200);
         let mut private = db.clone();
         let service = DbService::new(db);
-        let snap = service.snapshot();
-        let mut eval = EvalStats::default();
-        for q in queries(snap.schema()) {
-            assert_eq!(snap.answer(&q, &mut eval), private.answer(&q));
+        let mut session = service.session(u64::MAX);
+        for q in queries(session.schema()) {
+            assert_eq!(session.issue(&q).unwrap(), private.answer(&q));
         }
     }
 
@@ -587,19 +566,140 @@ mod tests {
         service.checkpoint().unwrap();
 
         let qs = queries(service.snapshot().schema());
-        let mut eval = EvalStats::default();
-        let expected: Vec<_> = qs.iter().map(|q| service.snapshot().answer(q, &mut eval)).collect();
+        let mut session = service.session(u64::MAX);
+        let expected: Vec<_> = qs.iter().map(|q| session.issue(q).unwrap()).collect();
 
-        drop(service);
+        drop((session, service));
         let reopened = DbService::open_persistent(&cfg).unwrap();
-        let snap = reopened.snapshot();
-        assert_eq!(snap.len(), 500);
+        let mut session = reopened.session(u64::MAX);
+        assert_eq!(session.snapshot().len(), 500);
         for (q, want) in qs.iter().zip(&expected) {
-            assert_eq!(snap.answer(q, &mut eval), *want, "query {q}");
+            assert_eq!(session.issue(q).unwrap(), *want, "query {q}");
         }
         // Still out-of-core: further churn pages, identically.
         reopened.apply(UpdateBatch::empty().delete(TupleKey(3))).unwrap();
         assert_eq!(reopened.snapshot().len(), 499);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A three-tuple database at epoch 3 whose values and measures all
+    /// equal `value`.
+    fn three_tuples(value: u32) -> HiddenDatabase {
+        let schema = Schema::with_domain_sizes(&[4, 3], &["m"]).unwrap();
+        let mut db = HiddenDatabase::new(schema, 5, ScoringPolicy::default());
+        for key in 0..3 {
+            db.insert(Tuple::new(
+                TupleKey(key),
+                vec![ValueId(value), ValueId(value)],
+                vec![f64::from(value)],
+            ))
+            .unwrap();
+        }
+        db
+    }
+
+    /// Entries belong to their snapshot, not to a `(service, epoch)`
+    /// pair: a session of service A pinned to service B's snapshot at
+    /// the same epoch reads B's rows, however warm A's memo is.
+    #[test]
+    fn a_foreign_snapshot_is_answered_from_its_own_data() {
+        let (a, b) = (DbService::new(three_tuples(1)), DbService::new(three_tuples(2)));
+        assert_eq!((a.epoch(), b.epoch()), (3, 3));
+        let root = ConjunctiveQuery::select_all();
+        let warm = a.session(10).issue(&root).unwrap();
+        assert_eq!(a.session(10).issue(&root).unwrap(), warm);
+        assert_eq!(a.memo_stats().hits, 1, "A's root is cached");
+
+        let want = three_tuples(2).answer(&root);
+        assert_ne!(want, warm);
+        assert_eq!(a.session_at(b.snapshot(), 10).issue(&root).unwrap(), want);
+    }
+
+    /// Churn that deletes tuple `round` and inserts a replacement.
+    fn churn(round: u64) -> UpdateBatch {
+        UpdateBatch::empty().delete(TupleKey(round)).insert(Tuple::new(
+            TupleKey(1_000 + round),
+            vec![ValueId(0), ValueId(0)],
+            vec![0.0],
+        ))
+    }
+
+    #[test]
+    fn each_snapshot_keeps_its_own_memo_until_it_is_dropped() {
+        let service = DbService::new(seed_db(60));
+        let qs = queries(service.snapshot().schema());
+        let old = service.snapshot();
+        for q in &qs {
+            service.session(u64::MAX).issue(q).unwrap();
+        }
+        let cached = qs.len() as u64;
+        assert_eq!(service.memo_stats().insertions, cached);
+        service.apply(churn(0)).unwrap();
+        service.apply(churn(1)).unwrap();
+        assert_eq!(service.memo_stats().retired, cached, "the first epoch's entries retired");
+
+        // The pinned session still hits the superseded snapshot's memo…
+        let mut pinned = service.session_at(Arc::clone(&old), u64::MAX);
+        for q in &qs {
+            pinned.issue(q).unwrap();
+        }
+        assert_eq!(pinned.stats().cache_hits, cached);
+        assert_eq!(pinned.eval_stats(), EvalStats::default(), "nothing evaluated");
+        // …while the first session on the new epoch misses.
+        let mut fresh = service.session(u64::MAX);
+        fresh.issue(&qs[0]).unwrap();
+        assert_eq!(fresh.stats().cache_hits, 0);
+        assert_eq!(service.memo_stats().insertions, cached + 1);
+    }
+
+    #[test]
+    fn a_batch_that_changes_nothing_keeps_the_snapshot_and_its_memo() {
+        let service = DbService::new(seed_db(40));
+        let root = ConjunctiveQuery::select_all();
+        service.session(1).issue(&root).unwrap();
+        let (snap, published) = (service.snapshot(), service.stats().epochs_published);
+
+        assert_eq!(service.apply(UpdateBatch::empty()), Ok(UpdateSummary::default()));
+        let refused = UpdateBatch::empty().delete(TupleKey(999)).delete(TupleKey(0));
+        assert_eq!(service.apply(refused), Err(DbError::UnknownKey(TupleKey(999))));
+        assert_eq!(service.stats().epochs_published, published, "no epoch published");
+        assert_eq!(service.stats().batches_applied, 2);
+        assert!(Arc::ptr_eq(&service.snapshot(), &snap));
+
+        let mut next = service.session(1);
+        next.issue(&root).unwrap();
+        assert_eq!(next.stats().cache_hits, 1, "the memo stayed warm");
+    }
+
+    #[test]
+    fn a_memo_off_writer_publishes_memo_off_snapshots() {
+        let mut db = seed_db(20);
+        db.set_memo_capacity(0);
+        let service = DbService::new(db);
+        let root = ConjunctiveQuery::select_all();
+        let mut session = service.session(2);
+        assert_eq!(session.issue(&root).unwrap(), session.issue(&root).unwrap());
+        assert_eq!(session.stats().cache_hits, 0);
+        assert_eq!(service.memo_stats().insertions, 0);
+    }
+
+    /// Two sessions of one snapshot may miss on the same query together;
+    /// the second admission finds the first one's entry and adds nothing.
+    #[test]
+    fn admitting_a_query_twice_keeps_one_entry() {
+        let service = DbService::new(seed_db(30));
+        let snap = service.snapshot();
+        let probe = ConjunctiveQuery::select_all().with(crate::value::AttrId(0), ValueId(1));
+        for q in [ConjunctiveQuery::select_all(), probe] {
+            let hash = QueryMemo::hash_of(&q);
+            let mut eval = EvalStats::default();
+            let evals: Vec<_> = (0..2)
+                .map(|_| evaluate_query(&q, &snap.store, &snap.index, snap.k, &mut eval))
+                .collect();
+            let admitted: Vec<bool> =
+                evals.into_iter().map(|e| snap.memo().admit(hash, &q, e, &snap.index)).collect();
+            assert_eq!(admitted, vec![true, false], "{q}");
+        }
+        assert_eq!(snap.memo().len(), 2);
     }
 }

@@ -1,5 +1,7 @@
 //! Interface-side counters, useful for experiments and benches.
 
+use crate::interface::QueryOutcome;
+
 /// Counters describing the traffic a database has served.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct InterfaceStats {
@@ -16,6 +18,17 @@ pub struct InterfaceStats {
 }
 
 impl InterfaceStats {
+    /// Counts one answer: its class, and whether the memo served it.
+    pub(crate) fn count_answer(&mut self, out: &QueryOutcome, cache_hit: bool) {
+        self.answered += 1;
+        self.cache_hits += u64::from(cache_hit);
+        match out {
+            QueryOutcome::Underflow => self.underflows += 1,
+            QueryOutcome::Valid(_) => self.valids += 1,
+            QueryOutcome::Overflow(_) => self.overflows += 1,
+        }
+    }
+
     /// Fraction of answers served from cache, in `[0,1]`.
     pub fn cache_hit_rate(&self) -> f64 {
         if self.answered == 0 {
@@ -28,9 +41,9 @@ impl InterfaceStats {
 
 /// Counters describing which paths the evaluation engine took — useful
 /// for benches and for tests asserting a strategy actually engaged.
-/// Like [`InterfaceStats::cache_hits`] these depend on the memo policy
-/// (a memo hit skips evaluation entirely); they are deterministic for a
-/// fixed policy and workload.
+/// Like [`InterfaceStats::cache_hits`] these depend on the memo's
+/// capacity (a memo hit skips evaluation entirely); they are
+/// deterministic for a fixed capacity and workload.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalStats {
     /// Root (`SELECT *`) segment scans.
@@ -85,7 +98,7 @@ pub struct MemoStats {
     pub retained: u64,
     /// Entries evicted by the bounded admission (CLOCK) policy.
     pub evicted: u64,
-    /// Whole-memo clears: `set_k` and policy switches drop every entry.
+    /// Whole-memo clears: `set_k` drops every entry.
     pub wholesale_clears: u64,
     /// Always 0: patching replaced stale-entry revalidation. Kept only
     /// because the benchmark in `trackbench/` reads it; a later change to
@@ -99,23 +112,22 @@ pub struct MemoStats {
     pub revalidation_failed: u64,
 }
 
-/// Counters of the shared concurrent memo serving every session of a
-/// [`crate::service::DbService`]. Keyed by `(epoch, query)`, entries are
-/// immutable — there is no invalidation to count, only lookups and
-/// admission control.
+/// Counters of the snapshot memos of a [`crate::service::DbService`],
+/// summed over its sessions and snapshots. A snapshot's rows never
+/// change, so its memo is never patched: there is no invalidation to
+/// count, only lookups, admissions and the entries dropped with a
+/// superseded snapshot.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SharedMemoStats {
-    /// Lookups answered from the shared cache.
+    /// Lookups answered from a snapshot's memo.
     pub hits: u64,
     /// Lookups that fell through to snapshot evaluation.
     pub misses: u64,
-    /// Entries admitted.
+    /// Entries admitted. Two sessions that miss on the same query
+    /// together admit it once.
     pub insertions: u64,
-    /// Older-epoch entries retired to make room in a full shard.
+    /// Entries a snapshot's memo held when the next epoch was published.
     pub retired: u64,
-    /// Admissions skipped because a shard stayed full of
-    /// same-or-newer-epoch entries (correctness-neutral).
-    pub admissions_skipped: u64,
 }
 
 impl SharedMemoStats {

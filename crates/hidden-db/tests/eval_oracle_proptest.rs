@@ -15,7 +15,6 @@ use hidden_db::ranking::ScoringPolicy;
 use hidden_db::schema::Schema;
 use hidden_db::tuple::Tuple;
 use hidden_db::value::{AttrId, MeasureId, TupleKey, ValueId};
-use hidden_db::InvalidationPolicy;
 use proptest::prelude::*;
 
 const DOMAINS: [u32; 3] = [2, 3, 4];
@@ -75,7 +74,7 @@ proptest! {
         let schema = Schema::with_domain_sizes(&DOMAINS, &["m"]).unwrap();
         let db = &mut HiddenDatabase::new(schema, k, scoring(pick));
         // Memo off: every answer exercises the evaluation engine itself.
-        db.set_invalidation_policy(InvalidationPolicy::Disabled);
+        db.set_memo_capacity(0);
         let mut next_key = 0u64;
         // The reference's answers per class, in `OutcomeClass` order.
         let mut tally = [0u64; 3];

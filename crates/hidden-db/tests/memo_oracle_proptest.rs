@@ -1,9 +1,9 @@
 //! Memo-consistency oracle: under arbitrary interleavings of update
 //! batches (including batches that fail mid-way) and queries, a database
 //! whose memo is patched in place must produce answers **bit-identical**
-//! to a memo-disabled (always-uncached) database at every step. The
-//! memo-disabled answers are in turn checked against the naive scan
-//! ([`HiddenDatabase::exact_answer`], which shares no code with the
+//! to a memo-disabled (capacity 0, always-uncached) database at every
+//! step. The memo-disabled answers are in turn checked against the naive
+//! scan ([`HiddenDatabase::exact_answer`], which shares no code with the
 //! engine or the memo), and their class against the exact match count.
 //! The ranking is drawn from `NewestFirst`, `HashedRandom`,
 //! `ByMeasureDesc` and `ByMeasureAsc`, so measure updates move scores
@@ -19,7 +19,7 @@ use hidden_db::schema::Schema;
 use hidden_db::tuple::Tuple;
 use hidden_db::updates::UpdateBatch;
 use hidden_db::value::{AttrId, MeasureId, TupleKey, ValueId};
-use hidden_db::InvalidationPolicy;
+use hidden_db::DEFAULT_MEMO_CAPACITY;
 use proptest::prelude::*;
 
 const DOMAINS: [u32; 2] = [3, 4];
@@ -126,10 +126,10 @@ fn scoring(pick: u8) -> ScoringPolicy {
     }
 }
 
-fn fresh_db(k: usize, scoring: ScoringPolicy, policy: InvalidationPolicy) -> HiddenDatabase {
+fn fresh_db(k: usize, scoring: ScoringPolicy, memo_capacity: usize) -> HiddenDatabase {
     let schema = Schema::with_domain_sizes(&DOMAINS, &["m"]).unwrap();
     let mut db = HiddenDatabase::new(schema, k, scoring);
-    db.set_invalidation_policy(policy);
+    db.set_memo_capacity(memo_capacity);
     db
 }
 
@@ -148,14 +148,10 @@ proptest! {
         pick in 0..5u8,
     ) {
         let (scoring, ties) = (scoring(pick), pick == 4);
-        let oracle_db = &mut fresh_db(k, scoring, InvalidationPolicy::Disabled);
+        let oracle_db = &mut fresh_db(k, scoring, 0);
         let mut tracked: Vec<(&str, HiddenDatabase)> = vec![
-            ("incremental", fresh_db(k, scoring, InvalidationPolicy::Incremental)),
-            ("incremental-tight", {
-                let mut db = fresh_db(k, scoring, InvalidationPolicy::Incremental);
-                db.set_memo_capacity(4);
-                db
-            }),
+            ("incremental", fresh_db(k, scoring, DEFAULT_MEMO_CAPACITY)),
+            ("incremental-tight", fresh_db(k, scoring, 4)),
         ];
         let mut next_key = 0u64;
         for step in &steps {

@@ -11,7 +11,6 @@
 
 use std::collections::HashSet;
 
-use aggtrack::hidden_db::InvalidationPolicy;
 use aggtrack::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -51,7 +50,7 @@ fn patched_memo_matches_the_oracle_and_only_drops_what_it_must() {
     let mut rng = StdRng::seed_from_u64(0xF110);
     let mut db = load_database(&mut gen, &mut rng, N, K, ScoringPolicy::default());
     let mut oracle = db.clone();
-    oracle.set_invalidation_policy(InvalidationPolicy::Disabled);
+    oracle.set_memo_capacity(0);
     let pool = query_pool(&db.schema().clone());
     // Each query's previous oracle answer; `None` before its first ask.
     let mut previous: Vec<Option<QueryOutcome>> = vec![None; pool.len()];

@@ -18,7 +18,7 @@ use hidden_db::schema::Schema;
 use hidden_db::tuple::Tuple;
 use hidden_db::updates::UpdateBatch;
 use hidden_db::value::{AttrId, MeasureId, TupleKey, ValueId};
-use hidden_db::{InvalidationPolicy, PersistConfig, SEGMENT_SLOTS};
+use hidden_db::{PersistConfig, SEGMENT_SLOTS};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -47,7 +47,7 @@ fn base_tuple(t: u64) -> Tuple {
 fn fresh_db(k: usize, scoring: ScoringPolicy, persist: Option<&PersistConfig>) -> HiddenDatabase {
     let schema = Schema::with_domain_sizes(&DOMAINS, &["m"]).unwrap();
     let mut db = HiddenDatabase::new(schema, k, scoring);
-    db.set_invalidation_policy(InvalidationPolicy::Disabled);
+    db.set_memo_capacity(0);
     if let Some(cfg) = persist {
         // Attached *before* the base build so the build itself pages:
         // the bounded-residency promise covers construction, not just
@@ -254,7 +254,7 @@ fn torn_journal_tail_recovers_last_durable_checkpoint() {
     drop(f);
 
     let mut reopened = HiddenDatabase::open_persistent(&cfg).unwrap();
-    reopened.set_invalidation_policy(InvalidationPolicy::Disabled);
+    reopened.set_memo_capacity(0);
     assert_eq!(reopened.len(), want_len);
     assert_eq!(probe(&mut reopened), want, "torn tail must not change the recovered state");
     // The recovered database keeps evolving.
@@ -278,7 +278,7 @@ fn garbage_journal_tail_recovers_last_durable_checkpoint() {
     drop(f);
 
     let mut reopened = HiddenDatabase::open_persistent(&cfg).unwrap();
-    reopened.set_invalidation_policy(InvalidationPolicy::Disabled);
+    reopened.set_memo_capacity(0);
     assert_eq!(probe(&mut reopened), want);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -306,7 +306,7 @@ fn truncated_second_checkpoint_recovers_the_first() {
     drop(f);
 
     let mut reopened = HiddenDatabase::open_persistent(&cfg).unwrap();
-    reopened.set_invalidation_policy(InvalidationPolicy::Disabled);
+    reopened.set_memo_capacity(0);
     assert_eq!(reopened.len(), first_len, "must fall back to the first checkpoint");
     assert_eq!(probe(&mut reopened), want);
     let _ = std::fs::remove_dir_all(&dir);

@@ -1,8 +1,9 @@
-//! Concurrency oracle for the PR 7 shared service: a session pinned to
-//! epoch `E` must be **bit-identical** to a private [`HiddenDatabase`]
-//! frozen at `E` — at any client thread count, any seeded permutation of
-//! issue orders, and any interleaving with concurrent writers draining
-//! the apply queue.
+//! Concurrency oracle for the shared service: a session pinned to epoch
+//! `E` must be **bit-identical** to a private [`HiddenDatabase`] frozen
+//! at `E` — at any client thread count, any seeded permutation of issue
+//! orders, and any interleaving with a concurrent writer applying batches
+//! under the writer lock. Sessions pinned to one snapshot share its memo,
+//! so their misses race to admit the same queries.
 //!
 //! Why outcome-level bit-identity is the right oracle: every estimator
 //! in the workspace reads the interface exclusively through
@@ -20,7 +21,8 @@ use query_tree::{drill_from_root, enumerate_all, QueryTree};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::sync::Arc;
+use std::collections::HashSet;
+use std::sync::{Arc, Barrier};
 
 fn random_db(seed: u64, n: u64, k: usize) -> HiddenDatabase {
     let schema = Schema::with_domain_sizes(&[3, 4, 2], &["m"]).unwrap();
@@ -87,8 +89,7 @@ fn churn_batch(
     batch
 }
 
-/// The tentpole oracle. Several epochs of churn flow through the apply
-/// queue while a private mirror applies the identical batches; at every
+/// The main oracle. Several epochs of churn flow through `apply` while a private mirror applies the identical batches; at every
 /// epoch a snapshot and a frozen clone of the mirror are captured. Then,
 /// for 1/2/4/8 client threads, sessions pinned across the epochs issue
 /// seeded permutations of the query pool concurrently with yet more
@@ -172,6 +173,46 @@ fn seeded_interleaving_bit_identical_across_thread_counts() {
     }
 }
 
+/// Eight sessions pinned to one snapshot, each on its own thread issuing
+/// the whole pool in its own seeded order, all read the frozen answers
+/// through the snapshot's memo — and each query is admitted
+/// exactly once, however the sessions' misses race.
+#[test]
+fn sessions_sharing_a_snapshot_admit_each_query_once() {
+    const SESSIONS: u64 = 8;
+    let db = random_db(0x0A11, 500, 10);
+    let pool = query_pool(&db.schema().clone());
+    let mut frozen = db.clone();
+    let expected: Vec<QueryOutcome> = pool.iter().map(|q| frozen.answer(q)).collect();
+    let service = DbService::new(db);
+    let snap = service.snapshot();
+    let start = Barrier::new(SESSIONS as usize);
+
+    std::thread::scope(|scope| {
+        for t in 0..SESSIONS {
+            let mut session = service.session_at(Arc::clone(&snap), u64::MAX);
+            let (pool, expected, start) = (&pool, &expected, &start);
+            scope.spawn(move || {
+                let mut order: Vec<usize> = (0..pool.len()).collect();
+                order.shuffle(&mut StdRng::seed_from_u64(0x0A11 ^ t));
+                start.wait();
+                for q in order {
+                    assert_eq!(
+                        session.issue(&pool[q]).expect("unlimited budget"),
+                        expected[q],
+                        "session {t}, query {q}"
+                    );
+                }
+            });
+        }
+    });
+    let distinct = pool.iter().collect::<HashSet<_>>().len() as u64;
+    let memo = service.memo_stats();
+    assert_eq!(memo.insertions, distinct, "each query admitted exactly once");
+    assert_eq!(memo.hits + memo.misses, SESSIONS * pool.len() as u64);
+    assert!(memo.misses >= distinct);
+}
+
 /// End-to-end estimator pass: the full drill + Horvitz–Thompson pipeline
 /// over a [`ServiceSession`] must reproduce the private frozen run digest
 /// for digest, even while the service churns underneath.
@@ -213,7 +254,7 @@ fn drill_pipeline_matches_private_database() {
 }
 
 /// Concurrent sessions must not cross-charge: budgets, interface stats,
-/// and eval stats are all per-session, while the shared memo quietly
+/// and eval stats are all per-session, while the snapshot's memo quietly
 /// serves repeats.
 #[test]
 fn sessions_do_not_cross_charge() {
@@ -234,7 +275,7 @@ fn sessions_do_not_cross_charge() {
     assert_eq!(b.spent(), 10);
     assert_eq!(a.stats().answered, 3);
     assert_eq!(b.stats().answered, 10);
-    // b's first 3 queries repeat a's: shared-memo hits, still charged.
+    // b's first 3 queries repeat a's: memo hits, still charged.
     assert_eq!(b.stats().cache_hits, 3);
     assert_eq!(service.memo_stats().hits, 3);
     // a evaluated its 3 queries itself; b only the 7 fresh ones.
