@@ -1245,6 +1245,48 @@ mod tests {
         let _ = std::fs::remove_dir_all(&cfg.dir);
     }
 
+    /// A one-row patch of a cached page on a paged database: the next
+    /// hit rebuilds the page from its stale copy and reads only the
+    /// patched row from the store, so it faults at most that row's
+    /// segment. Copying the whole page from the store would fault every
+    /// evicted segment the page spans, at least two here.
+    #[test]
+    fn a_patched_page_on_a_paged_database_faults_only_the_patched_row() {
+        let cfg = persist_cfg("patched-page", 4);
+        let schema = Schema::with_domain_sizes(&[2, 3, 4, 5], &["price"]).unwrap();
+        let mut d = HiddenDatabase::new(schema, 64, ScoringPolicy::default());
+        d.enable_persist(&cfg).unwrap();
+        for key in 0..40_000u64 {
+            let values = [2, 3, 4, 5].map(|domain| ValueId((key % domain) as u32)).to_vec();
+            d.insert(Tuple::new(TupleKey(key), values, vec![key as f64 * 0.25])).unwrap();
+        }
+        let pager = d.store.pager().expect("tier attached").clone();
+        let probe = q(&[(1, 2)]);
+        let first = d.answer(&probe);
+        assert!(first.is_overflow());
+        let spanned: std::collections::HashSet<usize> = first
+            .keys()
+            .map(|key| crate::store::segment_of(d.store.slot_of(key).unwrap()))
+            .collect();
+        assert!(
+            spanned.len() >= pager.total_budget() + 2,
+            "the page spans {} segments; at most {} are resident",
+            spanned.len(),
+            pager.total_budget()
+        );
+
+        let member = first.keys().nth(10).unwrap();
+        d.update_measures(member, vec![-1.0]).unwrap();
+        let (before, hits) = (pager.stats().segments_faulted, d.stats().cache_hits);
+        let out = d.answer(&probe);
+        let faulted = pager.stats().segments_faulted - before;
+        assert_eq!(d.stats().cache_hits, hits + 1, "the patched entry is served warm");
+        assert!(faulted <= 1, "the rebuild faulted {faulted} segments");
+        assert_eq!(out.tuples().nth(10).unwrap().measure(MeasureId(0)), -1.0);
+        assert_eq!(out, d.exact_answer(&probe));
+        let _ = std::fs::remove_dir_all(&cfg.dir);
+    }
+
     fn persist_cfg(name: &str, resident: usize) -> crate::persist::PersistConfig {
         let dir =
             std::env::temp_dir().join(format!("hidden-db-database-{}-{name}", std::process::id()));

@@ -19,9 +19,13 @@
 //! entry and version of its answer, and shared behind an `Arc`, so
 //! repeated (memoised) answers to the same query cost one atomic
 //! increment. The memo patches cached answers in place as rows change
-//! (see the `memo` module's docs) and drops a shared page whenever
-//! its slots or one of their measures change, so a page is only ever
-//! served while it matches the store.
+//! (see the `memo` module's docs). A patch that changes a page's slots
+//! or one of their measures marks the shared page stale, so a page is
+//! only ever served while it matches the store. The next read builds a
+//! new page from the stale one: it copies the unchanged rows from it in
+//! contiguous runs and reads from the store only the rows the patches
+//! placed, at most one per patch of a `k`-row page. A page already
+//! handed out is never changed.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -29,7 +33,7 @@ use std::sync::Arc;
 
 use crate::query::ConjunctiveQuery;
 use crate::store::{Slot, StoreCore};
-use crate::tuple::{Page, Rows};
+use crate::tuple::{Page, Rows, TupleView};
 use crate::value::TupleKey;
 
 /// The classification of an answer, without its payload.
@@ -117,9 +121,121 @@ pub(crate) struct CachedEval {
     /// Exact matching-tuple count (`> k` iff `overflow`). Internal only —
     /// the search interface never discloses it.
     pub(crate) matched: usize,
-    /// Flat page of `slots`, filled on first demand and dropped whenever
-    /// a patch changes the slots or one of their measures.
-    pub(crate) page: Option<Arc<Page>>,
+    /// The flat page of `slots`: copied on first demand, and shared until
+    /// a patch changes the slots or one of their measures. The patch
+    /// keeps the old copy, stale, until the next read builds the new one
+    /// from it.
+    pub(crate) page: PageCopy,
+}
+
+/// How far an entry's page has been copied.
+#[derive(Debug, Clone, Default)]
+pub(crate) enum PageCopy {
+    /// Never copied, or dropped (see [`PageCopy::settle`]).
+    #[default]
+    Absent,
+    /// The page of exactly the entry's slots, shared with every outcome
+    /// handed out since it was copied.
+    Current(Arc<Page>),
+    /// A copy that patches have changed since.
+    Stale(StalePage),
+}
+
+/// A page that patches made stale, with what the next read needs to
+/// build the new page from it: the slot order it was copied in, and
+/// every slot a patch placed on the page since (an insert, a measure
+/// update, or a freed slot a matching insert refilled). A slot a patch
+/// did not place still holds the row the stale page copied, and the
+/// unplaced members keep their relative order: their `(score, slot)`
+/// keys did not move.
+#[derive(Debug, Clone)]
+pub(crate) struct StalePage {
+    /// The stale copy. Outcomes handed out may share it; it is never
+    /// mutated.
+    page: Arc<Page>,
+    /// The slots `page` was copied from, best-first.
+    slots: Vec<Slot>,
+    /// Slots placed since, ascending and distinct: their rows are read
+    /// from the store.
+    placed: Vec<Slot>,
+}
+
+impl PageCopy {
+    /// Called before a patch edits the page members `slots`: a current
+    /// copy goes stale, keeping the order it was copied in. Returns the
+    /// stale record to note placed slots in, if there is a copy.
+    pub(crate) fn edit(&mut self, slots: &[Slot]) -> Option<&mut StalePage> {
+        *self = match std::mem::take(self) {
+            PageCopy::Current(page) => {
+                PageCopy::Stale(StalePage { page, slots: slots.to_vec(), placed: Vec::new() })
+            }
+            copy => copy,
+        };
+        match self {
+            PageCopy::Stale(stale) => Some(stale),
+            _ => None,
+        }
+    }
+
+    /// Called after a patch edited the page, now `len` members long:
+    /// drops a stale copy once the page is empty (nothing is left to
+    /// reuse), or once more slots were placed than the page holds (slots
+    /// that entered and left again stay recorded), so the record never
+    /// outgrows the page it serves.
+    pub(crate) fn settle(&mut self, len: usize) {
+        if matches!(self, PageCopy::Stale(stale) if len == 0 || stale.placed.len() > len) {
+            *self = PageCopy::Absent;
+        }
+    }
+}
+
+impl StalePage {
+    /// Notes that a patch placed `slot` on the page.
+    pub(crate) fn note_placed(&mut self, slot: Slot) {
+        if let Err(at) = self.placed.binary_search(&slot) {
+            self.placed.insert(at, slot);
+        }
+    }
+
+    /// The page of `slots`, the entry's members after the patches: built
+    /// from the stale copy, or copied from the store if the record does
+    /// not cover `slots` (never expected). Debug builds check it against
+    /// a fresh copy.
+    fn rebuild(&self, slots: &[Slot], store: &StoreCore) -> Page {
+        let page = self.reuse(slots, store).unwrap_or_else(|| store.page(slots));
+        if cfg!(debug_assertions) {
+            assert_rebuilt(&page, slots, store);
+        }
+        page
+    }
+
+    /// Builds the page of `slots`: each run of unplaced members that are
+    /// adjacent in the stale copy too is copied from it as one slice per
+    /// column, and each placed member is read from the store through its
+    /// segment alone. Unplaced members are found by moving forward
+    /// through the stale slot order, so the walk is linear in the two
+    /// pages. `None` if an unplaced member is not found that way.
+    fn reuse(&self, slots: &[Slot], store: &StoreCore) -> Option<Page> {
+        let mut out = store.page_builder(slots.len());
+        // Stale rows found but not copied yet: adjacent in both pages.
+        let mut run = 0..0;
+        for &slot in slots {
+            if self.placed.binary_search(&slot).is_ok() {
+                out.extend_from(&self.page, run.clone());
+                run.start = run.end;
+                store.push_row(slot, &mut out);
+                continue;
+            }
+            let at = run.end + self.slots[run.end..].iter().position(|&s| s == slot)?;
+            if at != run.end {
+                out.extend_from(&self.page, run);
+                run = at..at;
+            }
+            run.end = at + 1;
+        }
+        out.extend_from(&self.page, run);
+        Some(out.finish())
+    }
 }
 
 impl CachedEval {
@@ -127,16 +243,22 @@ impl CachedEval {
     /// when it overflows.
     pub(crate) fn new(overflow: bool, slots: Vec<Slot>) -> Self {
         let matched = slots.len() + usize::from(overflow);
-        Self { overflow, slots, matched, page: None }
+        Self { overflow, slots, matched, page: PageCopy::Absent }
     }
 
-    /// The outcome, copying the page on first use and sharing it on every
-    /// subsequent cache hit.
+    /// The outcome, sharing the current page. On the first read, and on
+    /// the first after a patch changed the page, the page is copied: from
+    /// the store, or mostly from the stale copy (see [`StalePage`]).
     pub(crate) fn outcome(&mut self, store: &StoreCore) -> QueryOutcome {
         if self.slots.is_empty() {
             return QueryOutcome::Underflow;
         }
-        let page = self.page.get_or_insert_with(|| Arc::new(store.page(&self.slots))).clone();
+        let page = match std::mem::take(&mut self.page) {
+            PageCopy::Current(page) => page,
+            PageCopy::Stale(stale) => Arc::new(stale.rebuild(&self.slots, store)),
+            PageCopy::Absent => Arc::new(store.page(&self.slots)),
+        };
+        self.page = PageCopy::Current(Arc::clone(&page));
         if self.overflow {
             QueryOutcome::Overflow(page)
         } else {
@@ -146,18 +268,39 @@ impl CachedEval {
 
     /// Checks what every memo hit relies on: the page members are alive,
     /// match `query`, and run best-first, and the class agrees with the
-    /// count. Debug builds run it on every hit.
+    /// count. Debug builds run it on every hit. It reads the store
+    /// without faulting ([`StoreCore::peek_segment`]).
     pub(crate) fn assert_consistent(&self, query: &ConjunctiveQuery, store: &StoreCore, k: usize) {
         assert_eq!(self.overflow, self.matched > k, "{query}: class disagrees with the count");
         let want = if self.overflow { k } else { self.matched };
         assert_eq!(self.slots.len(), want, "{query}: page size disagrees with the count");
-        for &s in &self.slots {
-            assert!(slot_matches(query, store, s), "{query}: page slot {s} no longer matches");
+        let mut keys = vec![(0, 0); self.slots.len()];
+        store.for_each_row(&self.slots, true, |i, data, off| {
+            let s = self.slots[i];
+            let matches = data.alive[off] && row_matches(query, data.value_row(off));
+            assert!(matches, "{query}: page slot {s} no longer matches");
+            keys[i] = (data.scores[off], s);
+        });
+        for w in keys.windows(2) {
+            assert!(w[0] > w[1], "{query}: page out of order");
         }
-        for w in self.slots.windows(2) {
-            let key = |s: Slot| (store.score_at(s), s);
-            assert!(key(w[0]) > key(w[1]), "{query}: page out of order");
-        }
+    }
+}
+
+/// Checks a rebuilt page against a fresh copy of `slots` from the store
+/// ([`StoreCore::peek_page`], which does not fault): the same keys and
+/// values row by row, and the same measures bit for bit (`Page:
+/// PartialEq` fails on a NaN measure). Debug builds run it on every
+/// rebuild.
+fn assert_rebuilt(page: &Page, slots: &[Slot], store: &StoreCore) {
+    let want = store.peek_page(slots);
+    assert_eq!(page.iter().len(), want.iter().len(), "rebuilt page has the wrong length");
+    for (i, (got, want)) in page.iter().zip(want.iter()).enumerate() {
+        assert_eq!(got.key(), want.key(), "rebuilt page row {i}: key");
+        assert_eq!(got.values(), want.values(), "rebuilt page row {i}: values");
+        let bits = |row: TupleView<'_>| row.measures().iter().map(|m| m.to_bits()).collect();
+        let (got_bits, want_bits): (Vec<u64>, Vec<u64>) = (bits(got), bits(want));
+        assert_eq!(got_bits, want_bits, "rebuilt page row {i}: measures");
     }
 }
 
@@ -208,16 +351,6 @@ impl TopK {
     }
 }
 
-/// Whether the (possibly stale) candidate at `slot` is alive and satisfies
-/// every predicate, read through one segment view. Only the debug-build
-/// memo check and the tests ask it: the engine's bitmaps answer it for
-/// whole segments at once.
-pub(crate) fn slot_matches(query: &ConjunctiveQuery, store: &StoreCore, slot: Slot) -> bool {
-    let (seg, off) = crate::store::locate(slot);
-    let data = store.seg_view(seg);
-    data.alive[off] && row_matches(query, data.value_row(off))
-}
-
 /// Whether a tuple whose value codes are `row` satisfies every predicate.
 #[inline]
 pub(crate) fn row_matches(query: &ConjunctiveQuery, row: &[u32]) -> bool {
@@ -243,6 +376,14 @@ mod tests {
             .unwrap();
         }
         s
+    }
+
+    /// Whether the candidate at `slot` is alive and satisfies every
+    /// predicate: the engine's bitmaps answer this for whole segments.
+    fn slot_matches(query: &ConjunctiveQuery, store: &StoreCore, slot: Slot) -> bool {
+        let (seg, off) = crate::store::locate(slot);
+        let data = store.seg_view(seg);
+        data.alive[off] && row_matches(query, data.value_row(off))
     }
 
     /// Offers every allocated slot that [`slot_matches`] `q` to a
@@ -344,5 +485,33 @@ mod tests {
             panic!("expected valid outcomes");
         };
         assert!(Arc::ptr_eq(va, vb), "cache hits must share the page");
+    }
+
+    /// A rebuild takes unplaced rows from the stale page and placed rows
+    /// from the store: the stale page's measures are marked (negated) so
+    /// every row shows where it came from.
+    #[test]
+    fn a_rebuild_copies_unplaced_rows_from_the_stale_page_and_placed_rows_from_the_store() {
+        let mut store = Store::new(1, 1);
+        for key in 0..8u64 {
+            let t = Tuple::new(TupleKey(key), vec![ValueId((key % 2) as u32)], vec![key as f64]);
+            assert_eq!(store.insert(t, key).unwrap(), key as Slot);
+        }
+        let old: Vec<Slot> = vec![7, 6, 5, 4, 3];
+        let marked = Page::from_columns(
+            old.iter().map(|&s| TupleKey(u64::from(s))).collect(),
+            old.iter().map(|&s| ValueId(s % 2)).collect(),
+            old.iter().map(|&s| -f64::from(s)).collect(),
+            1,
+            1,
+        );
+        let stale = StalePage { page: Arc::new(marked), slots: old, placed: vec![1, 6] };
+        let page = stale.reuse(&[7, 6, 5, 3, 1], &store).expect("the record covers the page");
+        let rows: Vec<(u64, f64)> = page.iter().map(|r| (r.key().0, r.measures()[0])).collect();
+        assert_eq!(rows, vec![(7, -7.0), (6, 6.0), (5, -5.0), (3, -3.0), (1, 1.0)]);
+        assert_eq!(page.iter().nth(4).unwrap().values(), &[ValueId(1)]);
+
+        assert!(stale.reuse(&[5, 7], &store).is_none(), "unplaced rows out of stale order");
+        assert!(stale.reuse(&[7, 2], &store).is_none(), "an unplaced row not on the stale page");
     }
 }

@@ -52,11 +52,24 @@
 //!   and a count that reaches `k` makes the entry valid with the same
 //!   page.
 //! * **Measure update of a matching row.** A page member's measures
-//!   changed, so its page is copied again at the next read. A valid page
+//!   changed, so the next read copies its row afresh. A valid page
 //!   re-sorts. On an overflow page, a member whose score falls drops the
 //!   entry, and an off-page row whose score now beats the last member
 //!   enters while the last member leaves.
 //! * The root entry matches every row.
+//!
+//! **The page copy.** A patch that changes an entry's page keeps the
+//! page it replaces, stale ([`crate::interface::StalePage`]), with the
+//! slot order it was copied in and every slot the patches place on the
+//! page from then on: an inserted row, a re-scored member, or a freed
+//! slot a matching insert refilled. Deletes and truncations need no
+//! record. The next read copies every unplaced member from the stale
+//! page and reads only the placed ones from the store. Unplaced members
+//! still hold the rows the stale page copied, in the same relative
+//! order, since their `(score, slot)` keys did not move. The record
+//! never outgrows the page: once more slots were placed than the page
+//! holds, or the page empties, the stale copy is dropped and the next
+//! read copies the whole page from the store.
 //!
 //! **Soundness.** Invariant: against the current store, an entry's page
 //! is exactly the best `min(k, T)` matches of its query, best-first,
@@ -86,7 +99,10 @@
 //!
 //! Debug builds check every hit cheaply
 //! ([`CachedEval::assert_consistent`]): page members alive, matching and
-//! in order, and overflow exactly when the count exceeds `k`.
+//! in order, and overflow exactly when the count exceeds `k`. They also
+//! check every page built from a stale copy against a fresh copy from
+//! the store, measures bit for bit. Both checks read a paged store
+//! without faulting, so they leave the pager's counters as they were.
 //!
 //! ## Bounded admission
 //!
@@ -203,11 +219,11 @@ impl CachedEval {
                 if !self.overflow {
                     self.place(key, store);
                     if self.slots.len() > k {
-                        self.slots.pop();
+                        self.pop();
                         self.overflow = true;
                     }
                 } else if self.beats_last(key, store) {
-                    self.slots.pop();
+                    self.pop();
                     self.place(key, store);
                 } else {
                     return true;
@@ -216,7 +232,7 @@ impl CachedEval {
             RowChange::Delete => {
                 if !self.overflow {
                     let Some(at) = self.position(op.slot) else { return false };
-                    self.slots.remove(at);
+                    self.remove(at);
                     self.matched -= 1;
                 } else if self.on_page(op.slot, op.score, store) {
                     return false;
@@ -232,25 +248,42 @@ impl CachedEval {
                         return false;
                     }
                     let Some(at) = self.position(op.slot) else { return false };
-                    self.slots.remove(at);
+                    self.remove(at);
                     self.place(key, store);
                 } else if self.beats_last(key, store) {
-                    self.slots.pop();
+                    self.pop();
                     self.place(key, store);
                 } else {
                     return true;
                 }
             }
         }
-        self.page = None;
+        self.page.settle(self.slots.len());
         true
     }
 
     /// Inserts the slot of `key` at its best-first position among the
-    /// page members, whose scores the store holds.
+    /// page members, whose scores the store holds, and records it on a
+    /// stale page copy: the next read copies its row from the store.
     fn place(&mut self, key: (u64, Slot), store: &StoreCore) {
+        if let Some(stale) = self.page.edit(&self.slots) {
+            stale.note_placed(key.1);
+        }
         let at = self.slots.partition_point(|&m| (store.score_at(m), m) > key);
         self.slots.insert(at, key.1);
+    }
+
+    /// Removes the page member at index `at`. A removal needs no record:
+    /// the next read skips the member's row in the stale copy.
+    fn remove(&mut self, at: usize) {
+        self.page.edit(&self.slots);
+        self.slots.remove(at);
+    }
+
+    /// Removes the page's last member, like [`CachedEval::remove`].
+    fn pop(&mut self) {
+        self.page.edit(&self.slots);
+        self.slots.pop();
     }
 
     /// Whether `key` ranks above the page's last member.
@@ -1065,6 +1098,53 @@ mod tests {
         let (out, hit) = t.ask(&other);
         assert!(hit);
         assert_eq!(keys(&out), vec![3]);
+    }
+
+    /// A member's slot that a matching insert refills in the same batch
+    /// holds a new row at the member's old rank: the next read must copy
+    /// it from the store, not from the stale page.
+    #[test]
+    fn a_member_slot_refilled_in_one_batch_serves_the_new_tuple() {
+        let mut t = Twin::new(3, BY_M);
+        let probe = q(&[(0, 0)]);
+        t.insert(1, 0, 0, 5.0);
+        t.insert(2, 0, 1, 7.0);
+        assert_eq!(keys(&t.ask(&probe).0), vec![2, 1]);
+        // Deletes apply before inserts, so key 3 takes key 1's slot.
+        let batch = UpdateBatch::empty().delete(TupleKey(1)).insert(Tuple::new(
+            TupleKey(3),
+            vec![ValueId(0), ValueId(2)],
+            vec![6.0],
+        ));
+        assert!(t.apply(batch));
+        let (out, hit) = t.ask(&probe);
+        assert!(hit);
+        assert_eq!(keys(&out), vec![2, 3]);
+        assert_eq!(out.tuples().nth(1).unwrap().values(), &[ValueId(0), ValueId(2)]);
+    }
+
+    /// Patches accumulate between two reads: an insert above the last
+    /// member, a member's measure update and an off-page delete are all
+    /// absorbed by one rebuild from the stale page.
+    #[test]
+    fn one_rebuild_absorbs_several_patches() {
+        let mut t = Twin::new(4, BY_M);
+        let probe = q(&[(0, 1)]);
+        for key in 1..=8 {
+            t.insert(key, 1, (key % 4) as u32, key as f64);
+        }
+        let (first, _) = t.ask(&probe);
+        assert_eq!(keys(&first), vec![8, 7, 6, 5]);
+        t.insert(9, 1, 0, 6.5);
+        t.rescore(7, 7.25);
+        t.delete(2);
+        let (out, hit) = t.ask(&probe);
+        assert!(hit && out.is_overflow());
+        assert_eq!(keys(&out), vec![8, 7, 9, 6]);
+        assert_eq!(out.tuples().nth(1).unwrap().measure(MeasureId(0)), 7.25);
+        assert!(!std::sync::Arc::ptr_eq(page_of(&out), page_of(&first)), "a new page");
+        assert_eq!(keys(&first), vec![8, 7, 6, 5], "a page handed out never changes");
+        assert_eq!(first.tuples().nth(1).unwrap().measure(MeasureId(0)), 7.0);
     }
 
     #[test]

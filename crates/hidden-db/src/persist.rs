@@ -447,9 +447,10 @@ impl Pager {
     }
 
     /// Cache-bypassing read for snapshot materialisation
-    /// ([`crate::store::StoreCore`]'s `Clone`): serves a cached copy if
-    /// present but never inserts, so materialising a full snapshot does
-    /// not churn the query-path working set.
+    /// ([`crate::store::StoreCore`]'s `Clone`) and the memo's debug
+    /// checks (`StoreCore::peek_segment`): serves a cached copy if
+    /// present but never inserts and counts no fault, so materialising a
+    /// full snapshot does not churn the query-path working set.
     pub(crate) fn read_detached(&self, seg: usize) -> Arc<SegmentData> {
         let mut inner = self.inner.lock().unwrap();
         if let Some(e) = inner.cache.get(&seg) {

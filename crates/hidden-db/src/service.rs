@@ -106,8 +106,18 @@ impl DbSnapshot {
         self.store.is_empty()
     }
 
+    /// The snapshot's memo, locked. A session that panicked while holding
+    /// the lock may have left the memo half-updated. The memo is only a
+    /// cache, and `clear` leaves it empty and valid whatever the panic
+    /// interrupted, so this clears it and the lock's poison: later
+    /// sessions on this snapshot evaluate afresh instead of panicking.
     fn memo(&self) -> MutexGuard<'_, QueryMemo> {
-        self.memo.lock().expect("snapshot memo poisoned")
+        self.memo.lock().unwrap_or_else(|poisoned| {
+            let mut memo = poisoned.into_inner();
+            memo.clear();
+            self.memo.clear_poison();
+            memo
+        })
     }
 }
 
@@ -681,6 +691,39 @@ mod tests {
         assert_eq!(session.issue(&root).unwrap(), session.issue(&root).unwrap());
         assert_eq!(session.stats().cache_hits, 0);
         assert_eq!(service.memo_stats().insertions, 0);
+    }
+
+    /// A session that panics while it holds the snapshot's memo does not
+    /// take the snapshot down: the next session finds the memo emptied,
+    /// answers as the frozen database does, and caches each answer again.
+    #[test]
+    fn a_panic_while_holding_the_snapshot_memo_does_not_kill_the_snapshot() {
+        let db = seed_db(120);
+        let mut frozen = db.clone();
+        let service = DbService::new(db);
+        let snap = service.snapshot();
+        let qs = queries(snap.schema());
+        let mut warm = service.session_at(Arc::clone(&snap), u64::MAX);
+        for q in &qs {
+            warm.issue(q).unwrap();
+        }
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _memo = snap.memo();
+                panic!("a lookup failed while holding the snapshot memo");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(snap.memo.is_poisoned());
+
+        let admitted = service.memo_stats().insertions;
+        let mut session = service.session_at(Arc::clone(&snap), u64::MAX);
+        for q in &qs {
+            assert_eq!(session.issue(q).unwrap(), frozen.answer(q), "query {q}");
+        }
+        assert!(!snap.memo.is_poisoned());
+        assert_eq!(session.stats().cache_hits, 0, "the memo was emptied");
+        assert_eq!(service.memo_stats().insertions, admitted + qs.len() as u64);
     }
 
     /// Two sessions of one snapshot may miss on the same query together;

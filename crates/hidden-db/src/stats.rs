@@ -13,7 +13,8 @@ pub struct InterfaceStats {
     pub valids: u64,
     /// Queries that underflowed.
     pub underflows: u64,
-    /// Answers served from the per-version memo cache.
+    /// Answers served from the memo: the database's own, patched as its
+    /// rows change, or a service snapshot's.
     pub cache_hits: u64,
 }
 

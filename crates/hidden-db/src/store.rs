@@ -41,7 +41,7 @@ use std::sync::Arc;
 
 use crate::errors::DbError;
 use crate::persist::Pager;
-use crate::tuple::{Page, Tuple};
+use crate::tuple::{Page, PageBuilder, Tuple};
 use crate::value::{TupleKey, ValueId};
 
 /// Slot index within the store. Internal; never exposed through the
@@ -395,47 +395,85 @@ impl StoreCore {
     /// one contiguous value row and measure row per tuple.
     pub fn page(&self, slots: &[Slot]) -> Page {
         if self.pager.is_some() {
-            return self.page_by_segment(slots);
+            return self.page_by_segment(slots, false);
         }
-        let (attrs, ms) = (self.attr_count, self.measure_count);
-        let mut keys = Vec::with_capacity(slots.len());
-        let mut values = Vec::with_capacity(slots.len() * attrs);
-        let mut measures = Vec::with_capacity(slots.len() * ms);
+        let mut page = self.page_builder(slots.len());
         for &slot in slots {
-            let (seg, off) = locate(slot);
-            let data = self.seg_view(seg);
-            keys.push(TupleKey(data.keys[off]));
-            values.extend(data.value_row(off).iter().map(|&v| ValueId(v)));
-            measures.extend_from_slice(data.measure_row(off));
+            self.push_row(slot, &mut page);
         }
-        Page::from_columns(keys, values, measures, attrs, ms)
+        page.finish()
     }
 
-    /// [`StoreCore::page`] with a pager attached: gathers the rows
-    /// segment by segment and writes each to its page position, so every
-    /// segment is viewed (an evicted one faulted) once however the page
-    /// interleaves them.
-    fn page_by_segment(&self, slots: &[Slot]) -> Page {
+    /// An empty page of this store's row shape, with room for `rows`.
+    pub(crate) fn page_builder(&self, rows: usize) -> PageBuilder {
+        PageBuilder::with_capacity(rows, self.attr_count, self.measure_count)
+    }
+
+    /// Appends the tuple at `slot` to `page`, viewing (on a paged store,
+    /// faulting) only its segment.
+    #[inline]
+    pub(crate) fn push_row(&self, slot: Slot, page: &mut PageBuilder) {
+        let (seg, off) = locate(slot);
+        let data = self.seg_view(seg);
+        page.push(TupleKey(data.keys[off]), data.value_row(off), data.measure_row(off));
+    }
+
+    /// [`StoreCore::page`] for debug checks: the same page, read without
+    /// faulting (see [`StoreCore::peek_segment`]).
+    pub(crate) fn peek_page(&self, slots: &[Slot]) -> Page {
+        self.page_by_segment(slots, true)
+    }
+
+    /// [`StoreCore::page`] with a pager attached, or for a debug check:
+    /// writes each row to its page position, reading the rows segment by
+    /// segment ([`StoreCore::for_each_row`]).
+    fn page_by_segment(&self, slots: &[Slot], peek: bool) -> Page {
         let (attrs, ms) = (self.attr_count, self.measure_count);
         let mut keys = vec![TupleKey(0); slots.len()];
         let mut values = vec![ValueId(0); slots.len() * attrs];
         let mut measures = vec![0.0; slots.len() * ms];
+        self.for_each_row(slots, peek, |i, data, off| {
+            keys[i] = TupleKey(data.keys[off]);
+            for (dst, &v) in values[i * attrs..(i + 1) * attrs].iter_mut().zip(data.value_row(off))
+            {
+                *dst = ValueId(v);
+            }
+            measures[i * ms..(i + 1) * ms].copy_from_slice(data.measure_row(off));
+        });
+        Page::from_columns(keys, values, measures, attrs, ms)
+    }
+
+    /// Calls `f(i, segment, offset)` for every `slots[i]`, segment by
+    /// segment, so each segment is viewed (an evicted one faulted) once
+    /// however `slots` interleave them. With `peek`, segments are read
+    /// through [`StoreCore::peek_segment`] instead.
+    pub(crate) fn for_each_row(
+        &self,
+        slots: &[Slot],
+        peek: bool,
+        mut f: impl FnMut(usize, &SegmentData, usize),
+    ) {
         let mut order: Vec<usize> = (0..slots.len()).collect();
         order.sort_unstable_by_key(|&i| segment_of(slots[i]));
         for group in order.chunk_by(|&i, &j| segment_of(slots[i]) == segment_of(slots[j])) {
-            let data = self.seg_view(segment_of(slots[group[0]]));
+            let seg = segment_of(slots[group[0]]);
+            let data = if peek { self.peek_segment(seg) } else { self.seg_view(seg) };
             for &i in group {
-                let off = locate(slots[i]).1;
-                keys[i] = TupleKey(data.keys[off]);
-                for (dst, &v) in
-                    values[i * attrs..(i + 1) * attrs].iter_mut().zip(data.value_row(off))
-                {
-                    *dst = ValueId(v);
-                }
-                measures[i * ms..(i + 1) * ms].copy_from_slice(data.measure_row(off));
+                f(i, &data, locate(slots[i]).1);
             }
         }
-        Page::from_columns(keys, values, measures, attrs, ms)
+    }
+
+    /// [`StoreCore::seg_view`] for debug checks: an evicted segment is
+    /// read from its region without entering the pager's read cache or
+    /// counting a fault, so a check leaves the pager as it found it and
+    /// a test counts the same faults in debug and release builds.
+    pub(crate) fn peek_segment(&self, seg: usize) -> SegView<'_> {
+        let data = &self.segs[seg];
+        match &self.pager {
+            Some(pager) if data.evicted => SegView::Hot(pager.read_detached(seg)),
+            _ => SegView::Ram(data),
+        }
     }
 
     /// Iterates over the slots of all alive tuples.

@@ -1,6 +1,8 @@
 //! Tuples as inserted by workload generators and as returned (read-only)
 //! by the search interface.
 
+use std::ops::Range;
+
 use crate::value::{AttrId, MeasureId, TupleKey, ValueId};
 
 /// An owned tuple: one categorical value per attribute (in schema order)
@@ -96,6 +98,58 @@ impl Page {
             measure_count: self.measure_count,
             next: 0,
         }
+    }
+}
+
+/// A [`Page`] under construction: rows are appended one at a time from
+/// the store, or in runs copied from an older page.
+#[derive(Debug)]
+pub(crate) struct PageBuilder {
+    keys: Vec<TupleKey>,
+    values: Vec<ValueId>,
+    measures: Vec<f64>,
+    attr_count: usize,
+    measure_count: usize,
+}
+
+impl PageBuilder {
+    /// An empty page with room for `rows` rows.
+    pub(crate) fn with_capacity(rows: usize, attr_count: usize, measure_count: usize) -> Self {
+        Self {
+            keys: Vec::with_capacity(rows),
+            values: Vec::with_capacity(rows * attr_count),
+            measures: Vec::with_capacity(rows * measure_count),
+            attr_count,
+            measure_count,
+        }
+    }
+
+    /// Appends one row: its value codes in schema order, and its measures.
+    #[inline]
+    pub(crate) fn push(&mut self, key: TupleKey, values: &[u32], measures: &[f64]) {
+        self.keys.push(key);
+        self.values.extend(values.iter().map(|&v| ValueId(v)));
+        self.measures.extend_from_slice(measures);
+    }
+
+    /// Appends rows `rows` of `page`, one slice copy per column.
+    pub(crate) fn extend_from(&mut self, page: &Page, rows: Range<usize>) {
+        let (a, m) = (self.attr_count, self.measure_count);
+        debug_assert_eq!((page.attr_count, page.measure_count), (a, m));
+        self.keys.extend_from_slice(&page.keys[rows.clone()]);
+        self.values.extend_from_slice(&page.values[rows.start * a..rows.end * a]);
+        self.measures.extend_from_slice(&page.measures[rows.start * m..rows.end * m]);
+    }
+
+    /// The finished page.
+    pub(crate) fn finish(self) -> Page {
+        Page::from_columns(
+            self.keys,
+            self.values,
+            self.measures,
+            self.attr_count,
+            self.measure_count,
+        )
     }
 }
 
