@@ -1,6 +1,5 @@
 //! Accuracy metrics used throughout the paper's evaluation (§6.1):
-//! relative error, MSE decomposition, and per-round series summaries
-//! across repeated trials.
+//! relative error and per-round series summaries across repeated trials.
 
 use crate::moments::RunningMoments;
 
@@ -14,28 +13,6 @@ pub fn relative_error(estimate: f64, truth: f64) -> f64 {
         return if estimate == 0.0 { 0.0 } else { f64::INFINITY };
     }
     (estimate - truth).abs() / truth.abs()
-}
-
-/// Decomposition `MSE = bias² + variance` (equation 1) computed from a set
-/// of independent estimates of a known ground truth.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MseDecomposition {
-    /// `E[θ̃] − θ`.
-    pub bias: f64,
-    /// Variance of the estimates (population).
-    pub variance: f64,
-    /// `bias² + variance`.
-    pub mse: f64,
-}
-
-/// Computes the MSE decomposition of `estimates` against `truth`.
-/// Returns `None` for an empty slice.
-pub fn mse_decomposition(estimates: &[f64], truth: f64) -> Option<MseDecomposition> {
-    let m = RunningMoments::from_slice(estimates);
-    let mean = m.mean()?;
-    let variance = m.population_variance()?;
-    let bias = mean - truth;
-    Some(MseDecomposition { bias, variance, mse: bias * bias + variance })
 }
 
 /// Accumulates one metric across trials for each point of a series (e.g.
@@ -129,16 +106,6 @@ mod tests {
         assert_eq!(relative_error(-50.0, -100.0), 0.5);
         assert_eq!(relative_error(0.0, 0.0), 0.0);
         assert_eq!(relative_error(1.0, 0.0), f64::INFINITY);
-    }
-
-    #[test]
-    fn mse_decomposes() {
-        // Estimates 9, 11 of truth 8: mean 10, bias 2, variance 1.
-        let d = mse_decomposition(&[9.0, 11.0], 8.0).unwrap();
-        assert!((d.bias - 2.0).abs() < 1e-12);
-        assert!((d.variance - 1.0).abs() < 1e-12);
-        assert!((d.mse - 5.0).abs() < 1e-12);
-        assert!(mse_decomposition(&[], 1.0).is_none());
     }
 
     #[test]

@@ -1,68 +1,28 @@
-//! The statistical bootstrap: resample the observed records, re-evaluate
-//! the statistic on each replicate, and read percentile confidence
-//! intervals off the replicate distribution.
+//! The statistical bootstrap behind the figures' and the estimator
+//! reports' confidence intervals: resample the finite values, take each
+//! replicate's mean, and read a percentile interval off the means.
 //!
-//! Three resampling variants:
-//!
-//! * [`Variant::NOutOfN`] — the classic bootstrap: draw `n` indices with
-//!   replacement from `n` records. Right when records are exchangeable
-//!   (e.g. independent seeded trials of one experiment point).
-//! * [`Variant::MOutOfN`] — draw `m < n` indices with replacement; the
-//!   subsampling bootstrap that stays consistent for non-smooth
-//!   statistics and heavy tails (HT drill-down estimates are exactly
-//!   that shape).
-//! * [`Variant::Block`] — the moving-block bootstrap: draw contiguous
-//!   runs of `block_len` records until `n` indices are collected.
-//!   Per-round records of one trial are serially dependent (REISSUE
-//!   reuses its drill-down pool across rounds), so i.i.d. resampling
-//!   would understate the variance; keeping runs intact preserves the
-//!   trans-round dependence inside each block.
-//!
-//! Determinism is the same discipline as everywhere in this workspace:
-//! replicate `r` draws from an RNG stream seeded purely by `(seed, r)`,
-//! replicates are fanned out over [`aggtrack_parallel`] and merged in
-//! replicate order — so the result is bit-identical at any thread count.
+//! One sequential resampler serves both entry points. A replicate draws
+//! runs of `b` consecutive indices, each starting uniformly in
+//! `0..=n − b`, until it holds `n` (the last run truncated): the
+//! moving-block bootstrap. [`mean_ci`] resamples at `b = 1`, the classic
+//! n-out-of-n bootstrap for exchangeable values (independent trials at
+//! one round, per-drill HT terms). [`series_mean_ci`] takes the caller's
+//! block length, so the serial dependence of a per-round series (REISSUE
+//! reuses its drill-down pool across rounds) survives inside each block
+//! instead of being understated by iid resampling. Replicate `r` draws
+//! from an RNG seeded by `(seed, r)` alone.
 //!
 //! ```
-//! use agg_stats::resample::{Bootstrap, Variant};
+//! use agg_stats::resample::mean_ci;
 //!
 //! let data: Vec<f64> = (0..50).map(|i| i as f64).collect();
-//! let reps = Bootstrap::new(data.len(), |idx: &[usize]| {
-//!     Some(idx.iter().map(|&i| data[i]).sum::<f64>() / idx.len() as f64)
-//! })
-//! .variant(Variant::NOutOfN)
-//! .replicates(500)
-//! .seed(7)
-//! .run();
-//! let ci = reps.percentile_ci(0.95).unwrap();
+//! let ci = mean_ci(&data, 500, 7, 0.95).unwrap();
 //! assert!(ci.contains(24.5), "CI {ci:?} should cover the sample mean");
 //! ```
 
-use crate::moments::RunningMoments;
-use crate::quantiles::nearest_rank_index;
-use aggtrack_parallel::{par_map_indexed_chunked, Threads};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// How each replicate resamples the `n` observed records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Variant {
-    /// Draw `n` indices with replacement (the classic bootstrap).
-    NOutOfN,
-    /// Draw `m` indices with replacement (subsampling bootstrap).
-    MOutOfN {
-        /// Resample size; must be ≥ 1.
-        m: usize,
-    },
-    /// Moving-block bootstrap: draw contiguous runs of `block_len`
-    /// records (uniform start in `0..=n − block_len`) until `n` indices
-    /// are collected, truncating the last block.
-    Block {
-        /// Block length; must be in `1..=n`. `1` degenerates to
-        /// [`Variant::NOutOfN`]'s distribution. See [`default_block_len`].
-        block_len: usize,
-    },
-}
 
 /// A two-sided confidence interval at a nominal coverage `level`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -97,243 +57,29 @@ impl ConfidenceInterval {
     }
 }
 
-/// Rule-of-thumb block length for [`Variant::Block`]: `⌈n^{1/3}⌉`, the
-/// standard rate at which moving-block bootstraps balance bias (blocks
-/// too short break dependence) against variance (blocks too long leave
-/// too few distinct blocks). Always ≥ 1 and ≤ `n`.
-pub fn default_block_len(n: usize) -> usize {
-    ((n as f64).cbrt().ceil() as usize).clamp(1, n.max(1))
-}
-
-/// Builder-style bootstrap over `data_len` records.
+/// Percentile CI for the mean of exchangeable observations: the
+/// n-out-of-n bootstrap ([`series_mean_ci`] at block length 1) over the
+/// finite values of `data`. `None` with fewer than two finite values.
 ///
-/// The statistic is a closure over *indices into the caller's data* —
-/// the engine never copies the records, only index vectors — returning
-/// `None` when the statistic is undefined on that replicate (e.g. an
-/// empty stratum). Evaluation fans out over a thread pool with results
-/// merged in replicate order, so output is independent of thread count.
-pub struct Bootstrap<F> {
-    data_len: usize,
-    statistic: F,
-    variant: Variant,
-    replicates: usize,
-    seed: u64,
-    threads: Threads,
-}
-
-impl<F> Bootstrap<F>
-where
-    F: Fn(&[usize]) -> Option<f64> + Sync,
-{
-    /// A bootstrap of `statistic` over `data_len` records with defaults:
-    /// [`Variant::NOutOfN`], 1000 replicates, seed 0, sequential.
-    ///
-    /// # Panics
-    /// If `data_len == 0`.
-    pub fn new(data_len: usize, statistic: F) -> Self {
-        assert!(data_len > 0, "cannot bootstrap an empty sample");
-        Self {
-            data_len,
-            statistic,
-            variant: Variant::NOutOfN,
-            replicates: 1000,
-            seed: 0,
-            threads: Threads::sequential(),
-        }
-    }
-
-    /// Sets the resampling variant (validated in [`run`](Self::run)).
-    pub fn variant(mut self, v: Variant) -> Self {
-        self.variant = v;
-        self
-    }
-
-    /// Sets the number of replicates (must be ≥ 1).
-    pub fn replicates(mut self, b: usize) -> Self {
-        assert!(b >= 1, "need at least one replicate");
-        self.replicates = b;
-        self
-    }
-
-    /// Sets the base seed; replicate `r`'s stream depends only on
-    /// `(seed, r)`.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the thread policy for replicate evaluation. The result is
-    /// bit-identical for every choice.
-    pub fn threads(mut self, threads: Threads) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Draws and evaluates all replicates.
-    ///
-    /// # Panics
-    /// If the variant is invalid for `data_len` (`m == 0`, or
-    /// `block_len` outside `1..=data_len`).
-    pub fn run(&self) -> Replicates {
-        let n = self.data_len;
-        match self.variant {
-            Variant::NOutOfN => {}
-            Variant::MOutOfN { m } => assert!(m >= 1, "m-out-of-n needs m ≥ 1"),
-            Variant::Block { block_len } => {
-                assert!((1..=n).contains(&block_len), "block_len {block_len} outside 1..={n}")
-            }
-        }
-        let sample_len = match self.variant {
-            Variant::MOutOfN { m } => m,
-            _ => n,
-        };
-
-        // One atomic claim per 32 replicates: replicate evaluation is
-        // often microseconds, far below per-index handout cost.
-        let raw = par_map_indexed_chunked(self.replicates, 32, self.threads, |r| {
-            let mut rng = StdRng::seed_from_u64(replicate_seed(self.seed, r as u64));
-            let mut idx = Vec::with_capacity(sample_len);
-            match self.variant {
-                Variant::NOutOfN | Variant::MOutOfN { .. } => {
-                    for _ in 0..sample_len {
-                        idx.push(rng.random_range(0..n));
-                    }
-                }
-                Variant::Block { block_len } => {
-                    while idx.len() < sample_len {
-                        let start = rng.random_range(0..=(n - block_len));
-                        let take = block_len.min(sample_len - idx.len());
-                        idx.extend(start..start + take);
-                    }
-                }
-            }
-            (self.statistic)(&idx)
-        });
-
-        let mut values = Vec::with_capacity(raw.len());
-        let mut non_finite = 0u64;
-        let mut skipped = 0u64;
-        for v in raw {
-            match v {
-                Some(x) if x.is_finite() => values.push(x),
-                Some(_) => non_finite += 1,
-                None => skipped += 1,
-            }
-        }
-        Replicates { values, requested: self.replicates, non_finite, skipped }
-    }
-}
-
-/// SplitMix64 finaliser over `(seed, replicate index)`: decorrelates
-/// consecutive replicate streams while keeping each a pure function of
-/// its index — the bit-identical parallel merge relies on exactly this.
-fn replicate_seed(seed: u64, r: u64) -> u64 {
-    let mut z = seed ^ r.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// The evaluated replicate distribution.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Replicates {
-    values: Vec<f64>,
-    requested: usize,
-    non_finite: u64,
-    skipped: u64,
-}
-
-impl Replicates {
-    /// Finite replicate statistics, in replicate order.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Number of finite replicate values.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether no replicate produced a finite value.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
-    /// Replicates requested (= `len() + non_finite() + skipped()`).
-    pub fn requested(&self) -> usize {
-        self.requested
-    }
-
-    /// Replicates whose statistic came back NaN or ±∞ (excluded from the
-    /// distribution, same discipline as
-    /// [`SeriesSummary`](crate::error::SeriesSummary)).
-    pub fn non_finite(&self) -> u64 {
-        self.non_finite
-    }
-
-    /// Replicates where the statistic was undefined (returned `None`).
-    pub fn skipped(&self) -> u64 {
-        self.skipped
-    }
-
-    /// Mean of the replicate distribution; `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        RunningMoments::from_slice(&self.values).mean()
-    }
-
-    /// Bootstrap standard error: sample standard deviation of the
-    /// replicate distribution. `None` with fewer than two values.
-    pub fn std_error(&self) -> Option<f64> {
-        RunningMoments::from_slice(&self.values).sample_variance().map(f64::sqrt)
-    }
-
-    /// Two-sided percentile interval at nominal coverage `level` (e.g.
-    /// `0.95` → the 2.5th and 97.5th percentiles of the replicate
-    /// distribution, nearest-rank convention). `None` if no replicate
-    /// produced a finite value.
-    ///
-    /// # Panics
-    /// If `level` is not in `(0, 1)`.
-    pub fn percentile_ci(&self, level: f64) -> Option<ConfidenceInterval> {
-        assert!(level > 0.0 && level < 1.0, "coverage level must be in (0,1)");
-        if self.values.is_empty() {
-            return None;
-        }
-        let mut sorted = self.values.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite by construction"));
-        let tail = (1.0 - level) / 2.0;
-        let lo = sorted[nearest_rank_index(tail, sorted.len())];
-        let hi = sorted[nearest_rank_index(1.0 - tail, sorted.len())];
-        Some(ConfidenceInterval::new(lo, hi, level))
-    }
-}
-
-/// Percentile CI for the mean of exchangeable observations (n-out-of-n
-/// over the finite values of `data`). `None` with fewer than two finite
-/// observations.
+/// # Panics
+/// As [`series_mean_ci`].
 pub fn mean_ci(
     data: &[f64],
     replicates: usize,
     seed: u64,
     level: f64,
 ) -> Option<ConfidenceInterval> {
-    let finite: Vec<f64> = data.iter().copied().filter(|v| v.is_finite()).collect();
-    if finite.len() < 2 {
-        return None;
-    }
-    Bootstrap::new(finite.len(), |idx: &[usize]| {
-        Some(idx.iter().map(|&i| finite[i]).sum::<f64>() / idx.len() as f64)
-    })
-    .replicates(replicates)
-    .seed(seed)
-    .run()
-    .percentile_ci(level)
+    series_mean_ci(data, 1, replicates, seed, level)
 }
 
-/// Percentile CI for the mean of a *serially dependent* series
-/// (moving-block bootstrap over the finite values, order preserved).
-/// Pass `block_len = 0` to use [`default_block_len`]. `None` with fewer
-/// than two finite observations.
+/// Percentile CI for the mean of a serially dependent series: the
+/// moving-block bootstrap over the finite values of `series`, order
+/// preserved, in runs of `block_len` (capped at the number of finite
+/// values). `None` with fewer than two finite values.
+///
+/// # Panics
+/// If `block_len == 0`; with two finite values or more, if
+/// `replicates == 0` or `level` is not in `(0, 1)`.
 pub fn series_mean_ci(
     series: &[f64],
     block_len: usize,
@@ -341,57 +87,131 @@ pub fn series_mean_ci(
     seed: u64,
     level: f64,
 ) -> Option<ConfidenceInterval> {
+    assert!(block_len >= 1, "block length must be ≥ 1");
     let finite: Vec<f64> = series.iter().copied().filter(|v| v.is_finite()).collect();
     if finite.len() < 2 {
         return None;
     }
-    let b = if block_len == 0 { default_block_len(finite.len()) } else { block_len };
-    Bootstrap::new(finite.len(), |idx: &[usize]| {
-        Some(idx.iter().map(|&i| finite[i]).sum::<f64>() / idx.len() as f64)
-    })
-    .variant(Variant::Block { block_len: b.min(finite.len()) })
-    .replicates(replicates)
-    .seed(seed)
-    .run()
-    .percentile_ci(level)
+    assert!(replicates >= 1, "need at least one replicate");
+    let means = replicate_means(&finite, block_len.min(finite.len()), replicates, seed);
+    percentile_ci(means, level)
+}
+
+/// The finite replicate means, in replicate order. Each replicate sums
+/// the values at its drawn indices in draw order and divides by `n`; a
+/// mean that overflows to ±∞ is dropped.
+fn replicate_means(finite: &[f64], block_len: usize, replicates: usize, seed: u64) -> Vec<f64> {
+    let n = finite.len();
+    let mut idx = Vec::with_capacity(n);
+    let mut means = Vec::with_capacity(replicates);
+    for r in 0..replicates {
+        let mut rng = StdRng::seed_from_u64(replicate_seed(seed, r as u64));
+        draw_blocks(&mut rng, n, block_len, &mut idx);
+        let mean = idx.iter().map(|&i| finite[i]).sum::<f64>() / n as f64;
+        if mean.is_finite() {
+            means.push(mean);
+        }
+    }
+    means
+}
+
+/// Fills `idx` with one replicate's `n` indices: runs of `block_len`
+/// consecutive indices, each starting uniformly in `0..=n − block_len`,
+/// the last run truncated so the total is exactly `n`.
+fn draw_blocks(rng: &mut StdRng, n: usize, block_len: usize, idx: &mut Vec<usize>) {
+    idx.clear();
+    while idx.len() < n {
+        let start = rng.random_range(0..=(n - block_len));
+        let take = block_len.min(n - idx.len());
+        idx.extend(start..start + take);
+    }
+}
+
+/// SplitMix64 finaliser over `(seed, replicate index)`: decorrelates
+/// consecutive replicate streams while keeping each a pure function of
+/// its index.
+fn replicate_seed(seed: u64, r: u64) -> u64 {
+    let mut z = seed ^ r.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Two-sided percentile interval of the finite `means` at nominal
+/// coverage `level` (e.g. `0.95` → their 2.5th and 97.5th percentiles,
+/// nearest rank). `None` if `means` is empty.
+fn percentile_ci(mut means: Vec<f64>, level: f64) -> Option<ConfidenceInterval> {
+    assert!(level > 0.0 && level < 1.0, "coverage level must be in (0,1)");
+    if means.is_empty() {
+        return None;
+    }
+    means.sort_by(|a, b| a.partial_cmp(b).expect("finite by construction"));
+    let tail = (1.0 - level) / 2.0;
+    let lo = means[nearest_rank_index(tail, means.len())];
+    let hi = means[nearest_rank_index(1.0 - tail, means.len())];
+    Some(ConfidenceInterval::new(lo, hi, level))
+}
+
+/// Zero-based index of the nearest-rank `p`-quantile of a sorted sample
+/// of `len` elements: the `⌈p·len⌉`-th order statistic (1-based; the
+/// inverse empirical CDF, Hyndman–Fan type 1), clamped into `[1, len]`
+/// so that `p = 0` maps to the minimum and `p = 1` to the maximum.
+///
+/// # Panics
+/// If `len == 0` or `p` is NaN or outside `[0, 1]`.
+fn nearest_rank_index(p: f64, len: usize) -> usize {
+    assert!(len > 0, "nearest_rank_index: empty sample");
+    assert!((0.0..=1.0).contains(&p), "nearest_rank_index: p={p} outside [0,1]");
+    ((p * len as f64).ceil() as usize).clamp(1, len) - 1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn mean_stat(data: &[f64]) -> impl Fn(&[usize]) -> Option<f64> + Sync + '_ {
-        move |idx: &[usize]| Some(idx.iter().map(|&i| data[i]).sum::<f64>() / idx.len() as f64)
+    /// `mean_ci`'s input in `mean_ci_skips_non_finite_input`.
+    fn with_non_finite() -> Vec<f64> {
+        let mut data: Vec<f64> = (0..60).map(|i| (i % 10) as f64).collect();
+        data.push(f64::INFINITY);
+        data.push(f64::NAN);
+        data
+    }
+
+    /// AR(1)-ish dependent series: x_t = 0.8 x_{t-1} + noise.
+    fn ar1_series() -> Vec<f64> {
+        let mut x = 0.0;
+        (0..200)
+            .map(|i| {
+                x = 0.8 * x + ((i * 2654435761u64 as usize % 1000) as f64 / 1000.0 - 0.5);
+                x
+            })
+            .collect()
+    }
+
+    fn bits(ci: ConfidenceInterval) -> (u64, u64) {
+        (ci.lo.to_bits(), ci.hi.to_bits())
+    }
+
+    /// Pins the RNG stream and the summation order bit for bit. The
+    /// bounds are what the earlier builder-style engine computed on these
+    /// inputs; a drift would also change fig03's and fig18's golden CSV.
+    #[test]
+    fn intervals_are_pinned_bit_for_bit() {
+        let ci = mean_ci(&with_non_finite(), 1_000, 11, 0.95).unwrap();
+        assert_eq!(bits(ci), (0x400e_6666_6666_6666, 0x4014_eeee_eeee_eeef), "{ci:?}");
+        let ci = series_mean_ci(&ar1_series(), 4, 1_000, 5, 0.95).unwrap();
+        assert_eq!(bits(ci), (0xbfaf_7b80_66eb_1372, 0x3faa_4166_1884_69c0), "{ci:?}");
+        let ci = mean_ci(&ar1_series(), 1_000, 5, 0.95).unwrap();
+        assert_eq!(bits(ci), (0xbfa8_e7fe_60a3_437b, 0x3fa2_3f3a_f43b_b255), "{ci:?}");
     }
 
     #[test]
     fn deterministic_per_seed() {
         let data: Vec<f64> = (0..40).map(|i| (i as f64).sin()).collect();
-        let run =
-            |seed| Bootstrap::new(data.len(), mean_stat(&data)).replicates(200).seed(seed).run();
-        assert_eq!(run(1).values(), run(1).values());
-        assert_ne!(run(1).values(), run(2).values());
-    }
-
-    #[test]
-    fn parallel_is_bit_identical_to_sequential() {
-        let data: Vec<f64> = (0..64).map(|i| (i * i % 37) as f64).collect();
-        for variant in
-            [Variant::NOutOfN, Variant::MOutOfN { m: 17 }, Variant::Block { block_len: 4 }]
-        {
-            let at = |threads| {
-                Bootstrap::new(data.len(), mean_stat(&data))
-                    .variant(variant)
-                    .replicates(999)
-                    .seed(42)
-                    .threads(threads)
-                    .run()
-            };
-            let seq = at(Threads::sequential());
-            for t in [2, 4, 8] {
-                let par = at(Threads::fixed(t));
-                assert_eq!(seq.values(), par.values(), "{variant:?} at {t} threads");
-            }
+        for b in [1, 4] {
+            let run = |seed| replicate_means(&data, b, 200, seed);
+            assert_eq!(run(1), run(1));
+            assert_ne!(run(1), run(2));
         }
     }
 
@@ -400,83 +220,53 @@ mod tests {
         // Mean of 0..100 is 49.5; the bootstrap CI of the mean must cover
         // it and be roughly ±2·SE/√n wide.
         let data: Vec<f64> = (0..100).map(|i| i as f64).collect();
-        let reps = Bootstrap::new(data.len(), mean_stat(&data)).replicates(2000).seed(3).run();
-        let ci = reps.percentile_ci(0.95).unwrap();
+        let ci = mean_ci(&data, 2000, 3, 0.95).unwrap();
         assert!(ci.contains(49.5), "{ci:?}");
         assert!(ci.width() > 5.0 && ci.width() < 20.0, "width {}", ci.width());
-        assert!(reps.std_error().unwrap() > 0.0);
-        assert_eq!(reps.requested(), 2000);
-        assert_eq!(reps.len(), 2000);
-    }
-
-    #[test]
-    fn m_out_of_n_draws_m_indices() {
-        let reps = Bootstrap::new(50, |idx: &[usize]| {
-            assert_eq!(idx.len(), 7);
-            assert!(idx.iter().all(|&i| i < 50));
-            Some(idx.len() as f64)
-        })
-        .variant(Variant::MOutOfN { m: 7 })
-        .replicates(50)
-        .run();
-        assert_eq!(reps.len(), 50);
+        assert_eq!(replicate_means(&data, 1, 2000, 3).len(), 2000);
     }
 
     #[test]
     fn block_variant_draws_contiguous_runs() {
-        let n = 30;
-        let b = 5;
-        let reps = Bootstrap::new(n, |idx: &[usize]| {
+        let (n, b) = (30, 5);
+        let mut rng = StdRng::seed_from_u64(0);
+        let mut idx = Vec::new();
+        for _ in 0..100 {
+            draw_blocks(&mut rng, n, b, &mut idx);
             assert_eq!(idx.len(), n);
-            for chunk in idx.chunks(b) {
-                for w in chunk.windows(2) {
-                    assert_eq!(w[1], w[0] + 1, "block broken: {chunk:?}");
+            for run in idx.chunks(b) {
+                for w in run.windows(2) {
+                    assert_eq!(w[1], w[0] + 1, "block broken: {run:?}");
                 }
-                assert!(chunk[0] + b <= n, "block start out of range");
+                assert!(run[0] + b <= n, "block start out of range");
             }
-            Some(0.0)
-        })
-        .variant(Variant::Block { block_len: b })
-        .replicates(100)
-        .run();
-        assert_eq!(reps.len(), 100);
+        }
     }
 
     #[test]
     fn block_truncates_when_n_not_multiple_of_block_len() {
-        let n = 13;
-        let b = 5;
-        let reps = Bootstrap::new(n, |idx: &[usize]| {
+        let (n, b) = (13, 5);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut idx = Vec::new();
+        for _ in 0..20 {
+            draw_blocks(&mut rng, n, b, &mut idx);
             assert_eq!(idx.len(), n, "resample size is n even when b ∤ n");
-            Some(1.0)
-        })
-        .variant(Variant::Block { block_len: b })
-        .replicates(20)
-        .run();
-        assert_eq!(reps.len(), 20);
+            let last = &idx[10..];
+            assert!(last.windows(2).all(|w| w[1] == w[0] + 1), "truncated run {last:?}");
+            assert!(last[0] + b <= n, "the truncated run starts in 0..=n − b");
+        }
     }
 
     #[test]
-    fn undefined_and_non_finite_replicates_are_counted() {
-        // Statistic: undefined when index 0 is drawn, ∞ when index 1 is
-        // drawn (checked in that order), finite otherwise.
-        let reps = Bootstrap::new(6, |idx: &[usize]| {
-            if idx.contains(&0) {
-                None
-            } else if idx.contains(&1) {
-                Some(f64::INFINITY)
-            } else {
-                Some(1.0)
-            }
-        })
-        .replicates(400)
-        .seed(9)
-        .run();
-        assert!(reps.skipped() > 0, "index 0 should appear in some replicate");
-        assert!(reps.non_finite() > 0, "index 1 should appear in some replicate");
-        assert_eq!(reps.len() as u64 + reps.skipped() + reps.non_finite(), 400);
-        // CI still defined from the surviving replicates.
-        assert_eq!(reps.percentile_ci(0.9).map(|c| (c.lo, c.hi)), Some((1.0, 1.0)));
+    fn overflowing_replicate_means_are_dropped() {
+        // A replicate that draws both MAX values overflows to +∞ before the
+        // division and is dropped; the interval comes from the rest.
+        let data = [f64::MAX, f64::MAX, 0.0];
+        let means = replicate_means(&data, 1, 400, 9);
+        assert!(means.len() < 400, "some replicate should draw MAX twice");
+        assert!(means.iter().all(|m| m.is_finite()));
+        let ci = mean_ci(&data, 400, 9, 0.9).unwrap();
+        assert!(ci.lo.is_finite() && ci.hi.is_finite(), "{ci:?}");
     }
 
     #[test]
@@ -488,36 +278,19 @@ mod tests {
     }
 
     #[test]
-    fn default_block_len_follows_cube_root() {
-        assert_eq!(default_block_len(1), 1);
-        assert_eq!(default_block_len(8), 2);
-        assert_eq!(default_block_len(20), 3);
-        assert_eq!(default_block_len(1000), 10);
-        assert_eq!(default_block_len(0), 1, "degenerate input stays usable");
-    }
-
-    #[test]
     fn mean_ci_skips_non_finite_input() {
-        let mut data: Vec<f64> = (0..60).map(|i| (i % 10) as f64).collect();
-        data.push(f64::INFINITY);
-        data.push(f64::NAN);
-        let ci = mean_ci(&data, 800, 11, 0.95).unwrap();
+        let ci = mean_ci(&with_non_finite(), 800, 11, 0.95).unwrap();
         assert!(ci.contains(4.5), "{ci:?} should cover the finite mean");
         assert!(ci.lo.is_finite() && ci.hi.is_finite());
         assert!(mean_ci(&[1.0, f64::NAN], 100, 0, 0.95).is_none());
+        assert!(mean_ci(&[], 100, 0, 0.95).is_none());
+        assert!(series_mean_ci(&[f64::INFINITY, 2.0], 3, 100, 0, 0.95).is_none());
     }
 
     #[test]
     fn series_mean_ci_uses_block_bootstrap() {
-        // AR(1)-ish dependent series: x_t = 0.8 x_{t-1} + noise.
-        let mut x = 0.0;
-        let series: Vec<f64> = (0..200)
-            .map(|i| {
-                x = 0.8 * x + ((i * 2654435761u64 as usize % 1000) as f64 / 1000.0 - 0.5);
-                x
-            })
-            .collect();
-        let blocked = series_mean_ci(&series, 0, 1000, 5, 0.95).unwrap();
+        let series = ar1_series();
+        let blocked = series_mean_ci(&series, 6, 1000, 5, 0.95).unwrap();
         let iid = mean_ci(&series, 1000, 5, 0.95).unwrap();
         // Positive serial dependence ⇒ the honest (block) interval is wider.
         assert!(
@@ -526,19 +299,49 @@ mod tests {
             b = blocked.width(),
             i = iid.width()
         );
+        // A block longer than the series is capped at it: every replicate
+        // is the whole series.
+        let capped = series_mean_ci(&[1.0, 2.0, 3.0], 5, 100, 0, 0.95).unwrap();
+        assert_eq!((capped.lo, capped.hi), (2.0, 2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "block length must be ≥ 1")]
+    fn zero_block_len_rejected() {
+        let _ = series_mean_ci(&[1.0, 2.0, 3.0], 0, 100, 0, 0.95);
+    }
+
+    /// Pins the nearest-rank convention at the edges the percentile
+    /// interval exercises: p = 0 → minimum, p = 1 → maximum,
+    /// single-element samples → the element, and no off-by-one at exact
+    /// rank boundaries.
+    #[test]
+    fn nearest_rank_edges() {
+        assert_eq!(nearest_rank_index(0.0, 1), 0);
+        assert_eq!(nearest_rank_index(1.0, 1), 0);
+        assert_eq!(nearest_rank_index(0.5, 1), 0);
+        assert_eq!(nearest_rank_index(0.0, 10), 0);
+        assert_eq!(nearest_rank_index(1.0, 10), 9);
+        // ⌈0.5·10⌉ = 5 → index 4 (the lower middle element).
+        assert_eq!(nearest_rank_index(0.5, 10), 4);
+        // Just past an exact boundary rounds up to the next rank.
+        assert_eq!(nearest_rank_index(0.51, 10), 5);
+        // ⌈0.025·1000⌉ = 25 → index 24; ⌈0.975·1000⌉ = 975 → index 974.
+        assert_eq!(nearest_rank_index(0.025, 1000), 24);
+        assert_eq!(nearest_rank_index(0.975, 1000), 974);
+        // Tiny p still lands on the minimum, not below it.
+        assert_eq!(nearest_rank_index(1e-12, 4), 0);
     }
 
     #[test]
     #[should_panic(expected = "empty sample")]
-    fn empty_data_rejected() {
-        let _ = Bootstrap::new(0, |_: &[usize]| Some(0.0));
+    fn nearest_rank_rejects_empty() {
+        let _ = nearest_rank_index(0.5, 0);
     }
 
     #[test]
-    #[should_panic(expected = "block_len")]
-    fn oversized_block_rejected() {
-        let _ = Bootstrap::new(4, |_: &[usize]| Some(0.0))
-            .variant(Variant::Block { block_len: 5 })
-            .run();
+    #[should_panic(expected = "outside [0,1]")]
+    fn nearest_rank_rejects_out_of_range() {
+        let _ = nearest_rank_index(1.5, 10);
     }
 }

@@ -63,16 +63,6 @@ pub fn combine(components: &[Component]) -> Option<Combined> {
     Some(Combined { estimate: weighted / inv_sum, variance: 1.0 / inv_sum, used: usable.len() })
 }
 
-/// The optimal first-component weight for the two-estimator case — `w_1` of
-/// Theorem 4.2 (equation 24): `w_1 = v_2 / (v_1 + v_2)` where `v_1` is the
-/// variance of the reissue-path estimate and `v_2` of the fresh-path one.
-pub fn optimal_two_weight(var_first: f64, var_second: f64) -> f64 {
-    if var_first == 0.0 && var_second == 0.0 {
-        return 0.5;
-    }
-    var_second / (var_first + var_second)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -125,19 +115,5 @@ mod tests {
         assert!((c.estimate - 7.0).abs() < 1e-12);
         assert!(combine(&[Component::new(f64::NAN, 1.0)]).is_none());
         assert!(combine(&[]).is_none());
-    }
-
-    #[test]
-    fn two_weight_matches_theorem_4_2() {
-        // w1 = (σd²/h2) / (σc²/h1 + σ1²/h + σd²/h2): with
-        // v1 = σc²/h1 + σ1²/h and v2 = σd²/h2 this is v2/(v1+v2).
-        let v1 = 2.0;
-        let v2 = 6.0;
-        let w1 = optimal_two_weight(v1, v2);
-        assert!((w1 - 0.75).abs() < 1e-12);
-        // Cross-check against the generic combiner.
-        let c = combine(&[Component::new(1.0, v1), Component::new(0.0, v2)]).unwrap();
-        assert!((c.estimate - w1).abs() < 1e-12);
-        assert_eq!(optimal_two_weight(0.0, 0.0), 0.5);
     }
 }

@@ -1,5 +1,6 @@
-//! Ablation: the RS robustness guards (DESIGN.md §6.5) vs the paper's
-//! exact rule. Runs the default tracking workload with each RS
+//! Ablation: the RS robustness guards (the deviations documented on
+//! `RsConfig::fresh_weight_floor` and `RsConfig::process_noise`) vs the
+//! paper's exact rule. Runs the default tracking workload with each RS
 //! configuration and prints tail relative errors.
 //!
 //! ```sh

@@ -1,5 +1,7 @@
-//! Runs every figure harness (use --scale quick for a smoke run, the
-//! default scale for the committed EXPERIMENTS.md numbers).
+//! Runs every figure harness (use --scale quick for a smoke run). At
+//! `--scale quick` and the default scale, stdout must equal the golden
+//! files `crates/bench/tests/golden/all_figures_quick.txt` and
+//! `all_figures_default.txt`.
 //!
 //! Figures are independent, so they run concurrently. The thread budget
 //! (`AGGTRACK_THREADS` or the machine's parallelism) is **divided**

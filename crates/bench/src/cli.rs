@@ -43,9 +43,11 @@ pub enum FaultsMode {
 /// Experiment size preset.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Scale {
-    /// Smoke-test size (seconds): used by `cargo bench` wrappers.
+    /// Smoke-test size (seconds); its `all_figures` output is the golden
+    /// file `crates/bench/tests/golden/all_figures_quick.txt`.
     Quick,
-    /// The committed EXPERIMENTS.md size (tens of seconds per figure).
+    /// The default size (tens of seconds per figure); its `all_figures`
+    /// output is the golden file `all_figures_default.txt` beside it.
     #[default]
     Default,
     /// The paper's full size (170 000 tuples, m = 38, k = 1000, G = 500).

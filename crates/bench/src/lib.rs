@@ -1,4 +1,4 @@
-//! # aggtrack-bench — figure harnesses and benchmarks
+//! # aggtrack-bench — figure harnesses
 //!
 //! Everything needed to regenerate the paper's evaluation (§6):
 //!
@@ -9,7 +9,7 @@
 //!   its series as CSV; invoked by the `figNN_*` binaries and by
 //!   `all_figures` (which runs them concurrently, output in order).
 //!
-//! Criterion micro-benchmarks live in `benches/`.
+//! The measured benchmark is `trackbench/`, a package of its own.
 
 pub mod cli;
 pub mod figures;

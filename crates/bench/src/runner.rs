@@ -55,8 +55,7 @@ impl AlgoKind {
     /// two-query accounting): the cheaper `Trusting` variant of §3.2
     /// turns out to accumulate a serious downward bias on dynamic
     /// workloads — tuples leak out of the partition when an overflowing
-    /// ancestor silently shrinks below `k`. The
-    /// `reissue_policy_ablation` bench quantifies the trade-off.
+    /// ancestor silently shrinks below `k`.
     pub fn build(
         self,
         spec: AggregateSpec,
@@ -547,8 +546,7 @@ pub fn tail_block_ci(
         tail.reverse(); // back to round order inside the window
         series.extend(tail);
     }
-    let block = w.clamp(1, series.len().max(1));
-    agg_stats::resample::series_mean_ci(&series, block, replicates, seed, level)
+    agg_stats::resample::series_mean_ci(&series, w.max(1), replicates, seed, level)
 }
 
 #[cfg(test)]

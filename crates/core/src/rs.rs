@@ -62,7 +62,7 @@ pub struct RsConfig {
     /// Minimum weight given to the current round's *fresh* evidence in the
     /// final combination, in `[0, 1)`.
     ///
-    /// Deviation from the paper (documented in DESIGN.md): with
+    /// Deviation from the paper: with
     /// heavy-tailed HT samples the plug-in variance estimates correlate
     /// with the estimates themselves, so pure inverse-variance weighting
     /// can lock onto an unlucky early round (its low estimate ships with
@@ -74,7 +74,7 @@ pub struct RsConfig {
     /// Per-round-of-staleness variance inflation (process noise), as a
     /// fraction `κ` of the fresh evidence's variance-of-mean.
     ///
-    /// Deviation from the paper (documented in DESIGN.md): a group last
+    /// Deviation from the paper: a group last
     /// updated at round `x` contributes `Q̃_x + mean(Δ)` whose claimed
     /// variance relies on `ϖ` pilot diffs. Change in a hidden database is
     /// heavy-tailed (a diff is usually 0, occasionally ±huge), so pilots

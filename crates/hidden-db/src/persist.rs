@@ -32,10 +32,10 @@
 //!
 //! The split guarantees `in_core + cached <= resident` at every instant
 //! (budgets below 2 are clamped to 2 so the read path always has one
-//! slot), which is what the `resident_memory_bounded` bench flag
-//! asserts. Paging moves bytes, never values: answers are bit-identical
-//! to the in-RAM configuration under every eval/policy/thread
-//! combination.
+//! slot); `tests/persistence.rs::paged_databases_are_bit_identical_to_in_ram`
+//! asserts it through `PersistStats::peak_resident_segments`. Paging
+//! moves bytes, never values: answers are bit-identical to the in-RAM
+//! configuration under every eval/policy/thread combination.
 //!
 //! ## Durability and warm restart
 //!

@@ -161,8 +161,9 @@ pub struct PersistStats {
     pub bytes_on_disk: u64,
     /// Segments in memory right now (writer in-core + read cache).
     pub resident_segments: u64,
-    /// High-water mark of `resident_segments` — what the
-    /// `resident_memory_bounded` bench flag compares against the budget.
+    /// High-water mark of `resident_segments`;
+    /// `tests/persistence.rs::paged_databases_are_bit_identical_to_in_ram`
+    /// asserts it stays within the budget.
     pub peak_resident_segments: u64,
 }
 

@@ -1,8 +1,8 @@
 //! # aggtrack-parallel — deterministic fan-out over scoped threads
 //!
 //! The experiment pipeline is dominated by embarrassingly parallel loops:
-//! independent seeded trials, independent figures, independent replicate
-//! sweeps. This crate provides the one primitive they need —
+//! independent seeded trials, independent figures, the store segments of
+//! a ground-truth sweep. This crate provides the one primitive they need —
 //! [`par_map_indexed`] — built on `std::thread::scope` so it works in this
 //! dependency-free workspace (the build environment has no registry
 //! access, so `rayon` is unavailable; see `shims/` for the same story on
@@ -113,55 +113,6 @@ where
         .collect()
 }
 
-/// Like [`par_map_indexed`], but hands work out in contiguous chunks of
-/// `chunk` indices — one atomic claim and one result slot per chunk
-/// instead of per index. The right shape for many thousands of cheap
-/// jobs (e.g. bootstrap replicates), where per-index handout and slot
-/// overhead would dominate the work itself. Output order and the
-/// one-worker inline path are identical to [`par_map_indexed`], so the
-/// same bit-identical merge discipline holds at any thread count.
-pub fn par_map_indexed_chunked<T, F>(jobs: usize, chunk: usize, threads: Threads, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    assert!(chunk >= 1, "chunk size must be ≥ 1");
-    if jobs == 0 {
-        return Vec::new();
-    }
-    let n_chunks = jobs.div_ceil(chunk);
-    let workers = threads.resolve(n_chunks);
-    if workers == 1 {
-        return (0..jobs).map(f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<Vec<T>>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let c = next.fetch_add(1, Ordering::Relaxed);
-                if c >= n_chunks {
-                    return;
-                }
-                let lo = c * chunk;
-                let hi = (lo + chunk).min(jobs);
-                let out: Vec<T> = (lo..hi).map(&f).collect();
-                *slots[c].lock().expect("result slot poisoned") = Some(out);
-            });
-        }
-    });
-    let mut out = Vec::with_capacity(jobs);
-    for m in slots {
-        out.extend(
-            m.into_inner()
-                .expect("result slot poisoned")
-                .expect("worker finished without storing a result"),
-        );
-    }
-    out
-}
-
 /// Runs independent closures concurrently, returning their results in
 /// input order — convenience wrapper over [`par_map_indexed`] for
 /// heterogeneous jobs of the same output type.
@@ -224,25 +175,6 @@ mod tests {
             }
             i
         });
-    }
-
-    #[test]
-    fn chunked_matches_per_index_map() {
-        for (jobs, chunk) in [(1, 1), (7, 3), (100, 16), (100, 100), (100, 1000), (97, 1)] {
-            for threads in [Threads::fixed(1), Threads::fixed(4), Threads::Auto] {
-                let chunked = par_map_indexed_chunked(jobs, chunk, threads, |i| i * 31 + 7);
-                let plain = par_map_indexed(jobs, Threads::fixed(1), |i| i * 31 + 7);
-                assert_eq!(chunked, plain, "jobs={jobs} chunk={chunk} threads={threads:?}");
-            }
-        }
-        let empty: Vec<usize> = par_map_indexed_chunked(0, 8, Threads::Auto, |_| unreachable!());
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be ≥ 1")]
-    fn zero_chunk_rejected() {
-        let _ = par_map_indexed_chunked(10, 0, Threads::Auto, |i| i);
     }
 
     #[test]

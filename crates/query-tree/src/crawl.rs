@@ -8,7 +8,8 @@
 //! record its page. The union of pages over the frontier of top
 //! non-overflowing nodes is exactly the database (same partition argument
 //! as Theorem 3.1), so a crawl yields *exact* aggregates — at a query cost
-//! the benches show to be orders of magnitude above one estimator round.
+//! orders of magnitude above one estimator round (the `crawl_vs_estimate`
+//! example prints both).
 
 use hidden_db::query::ConjunctiveQuery;
 use hidden_db::session::SearchBackend;

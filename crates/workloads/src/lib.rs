@@ -6,7 +6,8 @@
 //!
 //! * [`autos`] — a synthetic stand-in for the proprietary Yahoo! Autos
 //!   snapshot (same cardinality, attribute count, domain sizes, skew,
-//!   correlations; see DESIGN.md for the substitution argument);
+//!   correlations; the [`autos`] module docs give the substitution
+//!   argument);
 //! * [`boolean`] — the i.i.d. Boolean population of §3.2.1;
 //! * [`schedule`] — per-round insertion/deletion schedules covering every
 //!   figure's configuration, plus total regeneration;

@@ -1,34 +1,22 @@
-//! Tier-2 suite for the PR 10 bootstrap engine (run in release on CI).
+//! Tier-2 coverage suite for the bootstrap intervals (run in release on
+//! CI).
 //!
-//! Two oracles:
-//!
-//! 1. **Coverage** — the nominal 95 % bootstrap intervals computed on a
-//!    churning REISSUE pool must cover the ground-truth estimate/truth
-//!    ratio (1.0 — REISSUE is unbiased) within a calibrated tolerance
-//!    band. Coverage has to come from resampling **across trials**:
-//!    REISSUE freezes its drill pool at round 1, so a single trial's
-//!    round series brackets that trial's plateau, not the truth. The
-//!    block-bootstrap interval of the mean tail ratio keeps whole
-//!    per-trial tail windows intact as blocks (trans-round serial
-//!    dependence survives resampling); the per-round intervals resample
-//!    the across-trial mean at each round. Everything is seeded, so the
-//!    observed rates are deterministic constants, not random variables
-//!    — the bands only leave margin for legitimate future workload
-//!    changes.
-//! 2. **Determinism** — replicate evaluation fanned out over the
-//!    `aggtrack-parallel` pool must be bit-identical to the sequential
-//!    loop at 1/2/4/8 workers for every resampling variant: replicate
-//!    `r`'s RNG stream is derived from `(seed, r)` alone and results
-//!    merge in replicate order, so thread count only changes
-//!    scheduling.
+//! The nominal 95 % bootstrap intervals computed on a churning REISSUE
+//! pool must cover the ground-truth estimate/truth ratio (1.0 — REISSUE
+//! is unbiased) within a calibrated tolerance band. Coverage has to come
+//! from resampling **across trials**: REISSUE freezes its drill pool at
+//! round 1, so a single trial's round series brackets that trial's
+//! plateau, not the truth. The block-bootstrap interval of the mean tail
+//! ratio keeps whole per-trial tail windows intact as blocks
+//! (trans-round serial dependence survives resampling); the per-round
+//! intervals resample the across-trial mean at each round. Everything is
+//! seeded, so the observed rates are deterministic constants, not random
+//! variables — the bands only leave margin for legitimate future
+//! workload changes.
 
-use agg_stats::resample::{default_block_len, Bootstrap, Variant};
 use aggtrack::core::RsConfig;
 use aggtrack_bench::cli::{BaseCfg, Scale};
 use aggtrack_bench::runner::{count_star_tracked, tail_block_ci, track, trial_cis, AlgoKind};
-use aggtrack_parallel::Threads;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use workloads::DeleteSpec;
 
 /// The churning-pool configuration shared by every coverage experiment:
@@ -97,39 +85,4 @@ fn block_bootstrap_intervals_cover_ground_truth_on_churning_pool() {
         "per-round coverage {round_coverage} ({round_covered}/{round_judged}) \
          fell below the calibrated band"
     );
-}
-
-#[test]
-fn parallel_replicate_fan_out_is_bit_identical_to_sequential() {
-    const N: usize = 1_024;
-    const B: usize = 4_000;
-    let mut rng = StdRng::seed_from_u64(0xB17);
-    let data: Vec<f64> = (0..N).map(|_| rng.random_range(-1.0..1.0f64)).collect();
-    let stat = |idx: &[usize]| {
-        let sum: f64 = idx.iter().map(|&i| data[i]).sum();
-        Some(sum / idx.len() as f64)
-    };
-
-    for variant in [
-        Variant::NOutOfN,
-        Variant::MOutOfN { m: N / 2 },
-        Variant::Block { block_len: default_block_len(N) },
-    ] {
-        let run = |threads| {
-            Bootstrap::new(N, &stat).variant(variant).replicates(B).seed(3).threads(threads).run()
-        };
-        let seq = run(Threads::sequential());
-        assert_eq!(seq.len(), B, "mean statistic is defined for every replicate");
-        let seq_bits: Vec<u64> = seq.values().iter().map(|v| v.to_bits()).collect();
-        for workers in [1usize, 2, 4, 8] {
-            let par = run(Threads::fixed(workers));
-            let par_bits: Vec<u64> = par.values().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                par_bits, seq_bits,
-                "{variant:?} replicate vector diverged at {workers} workers"
-            );
-        }
-        let ci = seq.percentile_ci(0.95).expect("replicates are non-empty");
-        assert!(ci.contains(seq.mean().unwrap()), "{variant:?} CI must bracket its own mean");
-    }
 }

@@ -120,20 +120,21 @@ fn snapshot_roundtrip_through_facade() {
 
 #[test]
 fn quantile_tracker_summarises_error_distributions() {
-    // Smoke-level integration: P² medians of estimator errors are finite
-    // and ordered sanely vs means under heavy tails.
+    // Smoke-level integration: medians of estimator errors are finite and
+    // ordered sanely vs means under heavy tails.
     let (mut driver, tree) = autos_fixture(6);
     let truth = driver.db().exact_count(None) as f64;
-    let mut median = agg_stats::P2Quantile::median();
+    let mut errors = Vec::new();
     let mut moments = agg_stats::RunningMoments::new();
     for seed in 0..30 {
         let mut est = RestartEstimator::new(AggregateSpec::count_star(), tree.clone(), seed);
         let mut s = driver.session(150);
         let err = relative_error(est.run_round(&mut s).count.value, truth);
-        median.push(err);
+        errors.push(err);
         moments.push(err);
     }
-    let med = median.estimate().unwrap();
+    errors.sort_by(f64::total_cmp);
+    let med = (errors[14] + errors[15]) / 2.0;
     let mean = moments.mean().unwrap();
     assert!(med.is_finite() && med >= 0.0);
     assert!(mean.is_finite());
