@@ -121,13 +121,20 @@ pub(crate) fn moments_estimate(m: &RunningMoments) -> EstimateWithVar {
 /// Attaches a bootstrap percentile CI of the mean to `est` from the raw
 /// per-drill terms, on a stream derived from `(spec.seed, stream)` so
 /// every (round, component) pair resamples independently and
-/// deterministically. No-op with fewer than two finite terms.
+/// deterministically. No-op with fewer than two finite terms, and for a
+/// spec the resampler cannot run: no replicates, or a `level` outside
+/// `(0, 1)` (NaN included). The round keeps its point estimates either
+/// way.
 pub(crate) fn attach_mean_ci(
     est: &mut EstimateWithVar,
     terms: &[f64],
     spec: &BootstrapSpec,
     stream: u64,
 ) {
+    let runnable = spec.replicates > 0 && spec.level > 0.0 && spec.level < 1.0;
+    if !runnable {
+        return;
+    }
     if let Some(ci) = resample::mean_ci(terms, spec.replicates, spec.seed ^ stream, spec.level) {
         *est = est.with_ci(ci);
     }

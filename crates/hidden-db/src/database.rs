@@ -16,7 +16,7 @@ use aggtrack_parallel::{par_map_indexed, Threads};
 
 use crate::errors::DbError;
 use crate::index::{BitmapIndex, SEGMENT_WORDS};
-use crate::interface::{row_matches, CachedEval, QueryOutcome, TopK};
+use crate::interface::{row_matches, CachedEval, QueryOutcome, Read, TopK};
 use crate::memo::{QueryMemo, RowChange, RowOp};
 use crate::persist::{Pager, PersistConfig};
 use crate::query::ConjunctiveQuery;
@@ -455,23 +455,41 @@ impl HiddenDatabase {
     /// owner-side caller bug. Sessions validate first and return
     /// [`crate::errors::IssueError::InvalidQuery`] instead.
     pub fn answer(&mut self, query: &ConjunctiveQuery) -> QueryOutcome {
+        self.read(query, Read::Page).expect("a page read is answered in full")
+    }
+
+    /// [`HiddenDatabase::answer`] for a caller that will not read an
+    /// overflow page: `None` when the query overflows, with no page
+    /// ranked or copied, and the full answer otherwise (see the
+    /// [`crate::interface`] docs). Counted like `answer`, and in
+    /// [`InterfaceStats::class_only_overflows`] when it overflows.
+    ///
+    /// # Panics
+    /// Like [`HiddenDatabase::answer`], on a query outside the schema.
+    pub fn answer_unless_overflow(&mut self, query: &ConjunctiveQuery) -> Option<QueryOutcome> {
+        self.read(query, Read::Class)
+    }
+
+    /// The one read path behind both answers.
+    fn read(&mut self, query: &ConjunctiveQuery, read: Read) -> Option<QueryOutcome> {
         query.validate(&self.schema).expect("search query must be valid for the schema");
         // One fast fingerprint per answer; the memo never re-hashes the
         // query and only clones it on admission.
         let hash = QueryMemo::hash_of(query);
-        let hit = self.cache.hit(hash, query, &self.store, self.k);
+        let hit = self.cache.hit(hash, query, &self.store, self.k, read);
         let cached = hit.is_some();
         let out = match hit {
             Some(out) => out,
             None => {
+                let (store, index) = (&self.store, &self.index);
                 let mut eval =
-                    evaluate_query(query, &self.store, &self.index, self.k, &mut self.eval_stats);
-                let out = eval.outcome(&self.store);
-                self.cache.admit(hash, query, eval, &self.index);
+                    evaluate_query(query, store, index, self.k, read, &mut self.eval_stats);
+                let out = eval.answer(store, read);
+                self.cache.admit(hash, query, eval, index);
                 out
             }
         };
-        self.stats.count_answer(&out, cached);
+        self.stats.count_answer(out.as_ref(), cached);
         out
     }
 
@@ -665,11 +683,17 @@ impl HiddenDatabase {
 /// does not depend on visit order (pinned by the oracle proptests against
 /// [`HiddenDatabase::exact_answer`]). The query's shape only picks the
 /// [`EvalStats`] counter: root, one predicate, or two and more.
+///
+/// A [`Read::Class`] evaluation counts instead of ranking once it knows
+/// the query overflows: it adds up each segment's matches and offers
+/// them only while the running count stays at most `k`, and returns a
+/// count-only entry when the count ends above `k`.
 pub(crate) fn evaluate_query(
     query: &ConjunctiveQuery,
     store: &StoreCore,
     index: &BitmapIndex,
     k: usize,
+    read: Read,
     stats: &mut EvalStats,
 ) -> CachedEval {
     match query.predicates().len() {
@@ -680,9 +704,17 @@ pub(crate) fn evaluate_query(
     let rows = index.rows_of(query);
     let mut topk = TopK::new(k);
     let mut hits = [0u64; SEGMENT_WORDS];
+    // Matches counted by a class read.
+    let mut matched = 0;
     for seg in store.live_segments() {
         if !index.and_rows(seg, &rows, &mut hits) {
             continue;
+        }
+        if read == Read::Class {
+            matched += hits.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+            if matched > k {
+                continue;
+            }
         }
         // One paged view per segment with candidates: with the
         // persistence tier attached this is a single fault.
@@ -697,6 +729,9 @@ pub(crate) fn evaluate_query(
                 word &= word - 1;
             }
         }
+    }
+    if matched > k {
+        return CachedEval::counted(matched);
     }
     topk.finish()
 }
@@ -1103,6 +1138,55 @@ mod tests {
         let s = d.eval_stats();
         assert_eq!((s.root_scans, s.single_scans, s.bitset_intersections), (1, 1, 7));
         assert_eq!((s.gallop_intersections, s.recheck_scans), (0, 0));
+    }
+
+    /// A class read from cold answers `None` exactly for an overflow and
+    /// the page read's answer otherwise, on root, one-, two- and
+    /// three-predicate queries over two segments, and bumps the same
+    /// shape counter as the page read.
+    #[test]
+    fn class_reads_count_overflows_and_answer_the_rest_in_full() {
+        let schema = Schema::with_domain_sizes(&[2, 3, 4], &["m"]).unwrap();
+        let mut d = HiddenDatabase::new(schema, 3, ScoringPolicy::NewestFirst);
+        d.set_memo_capacity(0);
+        let n = SEGMENT_SLOTS as u64 + 40;
+        for key in 0..n {
+            let values = [2, 3, 4].map(|domain| ValueId((key % domain) as u32)).to_vec();
+            d.insert(Tuple::new(TupleKey(key), values, vec![key as f64])).unwrap();
+        }
+        // Keys 0..24 hold every consistent value triple twice; past them
+        // only the triple (1, 2, 1) of key 5 survives, in both segments.
+        for key in (24..n).filter(|key| key % 24 != 5) {
+            d.delete(TupleKey(key)).unwrap();
+        }
+        let mut queries = vec![ConjunctiveQuery::select_all(), q(&[(1, 2)]), q(&[(0, 1), (2, 3)])];
+        for (v0, v1, v2) in [(0, 0, 0), (1, 1, 1), (0, 2, 3), (1, 0, 2), (0, 1, 0), (1, 2, 1)] {
+            queries.push(q(&[(0, v0), (1, v1), (2, v2)]));
+        }
+        let shape = |a: EvalStats, b: EvalStats| {
+            let root = b.root_scans - a.root_scans;
+            (root, b.single_scans - a.single_scans, b.bitset_intersections - a.bitset_intersections)
+        };
+        let mut overflows = 0;
+        for q in &queries {
+            let want = d.exact_answer(q);
+            let before = d.eval_stats();
+            let got = d.answer_unless_overflow(q);
+            let class = d.eval_stats();
+            assert_eq!(d.answer(q), want, "{q}");
+            let by_page = shape(class, d.eval_stats());
+            assert_eq!(shape(before, class), by_page, "{q}: the same shape counter");
+            assert_eq!(by_page.0 + by_page.1 + by_page.2, 1, "{q}");
+            match got {
+                None => {
+                    assert!(want.is_overflow(), "{q}");
+                    overflows += 1;
+                }
+                Some(got) => assert_eq!(got, want, "{q}"),
+            }
+        }
+        assert_eq!(overflows, 4, "root, one- and two-predicate, and (1, 2, 1)");
+        assert_eq!(d.stats().class_only_overflows, overflows);
     }
 
     /// The bitmaps stay exactly the ones the store implies — every row's

@@ -34,6 +34,12 @@
 //! run's successful answers are exactly the answers the fault-free run
 //! would have produced (the inner backend is consulted for every real
 //! answer; injection only wraps it).
+//!
+//! Both layers wrap both [`SearchBackend`] methods alike: a class-only
+//! request (`issue_unless_overflow`) meets the same fault decision,
+//! attempt and burst counters, retries, charges and counters as `issue`,
+//! and reaches the inner backend as a class-only request. A fault's
+//! charge discards its answer, so it is always asked for by class.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -240,10 +246,11 @@ impl<B: SearchBackend> FaultyBackend<B> {
 
     /// Charges the inner budget without using the answer — the
     /// "interface did the work, client got nothing" half of a fault.
+    /// The answer is discarded, so it is asked for by class alone.
     /// An inner budget error preempts the fault.
     fn charge_inner(&mut self, query: &ConjunctiveQuery, times: u32) -> Result<(), IssueError> {
         for _ in 0..times {
-            match self.inner.issue(query) {
+            match self.inner.issue_unless_overflow(query) {
                 Ok(_) => {
                     self.stats.queries_burned += 1;
                 }
@@ -258,22 +265,18 @@ impl<B: SearchBackend> FaultyBackend<B> {
         }
         Ok(())
     }
-}
 
-impl<B: SearchBackend> SearchBackend for FaultyBackend<B> {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn k(&self) -> usize {
-        self.inner.k()
-    }
-
-    fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError> {
+    /// One attempt of either `SearchBackend` method: the schedule's fault,
+    /// or the inner backend's answer through `ask`, the same method.
+    fn inject<T>(
+        &mut self,
+        query: &ConjunctiveQuery,
+        ask: impl FnOnce(&mut B, &ConjunctiveQuery) -> Result<T, IssueError>,
+    ) -> Result<T, IssueError> {
         let decision = self.schedule.decide(self.attempt, self.consecutive);
         self.attempt += 1;
         let Some(kind) = decision else {
-            let out = self.inner.issue(query)?;
+            let out = ask(&mut self.inner, query)?;
             self.consecutive = 0;
             self.stats.served += 1;
             return Ok(out);
@@ -290,6 +293,27 @@ impl<B: SearchBackend> SearchBackend for FaultyBackend<B> {
         }
         self.charge_inner(query, kind.charges())?;
         Err(kind.to_error(self.schedule.retry_after))
+    }
+}
+
+impl<B: SearchBackend> SearchBackend for FaultyBackend<B> {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn k(&self) -> usize {
+        self.inner.k()
+    }
+
+    fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError> {
+        self.inject(query, B::issue)
+    }
+
+    fn issue_unless_overflow(
+        &mut self,
+        query: &ConjunctiveQuery,
+    ) -> Result<Option<QueryOutcome>, IssueError> {
+        self.inject(query, B::issue_unless_overflow)
     }
 
     fn remaining(&self) -> u64 {
@@ -379,24 +403,20 @@ impl<B: SearchBackend> ResilientBackend<B> {
     pub fn into_inner(self) -> B {
         self.inner
     }
-}
 
-impl<B: SearchBackend> SearchBackend for ResilientBackend<B> {
-    fn schema(&self) -> &Schema {
-        self.inner.schema()
-    }
-
-    fn k(&self) -> usize {
-        self.inner.k()
-    }
-
-    fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError> {
+    /// One logical query of either `SearchBackend` method, each attempt
+    /// asking the inner backend through `ask`, the same method.
+    fn recover<T>(
+        &mut self,
+        query: &ConjunctiveQuery,
+        mut ask: impl FnMut(&mut B, &ConjunctiveQuery) -> Result<T, IssueError>,
+    ) -> Result<T, IssueError> {
         self.stats.queries += 1;
         let spent_before = self.inner.spent();
         let mut waited: u64 = 0;
         let mut attempt: u32 = 0;
         loop {
-            match self.inner.issue(query) {
+            match ask(&mut self.inner, query) {
                 Ok(out) => {
                     if attempt > 0 {
                         self.stats.recovered += 1;
@@ -441,6 +461,27 @@ impl<B: SearchBackend> SearchBackend for ResilientBackend<B> {
                 }
             }
         }
+    }
+}
+
+impl<B: SearchBackend> SearchBackend for ResilientBackend<B> {
+    fn schema(&self) -> &Schema {
+        self.inner.schema()
+    }
+
+    fn k(&self) -> usize {
+        self.inner.k()
+    }
+
+    fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError> {
+        self.recover(query, B::issue)
+    }
+
+    fn issue_unless_overflow(
+        &mut self,
+        query: &ConjunctiveQuery,
+    ) -> Result<Option<QueryOutcome>, IssueError> {
+        self.recover(query, B::issue_unless_overflow)
     }
 
     fn remaining(&self) -> u64 {

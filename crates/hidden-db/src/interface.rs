@@ -10,6 +10,26 @@
 //! Crucially the interface does **not** disclose the matching count — the
 //! whole point of the paper is estimating aggregates without it.
 //!
+//! ## Reading the class alone
+//!
+//! A drill-down (§3.1) descends on the overflow flag alone: only its
+//! terminal node's page feeds an estimate, and only a leaf, where every
+//! attribute is fixed, can be a terminal that overflows. So an answer is
+//! read one of two ways. A **page read**
+//! ([`crate::session::SearchBackend::issue`],
+//! [`crate::database::HiddenDatabase::answer`]) gets the whole answer. A
+//! **class read** (`issue_unless_overflow`, `answer_unless_overflow`)
+//! gets `None` for an overflow, with no page ranked or copied, and every
+//! other answer in full. Both charge and count the same; a caller that
+//! reads an overflow page must page-read it.
+//!
+//! A class read that misses the memo counts the AND of the query's bitmap
+//! rows segment by segment, and offers a segment's matches to the top-`k`
+//! heap only while the running count stays at most `k`. A final count
+//! above `k` leaves a count-only memo entry (see the `memo` module's
+//! docs); a count of `k` or less leaves a full one, since every match
+//! was offered.
+//!
 //! ## Evaluation is streaming and allocation-lean
 //!
 //! The engine (`database::evaluate_query`) offers each set bit of a
@@ -107,16 +127,33 @@ impl QueryOutcome {
     }
 }
 
+/// What the caller of one answer will read: the page, or only whether
+/// the query overflowed. A class read gets every non-overflow answer in
+/// full (its page is the terminal node's), so only an overflow can skip
+/// the page.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Read {
+    /// The whole answer, page included.
+    Page,
+    /// The class alone when the query overflows, the whole answer
+    /// otherwise.
+    Class,
+}
+
 /// Raw evaluation result kept in the memo cache: the classification,
 /// the page slots, the match count, and (lazily) the flat page shared
 /// with every outcome handed out for this entry. The memo patches it in
 /// place as rows change (see [`crate::memo`]).
+///
+/// A **count-only** entry is what a class read leaves for an overflow:
+/// its exact count and nothing else, no slots and no page.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedEval {
     /// More than `k` tuples match; the page is truncated.
     pub(crate) overflow: bool,
     /// Result slots, best-first by `(score, slot)`. For overflow: exactly
-    /// `k`. For valid: all matches. For underflow: empty.
+    /// `k`, or none on a count-only entry. For valid: all matches. For
+    /// underflow: empty.
     pub(crate) slots: Vec<Slot>,
     /// Exact matching-tuple count (`> k` iff `overflow`). Internal only —
     /// the search interface never discloses it.
@@ -124,8 +161,11 @@ pub(crate) struct CachedEval {
     /// The flat page of `slots`: copied on first demand, and shared until
     /// a patch changes the slots or one of their measures. The patch
     /// keeps the old copy, stale, until the next read builds the new one
-    /// from it.
+    /// from it. Always absent on a count-only entry.
     pub(crate) page: PageCopy,
+    /// An overflow whose top `k` was never ranked: only its class and
+    /// count can be served.
+    pub(crate) count_only: bool,
 }
 
 /// How far an entry's page has been copied.
@@ -243,7 +283,30 @@ impl CachedEval {
     /// when it overflows.
     pub(crate) fn new(overflow: bool, slots: Vec<Slot>) -> Self {
         let matched = slots.len() + usize::from(overflow);
-        Self { overflow, slots, matched, page: PageCopy::Absent }
+        Self { overflow, slots, matched, page: PageCopy::Absent, count_only: false }
+    }
+
+    /// A count-only overflow entry of `matched` matches.
+    pub(crate) fn counted(matched: usize) -> Self {
+        Self {
+            overflow: true,
+            slots: Vec::new(),
+            matched,
+            page: PageCopy::Absent,
+            count_only: true,
+        }
+    }
+
+    /// The answer a `read` gets: `None` for an overflow read by class,
+    /// which leaves the page as it is, and the outcome otherwise. A page
+    /// read never reaches a count-only entry: the memo sends it to
+    /// evaluation instead.
+    pub(crate) fn answer(&mut self, store: &StoreCore, read: Read) -> Option<QueryOutcome> {
+        if self.overflow && read == Read::Class {
+            return None;
+        }
+        debug_assert!(!self.count_only, "a page read of a count-only entry");
+        Some(self.outcome(store))
     }
 
     /// The outcome, sharing the current page. On the first read, and on
@@ -266,12 +329,19 @@ impl CachedEval {
         }
     }
 
-    /// Checks what every memo hit relies on: the page members are alive,
-    /// match `query`, and run best-first, and the class agrees with the
-    /// count. Debug builds run it on every hit. It reads the store
-    /// without faulting ([`StoreCore::peek_segment`]).
+    /// Checks what every memo hit relies on: the class agrees with the
+    /// count, and the page members are alive, match `query`, and run
+    /// best-first; a count-only entry holds no page. Debug builds run it
+    /// on every hit. It reads the store without faulting
+    /// ([`StoreCore::peek_segment`]).
     pub(crate) fn assert_consistent(&self, query: &ConjunctiveQuery, store: &StoreCore, k: usize) {
         assert_eq!(self.overflow, self.matched > k, "{query}: class disagrees with the count");
+        if self.count_only {
+            assert!(self.overflow, "{query}: a count-only entry that does not overflow");
+            let pageless = self.slots.is_empty() && matches!(self.page, PageCopy::Absent);
+            assert!(pageless, "{query}: a count-only entry holds a page");
+            return;
+        }
         let want = if self.overflow { k } else { self.matched };
         assert_eq!(self.slots.len(), want, "{query}: page size disagrees with the count");
         let mut keys = vec![(0, 0); self.slots.len()];

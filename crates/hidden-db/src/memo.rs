@@ -38,10 +38,19 @@
 //! (Yi et al., "Efficient maintenance of materialized top-k views", ICDE
 //! 2003): only deleting a member of a truncated page forces a recompute.
 //!
-//! An entry keeps its class, its page best-first by `(score, slot)`, and
-//! its exact match count: evaluation offers every match to the top-`k`
-//! heap, so the count is never a guess. The patch rules:
+//! A full entry keeps its class, its page best-first by `(score, slot)`,
+//! and its exact match count: evaluation offers every match to the
+//! top-`k` heap, so the count is never a guess. A **count-only** entry,
+//! which a class read leaves for an overflow (see the
+//! [`crate::interface`] docs), keeps only the class and the exact count:
+//! no slots, no page. The patch rules:
 //!
+//! * **A count-only entry** counts: a matching insert adds one, a
+//!   matching delete subtracts one, and a re-score changes nothing. A
+//!   count that falls to `k` drops the entry, since the query would then
+//!   be valid and its answer needs a page. So losing a member of the top
+//!   `k` never drops a count-only entry: nothing about the top `k` is
+//!   kept.
 //! * **Insert of a matching row.** The count rises by one. An underflow
 //!   or valid page takes the row; at `k + 1` matches the entry overflows
 //!   and keeps the best `k`. An overflow page takes the row only if it
@@ -58,6 +67,14 @@
 //!   enters while the last member leaves.
 //! * The root entry matches every row.
 //!
+//! **Reads.** A class read of an overflow entry, full or count-only,
+//! gets the class alone and leaves a full entry's page as it is; of any
+//! other entry, the whole answer. A page read of a count-only entry
+//! misses: it evaluates in full, and the admission replaces the
+//! count-only entry with the full one. Admission never replaces a full
+//! entry, since two sessions of one snapshot may miss on the same query
+//! together.
+//!
 //! **The page copy.** A patch that changes an entry's page keeps the
 //! page it replaces, stale ([`crate::interface::StalePage`]), with the
 //! slot order it was copied in and every slot the patches place on the
@@ -71,20 +88,23 @@
 //! holds, or the page empties, the stale copy is dropped and the next
 //! read copies the whole page from the store.
 //!
-//! **Soundness.** Invariant: against the current store, an entry's page
-//! is exactly the best `min(k, T)` matches of its query, best-first,
-//! where `T` is the true match count; its count equals `T`; and it
-//! overflows iff its count exceeds `k`. One op changes one row, and a
-//! row that does not satisfy a query changes neither its match set, nor
-//! the scores of its matches, nor the measures of its page. For a row
-//! that does, each rule above rebuilds the best `min(k, T)` from what
-//! the entry holds, or drops the entry when it would need a match it
-//! does not hold: the `(k + 1)`-th best after a member leaves or falls.
-//! An entry is never served while dropped; the next ask evaluates it
-//! from cold. Patching each op before
-//! the next op applies keeps the invariant between ops, so slot reuse
-//! inside one batch (the deleted row already left every page) and a
-//! failed batch's applied prefix need no special case.
+//! **Soundness.** Invariant: against the current store, an entry's count
+//! equals `T`, the true match count of its query, and it overflows iff
+//! its count exceeds `k`. A full entry's page is exactly the best
+//! `min(k, T)` matches, best-first. A count-only entry has `T > k`. One
+//! op changes one row, and a row that does not satisfy a query changes
+//! neither its match set, nor the scores of its matches, nor the measures
+//! of its page. For a row that does, each rule above rebuilds the best
+//! `min(k, T)` from what a full entry holds, or drops the entry when it
+//! would need a match it does not hold: the `(k + 1)`-th best after a
+//! member leaves or falls. A count-only entry's count moves with `T`
+//! exactly, and the entry is dropped at the one op that takes `T` to `k`,
+//! before it could claim an overflow that no longer holds. An entry is
+//! never served while dropped; the next ask evaluates it from cold.
+//! Patching each op before the next op applies keeps the invariant
+//! between ops, so slot reuse inside one batch (the deleted row already
+//! left every page) and a failed batch's applied prefix need no special
+//! case.
 //!
 //! ## Finding the entries a row satisfies
 //!
@@ -98,8 +118,9 @@
 //! work at all.
 //!
 //! Debug builds check every hit cheaply
-//! ([`CachedEval::assert_consistent`]): page members alive, matching and
-//! in order, and overflow exactly when the count exceeds `k`. They also
+//! ([`CachedEval::assert_consistent`]): overflow exactly when the count
+//! exceeds `k`, page members alive, matching and in order, and no page
+//! on a count-only entry. They also
 //! check every page built from a stale copy against a fresh copy from
 //! the store, measures bit for bit. Both checks read a paged store
 //! without faulting, so they leave the pager's counters as they were.
@@ -118,7 +139,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 use crate::index::BitmapIndex;
-use crate::interface::{CachedEval, QueryOutcome};
+use crate::interface::{CachedEval, QueryOutcome, Read};
 use crate::query::{ConjunctiveQuery, Predicate};
 use crate::stats::MemoStats;
 use crate::store::{Slot, StoreCore};
@@ -208,10 +229,18 @@ pub(crate) struct RowOp<'a> {
 
 impl CachedEval {
     /// Applies one change of a row that satisfies this entry's query,
-    /// following the module docs' patch rules. `store` already holds the
-    /// change. Returns `false` when the entry cannot stay exact and must
-    /// be dropped.
+    /// following the module docs' patch rules: a count-only entry only
+    /// counts. `store` already holds the change. Returns `false` when the
+    /// entry cannot stay exact and must be dropped.
     fn patch(&mut self, op: &RowOp<'_>, k: usize, store: &StoreCore) -> bool {
+        if self.count_only {
+            match op.change {
+                RowChange::Insert => self.matched += 1,
+                RowChange::Delete => self.matched -= 1,
+                RowChange::Rescore { .. } => {}
+            }
+            return self.matched > k;
+        }
         let key = (op.score, op.slot);
         match op.change {
             RowChange::Insert => {
@@ -396,10 +425,12 @@ impl QueryMemo {
         Some(&mut entry.eval)
     }
 
-    /// The lookup of both read paths: the cached answer to `query`
-    /// against `store`, whose rows the entry matches (debug builds check
-    /// it), sharing the entry's page. `hash` is the query's
-    /// [`QueryMemo::hash_of`] fingerprint, computed once per answer.
+    /// The lookup of both read paths: `Some` with the cached answer a
+    /// `read` of `query` gets (see [`CachedEval::answer`]) against
+    /// `store`, whose rows the entry matches (debug builds check it),
+    /// sharing the entry's page; `None` on a miss. A page read misses a
+    /// count-only entry. `hash` is the query's [`QueryMemo::hash_of`]
+    /// fingerprint, computed once per answer.
     #[inline]
     pub(crate) fn hit(
         &mut self,
@@ -407,19 +438,25 @@ impl QueryMemo {
         query: &ConjunctiveQuery,
         store: &StoreCore,
         k: usize,
-    ) -> Option<QueryOutcome> {
+        read: Read,
+    ) -> Option<Option<QueryOutcome>> {
         let cached = self.get_mut(hash, query)?;
         if cfg!(debug_assertions) {
             cached.assert_consistent(query, store, k);
         }
-        Some(cached.outcome(store))
+        if cached.count_only && read == Read::Page {
+            return None;
+        }
+        Some(cached.answer(store, read))
     }
 
     /// The admission of both read paths, after a miss was evaluated:
     /// files a non-root entry under its rarest predicate by `index`'s
-    /// live counts, which keeps the per-op patch walk short. Admits only
-    /// if `query` is still absent — two sessions of one snapshot may miss
-    /// on the same query together — and returns whether it did.
+    /// live counts, which keeps the per-op patch walk short. Admits if
+    /// `query` is absent, or replaces its count-only entry with a full
+    /// `eval`, and returns whether it did. It never replaces a full
+    /// entry: two sessions of one snapshot may miss on the same query
+    /// together.
     pub(crate) fn admit(
         &mut self,
         hash: u64,
@@ -427,8 +464,14 @@ impl QueryMemo {
         eval: CachedEval,
         index: &BitmapIndex,
     ) -> bool {
-        if self.find(hash, query).is_some() {
-            return false;
+        if let Some(id) = self.find(hash, query) {
+            let entry = self.entries[id as usize].as_mut().expect("listed memo entries are live");
+            if !entry.eval.count_only || eval.count_only {
+                return false;
+            }
+            entry.eval = eval;
+            self.stats.insertions += 1;
+            return true;
         }
         let rarest = query
             .predicates()
@@ -875,6 +918,21 @@ mod tests {
             }
             (got, self.db.stats().cache_hits > hits)
         }
+
+        /// Asks `query` of the memo by class alone and of the oracle in
+        /// full: `None` exactly when the oracle overflows, its answer
+        /// otherwise. Returns the answer and whether the memo served it
+        /// warm.
+        fn ask_class(&mut self, query: &ConjunctiveQuery) -> (Option<QueryOutcome>, bool) {
+            let hits = self.db.stats().cache_hits;
+            let got = self.db.answer_unless_overflow(query);
+            let want = self.oracle.answer(query);
+            match &got {
+                Some(got) => assert_eq!(*got, want, "{query}: memo diverged from the oracle"),
+                None => assert!(want.is_overflow(), "{query}: a class read overflowed"),
+            }
+            (got, self.db.stats().cache_hits > hits)
+        }
     }
 
     fn keys(out: &QueryOutcome) -> Vec<u64> {
@@ -1192,6 +1250,76 @@ mod tests {
             assert!(t.ask(&root).1);
         }
         assert_eq!(keys(&t.ask(&root).0), vec![2, 3]);
+    }
+
+    /// A class read of an overflow leaves a count-only entry: inserts and
+    /// deletes of matching rows move its count, re-scores leave it, and
+    /// losing the best match does not drop it. Only its count falling to
+    /// `k` does, since the entry then needs a page.
+    #[test]
+    fn a_count_only_entry_counts_and_drops_at_k() {
+        let mut t = Twin::new(2, BY_M);
+        let probe = q(&[(0, 0)]);
+        for (key, a1, m) in [(1, 0, 5.0), (2, 1, 7.0), (3, 2, 6.0), (5, 3, 1.0)] {
+            t.insert(key, 0, a1, m);
+        }
+        let (out, hit) = t.ask_class(&probe);
+        assert!(out.is_none() && !hit, "cold, by class alone");
+        t.insert(4, 0, 3, 9.0);
+        t.rescore(1, 8.0);
+        t.delete(4);
+        t.delete(2);
+        assert_eq!(t.ask_class(&probe), (None, true), "the best matches left: still warm");
+        t.delete(3);
+        let (out, hit) = t.ask_class(&probe);
+        assert!(!hit, "the count fell to k: evaluate from cold");
+        assert_eq!(keys(&out.unwrap()), vec![1, 5]);
+        assert_eq!(t.db.memo_stats().invalidated, 1);
+    }
+
+    /// A page read of a count-only entry evaluates in full and replaces
+    /// it; a class read of a full overflow entry leaves its page shared.
+    #[test]
+    fn a_page_read_replaces_a_count_only_entry() {
+        use std::sync::Arc;
+        let mut t = Twin::new(2, BY_M);
+        let probe = q(&[(1, 0)]);
+        for (key, a0, m) in [(1, 0, 5.0), (2, 1, 7.0), (3, 2, 6.0)] {
+            t.insert(key, a0, 0, m);
+        }
+        assert_eq!(t.ask_class(&probe), (None, false));
+        let (first, hit) = t.ask(&probe);
+        assert!(!hit && first.is_overflow(), "a count-only entry holds no page");
+        assert_eq!((t.db.memo_len(), t.db.memo_stats().insertions), (1, 2), "replaced");
+        assert_eq!(t.ask_class(&probe), (None, true));
+        let (out, hit) = t.ask(&probe);
+        assert!(hit && Arc::ptr_eq(page_of(&out), page_of(&first)), "the page was left alone");
+        assert_eq!(t.db.stats().class_only_overflows, 2);
+    }
+
+    /// Admission never replaces a full entry, and replaces a count-only
+    /// one only with a full evaluation: two sessions of one snapshot may
+    /// miss together, each by page or by class.
+    #[test]
+    fn admission_replaces_only_a_count_only_entry_with_a_full_one() {
+        let schema = Schema::with_domain_sizes(&[3], &[]).unwrap();
+        let index = BitmapIndex::new(&schema);
+        let query = q(&[(0, 1)]);
+        let h = QueryMemo::hash_of(&query);
+        let mut memo = QueryMemo::default();
+        let full = || {
+            let mut eval = CachedEval::new(true, vec![4, 2]);
+            eval.matched = 5;
+            eval
+        };
+        assert!(memo.admit(h, &query, CachedEval::counted(5), &index));
+        assert!(!memo.admit(h, &query, CachedEval::counted(5), &index));
+        assert!(memo.admit(h, &query, full(), &index));
+        assert!(!memo.admit(h, &query, CachedEval::counted(5), &index));
+        assert!(!memo.admit(h, &query, full(), &index));
+        let eval = memo.get_mut(h, &query).unwrap();
+        assert!(!eval.count_only && eval.slots == vec![4, 2]);
+        assert_eq!((memo.len(), memo.stats().insertions), (1, 2));
     }
 
     /// An off-page delete lowers the exact count: the entry keeps its

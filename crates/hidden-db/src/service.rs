@@ -29,7 +29,7 @@ use crate::budget::QueryBudget;
 use crate::database::{evaluate_query, HiddenDatabase};
 use crate::errors::{DbError, IssueError};
 use crate::index::BitmapIndex;
-use crate::interface::QueryOutcome;
+use crate::interface::{QueryOutcome, Read};
 use crate::memo::QueryMemo;
 use crate::query::ConjunctiveQuery;
 use crate::schema::Schema;
@@ -324,6 +324,42 @@ impl ServiceSession {
     pub fn eval_stats(&self) -> EvalStats {
         self.eval_stats
     }
+
+    /// The one read path behind both `SearchBackend` methods.
+    fn read(
+        &mut self,
+        query: &ConjunctiveQuery,
+        read: Read,
+    ) -> Result<Option<QueryOutcome>, IssueError> {
+        // Validate, then charge, exactly like `SearchSession` — budget
+        // accounting must be bit-identical to the private path.
+        query.validate(self.snap.schema()).map_err(|_| IssueError::InvalidQuery)?;
+        self.budget.charge()?;
+        let snap = &*self.snap;
+        let hash = QueryMemo::hash_of(query);
+        let hit = snap.memo().hit(hash, query, &snap.store, snap.k, read);
+        let cached = hit.is_some();
+        let out = match hit {
+            Some(out) => {
+                self.inner.memo_hits.fetch_add(1, Ordering::Relaxed);
+                out
+            }
+            None => {
+                self.inner.memo_misses.fetch_add(1, Ordering::Relaxed);
+                // Evaluate outside the lock: other sessions keep reading.
+                let (store, index) = (&snap.store, &snap.index);
+                let mut eval =
+                    evaluate_query(query, store, index, snap.k, read, &mut self.eval_stats);
+                let out = eval.answer(store, read);
+                if snap.memo().admit(hash, query, eval, index) {
+                    self.inner.memo_insertions.fetch_add(1, Ordering::Relaxed);
+                }
+                out
+            }
+        };
+        self.stats.count_answer(out.as_ref(), cached);
+        Ok(out)
+    }
 }
 
 impl SearchBackend for ServiceSession {
@@ -336,33 +372,14 @@ impl SearchBackend for ServiceSession {
     }
 
     fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError> {
-        // Validate, then charge, exactly like `SearchSession::issue` —
-        // budget accounting must be bit-identical to the private path.
-        query.validate(self.snap.schema()).map_err(|_| IssueError::InvalidQuery)?;
-        self.budget.charge()?;
-        let snap = &*self.snap;
-        let hash = QueryMemo::hash_of(query);
-        let hit = snap.memo().hit(hash, query, &snap.store, snap.k);
-        let cached = hit.is_some();
-        let out = match hit {
-            Some(out) => {
-                self.inner.memo_hits.fetch_add(1, Ordering::Relaxed);
-                out
-            }
-            None => {
-                self.inner.memo_misses.fetch_add(1, Ordering::Relaxed);
-                // Evaluate outside the lock: other sessions keep reading.
-                let mut eval =
-                    evaluate_query(query, &snap.store, &snap.index, snap.k, &mut self.eval_stats);
-                let out = eval.outcome(&snap.store);
-                if snap.memo().admit(hash, query, eval, &snap.index) {
-                    self.inner.memo_insertions.fetch_add(1, Ordering::Relaxed);
-                }
-                out
-            }
-        };
-        self.stats.count_answer(&out, cached);
-        Ok(out)
+        Ok(self.read(query, Read::Page)?.expect("a page read is answered in full"))
+    }
+
+    fn issue_unless_overflow(
+        &mut self,
+        query: &ConjunctiveQuery,
+    ) -> Result<Option<QueryOutcome>, IssueError> {
+        self.read(query, Read::Class)
     }
 
     fn remaining(&self) -> u64 {
@@ -737,7 +754,9 @@ mod tests {
             let hash = QueryMemo::hash_of(&q);
             let mut eval = EvalStats::default();
             let evals: Vec<_> = (0..2)
-                .map(|_| evaluate_query(&q, &snap.store, &snap.index, snap.k, &mut eval))
+                .map(|_| {
+                    evaluate_query(&q, &snap.store, &snap.index, snap.k, Read::Page, &mut eval)
+                })
                 .collect();
             let admitted: Vec<bool> =
                 evals.into_iter().map(|e| snap.memo().admit(hash, &q, e, &snap.index)).collect();

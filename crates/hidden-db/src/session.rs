@@ -7,6 +7,24 @@
 //! [`crate::service::ServiceSession`] pinned to one epoch of the shared
 //! concurrent [`crate::service::DbService`], or any future adapter for a
 //! real web API.
+//!
+//! ## Which method to call
+//!
+//! [`SearchBackend::issue`] reads the whole answer. Call
+//! [`SearchBackend::issue_unless_overflow`] wherever an overflow's page
+//! would go unread: a drill-down above the leaves, where an overflow
+//! only sends it one level down, or a crawl's interior node, which it
+//! only expands. A query that fixes every attribute (a leaf) can be a
+//! terminal node that overflows, and its page is then read, so it is
+//! issued with `issue`. Both methods validate, charge and count alike,
+//! and answer every non-overflow in full; only an overflow read by class
+//! comes back as `None`, with no page ranked or copied in-process.
+//!
+//! A wrapper backend forwards both methods to the same calls of its
+//! inner backend, as the fault and recovery layers in [`crate::fault`]
+//! do. A backend that implements only `issue` still works: the provided
+//! `issue_unless_overflow` reads the whole answer and drops an overflow's
+//! page.
 
 use crate::budget::QueryBudget;
 use crate::database::HiddenDatabase;
@@ -32,6 +50,24 @@ pub trait SearchBackend {
     /// the schema; fault-injecting and remote adapters surface transient
     /// errors, rate limits, and timeouts through the same signature.
     fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError>;
+
+    /// Issues one search query like [`SearchBackend::issue`], for a
+    /// caller that will not read an overflow page: `Ok(None)` means the
+    /// query overflowed, and any other answer comes back in full. It
+    /// validates, charges and fails exactly like `issue`.
+    ///
+    /// A drill-down reads the class alone at every node above the leaves
+    /// (see [`crate::interface`]). The default calls `issue` and drops an
+    /// overflow's page, which suits a remote adapter, whose page arrives
+    /// anyway. In-process backends override it so that an overflow ranks
+    /// and copies no page at all, and wrappers forward it to their inner
+    /// backend.
+    fn issue_unless_overflow(
+        &mut self,
+        query: &ConjunctiveQuery,
+    ) -> Result<Option<QueryOutcome>, IssueError> {
+        Ok(Some(self.issue(query)?).filter(|out| !out.is_overflow()))
+    }
 
     /// Queries remaining in this round's budget.
     fn remaining(&self) -> u64;
@@ -77,6 +113,15 @@ impl SearchBackend for SearchSession<'_> {
         query.validate(self.db.schema()).map_err(|_| IssueError::InvalidQuery)?;
         self.budget.charge()?;
         Ok(self.db.answer(query))
+    }
+
+    fn issue_unless_overflow(
+        &mut self,
+        query: &ConjunctiveQuery,
+    ) -> Result<Option<QueryOutcome>, IssueError> {
+        query.validate(self.db.schema()).map_err(|_| IssueError::InvalidQuery)?;
+        self.budget.charge()?;
+        Ok(self.db.answer_unless_overflow(query))
     }
 
     fn remaining(&self) -> u64 {

@@ -7,7 +7,7 @@ use crate::interface::QueryOutcome;
 pub struct InterfaceStats {
     /// Total queries answered (including memoised ones).
     pub answered: u64,
-    /// Queries that overflowed.
+    /// Queries that overflowed, with or without a page.
     pub overflows: u64,
     /// Queries answered with a complete (valid) page.
     pub valids: u64,
@@ -16,17 +16,26 @@ pub struct InterfaceStats {
     /// Answers served from the memo: the database's own, patched as its
     /// rows change, or a service snapshot's.
     pub cache_hits: u64,
+    /// Overflows answered by class alone, to a caller that asked not to
+    /// read their page: no top `k` was ranked or copied for them. Also
+    /// counted in [`InterfaceStats::overflows`].
+    pub class_only_overflows: u64,
 }
 
 impl InterfaceStats {
-    /// Counts one answer: its class, and whether the memo served it.
-    pub(crate) fn count_answer(&mut self, out: &QueryOutcome, cache_hit: bool) {
+    /// Counts one answer, `None` being an overflow answered by class
+    /// alone: its class, and whether the memo served it.
+    pub(crate) fn count_answer(&mut self, out: Option<&QueryOutcome>, cache_hit: bool) {
         self.answered += 1;
         self.cache_hits += u64::from(cache_hit);
         match out {
-            QueryOutcome::Underflow => self.underflows += 1,
-            QueryOutcome::Valid(_) => self.valids += 1,
-            QueryOutcome::Overflow(_) => self.overflows += 1,
+            None => {
+                self.overflows += 1;
+                self.class_only_overflows += 1;
+            }
+            Some(QueryOutcome::Underflow) => self.underflows += 1,
+            Some(QueryOutcome::Valid(_)) => self.valids += 1,
+            Some(QueryOutcome::Overflow(_)) => self.overflows += 1,
         }
     }
 
@@ -88,10 +97,12 @@ pub struct EvalStats {
 /// in, what patching had to drop, and what the admission policy evicted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Entries admitted into the memo.
+    /// Entries admitted into the memo, counting a full evaluation that
+    /// replaced a count-only entry.
     pub insertions: u64,
     /// Entries a row change could not keep exact: an overflow page lost
-    /// a member or a member's score fell.
+    /// a member or a member's score fell, or a count-only entry's count
+    /// fell to `k`.
     pub invalidated: u64,
     /// Entries alive after each incremental mutation, summed over
     /// mutations (an entry outliving `n` mutations counts `n` times —
@@ -124,7 +135,8 @@ pub struct SharedMemoStats {
     pub hits: u64,
     /// Lookups that fell through to snapshot evaluation.
     pub misses: u64,
-    /// Entries admitted. Two sessions that miss on the same query
+    /// Entries admitted, counting a full evaluation that replaced a
+    /// count-only entry. Two sessions that miss on the same query
     /// together admit it once.
     pub insertions: u64,
     /// Entries a snapshot's memo held when the next epoch was published.

@@ -11,8 +11,16 @@
 //! heavy score ties, so slot tie-breaks decide pages. A tight-capacity
 //! variant rides along so the CLOCK admission/eviction path is exercised
 //! under churn too.
+//!
+//! Each ask is drawn as a page read (`answer`) or a class read
+//! (`answer_unless_overflow`), so count-only entries are admitted,
+//! patched, dropped at `k`, hit by class reads and replaced by page
+//! reads. A class answer must be `None` exactly when the naive scan
+//! overflows and equal it otherwise; a closing page read of every query
+//! checks what the class reads left behind.
 
 use hidden_db::database::HiddenDatabase;
+use hidden_db::interface::QueryOutcome;
 use hidden_db::query::{ConjunctiveQuery, Predicate};
 use hidden_db::ranking::ScoringPolicy;
 use hidden_db::schema::Schema;
@@ -38,8 +46,9 @@ enum Step {
         inserts: Vec<(u32, u32, i32)>,
         poison: bool,
     },
-    /// Issue the query with the given optional predicates on A0/A1.
-    Query { a0: Option<u32>, a1: Option<u32> },
+    /// Issue the query with the given optional predicates on A0/A1, by
+    /// class alone when `class_only`.
+    Query { a0: Option<u32>, a1: Option<u32>, class_only: bool },
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -59,10 +68,14 @@ fn step_strategy() -> impl Strategy<Value = Step> {
             poison,
         });
     // `DOMAINS[i]` encodes "no predicate on that attribute".
-    let query = (0..DOMAINS[0] + 1, 0..DOMAINS[1] + 1).prop_map(|(a0, a1)| Step::Query {
-        a0: (a0 < DOMAINS[0]).then_some(a0),
-        a1: (a1 < DOMAINS[1]).then_some(a1),
-    });
+    let query =
+        (0..DOMAINS[0] + 1, 0..DOMAINS[1] + 1, any::<bool>()).prop_map(|(a0, a1, class_only)| {
+            Step::Query {
+                a0: (a0 < DOMAINS[0]).then_some(a0),
+                a1: (a1 < DOMAINS[1]).then_some(a1),
+                class_only,
+            }
+        });
     prop_oneof![2 => batch, 3 => query]
 }
 
@@ -126,6 +139,22 @@ fn scoring(pick: u8) -> ScoringPolicy {
     }
 }
 
+/// Asserts `got` equals `want`, measures bit for bit, not just by
+/// `PartialEq`.
+fn assert_same_answer(
+    got: &QueryOutcome,
+    want: &QueryOutcome,
+    what: &str,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got, want, "{}", what);
+    for (gt, wt) in got.tuples().zip(want.tuples()) {
+        for (gm, wm) in gt.measures().iter().zip(wt.measures()) {
+            prop_assert_eq!(gm.to_bits(), wm.to_bits(), "{}", what);
+        }
+    }
+    Ok(())
+}
+
 fn fresh_db(k: usize, scoring: ScoringPolicy, memo_capacity: usize) -> HiddenDatabase {
     let schema = Schema::with_domain_sizes(&DOMAINS, &["m"]).unwrap();
     let mut db = HiddenDatabase::new(schema, k, scoring);
@@ -154,6 +183,8 @@ proptest! {
             ("incremental-tight", fresh_db(k, scoring, 4)),
         ];
         let mut next_key = 0u64;
+        // Class reads answered without a page.
+        let mut class_overflows = 0u64;
         for step in &steps {
             match step {
                 Step::Batch { delete_picks, update_picks, inserts, poison } => {
@@ -178,7 +209,7 @@ proptest! {
                         );
                     }
                 }
-                Step::Query { a0, a1 } => {
+                Step::Query { a0, a1, class_only } => {
                     let query = build_query(*a0, *a1);
                     let want = oracle_db.answer(&query);
                     prop_assert_eq!(&want, &oracle_db.exact_answer(&query), "naive scan");
@@ -190,20 +221,33 @@ proptest! {
                         }
                         _ => prop_assert!(want.is_overflow(), "{}: truth {}", &query, truth),
                     }
+                    class_overflows += u64::from(*class_only && want.is_overflow());
                     for (name, db) in tracked.iter_mut() {
-                        let got = db.answer(&query);
-                        prop_assert_eq!(
-                            &got, &want,
-                            "{}: answer diverged on {} (memo_len {})",
-                            name, &query, db.memo_len()
+                        let what = format!(
+                            "{name}: {} read of {query} diverged (memo_len {})",
+                            if *class_only { "class" } else { "page" },
+                            db.memo_len()
                         );
-                        // Bit-identical measures, not just PartialEq.
-                        for (gt, wt) in got.tuples().zip(want.tuples()) {
-                            for (gm, wm) in gt.measures().iter().zip(wt.measures()) {
-                                prop_assert_eq!(gm.to_bits(), wm.to_bits());
-                            }
+                        if !*class_only {
+                            assert_same_answer(&db.answer(&query), &want, &what)?;
+                        } else if let Some(got) = db.answer_unless_overflow(&query) {
+                            assert_same_answer(&got, &want, &what)?;
+                        } else {
+                            prop_assert!(want.is_overflow(), "{}", what);
                         }
                     }
+                }
+            }
+        }
+        // A closing page read of every query: entries the class reads
+        // admitted or patched must hand over to page reads exactly.
+        for a0 in (0..DOMAINS[0]).map(Some).chain([None]) {
+            for a1 in (0..DOMAINS[1]).map(Some).chain([None]) {
+                let query = build_query(a0, a1);
+                let want = oracle_db.answer(&query);
+                for (name, db) in tracked.iter_mut() {
+                    let what = format!("{name}: closing page read of {query} diverged");
+                    assert_same_answer(&db.answer(&query), &want, &what)?;
                 }
             }
         }
@@ -217,6 +261,10 @@ proptest! {
                 (got.answered, got.underflows, got.valids, got.overflows),
                 (want.answered, want.underflows, want.valids, want.overflows),
                 "{}: classification counters diverged", name
+            );
+            prop_assert_eq!(
+                got.class_only_overflows, class_overflows,
+                "{}: overflows answered without a page", name
             );
             prop_assert_eq!(
                 db.alive_keys_sorted(), oracle_db.alive_keys_sorted(),

@@ -5,7 +5,9 @@
 //!
 //! The crawler performs an exhaustive breadth-first descent of the query
 //! tree: issue a node; if it overflows, expand all children; otherwise
-//! record its page. The union of pages over the frontier of top
+//! record its page. Nodes above the leaves are read by class alone
+//! (`issue_unless_overflow`), since an overflow there is only expanded;
+//! a leaf is read in full. The union of pages over the frontier of top
 //! non-overflowing nodes is exactly the database (same partition argument
 //! as Theorem 3.1), so a crawl yields *exact* aggregates — at a query cost
 //! orders of magnitude above one estimator round (the `crawl_vs_estimate`
@@ -39,23 +41,27 @@ pub fn crawl<B: SearchBackend + ?Sized>(tree: &QueryTree, backend: &mut B) -> Cr
     // every value of the next level's attribute.
     let mut queue: Vec<(usize, ConjunctiveQuery)> = vec![(0, tree.fixed().clone())];
     while let Some((depth, query)) = queue.pop() {
-        let outcome = match backend.issue(&query) {
-            Ok(o) => o,
-            // Budget exhaustion or an unrecovered interface fault: either
-            // way the frontier cannot be finished — truncate.
-            Err(_) => {
-                return CrawlOutcome { tuples, cost, complete: false };
-            }
+        // Above the leaves an overflow only expands the node: read its
+        // class alone.
+        let answer = if depth < tree.depth() {
+            backend.issue_unless_overflow(&query)
+        } else {
+            backend.issue(&query).map(Some)
+        };
+        // Budget exhaustion or an unrecovered interface fault: either
+        // way the frontier cannot be finished — truncate.
+        let Ok(answer) = answer else {
+            return CrawlOutcome { tuples, cost, complete: false };
         };
         cost += 1;
-        if outcome.is_overflow() && depth < tree.depth() {
+        let Some(outcome) = answer else {
             let attr = tree.level_attr(depth);
             let domain = tree.level_domain_sizes().nth(depth).expect("depth < tree.depth()");
             for v in 0..domain {
                 queue.push((depth + 1, query.with(attr, hidden_db::value::ValueId(v))));
             }
             continue;
-        }
+        };
         // Terminal (valid, underflow, or leaf overflow — the latter loses
         // tuples, as it would on a real site).
         for t in outcome.tuples() {

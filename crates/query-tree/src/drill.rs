@@ -65,7 +65,9 @@ pub fn drill_from_root<B: SearchBackend + ?Sized>(
 }
 
 /// Descends from `from_depth` (inclusive) until a non-overflowing node,
-/// starting with `base_cost` already spent.
+/// starting with `base_cost` already spent. Nodes above the leaves are
+/// read by class alone ([`SearchBackend::issue_unless_overflow`]): only
+/// a leaf's overflow page can be a terminal one.
 fn descend<B: SearchBackend + ?Sized>(
     tree: &QueryTree,
     sig: &Signature,
@@ -74,16 +76,16 @@ fn descend<B: SearchBackend + ?Sized>(
     backend: &mut B,
 ) -> Result<DrillOutcome, IssueError> {
     let mut cost = base_cost;
-    let mut depth = from_depth;
-    loop {
-        let outcome = backend.issue(&tree.node_query(sig, depth))?;
+    for depth in from_depth..tree.depth() {
+        let answer = backend.issue_unless_overflow(&tree.node_query(sig, depth))?;
         cost += 1;
-        if outcome.is_overflow() && depth < tree.depth() {
-            depth += 1;
-            continue;
+        if let Some(outcome) = answer {
+            return Ok(DrillOutcome { depth, outcome, cost });
         }
-        return Ok(DrillOutcome { depth, outcome, cost });
     }
+    let depth = tree.depth();
+    let outcome = backend.issue(&tree.node_query(sig, depth))?;
+    Ok(DrillOutcome { depth, outcome, cost: cost + 1 })
 }
 
 /// Resumes a drill-down whose terminal node in the previous round was at
@@ -92,6 +94,9 @@ fn descend<B: SearchBackend + ?Sized>(
 /// * if that node now **overflows**, drill further down;
 /// * if it is **valid** or **underflows**, verify/locate the top
 ///   non-overflowing node per `policy` by rolling up.
+///
+/// Every node above the leaves is read by class alone, the roll-up's
+/// included: an overflowing ancestor only pins the terminal below it.
 pub fn resume_from<B: SearchBackend + ?Sized>(
     tree: &QueryTree,
     sig: &Signature,
@@ -104,14 +109,19 @@ pub fn resume_from<B: SearchBackend + ?Sized>(
         "previous depth {prev_depth} exceeds tree depth {}",
         tree.depth()
     );
-    let first = backend.issue(&tree.node_query(sig, prev_depth))?;
+    let query = tree.node_query(sig, prev_depth);
+    let first = if prev_depth < tree.depth() {
+        backend.issue_unless_overflow(&query)?
+    } else {
+        Some(backend.issue(&query)?)
+    };
     let mut cost = 1;
-    if first.is_overflow() {
-        if prev_depth == tree.depth() {
-            // Degenerate leaf overflow: terminal where we stand.
-            return Ok(DrillOutcome { depth: prev_depth, outcome: first, cost });
-        }
+    let Some(first) = first else {
         return descend(tree, sig, prev_depth + 1, cost, backend);
+    };
+    if first.is_overflow() {
+        // Degenerate leaf overflow: terminal where we stand.
+        return Ok(DrillOutcome { depth: prev_depth, outcome: first, cost });
     }
     if prev_depth == 0 {
         // Root does not overflow: it is the terminal node by definition.
@@ -128,11 +138,11 @@ pub fn resume_from<B: SearchBackend + ?Sized>(
             let mut best_depth = prev_depth;
             let mut best_outcome = first;
             for depth in (0..prev_depth).rev() {
-                let outcome = backend.issue(&tree.node_query(sig, depth))?;
+                let answer = backend.issue_unless_overflow(&tree.node_query(sig, depth))?;
                 cost += 1;
-                if outcome.is_overflow() {
+                let Some(outcome) = answer else {
                     return Ok(DrillOutcome { depth: best_depth, outcome: best_outcome, cost });
-                }
+                };
                 best_depth = depth;
                 best_outcome = outcome.clone();
                 if outcome.is_valid() {
@@ -147,11 +157,11 @@ pub fn resume_from<B: SearchBackend + ?Sized>(
             let mut best_depth = prev_depth;
             let mut best_outcome = first;
             for depth in (0..prev_depth).rev() {
-                let outcome = backend.issue(&tree.node_query(sig, depth))?;
+                let answer = backend.issue_unless_overflow(&tree.node_query(sig, depth))?;
                 cost += 1;
-                if outcome.is_overflow() {
+                let Some(outcome) = answer else {
                     return Ok(DrillOutcome { depth: best_depth, outcome: best_outcome, cost });
-                }
+                };
                 best_depth = depth;
                 best_outcome = outcome;
             }

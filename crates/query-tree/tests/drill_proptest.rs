@@ -2,12 +2,16 @@
 //! Theorem 3.1's partition argument rests on.
 
 use hidden_db::database::HiddenDatabase;
+use hidden_db::errors::IssueError;
+use hidden_db::interface::QueryOutcome;
+use hidden_db::query::ConjunctiveQuery;
 use hidden_db::ranking::ScoringPolicy;
 use hidden_db::schema::Schema;
-use hidden_db::session::SearchSession;
+use hidden_db::session::{SearchBackend, SearchSession};
 use hidden_db::tuple::Tuple;
 use hidden_db::value::{TupleKey, ValueId};
 use proptest::prelude::*;
+use query_tree::crawl::crawl;
 use query_tree::{drill_from_root, enumerate_all, resume_from, QueryTree, ReissuePolicy};
 
 const DOMAINS: [u32; 3] = [2, 3, 2];
@@ -38,8 +42,115 @@ fn expected_terminal(db: &HiddenDatabase, tree: &QueryTree, sig: &query_tree::Si
     tree.depth()
 }
 
+/// Forwards every required method and takes the provided
+/// `issue_unless_overflow`, which reads the whole answer: the path of a
+/// remote adapter, and of the benchmark's traced adapters.
+struct IssueOnly<'a>(SearchSession<'a>);
+
+impl SearchBackend for IssueOnly<'_> {
+    fn schema(&self) -> &Schema {
+        self.0.schema()
+    }
+
+    fn k(&self) -> usize {
+        self.0.k()
+    }
+
+    fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError> {
+        self.0.issue(query)
+    }
+
+    fn remaining(&self) -> u64 {
+        self.0.remaining()
+    }
+
+    fn spent(&self) -> u64 {
+        self.0.spent()
+    }
+}
+
+/// One drill's terminal depth, cost and answer, or its error.
+type Drill = Result<(usize, u64, QueryOutcome), IssueError>;
+
+/// Resumes every signature from `depths` (a fresh drill where `None`)
+/// under `policy`, then crawls the tree, through `backend`: the drills,
+/// the crawled keys and cost, and the spend.
+fn drill_all<B: SearchBackend>(
+    tree: &QueryTree,
+    depths: &[Option<usize>],
+    policy: ReissuePolicy,
+    backend: &mut B,
+) -> (Vec<Drill>, Vec<u64>, u64, u64) {
+    let mut drills = Vec::new();
+    for (sig, depth) in enumerate_all(tree).iter().zip(depths) {
+        let out = match depth {
+            None => drill_from_root(tree, sig, backend),
+            Some(d) => resume_from(tree, sig, *d, policy, backend),
+        };
+        drills.push(out.map(|o| (o.depth, o.cost, o.outcome)));
+    }
+    let crawled = crawl(tree, backend);
+    let mut keys: Vec<u64> = crawled.tuples.iter().map(|t| t.key().0).collect();
+    keys.sort_unstable();
+    (drills, keys, crawled.cost, backend.spent())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Drills, resumes under both policies, and crawls read every node
+    // above the leaves by class alone through a `SearchSession`; through
+    // a backend that only answers `issue` they read every page. Both must
+    // agree on every terminal depth, cost and answer and on the spend,
+    // across a change of the data and under a budget that runs out.
+    #[test]
+    fn class_only_reads_match_the_issue_only_path(
+        before in prop::collection::vec(row_strategy(), 0..50),
+        after_inserts in prop::collection::vec(row_strategy(), 0..30),
+        delete_mask in prop::collection::vec(any::<bool>(), 50),
+        k in 1..6usize,
+        budget in 5..200u64,
+        trusting in any::<bool>(),
+    ) {
+        let policy = if trusting { ReissuePolicy::Trusting } else { ReissuePolicy::Strict };
+        let mut db = db_from_rows(&before, k);
+        let mut plain = db.clone();
+        let tree = QueryTree::full(&db.schema().clone());
+        let fresh = vec![None; enumerate_all(&tree).len()];
+        let first = drill_all(&tree, &fresh, policy, &mut SearchSession::unlimited(&mut db));
+        let want =
+            drill_all(&tree, &fresh, policy, &mut IssueOnly(SearchSession::unlimited(&mut plain)));
+        prop_assert_eq!(&first, &want);
+        let depths: Vec<Option<usize>> =
+            first.0.iter().map(|d| d.as_ref().ok().map(|(depth, ..)| *depth)).collect();
+
+        for (i, &del) in delete_mask.iter().enumerate().take(before.len()) {
+            if del {
+                db.delete(TupleKey(i as u64)).unwrap();
+                plain.delete(TupleKey(i as u64)).unwrap();
+            }
+        }
+        for (i, &(a, b, c)) in after_inserts.iter().enumerate() {
+            let t = Tuple::new(
+                TupleKey(10_000 + i as u64),
+                vec![ValueId(a), ValueId(b), ValueId(c)],
+                vec![],
+            );
+            db.insert(t.clone()).unwrap();
+            plain.insert(t).unwrap();
+        }
+        let got = drill_all(&tree, &depths, policy, &mut SearchSession::new(&mut db, budget));
+        let want = drill_all(
+            &tree, &depths, policy, &mut IssueOnly(SearchSession::new(&mut plain, budget)),
+        );
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(plain.stats().class_only_overflows, 0);
+        let (d, p) = (db.stats(), plain.stats());
+        prop_assert_eq!(
+            (d.answered, d.underflows, d.valids, d.overflows),
+            (p.answered, p.underflows, p.valids, p.overflows)
+        );
+    }
 
     #[test]
     fn drill_always_finds_top_nonoverflowing_node(

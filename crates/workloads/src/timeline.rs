@@ -148,6 +148,15 @@ impl SearchBackend for IntraRoundSession<'_> {
         Ok(self.db.answer(query))
     }
 
+    fn issue_unless_overflow(
+        &mut self,
+        query: &ConjunctiveQuery,
+    ) -> Result<Option<QueryOutcome>, IssueError> {
+        self.budget.charge()?;
+        self.apply_due();
+        Ok(self.db.answer_unless_overflow(query))
+    }
+
     fn remaining(&self) -> u64 {
         self.budget.remaining()
     }

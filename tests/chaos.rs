@@ -13,10 +13,11 @@
 
 use aggtrack::core::{ht_sample, AggregateSpec};
 use aggtrack::prelude::*;
+use aggtrack::workloads::spread_evenly;
 use hidden_db::database::HiddenDatabase;
-use hidden_db::fault::FaultKind;
+use hidden_db::fault::{FaultKind, FaultStats, RecoveryStats};
 use proptest::prelude::*;
-use query_tree::{drill_from_root, enumerate_all};
+use query_tree::{drill_from_root, enumerate_all, resume_from};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -191,4 +192,124 @@ fn unrecoverable_storms_degrade_gracefully() {
     // in its update pass and once in the fresh-drill pass — so the doomed
     // round charges exactly 2 cycles x 3 attempts x 2 queries.
     assert_eq!(r.queries_spent, 12);
+}
+
+/// Forwards every required method and takes the provided
+/// `issue_unless_overflow`, which reads the whole answer: the path of a
+/// remote adapter, and of the benchmark's traced adapters.
+struct IssueOnly<B>(B);
+
+impl<B: SearchBackend> SearchBackend for IssueOnly<B> {
+    fn schema(&self) -> &Schema {
+        self.0.schema()
+    }
+
+    fn k(&self) -> usize {
+        self.0.k()
+    }
+
+    fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError> {
+        self.0.issue(query)
+    }
+
+    fn remaining(&self) -> u64 {
+        self.0.remaining()
+    }
+
+    fn spent(&self) -> u64 {
+        self.0.spent()
+    }
+}
+
+/// One drill's terminal depth, cost and answer, or its error.
+type Drill = Result<(usize, u64, QueryOutcome), IssueError>;
+
+/// Everything a run through the fault stack shows from outside.
+type StackRun = (Vec<Drill>, FaultStats, RecoveryStats, u64);
+
+/// Drills every signature from the root, then resumes it under both
+/// policies from where it ended, through a seeded 30 % fault schedule
+/// and the recovery layer over `inner`.
+fn run_fault_stack<B: SearchBackend>(inner: B, tree: &QueryTree, seed: u64) -> StackRun {
+    let faulty = FaultyBackend::new(inner, FaultSchedule::seeded(seed, 0.3));
+    let mut stack = ResilientBackend::new(faulty, RetryPolicy::default(), seed ^ 0x5EED);
+    let mut drills = Vec::new();
+    for sig in enumerate_all(tree) {
+        let fresh = drill_from_root(tree, &sig, &mut stack);
+        let depth = fresh.as_ref().map_or(tree.depth(), |d| d.depth);
+        drills.push(fresh.map(|d| (d.depth, d.cost, d.outcome)));
+        for policy in [ReissuePolicy::Strict, ReissuePolicy::Trusting] {
+            let resumed = resume_from(tree, &sig, depth, policy, &mut stack);
+            drills.push(resumed.map(|d| (d.depth, d.cost, d.outcome)));
+        }
+    }
+    let (recovery, spent) = (stack.stats(), stack.spent());
+    (drills, stack.into_inner().stats(), recovery, spent)
+}
+
+/// The class tallies of a database's interface counters.
+fn tallies(db: &HiddenDatabase) -> (u64, u64, u64, u64) {
+    let s = db.stats();
+    (s.answered, s.underflows, s.valids, s.overflows)
+}
+
+/// Checks that `db` read every overflow by class alone except the leaf
+/// overflows that ended one of `run`'s drills, and read some.
+fn assert_pages_only_at_leaves(db: &HiddenDatabase, run: &StackRun, what: &str) {
+    let s = db.stats();
+    let leaf_overflows = run.0.iter().filter(|d| d.as_ref().is_ok_and(|d| d.2.is_overflow()));
+    let paged = s.overflows - s.class_only_overflows;
+    assert_eq!(
+        paged,
+        leaf_overflows.count() as u64,
+        "{what}: overflow pages read above the leaves"
+    );
+    assert!(s.class_only_overflows > 0, "{what}: no class-only read");
+}
+
+/// `FaultyBackend` and `ResilientBackend` carry the class-only request
+/// down to the session, with the faults, retries, charges and answers of
+/// a run whose session only answers `issue`: both runs agree on every
+/// drill, on the fault and recovery counters and on the spend, and only
+/// the first reads overflows without a page, every one above the leaves.
+/// Checked over a plain session and over one whose database changes
+/// between queries.
+#[test]
+fn the_fault_stack_forwards_class_only_reads() {
+    for seed in 0..6u64 {
+        let base = random_db(seed, 60, 4);
+        let tree = QueryTree::full(&base.schema().clone());
+
+        let (mut db, mut plain) = (base.clone(), base.clone());
+        let got = run_fault_stack(SearchSession::unlimited(&mut db), &tree, seed);
+        let want = run_fault_stack(IssueOnly(SearchSession::unlimited(&mut plain)), &tree, seed);
+        assert!(got.1.injected > 0, "seed {seed}: the schedule injected nothing");
+        assert_eq!(got, want, "seed {seed}: search session");
+        assert_eq!(tallies(&db), tallies(&plain), "seed {seed}: search session");
+        assert_pages_only_at_leaves(&db, &got, &format!("seed {seed}: search session"));
+        assert_eq!(plain.stats().class_only_overflows, 0, "seed {seed}");
+
+        // Deletes every seventh tuple and inserts copies of the first 20
+        // under new keys, spread over the round.
+        let mut batch = UpdateBatch::empty();
+        for key in (0..60).step_by(7) {
+            batch = batch.delete(TupleKey(key));
+        }
+        for key in 0..20 {
+            let row = base.get(TupleKey(key)).expect("loaded");
+            let values = (0..3).map(|a| row.value(AttrId(a))).collect();
+            batch = batch.insert(Tuple::new(TupleKey(1_000 + key), values, vec![1.0]));
+        }
+        let updates = spread_evenly(batch);
+        let (mut db, mut plain) = (base.clone(), base.clone());
+        let session = IntraRoundSession::new(&mut db, 300, updates.clone());
+        let got = run_fault_stack(session, &tree, seed);
+        let session = IssueOnly(IntraRoundSession::new(&mut plain, 300, updates));
+        let want = run_fault_stack(session, &tree, seed);
+        assert_eq!(got, want, "seed {seed}: intra-round session");
+        assert_eq!(tallies(&db), tallies(&plain), "seed {seed}: intra-round session");
+        assert_eq!(db.alive_keys_sorted(), plain.alive_keys_sorted(), "seed {seed}");
+        assert_pages_only_at_leaves(&db, &got, &format!("seed {seed}: intra-round session"));
+        assert_eq!(plain.stats().class_only_overflows, 0, "seed {seed}");
+    }
 }

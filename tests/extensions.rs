@@ -141,3 +141,55 @@ fn quantile_tracker_summarises_error_distributions() {
     // Heavy-tailed error distributions have median ≤ mean (loose check).
     assert!(med <= mean * 1.5, "median {med} vs mean {mean}");
 }
+
+/// The bits of every estimate a report carries, and its spend.
+fn estimate_bits(r: &RoundReport) -> Vec<u64> {
+    let mut bits = vec![r.queries_spent];
+    for e in [Some(r.count), Some(r.sum), r.change_count, r.change_sum].into_iter().flatten() {
+        bits.extend([e.value.to_bits(), e.variance.to_bits()]);
+    }
+    bits
+}
+
+/// A bootstrap spec the resampler cannot run (no replicates, or a
+/// coverage level outside `(0, 1)`) degrades: RESTART and REISSUE attach
+/// no interval, and every estimate is bit-identical to a run without
+/// bootstrap.
+#[test]
+fn a_bad_bootstrap_spec_attaches_no_interval() {
+    use aggtrack::core::BootstrapSpec;
+    let bad = [
+        BootstrapSpec { replicates: 0, level: 0.95, seed: 0 },
+        BootstrapSpec { replicates: 100, level: 1.5, seed: 0 },
+        BootstrapSpec { replicates: 100, level: f64::NAN, seed: 0 },
+    ];
+    for spec in bad {
+        let (mut driver, tree) = autos_fixture(8);
+        let count = AggregateSpec::count_star;
+        let mut pairs: [[Box<dyn Estimator>; 2]; 2] = [
+            [
+                Box::new(RestartEstimator::new(count(), tree.clone(), 9)),
+                Box::new(RestartEstimator::new(count(), tree.clone(), 9)),
+            ],
+            [
+                Box::new(ReissueEstimator::new(count(), tree.clone(), 9)),
+                Box::new(ReissueEstimator::new(count(), tree, 9)),
+            ],
+        ];
+        for [_, booted] in pairs.iter_mut() {
+            booted.set_bootstrap(Some(spec));
+        }
+        for round in 0..3 {
+            for [plain, booted] in pairs.iter_mut() {
+                let want = plain.run_round(&mut driver.session(200));
+                let got = booted.run_round(&mut driver.session(200));
+                let tag = format!("{} round {round}, {spec:?}", booted.name());
+                assert!(got.count.ci.is_none() && got.sum.ci.is_none(), "{tag}");
+                let changes = [got.change_count, got.change_sum];
+                assert!(changes.iter().flatten().all(|e| e.ci.is_none()), "{tag}");
+                assert_eq!(estimate_bits(&got), estimate_bits(&want), "{tag}");
+            }
+            driver.advance();
+        }
+    }
+}
