@@ -7,16 +7,38 @@
 //! `q` yields the unbiased sample `Q(q)/p(q)` (§3.1); we always carry the
 //! COUNT and SUM samples together so AVG (their ratio) and selection
 //! conditions come for free.
+//!
+//! ## When the sample comes from a count
+//!
+//! [`ht_sample`] walks the terminal node's page and adds `1.0` to the
+//! count and `f(t)` to the sum for each selected tuple. A spec that
+//! **reads no row** ([`AggregateSpec::reads_no_row`]: `f(t) = 1`, no
+//! filter, and a condition every node of the tree already fixes, such as
+//! `COUNT(*)`, or `COUNT(cond)` over `QueryTree::subtree(cond)`) selects
+//! every tuple of every page and adds `1.0` to both sums for each. So
+//! both components are `n / p(q)` for a page of `n` tuples, and the
+//! estimators drill such a spec by count
+//! ([`query_tree::drill::drill_count_from_root`]), which builds no page.
+//! The two are bit-identical: `n` additions of `1.0` give exactly `n` for
+//! any page size below 2⁵³, and the division by `p(q)` is the same.
+//! Every other spec reads the page, since its terms need the rows the
+//! same charged query returns.
 
 use std::sync::Arc;
 
 /// Shared per-tuple predicate used as an extra selection filter.
 pub type TupleFilter = Arc<dyn Fn(&TupleView<'_>) -> bool + Send + Sync>;
 
+use hidden_db::errors::IssueError;
 use hidden_db::query::ConjunctiveQuery;
+use hidden_db::session::SearchBackend;
 use hidden_db::tuple::TupleView;
 use hidden_db::value::MeasureId;
-use query_tree::drill::DrillOutcome;
+use query_tree::drill::{
+    drill_count_from_root, drill_from_root, resume_count_from, resume_from, DrillOutcome,
+    ReissuePolicy,
+};
+use query_tree::signature::Signature;
 use query_tree::tree::QueryTree;
 
 /// `f(t)`: the per-tuple value a SUM/AVG aggregates.
@@ -129,6 +151,17 @@ impl AggregateSpec {
     pub fn selects(&self, t: &TupleView<'_>) -> bool {
         self.condition.matches_values(t.values()) && self.filter.as_ref().is_none_or(|f| f(t))
     }
+
+    /// Whether a drill-down's sample over `tree` needs no row of its
+    /// terminal page, only how many it holds: `f(t) = 1`, no filter, and
+    /// every predicate of the condition fixed in every node of `tree`
+    /// (`condition.subsumes(tree.fixed())`), so every returned tuple is
+    /// selected and adds exactly `1.0` to both sums (see the module docs).
+    pub fn reads_no_row(&self, tree: &QueryTree) -> bool {
+        matches!(self.value_fn, TupleFn::One)
+            && self.filter.is_none()
+            && self.condition.subsumes(tree.fixed())
+    }
 }
 
 /// One drill-down's Horvitz–Thompson sample: unbiased estimates of the
@@ -173,6 +206,46 @@ pub fn ht_sample(spec: &AggregateSpec, tree: &QueryTree, drill: &DrillOutcome) -
         }
     }
     HtSample { count: count / p, sum: sum / p }
+}
+
+/// One drill-down's terminal depth, sample and query cost.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Drilled {
+    pub(crate) depth: usize,
+    pub(crate) sample: HtSample,
+    pub(crate) cost: u64,
+}
+
+/// Drills `sig` for `spec` and takes its sample: from the root, or, with
+/// `resume = Some((depth, policy))`, from the previous terminal at
+/// `depth`. A spec that reads no row drills by count and its sample is
+/// `n / p(q)` in both components; any other drills by page and walks it
+/// with [`ht_sample`]. The two give bit-identical samples (see the module
+/// docs), and always the same queries, depth and cost.
+pub(crate) fn drill_sample<B: SearchBackend + ?Sized>(
+    spec: &AggregateSpec,
+    tree: &QueryTree,
+    sig: &Signature,
+    resume: Option<(usize, ReissuePolicy)>,
+    backend: &mut B,
+) -> Result<Drilled, IssueError> {
+    if spec.reads_no_row(tree) {
+        let out = match resume {
+            None => drill_count_from_root(tree, sig, backend)?,
+            Some((depth, policy)) => resume_count_from(tree, sig, depth, policy, backend)?,
+        };
+        let n = out.count as f64 / tree.selection_probability(out.depth);
+        return Ok(Drilled {
+            depth: out.depth,
+            sample: HtSample { count: n, sum: n },
+            cost: out.cost,
+        });
+    }
+    let out = match resume {
+        None => drill_from_root(tree, sig, backend)?,
+        Some((depth, policy)) => resume_from(tree, sig, depth, policy, backend)?,
+    };
+    Ok(Drilled { depth: out.depth, sample: ht_sample(spec, tree, &out), cost: out.cost })
 }
 
 #[cfg(test)]
@@ -272,6 +345,31 @@ mod tests {
         )]));
         let s = ht_sample(&spec, &tr, &drill);
         assert_eq!(s.count, 1.0); // p(root) = 1
+    }
+
+    /// A spec reads no row only when `f(t) = 1`, it has no filter, and
+    /// the tree fixes its whole condition.
+    #[test]
+    fn reads_no_row_needs_one_no_filter_and_a_fixed_condition() {
+        let schema = Schema::with_domain_sizes(&[2, 3], &["price"]).unwrap();
+        let a0 = ConjunctiveQuery::from_predicates([Predicate::new(AttrId(0), ValueId(1))]);
+        let both = a0.with(AttrId(1), ValueId(2));
+        let (full, under_a0) = (tree(), QueryTree::subtree(&schema, a0.clone()));
+        let under_both = QueryTree::subtree(&schema, both.clone());
+        assert!(AggregateSpec::count_star().reads_no_row(&full));
+        assert!(AggregateSpec::count_star().reads_no_row(&under_a0));
+        assert!(AggregateSpec::count_where(a0.clone()).reads_no_row(&under_a0));
+        assert!(AggregateSpec::count_where(a0.clone()).reads_no_row(&under_both));
+        assert!(!AggregateSpec::count_where(a0.clone()).reads_no_row(&full));
+        assert!(!AggregateSpec::count_where(both).reads_no_row(&under_a0));
+        let filtered = AggregateSpec::count_star().with_filter(Arc::new(|_: &TupleView<'_>| true));
+        assert!(!filtered.reads_no_row(&full));
+        assert!(!AggregateSpec::sum_measure(MeasureId(0), a0.clone()).reads_no_row(&under_a0));
+        let custom = AggregateSpec {
+            value_fn: TupleFn::Custom(Arc::new(|_: &TupleView<'_>| 1.0)),
+            ..AggregateSpec::count_star()
+        };
+        assert!(!custom.reads_no_row(&full), "only `TupleFn::One` is known to be 1");
     }
 
     #[test]

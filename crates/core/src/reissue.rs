@@ -14,14 +14,14 @@
 //! variances — the decisive advantage over RESTART in Figs 15–17.
 
 use hidden_db::session::SearchBackend;
-use query_tree::drill::{drill_from_root, resume_from, ReissuePolicy};
+use query_tree::drill::ReissuePolicy;
 use query_tree::signature::Signature;
 use query_tree::tree::QueryTree;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::aggregate::{ht_sample, AggregateSpec};
+use crate::aggregate::{drill_sample, AggregateSpec};
 use crate::estimator::{
     attach_mean_ci, attach_report_cis, base_report, moments_estimate, BootstrapSpec, Estimator,
     SampleMoments,
@@ -116,14 +116,14 @@ impl Estimator for ReissueEstimator {
                 break;
             }
             let rec = &mut self.pool[idx];
-            match resume_from(&self.tree, &rec.sig, rec.depth, self.policy, backend) {
+            let resume = Some((rec.depth, self.policy));
+            match drill_sample(&self.spec, &self.tree, &rec.sig, resume, backend) {
                 Ok(out) => {
-                    let sample = ht_sample(&self.spec, &self.tree, &out);
                     if rec.round == j - 1 {
-                        diffs.push(sample.diff(rec.sample));
+                        diffs.push(out.sample.diff(rec.sample));
                     }
                     rec.depth = out.depth;
-                    rec.sample = sample;
+                    rec.sample = out.sample;
                     rec.round = j;
                     updated += 1;
                 }
@@ -141,10 +141,9 @@ impl Estimator for ReissueEstimator {
         let mut initiated = 0;
         while backend.remaining() > 0 {
             let sig = Signature::sample(&self.tree, &mut self.rng);
-            match drill_from_root(&self.tree, &sig, backend) {
+            match drill_sample(&self.spec, &self.tree, &sig, None, backend) {
                 Ok(out) => {
-                    let sample = ht_sample(&self.spec, &self.tree, &out);
-                    self.pool.push(DrillRecord::new(sig, out.depth, j, sample));
+                    self.pool.push(DrillRecord::new(sig, out.depth, j, out.sample));
                     initiated += 1;
                 }
                 Err(e) => {

@@ -9,13 +9,12 @@
 //! high-variance behaviour Figs 15–17 demonstrate).
 
 use hidden_db::session::SearchBackend;
-use query_tree::drill::drill_from_root;
 use query_tree::signature::Signature;
 use query_tree::tree::QueryTree;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::aggregate::{ht_sample, AggregateSpec};
+use crate::aggregate::{drill_sample, AggregateSpec};
 use crate::estimator::{attach_report_cis, base_report, BootstrapSpec, Estimator, SampleMoments};
 use crate::report::{EstimateWithVar, RoundReport};
 use crate::transround::DegradationLog;
@@ -78,9 +77,9 @@ impl Estimator for RestartEstimator {
         let mut initiated = 0;
         while backend.remaining() > 0 {
             let sig = Signature::sample(&self.tree, &mut self.rng);
-            match drill_from_root(&self.tree, &sig, backend) {
+            match drill_sample(&self.spec, &self.tree, &sig, None, backend) {
                 Ok(out) => {
-                    samples.push(ht_sample(&self.spec, &self.tree, &out));
+                    samples.push(out.sample);
                     initiated += 1;
                 }
                 // Interrupted mid-drill (budget death or an unrecovered

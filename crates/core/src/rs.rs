@@ -26,14 +26,14 @@ use agg_stats::moments::RunningMoments;
 use agg_stats::weighted::{combine, Component};
 use hidden_db::errors::IssueError;
 use hidden_db::session::SearchBackend;
-use query_tree::drill::{drill_from_root, resume_from, ReissuePolicy};
+use query_tree::drill::ReissuePolicy;
 use query_tree::signature::Signature;
 use query_tree::tree::QueryTree;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::aggregate::{ht_sample, AggKind, AggregateSpec, HtSample};
+use crate::aggregate::{drill_sample, AggKind, AggregateSpec, HtSample};
 use crate::estimator::{Estimator, SampleMoments};
 use crate::record::{group_by_age, DrillRecord};
 use crate::report::{EstimateWithVar, RoundReport};
@@ -205,11 +205,10 @@ impl RsEstimator {
         backend: &mut dyn SearchBackend,
     ) -> Result<(HtSample, u64), IssueError> {
         let rec = &mut pool[idx];
-        let out = resume_from(tree, &rec.sig, rec.depth, policy, backend)?;
-        let sample = ht_sample(spec, tree, &out);
-        let diff = sample.diff(rec.sample);
+        let out = drill_sample(spec, tree, &rec.sig, Some((rec.depth, policy)), backend)?;
+        let diff = out.sample.diff(rec.sample);
         rec.depth = out.depth;
-        rec.sample = sample;
+        rec.sample = out.sample;
         rec.round = j;
         Ok((diff, out.cost))
     }
@@ -225,10 +224,9 @@ impl RsEstimator {
         backend: &mut dyn SearchBackend,
     ) -> Result<(HtSample, u64), IssueError> {
         let sig = Signature::sample(tree, rng);
-        let out = drill_from_root(tree, &sig, backend)?;
-        let sample = ht_sample(spec, tree, &out);
-        pool.push(DrillRecord::new(sig, out.depth, j, sample));
-        Ok((sample, out.cost))
+        let out = drill_sample(spec, tree, &sig, None, backend)?;
+        pool.push(DrillRecord::new(sig, out.depth, j, out.sample));
+        Ok((out.sample, out.cost))
     }
 
     /// The β of a group for the allocator, per tracking target, including

@@ -16,7 +16,7 @@ use aggtrack_parallel::{par_map_indexed, Threads};
 
 use crate::errors::DbError;
 use crate::index::{BitmapIndex, SEGMENT_WORDS};
-use crate::interface::{row_matches, CachedEval, QueryOutcome, Read, TopK};
+use crate::interface::{row_matches, Answer, CachedEval, QueryOutcome, Read, TopK};
 use crate::memo::{QueryMemo, RowChange, RowOp};
 use crate::persist::{Pager, PersistConfig};
 use crate::query::ConjunctiveQuery;
@@ -455,7 +455,7 @@ impl HiddenDatabase {
     /// owner-side caller bug. Sessions validate first and return
     /// [`crate::errors::IssueError::InvalidQuery`] instead.
     pub fn answer(&mut self, query: &ConjunctiveQuery) -> QueryOutcome {
-        self.read(query, Read::Page).expect("a page read is answered in full")
+        self.read(query, Read::Page).outcome().expect("a page read is answered in full")
     }
 
     /// [`HiddenDatabase::answer`] for a caller that will not read an
@@ -467,11 +467,25 @@ impl HiddenDatabase {
     /// # Panics
     /// Like [`HiddenDatabase::answer`], on a query outside the schema.
     pub fn answer_unless_overflow(&mut self, query: &ConjunctiveQuery) -> Option<QueryOutcome> {
-        self.read(query, Read::Class)
+        self.read(query, Read::Class).outcome()
     }
 
-    /// The one read path behind both answers.
-    fn read(&mut self, query: &ConjunctiveQuery, read: Read) -> Option<QueryOutcome> {
+    /// [`HiddenDatabase::answer`] for a caller that reads only how many
+    /// tuples the page holds: `None` when the query overflows, and the
+    /// page's size otherwise (0 for an underflow), with no page copied or
+    /// built either way. A memo miss evaluates and admits exactly as
+    /// [`HiddenDatabase::answer_unless_overflow`] does. Counted like
+    /// `answer`, in [`InterfaceStats::count_reads`], and in
+    /// [`InterfaceStats::class_only_overflows`] when it overflows.
+    ///
+    /// # Panics
+    /// Like [`HiddenDatabase::answer`], on a query outside the schema.
+    pub fn answer_count(&mut self, query: &ConjunctiveQuery) -> Option<usize> {
+        self.read(query, Read::Count).count()
+    }
+
+    /// The one read path behind the three answers.
+    fn read(&mut self, query: &ConjunctiveQuery, read: Read) -> Answer {
         query.validate(&self.schema).expect("search query must be valid for the schema");
         // One fast fingerprint per answer; the memo never re-hashes the
         // query and only clones it on admission.
@@ -489,7 +503,7 @@ impl HiddenDatabase {
                 out
             }
         };
-        self.stats.count_answer(out.as_ref(), cached);
+        self.stats.count_answer(&out, read, cached);
         out
     }
 
@@ -684,10 +698,10 @@ impl HiddenDatabase {
 /// [`HiddenDatabase::exact_answer`]). The query's shape only picks the
 /// [`EvalStats`] counter: root, one predicate, or two and more.
 ///
-/// A [`Read::Class`] evaluation counts instead of ranking once it knows
-/// the query overflows: it adds up each segment's matches and offers
-/// them only while the running count stays at most `k`, and returns a
-/// count-only entry when the count ends above `k`.
+/// A [`Read::Class`] or [`Read::Count`] evaluation counts instead of
+/// ranking once it knows the query overflows: it adds up each segment's
+/// matches and offers them only while the running count stays at most
+/// `k`, and returns a count-only entry when the count ends above `k`.
 pub(crate) fn evaluate_query(
     query: &ConjunctiveQuery,
     store: &StoreCore,
@@ -704,13 +718,13 @@ pub(crate) fn evaluate_query(
     let rows = index.rows_of(query);
     let mut topk = TopK::new(k);
     let mut hits = [0u64; SEGMENT_WORDS];
-    // Matches counted by a class read.
+    // Matches counted by a class or count read.
     let mut matched = 0;
     for seg in store.live_segments() {
         if !index.and_rows(seg, &rows, &mut hits) {
             continue;
         }
-        if read == Read::Class {
+        if !read.ranks_overflow() {
             matched += hits.iter().map(|w| w.count_ones() as usize).sum::<usize>();
             if matched > k {
                 continue;
@@ -1143,7 +1157,8 @@ mod tests {
     /// A class read from cold answers `None` exactly for an overflow and
     /// the page read's answer otherwise, on root, one-, two- and
     /// three-predicate queries over two segments, and bumps the same
-    /// shape counter as the page read.
+    /// shape counter as the page read. So does a count read, whose
+    /// answer is the page's size.
     #[test]
     fn class_reads_count_overflows_and_answer_the_rest_in_full() {
         let schema = Schema::with_domain_sizes(&[2, 3, 4], &["m"]).unwrap();
@@ -1174,9 +1189,13 @@ mod tests {
             let got = d.answer_unless_overflow(q);
             let class = d.eval_stats();
             assert_eq!(d.answer(q), want, "{q}");
-            let by_page = shape(class, d.eval_stats());
+            let page = d.eval_stats();
+            let by_page = shape(class, page);
             assert_eq!(shape(before, class), by_page, "{q}: the same shape counter");
             assert_eq!(by_page.0 + by_page.1 + by_page.2, 1, "{q}");
+            let counted = d.answer_count(q);
+            assert_eq!(shape(page, d.eval_stats()), by_page, "{q}: the same shape counter");
+            assert_eq!(counted, (!want.is_overflow()).then(|| want.returned_count()), "{q}");
             match got {
                 None => {
                     assert!(want.is_overflow(), "{q}");
@@ -1186,7 +1205,9 @@ mod tests {
             }
         }
         assert_eq!(overflows, 4, "root, one- and two-predicate, and (1, 2, 1)");
-        assert_eq!(d.stats().class_only_overflows, overflows);
+        let stats = d.stats();
+        assert_eq!(stats.class_only_overflows, 2 * overflows, "by class and by count");
+        assert_eq!(stats.count_reads, queries.len() as u64);
     }
 
     /// The bitmaps stay exactly the ones the store implies — every row's

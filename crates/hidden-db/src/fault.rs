@@ -35,11 +35,12 @@
 //! would have produced (the inner backend is consulted for every real
 //! answer; injection only wraps it).
 //!
-//! Both layers wrap both [`SearchBackend`] methods alike: a class-only
-//! request (`issue_unless_overflow`) meets the same fault decision,
-//! attempt and burst counters, retries, charges and counters as `issue`,
-//! and reaches the inner backend as a class-only request. A fault's
-//! charge discards its answer, so it is always asked for by class.
+//! Both layers wrap the three [`SearchBackend`] reads alike: a class read
+//! (`issue_unless_overflow`) or a count read (`issue_count`) meets the
+//! same fault decision, attempt and burst counters, retries, charges and
+//! counters as `issue`, and reaches the inner backend as the same read.
+//! A fault's charge discards its answer, so it is always asked for by
+//! count, which builds no page.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -246,11 +247,11 @@ impl<B: SearchBackend> FaultyBackend<B> {
 
     /// Charges the inner budget without using the answer — the
     /// "interface did the work, client got nothing" half of a fault.
-    /// The answer is discarded, so it is asked for by class alone.
+    /// The answer is discarded, so it is asked for by count alone.
     /// An inner budget error preempts the fault.
     fn charge_inner(&mut self, query: &ConjunctiveQuery, times: u32) -> Result<(), IssueError> {
         for _ in 0..times {
-            match self.inner.issue_unless_overflow(query) {
+            match self.inner.issue_count(query) {
                 Ok(_) => {
                     self.stats.queries_burned += 1;
                 }
@@ -266,8 +267,8 @@ impl<B: SearchBackend> FaultyBackend<B> {
         Ok(())
     }
 
-    /// One attempt of either `SearchBackend` method: the schedule's fault,
-    /// or the inner backend's answer through `ask`, the same method.
+    /// One attempt of any `SearchBackend` read: the schedule's fault, or
+    /// the inner backend's answer through `ask`, the same read.
     fn inject<T>(
         &mut self,
         query: &ConjunctiveQuery,
@@ -314,6 +315,10 @@ impl<B: SearchBackend> SearchBackend for FaultyBackend<B> {
         query: &ConjunctiveQuery,
     ) -> Result<Option<QueryOutcome>, IssueError> {
         self.inject(query, B::issue_unless_overflow)
+    }
+
+    fn issue_count(&mut self, query: &ConjunctiveQuery) -> Result<Option<usize>, IssueError> {
+        self.inject(query, B::issue_count)
     }
 
     fn remaining(&self) -> u64 {
@@ -404,8 +409,8 @@ impl<B: SearchBackend> ResilientBackend<B> {
         self.inner
     }
 
-    /// One logical query of either `SearchBackend` method, each attempt
-    /// asking the inner backend through `ask`, the same method.
+    /// One logical query of any `SearchBackend` read, each attempt asking
+    /// the inner backend through `ask`, the same read.
     fn recover<T>(
         &mut self,
         query: &ConjunctiveQuery,
@@ -482,6 +487,10 @@ impl<B: SearchBackend> SearchBackend for ResilientBackend<B> {
         query: &ConjunctiveQuery,
     ) -> Result<Option<QueryOutcome>, IssueError> {
         self.recover(query, B::issue_unless_overflow)
+    }
+
+    fn issue_count(&mut self, query: &ConjunctiveQuery) -> Result<Option<usize>, IssueError> {
+        self.recover(query, B::issue_count)
     }
 
     fn remaining(&self) -> u64 {

@@ -10,25 +10,29 @@
 //! Crucially the interface does **not** disclose the matching count — the
 //! whole point of the paper is estimating aggregates without it.
 //!
-//! ## Reading the class alone
+//! ## Reading the class alone, or the count
 //!
 //! A drill-down (§3.1) descends on the overflow flag alone: only its
 //! terminal node's page feeds an estimate, and only a leaf, where every
 //! attribute is fixed, can be a terminal that overflows. So an answer is
-//! read one of two ways. A **page read**
+//! read one of three ways. A **page read**
 //! ([`crate::session::SearchBackend::issue`],
 //! [`crate::database::HiddenDatabase::answer`]) gets the whole answer. A
 //! **class read** (`issue_unless_overflow`, `answer_unless_overflow`)
 //! gets `None` for an overflow, with no page ranked or copied, and every
-//! other answer in full. Both charge and count the same; a caller that
-//! reads an overflow page must page-read it.
+//! other answer in full. A **count read** (`issue_count`, `answer_count`)
+//! gets `None` for an overflow and the number of tuples on the page
+//! otherwise, with no page copied or built at all: a COUNT(*) estimate
+//! needs only `|q|` of its terminal node. All three charge and count the
+//! same; a caller that reads an overflow's rows must page-read it, and
+//! one that reads any other page's rows must not count-read it.
 //!
-//! A class read that misses the memo counts the AND of the query's bitmap
-//! rows segment by segment, and offers a segment's matches to the top-`k`
-//! heap only while the running count stays at most `k`. A final count
-//! above `k` leaves a count-only memo entry (see the `memo` module's
-//! docs); a count of `k` or less leaves a full one, since every match
-//! was offered.
+//! A class or count read that misses the memo counts the AND of the
+//! query's bitmap rows segment by segment, and offers a segment's matches
+//! to the top-`k` heap only while the running count stays at most `k`. A
+//! final count above `k` leaves a count-only memo entry (see the `memo`
+//! module's docs); a count of `k` or less leaves a full one, since every
+//! match was offered. A count read leaves that entry's page uncopied.
 //!
 //! ## Evaluation is streaming and allocation-lean
 //!
@@ -127,10 +131,11 @@ impl QueryOutcome {
     }
 }
 
-/// What the caller of one answer will read: the page, or only whether
-/// the query overflowed. A class read gets every non-overflow answer in
-/// full (its page is the terminal node's), so only an overflow can skip
-/// the page.
+/// What the caller of one answer will read: the page, only whether the
+/// query overflowed, or only how many tuples its page holds. A class
+/// read gets every non-overflow answer in full (its page is the terminal
+/// node's), so only an overflow can skip the page; a count read never
+/// gets a page.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Read {
     /// The whole answer, page included.
@@ -138,6 +143,59 @@ pub(crate) enum Read {
     /// The class alone when the query overflows, the whole answer
     /// otherwise.
     Class,
+    /// The class alone when the query overflows, the page's size
+    /// otherwise.
+    Count,
+}
+
+impl Read {
+    /// Whether this read needs an overflow's top `k`: only a page read
+    /// does, so the other two count instead of ranking past `k`.
+    pub(crate) fn ranks_overflow(self) -> bool {
+        self == Read::Page
+    }
+}
+
+/// One answer, in the form its [`Read`] asked for.
+#[derive(Debug)]
+pub(crate) enum Answer {
+    /// The whole answer: every page read, and a class read that does not
+    /// overflow.
+    Outcome(QueryOutcome),
+    /// The page size of a count read that does not overflow.
+    Count(usize),
+    /// An overflow read by class or by count: no page.
+    Overflow,
+}
+
+impl Answer {
+    /// The answer's classification.
+    pub(crate) fn class(&self) -> OutcomeClass {
+        match self {
+            Answer::Outcome(out) => out.class(),
+            Answer::Count(0) => OutcomeClass::Underflow,
+            Answer::Count(_) => OutcomeClass::Valid,
+            Answer::Overflow => OutcomeClass::Overflow,
+        }
+    }
+
+    /// A page or class read's answer: `None` for an overflow read by
+    /// class.
+    pub(crate) fn outcome(self) -> Option<QueryOutcome> {
+        match self {
+            Answer::Outcome(out) => Some(out),
+            Answer::Count(_) | Answer::Overflow => None,
+        }
+    }
+
+    /// A count read's answer: `None` for an overflow.
+    pub(crate) fn count(self) -> Option<usize> {
+        match self {
+            Answer::Count(n) => Some(n),
+            Answer::Outcome(out) => (!out.is_overflow()).then(|| out.returned_count()),
+            Answer::Overflow => None,
+        }
+    }
 }
 
 /// Raw evaluation result kept in the memo cache: the classification,
@@ -297,16 +355,20 @@ impl CachedEval {
         }
     }
 
-    /// The answer a `read` gets: `None` for an overflow read by class,
-    /// which leaves the page as it is, and the outcome otherwise. A page
-    /// read never reaches a count-only entry: the memo sends it to
+    /// The answer a `read` gets: the class alone for an overflow read by
+    /// class or count, the page size for any other count read, both of
+    /// which leave the page copy as it is, and the outcome otherwise. A
+    /// page read never reaches a count-only entry: the memo sends it to
     /// evaluation instead.
-    pub(crate) fn answer(&mut self, store: &StoreCore, read: Read) -> Option<QueryOutcome> {
-        if self.overflow && read == Read::Class {
-            return None;
+    pub(crate) fn answer(&mut self, store: &StoreCore, read: Read) -> Answer {
+        if self.overflow && !read.ranks_overflow() {
+            return Answer::Overflow;
         }
         debug_assert!(!self.count_only, "a page read of a count-only entry");
-        Some(self.outcome(store))
+        match read {
+            Read::Count => Answer::Count(self.slots.len()),
+            Read::Page | Read::Class => Answer::Outcome(self.outcome(store)),
+        }
     }
 
     /// The outcome, sharing the current page. On the first read, and on

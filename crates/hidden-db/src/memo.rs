@@ -69,8 +69,13 @@
 //!
 //! **Reads.** A class read of an overflow entry, full or count-only,
 //! gets the class alone and leaves a full entry's page as it is; of any
-//! other entry, the whole answer. A page read of a count-only entry
-//! misses: it evaluates in full, and the admission replaces the
+//! other entry, the whole answer. A count read gets the class alone of
+//! an overflow entry and the page size of any other, and leaves every
+//! page copy as it is: an absent page stays absent and a stale one
+//! unrebuilt until a page or class read asks for it. A count read that
+//! misses evaluates and admits exactly as a class read does, so the
+//! memo holds the same entries either way. A page read of a count-only
+//! entry misses: it evaluates in full, and the admission replaces the
 //! count-only entry with the full one. Admission never replaces a full
 //! entry, since two sessions of one snapshot may miss on the same query
 //! together.
@@ -139,7 +144,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 use crate::index::BitmapIndex;
-use crate::interface::{CachedEval, QueryOutcome, Read};
+use crate::interface::{Answer, CachedEval, Read};
 use crate::query::{ConjunctiveQuery, Predicate};
 use crate::stats::MemoStats;
 use crate::store::{Slot, StoreCore};
@@ -429,8 +434,9 @@ impl QueryMemo {
     /// `read` of `query` gets (see [`CachedEval::answer`]) against
     /// `store`, whose rows the entry matches (debug builds check it),
     /// sharing the entry's page; `None` on a miss. A page read misses a
-    /// count-only entry. `hash` is the query's [`QueryMemo::hash_of`]
-    /// fingerprint, computed once per answer.
+    /// count-only entry; a class or count read hits any entry. `hash` is
+    /// the query's [`QueryMemo::hash_of`] fingerprint, computed once per
+    /// answer.
     #[inline]
     pub(crate) fn hit(
         &mut self,
@@ -439,7 +445,7 @@ impl QueryMemo {
         store: &StoreCore,
         k: usize,
         read: Read,
-    ) -> Option<Option<QueryOutcome>> {
+    ) -> Option<Answer> {
         let cached = self.get_mut(hash, query)?;
         if cfg!(debug_assertions) {
             cached.assert_consistent(query, store, k);
@@ -645,6 +651,7 @@ fn unlink<S: BuildHasher>(map: &mut HashMap<u64, Vec<u32>, S>, key: u64, id: u32
 mod tests {
     use super::*;
     use crate::database::HiddenDatabase;
+    use crate::interface::{PageCopy, QueryOutcome};
     use crate::ranking::ScoringPolicy;
     use crate::schema::Schema;
     use crate::tuple::Tuple;
@@ -1295,6 +1302,47 @@ mod tests {
         let (out, hit) = t.ask(&probe);
         assert!(hit && Arc::ptr_eq(page_of(&out), page_of(&first)), "the page was left alone");
         assert_eq!(t.db.stats().class_only_overflows, 2);
+    }
+
+    /// A count read of a cached answer reads its size alone: a page
+    /// never copied stays absent, a stale copy stays unrebuilt, and the
+    /// next page read still gets the page of the entry's members.
+    #[test]
+    fn a_count_read_builds_no_page() {
+        let mut store = crate::store::Store::new(1, 1);
+        let row = |key: u64| Tuple::new(TupleKey(key), vec![ValueId(0)], vec![key as f64]);
+        let (a, b) = (store.insert(row(1), 9).unwrap(), store.insert(row(2), 8).unwrap());
+        let query = q(&[(0, 0)]);
+        let h = QueryMemo::hash_of(&query);
+        let mut memo = QueryMemo::default();
+        insert(&mut memo, &query, CachedEval::new(false, vec![a, b]));
+        let ask = |memo: &mut QueryMemo, store: &crate::store::Store, read: Read| {
+            let answer = memo.hit(h, &query, store, 3, read).expect("cached");
+            let copy = match &memo.get_mut(h, &query).expect("cached").page {
+                PageCopy::Absent => "absent",
+                PageCopy::Current(_) => "current",
+                PageCopy::Stale(_) => "stale",
+            };
+            (answer, copy)
+        };
+        let (answer, copy) = ask(&mut memo, &store, Read::Count);
+        assert_eq!((answer.count(), copy), (Some(2), "absent"));
+        let (answer, copy) = ask(&mut memo, &store, Read::Page);
+        assert_eq!((answer.outcome().map(|out| out.returned_count()), copy), (Some(2), "current"));
+
+        // A matching insert above both members makes the copy stale.
+        let c = store.insert(row(3), 10).unwrap();
+        let values = [ValueId(0)];
+        memo.patch(
+            &RowOp { slot: c, values: &values, score: 10, change: RowChange::Insert },
+            3,
+            &store,
+        );
+        let (answer, copy) = ask(&mut memo, &store, Read::Count);
+        assert_eq!((answer.count(), copy), (Some(3), "stale"), "a count read rebuilds nothing");
+        let (answer, copy) = ask(&mut memo, &store, Read::Page);
+        let want = QueryOutcome::Valid(std::sync::Arc::new(store.page(&[c, a, b])));
+        assert_eq!((answer.outcome(), copy), (Some(want), "current"));
     }
 
     /// Admission never replaces a full entry, and replaces a count-only

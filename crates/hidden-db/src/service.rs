@@ -29,7 +29,7 @@ use crate::budget::QueryBudget;
 use crate::database::{evaluate_query, HiddenDatabase};
 use crate::errors::{DbError, IssueError};
 use crate::index::BitmapIndex;
-use crate::interface::{QueryOutcome, Read};
+use crate::interface::{Answer, QueryOutcome, Read};
 use crate::memo::QueryMemo;
 use crate::query::ConjunctiveQuery;
 use crate::schema::Schema;
@@ -325,12 +325,8 @@ impl ServiceSession {
         self.eval_stats
     }
 
-    /// The one read path behind both `SearchBackend` methods.
-    fn read(
-        &mut self,
-        query: &ConjunctiveQuery,
-        read: Read,
-    ) -> Result<Option<QueryOutcome>, IssueError> {
+    /// The one read path behind the three `SearchBackend` reads.
+    fn read(&mut self, query: &ConjunctiveQuery, read: Read) -> Result<Answer, IssueError> {
         // Validate, then charge, exactly like `SearchSession` — budget
         // accounting must be bit-identical to the private path.
         query.validate(self.snap.schema()).map_err(|_| IssueError::InvalidQuery)?;
@@ -357,7 +353,7 @@ impl ServiceSession {
                 out
             }
         };
-        self.stats.count_answer(out.as_ref(), cached);
+        self.stats.count_answer(&out, read, cached);
         Ok(out)
     }
 }
@@ -372,14 +368,18 @@ impl SearchBackend for ServiceSession {
     }
 
     fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError> {
-        Ok(self.read(query, Read::Page)?.expect("a page read is answered in full"))
+        Ok(self.read(query, Read::Page)?.outcome().expect("a page read is answered in full"))
     }
 
     fn issue_unless_overflow(
         &mut self,
         query: &ConjunctiveQuery,
     ) -> Result<Option<QueryOutcome>, IssueError> {
-        self.read(query, Read::Class)
+        Ok(self.read(query, Read::Class)?.outcome())
+    }
+
+    fn issue_count(&mut self, query: &ConjunctiveQuery) -> Result<Option<usize>, IssueError> {
+        Ok(self.read(query, Read::Count)?.count())
     }
 
     fn remaining(&self) -> u64 {

@@ -10,21 +10,31 @@
 //!
 //! ## Which method to call
 //!
-//! [`SearchBackend::issue`] reads the whole answer. Call
-//! [`SearchBackend::issue_unless_overflow`] wherever an overflow's page
-//! would go unread: a drill-down above the leaves, where an overflow
-//! only sends it one level down, or a crawl's interior node, which it
-//! only expands. A query that fixes every attribute (a leaf) can be a
-//! terminal node that overflows, and its page is then read, so it is
-//! issued with `issue`. Both methods validate, charge and count alike,
-//! and answer every non-overflow in full; only an overflow read by class
-//! comes back as `None`, with no page ranked or copied in-process.
+//! Three reads, by what the caller will look at:
 //!
-//! A wrapper backend forwards both methods to the same calls of its
-//! inner backend, as the fault and recovery layers in [`crate::fault`]
-//! do. A backend that implements only `issue` still works: the provided
+//! * **page** — [`SearchBackend::issue`] reads the whole answer. A query
+//!   that fixes every attribute (a leaf) can be a terminal node that
+//!   overflows, and a caller that reads terminal rows reads its page, so
+//!   it is issued with `issue`.
+//! * **class** — [`SearchBackend::issue_unless_overflow`] wherever an
+//!   overflow's page would go unread: a drill-down above the leaves,
+//!   where an overflow only sends it one level down, or a crawl's
+//!   interior node, which it only expands. Every non-overflow comes back
+//!   in full.
+//! * **count** — [`SearchBackend::issue_count`] wherever no row of any
+//!   answer is read, only how many tuples a page holds: a COUNT(*)
+//!   drill-down, whose Horvitz–Thompson term is `|q| / p(q)`, at every
+//!   node, leaf included.
+//!
+//! All three validate, charge and count alike; an overflow read by class
+//! or by count comes back as `None`, with no page ranked or copied
+//! in-process, and a count read builds no page at all.
+//!
+//! A wrapper backend forwards each method to the same call of its inner
+//! backend, as the fault and recovery layers in [`crate::fault`] do. A
+//! backend that implements only `issue` still works: the provided
 //! `issue_unless_overflow` reads the whole answer and drops an overflow's
-//! page.
+//! page, and the provided `issue_count` counts what that returns.
 
 use crate::budget::QueryBudget;
 use crate::database::HiddenDatabase;
@@ -69,6 +79,20 @@ pub trait SearchBackend {
         Ok(Some(self.issue(query)?).filter(|out| !out.is_overflow()))
     }
 
+    /// Issues one search query like [`SearchBackend::issue`], for a
+    /// caller that reads no row of the answer, only how many tuples its
+    /// page holds: `Ok(None)` means the query overflowed, and `Ok(Some(n))`
+    /// that its page holds `n` tuples (`n = 0` for an underflow). It
+    /// validates, charges and fails exactly like `issue`.
+    ///
+    /// The default counts what [`SearchBackend::issue_unless_overflow`]
+    /// returns, so a backend that implements only `issue` still answers
+    /// it. In-process backends override it so that no page is copied or
+    /// built, and wrappers forward it to their inner backend.
+    fn issue_count(&mut self, query: &ConjunctiveQuery) -> Result<Option<usize>, IssueError> {
+        Ok(self.issue_unless_overflow(query)?.map(|out| out.returned_count()))
+    }
+
     /// Queries remaining in this round's budget.
     fn remaining(&self) -> u64;
 
@@ -98,6 +122,13 @@ impl<'a> SearchSession<'a> {
     pub fn budget(&self) -> QueryBudget {
         self.budget
     }
+
+    /// Validates and charges one query: a query outside the schema is
+    /// refused without a charge.
+    fn charge(&mut self, query: &ConjunctiveQuery) -> Result<(), IssueError> {
+        query.validate(self.db.schema()).map_err(|_| IssueError::InvalidQuery)?;
+        Ok(self.budget.charge()?)
+    }
 }
 
 impl SearchBackend for SearchSession<'_> {
@@ -110,8 +141,7 @@ impl SearchBackend for SearchSession<'_> {
     }
 
     fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError> {
-        query.validate(self.db.schema()).map_err(|_| IssueError::InvalidQuery)?;
-        self.budget.charge()?;
+        self.charge(query)?;
         Ok(self.db.answer(query))
     }
 
@@ -119,9 +149,13 @@ impl SearchBackend for SearchSession<'_> {
         &mut self,
         query: &ConjunctiveQuery,
     ) -> Result<Option<QueryOutcome>, IssueError> {
-        query.validate(self.db.schema()).map_err(|_| IssueError::InvalidQuery)?;
-        self.budget.charge()?;
+        self.charge(query)?;
         Ok(self.db.answer_unless_overflow(query))
+    }
+
+    fn issue_count(&mut self, query: &ConjunctiveQuery) -> Result<Option<usize>, IssueError> {
+        self.charge(query)?;
+        Ok(self.db.answer_count(query))
     }
 
     fn remaining(&self) -> u64 {

@@ -1,6 +1,6 @@
 //! Interface-side counters, useful for experiments and benches.
 
-use crate::interface::QueryOutcome;
+use crate::interface::{Answer, OutcomeClass, Read};
 
 /// Counters describing the traffic a database has served.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -17,25 +17,29 @@ pub struct InterfaceStats {
     /// rows change, or a service snapshot's.
     pub cache_hits: u64,
     /// Overflows answered by class alone, to a caller that asked not to
-    /// read their page: no top `k` was ranked or copied for them. Also
-    /// counted in [`InterfaceStats::overflows`].
+    /// read their page (a class or a count read): no top `k` was ranked
+    /// or copied for them. Also counted in [`InterfaceStats::overflows`].
     pub class_only_overflows: u64,
+    /// Answers read by count, to a caller that reads only how many tuples
+    /// a page holds: no page was copied or built for them, whatever their
+    /// class. Also counted by class.
+    pub count_reads: u64,
 }
 
 impl InterfaceStats {
-    /// Counts one answer, `None` being an overflow answered by class
-    /// alone: its class, and whether the memo served it.
-    pub(crate) fn count_answer(&mut self, out: Option<&QueryOutcome>, cache_hit: bool) {
+    /// Counts one answer to a `read`: its class, whether it came without
+    /// a page, and whether the memo served it.
+    pub(crate) fn count_answer(&mut self, answer: &Answer, read: Read, cache_hit: bool) {
         self.answered += 1;
         self.cache_hits += u64::from(cache_hit);
-        match out {
-            None => {
+        self.count_reads += u64::from(read == Read::Count);
+        match answer.class() {
+            OutcomeClass::Underflow => self.underflows += 1,
+            OutcomeClass::Valid => self.valids += 1,
+            OutcomeClass::Overflow => {
                 self.overflows += 1;
-                self.class_only_overflows += 1;
+                self.class_only_overflows += u64::from(!read.ranks_overflow());
             }
-            Some(QueryOutcome::Underflow) => self.underflows += 1,
-            Some(QueryOutcome::Valid(_)) => self.valids += 1,
-            Some(QueryOutcome::Overflow(_)) => self.overflows += 1,
         }
     }
 

@@ -12,12 +12,15 @@
 //! variant rides along so the CLOCK admission/eviction path is exercised
 //! under churn too.
 //!
-//! Each ask is drawn as a page read (`answer`) or a class read
-//! (`answer_unless_overflow`), so count-only entries are admitted,
-//! patched, dropped at `k`, hit by class reads and replaced by page
-//! reads. A class answer must be `None` exactly when the naive scan
-//! overflows and equal it otherwise; a closing page read of every query
-//! checks what the class reads left behind.
+//! Each ask is drawn as a page read (`answer`), a class read
+//! (`answer_unless_overflow`) or a count read (`answer_count`), so
+//! count-only entries are admitted, patched, dropped at `k`, hit by class
+//! and count reads and replaced by page reads, and count reads hit full
+//! entries whose page copy is absent, current or stale. A class answer
+//! must be `None` exactly when the naive scan overflows and equal it
+//! otherwise; a count must be `None` exactly when the naive scan
+//! overflows and equal its match count otherwise. A closing page read of
+//! every query checks what the class and count reads left behind.
 
 use hidden_db::database::HiddenDatabase;
 use hidden_db::interface::QueryOutcome;
@@ -46,9 +49,17 @@ enum Step {
         inserts: Vec<(u32, u32, i32)>,
         poison: bool,
     },
-    /// Issue the query with the given optional predicates on A0/A1, by
-    /// class alone when `class_only`.
-    Query { a0: Option<u32>, a1: Option<u32>, class_only: bool },
+    /// Issue the query with the given optional predicates on A0/A1,
+    /// read as `read` asks.
+    Query { a0: Option<u32>, a1: Option<u32>, read: Read },
+}
+
+/// How a [`Step::Query`] reads its answer.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Read {
+    Page,
+    Class,
+    Count,
 }
 
 fn step_strategy() -> impl Strategy<Value = Step> {
@@ -69,12 +80,10 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         });
     // `DOMAINS[i]` encodes "no predicate on that attribute".
     let query =
-        (0..DOMAINS[0] + 1, 0..DOMAINS[1] + 1, any::<bool>()).prop_map(|(a0, a1, class_only)| {
-            Step::Query {
-                a0: (a0 < DOMAINS[0]).then_some(a0),
-                a1: (a1 < DOMAINS[1]).then_some(a1),
-                class_only,
-            }
+        (0..DOMAINS[0] + 1, 0..DOMAINS[1] + 1, 0..3u8).prop_map(|(a0, a1, read)| Step::Query {
+            a0: (a0 < DOMAINS[0]).then_some(a0),
+            a1: (a1 < DOMAINS[1]).then_some(a1),
+            read: [Read::Page, Read::Class, Read::Count][usize::from(read)],
         });
     prop_oneof![2 => batch, 3 => query]
 }
@@ -183,8 +192,8 @@ proptest! {
             ("incremental-tight", fresh_db(k, scoring, 4)),
         ];
         let mut next_key = 0u64;
-        // Class reads answered without a page.
-        let mut class_overflows = 0u64;
+        // Class and count reads answered without a page, and count reads.
+        let (mut class_overflows, mut count_reads) = (0u64, 0u64);
         for step in &steps {
             match step {
                 Step::Batch { delete_picks, update_picks, inserts, poison } => {
@@ -209,7 +218,7 @@ proptest! {
                         );
                     }
                 }
-                Step::Query { a0, a1, class_only } => {
+                Step::Query { a0, a1, read } => {
                     let query = build_query(*a0, *a1);
                     let want = oracle_db.answer(&query);
                     prop_assert_eq!(&want, &oracle_db.exact_answer(&query), "naive scan");
@@ -221,19 +230,24 @@ proptest! {
                         }
                         _ => prop_assert!(want.is_overflow(), "{}: truth {}", &query, truth),
                     }
-                    class_overflows += u64::from(*class_only && want.is_overflow());
+                    class_overflows += u64::from(*read != Read::Page && want.is_overflow());
+                    count_reads += u64::from(*read == Read::Count);
                     for (name, db) in tracked.iter_mut() {
                         let what = format!(
-                            "{name}: {} read of {query} diverged (memo_len {})",
-                            if *class_only { "class" } else { "page" },
+                            "{name}: {read:?} read of {query} diverged (memo_len {})",
                             db.memo_len()
                         );
-                        if !*class_only {
-                            assert_same_answer(&db.answer(&query), &want, &what)?;
-                        } else if let Some(got) = db.answer_unless_overflow(&query) {
-                            assert_same_answer(&got, &want, &what)?;
-                        } else {
-                            prop_assert!(want.is_overflow(), "{}", what);
+                        match read {
+                            Read::Page => assert_same_answer(&db.answer(&query), &want, &what)?,
+                            Read::Class => match db.answer_unless_overflow(&query) {
+                                Some(got) => assert_same_answer(&got, &want, &what)?,
+                                None => prop_assert!(want.is_overflow(), "{}", what),
+                            },
+                            Read::Count => {
+                                let truth = usize::try_from(truth).expect("small");
+                                let got = db.answer_count(&query);
+                                prop_assert_eq!(got, (truth <= k).then_some(truth), "{}", what);
+                            }
                         }
                     }
                 }
@@ -263,8 +277,8 @@ proptest! {
                 "{}: classification counters diverged", name
             );
             prop_assert_eq!(
-                got.class_only_overflows, class_overflows,
-                "{}: overflows answered without a page", name
+                (got.class_only_overflows, got.count_reads), (class_overflows, count_reads),
+                "{}: overflows answered without a page, and count reads", name
             );
             prop_assert_eq!(
                 db.alive_keys_sorted(), oracle_db.alive_keys_sorted(),

@@ -1,9 +1,26 @@
 //! Drill-down execution: fresh drill-downs from the root (the static
 //! estimator of \[13\], reused by RESTART) and *resumed* drill-downs that
 //! start from the previous round's terminal node (REISSUE/RS, §3.1).
+//!
+//! A drill-down stops at its terminal node, the top node that does not
+//! overflow, and a caller reads that node one of two ways. A **page
+//! drill** ([`drill_from_root`], [`resume_from`]) returns the terminal's
+//! [`QueryOutcome`], for a caller that reads its rows. A **count drill**
+//! ([`drill_count_from_root`], [`resume_count_from`]) returns only how
+//! many tuples the terminal's page holds ([`DrillCount`]): a COUNT(*)
+//! estimate needs nothing else, since its Horvitz–Thompson term is
+//! `|q| / p(q)`, and a count read builds no page
+//! ([`SearchBackend::issue_count`]). The estimators in `aggtrack-core`
+//! count-drill every spec that reads no row of the page; their term
+//! `count / p(q)` is bit-identical to walking the page of the same node,
+//! which adds `1.0` once per tuple. Both run the same drill and resume
+//! bodies, generic over what a node that does not overflow returns, so
+//! they issue the same queries, in the same order, at the same cost; only
+//! the read of each node differs.
 
 use hidden_db::errors::IssueError;
-use hidden_db::interface::QueryOutcome;
+use hidden_db::interface::{OutcomeClass, QueryOutcome};
+use hidden_db::query::ConjunctiveQuery;
 use hidden_db::session::SearchBackend;
 
 use crate::signature::Signature;
@@ -50,6 +67,105 @@ impl DrillOutcome {
     }
 }
 
+/// Where a count drill ended: its terminal node's depth and how many
+/// tuples that node's page holds. Equal, field for field, to the page
+/// drill's depth, `outcome.returned_count()` and cost.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DrillCount {
+    /// Depth of the terminal node (0 = tree root).
+    pub depth: usize,
+    /// Tuples on the terminal node's page: all of its matches when it
+    /// does not overflow (0 for an underflow), and `k` in the degenerate
+    /// leaf-overflow case, whose page holds the top `k`.
+    pub count: usize,
+    /// Search queries spent by this operation.
+    pub cost: u64,
+}
+
+/// What a drill-down reads at a node where it may stop, and how. A node
+/// above the leaves is read only to learn whether it overflows, and its
+/// answer is kept only when it does not; a leaf's answer is always kept,
+/// since even an overflowing leaf is a terminal.
+trait Terminal: Sized {
+    /// Reads a node above the leaves: `None` when it overflows.
+    fn node<B: SearchBackend + ?Sized>(
+        backend: &mut B,
+        query: &ConjunctiveQuery,
+    ) -> Result<Option<Self>, IssueError>;
+
+    /// Reads a leaf, whether it overflows or not.
+    fn leaf<B: SearchBackend + ?Sized>(
+        backend: &mut B,
+        query: &ConjunctiveQuery,
+    ) -> Result<Self, IssueError>;
+
+    /// The node's class.
+    fn class(&self) -> OutcomeClass;
+}
+
+/// A page drill reads the class alone above the leaves
+/// ([`SearchBackend::issue_unless_overflow`]) and a leaf's whole answer.
+impl Terminal for QueryOutcome {
+    fn node<B: SearchBackend + ?Sized>(
+        backend: &mut B,
+        query: &ConjunctiveQuery,
+    ) -> Result<Option<Self>, IssueError> {
+        backend.issue_unless_overflow(query)
+    }
+
+    fn leaf<B: SearchBackend + ?Sized>(
+        backend: &mut B,
+        query: &ConjunctiveQuery,
+    ) -> Result<Self, IssueError> {
+        backend.issue(query)
+    }
+
+    fn class(&self) -> OutcomeClass {
+        QueryOutcome::class(self)
+    }
+}
+
+/// A count drill's answer at a node: the page's size, and whether the
+/// node overflowed (only ever a leaf, whose page then holds `k`).
+#[derive(Debug, Clone, Copy)]
+struct PageSize {
+    tuples: usize,
+    overflow: bool,
+}
+
+/// A count drill reads every node by count ([`SearchBackend::issue_count`]).
+impl Terminal for PageSize {
+    fn node<B: SearchBackend + ?Sized>(
+        backend: &mut B,
+        query: &ConjunctiveQuery,
+    ) -> Result<Option<Self>, IssueError> {
+        Ok(backend.issue_count(query)?.map(|tuples| PageSize { tuples, overflow: false }))
+    }
+
+    fn leaf<B: SearchBackend + ?Sized>(
+        backend: &mut B,
+        query: &ConjunctiveQuery,
+    ) -> Result<Self, IssueError> {
+        let read = PageSize::node(backend, query)?;
+        Ok(read.unwrap_or(PageSize { tuples: backend.k(), overflow: true }))
+    }
+
+    fn class(&self) -> OutcomeClass {
+        match (self.overflow, self.tuples) {
+            (true, _) => OutcomeClass::Overflow,
+            (false, 0) => OutcomeClass::Underflow,
+            (false, _) => OutcomeClass::Valid,
+        }
+    }
+}
+
+/// A drill-down's terminal node, read as `T`, and the queries spent.
+struct Stop<T> {
+    depth: usize,
+    answer: T,
+    cost: u64,
+}
+
 /// Performs a fresh drill-down: issue the path's nodes root-first until one
 /// does not overflow (§3.1).
 ///
@@ -61,31 +177,42 @@ pub fn drill_from_root<B: SearchBackend + ?Sized>(
     sig: &Signature,
     backend: &mut B,
 ) -> Result<DrillOutcome, IssueError> {
-    descend(tree, sig, 0, 0, backend)
+    let stop = descend::<QueryOutcome, B>(tree, sig, 0, 0, backend)?;
+    Ok(DrillOutcome { depth: stop.depth, outcome: stop.answer, cost: stop.cost })
+}
+
+/// [`drill_from_root`] for a caller that needs only the size of the
+/// terminal node's page: the same queries at the same cost, every node
+/// read by count.
+pub fn drill_count_from_root<B: SearchBackend + ?Sized>(
+    tree: &QueryTree,
+    sig: &Signature,
+    backend: &mut B,
+) -> Result<DrillCount, IssueError> {
+    let stop = descend::<PageSize, B>(tree, sig, 0, 0, backend)?;
+    Ok(DrillCount { depth: stop.depth, count: stop.answer.tuples, cost: stop.cost })
 }
 
 /// Descends from `from_depth` (inclusive) until a non-overflowing node,
-/// starting with `base_cost` already spent. Nodes above the leaves are
-/// read by class alone ([`SearchBackend::issue_unless_overflow`]): only
-/// a leaf's overflow page can be a terminal one.
-fn descend<B: SearchBackend + ?Sized>(
+/// starting with `cost` already spent. Nodes above the leaves are read
+/// by [`Terminal::node`]: only a leaf's overflow can be a terminal one.
+fn descend<T: Terminal, B: SearchBackend + ?Sized>(
     tree: &QueryTree,
     sig: &Signature,
     from_depth: usize,
-    base_cost: u64,
+    mut cost: u64,
     backend: &mut B,
-) -> Result<DrillOutcome, IssueError> {
-    let mut cost = base_cost;
+) -> Result<Stop<T>, IssueError> {
     for depth in from_depth..tree.depth() {
-        let answer = backend.issue_unless_overflow(&tree.node_query(sig, depth))?;
+        let answer = T::node(backend, &tree.node_query(sig, depth))?;
         cost += 1;
-        if let Some(outcome) = answer {
-            return Ok(DrillOutcome { depth, outcome, cost });
+        if let Some(answer) = answer {
+            return Ok(Stop { depth, answer, cost });
         }
     }
     let depth = tree.depth();
-    let outcome = backend.issue(&tree.node_query(sig, depth))?;
-    Ok(DrillOutcome { depth, outcome, cost: cost + 1 })
+    let answer = T::leaf(backend, &tree.node_query(sig, depth))?;
+    Ok(Stop { depth, answer, cost: cost + 1 })
 }
 
 /// Resumes a drill-down whose terminal node in the previous round was at
@@ -104,6 +231,32 @@ pub fn resume_from<B: SearchBackend + ?Sized>(
     policy: ReissuePolicy,
     backend: &mut B,
 ) -> Result<DrillOutcome, IssueError> {
+    let stop = resume::<QueryOutcome, B>(tree, sig, prev_depth, policy, backend)?;
+    Ok(DrillOutcome { depth: stop.depth, outcome: stop.answer, cost: stop.cost })
+}
+
+/// [`resume_from`] for a caller that needs only the size of the terminal
+/// node's page: the same queries at the same cost, every node read by
+/// count.
+pub fn resume_count_from<B: SearchBackend + ?Sized>(
+    tree: &QueryTree,
+    sig: &Signature,
+    prev_depth: usize,
+    policy: ReissuePolicy,
+    backend: &mut B,
+) -> Result<DrillCount, IssueError> {
+    let stop = resume::<PageSize, B>(tree, sig, prev_depth, policy, backend)?;
+    Ok(DrillCount { depth: stop.depth, count: stop.answer.tuples, cost: stop.cost })
+}
+
+/// The body of [`resume_from`] and [`resume_count_from`].
+fn resume<T: Terminal, B: SearchBackend + ?Sized>(
+    tree: &QueryTree,
+    sig: &Signature,
+    prev_depth: usize,
+    policy: ReissuePolicy,
+    backend: &mut B,
+) -> Result<Stop<T>, IssueError> {
     assert!(
         prev_depth <= tree.depth(),
         "previous depth {prev_depth} exceeds tree depth {}",
@@ -111,64 +264,41 @@ pub fn resume_from<B: SearchBackend + ?Sized>(
     );
     let query = tree.node_query(sig, prev_depth);
     let first = if prev_depth < tree.depth() {
-        backend.issue_unless_overflow(&query)?
+        T::node(backend, &query)?
     } else {
-        Some(backend.issue(&query)?)
+        Some(T::leaf(backend, &query)?)
     };
-    let mut cost = 1;
     let Some(first) = first else {
-        return descend(tree, sig, prev_depth + 1, cost, backend);
+        return descend(tree, sig, prev_depth + 1, 1, backend);
     };
-    if first.is_overflow() {
-        // Degenerate leaf overflow: terminal where we stand.
-        return Ok(DrillOutcome { depth: prev_depth, outcome: first, cost });
+    let mut best = Stop { depth: prev_depth, answer: first, cost: 1 };
+    let trusting = policy == ReissuePolicy::Trusting;
+    // A degenerate leaf overflow is terminal where we stand, and so is a
+    // root that does not overflow, by definition. Trusting takes a valid
+    // node as terminal too (§3.2 case 1: its ancestors still overflow).
+    let class = best.answer.class();
+    if class == OutcomeClass::Overflow
+        || prev_depth == 0
+        || (trusting && class == OutcomeClass::Valid)
+    {
+        return Ok(best);
     }
-    if prev_depth == 0 {
-        // Root does not overflow: it is the terminal node by definition.
-        return Ok(DrillOutcome { depth: 0, outcome: first, cost });
-    }
-    match policy {
-        ReissuePolicy::Trusting => {
-            if first.is_valid() {
-                // §3.2 case 1: trust that ancestors still overflow.
-                return Ok(DrillOutcome { depth: prev_depth, outcome: first, cost });
-            }
-            // Underflow: roll up to the first non-underflowing node, or an
-            // underflowing node whose parent overflows (Algorithm 1 line 8).
-            let mut best_depth = prev_depth;
-            let mut best_outcome = first;
-            for depth in (0..prev_depth).rev() {
-                let answer = backend.issue_unless_overflow(&tree.node_query(sig, depth))?;
-                cost += 1;
-                let Some(outcome) = answer else {
-                    return Ok(DrillOutcome { depth: best_depth, outcome: best_outcome, cost });
-                };
-                best_depth = depth;
-                best_outcome = outcome.clone();
-                if outcome.is_valid() {
-                    // First non-underflowing node found: stop (Trusting).
-                    return Ok(DrillOutcome { depth, outcome, cost });
-                }
-            }
-            Ok(DrillOutcome { depth: best_depth, outcome: best_outcome, cost })
-        }
-        ReissuePolicy::Strict => {
-            // Walk up until an overflowing ancestor pins the terminal node.
-            let mut best_depth = prev_depth;
-            let mut best_outcome = first;
-            for depth in (0..prev_depth).rev() {
-                let answer = backend.issue_unless_overflow(&tree.node_query(sig, depth))?;
-                cost += 1;
-                let Some(outcome) = answer else {
-                    return Ok(DrillOutcome { depth: best_depth, outcome: best_outcome, cost });
-                };
-                best_depth = depth;
-                best_outcome = outcome;
-            }
-            // Reached the root without meeting an overflow: root terminal.
-            Ok(DrillOutcome { depth: best_depth, outcome: best_outcome, cost })
+    // Roll up until an overflowing ancestor pins the terminal node below
+    // it, or the root is reached. Trusting, rolling up from an underflow,
+    // also stops at the first valid node (Algorithm 1 line 8).
+    for depth in (0..prev_depth).rev() {
+        let answer = T::node(backend, &tree.node_query(sig, depth))?;
+        best.cost += 1;
+        let Some(answer) = answer else {
+            return Ok(best);
+        };
+        best.depth = depth;
+        best.answer = answer;
+        if trusting && best.answer.class() == OutcomeClass::Valid {
+            return Ok(best);
         }
     }
+    Ok(best)
 }
 
 #[cfg(test)]

@@ -47,7 +47,10 @@ pub mod signature;
 pub mod tree;
 
 pub use crawl::{crawl, CrawlOutcome};
-pub use drill::{drill_from_root, resume_from, DrillOutcome, ReissuePolicy};
+pub use drill::{
+    drill_count_from_root, drill_from_root, resume_count_from, resume_from, DrillCount,
+    DrillOutcome, ReissuePolicy,
+};
 pub use order::{attribute_order, tree_with_heuristic, OrderHeuristic};
 pub use signature::{enumerate_all, Signature};
 pub use tree::QueryTree;

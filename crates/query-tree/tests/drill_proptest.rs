@@ -12,7 +12,10 @@ use hidden_db::tuple::Tuple;
 use hidden_db::value::{TupleKey, ValueId};
 use proptest::prelude::*;
 use query_tree::crawl::crawl;
-use query_tree::{drill_from_root, enumerate_all, resume_from, QueryTree, ReissuePolicy};
+use query_tree::{
+    drill_count_from_root, drill_from_root, enumerate_all, resume_count_from, resume_from,
+    QueryTree, ReissuePolicy,
+};
 
 const DOMAINS: [u32; 3] = [2, 3, 2];
 
@@ -95,8 +98,98 @@ fn drill_all<B: SearchBackend>(
     (drills, keys, crawled.cost, backend.spent())
 }
 
+/// One drill's terminal depth, cost and page size, or its error.
+type Sizing = Result<(usize, u64, usize), IssueError>;
+
+/// Resumes every signature from `depths` (a fresh drill where `None`)
+/// under `policy` through `backend`, by count when `by_count` and by page
+/// otherwise: each drill's depth, cost and page size, and the spend.
+fn size_all<B: SearchBackend>(
+    tree: &QueryTree,
+    depths: &[Option<usize>],
+    policy: ReissuePolicy,
+    by_count: bool,
+    backend: &mut B,
+) -> (Vec<Sizing>, u64) {
+    let mut drills = Vec::new();
+    for (sig, depth) in enumerate_all(tree).iter().zip(depths) {
+        let out = match (*depth, by_count) {
+            (None, true) => {
+                drill_count_from_root(tree, sig, backend).map(|d| (d.depth, d.cost, d.count))
+            }
+            (Some(d), true) => {
+                resume_count_from(tree, sig, d, policy, backend).map(|d| (d.depth, d.cost, d.count))
+            }
+            (None, false) => drill_from_root(tree, sig, backend)
+                .map(|d| (d.depth, d.cost, d.outcome.returned_count())),
+            (Some(d), false) => resume_from(tree, sig, d, policy, backend)
+                .map(|d| (d.depth, d.cost, d.outcome.returned_count())),
+        };
+        drills.push(out);
+    }
+    (drills, backend.spent())
+}
+
+/// A database's class tallies.
+fn tallies(db: &HiddenDatabase) -> (u64, u64, u64, u64) {
+    let s = db.stats();
+    (s.answered, s.underflows, s.valids, s.overflows)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // Count drills, and count resumes under either policy, issue the same
+    // queries as page drills and stop at the same node: the same depth,
+    // cost, spend and class tallies, and the page drill's
+    // `returned_count()` as their count, leaf overflows included (small
+    // `k` makes some). Checked before and after a change of the data, and
+    // under a budget that runs out.
+    #[test]
+    fn count_drills_match_page_drills(
+        before in prop::collection::vec(row_strategy(), 0..50),
+        after_inserts in prop::collection::vec(row_strategy(), 0..30),
+        delete_mask in prop::collection::vec(any::<bool>(), 50),
+        k in 1..6usize,
+        budget in 5..200u64,
+        trusting in any::<bool>(),
+    ) {
+        let policy = if trusting { ReissuePolicy::Trusting } else { ReissuePolicy::Strict };
+        let mut db = db_from_rows(&before, k);
+        let mut paged = db.clone();
+        let tree = QueryTree::full(&db.schema().clone());
+        let fresh = vec![None; enumerate_all(&tree).len()];
+        let first = size_all(&tree, &fresh, policy, true, &mut SearchSession::unlimited(&mut db));
+        let want =
+            size_all(&tree, &fresh, policy, false, &mut SearchSession::unlimited(&mut paged));
+        prop_assert_eq!(&first, &want);
+        prop_assert_eq!(tallies(&db), tallies(&paged));
+        let depths: Vec<Option<usize>> =
+            first.0.iter().map(|d| d.as_ref().ok().map(|(depth, ..)| *depth)).collect();
+
+        for (i, &del) in delete_mask.iter().enumerate().take(before.len()) {
+            if del {
+                db.delete(TupleKey(i as u64)).unwrap();
+                paged.delete(TupleKey(i as u64)).unwrap();
+            }
+        }
+        for (i, &(a, b, c)) in after_inserts.iter().enumerate() {
+            let t = Tuple::new(
+                TupleKey(10_000 + i as u64),
+                vec![ValueId(a), ValueId(b), ValueId(c)],
+                vec![],
+            );
+            db.insert(t.clone()).unwrap();
+            paged.insert(t).unwrap();
+        }
+        let got = size_all(&tree, &depths, policy, true, &mut SearchSession::new(&mut db, budget));
+        let want =
+            size_all(&tree, &depths, policy, false, &mut SearchSession::new(&mut paged, budget));
+        prop_assert_eq!(got, want);
+        prop_assert_eq!(tallies(&db), tallies(&paged));
+        prop_assert_eq!(db.stats().count_reads, db.stats().answered, "every read by count");
+        prop_assert_eq!(paged.stats().count_reads, 0);
+    }
 
     // Drills, resumes under both policies, and crawls read every node
     // above the leaves by class alone through a `SearchSession`; through
@@ -145,11 +238,7 @@ proptest! {
         );
         prop_assert_eq!(got, want);
         prop_assert_eq!(plain.stats().class_only_overflows, 0);
-        let (d, p) = (db.stats(), plain.stats());
-        prop_assert_eq!(
-            (d.answered, d.underflows, d.valids, d.overflows),
-            (p.answered, p.underflows, p.valids, p.overflows)
-        );
+        prop_assert_eq!(tallies(&db), tallies(&plain));
     }
 
     #[test]

@@ -98,6 +98,17 @@ impl<'a> IntraRoundSession<'a> {
         }
     }
 
+    /// Validates and charges one query, then applies the updates due by
+    /// then: a query outside the schema is refused with nothing charged
+    /// and nothing applied, as [`hidden_db::session::SearchSession`]
+    /// refuses it.
+    fn admit(&mut self, query: &ConjunctiveQuery) -> Result<(), IssueError> {
+        query.validate(self.db.schema()).map_err(|_| IssueError::InvalidQuery)?;
+        self.budget.charge()?;
+        self.apply_due();
+        Ok(())
+    }
+
     fn apply_due(&mut self) {
         // Clock: fraction of budget spent.
         let now = if self.budget.limit() == 0 {
@@ -143,8 +154,7 @@ impl SearchBackend for IntraRoundSession<'_> {
     }
 
     fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError> {
-        self.budget.charge()?;
-        self.apply_due();
+        self.admit(query)?;
         Ok(self.db.answer(query))
     }
 
@@ -152,9 +162,13 @@ impl SearchBackend for IntraRoundSession<'_> {
         &mut self,
         query: &ConjunctiveQuery,
     ) -> Result<Option<QueryOutcome>, IssueError> {
-        self.budget.charge()?;
-        self.apply_due();
+        self.admit(query)?;
         Ok(self.db.answer_unless_overflow(query))
+    }
+
+    fn issue_count(&mut self, query: &ConjunctiveQuery) -> Result<Option<usize>, IssueError> {
+        self.admit(query)?;
+        Ok(self.db.answer_count(query))
     }
 
     fn remaining(&self) -> u64 {
@@ -269,6 +283,25 @@ mod tests {
             2,
             "unaffected probe must stay warm across the mid-round insert"
         );
+    }
+
+    /// A query outside the schema is refused by every read, as a
+    /// `SearchSession` refuses it: nothing charged, no update applied.
+    #[test]
+    fn an_out_of_schema_query_is_refused_without_charge_or_update() {
+        use hidden_db::query::Predicate;
+        use hidden_db::value::AttrId;
+
+        let mut db = db_with(3);
+        let updates = vec![TimedUpdate { at: 0.0, op: MicroOp::Insert(t(100)) }];
+        let mut s = IntraRoundSession::new(&mut db, 10, updates);
+        let bad = ConjunctiveQuery::from_predicates([Predicate::new(AttrId(0), ValueId(99))]);
+        assert_eq!(s.issue(&bad).unwrap_err(), IssueError::InvalidQuery);
+        assert_eq!(s.issue_unless_overflow(&bad).unwrap_err(), IssueError::InvalidQuery);
+        assert_eq!(s.issue_count(&bad).unwrap_err(), IssueError::InvalidQuery);
+        assert_eq!((s.spent(), s.applied_updates()), (0, 0), "nothing charged or applied");
+        assert_eq!(s.issue_count(&ConjunctiveQuery::select_all()).unwrap(), Some(4));
+        assert_eq!((s.spent(), s.applied_updates()), (1, 1));
     }
 
     #[test]

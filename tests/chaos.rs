@@ -17,7 +17,10 @@ use aggtrack::workloads::spread_evenly;
 use hidden_db::database::HiddenDatabase;
 use hidden_db::fault::{FaultKind, FaultStats, RecoveryStats};
 use proptest::prelude::*;
-use query_tree::{drill_from_root, enumerate_all, resume_from};
+use query_tree::{
+    drill_count_from_root, drill_from_root, enumerate_all, resume_count_from, resume_from,
+    Signature,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -221,26 +224,62 @@ impl<B: SearchBackend> SearchBackend for IssueOnly<B> {
     }
 }
 
-/// One drill's terminal depth, cost and answer, or its error.
-type Drill = Result<(usize, u64, QueryOutcome), IssueError>;
+/// One drill's terminal depth, cost and terminal read as `T`, or its
+/// error.
+type Drill<T> = Result<(usize, u64, T), IssueError>;
+
+/// The fault and recovery stack over `B`.
+type Stack<B> = ResilientBackend<FaultyBackend<B>>;
 
 /// Everything a run through the fault stack shows from outside.
-type StackRun = (Vec<Drill>, FaultStats, RecoveryStats, u64);
+type StackRun<T> = (Vec<Drill<T>>, FaultStats, RecoveryStats, u64);
+
+/// A page drill, fresh or resumed from `(depth, policy)`.
+fn by_page<B: SearchBackend>(
+    tree: &QueryTree,
+    sig: &Signature,
+    resume: Option<(usize, ReissuePolicy)>,
+    backend: &mut B,
+) -> Drill<QueryOutcome> {
+    let out = match resume {
+        None => drill_from_root(tree, sig, backend),
+        Some((depth, policy)) => resume_from(tree, sig, depth, policy, backend),
+    };
+    out.map(|d| (d.depth, d.cost, d.outcome))
+}
+
+/// A count drill, fresh or resumed from `(depth, policy)`.
+fn by_count<B: SearchBackend>(
+    tree: &QueryTree,
+    sig: &Signature,
+    resume: Option<(usize, ReissuePolicy)>,
+    backend: &mut B,
+) -> Drill<usize> {
+    let out = match resume {
+        None => drill_count_from_root(tree, sig, backend),
+        Some((depth, policy)) => resume_count_from(tree, sig, depth, policy, backend),
+    };
+    out.map(|d| (d.depth, d.cost, d.count))
+}
 
 /// Drills every signature from the root, then resumes it under both
-/// policies from where it ended, through a seeded 30 % fault schedule
-/// and the recovery layer over `inner`.
-fn run_fault_stack<B: SearchBackend>(inner: B, tree: &QueryTree, seed: u64) -> StackRun {
+/// policies from where it ended, each by `drill`, through a seeded 30 %
+/// fault schedule and the recovery layer over `inner`.
+fn run_fault_stack<B: SearchBackend, T>(
+    inner: B,
+    tree: &QueryTree,
+    seed: u64,
+    drill: impl Fn(&QueryTree, &Signature, Option<(usize, ReissuePolicy)>, &mut Stack<B>) -> Drill<T>,
+) -> StackRun<T> {
     let faulty = FaultyBackend::new(inner, FaultSchedule::seeded(seed, 0.3));
     let mut stack = ResilientBackend::new(faulty, RetryPolicy::default(), seed ^ 0x5EED);
     let mut drills = Vec::new();
     for sig in enumerate_all(tree) {
-        let fresh = drill_from_root(tree, &sig, &mut stack);
-        let depth = fresh.as_ref().map_or(tree.depth(), |d| d.depth);
-        drills.push(fresh.map(|d| (d.depth, d.cost, d.outcome)));
+        let fresh = drill(tree, &sig, None, &mut stack);
+        let depth = fresh.as_ref().map_or(tree.depth(), |d| d.0);
+        drills.push(fresh);
         for policy in [ReissuePolicy::Strict, ReissuePolicy::Trusting] {
-            let resumed = resume_from(tree, &sig, depth, policy, &mut stack);
-            drills.push(resumed.map(|d| (d.depth, d.cost, d.outcome)));
+            drills.push(drill(tree, &sig, Some((depth, policy)), &mut stack));
         }
     }
     let (recovery, spent) = (stack.stats(), stack.spent());
@@ -254,8 +293,9 @@ fn tallies(db: &HiddenDatabase) -> (u64, u64, u64, u64) {
 }
 
 /// Checks that `db` read every overflow by class alone except the leaf
-/// overflows that ended one of `run`'s drills, and read some.
-fn assert_pages_only_at_leaves(db: &HiddenDatabase, run: &StackRun, what: &str) {
+/// overflows that ended one of `run`'s drills, and read some, and that it
+/// read by count exactly the answers the faults charged and discarded.
+fn assert_pages_only_at_leaves(db: &HiddenDatabase, run: &StackRun<QueryOutcome>, what: &str) {
     let s = db.stats();
     let leaf_overflows = run.0.iter().filter(|d| d.as_ref().is_ok_and(|d| d.2.is_overflow()));
     let paged = s.overflows - s.class_only_overflows;
@@ -265,15 +305,25 @@ fn assert_pages_only_at_leaves(db: &HiddenDatabase, run: &StackRun, what: &str) 
         "{what}: overflow pages read above the leaves"
     );
     assert!(s.class_only_overflows > 0, "{what}: no class-only read");
+    assert_eq!(s.count_reads, run.1.queries_burned, "{what}: a fault's charge read by count");
 }
 
-/// `FaultyBackend` and `ResilientBackend` carry the class-only request
-/// down to the session, with the faults, retries, charges and answers of
-/// a run whose session only answers `issue`: both runs agree on every
-/// drill, on the fault and recovery counters and on the spend, and only
-/// the first reads overflows without a page, every one above the leaves.
-/// Checked over a plain session and over one whose database changes
-/// between queries.
+/// Checks that `db` answered every query of a count run by count, and
+/// answered some.
+fn assert_all_counted(db: &HiddenDatabase, what: &str) {
+    let s = db.stats();
+    assert!(s.answered > 0, "{what}: nothing answered");
+    assert_eq!(s.count_reads, s.answered, "{what}: an answer read otherwise than by count");
+}
+
+/// `FaultyBackend` and `ResilientBackend` carry the class and count
+/// requests down to the session, with the faults, retries, charges and
+/// answers of a run whose session only answers `issue`: both runs agree on
+/// every drill, on the fault and recovery counters and on the spend. Of
+/// page drills, only the first reads overflows without a page, every one
+/// above the leaves; of count drills, the first reads every answer by
+/// count. Checked over a plain session and over one whose database
+/// changes between queries.
 #[test]
 fn the_fault_stack_forwards_class_only_reads() {
     for seed in 0..6u64 {
@@ -281,13 +331,23 @@ fn the_fault_stack_forwards_class_only_reads() {
         let tree = QueryTree::full(&base.schema().clone());
 
         let (mut db, mut plain) = (base.clone(), base.clone());
-        let got = run_fault_stack(SearchSession::unlimited(&mut db), &tree, seed);
-        let want = run_fault_stack(IssueOnly(SearchSession::unlimited(&mut plain)), &tree, seed);
+        let got = run_fault_stack(SearchSession::unlimited(&mut db), &tree, seed, by_page);
+        let session = IssueOnly(SearchSession::unlimited(&mut plain));
+        let want = run_fault_stack(session, &tree, seed, by_page);
         assert!(got.1.injected > 0, "seed {seed}: the schedule injected nothing");
         assert_eq!(got, want, "seed {seed}: search session");
         assert_eq!(tallies(&db), tallies(&plain), "seed {seed}: search session");
         assert_pages_only_at_leaves(&db, &got, &format!("seed {seed}: search session"));
         assert_eq!(plain.stats().class_only_overflows, 0, "seed {seed}");
+
+        let (mut db, mut plain) = (base.clone(), base.clone());
+        let got = run_fault_stack(SearchSession::unlimited(&mut db), &tree, seed, by_count);
+        let session = IssueOnly(SearchSession::unlimited(&mut plain));
+        let want = run_fault_stack(session, &tree, seed, by_count);
+        assert_eq!(got, want, "seed {seed}: search session, by count");
+        assert_eq!(tallies(&db), tallies(&plain), "seed {seed}: search session, by count");
+        assert_all_counted(&db, &format!("seed {seed}: search session"));
+        assert_eq!(plain.stats().count_reads, 0, "seed {seed}");
 
         // Deletes every seventh tuple and inserts copies of the first 20
         // under new keys, spread over the round.
@@ -303,13 +363,25 @@ fn the_fault_stack_forwards_class_only_reads() {
         let updates = spread_evenly(batch);
         let (mut db, mut plain) = (base.clone(), base.clone());
         let session = IntraRoundSession::new(&mut db, 300, updates.clone());
-        let got = run_fault_stack(session, &tree, seed);
-        let session = IssueOnly(IntraRoundSession::new(&mut plain, 300, updates));
-        let want = run_fault_stack(session, &tree, seed);
+        let got = run_fault_stack(session, &tree, seed, by_page);
+        let session = IssueOnly(IntraRoundSession::new(&mut plain, 300, updates.clone()));
+        let want = run_fault_stack(session, &tree, seed, by_page);
         assert_eq!(got, want, "seed {seed}: intra-round session");
         assert_eq!(tallies(&db), tallies(&plain), "seed {seed}: intra-round session");
         assert_eq!(db.alive_keys_sorted(), plain.alive_keys_sorted(), "seed {seed}");
         assert_pages_only_at_leaves(&db, &got, &format!("seed {seed}: intra-round session"));
         assert_eq!(plain.stats().class_only_overflows, 0, "seed {seed}");
+
+        let (mut db, mut plain) = (base.clone(), base.clone());
+        let session = IntraRoundSession::new(&mut db, 300, updates.clone());
+        let got = run_fault_stack(session, &tree, seed, by_count);
+        let session = IssueOnly(IntraRoundSession::new(&mut plain, 300, updates));
+        let want = run_fault_stack(session, &tree, seed, by_count);
+        let what = format!("seed {seed}: intra-round session, by count");
+        assert_eq!(got, want, "{what}");
+        assert_eq!(tallies(&db), tallies(&plain), "{what}");
+        assert_eq!(db.alive_keys_sorted(), plain.alive_keys_sorted(), "{what}");
+        assert_all_counted(&db, &what);
+        assert_eq!(plain.stats().count_reads, 0, "{what}");
     }
 }

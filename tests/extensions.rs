@@ -193,3 +193,73 @@ fn a_bad_bootstrap_spec_attaches_no_interval() {
         }
     }
 }
+
+/// Forwards every required method and takes the provided class and count
+/// reads, which read the whole answer: the path of a remote adapter.
+struct IssueOnly<B>(B);
+
+impl<B: SearchBackend> SearchBackend for IssueOnly<B> {
+    fn schema(&self) -> &Schema {
+        self.0.schema()
+    }
+
+    fn k(&self) -> usize {
+        self.0.k()
+    }
+
+    fn issue(&mut self, query: &ConjunctiveQuery) -> Result<QueryOutcome, IssueError> {
+        self.0.issue(query)
+    }
+
+    fn remaining(&self) -> u64 {
+        self.0.remaining()
+    }
+
+    fn spent(&self) -> u64 {
+        self.0.spent()
+    }
+}
+
+/// RESTART, REISSUE and RS report the same bits through a session that
+/// reads by count as through a backend that answers only `issue`, over
+/// rounds of churn: for `COUNT(*)` and for `COUNT(cond)` over the subtree
+/// under `cond`, which drill by count, and for a SUM, which reads pages.
+/// Compared per report: estimate and variance bits, queries spent, and
+/// drills updated and initiated.
+#[test]
+fn count_drills_report_what_page_drills_report() {
+    let cond = ConjunctiveQuery::from_predicates([Predicate::new(AttrId(0), ValueId(0))]);
+    let (driver, full) = autos_fixture(11);
+    let under_cond = QueryTree::subtree(driver.db().schema(), cond.clone());
+    let cases = [
+        (AggregateSpec::count_star(), full.clone(), true),
+        (AggregateSpec::count_where(cond), under_cond, true),
+        (AggregateSpec::sum_measure(MeasureId(0), ConjunctiveQuery::select_all()), full, false),
+    ];
+    for (spec, tree, by_count) in cases {
+        assert_eq!(spec.reads_no_row(&tree), by_count, "{spec:?}");
+        let estimators = || -> [Box<dyn Estimator>; 3] {
+            [
+                Box::new(RestartEstimator::new(spec.clone(), tree.clone(), 12)),
+                Box::new(ReissueEstimator::new(spec.clone(), tree.clone(), 13)),
+                Box::new(RsEstimator::new(spec.clone(), tree.clone(), 14)),
+            ]
+        };
+        let (mut counted, mut paged) = (estimators(), estimators());
+        let ((mut driver, _), (mut twin, _)) = (autos_fixture(11), autos_fixture(11));
+        for round in 0..4 {
+            for (est, twin_est) in counted.iter_mut().zip(paged.iter_mut()) {
+                let got = est.run_round(&mut driver.session(150));
+                let want = twin_est.run_round(&mut IssueOnly(twin.session(150)));
+                let tag = format!("{} round {round}, {spec:?}", est.name());
+                assert_eq!(estimate_bits(&got), estimate_bits(&want), "{tag}");
+                assert_eq!((got.updated, got.initiated), (want.updated, want.initiated), "{tag}");
+            }
+            driver.advance();
+            twin.advance();
+        }
+        let reads = driver.db().stats().count_reads;
+        assert_eq!(reads > 0, by_count, "{spec:?}: {reads} count reads");
+        assert_eq!(twin.db().stats().count_reads, 0);
+    }
+}
