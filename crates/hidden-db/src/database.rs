@@ -473,9 +473,10 @@ impl HiddenDatabase {
     /// [`HiddenDatabase::answer`] for a caller that reads only how many
     /// tuples the page holds: `None` when the query overflows, and the
     /// page's size otherwise (0 for an underflow), with no page copied or
-    /// built either way. A memo miss evaluates and admits exactly as
-    /// [`HiddenDatabase::answer_unless_overflow`] does. Counted like
-    /// `answer`, in [`InterfaceStats::count_reads`], and in
+    /// built either way. Any cached answer serves it. A memo miss counts
+    /// the matches without ranking any and caches the count alone (see
+    /// the [`crate::interface`] docs). Counted like `answer`, in
+    /// [`InterfaceStats::count_reads`], and in
     /// [`InterfaceStats::class_only_overflows`] when it overflows.
     ///
     /// # Panics
@@ -689,19 +690,21 @@ impl HiddenDatabase {
 /// the live segments are visited in segment order, and in each the alive
 /// row is ANDed word by word with the query's bitmap rows
 /// ([`BitmapIndex::and_rows`]). Every set bit is an alive slot carrying
-/// every value of the query, so it is offered to the top-`k` heap as is,
-/// its score read from the segment's score array. Every match is
-/// offered, so the match count is exact.
+/// every value of the query, so a page read offers it to the top-`k`
+/// heap as is, its score read from the segment's score array. Every
+/// match is offered, so the match count is exact.
 ///
 /// The page is the top `k` under the total `(score, slot)` order, which
 /// does not depend on visit order (pinned by the oracle proptests against
 /// [`HiddenDatabase::exact_answer`]). The query's shape only picks the
 /// [`EvalStats`] counter: root, one predicate, or two and more.
 ///
-/// A [`Read::Class`] or [`Read::Count`] evaluation counts instead of
-/// ranking once it knows the query overflows: it adds up each segment's
-/// matches and offers them only while the running count stays at most
-/// `k`, and returns a count-only entry when the count ends above `k`.
+/// A [`Read::Count`] evaluation ranks nothing: it sums the popcounts of
+/// each segment's AND, opens no score array, and returns a count-only
+/// entry of the class its count gives. A [`Read::Class`] evaluation
+/// counts the same way and offers a segment's matches only while the
+/// running count stays at most `k`: a count that ends above `k` returns
+/// a count-only overflow entry, any other a full entry.
 pub(crate) fn evaluate_query(
     query: &ConjunctiveQuery,
     store: &StoreCore,
@@ -716,7 +719,8 @@ pub(crate) fn evaluate_query(
         _ => stats.bitset_intersections += 1,
     }
     let rows = index.rows_of(query);
-    let mut topk = TopK::new(k);
+    // The heap the matches are offered to, while anything is ranked.
+    let mut topk = (read != Read::Count).then(|| TopK::new(k));
     let mut hits = [0u64; SEGMENT_WORDS];
     // Matches counted by a class or count read.
     let mut matched = 0;
@@ -727,9 +731,10 @@ pub(crate) fn evaluate_query(
         if !read.ranks_overflow() {
             matched += hits.iter().map(|w| w.count_ones() as usize).sum::<usize>();
             if matched > k {
-                continue;
+                topk = None;
             }
         }
+        let Some(topk) = &mut topk else { continue };
         // One paged view per segment with candidates: with the
         // persistence tier attached this is a single fault.
         let data = store.seg_view(seg);
@@ -744,10 +749,10 @@ pub(crate) fn evaluate_query(
             }
         }
     }
-    if matched > k {
-        return CachedEval::counted(matched);
+    match topk {
+        Some(topk) => topk.finish(),
+        None => CachedEval::counted(matched, k),
     }
-    topk.finish()
 }
 
 #[cfg(test)]

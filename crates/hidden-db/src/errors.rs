@@ -44,6 +44,11 @@ pub enum DbError {
     DuplicateKey(TupleKey),
     /// Delete/update of a key that does not exist (or is already deleted).
     UnknownKey(TupleKey),
+    /// A [`crate::service::DbService`] refused a batch because an earlier
+    /// apply panicked while it held the writer, which may have left the
+    /// writer copy half-changed. Its last published snapshot still serves
+    /// reads.
+    WriterPoisoned,
 }
 
 impl fmt::Display for DbError {
@@ -53,6 +58,9 @@ impl fmt::Display for DbError {
             Self::InvalidQuery(msg) => write!(f, "invalid query: {msg}"),
             Self::DuplicateKey(k) => write!(f, "duplicate tuple key {k}"),
             Self::UnknownKey(k) => write!(f, "unknown tuple key {k}"),
+            Self::WriterPoisoned => {
+                write!(f, "an earlier apply panicked while holding the service's writer")
+            }
         }
     }
 }

@@ -28,17 +28,20 @@
 //! one that reads any other page's rows must not count-read it.
 //!
 //! A class or count read that misses the memo counts the AND of the
-//! query's bitmap rows segment by segment, and offers a segment's matches
-//! to the top-`k` heap only while the running count stays at most `k`. A
-//! final count above `k` leaves a count-only memo entry (see the `memo`
-//! module's docs); a count of `k` or less leaves a full one, since every
-//! match was offered. A count read leaves that entry's page uncopied.
+//! query's bitmap rows segment by segment. A count read stops there: it
+//! ranks nothing, reads no score, and leaves a count-only memo entry of
+//! whatever class its count gives (see the `memo` module's docs), which
+//! later count reads answer from. A class read also offers a segment's
+//! matches to the top-`k` heap while the running count stays at most
+//! `k`: a final count above `k` leaves a count-only entry, and a count of
+//! `k` or less a full one, since every match was offered.
 //!
 //! ## Evaluation is streaming and allocation-lean
 //!
 //! The engine (`database::evaluate_query`) offers each set bit of a
-//! segment's bitmap AND straight to the top-`k` heap, so no
-//! intermediate `Vec<Slot>` of candidates is ever materialised.
+//! segment's bitmap AND straight to the top-`k` heap, or only counts it
+//! for a count read, so no intermediate `Vec<Slot>` of candidates is
+//! ever materialised.
 //! A result page is copied into one flat [`Page`] at most once per cache
 //! entry and version of its answer, and shared behind an `Arc`, so
 //! repeated (memoised) answers to the same query cost one atomic
@@ -203,15 +206,16 @@ impl Answer {
 /// with every outcome handed out for this entry. The memo patches it in
 /// place as rows change (see [`crate::memo`]).
 ///
-/// A **count-only** entry is what a class read leaves for an overflow:
-/// its exact count and nothing else, no slots and no page.
+/// A **count-only** entry is what a count read leaves, of any class, and
+/// what a class read leaves for an overflow: its exact count and the
+/// class that count gives, no slots and no page.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedEval {
     /// More than `k` tuples match; the page is truncated.
     pub(crate) overflow: bool,
     /// Result slots, best-first by `(score, slot)`. For overflow: exactly
-    /// `k`, or none on a count-only entry. For valid: all matches. For
-    /// underflow: empty.
+    /// `k`. For valid: all matches. For underflow, and on a count-only
+    /// entry of any class: empty.
     pub(crate) slots: Vec<Slot>,
     /// Exact matching-tuple count (`> k` iff `overflow`). Internal only —
     /// the search interface never discloses it.
@@ -221,8 +225,8 @@ pub(crate) struct CachedEval {
     /// keeps the old copy, stale, until the next read builds the new one
     /// from it. Always absent on a count-only entry.
     pub(crate) page: PageCopy,
-    /// An overflow whose top `k` was never ranked: only its class and
-    /// count can be served.
+    /// An answer whose matches were counted, not ranked: only its class
+    /// and count can be served.
     pub(crate) count_only: bool,
 }
 
@@ -344,10 +348,11 @@ impl CachedEval {
         Self { overflow, slots, matched, page: PageCopy::Absent, count_only: false }
     }
 
-    /// A count-only overflow entry of `matched` matches.
-    pub(crate) fn counted(matched: usize) -> Self {
+    /// A count-only entry of `matched` matches, of the class that count
+    /// gives against `k`.
+    pub(crate) fn counted(matched: usize, k: usize) -> Self {
         Self {
-            overflow: true,
+            overflow: matched > k,
             slots: Vec::new(),
             matched,
             page: PageCopy::Absent,
@@ -356,18 +361,20 @@ impl CachedEval {
     }
 
     /// The answer a `read` gets: the class alone for an overflow read by
-    /// class or count, the page size for any other count read, both of
-    /// which leave the page copy as it is, and the outcome otherwise. A
-    /// page read never reaches a count-only entry: the memo sends it to
-    /// evaluation instead.
+    /// class or count, the count for any other count read, both of which
+    /// leave the page copy as it is, and the outcome otherwise. Only a
+    /// count read, or a class read of an overflow, reaches a count-only
+    /// entry: the memo sends the other reads to evaluation instead.
     pub(crate) fn answer(&mut self, store: &StoreCore, read: Read) -> Answer {
         if self.overflow && !read.ranks_overflow() {
             return Answer::Overflow;
         }
-        debug_assert!(!self.count_only, "a page read of a count-only entry");
         match read {
-            Read::Count => Answer::Count(self.slots.len()),
-            Read::Page | Read::Class => Answer::Outcome(self.outcome(store)),
+            Read::Count => Answer::Count(self.matched),
+            Read::Page | Read::Class => {
+                debug_assert!(!self.count_only, "a count-only entry read for its page");
+                Answer::Outcome(self.outcome(store))
+            }
         }
     }
 
@@ -393,13 +400,12 @@ impl CachedEval {
 
     /// Checks what every memo hit relies on: the class agrees with the
     /// count, and the page members are alive, match `query`, and run
-    /// best-first; a count-only entry holds no page. Debug builds run it
-    /// on every hit. It reads the store without faulting
-    /// ([`StoreCore::peek_segment`]).
+    /// best-first; a count-only entry, of any class, holds no slots and
+    /// no page. Debug builds run it on every hit. It reads the store
+    /// without faulting ([`StoreCore::peek_segment`]).
     pub(crate) fn assert_consistent(&self, query: &ConjunctiveQuery, store: &StoreCore, k: usize) {
         assert_eq!(self.overflow, self.matched > k, "{query}: class disagrees with the count");
         if self.count_only {
-            assert!(self.overflow, "{query}: a count-only entry that does not overflow");
             let pageless = self.slots.is_empty() && matches!(self.page, PageCopy::Absent);
             assert!(pageless, "{query}: a count-only entry holds a page");
             return;

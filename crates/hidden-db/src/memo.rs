@@ -41,16 +41,15 @@
 //! A full entry keeps its class, its page best-first by `(score, slot)`,
 //! and its exact match count: evaluation offers every match to the
 //! top-`k` heap, so the count is never a guess. A **count-only** entry,
-//! which a class read leaves for an overflow (see the
-//! [`crate::interface`] docs), keeps only the class and the exact count:
-//! no slots, no page. The patch rules:
+//! which a count read leaves for any answer and a class read for an
+//! overflow (see the [`crate::interface`] docs), keeps only the exact
+//! count and the class it gives: no slots, no page. The patch rules:
 //!
 //! * **A count-only entry** counts: a matching insert adds one, a
-//!   matching delete subtracts one, and a re-score changes nothing. A
-//!   count that falls to `k` drops the entry, since the query would then
-//!   be valid and its answer needs a page. So losing a member of the top
-//!   `k` never drops a count-only entry: nothing about the top `k` is
-//!   kept.
+//!   matching delete subtracts one, a re-score changes nothing, and the
+//!   class follows the count across `k` either way. It is never dropped:
+//!   it keeps nothing about the top `k` that a row change could take
+//!   away.
 //! * **Insert of a matching row.** The count rises by one. An underflow
 //!   or valid page takes the row; at `k + 1` matches the entry overflows
 //!   and keeps the best `k`. An overflow page takes the row only if it
@@ -67,18 +66,18 @@
 //!   enters while the last member leaves.
 //! * The root entry matches every row.
 //!
-//! **Reads.** A class read of an overflow entry, full or count-only,
-//! gets the class alone and leaves a full entry's page as it is; of any
-//! other entry, the whole answer. A count read gets the class alone of
-//! an overflow entry and the page size of any other, and leaves every
-//! page copy as it is: an absent page stays absent and a stale one
-//! unrebuilt until a page or class read asks for it. A count read that
-//! misses evaluates and admits exactly as a class read does, so the
-//! memo holds the same entries either way. A page read of a count-only
-//! entry misses: it evaluates in full, and the admission replaces the
-//! count-only entry with the full one. Admission never replaces a full
-//! entry, since two sessions of one snapshot may miss on the same query
-//! together.
+//! **Reads.** A count read hits every entry: it gets the class alone of
+//! an overflow and the count of any other answer, and leaves every page
+//! copy as it is, so an absent page stays absent and a stale one
+//! unrebuilt until a page or class read asks for it. A class read of an
+//! overflow entry, full or count-only, gets the class alone and leaves a
+//! full entry's page as it is; of a full entry of any other class, the
+//! whole answer. A class read of a count-only entry that does not
+//! overflow, and a page read of any count-only entry, miss: they evaluate
+//! as on a first ask, which finds a full entry, and the admission
+//! replaces the count-only entry with it. Admission never replaces a
+//! full entry, since two sessions of one snapshot may miss on the same
+//! query together, and replaces a count-only entry only with a full one.
 //!
 //! **The page copy.** A patch that changes an entry's page keeps the
 //! page it replaces, stale ([`crate::interface::StalePage`]), with the
@@ -96,16 +95,17 @@
 //! **Soundness.** Invariant: against the current store, an entry's count
 //! equals `T`, the true match count of its query, and it overflows iff
 //! its count exceeds `k`. A full entry's page is exactly the best
-//! `min(k, T)` matches, best-first. A count-only entry has `T > k`. One
+//! `min(k, T)` matches, best-first. A count-only entry holds no page. One
 //! op changes one row, and a row that does not satisfy a query changes
 //! neither its match set, nor the scores of its matches, nor the measures
 //! of its page. For a row that does, each rule above rebuilds the best
 //! `min(k, T)` from what a full entry holds, or drops the entry when it
 //! would need a match it does not hold: the `(k + 1)`-th best after a
 //! member leaves or falls. A count-only entry's count moves with `T`
-//! exactly, and the entry is dropped at the one op that takes `T` to `k`,
-//! before it could claim an overflow that no longer holds. An entry is
-//! never served while dropped; the next ask evaluates it from cold.
+//! exactly and its class is recomputed from it at every op, so it stays
+//! exact without ever being dropped, and it serves only the reads that
+//! need no page. An entry is never served while dropped; the next ask
+//! evaluates it from cold.
 //! Patching each op before the next op applies keeps the invariant
 //! between ops, so slot reuse inside one batch (the deleted row already
 //! left every page) and a failed batch's applied prefix need no special
@@ -124,8 +124,8 @@
 //!
 //! Debug builds check every hit cheaply
 //! ([`CachedEval::assert_consistent`]): overflow exactly when the count
-//! exceeds `k`, page members alive, matching and in order, and no page
-//! on a count-only entry. They also
+//! exceeds `k`, page members alive, matching and in order, and no slots
+//! and no page on a count-only entry. They also
 //! check every page built from a stale copy against a fresh copy from
 //! the store, measures bit for bit. Both checks read a paged store
 //! without faulting, so they leave the pager's counters as they were.
@@ -244,7 +244,8 @@ impl CachedEval {
                 RowChange::Delete => self.matched -= 1,
                 RowChange::Rescore { .. } => {}
             }
-            return self.matched > k;
+            self.overflow = self.matched > k;
+            return true;
         }
         let key = (op.score, op.slot);
         match op.change {
@@ -433,10 +434,10 @@ impl QueryMemo {
     /// The lookup of both read paths: `Some` with the cached answer a
     /// `read` of `query` gets (see [`CachedEval::answer`]) against
     /// `store`, whose rows the entry matches (debug builds check it),
-    /// sharing the entry's page; `None` on a miss. A page read misses a
-    /// count-only entry; a class or count read hits any entry. `hash` is
-    /// the query's [`QueryMemo::hash_of`] fingerprint, computed once per
-    /// answer.
+    /// sharing the entry's page; `None` on a miss. A count read hits any
+    /// entry; a class read hits a count-only entry only when it
+    /// overflows, and a page read never does. `hash` is the query's
+    /// [`QueryMemo::hash_of`] fingerprint, computed once per answer.
     #[inline]
     pub(crate) fn hit(
         &mut self,
@@ -450,7 +451,12 @@ impl QueryMemo {
         if cfg!(debug_assertions) {
             cached.assert_consistent(query, store, k);
         }
-        if cached.count_only && read == Read::Page {
+        let serves = match read {
+            Read::Count => true,
+            Read::Class => cached.overflow,
+            Read::Page => false,
+        };
+        if cached.count_only && !serves {
             return None;
         }
         Some(cached.answer(store, read))
@@ -940,6 +946,19 @@ mod tests {
             }
             (got, self.db.stats().cache_hits > hits)
         }
+
+        /// Asks `query` of the memo by count and of the oracle in full:
+        /// `None` exactly when the oracle overflows, the oracle's page
+        /// size otherwise. Returns the answer and whether the memo served
+        /// it warm.
+        fn ask_count(&mut self, query: &ConjunctiveQuery) -> (Option<usize>, bool) {
+            let hits = self.db.stats().cache_hits;
+            let got = self.db.answer_count(query);
+            let want = self.oracle.answer(query);
+            let want = (!want.is_overflow()).then(|| want.returned_count());
+            assert_eq!(got, want, "{query}: a count read diverged from the oracle");
+            (got, self.db.stats().cache_hits > hits)
+        }
     }
 
     fn keys(out: &QueryOutcome) -> Vec<u64> {
@@ -1259,29 +1278,40 @@ mod tests {
         assert_eq!(keys(&t.ask(&root).0), vec![2, 3]);
     }
 
-    /// A class read of an overflow leaves a count-only entry: inserts and
-    /// deletes of matching rows move its count, re-scores leave it, and
-    /// losing the best match does not drop it. Only its count falling to
-    /// `k` does, since the entry then needs a page.
+    /// A count read leaves a count-only entry: inserts and deletes of
+    /// matching rows move its count across `k`, down to an underflow and
+    /// back, re-scores leave it, and nothing drops it. Count reads stay
+    /// warm throughout. A class read hits it only while it overflows; its
+    /// miss at `k` evaluates, and the admission puts a full entry in its
+    /// place.
     #[test]
-    fn a_count_only_entry_counts_and_drops_at_k() {
+    fn a_count_only_entry_crosses_k_and_back_without_a_drop() {
         let mut t = Twin::new(2, BY_M);
         let probe = q(&[(0, 0)]);
-        for (key, a1, m) in [(1, 0, 5.0), (2, 1, 7.0), (3, 2, 6.0), (5, 3, 1.0)] {
+        for (key, a1, m) in [(1, 0, 5.0), (2, 1, 7.0), (3, 2, 6.0)] {
             t.insert(key, 0, a1, m);
         }
-        let (out, hit) = t.ask_class(&probe);
-        assert!(out.is_none() && !hit, "cold, by class alone");
-        t.insert(4, 0, 3, 9.0);
-        t.rescore(1, 8.0);
-        t.delete(4);
+        assert_eq!(t.ask_count(&probe), (None, false), "cold, by count alone");
+        assert_eq!(t.ask_class(&probe), (None, true), "an overflow serves a class read");
         t.delete(2);
-        assert_eq!(t.ask_class(&probe), (None, true), "the best matches left: still warm");
+        assert_eq!(t.ask_count(&probe), (Some(2), true), "the best match left, down to k");
+        t.rescore(1, 8.0);
         t.delete(3);
+        t.delete(1);
+        assert_eq!(t.ask_count(&probe), (Some(0), true), "down to an underflow");
+        for (key, a1, m) in [(4, 3, 9.0), (5, 1, 1.0), (6, 2, 3.0)] {
+            t.insert(key, 0, a1, m);
+        }
+        assert_eq!(t.ask_count(&probe), (None, true), "back above k");
+        assert_eq!(t.ask_class(&probe), (None, true));
+        t.delete(6);
         let (out, hit) = t.ask_class(&probe);
-        assert!(!hit, "the count fell to k: evaluate from cold");
-        assert_eq!(keys(&out.unwrap()), vec![1, 5]);
-        assert_eq!(t.db.memo_stats().invalidated, 1);
+        assert!(!hit, "at k a class read needs the page: evaluate");
+        assert_eq!(keys(&out.unwrap()), vec![4, 5]);
+        assert_eq!((t.db.memo_len(), t.db.memo_stats().insertions), (1, 2), "replaced");
+        assert!(t.ask_class(&probe).1, "the full entry serves class reads");
+        assert_eq!(t.ask_count(&probe), (Some(2), true));
+        assert_eq!(t.db.memo_stats().invalidated, 0, "never dropped");
     }
 
     /// A page read of a count-only entry evaluates in full and replaces
@@ -1360,10 +1390,10 @@ mod tests {
             eval.matched = 5;
             eval
         };
-        assert!(memo.admit(h, &query, CachedEval::counted(5), &index));
-        assert!(!memo.admit(h, &query, CachedEval::counted(5), &index));
+        assert!(memo.admit(h, &query, CachedEval::counted(5, 2), &index));
+        assert!(!memo.admit(h, &query, CachedEval::counted(5, 2), &index));
         assert!(memo.admit(h, &query, full(), &index));
-        assert!(!memo.admit(h, &query, CachedEval::counted(5), &index));
+        assert!(!memo.admit(h, &query, CachedEval::counted(5, 2), &index));
         assert!(!memo.admit(h, &query, full(), &index));
         let eval = memo.get_mut(h, &query).unwrap();
         assert!(!eval.count_only && eval.slots == vec![4, 2]);

@@ -652,6 +652,50 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// Every byte of a two-record journal of real checkpoints, flipped
+    /// whole (`0xFF`) and in its low bit: recovery never panics, returns
+    /// nothing for a flip in the first record and the first payload for
+    /// one in the second, and the codec accepts whatever it returns.
+    #[test]
+    fn every_flipped_journal_byte_recovers_the_first_record_or_none() {
+        use crate::database::HiddenDatabase;
+        use crate::tuple::Tuple;
+        use crate::value::{TupleKey, ValueId};
+        let dir = temp_dir("journal-sweep");
+        let path = dir.join(JOURNAL_FILE);
+        let schema = crate::schema::Schema::with_domain_sizes(&[2, 3], &["m"]).unwrap();
+        let mut db = HiddenDatabase::new(schema, 2, crate::ranking::ScoringPolicy::default());
+        let mut payloads = Vec::new();
+        for key in 0..6u64 {
+            let values = vec![ValueId((key % 2) as u32), ValueId((key % 3) as u32)];
+            db.insert(Tuple::new(TupleKey(key), values, vec![key as f64])).unwrap();
+            if key % 3 == 2 {
+                let mut payload = Vec::new();
+                crate::codec::write_snapshot(&db, &mut payload).unwrap();
+                append_journal_record(&path, &payload).unwrap();
+                payloads.push(payload);
+            }
+        }
+        let clean = fs::read(&path).unwrap();
+        assert_eq!(read_last_journal_record(&path).unwrap().as_ref(), Some(&payloads[1]));
+        let first_len = 20 + payloads[0].len();
+        for at in 0..clean.len() {
+            for mask in [0xFF, 0x01] {
+                let mut bytes = clean.clone();
+                bytes[at] ^= mask;
+                fs::write(&path, &bytes).unwrap();
+                let got = read_last_journal_record(&path).unwrap();
+                let want = (at >= first_len).then(|| payloads[0].clone());
+                assert_eq!(got, want, "byte {at} ^ {mask:#04x}");
+                if let Some(payload) = got {
+                    let restored = crate::codec::read_snapshot(&mut payload.as_slice()).unwrap();
+                    assert_eq!(restored.len(), 3, "byte {at} ^ {mask:#04x}");
+                }
+            }
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn pager_spills_faults_and_bounds_its_cache() {
         let dir = temp_dir("pager");

@@ -14,6 +14,14 @@
 //! memo is never patched; it starts empty at publish and is dropped with
 //! the snapshot, so an entry never crosses epochs or services.
 //!
+//! A panic never takes the service down for its readers. The published
+//! snapshot's lock only ever holds a complete snapshot, so a poisoned
+//! one is read through. A poisoned writer lock means an apply panicked
+//! midway and may have left the writer copy half-changed: the service
+//! then refuses every later [`DbService::apply`] and
+//! [`DbService::checkpoint`] with an error, and keeps serving the last
+//! snapshot it published.
+//!
 //! The contract that makes this safe to hand to estimators: a session
 //! pinned to epoch `E` produces answers **bit-identical** to a private
 //! [`HiddenDatabase`] frozen at `E`, at any thread count and any
@@ -23,7 +31,7 @@
 //! nothing.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
 use crate::budget::QueryBudget;
 use crate::database::{evaluate_query, HiddenDatabase};
@@ -159,10 +167,17 @@ impl ServiceInner {
     /// the writer lock, so epochs publish in order.
     fn publish(&self, db: &HiddenDatabase) {
         let snap = Arc::new(DbSnapshot::capture(db));
-        let old =
-            std::mem::replace(&mut *self.published.write().expect("published lock poisoned"), snap);
+        let mut published = self.published.write().unwrap_or_else(PoisonError::into_inner);
+        let old = std::mem::replace(&mut *published, snap);
+        drop(published);
         self.memo_retired.fetch_add(old.memo().len() as u64, Ordering::Relaxed);
         self.epochs_published.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The writer copy, locked, or `None` once an apply panicked while it
+    /// held the lock.
+    fn writer(&self) -> Option<MutexGuard<'_, HiddenDatabase>> {
+        self.writer.lock().ok()
     }
 }
 
@@ -199,9 +214,10 @@ impl DbService {
         Self::new(db)
     }
 
-    /// The latest published snapshot.
+    /// The latest published snapshot. A poisoned lock is read through:
+    /// it only ever holds a complete snapshot.
     pub fn snapshot(&self) -> Arc<DbSnapshot> {
-        self.inner.published.read().expect("published lock poisoned").clone()
+        self.inner.published.read().unwrap_or_else(PoisonError::into_inner).clone()
     }
 
     /// The latest published epoch.
@@ -234,11 +250,14 @@ impl DbService {
     /// published before the lock is released, so on return the
     /// published snapshot includes this batch. A batch that changed
     /// nothing keeps the current snapshot and its cached answers.
+    ///
+    /// Refuses every batch with [`DbError::WriterPoisoned`] once an
+    /// earlier apply panicked under the writer lock.
     pub fn apply(&self, batch: UpdateBatch) -> Result<UpdateSummary, DbError> {
-        let mut db = self.inner.writer.lock().expect("writer lock poisoned");
+        self.inner.batches_applied.fetch_add(1, Ordering::Relaxed);
+        let mut db = self.inner.writer().ok_or(DbError::WriterPoisoned)?;
         let version = db.version();
         let result = db.apply(batch);
-        self.inner.batches_applied.fetch_add(1, Ordering::Relaxed);
         if db.version() != version {
             self.inner.publish(&db);
         }
@@ -257,9 +276,14 @@ impl DbService {
     /// Checkpoints the writer's current (fully applied) state to the
     /// persistence journal. Takes the writer lock, so the record is a
     /// consistent cut: every batch whose `apply` returned before this
-    /// call is durable, and no torn batch ever is.
+    /// call is durable, and no torn batch ever is. Errors with
+    /// [`std::io::ErrorKind::Other`] once an earlier apply panicked under
+    /// the writer lock: the writer copy may be half-changed.
     pub fn checkpoint(&self) -> std::io::Result<()> {
-        self.inner.writer.lock().expect("writer lock poisoned").checkpoint()
+        match self.inner.writer() {
+            Some(db) => db.checkpoint(),
+            None => Err(std::io::Error::other(DbError::WriterPoisoned)),
+        }
     }
 
     /// Snapshot-memo counters, summed over every session and snapshot of
@@ -741,6 +765,44 @@ mod tests {
         assert!(!snap.memo.is_poisoned());
         assert_eq!(session.stats().cache_hits, 0, "the memo was emptied");
         assert_eq!(service.memo_stats().insertions, admitted + qs.len() as u64);
+    }
+
+    /// An apply that panics under the writer lock does not take the
+    /// service down: later applies and checkpoints are refused with an
+    /// error, and the last published snapshot keeps answering as the
+    /// database frozen at its epoch.
+    #[test]
+    fn a_poisoned_writer_refuses_writes_and_keeps_serving_reads() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let dir =
+            std::env::temp_dir().join(format!("hidden-db-service-poisoned-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut db = seed_db(90);
+        db.enable_persist(&crate::persist::PersistConfig::new(dir.clone(), 2)).unwrap();
+        let mut frozen = seed_db(90);
+        let service = DbService::new(db);
+        let panicked = catch_unwind(AssertUnwindSafe(|| {
+            let _writer = service.inner.writer.lock().unwrap();
+            panic!("an apply panicked while holding the writer");
+        }));
+        assert!(panicked.is_err() && service.inner.writer.is_poisoned());
+
+        let (epoch, published) = (service.epoch(), service.stats().epochs_published);
+        assert_eq!(service.apply(churn(0)), Err(DbError::WriterPoisoned));
+        let refused = service.checkpoint().unwrap_err();
+        assert_eq!(refused.kind(), std::io::ErrorKind::Other);
+        assert_eq!((service.epoch(), service.stats().epochs_published), (epoch, published));
+        let mut session = service.session(u64::MAX);
+        for q in queries(session.schema()) {
+            let (got, want) = (session.issue(&q).unwrap(), frozen.answer(&q));
+            assert_eq!(got, want, "query {q}");
+            let bits = |out: &QueryOutcome| -> Vec<u64> {
+                out.tuples().flat_map(|t| t.measures().iter().map(|m| m.to_bits())).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "query {q}");
+            assert_eq!(session.issue_count(&q).unwrap(), frozen.answer_count(&q), "query {q}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Two sessions of one snapshot may miss on the same query together;

@@ -28,7 +28,7 @@
 //!
 //! All three validate, charge and count alike; an overflow read by class
 //! or by count comes back as `None`, with no page ranked or copied
-//! in-process, and a count read builds no page at all.
+//! in-process, and a count read ranks nothing and builds no page at all.
 //!
 //! A wrapper backend forwards each method to the same call of its inner
 //! backend, as the fault and recovery layers in [`crate::fault`] do. A

@@ -105,8 +105,8 @@ pub struct MemoStats {
     /// replaced a count-only entry.
     pub insertions: u64,
     /// Entries a row change could not keep exact: an overflow page lost
-    /// a member or a member's score fell, or a count-only entry's count
-    /// fell to `k`.
+    /// a member or a member's score fell. A count-only entry is never
+    /// dropped.
     pub invalidated: u64,
     /// Entries alive after each incremental mutation, summed over
     /// mutations (an entry outliving `n` mutations counts `n` times —

@@ -8,8 +8,15 @@
 //! `ByMeasureAsc` (measure updates move its scores). For `NewestFirst`
 //! the expected page is additionally recomputed from public tuple data
 //! inside the test (top-`k` matching keys, descending).
+//!
+//! Each query step also reads the answer by class and by count, the two
+//! reads that count matches instead of ranking them all: a class read is
+//! `None` exactly when the reference overflows and the reference's page
+//! otherwise, and a count read is `None` exactly when the reference
+//! overflows and the exact match count otherwise.
 
 use hidden_db::database::HiddenDatabase;
+use hidden_db::interface::QueryOutcome;
 use hidden_db::query::{ConjunctiveQuery, Predicate};
 use hidden_db::ranking::ScoringPolicy;
 use hidden_db::schema::Schema;
@@ -51,6 +58,25 @@ fn build_query(a: u32, b: u32, c: u32) -> ConjunctiveQuery {
         }
     }
     ConjunctiveQuery::from_predicates(preds)
+}
+
+/// Checks an answer against the reference's: the same class and page,
+/// row by row, measures bit for bit.
+fn same_answer(
+    got: &QueryOutcome,
+    want: &QueryOutcome,
+    query: &ConjunctiveQuery,
+) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got, want, "diverged on {}", query);
+    prop_assert_eq!(got.class(), want.class());
+    for (gt, wt) in got.tuples().zip(want.tuples()) {
+        prop_assert_eq!(gt.key(), wt.key());
+        prop_assert_eq!(gt.values(), wt.values());
+        for (gm, wm) in gt.measures().iter().zip(wt.measures()) {
+            prop_assert_eq!(gm.to_bits(), wm.to_bits());
+        }
+    }
+    Ok(())
 }
 
 /// The ranking of case `pick`.
@@ -127,26 +153,30 @@ proptest! {
                         prop_assert_eq!(got, matching, "{}: page oracle", &query);
                     }
 
-                    let got = db.answer(&query);
-                    prop_assert_eq!(&got, &want, "diverged on {}", &query);
-                    prop_assert_eq!(got.class(), want.class());
-                    for (gt, wt) in got.tuples().zip(want.tuples()) {
-                        prop_assert_eq!(gt.key(), wt.key());
-                        prop_assert_eq!(gt.values(), wt.values());
-                        for (gm, wm) in gt.measures().iter().zip(wt.measures()) {
-                            prop_assert_eq!(gm.to_bits(), wm.to_bits());
-                        }
+                    same_answer(&db.answer(&query), &want, &query)?;
+                    match db.answer_unless_overflow(&query) {
+                        Some(got) => same_answer(&got, &want, &query)?,
+                        None => prop_assert!(want.is_overflow(), "{query}: a class read overflowed"),
                     }
+                    let count = (!want.is_overflow()).then_some(truth as usize);
+                    prop_assert_eq!(db.answer_count(&query), count, "{}: count read", &query);
                 }
             }
         }
         // The interface's classification tallies agree with the
-        // reference's answers.
+        // reference's answers, each read three ways: by page, by class
+        // and by count. Only the class and count reads of an overflow
+        // skip its page.
         let got = db.stats();
         prop_assert_eq!(
             (got.answered, got.underflows, got.valids, got.overflows),
-            (tally.iter().sum::<u64>(), tally[0], tally[1], tally[2]),
+            (3 * tally.iter().sum::<u64>(), 3 * tally[0], 3 * tally[1], 3 * tally[2]),
             "classification counters diverged"
+        );
+        prop_assert_eq!(
+            (got.count_reads, got.class_only_overflows),
+            (tally.iter().sum::<u64>(), 2 * tally[2]),
+            "read counters diverged"
         );
     }
 }

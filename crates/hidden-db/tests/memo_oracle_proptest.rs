@@ -14,9 +14,11 @@
 //!
 //! Each ask is drawn as a page read (`answer`), a class read
 //! (`answer_unless_overflow`) or a count read (`answer_count`), so
-//! count-only entries are admitted, patched, dropped at `k`, hit by class
-//! and count reads and replaced by page reads, and count reads hit full
-//! entries whose page copy is absent, current or stale. A class answer
+//! count-only entries of every class are admitted, patched across `k`,
+//! hit by count reads, and by class reads while they overflow, and
+//! replaced by page reads and by class reads that need the page, and
+//! count reads hit full entries whose page copy is absent, current or
+//! stale. A class answer
 //! must be `None` exactly when the naive scan overflows and equal it
 //! otherwise; a count must be `None` exactly when the naive scan
 //! overflows and equal its match count otherwise. A closing page read of

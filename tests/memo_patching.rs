@@ -11,9 +11,15 @@
 //!
 //! The class-only twin asks every query by class alone, as a drill-down
 //! asks the nodes above its leaves. An overflow then leaves a count-only
-//! entry, which a lost page member cannot send cold: only its count
-//! falling to `k`. A query whose first evaluation found `k` or fewer
-//! matches holds a full entry, with the full entry's drop rule.
+//! entry, which a lost page member cannot send cold: only a class read
+//! that finds its count at `k` or less, which needs the page. A query
+//! whose first evaluation found `k` or fewer matches holds a full entry,
+//! with the full entry's drop rule.
+//!
+//! The count twin asks every query by count, as a `COUNT(*)` drill-down
+//! asks every node. Each answer leaves a count-only entry of its class,
+//! which no row change drops, so a query is evaluated from cold only on
+//! its first ask.
 
 use std::collections::HashSet;
 
@@ -131,6 +137,8 @@ enum Entry {
     Full,
 }
 
+/// A count-only entry goes cold for a class read when its count at read
+/// time is `k` or less, not when it dipped to `k` during the batch.
 #[test]
 fn class_reads_go_cold_only_when_the_count_falls_to_k() {
     let mut gen = AutosGenerator::with_attrs(ATTRS);
@@ -146,6 +154,9 @@ fn class_reads_go_cold_only_when_the_count_falls_to_k() {
     // lost a member: each was a cold evaluation before count-only
     // entries.
     let mut kept = 0;
+    // Count-only entries that kept serving although their count dipped
+    // to `k` or less during the batch.
+    let mut dipped = 0;
     let mut fresh_key = 30_000_000u64;
     for round in 0..ROUNDS {
         let batch = churn_batch(&oracle, &mut gen, &mut rng, round, &mut fresh_key);
@@ -174,11 +185,13 @@ fn class_reads_go_cold_only_when_the_count_falls_to_k() {
                 .is_some_and(|p| p.is_overflow() && p.keys().any(|k| deleted.contains(&k)));
             let must_be_cold = match entries[i] {
                 Entry::Unasked => true,
-                Entry::Counted => after_deletes[i] <= K as u64,
+                Entry::Counted => !want.is_overflow(),
                 Entry::Full => lost_a_member,
             };
             assert_eq!(was_cold, must_be_cold, "{what}");
-            kept += usize::from(entries[i] == Entry::Counted && lost_a_member && !was_cold);
+            let warm_count_only = entries[i] == Entry::Counted && !was_cold;
+            kept += usize::from(warm_count_only && lost_a_member);
+            dipped += usize::from(warm_count_only && after_deletes[i] <= K as u64);
             if was_cold {
                 entries[i] = if want.is_overflow() { Entry::Counted } else { Entry::Full };
             }
@@ -186,5 +199,34 @@ fn class_reads_go_cold_only_when_the_count_falls_to_k() {
         }
     }
     assert!(kept > 0, "no count-only entry outlived a lost page member");
+    assert!(dipped > 0, "no count-only entry outlived a dip to k");
     assert!(db.stats().class_only_overflows > 0);
+}
+
+#[test]
+fn count_reads_go_cold_only_on_a_first_ask() {
+    let mut gen = AutosGenerator::with_attrs(ATTRS);
+    let mut rng = StdRng::seed_from_u64(0xC0047);
+    let mut db = load_database(&mut gen, &mut rng, N, K, ScoringPolicy::default());
+    let mut oracle = db.clone();
+    oracle.set_memo_capacity(0);
+    let pool = query_pool(&db.schema().clone());
+    let mut fresh_key = 30_000_000u64;
+    for round in 0..ROUNDS {
+        let batch = churn_batch(&oracle, &mut gen, &mut rng, round, &mut fresh_key);
+        assert_eq!(db.apply(batch.clone()), oracle.apply(batch));
+        for q in &pool {
+            let want = oracle.answer(q);
+            let hits = db.stats().cache_hits;
+            let what = format!("round {round}: {q}");
+            let got = db.answer_count(q);
+            assert_eq!(got, (!want.is_overflow()).then(|| want.returned_count()), "{what}");
+            let was_cold = db.stats().cache_hits == hits;
+            assert_eq!(was_cold, round == 0, "{what}");
+        }
+    }
+    assert_eq!(db.memo_stats().invalidated, 0, "a count-only entry is never dropped");
+    let stats = db.stats();
+    assert_eq!(stats.count_reads, (pool.len() * ROUNDS) as u64);
+    assert!(stats.class_only_overflows > 0 && stats.valids > 0 && stats.underflows > 0);
 }
