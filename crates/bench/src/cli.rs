@@ -11,17 +11,12 @@
 //!   interposes the deterministic FaultyBackend + ResilientBackend stack
 //!   with a per-query fault probability of 0.2 (faults only consume
 //!   budget — recovered runs stay on the fault-free drill outcomes);
-//! * `--persist <dir>,resident:<N>` — attach the out-of-core persistence
-//!   tier to every trial database: segment columns live in a region file
-//!   under `<dir>` (one subdirectory per trial) with at most `N`
-//!   segments resident in memory. Outcome-invariant by construction —
-//!   paging never changes an answer bit.
 //! * `--bootstrap off|N` — bootstrap percentile CIs in the figure output:
 //!   `N` replicates per interval (default 1000), `off` drops the CI
 //!   columns entirely. The point estimates are untouched either way —
 //!   resampling happens after the experiment, never inside it.
 
-use hidden_db::{PersistConfig, DEFAULT_MEMO_CAPACITY};
+use hidden_db::DEFAULT_MEMO_CAPACITY;
 use workloads::DeleteSpec;
 
 /// Interface fault-injection mode for the experiment loop.
@@ -69,8 +64,6 @@ pub struct Cli {
     pub seed: Option<u64>,
     /// Fault-injection mode override.
     pub faults: Option<FaultsMode>,
-    /// Out-of-core persistence tier for trial databases.
-    pub persist: Option<PersistConfig>,
     /// Bootstrap CI override (`Some(None)` = explicit `off`,
     /// `Some(Some(n))` = `n` replicates per interval).
     pub bootstrap: Option<Option<usize>>,
@@ -115,11 +108,6 @@ impl Cli {
                         }
                     })
                 }
-                "--persist" => {
-                    cli.persist = Some(
-                        PersistConfig::parse(&value("--persist")).unwrap_or_else(|e| panic!("{e}")),
-                    )
-                }
                 "--bootstrap" => {
                     cli.bootstrap = Some(match value("--bootstrap").as_str() {
                         "off" => None,
@@ -135,8 +123,7 @@ impl Cli {
                     eprintln!(
                         "flags: --scale quick|default|paper  --trials N  --rounds N  \
                          --budget N  --seed N  \
-                         --faults off|seeded:<rate>  \
-                         --persist <dir>,resident:<N>  --bootstrap off|N"
+                         --faults off|seeded:<rate>  --bootstrap off|N"
                     );
                     std::process::exit(0);
                 }
@@ -176,11 +163,6 @@ pub struct BaseCfg {
     /// entirely; `Seeded` wraps every per-round session in the
     /// deterministic FaultyBackend + ResilientBackend stack.
     pub faults: FaultsMode,
-    /// Out-of-core persistence tier (PR 9): when set, every trial
-    /// database pages its segments through a region file in a unique
-    /// subdirectory of `dir`, holding at most `resident_segments` in
-    /// memory. Outcome-invariant like the other knobs.
-    pub persist: Option<PersistConfig>,
     /// Bootstrap replicates for the figure pipeline's percentile CIs
     /// (PR 10); `None` drops the CI columns. Resampling runs on the
     /// already-collected records, so point estimates and all other
@@ -204,7 +186,6 @@ impl BaseCfg {
                 seed: 0x5EED,
                 memo_capacity: DEFAULT_MEMO_CAPACITY,
                 faults: FaultsMode::Off,
-                persist: None,
                 bootstrap_replicates: Some(1_000),
             },
             Scale::Default => Self {
@@ -220,7 +201,6 @@ impl BaseCfg {
                 seed: 0x5EED,
                 memo_capacity: DEFAULT_MEMO_CAPACITY,
                 faults: FaultsMode::Off,
-                persist: None,
                 bootstrap_replicates: Some(1_000),
             },
             Scale::Paper => Self {
@@ -235,7 +215,6 @@ impl BaseCfg {
                 seed: 0x5EED,
                 memo_capacity: DEFAULT_MEMO_CAPACITY,
                 faults: FaultsMode::Off,
-                persist: None,
                 bootstrap_replicates: Some(1_000),
             },
         }
@@ -257,9 +236,6 @@ impl BaseCfg {
         }
         if let Some(f) = cli.faults {
             self.faults = f;
-        }
-        if let Some(p) = &cli.persist {
-            self.persist = Some(p.clone());
         }
         if let Some(b) = cli.bootstrap {
             self.bootstrap_replicates = b;
@@ -349,22 +325,6 @@ mod tests {
     #[should_panic(expected = "seeded:<rate in [0,1]>")]
     fn out_of_range_fault_rate_panics() {
         parse(&["--faults", "seeded:1.5"]);
-    }
-
-    #[test]
-    fn persist_flag_parses_and_applies() {
-        assert_eq!(BaseCfg::from_cli(&parse(&[])).persist, None, "off by default");
-        let cli = parse(&["--persist", "/tmp/pool,resident:64"]);
-        let cfg = cli.persist.clone().expect("parsed");
-        assert_eq!(cfg.dir, std::path::PathBuf::from("/tmp/pool"));
-        assert_eq!(cfg.resident_segments, 64);
-        assert_eq!(BaseCfg::from_cli(&cli).persist, Some(cfg));
-    }
-
-    #[test]
-    #[should_panic(expected = "resident:")]
-    fn bogus_persist_spec_panics() {
-        parse(&["--persist", "/tmp/pool"]);
     }
 
     #[test]

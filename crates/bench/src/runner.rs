@@ -328,16 +328,6 @@ fn run_trial(
     // Outcome-invariant (pinned by the determinism suite): the capacity
     // only changes wall-clock and cache counters, never estimator records.
     db.set_memo_capacity(cfg.memo_capacity);
-    // Out-of-core persistence tier: trials share cfg.persist.dir but run
-    // concurrently, so each takes a globally unique subdirectory.
-    let persist_dir = cfg.persist.as_ref().map(|p| {
-        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
-        let unique = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let dir = p.dir.join(format!("trial-{}-{unique}", std::process::id()));
-        db.enable_persist(&hidden_db::PersistConfig::new(dir.clone(), p.resident_segments))
-            .expect("--persist: could not open the region file");
-        dir
-    });
     let schedule = PerRoundSchedule::new(gen, cfg.inserts, cfg.delete);
     let mut driver = RoundDriver::new(db, schedule, cfg.seed ^ (trial.wrapping_mul(7919)));
 
@@ -425,10 +415,6 @@ fn run_trial(
         }
         prev_truth = truth;
         driver.advance();
-    }
-    if let Some(dir) = persist_dir {
-        drop(driver);
-        let _ = std::fs::remove_dir_all(dir);
     }
     out
 }
@@ -597,34 +583,6 @@ mod tests {
                 assert!(spent <= (cfg.g * (r as u64 + 1)) as f64, "{} over cap", sa.name);
             }
         }
-    }
-
-    /// `--persist` is outcome-invariant: a tiny resident budget forces
-    /// real paging, yet every estimator record stays bit-identical to the
-    /// in-RAM run.
-    #[test]
-    fn persisted_track_is_bit_identical_to_in_ram() {
-        let mut cfg = BaseCfg::for_scale(Scale::Quick);
-        cfg.rounds = 3;
-        cfg.trials = 1;
-        cfg.initial = 1_200;
-        let plain = track(&cfg, &standard_algos(), RsConfig::default(), &count_star_tracked);
-        let dir =
-            std::env::temp_dir().join(format!("aggtrack-runner-persist-{}", std::process::id()));
-        cfg.persist = Some(hidden_db::PersistConfig::new(dir.clone(), 2));
-        let paged = track(&cfg, &standard_algos(), RsConfig::default(), &count_star_tracked);
-        for (sa, sb) in plain.algos.iter().zip(&paged.algos) {
-            for r in 0..cfg.rounds {
-                assert_eq!(
-                    sa.rel_err.mean(r).to_bits(),
-                    sb.rel_err.mean(r).to_bits(),
-                    "{} round {r} drifted under paging",
-                    sa.name
-                );
-                assert_eq!(sa.cum_queries.mean(r).to_bits(), sb.cum_queries.mean(r).to_bits());
-            }
-        }
-        let _ = std::fs::remove_dir_all(dir);
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! Generating the larger synthetic populations (Fig 12 runs up to 10⁷
 //! tuples) dominates some harness runtimes; snapshots let experiments
-//! cache them — and they are the durability unit of the persistence
-//! tier ([`crate::persist`]): the journal's checkpoint records are
+//! cache them — and they are the durability unit of checkpoint and warm
+//! restart ([`crate::persist`]): the journal's checkpoint records are
 //! snapshots.
 //!
 //! **Format v5** captures the *warm* store state verbatim, not just the
@@ -188,9 +188,8 @@ fn read_schema(r: &mut impl Read) -> io::Result<Schema> {
 /// `rows u32 | keys | scores | alive bitmap (u64 words) | columns |
 /// measures`, then the free list (`count u32 | slots`).
 ///
-/// `&HiddenDatabase` on purpose: segment data is read through the paged
-/// view, so an out-of-core database checkpoints without pulling its pool
-/// into RAM.
+/// `&HiddenDatabase` on purpose: writing a snapshot changes nothing, so
+/// a checkpoint can run between any two mutations.
 pub fn write_snapshot(db: &HiddenDatabase, w: &mut impl Write) -> io::Result<()> {
     w.write_all(MAGIC)?;
     write_u32(w, FORMAT_VERSION)?;

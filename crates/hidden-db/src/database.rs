@@ -18,25 +18,23 @@ use crate::errors::DbError;
 use crate::index::{BitmapIndex, SEGMENT_WORDS};
 use crate::interface::{row_matches, Answer, CachedEval, QueryOutcome, Read, TopK};
 use crate::memo::{QueryMemo, RowChange, RowOp};
-use crate::persist::{Pager, PersistConfig};
 use crate::query::ConjunctiveQuery;
 use crate::ranking::ScoringPolicy;
 use crate::schema::Schema;
-use crate::stats::{EvalStats, InterfaceStats, MemoStats, PersistStats};
-use crate::store::{locate, SegView, Slot, Store, StoreCore, SEGMENT_SLOTS};
+use crate::stats::{EvalStats, InterfaceStats, MemoStats};
+use crate::store::{locate, SegmentData, Slot, Store, StoreCore, SEGMENT_SLOTS};
 use crate::tuple::Tuple;
 use crate::updates::{UpdateBatch, UpdateSummary};
 use crate::value::{AttrId, MeasureId, TupleKey, ValueId};
 use std::io;
+use std::path::Path;
 use std::sync::Arc;
 
-/// A view of one stored tuple, used by the owner-side ground-truth API.
-/// It reads its segment through one segment view, so a sweep that hands
-/// out one `TupleRef` per alive slot views (or, paged, faults) each
-/// segment once, however many fields the caller reads.
+/// A view of one stored tuple, used by the owner-side ground-truth API:
+/// a borrow of the tuple's store segment and its offset in it.
 #[derive(Clone)]
 pub struct TupleRef<'a> {
-    data: SegView<'a>,
+    data: &'a SegmentData,
     off: usize,
 }
 
@@ -178,84 +176,36 @@ impl HiddenDatabase {
         self.scoring
     }
 
-    // ----- persistence tier -----------------------------------------------
-
-    /// Attaches the out-of-core persistence tier: segment data pages
-    /// between memory and `cfg.dir/segments.dat` under a
-    /// `cfg.resident_segments` budget (see [`crate::persist`]), spilling
-    /// the cold majority immediately. **Outcome-invariant**: every
-    /// answer, page, and tie-break is bit-identical to the all-RAM
-    /// database (pinned by the out-of-core oracle proptest); only
-    /// wall-clock and resident memory move.
-    ///
-    /// Errors if a tier is already attached or the region file cannot be
-    /// created.
-    pub fn enable_persist(&mut self, cfg: &PersistConfig) -> io::Result<()> {
-        if self.persist_enabled() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "persistence tier already enabled",
-            ));
-        }
-        let pager = Pager::open(
-            &cfg.dir,
-            self.schema.attr_count(),
-            self.schema.measure_count(),
-            cfg.resident_segments,
-        )?;
-        self.store.attach_pager(pager);
-        Ok(())
-    }
-
-    /// Whether the persistence tier is attached.
-    pub fn persist_enabled(&self) -> bool {
-        self.store.pager().is_some()
-    }
-
-    /// Paging counters (spills, faults, cache evictions, on-disk bytes,
-    /// residency high-water mark). All zeros without the tier.
-    pub fn persist_stats(&self) -> PersistStats {
-        self.store.pager().map(|p| p.stats()).unwrap_or_default()
-    }
+    // ----- checkpoint and warm restart -------------------------------------
 
     /// Appends a durable full-state snapshot (codec v5: segment data
-    /// plus the free list in order) to the journal in the persist
-    /// directory and fsyncs. `&self` on purpose: checkpointing reads
-    /// through the paged view, so it can run between any two mutations
-    /// without touching warm state.
-    ///
-    /// Errors if the tier is not enabled.
-    pub fn checkpoint(&self) -> io::Result<()> {
-        let pager = self.store.pager().ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "checkpoint requires --persist")
-        })?;
+    /// plus the free list in order) to the journal in `dir`
+    /// ([`crate::persist::JOURNAL_FILE`]) and fsyncs, creating `dir` if
+    /// it is missing. `&self` on purpose: a checkpoint can run between
+    /// any two mutations without touching warm state.
+    pub fn checkpoint(&self, dir: &Path) -> io::Result<()> {
+        std::fs::create_dir_all(dir)?;
         let mut payload = Vec::new();
         crate::codec::write_snapshot(self, &mut payload)?;
-        crate::persist::append_journal_record(
-            &pager.dir().join(crate::persist::JOURNAL_FILE),
-            &payload,
-        )
+        crate::persist::append_journal_record(&dir.join(crate::persist::JOURNAL_FILE), &payload)
     }
 
-    /// Warm restart: recovers the last durable [`checkpoint`] from
-    /// `cfg.dir`'s journal (ignoring any torn tail from a crash
-    /// mid-append) and re-attaches the persistence tier. The restored
-    /// database carries every slot and free-list entry of the
-    /// checkpointed one, and rebuilds its bitmaps from the stored rows,
-    /// so it evolves bit-identically from here.
+    /// Warm restart: recovers the last durable [`checkpoint`] from the
+    /// journal in `dir`, ignoring any torn tail from a crash mid-append.
+    /// The restored database carries every slot and free-list entry of
+    /// the checkpointed one, and rebuilds its bitmaps from the stored
+    /// rows, so it evolves bit-identically from here.
     ///
     /// Errors with [`io::ErrorKind::NotFound`] when the journal holds no
     /// valid record.
     ///
     /// [`checkpoint`]: HiddenDatabase::checkpoint
-    pub fn open_persistent(cfg: &PersistConfig) -> io::Result<Self> {
-        let journal = cfg.dir.join(crate::persist::JOURNAL_FILE);
+    pub fn open_persistent(dir: &Path) -> io::Result<Self> {
+        let journal = dir.join(crate::persist::JOURNAL_FILE);
         let payload = crate::persist::read_last_journal_record(&journal)?.ok_or_else(|| {
             io::Error::new(io::ErrorKind::NotFound, "no durable snapshot in the journal")
         })?;
-        let mut db = crate::codec::read_snapshot(&mut &payload[..])?;
-        db.enable_persist(cfg)?;
-        Ok(db)
+        crate::codec::read_snapshot(&mut &payload[..])
     }
 
     /// The store, for the codec's verbatim snapshot walk.
@@ -630,13 +580,11 @@ impl HiddenDatabase {
         }
     }
 
-    /// Visits the alive tuples of segment `seg` in slot order, through
-    /// one view of the segment: a paged database faults an evicted
-    /// segment once per call, not once per field read.
+    /// Visits the alive tuples of segment `seg` in slot order.
     fn for_each_alive_in(&self, seg: usize, mut f: impl FnMut(TupleRef<'_>)) {
-        let view = self.store.seg_view(seg);
-        for (off, _) in view.alive.iter().enumerate().filter(|&(_, &alive)| alive) {
-            f(TupleRef { data: SegView::Ram(&view), off });
+        let data = self.store.seg_view(seg);
+        for (off, _) in data.alive.iter().enumerate().filter(|&(_, &alive)| alive) {
+            f(TupleRef { data, off });
         }
     }
 
@@ -735,8 +683,6 @@ pub(crate) fn evaluate_query(
             }
         }
         let Some(topk) = &mut topk else { continue };
-        // One paged view per segment with candidates: with the
-        // persistence tier attached this is a single fault.
         let data = store.seg_view(seg);
         let scores: &[u64] = &data.scores;
         let base = seg * SEGMENT_SLOTS;
@@ -1318,157 +1264,75 @@ mod tests {
         }
     }
 
-    /// Ground truth on a paged database reads each segment through one
-    /// view per call, so at any thread count a call faults at most the
-    /// evicted segments (two workers reading field by field would evict
-    /// each other's segment from the pager's one-slot read cache), and
-    /// agrees with the one-thread call bit for bit.
-    #[test]
-    fn paged_ground_truth_faults_each_segment_at_most_once() {
-        use aggtrack_parallel::Threads;
-        let cfg = persist_cfg("ground-truth", 4);
-        let schema = Schema::with_domain_sizes(&[2, 3, 4, 5], &["price"]).unwrap();
-        let mut d = HiddenDatabase::new(schema, 4, ScoringPolicy::default());
-        d.enable_persist(&cfg).unwrap();
-        for key in 0..40_000u64 {
-            let values = [2, 3, 4, 5].map(|domain| ValueId((key % domain) as u32)).to_vec();
-            d.insert(Tuple::new(TupleKey(key), values, vec![key as f64 * 0.25])).unwrap();
-        }
-        let pager = d.store.pager().expect("tier attached").clone();
-        let evicted = (d.store.segment_count() - pager.writer_budget()) as u64;
-        assert_eq!(evicted, 7, "10 segments, 3 in core");
-        let probe = q(&[(1, 2)]);
-        let count = |threads| d.exact_count_threads(Some(&probe), threads);
-        let sum = |threads| {
-            d.exact_sum_threads(Some(&probe), |t| t.measure(MeasureId(0)), threads).to_bits()
-        };
-        for (name, api) in [("count", &count as &dyn Fn(Threads) -> u64), ("sum", &sum)] {
-            let mut answers = Vec::new();
-            for workers in [1, 2] {
-                let before = pager.stats().segments_faulted;
-                answers.push(api(Threads::fixed(workers)));
-                let faulted = pager.stats().segments_faulted - before;
-                assert!(faulted <= evicted, "{name} at {workers} threads: {faulted} faults");
-            }
-            assert_eq!(answers[0], answers[1], "{name}: 2 threads disagree with 1");
-        }
-        let _ = std::fs::remove_dir_all(&cfg.dir);
-    }
-
-    /// A one-row patch of a cached page on a paged database: the next
-    /// hit rebuilds the page from its stale copy and reads only the
-    /// patched row from the store, so it faults at most that row's
-    /// segment. Copying the whole page from the store would fault every
-    /// evicted segment the page spans, at least two here.
-    #[test]
-    fn a_patched_page_on_a_paged_database_faults_only_the_patched_row() {
-        let cfg = persist_cfg("patched-page", 4);
-        let schema = Schema::with_domain_sizes(&[2, 3, 4, 5], &["price"]).unwrap();
-        let mut d = HiddenDatabase::new(schema, 64, ScoringPolicy::default());
-        d.enable_persist(&cfg).unwrap();
-        for key in 0..40_000u64 {
-            let values = [2, 3, 4, 5].map(|domain| ValueId((key % domain) as u32)).to_vec();
-            d.insert(Tuple::new(TupleKey(key), values, vec![key as f64 * 0.25])).unwrap();
-        }
-        let pager = d.store.pager().expect("tier attached").clone();
-        let probe = q(&[(1, 2)]);
-        let first = d.answer(&probe);
-        assert!(first.is_overflow());
-        let spanned: std::collections::HashSet<usize> = first
-            .keys()
-            .map(|key| crate::store::segment_of(d.store.slot_of(key).unwrap()))
-            .collect();
-        assert!(
-            spanned.len() >= pager.total_budget() + 2,
-            "the page spans {} segments; at most {} are resident",
-            spanned.len(),
-            pager.total_budget()
-        );
-
-        let member = first.keys().nth(10).unwrap();
-        d.update_measures(member, vec![-1.0]).unwrap();
-        let (before, hits) = (pager.stats().segments_faulted, d.stats().cache_hits);
-        let out = d.answer(&probe);
-        let faulted = pager.stats().segments_faulted - before;
-        assert_eq!(d.stats().cache_hits, hits + 1, "the patched entry is served warm");
-        assert!(faulted <= 1, "the rebuild faulted {faulted} segments");
-        assert_eq!(out.tuples().nth(10).unwrap().measure(MeasureId(0)), -1.0);
-        assert_eq!(out, d.exact_answer(&probe));
-        let _ = std::fs::remove_dir_all(&cfg.dir);
-    }
-
-    fn persist_cfg(name: &str, resident: usize) -> crate::persist::PersistConfig {
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("hidden-db-database-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        crate::persist::PersistConfig::new(dir, resident)
+        dir
     }
 
-    /// The warm-restart promise end to end: checkpoint, drop the
-    /// database, `open_persistent` — and the reopened database answers
-    /// and evolves identically, out-of-core the whole way.
+    /// The warm-restart promise end to end. A checkpoint into a directory
+    /// that does not exist yet creates it, and the database reopened from
+    /// its journal evolves like a twin that never restarted: one batch of
+    /// deletes that free slots and inserts that refill them gives the
+    /// same summary, the same answers by page, class and count, and the
+    /// same slot for every alive key.
     #[test]
     fn checkpoint_and_open_persistent_roundtrip() {
-        let cfg = persist_cfg("roundtrip", 2);
-        let n = (crate::store::SEGMENT_SLOTS * 2 + 333) as u64;
-        let mut d = db();
-        d.enable_persist(&cfg).unwrap();
-        assert!(d.persist_enabled());
+        let root = scratch_dir("roundtrip");
+        let dir = root.join("nested").join("journal");
+        let n = (SEGMENT_SLOTS * 2 + 333) as u64;
+        let mut twin = db();
         for key in 0..n {
-            d.insert(t(key, (key % 2) as u32, (key % 3) as u32, key as f64)).unwrap();
+            twin.insert(t(key, (key % 2) as u32, (key % 3) as u32, key as f64)).unwrap();
         }
         for key in (0..n).step_by(11) {
-            d.delete(TupleKey(key)).unwrap();
+            twin.delete(TupleKey(key)).unwrap();
         }
-        let probe = q(&[(0, 1), (1, 2)]);
-        let before = d.answer(&probe);
-        d.checkpoint().unwrap();
+        let probes = [ConjunctiveQuery::select_all(), q(&[(0, 1)]), q(&[(0, 1), (1, 2)])];
+        let before: Vec<QueryOutcome> = probes.iter().map(|q| twin.answer(q)).collect();
+        twin.checkpoint(&dir).unwrap();
 
-        drop(d);
-        let mut re = HiddenDatabase::open_persistent(&cfg).unwrap();
-        assert!(re.persist_enabled());
-        assert_eq!(re.answer(&probe), before);
-        assert!(
-            re.persist_stats().peak_resident_segments <= 2,
-            "reopen must stay inside the resident budget"
-        );
-        // Post-restart evolution still matches an in-RAM twin of the
-        // same history (slot reuse included).
-        re.insert(t(n + 1, 1, 2, -5.0)).unwrap();
-        let out = re.answer(&probe);
-        assert!(out.tuples().any(|v| v.key() == TupleKey(n + 1)));
-        let _ = std::fs::remove_dir_all(&cfg.dir);
+        let mut re = HiddenDatabase::open_persistent(&dir).unwrap();
+        for (q, want) in probes.iter().zip(&before) {
+            assert_eq!(re.answer(q), *want, "{q} at restart");
+        }
+        let mut batch = UpdateBatch::empty();
+        for key in (1..n).step_by(5).filter(|key| key % 11 != 0) {
+            batch = batch.delete(TupleKey(key));
+        }
+        for key in n..n + 600 {
+            batch = batch.insert(t(key, (key % 2) as u32, (key % 3) as u32, -(key as f64)));
+        }
+        let summary = re.apply(batch.clone()).unwrap();
+        assert_eq!(summary, twin.apply(batch).unwrap());
+        assert_eq!(summary.inserted, 600);
+        for q in &probes {
+            assert_eq!(re.answer(q), twin.answer(q), "{q}");
+            assert_eq!(re.answer_unless_overflow(q), twin.answer_unless_overflow(q), "{q}");
+            assert_eq!(re.answer_count(q), twin.answer_count(q), "{q}");
+        }
+        let alive = twin.alive_keys_sorted();
+        assert_eq!(re.alive_keys_sorted(), alive);
+        for key in alive {
+            assert_eq!(re.store.slot_of(key), twin.store.slot_of(key), "{key}");
+        }
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// Checkpoints are cumulative journal records: reopening always
     /// resumes from the *last* durable one.
     #[test]
     fn reopen_resumes_from_latest_checkpoint() {
-        let cfg = persist_cfg("latest", 4);
+        let dir = scratch_dir("latest");
         let mut d = db();
-        d.enable_persist(&cfg).unwrap();
         d.insert(t(1, 0, 0, 1.0)).unwrap();
-        d.checkpoint().unwrap();
+        d.checkpoint(&dir).unwrap();
         d.insert(t(2, 1, 1, 2.0)).unwrap();
-        d.checkpoint().unwrap();
+        d.checkpoint(&dir).unwrap();
         drop(d);
-        let re = HiddenDatabase::open_persistent(&cfg).unwrap();
+        let re = HiddenDatabase::open_persistent(&dir).unwrap();
         assert_eq!(re.len(), 2);
-        let _ = std::fs::remove_dir_all(&cfg.dir);
-    }
-
-    #[test]
-    fn persist_misuse_is_rejected() {
-        let cfg = persist_cfg("misuse", 2);
-        let mut d = db();
-        assert!(d.checkpoint().is_err(), "checkpoint without a tier must fail");
-        assert_eq!(d.persist_stats(), crate::stats::PersistStats::default());
-        d.enable_persist(&cfg).unwrap();
-        assert!(d.enable_persist(&cfg).is_err(), "double enable must fail");
-        // A fresh dir with no journal has nothing to open.
-        let empty = persist_cfg("misuse-empty", 2);
-        assert!(HiddenDatabase::open_persistent(&empty).is_err());
-        let _ = std::fs::remove_dir_all(&cfg.dir);
-        let _ = std::fs::remove_dir_all(&empty.dir);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -22,10 +22,9 @@
 //!
 //! Each segment holds `(Σ domain sizes + 1)` rows of [`SEGMENT_WORDS`]
 //! words: `(Σ domain sizes + 1) × 512` bytes per 4 096-slot segment
-//! (190 KB at 20 attributes of Autos, 380 KB at 38). The bitmaps stay
-//! resident when the persistence tier pages the store's segments out; a
-//! scan faults a store segment in only to read the scores of its set
-//! bits.
+//! (190 KB at 20 attributes of Autos, 380 KB at 38). A scan reads a
+//! store segment only for the scores of its set bits, and a count read
+//! not at all.
 //!
 //! ## Snapshot sharing
 //!

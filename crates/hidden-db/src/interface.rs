@@ -59,7 +59,7 @@ use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 use crate::query::ConjunctiveQuery;
-use crate::store::{Slot, StoreCore};
+use crate::store::{locate, Slot, StoreCore};
 use crate::tuple::{Page, Rows, TupleView};
 use crate::value::TupleKey;
 
@@ -401,8 +401,7 @@ impl CachedEval {
     /// Checks what every memo hit relies on: the class agrees with the
     /// count, and the page members are alive, match `query`, and run
     /// best-first; a count-only entry, of any class, holds no slots and
-    /// no page. Debug builds run it on every hit. It reads the store
-    /// without faulting ([`StoreCore::peek_segment`]).
+    /// no page. Debug builds run it on every hit.
     pub(crate) fn assert_consistent(&self, query: &ConjunctiveQuery, store: &StoreCore, k: usize) {
         assert_eq!(self.overflow, self.matched > k, "{query}: class disagrees with the count");
         if self.count_only {
@@ -412,13 +411,14 @@ impl CachedEval {
         }
         let want = if self.overflow { k } else { self.matched };
         assert_eq!(self.slots.len(), want, "{query}: page size disagrees with the count");
-        let mut keys = vec![(0, 0); self.slots.len()];
-        store.for_each_row(&self.slots, true, |i, data, off| {
-            let s = self.slots[i];
+        let mut keys = Vec::with_capacity(self.slots.len());
+        for &s in &self.slots {
+            let (seg, off) = locate(s);
+            let data = store.seg_view(seg);
             let matches = data.alive[off] && row_matches(query, data.value_row(off));
             assert!(matches, "{query}: page slot {s} no longer matches");
-            keys[i] = (data.scores[off], s);
-        });
+            keys.push((data.scores[off], s));
+        }
         for w in keys.windows(2) {
             assert!(w[0] > w[1], "{query}: page out of order");
         }
@@ -426,12 +426,11 @@ impl CachedEval {
 }
 
 /// Checks a rebuilt page against a fresh copy of `slots` from the store
-/// ([`StoreCore::peek_page`], which does not fault): the same keys and
-/// values row by row, and the same measures bit for bit (`Page:
-/// PartialEq` fails on a NaN measure). Debug builds run it on every
-/// rebuild.
+/// ([`StoreCore::page`]): the same keys and values row by row, and the
+/// same measures bit for bit (`Page: PartialEq` fails on a NaN measure).
+/// Debug builds run it on every rebuild.
 fn assert_rebuilt(page: &Page, slots: &[Slot], store: &StoreCore) {
-    let want = store.peek_page(slots);
+    let want = store.page(slots);
     assert_eq!(page.iter().len(), want.iter().len(), "rebuilt page has the wrong length");
     for (i, (got, want)) in page.iter().zip(want.iter()).enumerate() {
         assert_eq!(got.key(), want.key(), "rebuilt page row {i}: key");
@@ -519,7 +518,7 @@ mod tests {
     /// Whether the candidate at `slot` is alive and satisfies every
     /// predicate: the engine's bitmaps answer this for whole segments.
     fn slot_matches(query: &ConjunctiveQuery, store: &StoreCore, slot: Slot) -> bool {
-        let (seg, off) = crate::store::locate(slot);
+        let (seg, off) = locate(slot);
         let data = store.seg_view(seg);
         data.alive[off] && row_matches(query, data.value_row(off))
     }

@@ -83,13 +83,12 @@ pub use fault::{
 };
 pub use interface::{OutcomeClass, QueryOutcome};
 pub use memo::DEFAULT_MEMO_CAPACITY;
-pub use persist::PersistConfig;
 pub use query::{ConjunctiveQuery, Predicate};
 pub use ranking::ScoringPolicy;
 pub use schema::{AttributeDef, MeasureDef, Schema};
 pub use service::{AutoMaintain, DbService, DbSnapshot, ServiceSession, ServiceStats};
 pub use session::{SearchBackend, SearchSession};
-pub use stats::{EvalStats, InterfaceStats, MemoStats, PersistStats, SharedMemoStats};
+pub use stats::{EvalStats, InterfaceStats, MemoStats, SharedMemoStats};
 pub use store::{segment_of, SEGMENT_SLOTS};
 pub use tuple::{Tuple, TupleView};
 pub use updates::{UpdateBatch, UpdateSummary};

@@ -125,10 +125,9 @@
 //! Debug builds check every hit cheaply
 //! ([`CachedEval::assert_consistent`]): overflow exactly when the count
 //! exceeds `k`, page members alive, matching and in order, and no slots
-//! and no page on a count-only entry. They also
-//! check every page built from a stale copy against a fresh copy from
-//! the store, measures bit for bit. Both checks read a paged store
-//! without faulting, so they leave the pager's counters as they were.
+//! and no page on a count-only entry. They also check every page built
+//! from a stale copy against a fresh copy from the store, measures bit
+//! for bit.
 //!
 //! ## Bounded admission
 //!

@@ -30,6 +30,7 @@
 //! publication is O(segments) pointer copies, not a data copy, and sorts
 //! nothing.
 
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock};
 
@@ -264,24 +265,24 @@ impl DbService {
         result
     }
 
-    /// Reopens a service from the persistence tier's journal: the last
-    /// durable checkpoint becomes the writer copy (with the tier
-    /// re-attached, so the pool stays out-of-core) and is published as
-    /// the first snapshot. The warm-restart path for a long-running
-    /// experiment host.
-    pub fn open_persistent(cfg: &crate::persist::PersistConfig) -> std::io::Result<Self> {
-        Ok(Self::new(HiddenDatabase::open_persistent(cfg)?))
+    /// Reopens a service from the checkpoint journal in `dir`
+    /// ([`HiddenDatabase::open_persistent`]): the last durable checkpoint
+    /// becomes the writer copy and is published as the first snapshot.
+    /// The warm-restart path for a long-running experiment host.
+    pub fn open_persistent(dir: &Path) -> std::io::Result<Self> {
+        Ok(Self::new(HiddenDatabase::open_persistent(dir)?))
     }
 
     /// Checkpoints the writer's current (fully applied) state to the
-    /// persistence journal. Takes the writer lock, so the record is a
-    /// consistent cut: every batch whose `apply` returned before this
-    /// call is durable, and no torn batch ever is. Errors with
-    /// [`std::io::ErrorKind::Other`] once an earlier apply panicked under
-    /// the writer lock: the writer copy may be half-changed.
-    pub fn checkpoint(&self) -> std::io::Result<()> {
+    /// journal in `dir` ([`HiddenDatabase::checkpoint`]). Takes the
+    /// writer lock, so the record is a consistent cut: every batch whose
+    /// `apply` returned before this call is durable, and no torn batch
+    /// ever is. Errors with [`std::io::ErrorKind::Other`] once an earlier
+    /// apply panicked under the writer lock: the writer copy may be
+    /// half-changed.
+    pub fn checkpoint(&self, dir: &Path) -> std::io::Result<()> {
         match self.inner.writer() {
-            Some(db) => db.checkpoint(),
+            Some(db) => db.checkpoint(dir),
             None => Err(std::io::Error::other(DbError::WriterPoisoned)),
         }
     }
@@ -592,45 +593,66 @@ mod tests {
         });
     }
 
-    /// Warm restart through the service: checkpoint a live service,
-    /// reopen from the journal, and the new service serves the same
-    /// epoch-0 answers the old one would — with the tier still attached.
+    /// Warm restart through the service. A checkpoint into a directory
+    /// that does not exist yet creates it, and the service reopened from
+    /// its journal serves the same answers and evolves like a twin that
+    /// never restarted: one batch of deletes that free slots and inserts
+    /// that refill them gives the same summary, the same answers by page,
+    /// class and count through a session, and the same slot for every
+    /// alive key.
     #[test]
     fn service_checkpoint_and_reopen() {
-        let dir =
+        let root =
             std::env::temp_dir().join(format!("hidden-db-service-reopen-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cfg = crate::persist::PersistConfig::new(dir.clone(), 2);
+        let _ = std::fs::remove_dir_all(&root);
+        let dir = root.join("nested").join("journal");
+        let tuple = |key: u64| {
+            let values = vec![ValueId((key % 4) as u32), ValueId((key % 3) as u32)];
+            Tuple::new(TupleKey(key), values, vec![key as f64])
+        };
 
-        let mut db = seed_db(0);
-        db.enable_persist(&cfg).unwrap();
-        let service = DbService::new(db);
+        let twin = DbService::new(seed_db(0));
         let mut batch = UpdateBatch::empty();
         for key in 0..500u64 {
-            batch = batch.insert(Tuple::new(
-                TupleKey(key),
-                vec![ValueId((key % 4) as u32), ValueId((key % 3) as u32)],
-                vec![key as f64],
-            ));
+            batch = batch.insert(tuple(key));
         }
-        service.apply(batch).unwrap();
-        service.checkpoint().unwrap();
+        twin.apply(batch).unwrap();
+        twin.checkpoint(&dir).unwrap();
 
-        let qs = queries(service.snapshot().schema());
-        let mut session = service.session(u64::MAX);
+        let qs = queries(twin.snapshot().schema());
+        let mut session = twin.session(u64::MAX);
         let expected: Vec<_> = qs.iter().map(|q| session.issue(q).unwrap()).collect();
-
-        drop((session, service));
-        let reopened = DbService::open_persistent(&cfg).unwrap();
+        let reopened = DbService::open_persistent(&dir).unwrap();
         let mut session = reopened.session(u64::MAX);
         assert_eq!(session.snapshot().len(), 500);
         for (q, want) in qs.iter().zip(&expected) {
             assert_eq!(session.issue(q).unwrap(), *want, "query {q}");
         }
-        // Still out-of-core: further churn pages, identically.
-        reopened.apply(UpdateBatch::empty().delete(TupleKey(3))).unwrap();
-        assert_eq!(reopened.snapshot().len(), 499);
-        let _ = std::fs::remove_dir_all(&dir);
+
+        let mut batch = UpdateBatch::empty();
+        for key in (0..500u64).step_by(7) {
+            batch = batch.delete(TupleKey(key));
+        }
+        for key in 500..560u64 {
+            batch = batch.insert(tuple(key));
+        }
+        let summary = reopened.apply(batch.clone()).unwrap();
+        assert_eq!(summary, twin.apply(batch).unwrap());
+        assert_eq!(summary.deleted, 72);
+        let (mut got, mut want) = (reopened.session(u64::MAX), twin.session(u64::MAX));
+        for q in &qs {
+            assert_eq!(got.issue(q).unwrap(), want.issue(q).unwrap(), "query {q}");
+            assert_eq!(got.issue_unless_overflow(q), want.issue_unless_overflow(q), "query {q}");
+            assert_eq!(got.issue_count(q), want.issue_count(q), "query {q}");
+        }
+        let (got, want) = (reopened.inner.writer().unwrap(), twin.inner.writer().unwrap());
+        let alive = want.alive_keys_sorted();
+        assert_eq!(got.alive_keys_sorted(), alive);
+        for key in alive {
+            assert_eq!(got.store_ref().slot_of(key), want.store_ref().slot_of(key), "{key}");
+        }
+        drop((got, want));
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     /// A three-tuple database at epoch 3 whose values and measures all
@@ -777,10 +799,8 @@ mod tests {
         let dir =
             std::env::temp_dir().join(format!("hidden-db-service-poisoned-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut db = seed_db(90);
-        db.enable_persist(&crate::persist::PersistConfig::new(dir.clone(), 2)).unwrap();
         let mut frozen = seed_db(90);
-        let service = DbService::new(db);
+        let service = DbService::new(seed_db(90));
         let panicked = catch_unwind(AssertUnwindSafe(|| {
             let _writer = service.inner.writer.lock().unwrap();
             panic!("an apply panicked while holding the writer");
@@ -789,8 +809,9 @@ mod tests {
 
         let (epoch, published) = (service.epoch(), service.stats().epochs_published);
         assert_eq!(service.apply(churn(0)), Err(DbError::WriterPoisoned));
-        let refused = service.checkpoint().unwrap_err();
+        let refused = service.checkpoint(&dir).unwrap_err();
         assert_eq!(refused.kind(), std::io::ErrorKind::Other);
+        assert!(!dir.exists(), "a refused checkpoint writes nothing");
         assert_eq!((service.epoch(), service.stats().epochs_published), (epoch, published));
         let mut session = service.session(u64::MAX);
         for q in queries(session.schema()) {

@@ -159,30 +159,6 @@ impl SharedMemoStats {
     }
 }
 
-/// Counters describing the persistence tier's paging activity
-/// ([`crate::database::HiddenDatabase::persist_stats`]). All zeros when
-/// no tier is attached. Like the eval counters these are observability,
-/// not semantics: paging never changes an answer bit.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PersistStats {
-    /// Segments written back and evicted from the writer's in-core set.
-    pub segments_spilled: u64,
-    /// Segments read back from the region file (write-path reclaims and
-    /// read-path cache misses; cache hits don't count).
-    pub segments_faulted: u64,
-    /// Entries dropped from the pager's read cache by its CLOCK sweep.
-    pub evictions: u64,
-    /// Bytes occupied by the region file (header + every region ever
-    /// written).
-    pub bytes_on_disk: u64,
-    /// Segments in memory right now (writer in-core + read cache).
-    pub resident_segments: u64,
-    /// High-water mark of `resident_segments`;
-    /// `tests/persistence.rs::paged_databases_are_bit_identical_to_in_ram`
-    /// asserts it stays within the budget.
-    pub peak_resident_segments: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

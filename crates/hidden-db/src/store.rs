@@ -40,7 +40,6 @@ use std::ops::Deref;
 use std::sync::Arc;
 
 use crate::errors::DbError;
-use crate::persist::Pager;
 use crate::tuple::{Page, PageBuilder, Tuple};
 use crate::value::{TupleKey, ValueId};
 
@@ -82,12 +81,6 @@ pub(crate) fn locate(slot: Slot) -> (usize, usize) {
 /// Attribute values and measures are stored row-major: one slot's
 /// values sit next to each other ([`SegmentData::value_row`]), so a
 /// result page copies each of its tuples as one contiguous slice.
-///
-/// With the persistence tier attached, a segment may instead be
-/// **evicted**: its slot in `StoreCore::segs` holds the pager's shared
-/// empty tombstone (`evicted == true`) and the real rows live in the
-/// region file until a read faults them back or the writer reclaims
-/// them for mutation.
 #[derive(Debug, Clone)]
 pub(crate) struct SegmentData {
     /// Attributes per row.
@@ -104,10 +97,6 @@ pub(crate) struct SegmentData {
     pub(crate) scores: Vec<u64>,
     /// Liveness per local slot.
     pub(crate) alive: Vec<bool>,
-    /// Whether this is an eviction tombstone (rows on disk, not here).
-    /// Always `false` for real data; the pager's shared tombstone is the
-    /// only instance with `true`.
-    pub(crate) evicted: bool,
 }
 
 impl SegmentData {
@@ -120,13 +109,7 @@ impl SegmentData {
             keys: Vec::new(),
             scores: Vec::new(),
             alive: Vec::new(),
-            evicted: false,
         }
-    }
-
-    /// The shared placeholder installed in place of evicted segments.
-    pub(crate) fn tombstone() -> Self {
-        Self { evicted: true, ..Self::empty(0, 0) }
     }
 
     /// The value codes of local slot `off`, in schema order.
@@ -176,51 +159,18 @@ impl SegmentData {
     }
 }
 
-/// A borrowed-or-faulted view of one segment's data: the uniform read
-/// path over resident and evicted segments. Resident segments come back
-/// as a plain borrow (`Ram`, the all-RAM fast path — one predicted
-/// branch over the previous direct indexing); evicted segments fault
-/// through the pager's bounded read cache (`Hot`). `Deref` makes the
-/// two cases indistinguishable to accessors.
-#[derive(Debug, Clone)]
-pub(crate) enum SegView<'a> {
-    /// Segment is resident in the store.
-    Ram(&'a SegmentData),
-    /// Segment was faulted in from the persistence tier.
-    Hot(Arc<SegmentData>),
-}
-
-impl Deref for SegView<'_> {
-    type Target = SegmentData;
-
-    #[inline]
-    fn deref(&self) -> &SegmentData {
-        match self {
-            SegView::Ram(d) => d,
-            SegView::Hot(a) => a,
-        }
-    }
-}
-
 /// The read side of the store: `Arc`-shared segment data blocks plus the
 /// per-segment alive counts. Everything query evaluation, ground truth,
 /// and the memo need lives here; cloning is cheap (reference-count bumps
 /// plus the count vector), which is what makes publishing an immutable
 /// snapshot per epoch affordable. [`Store`] derefs to this, so owner-side
 /// code reads through the same API.
-///
-/// Cloning a core that has a persistence tier attached **materialises**
-/// it: evicted segments are read back from disk and the clone is fully
-/// resident with no pager — snapshots are self-contained and never
-/// compete for the resident budget (the documented trade: publishing a
-/// snapshot of an out-of-core database pins the whole pool in RAM).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct StoreCore {
     attr_count: usize,
     measure_count: usize,
     /// Segment data blocks; segment `s` covers slots
-    /// `s * SEGMENT_SLOTS .. (s+1) * SEGMENT_SLOTS`. With a pager
-    /// attached, entries may be the shared eviction tombstone.
+    /// `s * SEGMENT_SLOTS .. (s+1) * SEGMENT_SLOTS`.
     segs: Vec<Arc<SegmentData>>,
     /// Alive tuples per segment, in lockstep with `segs`.
     alive: Vec<u32>,
@@ -228,52 +178,12 @@ pub struct StoreCore {
     /// ascending order, so only the last segment is partially grown.
     allocated: usize,
     alive_count: usize,
-    /// The persistence tier, when attached (writer side only; clones
-    /// materialise and drop it).
-    pager: Option<Arc<Pager>>,
-    /// Segments currently resident (`!evicted`). Equals `segs.len()`
-    /// without a pager.
-    resident: usize,
-}
-
-impl Clone for StoreCore {
-    fn clone(&self) -> Self {
-        let segs = match &self.pager {
-            // No tier: the original cheap path — reference-count bumps.
-            None => self.segs.clone(),
-            Some(pager) => self
-                .segs
-                .iter()
-                .enumerate()
-                .map(
-                    |(s, data)| {
-                        if data.evicted {
-                            pager.read_detached(s)
-                        } else {
-                            Arc::clone(data)
-                        }
-                    },
-                )
-                .collect(),
-        };
-        Self {
-            attr_count: self.attr_count,
-            measure_count: self.measure_count,
-            resident: segs.len(),
-            segs,
-            alive: self.alive.clone(),
-            allocated: self.allocated,
-            alive_count: self.alive_count,
-            pager: None,
-        }
-    }
 }
 
 /// Row storage for tuples plus the per-tuple hidden ranking score.
 ///
 /// Wraps the shared [`StoreCore`] with the writer-only state: the free
-/// list, the key → slot map and the pager's CLOCK state. Read accessors
-/// come through `Deref`.
+/// list and the key → slot map. Read accessors come through `Deref`.
 #[derive(Debug, Clone)]
 pub struct Store {
     core: StoreCore,
@@ -281,13 +191,6 @@ pub struct Store {
     free: Vec<Slot>,
     /// Alive key → slot.
     key_to_slot: HashMap<u64, Slot>,
-    /// CLOCK hand of the writer-side eviction sweep (persistence tier
-    /// only; idle without a pager).
-    clock_hand: usize,
-    /// CLOCK reference bit per segment for that sweep, in lockstep with
-    /// the segments: set on every writer touch, cleared as the hand
-    /// passes. No snapshot reads it, so it lives here, not in the core.
-    ref_bits: Vec<bool>,
 }
 
 impl Deref for Store {
@@ -316,24 +219,11 @@ impl StoreCore {
         self.allocated as Slot
     }
 
-    /// The uniform read path over one segment's data: a plain borrow for
-    /// resident segments, a pager fault for evicted ones. Hot-path
-    /// accessors and the evaluation engine route every data read through
-    /// here so paging stays invisible above this line.
+    /// One segment's data: the read path of every accessor, the
+    /// evaluation engine and the codec.
     #[inline]
-    pub(crate) fn seg_view(&self, seg: usize) -> SegView<'_> {
-        let data = &self.segs[seg];
-        if !data.evicted {
-            SegView::Ram(data)
-        } else {
-            let pager = self.pager.as_ref().expect("evicted segment without a pager");
-            SegView::Hot(pager.fault(seg))
-        }
-    }
-
-    /// The persistence tier, if one is attached.
-    pub(crate) fn pager(&self) -> Option<&Arc<Pager>> {
-        self.pager.as_ref()
+    pub(crate) fn seg_view(&self, seg: usize) -> &SegmentData {
+        &self.segs[seg]
     }
 
     /// Whether `slot` currently holds an alive tuple.
@@ -394,9 +284,6 @@ impl StoreCore {
     /// Copies the tuples at `slots`, in order, into one flat result page,
     /// one contiguous value row and measure row per tuple.
     pub fn page(&self, slots: &[Slot]) -> Page {
-        if self.pager.is_some() {
-            return self.page_by_segment(slots, false);
-        }
         let mut page = self.page_builder(slots.len());
         for &slot in slots {
             self.push_row(slot, &mut page);
@@ -409,71 +296,12 @@ impl StoreCore {
         PageBuilder::with_capacity(rows, self.attr_count, self.measure_count)
     }
 
-    /// Appends the tuple at `slot` to `page`, viewing (on a paged store,
-    /// faulting) only its segment.
+    /// Appends the tuple at `slot` to `page`.
     #[inline]
     pub(crate) fn push_row(&self, slot: Slot, page: &mut PageBuilder) {
         let (seg, off) = locate(slot);
         let data = self.seg_view(seg);
         page.push(TupleKey(data.keys[off]), data.value_row(off), data.measure_row(off));
-    }
-
-    /// [`StoreCore::page`] for debug checks: the same page, read without
-    /// faulting (see [`StoreCore::peek_segment`]).
-    pub(crate) fn peek_page(&self, slots: &[Slot]) -> Page {
-        self.page_by_segment(slots, true)
-    }
-
-    /// [`StoreCore::page`] with a pager attached, or for a debug check:
-    /// writes each row to its page position, reading the rows segment by
-    /// segment ([`StoreCore::for_each_row`]).
-    fn page_by_segment(&self, slots: &[Slot], peek: bool) -> Page {
-        let (attrs, ms) = (self.attr_count, self.measure_count);
-        let mut keys = vec![TupleKey(0); slots.len()];
-        let mut values = vec![ValueId(0); slots.len() * attrs];
-        let mut measures = vec![0.0; slots.len() * ms];
-        self.for_each_row(slots, peek, |i, data, off| {
-            keys[i] = TupleKey(data.keys[off]);
-            for (dst, &v) in values[i * attrs..(i + 1) * attrs].iter_mut().zip(data.value_row(off))
-            {
-                *dst = ValueId(v);
-            }
-            measures[i * ms..(i + 1) * ms].copy_from_slice(data.measure_row(off));
-        });
-        Page::from_columns(keys, values, measures, attrs, ms)
-    }
-
-    /// Calls `f(i, segment, offset)` for every `slots[i]`, segment by
-    /// segment, so each segment is viewed (an evicted one faulted) once
-    /// however `slots` interleave them. With `peek`, segments are read
-    /// through [`StoreCore::peek_segment`] instead.
-    pub(crate) fn for_each_row(
-        &self,
-        slots: &[Slot],
-        peek: bool,
-        mut f: impl FnMut(usize, &SegmentData, usize),
-    ) {
-        let mut order: Vec<usize> = (0..slots.len()).collect();
-        order.sort_unstable_by_key(|&i| segment_of(slots[i]));
-        for group in order.chunk_by(|&i, &j| segment_of(slots[i]) == segment_of(slots[j])) {
-            let seg = segment_of(slots[group[0]]);
-            let data = if peek { self.peek_segment(seg) } else { self.seg_view(seg) };
-            for &i in group {
-                f(i, &data, locate(slots[i]).1);
-            }
-        }
-    }
-
-    /// [`StoreCore::seg_view`] for debug checks: an evicted segment is
-    /// read from its region without entering the pager's read cache or
-    /// counting a fault, so a check leaves the pager as it found it and
-    /// a test counts the same faults in debug and release builds.
-    pub(crate) fn peek_segment(&self, seg: usize) -> SegView<'_> {
-        let data = &self.segs[seg];
-        match &self.pager {
-            Some(pager) if data.evicted => SegView::Hot(pager.read_detached(seg)),
-            _ => SegView::Ram(data),
-        }
     }
 
     /// Iterates over the slots of all alive tuples.
@@ -499,13 +327,9 @@ impl Store {
                 alive: Vec::new(),
                 allocated: 0,
                 alive_count: 0,
-                pager: None,
-                resident: 0,
             },
             free: Vec::new(),
             key_to_slot: HashMap::new(),
-            clock_hand: 0,
-            ref_bits: Vec::new(),
         }
     }
 
@@ -539,22 +363,17 @@ impl Store {
             }
             alive.push(count);
         }
-        let ref_bits = vec![false; segs.len()];
         Some(Self {
             core: StoreCore {
                 attr_count,
                 measure_count,
-                resident: segs.len(),
                 alive_count: key_to_slot.len(),
                 alive,
                 segs,
                 allocated,
-                pager: None,
             },
             free,
             key_to_slot,
-            clock_hand: 0,
-            ref_bits,
         })
     }
 
@@ -570,92 +389,10 @@ impl Store {
         &self.free
     }
 
-    // ----- persistence tier ----------------------------------------------
-
-    /// Attaches the persistence tier: from here on the writer keeps at
-    /// most `pager.writer_budget()` segments in core (CLOCK eviction with
-    /// write-back) and evicted segments fault back transparently through
-    /// [`StoreCore::seg_view`]. Immediately spills down to budget, so a
-    /// store larger than the budget pages out its cold majority here.
-    pub(crate) fn attach_pager(&mut self, pager: Arc<Pager>) {
-        assert!(self.core.pager.is_none(), "persistence tier already attached");
-        pager.ensure_segments(self.core.segs.len());
-        self.core.resident = self.core.segs.iter().filter(|s| !s.evicted).count();
-        pager.set_in_core(self.core.resident);
-        self.core.pager = Some(pager);
-        self.enforce_budget(usize::MAX);
-        // Residency before the tier attached was the loader's footprint;
-        // the bounded-memory promise starts now.
-        self.core.pager.as_ref().unwrap().reset_peak();
-    }
-
-    /// Ensures `seg`'s data is in core for mutation, reclaiming it from
-    /// the pager (cache or disk) if evicted.
-    fn make_resident(&mut self, seg: usize) {
-        if !self.core.segs[seg].evicted {
-            return;
-        }
-        let pager = self.core.pager.as_ref().expect("evicted segment without a pager");
-        let data = pager.take_for_write(seg).expect("persist: write-path fault failed");
-        debug_assert!(!data.evicted);
-        self.core.segs[seg] = data;
-        self.core.resident += 1;
-        let pager = self.core.pager.as_ref().unwrap();
-        pager.set_in_core(self.core.resident);
-    }
-
-    /// The single writer-side mutation gate: faults the segment in if
-    /// needed, marks it dirty for write-back, touches its CLOCK bit, and
-    /// hands out the COW-exclusive data. Callers must follow the
-    /// mutation with [`Store::enforce_budget`].
+    /// The writer's one mutation gate: hands out `seg`'s data exclusively,
+    /// copying it first if a published snapshot still shares it.
     fn seg_mut(&mut self, seg: usize) -> &mut SegmentData {
-        self.make_resident(seg);
-        if let Some(pager) = &self.core.pager {
-            pager.mark_dirty(seg);
-            self.ref_bits[seg] = true;
-        }
         Arc::make_mut(&mut self.core.segs[seg])
-    }
-
-    /// Writes `seg` back to its region (skipped if clean and already on
-    /// disk) and replaces the in-core data with the shared tombstone.
-    fn spill_segment(&mut self, pager: &Pager, seg: usize) {
-        pager.spill(seg, &self.core.segs[seg]).expect("persist: segment write-back failed");
-        self.core.segs[seg] = pager.tombstone();
-        self.core.resident -= 1;
-        pager.set_in_core(self.core.resident);
-    }
-
-    /// Spills segments until the writer is back under its in-core budget,
-    /// choosing victims with a CLOCK sweep (referenced segments get a
-    /// second chance; `protect` — normally the segment just mutated — is
-    /// never evicted). No-op without a pager.
-    fn enforce_budget(&mut self, protect: usize) {
-        let Some(pager) = self.core.pager.clone() else { return };
-        let limit = pager.writer_budget();
-        let n = self.core.segs.len();
-        while self.core.resident > limit {
-            let mut victim = None;
-            // Two full revolutions always suffice: the first clears every
-            // reference bit on the path, the second must find a victim
-            // (resident > limit >= 1 means at least one evictable,
-            // unprotected segment exists).
-            for _ in 0..2 * n {
-                let s = self.clock_hand;
-                self.clock_hand = (self.clock_hand + 1) % n;
-                if self.core.segs[s].evicted || s == protect {
-                    continue;
-                }
-                if self.ref_bits[s] {
-                    self.ref_bits[s] = false;
-                    continue;
-                }
-                victim = Some(s);
-                break;
-            }
-            let Some(v) = victim else { break };
-            self.spill_segment(&pager, v);
-        }
     }
 
     /// Slot of an alive tuple by key.
@@ -681,7 +418,6 @@ impl Store {
             Some(s) => {
                 let (seg, off) = locate(s);
                 self.seg_mut(seg).write_row(off, &values, &measures, key.0, score);
-                self.enforce_budget(seg);
                 s
             }
             None => {
@@ -691,16 +427,9 @@ impl Store {
                     let (attrs, ms) = (self.core.attr_count, self.core.measure_count);
                     self.core.segs.push(Arc::new(SegmentData::empty(attrs, ms)));
                     self.core.alive.push(0);
-                    self.ref_bits.push(false);
-                    self.core.resident += 1;
-                    if let Some(pager) = &self.core.pager {
-                        pager.ensure_segments(self.core.segs.len());
-                        pager.set_in_core(self.core.resident);
-                    }
                 }
                 self.seg_mut(seg).push_row(&values, &measures, key.0, score);
                 self.core.allocated += 1;
-                self.enforce_budget(seg);
                 s
             }
         };
@@ -718,7 +447,6 @@ impl Store {
         self.free.push(slot);
         self.core.alive_count -= 1;
         self.core.alive[seg] -= 1;
-        self.enforce_budget(seg);
         Ok(slot)
     }
 
@@ -728,7 +456,6 @@ impl Store {
         let slot = self.slot_of(key).ok_or(DbError::UnknownKey(key))?;
         let (seg, off) = locate(slot);
         self.seg_mut(seg).write_measures(off, measures);
-        self.enforce_budget(seg);
         Ok(slot)
     }
 
@@ -737,7 +464,6 @@ impl Store {
     pub fn set_score(&mut self, slot: Slot, score: u64) {
         let (seg, off) = locate(slot);
         self.seg_mut(seg).scores[off] = score;
-        self.enforce_budget(seg);
     }
 }
 
@@ -866,125 +592,5 @@ mod tests {
         assert_eq!(s.key_at(3), TupleKey(100));
         assert_eq!(s.score_at(3), 500);
         assert!(!Arc::ptr_eq(&snap.segs[0], &s.core.segs[0]), "writer copied on write");
-    }
-
-    fn pager_dir(name: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!("hidden-db-store-{}-{name}", std::process::id()))
-    }
-
-    fn paged(name: &str, attr_count: usize, measure_count: usize, budget: usize) -> Store {
-        let dir = pager_dir(name);
-        let pager = crate::persist::Pager::open(&dir, attr_count, measure_count, budget)
-            .expect("pager open");
-        let mut s = Store::new(attr_count, measure_count);
-        s.attach_pager(pager);
-        s
-    }
-
-    /// The paging oracle at store granularity: a budget-2 paged store
-    /// over 3 segments answers every read identically to the plain
-    /// in-RAM store across inserts, deletes, reuse, measure updates and
-    /// score raises — while actually spilling and faulting.
-    #[test]
-    fn paged_store_matches_plain_store_bit_for_bit() {
-        let n = (SEGMENT_SLOTS * 2 + 100) as u64; // 3 segments
-        let mut plain = Store::new(1, 1);
-        let mut disk = paged("oracle", 1, 1, 2);
-        for s in [&mut plain, &mut disk] {
-            for key in 0..n {
-                s.insert(t(key, &[0], &[key as f64]), key % 997).unwrap();
-            }
-            // Churn across all three segments: deletes (slot reuse),
-            // measure updates, score raises.
-            for key in (0..n).step_by(513) {
-                s.delete(TupleKey(key)).unwrap();
-            }
-            for key in (1..n).step_by(771) {
-                s.update_measures(TupleKey(key), &[-1.0]).unwrap();
-            }
-            for key in (2..n).step_by(997) {
-                let slot = s.slot_of(TupleKey(key)).unwrap();
-                s.set_score(slot, 50_000 + key);
-            }
-            for key in 0..64u64 {
-                s.insert(t(n + key, &[0], &[0.0]), 40_000 + key).unwrap();
-            }
-        }
-
-        assert_eq!(disk.len(), plain.len());
-        assert_eq!(disk.slot_bound(), plain.slot_bound());
-        assert_eq!(disk.alive_slots().collect::<Vec<_>>(), plain.alive_slots().collect::<Vec<_>>());
-        for slot in plain.alive_slots().collect::<Vec<_>>() {
-            assert_eq!(disk.key_at(slot), plain.key_at(slot));
-            assert_eq!(disk.score_at(slot), plain.score_at(slot));
-            assert_eq!(disk.value_at(0, slot), plain.value_at(0, slot));
-            assert_eq!(disk.measure_at(0, slot), plain.measure_at(0, slot));
-        }
-        for seg in 0..plain.segment_count() {
-            assert_eq!(disk.segment_alive(seg), plain.segment_alive(seg));
-        }
-
-        let pager = disk.core().pager().expect("pager attached").clone();
-        let stats = pager.stats();
-        assert!(stats.segments_spilled > 0, "budget 2 over 3 segments must spill");
-        assert!(stats.segments_faulted > 0, "churn across segments must fault");
-        assert!(
-            stats.peak_resident_segments <= pager.total_budget() as u64,
-            "peak residency {} exceeded the budget {}",
-            stats.peak_resident_segments,
-            pager.total_budget()
-        );
-    }
-
-    /// Building a page on a paged store views each segment once: a page
-    /// whose rows take turns among evicted segments faults each of them
-    /// at most once, and holds the same rows as the plain store's page.
-    #[test]
-    fn paged_page_faults_each_segment_at_most_once() {
-        let n = (SEGMENT_SLOTS * 4) as u64;
-        let mut plain = Store::new(2, 1);
-        let mut disk = paged("page", 2, 1, 2);
-        for s in [&mut plain, &mut disk] {
-            for key in 0..n {
-                s.insert(t(key, &[(key % 5) as u32, (key % 7) as u32], &[key as f64]), key)
-                    .unwrap();
-            }
-        }
-        // Round-robin over the four segments: no two consecutive rows
-        // share one.
-        let slots: Vec<Slot> =
-            (0..64).map(|i| ((i % 4) * SEGMENT_SLOTS + i * 13) as Slot).collect();
-        let evicted = disk.core().segs.iter().filter(|d| d.evicted).count() as u64;
-        assert!(evicted >= 2, "budget 2 over 4 segments must evict at least 2");
-        let pager = disk.core().pager().expect("pager attached").clone();
-        let before = pager.stats().segments_faulted;
-        let page = disk.page(&slots);
-        let faulted = pager.stats().segments_faulted - before;
-        assert!(faulted <= evicted, "{faulted} faults for {evicted} evicted segments");
-        assert_eq!(page, plain.page(&slots));
-    }
-
-    /// Cloning a paged core materialises every evicted segment and
-    /// detaches from the pager: the snapshot is fully in-RAM, immune to
-    /// later evictions, and identical to the paged view.
-    #[test]
-    fn paged_core_clone_materializes_and_detaches() {
-        let n = (SEGMENT_SLOTS * 2 + 10) as u64;
-        let mut s = paged("clone", 1, 0, 2);
-        for key in 0..n {
-            s.insert(t(key, &[0], &[]), key).unwrap();
-        }
-        assert!(
-            s.core().segs.iter().any(|d| d.evicted),
-            "3 segments at budget 2 must leave one evicted"
-        );
-        let snap = s.core().clone();
-        assert!(snap.pager().is_none(), "clone must not depend on the pager");
-        assert!(snap.segs.iter().all(|d| !d.evicted), "clone materialises everything");
-        assert_eq!(snap.len(), s.len());
-        assert_eq!(snap.alive_slots().count(), n as usize);
-        // Writer keeps moving; the snapshot is frozen.
-        s.delete(TupleKey(0)).unwrap();
-        assert!(snap.is_alive(0));
     }
 }
