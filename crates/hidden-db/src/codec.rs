@@ -12,11 +12,11 @@
 //! survives a restart) and the free list in order (so future slot reuse
 //! replays identically). Nothing derivable is stored: the reader derives
 //! each segment's alive count from its alive bitmap, and rebuilds the
-//! bitmap index, with its per-value counts, from the restored rows, so
-//! both always agree with them. A restored database doesn't just answer
-//! identically — it *evolves* identically under any further mutation
-//! stream. v5 is v4 without v4's per-segment meta record (alive count,
-//! max-score bound, bound staleness), which went with the score bounds.
+//! bitmap index from the restored rows, so both always agree with them.
+//! A restored database doesn't just answer identically — it *evolves*
+//! identically under any further mutation stream. v5 is v4 without v4's
+//! per-segment meta record (alive count, max-score bound, bound
+//! staleness), which went with the score bounds.
 //!
 //! Attribute values and measures are stored **attribute-major**, one
 //! column per attribute and per measure, whatever layout the store keeps

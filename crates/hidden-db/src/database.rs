@@ -450,7 +450,7 @@ impl HiddenDatabase {
                 let mut eval =
                     evaluate_query(query, store, index, self.k, read, &mut self.eval_stats);
                 let out = eval.answer(store, read);
-                self.cache.admit(hash, query, eval, index);
+                self.cache.admit(hash, query, eval);
                 out
             }
         };

@@ -14,9 +14,7 @@
 //!
 //! Insert sets a slot's bits and delete clears them, so the rows are
 //! always exact: there are no tombstones, no lazy sorts and nothing to
-//! compact. Beside the rows sits an exact live count per `(attr, value)`
-//! ([`BitmapIndex::count`]), which the memo uses to file an entry under
-//! its rarest predicate.
+//! compact.
 //!
 //! ## Memory
 //!
@@ -29,17 +27,17 @@
 //! ## Snapshot sharing
 //!
 //! Each segment's rows live in one [`Arc`]-shared block, so cloning the
-//! index into an epoch snapshot is one reference-count bump per segment
-//! plus the count vector. The writer's first touch of a block after a
-//! publish copies it ([`Arc::make_mut`]), exactly as
-//! [`StoreCore`](crate::store::StoreCore) segments work.
+//! index into an epoch snapshot is one reference-count bump per segment.
+//! The writer's first touch of a block after a publish copies it
+//! ([`Arc::make_mut`]), exactly as [`StoreCore`](crate::store::StoreCore)
+//! segments work.
 
 use std::sync::Arc;
 
-use crate::query::ConjunctiveQuery;
+use crate::query::{ConjunctiveQuery, Predicate};
 use crate::schema::Schema;
 use crate::store::{segment_of, Slot, StoreCore, SEGMENT_MASK, SEGMENT_SLOTS};
-use crate::value::{AttrId, ValueId};
+use crate::value::ValueId;
 
 /// 64-bit words per segment bitmap row.
 pub(crate) const SEGMENT_WORDS: usize = SEGMENT_SLOTS / 64;
@@ -55,7 +53,7 @@ pub(crate) fn bytes_for(schema: &Schema, segments: usize) -> usize {
 }
 
 /// Per-segment bitmap rows for every `(attr, value)` of a schema, plus
-/// the alive row and the exact live count of every value.
+/// the alive row.
 #[derive(Debug, Clone)]
 pub(crate) struct BitmapIndex {
     /// `first_row[a]` is the row of `(a, 0)`; value `v` of attribute `a`
@@ -65,8 +63,6 @@ pub(crate) struct BitmapIndex {
     alive_row: usize,
     /// One `Arc`-shared block of rows per store segment.
     segs: Vec<Arc<[Row]>>,
-    /// Live tuples per row (the alive row's entry is `|D|`).
-    counts: Vec<u32>,
 }
 
 impl BitmapIndex {
@@ -78,7 +74,7 @@ impl BitmapIndex {
             first_row.push(rows);
             rows += schema.domain_size(a) as usize;
         }
-        Self { first_row, alive_row: rows, segs: Vec::new(), counts: vec![0; rows + 1] }
+        Self { first_row, alive_row: rows, segs: Vec::new() }
     }
 
     /// Builds the index of `store`'s alive tuples (the snapshot reader's
@@ -95,11 +91,8 @@ impl BitmapIndex {
             for off in (0..data.alive.len()).filter(|&off| data.alive[off]) {
                 let (word, bit) = (off >> 6, 1u64 << (off & 63));
                 block[index.alive_row][word] |= bit;
-                index.counts[index.alive_row] += 1;
                 for (a, &v) in data.value_row(off).iter().enumerate() {
-                    let row = index.first_row[a] + v as usize;
-                    block[row][word] |= bit;
-                    index.counts[row] += 1;
+                    block[index.first_row[a] + v as usize][word] |= bit;
                 }
             }
         }
@@ -116,14 +109,8 @@ impl BitmapIndex {
         self.segs.push(block);
     }
 
-    /// The row of `(attr, value)`.
-    #[inline]
-    fn row(&self, attr: usize, value: ValueId) -> usize {
-        self.first_row[attr] + value.index()
-    }
-
     /// Sets or clears `slot`'s bit in the alive row and in the row of
-    /// each of its `values`, keeping the counts in step.
+    /// each of its `values`.
     fn write(&mut self, slot: Slot, values: &[ValueId], set: bool) {
         let seg = segment_of(slot);
         if seg == self.segs.len() {
@@ -140,10 +127,8 @@ impl BitmapIndex {
             debug_assert_eq!(*cell & bit != 0, !set, "slot {slot}: row {r} out of step");
             if set {
                 *cell |= bit;
-                self.counts[r] += 1;
             } else {
                 *cell &= !bit;
-                self.counts[r] -= 1;
             }
         }
     }
@@ -158,14 +143,10 @@ impl BitmapIndex {
         self.write(slot, values, false);
     }
 
-    /// Exact number of alive tuples carrying `value` on `attr`.
-    pub(crate) fn count(&self, attr: AttrId, value: ValueId) -> u32 {
-        self.counts[self.row(attr.index(), value)]
-    }
-
     /// The rows `query`'s predicates select, in predicate order.
     pub(crate) fn rows_of(&self, query: &ConjunctiveQuery) -> Vec<usize> {
-        query.predicates().iter().map(|p| self.row(p.attr.index(), p.value)).collect()
+        let row = |p: &Predicate| self.first_row[p.attr.index()] + p.value.index();
+        query.predicates().iter().map(row).collect()
     }
 
     /// ANDs segment `seg`'s alive row with `rows` into `out`; returns
@@ -184,13 +165,11 @@ impl BitmapIndex {
     }
 
     /// Panics unless the index is exactly the one `store` implies: each
-    /// row's set bits are the alive slots carrying its value, the alive
-    /// row is the store's alive flags, and each count is its row's
-    /// popcount.
+    /// row's set bits are the alive slots carrying its value, and the
+    /// alive row is the store's alive flags.
     #[cfg(test)]
     pub(crate) fn assert_coherent(&self, store: &StoreCore) {
         assert_eq!(self.segs.len(), store.segment_count(), "one block per store segment");
-        let mut popcounts = vec![0u32; self.rows_per_segment()];
         for (seg, block) in self.segs.iter().enumerate() {
             let data = store.seg_view(seg);
             let mut want = vec![[0u64; SEGMENT_WORDS]; self.rows_per_segment()];
@@ -203,10 +182,8 @@ impl BitmapIndex {
             }
             for (r, (got, want)) in block.iter().zip(&want).enumerate() {
                 assert_eq!(got, want, "segment {seg}, row {r}");
-                popcounts[r] += got.iter().map(|w| w.count_ones()).sum::<u32>();
             }
         }
-        assert_eq!(self.counts, popcounts, "counts are the rows' popcounts");
     }
 }
 
@@ -215,7 +192,7 @@ mod tests {
     use super::*;
     use crate::store::Store;
     use crate::tuple::Tuple;
-    use crate::value::TupleKey;
+    use crate::value::{AttrId, TupleKey};
 
     fn setup() -> (Schema, Store, BitmapIndex) {
         let schema = Schema::with_domain_sizes(&[2, 3], &[]).unwrap();
@@ -267,10 +244,6 @@ mod tests {
         assert_eq!(collect(&index, 0, 0), vec![s0, s1]);
         assert_eq!(collect(&index, 1, 2).len(), 2);
         assert_eq!(collect(&index, 1, 0), Vec::<Slot>::new());
-        assert_eq!(
-            (index.count(AttrId(0), ValueId(0)), index.count(AttrId(1), ValueId(2))),
-            (2, 2)
-        );
         index.assert_coherent(&store);
     }
 
@@ -280,7 +253,6 @@ mod tests {
         ins(&mut store, &mut index, 1, &[0, 1]);
         del(&mut store, &mut index, 1);
         assert!(collect(&index, 0, 0).is_empty());
-        assert_eq!(index.count(AttrId(0), ValueId(0)), 0);
         index.assert_coherent(&store);
     }
 
@@ -306,7 +278,6 @@ mod tests {
         let slot2 = ins(&mut store, &mut index, 2, &[1, 2]);
         assert_eq!(slot, slot2);
         assert_eq!(collect(&index, 0, 1), vec![slot2]);
-        assert_eq!(index.count(AttrId(0), ValueId(1)), 1);
         index.assert_coherent(&store);
     }
 
@@ -326,7 +297,6 @@ mod tests {
             ins(&mut store, &mut index, key, &[((key + 1) % 2) as u32, 2]);
         }
         let rebuilt = BitmapIndex::from_store(&schema, &store);
-        assert_eq!(rebuilt.counts, index.counts);
         for (a, b) in rebuilt.segs.iter().zip(&index.segs) {
             assert_eq!(a[..], b[..]);
         }

@@ -113,14 +113,20 @@
 //!
 //! ## Finding the entries a row satisfies
 //!
-//! Each non-root entry is filed under exactly one of its predicates — the
-//! rarest when it was admitted — in `by_posting`. A row satisfies a query
-//! only if it carries every one of the query's predicates, the filed one
-//! included, so probing the row's `m` postings and checking each filed
-//! entry's other predicates against the row finds every entry to patch,
-//! each exactly once. The walk never visits an entry through a predicate
-//! it was not filed under. With an empty memo a mutation does no memo
-//! work at all.
+//! The memo lists the *shapes* of its cached queries (the attribute sets
+//! they constrain; the root's is empty), each with its entry count. A row
+//! satisfies at most one query of each shape, its projection onto it
+//! (the shape's attributes set to the row's values), and that query sits
+//! in the bucket of its fingerprint, which the walk computes from the row
+//! with [`QueryMemo::hash_of`]'s fold. So a row op probes `buckets` once
+//! per listed shape and keeps a member only if its query is exactly that
+//! projection: it finds every entry the row satisfies, each once, and a
+//! fingerprint collision brings in no other. That is one probe per shape,
+//! never more than the entries cached, and none against an empty memo.
+//! Few shapes recur: seed-1 `trackbench` passes list at most 6 on
+//! `track_default` and `track_paper` (a row op probes 5.9 to patch 4.4
+//! and 4.2 entries), `all_figures` 7 at `--scale default` and 8 at
+//! `--scale quick`.
 //!
 //! Debug builds check every hit cheaply
 //! ([`CachedEval::assert_consistent`]): overflow exactly when the count
@@ -136,15 +142,15 @@
 //! slab; inserts beyond the cap evict with a CLOCK (second-chance) hand
 //! sweeping the slab — a hit sets the entry's referenced bit, the hand
 //! clears it once and evicts on the second encounter. Eviction and
-//! patch drops unlink the entry from its bucket and its posting list, so
-//! both maps stay proportional to the live entries.
+//! patch drops unlink the entry from its bucket and count it off its
+//! shape, which leaves the list with its last entry, so the buckets and
+//! the shape list stay proportional to the live entries.
 
 use std::collections::HashMap;
-use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::index::BitmapIndex;
 use crate::interface::{Answer, CachedEval, Read};
-use crate::query::{ConjunctiveQuery, Predicate};
+use crate::query::ConjunctiveQuery;
 use crate::stats::MemoStats;
 use crate::store::{Slot, StoreCore};
 use crate::value::{AttrId, ValueId};
@@ -172,36 +178,6 @@ impl Hasher for IdentityHasher {
     fn write_u64(&mut self, n: u64) {
         self.0 = n;
     }
-}
-
-/// One-multiply hasher for packed posting keys: every row change probes
-/// `by_posting` once per attribute, and SipHash on a 6-byte tuple key
-/// would dominate that walk. Fibonacci multiply spreads the dense packed
-/// ids across the high bits, which `HashMap` folds into its bucket index.
-#[derive(Default)]
-pub(crate) struct PostingKeyHasher(u64);
-
-impl Hasher for PostingKeyHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("posting-key hasher is only fed packed u64 keys");
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-}
-
-/// Packs a posting into the `by_posting` key: attribute in the high
-/// word, value in the low.
-#[inline]
-fn pack_posting(attr: AttrId, value: ValueId) -> u64 {
-    (u64::from(attr.0) << 32) | u64::from(value.0)
 }
 
 /// What one applied op did to its row.
@@ -351,11 +327,47 @@ struct MemoEntry {
     eval: CachedEval,
     /// The query's fingerprint: its bucket in `buckets`.
     hash: u64,
-    /// The packed posting this entry is filed under in `by_posting`;
-    /// `None` for the root entry.
-    filed: Option<u64>,
     /// CLOCK referenced bit: set on hit, cleared by the hand.
     referenced: bool,
+}
+
+/// The attributes a cached query constrains, and how many cached
+/// queries constrain exactly them. The root's shape is empty.
+#[derive(Debug, Clone)]
+struct Shape {
+    /// Sorted, like a query's predicates.
+    attrs: Box<[AttrId]>,
+    entries: u32,
+}
+
+impl Shape {
+    /// Whether `query` constrains exactly this shape's attributes.
+    fn fits(&self, query: &ConjunctiveQuery) -> bool {
+        query.predicates().iter().map(|p| p.attr).eq(self.attrs.iter().copied())
+    }
+
+    /// The fingerprint of the projection of the row `values` onto this
+    /// shape: [`QueryMemo::hash_of`] of the one query of this shape the
+    /// row satisfies.
+    #[inline]
+    fn fingerprint_of(&self, values: &[ValueId]) -> u64 {
+        fingerprint(self.attrs.len(), self.attrs.iter().map(|&a| (a, values[a.index()])))
+    }
+}
+
+/// The fingerprint fold over `len` `(attribute, value)` pairs in
+/// attribute order (FxHash-style multiply-rotate). A query's predicates
+/// and a row's projection onto a shape both go through it, so the patch
+/// walk finds a cached query by the fingerprint it was filed under.
+#[inline]
+fn fingerprint(len: usize, pairs: impl Iterator<Item = (AttrId, ValueId)>) -> u64 {
+    const K: u64 = 0x517c_c1b7_2722_0a95;
+    let mut h: u64 = 0x9E37_79B9_7F4A_7C15 ^ len as u64;
+    for (attr, value) in pairs {
+        let word = (u64::from(attr.0) << 32) | u64::from(value.0);
+        h = (h.rotate_left(5) ^ word).wrapping_mul(K);
+    }
+    h
 }
 
 /// The memo.
@@ -367,10 +379,9 @@ pub(crate) struct QueryMemo {
     free: Vec<u32>,
     /// Fingerprint → slab ids of the entries with that fingerprint.
     buckets: HashMap<u64, Vec<u32>, BuildHasherDefault<IdentityHasher>>,
-    /// Packed posting → slab ids of the entries filed under it.
-    by_posting: HashMap<u64, Vec<u32>, BuildHasherDefault<PostingKeyHasher>>,
-    /// Slab id of the root entry, which every row satisfies.
-    root: Option<u32>,
+    /// The shapes of the cached queries, each listed while an entry has
+    /// it: the patch walk probes `buckets` once per shape.
+    shapes: Vec<Shape>,
     /// CLOCK hand: the next slab slot the eviction sweep inspects.
     hand: usize,
     capacity: usize,
@@ -385,8 +396,7 @@ impl Default for QueryMemo {
             entries: Vec::new(),
             free: Vec::new(),
             buckets: HashMap::default(),
-            by_posting: HashMap::default(),
-            root: None,
+            shapes: Vec::new(),
             hand: 0,
             capacity: DEFAULT_MEMO_CAPACITY,
             stats: MemoStats::default(),
@@ -396,18 +406,12 @@ impl Default for QueryMemo {
 }
 
 impl QueryMemo {
-    /// Fast 64-bit fingerprint of a query (FxHash-style multiply-rotate
-    /// over the sorted predicate list; queries are canonical by
-    /// construction so structurally equal queries fingerprint equal).
+    /// Fast 64-bit fingerprint of a query: the `fingerprint` fold over
+    /// its sorted predicate list (queries are canonical by construction,
+    /// so structurally equal queries fingerprint equal).
     #[inline]
     pub(crate) fn hash_of(query: &ConjunctiveQuery) -> u64 {
-        const K: u64 = 0x517c_c1b7_2722_0a95;
-        let mut h: u64 = 0x9E37_79B9_7F4A_7C15 ^ query.predicates().len() as u64;
-        for p in query.predicates() {
-            let word = (u64::from(p.attr.0) << 32) | u64::from(p.value.0);
-            h = (h.rotate_left(5) ^ word).wrapping_mul(K);
-        }
-        h
+        fingerprint(query.len(), query.predicates().iter().map(|p| (p.attr, p.value)))
     }
 
     fn entry(&self, id: u32) -> &MemoEntry {
@@ -462,19 +466,11 @@ impl QueryMemo {
     }
 
     /// The admission of both read paths, after a miss was evaluated:
-    /// files a non-root entry under its rarest predicate by `index`'s
-    /// live counts, which keeps the per-op patch walk short. Admits if
-    /// `query` is absent, or replaces its count-only entry with a full
-    /// `eval`, and returns whether it did. It never replaces a full
-    /// entry: two sessions of one snapshot may miss on the same query
-    /// together.
-    pub(crate) fn admit(
-        &mut self,
-        hash: u64,
-        query: &ConjunctiveQuery,
-        eval: CachedEval,
-        index: &BitmapIndex,
-    ) -> bool {
+    /// admits if `query` is absent, or replaces its count-only entry with
+    /// a full `eval`, and returns whether it did. It never replaces a
+    /// full entry: two sessions of one snapshot may miss on the same
+    /// query together.
+    pub(crate) fn admit(&mut self, hash: u64, query: &ConjunctiveQuery, eval: CachedEval) -> bool {
         if let Some(id) = self.find(hash, query) {
             let entry = self.entries[id as usize].as_mut().expect("listed memo entries are live");
             if !entry.eval.count_only || eval.count_only {
@@ -484,36 +480,28 @@ impl QueryMemo {
             self.stats.insertions += 1;
             return true;
         }
-        let rarest = query
-            .predicates()
-            .iter()
-            .copied()
-            .min_by_key(|p| (index.count(p.attr, p.value), p.attr, p.value));
-        self.insert(hash, query, eval, rarest)
+        self.insert(hash, query, eval)
     }
 
     /// Inserts a confirmed-missing entry (this is the one place the query
     /// is cloned) and returns whether it did: a capacity of 0 admits
-    /// nothing. A non-root query is filed under `file_under`, one of its
-    /// own predicates. Evicts via the CLOCK sweep first if the memo is at
-    /// capacity.
-    fn insert(
-        &mut self,
-        hash: u64,
-        query: &ConjunctiveQuery,
-        eval: CachedEval,
-        file_under: Option<Predicate>,
-    ) -> bool {
-        debug_assert_eq!(file_under.is_none(), query.is_empty(), "file exactly non-root entries");
-        debug_assert!(file_under.is_none_or(|p| query.predicates().contains(&p)));
+    /// nothing. Lists the query's shape unless it is listed already.
+    /// Evicts via the CLOCK sweep first if the memo is at capacity.
+    fn insert(&mut self, hash: u64, query: &ConjunctiveQuery, eval: CachedEval) -> bool {
         if self.capacity == 0 {
             return false;
         }
         while self.len() >= self.capacity {
             self.evict_one();
         }
-        let filed = file_under.map(|p| pack_posting(p.attr, p.value));
-        let entry = MemoEntry { query: query.clone(), eval, hash, filed, referenced: false };
+        match self.shapes.iter_mut().find(|shape| shape.fits(query)) {
+            Some(shape) => shape.entries += 1,
+            None => {
+                let attrs = query.predicates().iter().map(|p| p.attr).collect();
+                self.shapes.push(Shape { attrs, entries: 1 });
+            }
+        }
+        let entry = MemoEntry { query: query.clone(), eval, hash, referenced: false };
         let id = match self.free.pop() {
             Some(id) => {
                 self.entries[id as usize] = Some(entry);
@@ -525,33 +513,35 @@ impl QueryMemo {
             }
         };
         self.buckets.entry(hash).or_default().push(id);
-        match filed {
-            Some(posting) => self.by_posting.entry(posting).or_default().push(id),
-            None => {
-                debug_assert!(self.root.is_none(), "the root is cached twice");
-                self.root = Some(id);
-            }
-        }
         self.stats.insertions += 1;
         true
+    }
+
+    /// Appends to `hits` the slab id of every entry whose query the row
+    /// `values` satisfies, each once (see the module docs): per listed
+    /// shape, the members of the bucket of the row's projection onto it
+    /// whose query is that projection.
+    fn satisfied_by(&self, values: &[ValueId], hits: &mut Vec<u32>) {
+        for shape in &self.shapes {
+            if let Some(ids) = self.buckets.get(&shape.fingerprint_of(values)) {
+                let projection = |&id: &u32| {
+                    let query = &self.entry(id).query;
+                    shape.fits(query) && query.matches_values(values)
+                };
+                hits.extend(ids.iter().copied().filter(projection));
+            }
+        }
     }
 
     /// Patches every cached answer whose query `op`'s row satisfies (see
     /// the module docs), dropping the ones that cannot stay exact. `k` is
     /// the database's page size; `store` already holds the change.
     pub(crate) fn patch(&mut self, op: &RowOp<'_>, k: usize, store: &StoreCore) {
-        if self.is_empty() {
-            return;
-        }
         let mut hits = std::mem::take(&mut self.scratch);
         hits.clear();
-        hits.extend(self.root);
-        for (a, &value) in op.values.iter().enumerate() {
-            if let Some(ids) = self.by_posting.get(&pack_posting(AttrId(a as u16), value)) {
-                let satisfied = |&id: &u32| self.entry(id).query.matches_values(op.values);
-                hits.extend(ids.iter().copied().filter(satisfied));
-            }
-        }
+        self.satisfied_by(op.values, &mut hits);
+        self.stats.shape_probes += self.shapes.len() as u64;
+        self.stats.patched += hits.len() as u64;
         for &id in &hits {
             let entry = self.entries[id as usize].as_mut().expect("listed memo entries are live");
             if !entry.eval.patch(op, k, store) {
@@ -570,10 +560,19 @@ impl QueryMemo {
     /// Unlinks and frees the entry at slab slot `id`.
     fn remove(&mut self, id: u32) {
         let entry = self.entries[id as usize].take().expect("removed memo entries are live");
-        unlink(&mut self.buckets, entry.hash, id);
-        match entry.filed {
-            Some(posting) => unlink(&mut self.by_posting, posting, id),
-            None => self.root = None,
+        if let Some(ids) = self.buckets.get_mut(&entry.hash) {
+            if let Some(i) = ids.iter().position(|&x| x == id) {
+                ids.swap_remove(i);
+            }
+            if ids.is_empty() {
+                self.buckets.remove(&entry.hash);
+            }
+        }
+        let at = self.shapes.iter().position(|shape| shape.fits(&entry.query));
+        let at = at.expect("a cached query's shape is listed");
+        self.shapes[at].entries -= 1;
+        if self.shapes[at].entries == 0 {
+            self.shapes.swap_remove(at);
         }
         self.free.push(id);
     }
@@ -605,8 +604,7 @@ impl QueryMemo {
         self.entries.clear();
         self.free.clear();
         self.buckets.clear();
-        self.by_posting.clear();
-        self.root = None;
+        self.shapes.clear();
         self.hand = 0;
         self.stats.wholesale_clears += 1;
     }
@@ -640,23 +638,12 @@ impl QueryMemo {
     }
 }
 
-/// Removes `id` from the list under `key`, and the list once empty.
-fn unlink<S: BuildHasher>(map: &mut HashMap<u64, Vec<u32>, S>, key: u64, id: u32) {
-    if let Some(ids) = map.get_mut(&key) {
-        if let Some(i) = ids.iter().position(|&x| x == id) {
-            ids.swap_remove(i);
-        }
-        if ids.is_empty() {
-            map.remove(&key);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::database::HiddenDatabase;
     use crate::interface::{PageCopy, QueryOutcome};
+    use crate::query::Predicate;
     use crate::ranking::ScoringPolicy;
     use crate::schema::Schema;
     use crate::tuple::Tuple;
@@ -669,32 +656,38 @@ mod tests {
         )
     }
 
-    /// Files a query under its first predicate, as tests need any one.
     fn insert(memo: &mut QueryMemo, query: &ConjunctiveQuery, eval: CachedEval) {
-        let file_under = query.predicates().first().copied();
-        memo.insert(QueryMemo::hash_of(query), query, eval, file_under);
+        memo.insert(QueryMemo::hash_of(query), query, eval);
     }
 
     fn cached(memo: &mut QueryMemo, query: &ConjunctiveQuery) -> bool {
         memo.get_mut(QueryMemo::hash_of(query), query).is_some()
     }
 
-    /// The root entry is filed under no posting: it is found by the
-    /// fingerprint of `select_all` and tracked by its slab id.
+    /// The listed shapes as `(attributes, entries)`, sorted.
+    fn shapes(memo: &QueryMemo) -> Vec<(Vec<u16>, u32)> {
+        let shape = |s: &Shape| (s.attrs.iter().map(|a| a.0).collect(), s.entries);
+        let mut shapes: Vec<_> = memo.shapes.iter().map(shape).collect();
+        shapes.sort();
+        shapes
+    }
+
+    /// The root's shape is empty, and every row's projection onto it is
+    /// the root: its fingerprint is the one of `select_all`.
     #[test]
     fn root_hash_matches_hash_of_select_all() {
         let root = ConjunctiveQuery::select_all();
         let h = QueryMemo::hash_of(&root);
         assert_eq!(h, QueryMemo::hash_of(&ConjunctiveQuery::from_predicates(Vec::new())));
         let mut memo = QueryMemo::default();
-        memo.insert(h, &root, CachedEval::new(false, vec![]), None);
-        let id = memo.root.expect("the unfiled entry is the root");
-        assert_eq!(memo.entry(id).hash, h);
+        memo.insert(h, &root, CachedEval::new(false, vec![]));
+        assert_eq!(shapes(&memo), vec![(vec![], 1)], "the root's shape is empty");
+        assert_eq!(memo.shapes[0].fingerprint_of(&[ValueId(3), ValueId(1)]), h);
+        let id = memo.buckets[&h][0];
         assert_eq!(memo.buckets[&h], vec![id]);
-        assert!(memo.by_posting.is_empty(), "the root is filed under no posting");
         assert!(cached(&mut memo, &root));
         memo.remove(id);
-        assert!(memo.root.is_none());
+        assert!(memo.shapes.is_empty() && memo.buckets.is_empty());
         assert!(!cached(&mut memo, &root));
     }
 
@@ -733,8 +726,8 @@ mod tests {
         let a = q(&[(0, 0)]);
         let b = q(&[(0, 1)]);
         let h = 42;
-        memo.insert(h, &a, CachedEval::new(false, vec![1]), Some(a.predicates()[0]));
-        memo.insert(h, &b, CachedEval::new(true, vec![2]), Some(b.predicates()[0]));
+        memo.insert(h, &a, CachedEval::new(false, vec![1]));
+        memo.insert(h, &b, CachedEval::new(true, vec![2]));
         assert_eq!(memo.get_mut(h, &a).unwrap().slots, vec![1]);
         assert_eq!(memo.get_mut(h, &b).unwrap().slots, vec![2]);
         assert_eq!(memo.len(), 2);
@@ -743,54 +736,16 @@ mod tests {
         memo.remove(id);
         assert!(memo.get_mut(h, &a).is_none());
         assert_eq!(memo.get_mut(h, &b).unwrap().slots, vec![2]);
-    }
 
-    /// Row-exact reach: a delete patches or drops exactly the entries
-    /// whose query the row satisfies, never one that merely shares a
-    /// posting with it.
-    #[test]
-    fn invalidation_drops_only_intersecting_entries() {
-        let mut store = crate::store::Store::new(2, 0);
-        let mut slot = |key: u64, a0: u32, a1: u32, score: u64| {
-            let values = vec![ValueId(a0), ValueId(a1)];
-            store.insert(Tuple::new(TupleKey(key), values, vec![]), score).unwrap()
-        };
-        let (a, b, c) = (slot(1, 1, 0, 9), slot(2, 1, 2, 8), slot(3, 0, 1, 7));
+        // A bucket member of another shape is no projection onto the
+        // probed one, though the row satisfies it: the walk skips it.
         let mut memo = QueryMemo::default();
-        let overflow = |page: Vec<Slot>, matched: usize| {
-            let mut eval = CachedEval::new(true, page);
-            eval.matched = matched;
-            eval
-        };
-        let root = ConjunctiveQuery::select_all();
-        memo.insert(QueryMemo::hash_of(&root), &root, overflow(vec![a], 3), None);
-        let a0 = q(&[(0, 1)]);
-        let satisfied = q(&[(0, 1), (1, 0)]);
-        let shares_a_posting = q(&[(0, 1), (1, 2)]);
-        let cross = q(&[(1, 1)]); // same value id, different attribute
-        insert(&mut memo, &a0, overflow(vec![a], 2));
-        insert(&mut memo, &satisfied, CachedEval::new(false, vec![a]));
-        insert(&mut memo, &shares_a_posting, CachedEval::new(false, vec![b]));
-        insert(&mut memo, &cross, CachedEval::new(false, vec![c]));
-
-        store.delete(TupleKey(1)).unwrap();
-        let row = [ValueId(1), ValueId(0)];
-        memo.patch(
-            &RowOp { slot: a, values: &row, score: 9, change: RowChange::Delete },
-            1,
-            &store,
-        );
-        assert!(!cached(&mut memo, &root), "an overflow page lost its member");
-        assert!(!cached(&mut memo, &a0), "an overflow page lost its member");
-        let eval = memo.get_mut(QueryMemo::hash_of(&satisfied), &satisfied).unwrap();
-        assert!(eval.slots.is_empty() && eval.matched == 0, "a valid page is patched");
-        assert_eq!(
-            memo.get_mut(QueryMemo::hash_of(&shares_a_posting), &shares_a_posting).unwrap().slots,
-            vec![b]
-        );
-        assert_eq!(memo.get_mut(QueryMemo::hash_of(&cross), &cross).unwrap().slots, vec![c]);
-        assert_eq!(memo.stats().invalidated, 2);
-        assert_eq!(memo.len(), 3);
+        let (x, y) = (q(&[(0, 1)]), q(&[(1, 1)]));
+        insert(&mut memo, &x, CachedEval::counted(0, 1));
+        memo.insert(QueryMemo::hash_of(&x), &y, CachedEval::counted(0, 1));
+        let mut hits = Vec::new();
+        memo.satisfied_by(&[ValueId(1), ValueId(1)], &mut hits);
+        assert_eq!(hits, vec![memo.find(QueryMemo::hash_of(&x), &x).unwrap()]);
     }
 
     #[test]
@@ -842,7 +797,8 @@ mod tests {
     #[test]
     fn clock_ring_stays_bounded_under_invalidate_readmit_churn() {
         // Every round admits an overflow entry and then deletes its page
-        // member, which drops it: the slab and both maps must not grow.
+        // member, which drops it: the slab, the buckets and the shape
+        // list must not grow.
         let store = crate::store::Store::new(1, 0);
         let mut memo = QueryMemo::default();
         let query = q(&[(0, 0)]);
@@ -856,25 +812,91 @@ mod tests {
             assert!(!cached(&mut memo, &query));
         }
         assert_eq!(memo.entries.len(), 1, "dropped slab slots are reused");
-        assert!(memo.buckets.is_empty() && memo.by_posting.is_empty());
+        assert!(memo.buckets.is_empty() && memo.shapes.is_empty());
         assert_eq!(memo.stats().invalidated, 5_000);
     }
 
+    /// A shape is listed while an entry has it: it leaves the list when
+    /// its last entry is evicted, dropped by a patch (here the root's and
+    /// `{A0, A2}`'s in one walk, whose overflow pages lose their member),
+    /// or cleared, and a reinsert lists it again.
     #[test]
-    fn eviction_unlinks_postings_so_reinsert_works() {
+    fn a_shape_leaves_the_list_with_its_last_entry() {
+        let mut store = crate::store::Store::new(3, 0);
+        let row = vec![ValueId(0); 3];
+        let slot = store.insert(Tuple::new(TupleKey(1), row.clone(), vec![]), 5).unwrap();
+        let overflow = || {
+            let mut eval = CachedEval::new(true, vec![slot]);
+            eval.matched = 2;
+            eval
+        };
         let mut memo = QueryMemo::default();
-        memo.set_capacity(1);
-        let a = q(&[(0, 0)]);
-        let b = q(&[(0, 1)]);
-        insert(&mut memo, &a, CachedEval::new(false, vec![]));
-        insert(&mut memo, &b, CachedEval::new(false, vec![]));
-        assert_eq!(memo.len(), 1);
-        insert(&mut memo, &a, CachedEval::new(false, vec![]));
-        // Exactly one live entry is filed, under `a`'s posting.
-        let filed: usize = memo.by_posting.values().map(Vec::len).sum();
-        assert_eq!(filed, 1);
-        assert!(memo.by_posting.contains_key(&pack_posting(AttrId(0), ValueId(0))));
-        assert_eq!(memo.buckets.values().map(Vec::len).sum::<usize>(), 1);
+        memo.set_capacity(2);
+        let (a, skip) = (q(&[(1, 0)]), q(&[(0, 0), (2, 0)]));
+        insert(&mut memo, &a, CachedEval::counted(1, 1));
+        insert(&mut memo, &skip, overflow());
+        insert(&mut memo, &ConjunctiveQuery::select_all(), overflow());
+        assert_eq!(shapes(&memo), vec![(vec![], 1), (vec![0, 2], 1)], "`a` was evicted");
+        store.delete(TupleKey(1)).unwrap();
+        memo.patch(&RowOp { slot, values: &row, score: 5, change: RowChange::Delete }, 1, &store);
+        assert!(memo.shapes.is_empty() && memo.buckets.is_empty());
+        assert_eq!((memo.stats().evicted, memo.stats().invalidated), (1, 2));
+        insert(&mut memo, &a, CachedEval::counted(0, 1));
+        assert_eq!(shapes(&memo), vec![(vec![1], 1)], "listed again");
+        memo.clear();
+        assert!(memo.shapes.is_empty() && memo.buckets.is_empty());
+    }
+
+    /// Reach over a 3-attribute schema with a query of every shape cached,
+    /// the root and `{A0, A2}` among them: every insert, re-score and
+    /// delete reaches exactly the entries a scan of every entry finds the
+    /// row satisfies, one per shape, and patches each once, so every
+    /// count-only entry keeps its query's true count.
+    #[test]
+    fn the_walk_reaches_exactly_the_satisfied_entries_of_every_shape() {
+        let mut memo = QueryMemo::default();
+        for code in 0..36u32 {
+            // Attribute `a` takes digit `v` of `code` in base `domain + 1`;
+            // `v == domain` leaves it unconstrained.
+            let digits = [(0, code % 3, 2), (1, code / 3 % 4, 3), (2, code / 12, 2)];
+            let pairs: Vec<_> = digits.iter().filter(|d| d.1 < d.2).map(|d| (d.0, d.1)).collect();
+            insert(&mut memo, &q(&pairs), CachedEval::counted(0, 2));
+        }
+        assert_eq!(memo.shapes.len(), 8);
+        let row = |key: u64| [key % 2, key / 2 % 3, key / 6 % 2].map(|v| ValueId(v as u32));
+        let mut store = crate::store::Store::new(3, 0);
+        let ops = (0..24)
+            .map(|key| (key, RowChange::Insert))
+            .chain((0..24).step_by(3).map(|key| (key, RowChange::Rescore { old: key })))
+            .chain((0..24).rev().map(|key| (key, RowChange::Delete)));
+        for (key, change) in ops {
+            let slot = match change {
+                RowChange::Insert => {
+                    store.insert(Tuple::new(TupleKey(key), row(key).to_vec(), vec![]), key).unwrap()
+                }
+                RowChange::Rescore { .. } => {
+                    let slot = store.slot_of(TupleKey(key)).unwrap();
+                    store.set_score(slot, key + 100);
+                    slot
+                }
+                RowChange::Delete => store.delete(TupleKey(key)).unwrap(),
+            };
+            let values = row(key);
+            let matching = |id: &u32| memo.entry(*id).query.matches_values(&values);
+            let want: Vec<u32> = (0..memo.entries.len() as u32).filter(matching).collect();
+            let mut got = Vec::new();
+            memo.satisfied_by(&values, &mut got);
+            got.sort_unstable();
+            assert_eq!(got, want, "key {key}, {change:?}");
+            memo.patch(&RowOp { slot, values: &values, score: key, change }, 2, &store);
+            for entry in memo.entries.iter().flatten() {
+                let keys =
+                    store.alive_keys().filter(|(k, _)| entry.query.matches_values(&row(k.0)));
+                assert_eq!(entry.eval.matched, keys.count(), "{} after key {key}", entry.query);
+            }
+        }
+        let stats = memo.stats();
+        assert_eq!((stats.shape_probes, stats.patched, stats.invalidated), (8 * 56, 8 * 56, 0));
     }
 
     // ----- patch rules, each checked against a memo-disabled twin ------
@@ -1379,8 +1401,6 @@ mod tests {
     /// miss together, each by page or by class.
     #[test]
     fn admission_replaces_only_a_count_only_entry_with_a_full_one() {
-        let schema = Schema::with_domain_sizes(&[3], &[]).unwrap();
-        let index = BitmapIndex::new(&schema);
         let query = q(&[(0, 1)]);
         let h = QueryMemo::hash_of(&query);
         let mut memo = QueryMemo::default();
@@ -1389,11 +1409,11 @@ mod tests {
             eval.matched = 5;
             eval
         };
-        assert!(memo.admit(h, &query, CachedEval::counted(5, 2), &index));
-        assert!(!memo.admit(h, &query, CachedEval::counted(5, 2), &index));
-        assert!(memo.admit(h, &query, full(), &index));
-        assert!(!memo.admit(h, &query, CachedEval::counted(5, 2), &index));
-        assert!(!memo.admit(h, &query, full(), &index));
+        assert!(memo.admit(h, &query, CachedEval::counted(5, 2)));
+        assert!(!memo.admit(h, &query, CachedEval::counted(5, 2)));
+        assert!(memo.admit(h, &query, full()));
+        assert!(!memo.admit(h, &query, CachedEval::counted(5, 2)));
+        assert!(!memo.admit(h, &query, full()));
         let eval = memo.get_mut(h, &query).unwrap();
         assert!(!eval.count_only && eval.slots == vec![4, 2]);
         assert_eq!((memo.len(), memo.stats().insertions), (1, 2));

@@ -372,7 +372,7 @@ impl ServiceSession {
                 let mut eval =
                     evaluate_query(query, store, index, snap.k, read, &mut self.eval_stats);
                 let out = eval.answer(store, read);
-                if snap.memo().admit(hash, query, eval, index) {
+                if snap.memo().admit(hash, query, eval) {
                     self.inner.memo_insertions.fetch_add(1, Ordering::Relaxed);
                 }
                 out
@@ -842,7 +842,7 @@ mod tests {
                 })
                 .collect();
             let admitted: Vec<bool> =
-                evals.into_iter().map(|e| snap.memo().admit(hash, &q, e, &snap.index)).collect();
+                evals.into_iter().map(|e| snap.memo().admit(hash, &q, e)).collect();
             assert_eq!(admitted, vec![true, false], "{q}");
         }
         assert_eq!(snap.memo().len(), 2);

@@ -116,6 +116,12 @@ pub struct MemoStats {
     pub evicted: u64,
     /// Whole-memo clears: `set_k` drops every entry.
     pub wholesale_clears: u64,
+    /// Fingerprints the patch walks probed: one per cached query shape
+    /// (the set of attributes a query constrains) per row change.
+    pub shape_probes: u64,
+    /// Entries the patch walks patched: one per cached query a changed
+    /// row satisfied, counting those the patch then dropped.
+    pub patched: u64,
     /// Always 0: patching replaced stale-entry revalidation. Kept only
     /// because the benchmark in `trackbench/` reads it; a later change to
     /// the benchmark removes it.

@@ -10,7 +10,10 @@
 //! too, plus a `ByMeasureDesc` case whose measures fold into −4..4:
 //! heavy score ties, so slot tie-breaks decide pages. A tight-capacity
 //! variant rides along so the CLOCK admission/eviction path is exercised
-//! under churn too.
+//! under churn too. Queries range over three attributes, each free or
+//! set, so the memo caches all eight query shapes, among them the root
+//! and shapes that skip an attribute, and the patch walk's one probe per
+//! shape meets every shape.
 //!
 //! Each ask is drawn as a page read (`answer`), a class read
 //! (`answer_unless_overflow`) or a count read (`answer_count`), so
@@ -35,7 +38,7 @@ use hidden_db::value::{AttrId, MeasureId, TupleKey, ValueId};
 use hidden_db::DEFAULT_MEMO_CAPACITY;
 use proptest::prelude::*;
 
-const DOMAINS: [u32; 2] = [3, 4];
+const DOMAINS: [u32; 3] = [3, 4, 2];
 
 /// One step of the interleaving.
 #[derive(Debug, Clone)]
@@ -48,12 +51,12 @@ enum Step {
     Batch {
         delete_picks: Vec<usize>,
         update_picks: Vec<(usize, i32)>,
-        inserts: Vec<(u32, u32, i32)>,
+        inserts: Vec<(u32, u32, u32, i32)>,
         poison: bool,
     },
-    /// Issue the query with the given optional predicates on A0/A1,
+    /// Issue the query with the given optional predicates on A0/A1/A2,
     /// read as `read` asks.
-    Query { a0: Option<u32>, a1: Option<u32>, read: Read },
+    Query { a0: Option<u32>, a1: Option<u32>, a2: Option<u32>, read: Read },
 }
 
 /// How a [`Step::Query`] reads its answer.
@@ -70,7 +73,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         prop::collection::vec((0..64usize, -50..50i32), 0..3),
         // Up to six inserts per batch: enough rows that overflow pages
         // have off-page matches for a falling member to drop below.
-        prop::collection::vec((0..DOMAINS[0], 0..DOMAINS[1], -50..50i32), 0..7),
+        prop::collection::vec((0..DOMAINS[0], 0..DOMAINS[1], 0..DOMAINS[2], -50..50i32), 0..7),
         // ~20 % of batches are poisoned with an unknown-key delete.
         (0..5u32).prop_map(|v| v == 0),
     )
@@ -81,24 +84,22 @@ fn step_strategy() -> impl Strategy<Value = Step> {
             poison,
         });
     // `DOMAINS[i]` encodes "no predicate on that attribute".
-    let query =
-        (0..DOMAINS[0] + 1, 0..DOMAINS[1] + 1, 0..3u8).prop_map(|(a0, a1, read)| Step::Query {
+    let query = (0..DOMAINS[0] + 1, 0..DOMAINS[1] + 1, 0..DOMAINS[2] + 1, 0..3u8).prop_map(
+        |(a0, a1, a2, read)| Step::Query {
             a0: (a0 < DOMAINS[0]).then_some(a0),
             a1: (a1 < DOMAINS[1]).then_some(a1),
+            a2: (a2 < DOMAINS[2]).then_some(a2),
             read: [Read::Page, Read::Class, Read::Count][usize::from(read)],
-        });
+        },
+    );
     prop_oneof![2 => batch, 3 => query]
 }
 
-fn build_query(a0: Option<u32>, a1: Option<u32>) -> ConjunctiveQuery {
-    let mut preds = Vec::new();
-    if let Some(v) = a0 {
-        preds.push(Predicate::new(AttrId(0), ValueId(v)));
-    }
-    if let Some(v) = a1 {
-        preds.push(Predicate::new(AttrId(1), ValueId(v)));
-    }
-    ConjunctiveQuery::from_predicates(preds)
+fn build_query(a0: Option<u32>, a1: Option<u32>, a2: Option<u32>) -> ConjunctiveQuery {
+    let values = [a0, a1, a2].into_iter().enumerate();
+    ConjunctiveQuery::from_predicates(
+        values.filter_map(|(a, v)| v.map(|v| Predicate::new(AttrId(a as u16), ValueId(v)))),
+    )
 }
 
 /// Materialises a [`Step::Batch`] against the current alive-key set.
@@ -108,7 +109,7 @@ fn build_batch(
     next_key: &mut u64,
     delete_picks: &[usize],
     update_picks: &[(usize, i32)],
-    inserts: &[(u32, u32, i32)],
+    inserts: &[(u32, u32, u32, i32)],
     poison: bool,
     ties: bool,
 ) -> UpdateBatch {
@@ -131,10 +132,11 @@ fn build_batch(
             batch = batch.update_measures(alive[pick % alive.len()], measure(m));
         }
     }
-    for &(a0, a1, m) in inserts {
+    for &(a0, a1, a2, m) in inserts {
         let key = *next_key;
         *next_key += 1;
-        batch = batch.insert(Tuple::new(TupleKey(key), vec![ValueId(a0), ValueId(a1)], measure(m)));
+        let values = vec![ValueId(a0), ValueId(a1), ValueId(a2)];
+        batch = batch.insert(Tuple::new(TupleKey(key), values, measure(m)));
     }
     batch
 }
@@ -220,8 +222,8 @@ proptest! {
                         );
                     }
                 }
-                Step::Query { a0, a1, read } => {
-                    let query = build_query(*a0, *a1);
+                Step::Query { a0, a1, a2, read } => {
+                    let query = build_query(*a0, *a1, *a2);
                     let want = oracle_db.answer(&query);
                     prop_assert_eq!(&want, &oracle_db.exact_answer(&query), "naive scan");
                     let truth = oracle_db.exact_count(Some(&query));
@@ -257,13 +259,16 @@ proptest! {
         }
         // A closing page read of every query: entries the class reads
         // admitted or patched must hand over to page reads exactly.
-        for a0 in (0..DOMAINS[0]).map(Some).chain([None]) {
-            for a1 in (0..DOMAINS[1]).map(Some).chain([None]) {
-                let query = build_query(a0, a1);
-                let want = oracle_db.answer(&query);
-                for (name, db) in tracked.iter_mut() {
-                    let what = format!("{name}: closing page read of {query} diverged");
-                    assert_same_answer(&db.answer(&query), &want, &what)?;
+        let free_or_set = |a: usize| (0..DOMAINS[a]).map(Some).chain([None]);
+        for a0 in free_or_set(0) {
+            for a1 in free_or_set(1) {
+                for a2 in free_or_set(2) {
+                    let query = build_query(a0, a1, a2);
+                    let want = oracle_db.answer(&query);
+                    for (name, db) in tracked.iter_mut() {
+                        let what = format!("{name}: closing page read of {query} diverged");
+                        assert_same_answer(&db.answer(&query), &want, &what)?;
+                    }
                 }
             }
         }
