@@ -25,6 +25,10 @@
 //! and lays a segment's columns out as rows once all of them are read.
 //! The bytes do not depend on the in-memory layout, so checkpoints
 //! written while the store kept one array per attribute still restore.
+//! Each value is a `u32` word on disk, while the store keeps one byte:
+//! the reader refuses a domain above 256 through the schema's own check
+//! ([`crate::SchemaError::DomainTooLarge`]), so every value that passes
+//! its domain check fits a byte.
 //!
 //! Layout (all integers little-endian):
 //! `magic "HDBS" | format u32 | k u64 | policy | schema | store | free
@@ -224,7 +228,7 @@ pub fn write_snapshot(db: &HiddenDatabase, w: &mut impl Write) -> io::Result<()>
         // Columns, attribute-major, read across the store's rows.
         for a in 0..data.attr_count {
             for off in 0..rows {
-                write_u32(w, data.value_row(off)[a])?;
+                write_u32(w, u32::from(data.value_row(off)[a]))?;
             }
         }
         for m in 0..data.measure_count {
@@ -321,7 +325,7 @@ pub fn read_snapshot(r: &mut impl Read) -> io::Result<HiddenDatabase> {
                 if v >= domain {
                     return Err(bad("column value outside its attribute domain"));
                 }
-                value_cols.push(v);
+                value_cols.push(u8::try_from(v).expect("a schema's domains fit one-byte codes"));
             }
         }
         measure_cols.clear();
@@ -631,6 +635,13 @@ mod tests {
         assert!(rejected > 0, "corruption sweep never hit a validated field");
     }
 
+    /// Offset of A0's domain word in a snapshot of `db`, whose policy is
+    /// the default hashed one: magic(4) + version(4) + k(8) + policy
+    /// tag(4) + salt(8) + attr count(4) + name length(4) + name.
+    fn a0_domain_at(db: &HiddenDatabase) -> usize {
+        36 + db.schema().attribute(AttrId(0)).name().len()
+    }
+
     /// A schema within [`MAX_DOMAIN_VALUES`] whose bitmaps would still
     /// exceed [`MAX_BITMAP_BYTES`] is rejected before anything is
     /// allocated, while a merely wider domain reads back.
@@ -639,26 +650,49 @@ mod tests {
         let db = sample_db(3);
         let mut buf = Vec::new();
         write_snapshot(&db, &mut buf).unwrap();
-        // magic(4) + version(4) + k(8) + policy tag(4) + salt(8) +
-        // attr count(4) + name length(4) + name, then A0's domain.
-        let name_len = db.schema().attribute(AttrId(0)).name().len();
-        let at = 36 + name_len;
-        assert_eq!(buf[at..at + 4], 3u32.to_le_bytes(), "A0's domain");
-        // 2^21 values stay within MAX_DOMAIN_VALUES, but one segment of
-        // their bitmaps exceeds the cap.
-        let wide = 1u32 << 21;
-        let wide_schema = Schema::with_domain_sizes(&[wide, 4], &["price", "qty"]).unwrap();
-        assert!(bytes_for(&wide_schema, 1) > MAX_BITMAP_BYTES);
-        buf[at..at + 4].copy_from_slice(&wide.to_le_bytes());
-        let err = read_snapshot(&mut buf.as_slice()).unwrap_err();
+        // The schema follows magic(4) + version(4) + k(8) + policy tag(4)
+        // + salt(8).
+        let mut schema = Vec::new();
+        write_schema(&mut schema, db.schema()).unwrap();
+        let at = 28;
+        assert_eq!(buf[at..at + schema.len()], schema[..], "the schema's bytes");
+        // 8 192 attributes of 256 values stay within MAX_DOMAIN_VALUES,
+        // but one segment of their bitmaps exceeds the cap. The store
+        // that follows still holds two attributes' columns, so only the
+        // cap, checked before anything is allocated, can reject it.
+        let wide = Schema::with_domain_sizes(&[256; 8192], &["price", "qty"]).unwrap();
+        assert!(bytes_for(&wide, 1) > MAX_BITMAP_BYTES);
+        let mut wide_schema = Vec::new();
+        write_schema(&mut wide_schema, &wide).unwrap();
+        let mut patched = buf.clone();
+        patched.splice(at..at + schema.len(), wide_schema);
+        let err = read_snapshot(&mut patched.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("bitmap"), "{err}");
-        let mut small = Vec::new();
-        write_snapshot(&db, &mut small).unwrap();
-        small[at..at + 4].copy_from_slice(&64u32.to_le_bytes());
-        let restored = read_snapshot(&mut small.as_slice()).unwrap();
+        let at = a0_domain_at(&db);
+        assert_eq!(buf[at..at + 4], 3u32.to_le_bytes(), "A0's domain");
+        buf[at..at + 4].copy_from_slice(&64u32.to_le_bytes());
+        let restored = read_snapshot(&mut buf.as_slice()).unwrap();
         assert_eq!(restored.schema().domain_size(AttrId(0)), 64);
         assert_eq!(restored.len(), 3);
+    }
+
+    /// A domain word above 256, which no one-byte code can hold, is
+    /// refused through the schema's limit; 256 itself reads back.
+    #[test]
+    fn domain_words_above_a_byte_are_refused() {
+        let db = sample_db(3);
+        let mut buf = Vec::new();
+        write_snapshot(&db, &mut buf).unwrap();
+        let at = a0_domain_at(&db);
+        assert_eq!(buf[at..at + 4], 3u32.to_le_bytes(), "A0's domain");
+        buf[at..at + 4].copy_from_slice(&256u32.to_le_bytes());
+        let restored = read_snapshot(&mut buf.as_slice()).unwrap();
+        assert_eq!(restored.schema().domain_size(AttrId(0)), 256);
+        buf[at..at + 4].copy_from_slice(&257u32.to_le_bytes());
+        let err = read_snapshot(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("A0"), "{err}");
     }
 
     /// Length and FNV-1a 64 of `write_snapshot(&pinned_db())`. Derived

@@ -46,7 +46,7 @@ impl TupleRef<'_> {
 
     /// Value of attribute `attr`.
     pub fn value(&self, attr: AttrId) -> ValueId {
-        ValueId(self.data.value_row(self.off)[attr.index()])
+        ValueId(u32::from(self.data.value_row(self.off)[attr.index()]))
     }
 
     /// Value of measure `m`.
@@ -72,6 +72,9 @@ pub struct HiddenDatabase {
     cache: QueryMemo,
     stats: InterfaceStats,
     eval_stats: EvalStats,
+    /// The value row of the tuple the current row op changes, refilled by
+    /// every op so that none allocates one.
+    row: Vec<ValueId>,
 }
 
 impl HiddenDatabase {
@@ -90,6 +93,7 @@ impl HiddenDatabase {
             cache: QueryMemo::default(),
             stats: InterfaceStats::default(),
             eval_stats: EvalStats::default(),
+            row: Vec::new(),
         }
     }
 
@@ -257,11 +261,12 @@ impl HiddenDatabase {
         !self.cache.is_empty()
     }
 
-    /// Patches the memo with one applied row change (see
+    /// Patches the memo with one applied change to the row at `slot`,
+    /// whose values are in the row buffer (see
     /// [`HiddenDatabase::patching`]).
-    fn patch_memo(&mut self, slot: Slot, values: &[ValueId], score: u64, change: RowChange) {
+    fn patch_memo(&mut self, slot: Slot, score: u64, change: RowChange) {
         if self.patching() {
-            let op = RowOp { slot, values, score, change };
+            let op = RowOp { slot, values: &self.row, score, change };
             self.cache.patch(&op, self.k, &self.store);
         }
     }
@@ -352,26 +357,30 @@ impl HiddenDatabase {
     fn insert_inner(&mut self, tuple: Tuple) -> Result<(), DbError> {
         self.validate_tuple(&tuple)?;
         let score = self.scoring.score(tuple.key(), tuple.measures());
-        let values: Vec<ValueId> = tuple.values().to_vec();
+        self.row.clear();
+        self.row.extend_from_slice(tuple.values());
         let slot = self.store.insert(tuple, score)?;
-        self.index.insert(slot, &values);
-        self.patch_memo(slot, &values, score, RowChange::Insert);
+        self.index.insert(slot, &self.row);
+        self.patch_memo(slot, score, RowChange::Insert);
         Ok(())
     }
 
-    /// The full value row of the (alive) tuple at `slot`, in schema order.
-    fn row_of(&self, slot: Slot) -> Vec<ValueId> {
+    /// Fills the row buffer with the value row stored at `slot`, in
+    /// schema order.
+    fn load_row(&mut self, slot: Slot) {
         let (seg, off) = locate(slot);
-        self.store.seg_view(seg).value_row(off).iter().map(|&v| ValueId(v)).collect()
+        let codes = self.store.seg_view(seg).value_row(off);
+        self.row.clear();
+        self.row.extend(codes.iter().map(|&v| ValueId(u32::from(v))));
     }
 
     fn delete_inner(&mut self, key: TupleKey) -> Result<(), DbError> {
-        let slot = self.store.slot_of(key).ok_or(DbError::UnknownKey(key))?;
-        let values = self.row_of(slot);
+        // A deleted slot keeps its row and score until it is reused.
+        let slot = self.store.delete(key)?;
+        self.load_row(slot);
         let score = self.store.score_at(slot);
-        self.store.delete(key)?;
-        self.index.delete(slot, &values);
-        self.patch_memo(slot, &values, score, RowChange::Delete);
+        self.index.delete(slot, &self.row);
+        self.patch_memo(slot, score, RowChange::Delete);
         Ok(())
     }
 
@@ -389,8 +398,8 @@ impl HiddenDatabase {
         let score = self.scoring.score(key, measures);
         self.store.set_score(slot, score);
         if self.patching() {
-            let values = self.row_of(slot);
-            self.patch_memo(slot, &values, score, RowChange::Rescore { old });
+            self.load_row(slot);
+            self.patch_memo(slot, score, RowChange::Rescore { old });
         }
         Ok(())
     }
@@ -504,7 +513,7 @@ impl HiddenDatabase {
             let data = self.store.seg_view(seg);
             for (off, _) in data.alive.iter().enumerate().filter(|&(_, &alive)| alive) {
                 let row = data.value_row(off);
-                if preds.iter().all(|&(attr, value)| row[attr] == value) {
+                if preds.iter().all(|&(attr, value)| u32::from(row[attr]) == value) {
                     matches.push((data.scores[off], (seg * SEGMENT_SLOTS + off) as Slot));
                 }
             }
@@ -1318,6 +1327,39 @@ mod tests {
             assert_eq!(re.store.slot_of(key), twin.store.slot_of(key), "{key}");
         }
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// Value 255, the widest one-byte code, comes back through every
+    /// reader of the store's rows: a page read, the naive scan,
+    /// `TupleRef`, a slot refilled after a delete, and a checkpoint round
+    /// trip, whose rebuilt bitmaps agree with the rows.
+    #[test]
+    fn the_widest_code_survives_every_row_reader() {
+        let dir = scratch_dir("widest");
+        let schema = Schema::with_domain_sizes(&[256, 3], &["price"]).unwrap();
+        let mut d = HiddenDatabase::new(schema, 4, ScoringPolicy::NewestFirst);
+        d.insert(t(1, 0, 0, 1.0)).unwrap();
+        d.insert(t(2, 255, 1, 2.0)).unwrap();
+        let freed = d.store.slot_of(TupleKey(1));
+        d.delete(TupleKey(1)).unwrap();
+        d.insert(t(3, 255, 2, 3.0)).unwrap();
+        assert_eq!(d.store.slot_of(TupleKey(3)), freed, "the freed slot is refilled");
+        d.index.assert_coherent(&d.store);
+        let (widest, zero) = (q(&[(0, 255)]), q(&[(0, 0)]));
+        let out = d.answer(&widest);
+        assert_eq!(out.keys().collect::<Vec<_>>(), vec![TupleKey(3), TupleKey(2)]);
+        assert!(out.tuples().all(|t| t.value(AttrId(0)) == ValueId(255)));
+        assert_eq!(d.exact_answer(&widest), out);
+        assert!(d.answer(&zero).is_underflow(), "the refilled slot no longer holds 0");
+        assert_eq!(d.get(TupleKey(3)).unwrap().value(AttrId(0)), ValueId(255));
+        d.checkpoint(&dir).unwrap();
+        let mut re = HiddenDatabase::open_persistent(&dir).unwrap();
+        re.index.assert_coherent(&re.store);
+        assert_eq!(re.get(TupleKey(2)).unwrap().value(AttrId(0)), ValueId(255));
+        assert_eq!(re.answer(&widest), out);
+        assert_eq!(re.exact_answer(&widest), out);
+        assert!(re.answer(&zero).is_underflow());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Checkpoints are cumulative journal records: reopening always

@@ -17,6 +17,14 @@ pub enum SchemaError {
         /// The offending attribute.
         attr: AttrId,
     },
+    /// Attribute declared with more values than a one-byte value code
+    /// holds ([`crate::schema::MAX_DOMAIN_SIZE`]).
+    DomainTooLarge {
+        /// The offending attribute.
+        attr: AttrId,
+        /// Its declared domain size.
+        size: u32,
+    },
 }
 
 impl fmt::Display for SchemaError {
@@ -26,6 +34,11 @@ impl fmt::Display for SchemaError {
             Self::TooManyAttributes(n) => write!(f, "too many attributes: {n}"),
             Self::TooManyMeasures(n) => write!(f, "too many measures: {n}"),
             Self::EmptyDomain { attr } => write!(f, "attribute {attr} has an empty domain"),
+            Self::DomainTooLarge { attr, size } => write!(
+                f,
+                "attribute {attr} has {size} values; a domain holds at most {}",
+                crate::schema::MAX_DOMAIN_SIZE
+            ),
         }
     }
 }

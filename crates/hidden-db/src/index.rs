@@ -92,7 +92,7 @@ impl BitmapIndex {
                 let (word, bit) = (off >> 6, 1u64 << (off & 63));
                 block[index.alive_row][word] |= bit;
                 for (a, &v) in data.value_row(off).iter().enumerate() {
-                    block[index.first_row[a] + v as usize][word] |= bit;
+                    block[index.first_row[a] + usize::from(v)][word] |= bit;
                 }
             }
         }
@@ -177,7 +177,7 @@ impl BitmapIndex {
                 let (word, bit) = (off >> 6, 1u64 << (off & 63));
                 want[self.alive_row][word] |= bit;
                 for (a, &v) in data.value_row(off).iter().enumerate() {
-                    want[self.first_row[a] + v as usize][word] |= bit;
+                    want[self.first_row[a] + usize::from(v)][word] |= bit;
                 }
             }
             for (r, (got, want)) in block.iter().zip(&want).enumerate() {

@@ -488,10 +488,11 @@ impl TopK {
     }
 }
 
-/// Whether a tuple whose value codes are `row` satisfies every predicate.
+/// Whether a tuple whose one-byte value codes are `row` satisfies every
+/// predicate.
 #[inline]
-pub(crate) fn row_matches(query: &ConjunctiveQuery, row: &[u32]) -> bool {
-    query.predicates().iter().all(|p| row[p.attr.index()] == p.value.0)
+pub(crate) fn row_matches(query: &ConjunctiveQuery, row: &[u8]) -> bool {
+    query.predicates().iter().all(|p| u32::from(row[p.attr.index()]) == p.value.0)
 }
 
 #[cfg(test)]

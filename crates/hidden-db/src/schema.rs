@@ -1,8 +1,22 @@
 //! Relation schema: categorical attributes with finite domains, plus
 //! non-searchable numeric measures.
+//!
+//! ## Domains hold at most 256 values
+//!
+//! The store keeps each value code in one byte, so a domain holds at
+//! most [`MAX_DOMAIN_SIZE`] values, and [`Schema::new`] refuses a larger
+//! one as it refuses more attributes than the `u16` id space holds. The
+//! paper's form interfaces sit far below the limit (Yahoo! Autos: 2–38
+//! values per attribute), and a domain near it is already costly
+//! elsewhere: the bitmap index keeps one 512-byte row per value in every
+//! 4 096-slot segment, 128 KB per segment for one 256-value attribute.
 
 use crate::errors::SchemaError;
 use crate::value::{AttrId, MeasureId, ValueId};
+
+/// The most values an attribute's domain may hold: every value code
+/// `0..MAX_DOMAIN_SIZE` fits the store's one byte per value.
+pub const MAX_DOMAIN_SIZE: u32 = 1 << u8::BITS;
 
 /// Definition of one categorical attribute.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,7 +74,8 @@ pub struct Schema {
 
 impl Schema {
     /// Builds a schema, validating that every attribute has a non-empty
-    /// domain and that the attribute count fits the id space.
+    /// domain of at most [`MAX_DOMAIN_SIZE`] values and that the
+    /// attribute count fits the id space.
     pub fn new(
         attributes: Vec<AttributeDef>,
         measures: Vec<MeasureDef>,
@@ -75,8 +90,12 @@ impl Schema {
             return Err(SchemaError::TooManyMeasures(measures.len()));
         }
         for (i, attr) in attributes.iter().enumerate() {
+            let attr_id = AttrId(i as u16);
             if attr.domain_size == 0 {
-                return Err(SchemaError::EmptyDomain { attr: AttrId(i as u16) });
+                return Err(SchemaError::EmptyDomain { attr: attr_id });
+            }
+            if attr.domain_size > MAX_DOMAIN_SIZE {
+                return Err(SchemaError::DomainTooLarge { attr: attr_id, size: attr.domain_size });
             }
         }
         Ok(Self { attributes, measures })
@@ -170,6 +189,17 @@ mod tests {
             Schema::with_domain_sizes(&[2, 0], &[]),
             Err(SchemaError::EmptyDomain { attr: AttrId(1) })
         ));
+    }
+
+    /// A domain of 256 values builds; one more value is refused, and the
+    /// error names the attribute.
+    #[test]
+    fn domains_fit_one_byte_codes() {
+        let s = Schema::with_domain_sizes(&[256, 3], &[]).unwrap();
+        assert_eq!(s.max_domain_size(), MAX_DOMAIN_SIZE);
+        let err = Schema::with_domain_sizes(&[257, 3], &[]).unwrap_err();
+        assert_eq!(err, SchemaError::DomainTooLarge { attr: AttrId(0), size: 257 });
+        assert!(err.to_string().contains("A0"), "{err}");
     }
 
     #[test]

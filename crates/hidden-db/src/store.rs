@@ -15,6 +15,17 @@
 //! reading the store's values; the evaluation engine reads only the
 //! scores of its matches, which keep an array of their own.
 //!
+//! ## One byte per value
+//!
+//! A value code is one byte: a schema's domains hold at most
+//! [`MAX_DOMAIN_SIZE`](crate::schema::MAX_DOMAIN_SIZE) values, so a row
+//! is `attr_count` bytes (38 at the paper's 38 Autos attributes), and its
+//! readers widen each code to a [`ValueId`] as they read it. With the
+//! key, score, alive flag and one measure, a 4 096-slot segment takes
+//! 252 KB at 38 attributes (708 KB with four-byte codes) and 180 KB at
+//! 20 (420 KB). [`Store::insert`] refuses a code that needs more than a
+//! byte.
+//!
 //! ## Segments
 //!
 //! Slots are grouped into fixed-size segments of [`SEGMENT_SLOTS`]
@@ -35,6 +46,7 @@
 //! every segment holds a score near the top of the range, so a
 //! per-segment score bound would never let a scan stop early.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::Arc;
@@ -79,16 +91,17 @@ pub(crate) fn locate(slot: Slot) -> (usize, usize) {
 /// snapshots via [`Arc`]; mutated only through [`Arc::make_mut`].
 ///
 /// Attribute values and measures are stored row-major: one slot's
-/// values sit next to each other ([`SegmentData::value_row`]), so a
-/// result page copies each of its tuples as one contiguous slice.
+/// values sit next to each other ([`SegmentData::value_row`]), one byte
+/// each, so a result page copies each of its tuples as one contiguous
+/// slice.
 #[derive(Debug, Clone)]
 pub(crate) struct SegmentData {
     /// Attributes per row.
     pub(crate) attr_count: usize,
     /// Measures per row.
     pub(crate) measure_count: usize,
-    /// Value codes, `attr_count` per local slot, in slot order.
-    pub(crate) values: Vec<u32>,
+    /// One-byte value codes, `attr_count` per local slot, in slot order.
+    pub(crate) values: Vec<u8>,
     /// Measure values, `measure_count` per local slot, in slot order.
     pub(crate) measures: Vec<f64>,
     /// `keys[off]` = external key of the occupant (stale if dead).
@@ -114,7 +127,7 @@ impl SegmentData {
 
     /// The value codes of local slot `off`, in schema order.
     #[inline]
-    pub(crate) fn value_row(&self, off: usize) -> &[u32] {
+    pub(crate) fn value_row(&self, off: usize) -> &[u8] {
         &self.values[off * self.attr_count..(off + 1) * self.attr_count]
     }
 
@@ -125,8 +138,8 @@ impl SegmentData {
     }
 
     /// Appends a row at the next local offset (caller tracks allocation).
-    pub(crate) fn push_row(&mut self, values: &[ValueId], measures: &[f64], key: u64, score: u64) {
-        self.values.extend(values[..self.attr_count].iter().map(|v| v.0));
+    fn push_row(&mut self, values: &[ValueId], measures: &[f64], key: u64, score: u64) {
+        self.values.extend(values[..self.attr_count].iter().map(|&v| code(v)));
         self.measures.extend_from_slice(&measures[..self.measure_count]);
         self.keys.push(key);
         self.scores.push(score);
@@ -134,7 +147,7 @@ impl SegmentData {
     }
 
     /// Overwrites the row at local offset `off` (slot reuse).
-    pub(crate) fn write_row(
+    fn write_row(
         &mut self,
         off: usize,
         values: &[ValueId],
@@ -143,8 +156,8 @@ impl SegmentData {
         score: u64,
     ) {
         let a = self.attr_count;
-        for (dst, v) in self.values[off * a..(off + 1) * a].iter_mut().zip(&values[..a]) {
-            *dst = v.0;
+        for (dst, &v) in self.values[off * a..(off + 1) * a].iter_mut().zip(&values[..a]) {
+            *dst = code(v);
         }
         self.write_measures(off, measures);
         self.keys[off] = key;
@@ -153,10 +166,15 @@ impl SegmentData {
     }
 
     /// Overwrites the measures of local slot `off`.
-    pub(crate) fn write_measures(&mut self, off: usize, measures: &[f64]) {
+    fn write_measures(&mut self, off: usize, measures: &[f64]) {
         let m = self.measure_count;
         self.measures[off * m..(off + 1) * m].copy_from_slice(&measures[..m]);
     }
+}
+
+/// The one-byte code of `value`, which [`Store::insert`] has checked.
+fn code(value: ValueId) -> u8 {
+    u8::try_from(value.0).expect("Store::insert admits only one-byte codes")
 }
 
 /// The read side of the store: `Arc`-shared segment data blocks plus the
@@ -238,7 +256,7 @@ impl StoreCore {
     #[inline]
     pub fn value_at(&self, attr_idx: usize, slot: Slot) -> u32 {
         let (seg, off) = locate(slot);
-        self.seg_view(seg).value_row(off)[attr_idx]
+        u32::from(self.seg_view(seg).value_row(off)[attr_idx])
     }
 
     /// Measure value at `slot`.
@@ -312,6 +330,12 @@ impl StoreCore {
             (0..data.alive.len())
                 .filter_map(move |off| data.alive[off].then_some(base + off as Slot))
         })
+    }
+
+    /// The writer's one mutation gate: hands out `seg`'s data exclusively,
+    /// copying it first if a published snapshot still shares it.
+    fn seg_mut(&mut self, seg: usize) -> &mut SegmentData {
+        Arc::make_mut(&mut self.segs[seg])
     }
 }
 
@@ -389,12 +413,6 @@ impl Store {
         &self.free
     }
 
-    /// The writer's one mutation gate: hands out `seg`'s data exclusively,
-    /// copying it first if a published snapshot still shares it.
-    fn seg_mut(&mut self, seg: usize) -> &mut SegmentData {
-        Arc::make_mut(&mut self.core.segs[seg])
-    }
-
     /// Slot of an alive tuple by key.
     pub fn slot_of(&self, key: TupleKey) -> Option<Slot> {
         self.key_to_slot.get(&key.0).copied()
@@ -407,43 +425,51 @@ impl Store {
 
     /// Inserts a tuple with the given hidden score, returning its slot.
     ///
-    /// Errors with [`DbError::DuplicateKey`] if the key is already alive.
-    /// Shape validation against the schema happens in the database facade.
+    /// Errors with [`DbError::DuplicateKey`] if the key is already alive,
+    /// and with [`DbError::TupleMismatch`] if a value code needs more than
+    /// one byte; either way the store is left as it was. Shape validation
+    /// against the schema happens in the database facade.
     pub fn insert(&mut self, tuple: Tuple, score: u64) -> Result<Slot, DbError> {
         let (key, values, measures) = tuple.into_parts();
-        if self.key_to_slot.contains_key(&key.0) {
-            return Err(DbError::DuplicateKey(key));
+        if let Some(v) = values.iter().find(|v| u8::try_from(v.0).is_err()) {
+            return Err(DbError::TupleMismatch(format!("value {v} needs more than one byte")));
         }
+        let Entry::Vacant(entry) = self.key_to_slot.entry(key.0) else {
+            return Err(DbError::DuplicateKey(key));
+        };
+        let core = &mut self.core;
         let slot = match self.free.pop() {
             Some(s) => {
                 let (seg, off) = locate(s);
-                self.seg_mut(seg).write_row(off, &values, &measures, key.0, score);
+                core.seg_mut(seg).write_row(off, &values, &measures, key.0, score);
                 s
             }
             None => {
-                let s = self.core.allocated as Slot;
+                let s = core.allocated as Slot;
                 let seg = segment_of(s);
-                if seg == self.core.segs.len() {
-                    let (attrs, ms) = (self.core.attr_count, self.core.measure_count);
-                    self.core.segs.push(Arc::new(SegmentData::empty(attrs, ms)));
-                    self.core.alive.push(0);
+                if seg == core.segs.len() {
+                    let data = SegmentData::empty(core.attr_count, core.measure_count);
+                    core.segs.push(Arc::new(data));
+                    core.alive.push(0);
                 }
-                self.seg_mut(seg).push_row(&values, &measures, key.0, score);
-                self.core.allocated += 1;
+                core.seg_mut(seg).push_row(&values, &measures, key.0, score);
+                core.allocated += 1;
                 s
             }
         };
-        self.key_to_slot.insert(key.0, slot);
-        self.core.alive_count += 1;
-        self.core.alive[segment_of(slot)] += 1;
+        entry.insert(slot);
+        core.alive_count += 1;
+        core.alive[segment_of(slot)] += 1;
         Ok(slot)
     }
 
-    /// Deletes the alive tuple with `key`, returning the freed slot.
+    /// Deletes the alive tuple with `key`, returning the freed slot. The
+    /// slot's row and score stay in place until the slot is reused, so a
+    /// caller can still read what the tuple held.
     pub fn delete(&mut self, key: TupleKey) -> Result<Slot, DbError> {
         let slot = self.key_to_slot.remove(&key.0).ok_or(DbError::UnknownKey(key))?;
         let (seg, off) = locate(slot);
-        self.seg_mut(seg).alive[off] = false;
+        self.core.seg_mut(seg).alive[off] = false;
         self.free.push(slot);
         self.core.alive_count -= 1;
         self.core.alive[seg] -= 1;
@@ -455,7 +481,7 @@ impl Store {
     pub fn update_measures(&mut self, key: TupleKey, measures: &[f64]) -> Result<Slot, DbError> {
         let slot = self.slot_of(key).ok_or(DbError::UnknownKey(key))?;
         let (seg, off) = locate(slot);
-        self.seg_mut(seg).write_measures(off, measures);
+        self.core.seg_mut(seg).write_measures(off, measures);
         Ok(slot)
     }
 
@@ -463,7 +489,7 @@ impl Store {
     /// update changes a measure-based rank).
     pub fn set_score(&mut self, slot: Slot, score: u64) {
         let (seg, off) = locate(slot);
-        self.seg_mut(seg).scores[off] = score;
+        self.core.seg_mut(seg).scores[off] = score;
     }
 }
 
@@ -511,6 +537,24 @@ mod tests {
         assert_eq!(a, b, "freed slot must be reused");
         assert_eq!(s.len(), 2);
         assert_eq!(s.key_at(b), TupleKey(3));
+    }
+
+    /// A code above 255 is refused on both insert paths, a fresh slot
+    /// and a reused one, and leaves the store as it was.
+    #[test]
+    fn insert_refuses_a_code_wider_than_a_byte() {
+        let mut s = Store::new(2, 0);
+        let wide = || t(7, &[255, 256], &[]);
+        assert!(matches!(s.insert(wide(), 0), Err(DbError::TupleMismatch(_))));
+        assert_eq!((s.len(), s.slot_bound(), s.segment_count()), (0, 0, 0));
+        let a = s.insert(t(1, &[255, 0], &[]), 0).unwrap();
+        s.delete(TupleKey(1)).unwrap();
+        assert!(matches!(s.insert(wide(), 0), Err(DbError::TupleMismatch(_))));
+        assert_eq!((s.len(), s.slot_bound(), s.free_slots()), (0, 1, &[a][..]));
+        assert_eq!(s.slot_of(TupleKey(7)), None);
+        assert_eq!(s.value_at(0, a), 255, "the dead row is untouched");
+        assert_eq!(s.insert(t(7, &[255, 255], &[]), 0).unwrap(), a);
+        assert_eq!((s.value_at(0, a), s.value_at(1, a)), (255, 255));
     }
 
     #[test]

@@ -124,11 +124,12 @@ impl PageBuilder {
         }
     }
 
-    /// Appends one row: its value codes in schema order, and its measures.
+    /// Appends one row: its one-byte value codes in schema order, and its
+    /// measures.
     #[inline]
-    pub(crate) fn push(&mut self, key: TupleKey, values: &[u32], measures: &[f64]) {
+    pub(crate) fn push(&mut self, key: TupleKey, values: &[u8], measures: &[f64]) {
         self.keys.push(key);
-        self.values.extend(values.iter().map(|&v| ValueId(v)));
+        self.values.extend(values.iter().map(|&v| ValueId(u32::from(v))));
         self.measures.extend_from_slice(measures);
     }
 
